@@ -99,6 +99,11 @@ def divergence_report(fe: FieldEvaluator, theta: np.ndarray,
     Sharing the probe set makes the two estimates identical when u = 0
     (J = grad f exactly), so the reported ratio is exactly 1 at the
     Euclidean starting point rather than 1 +- probe noise.
+
+    One gradient-field call covers rows [theta + eps*v; theta - eps*v;
+    theta] (2K+1 rows).  The factor field is evaluated at theta, then at
+    the 2K probe rows plus theta +- eps*J0; the volume term needs u alone
+    at those last two rows.
     """
     theta = np.asarray(theta, dtype=np.float64)
     n = theta.size
@@ -106,19 +111,15 @@ def divergence_report(fe: FieldEvaluator, theta: np.ndarray,
     eps = pc.step_at(theta)
     probes = rademacher_matrix(RngStream(pc.seed), k, n)
 
+    probe_pts = np.concatenate([theta + eps * probes,     # rows 0..k-1
+                                theta - eps * probes])    # rows k..2k-1
     u0 = fe.factors(theta[None])[0]
-    g0 = fe.gradients(theta[None])[0]
-    j0 = inverse_apply(MetricPoint(u0), g0)
-
-    pts = np.concatenate([
-        theta + eps * probes,       # rows 0..k-1
-        theta - eps * probes,       # rows k..2k-1
-        theta[None] + eps * j0,     # row 2k
-        theta[None] - eps * j0,     # row 2k+1
-    ], axis=0)
-    us = fe.factors(pts)
-    gs = fe.gradients(pts)
-    js = inverse_apply(MetricPoint(us), gs)
+    gs = fe.gradients(np.concatenate([probe_pts, theta[None]]))
+    j0 = inverse_apply(MetricPoint(u0), gs[2 * k])
+    us = fe.factors(np.concatenate([probe_pts,
+                                    theta[None] + eps * j0,   # row 2k
+                                    theta[None] - eps * j0])) # row 2k+1
+    js = inverse_apply(MetricPoint(us[:2 * k]), gs[:2 * k])
 
     j_diff = (js[:k] - js[k : 2 * k]) / (2.0 * eps)
     grad_diff = (gs[:k] - gs[k : 2 * k]) / (2.0 * eps)

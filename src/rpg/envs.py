@@ -283,6 +283,13 @@ def _unpack_gain_points(points, env):
     return k_aug, single
 
 
+def _closed_loop(k_aug, env, a_aug, b_aug, q_aug):
+    """Per-row Ãc = Ã - B̃ K̃, its transpose, and the stage cost Q̃ + K̃^T R K̃."""
+    a_cl = a_aug - b_aug @ k_aug
+    cost_mat = q_aug + k_aug.swapaxes(1, 2) @ env.r @ k_aug
+    return a_cl, a_cl.swapaxes(1, 2), cost_mat
+
+
 def lqr_expected_return(points, env, gamma, init_second_moment=None,
                         horizon=None):
     """Exact expected discounted return of affine policies a = -K s + b.
@@ -304,15 +311,13 @@ def lqr_expected_return(points, env, gamma, init_second_moment=None,
     noise[:env.state_dim, :env.state_dim] = (
         env.noise_scale ** 2 * np.eye(env.state_dim))
 
-    a_cl = a_aug[None] - np.einsum("ij,bjk->bik", b_aug, k_aug)
-    cost_mat = q_aug[None] + np.einsum(
-        "bji,jk,bkl->bil", k_aug, env.r, k_aug)
+    a_cl, a_cl_t, cost_mat = _closed_loop(k_aug, env, a_aug, b_aug, q_aug)
     m_t = np.broadcast_to(init_second_moment, a_cl.shape).copy()
     total = np.zeros(len(k_aug))
     disc = 1.0
     for _ in range(horizon):
         total += disc * np.einsum("bij,bji->b", cost_mat, m_t)
-        m_t = np.einsum("bij,bjk,blk->bil", a_cl, m_t, a_cl) + noise
+        m_t = a_cl @ m_t @ a_cl_t + noise
         disc *= gamma
     returns = -total
     return float(returns[0]) if single else returns
@@ -347,26 +352,21 @@ def lqr_return_gradient(points, env, gamma, init_second_moment=None,
         env.noise_scale ** 2 * np.eye(env.state_dim))
 
     batch = len(k_aug)
-    a_cl = a_aug[None] - np.einsum("ij,bjk->bik", b_aug, k_aug)
-    cost_mat = q_aug[None] + np.einsum(
-        "bji,jk,bkl->bil", k_aug, env.r, k_aug)
+    a_cl, a_cl_t, cost_mat = _closed_loop(k_aug, env, a_aug, b_aug, q_aug)
 
     p_stack = [np.zeros((batch, n_aug, n_aug))]
     for _ in range(horizon):
-        p_prev = cost_mat + gamma * np.einsum(
-            "bji,bjk,bkl->bil", a_cl, p_stack[-1], a_cl)
-        p_stack.append(p_prev)
+        p_stack.append(cost_mat + gamma * (a_cl_t @ p_stack[-1] @ a_cl))
     p_stack.reverse()  # p_stack[t] is now the cost-to-go at step t
 
-    rk = np.einsum("ij,bjk->bik", env.r, k_aug)
+    rk = env.r @ k_aug
     m_t = np.broadcast_to(init_second_moment, a_cl.shape).copy()
     grad_aug = np.zeros_like(k_aug)
     disc = 1.0
     for t in range(horizon):
-        inner = rk - gamma * np.einsum(
-            "ji,bjk,bkl->bil", b_aug, p_stack[t + 1], a_cl)
-        grad_aug += disc * 2.0 * np.einsum("bij,bjk->bik", inner, m_t)
-        m_t = np.einsum("bij,bjk,blk->bil", a_cl, m_t, a_cl) + noise
+        inner = rk - gamma * (b_aug.T @ p_stack[t + 1] @ a_cl)
+        grad_aug += disc * 2.0 * (inner @ m_t)
+        m_t = a_cl @ m_t @ a_cl_t + noise
         disc *= gamma
     # ascent on return = descent on cost; undo the K̃ = [K, -b] packing
     n = env.state_dim

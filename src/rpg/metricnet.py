@@ -13,16 +13,19 @@ starts exactly Euclidean and the step-0 regularized gradient equals the raw
 gradient bitwise.
 
 ``train_metric_net`` drives the squared probe-estimated divergence toward
-zero in the network parameters phi.  Per iteration the probe vectors, the
-gradient-field evaluations, and the two points theta +- eps*J displaced along
-the current field are all frozen as constants; only u(., phi) re-enters the
-graph, so the loss is differentiable in phi without differentiating the
-objective's gradient field.  The zero-head start is an exact saddle — every
-phi-derivative carries a factor of u or u.g, which is exactly 0.0 — so when
-the loss is positive but the phi-gradient is identically zero the loop
-applies one small seeded kick to the head parameters and resumes descent.
-The returned phi is the best recorded iterate, never the last one, and a
-non-finite loss aborts the loop and returns that incumbent.
+zero in the network parameters phi.  No gradient-field value depends on phi,
+so the probe vectors of every iteration are drawn up front and the field is
+evaluated once per pass, at theta and at every iteration's theta +- eps*v
+rows.  Per iteration those values, the probe vectors, and the two points
+theta +- eps*J displaced along the current field are frozen as constants;
+only u(., phi) re-enters the graph, so the loss is differentiable in phi
+without differentiating the objective's gradient field.  The zero-head
+start is an exact saddle — every phi-derivative carries a factor of u or
+u.g, which is exactly 0.0 — so when the loss is positive but the
+phi-gradient is identically zero the loop applies one small seeded kick to
+the head parameters and resumes descent.  The returned phi is the best
+recorded iterate, never the last one; a non-finite loss, u value or
+gradient row aborts the loop at its iteration and returns that incumbent.
 """
 
 from __future__ import annotations
@@ -32,9 +35,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import tape
-from .errors import BadDimensions, LayoutMismatch
-from .fields import FieldEvaluator, ProbeConfig
+from . import fields, tape
+from .errors import BadDimensions, LayoutMismatch, NonFiniteField
+from .fields import ProbeConfig, require_finite
 from .fourier import TransformParams, build_fourier_pair, build_u
 from .metric import MetricPoint, inverse_apply
 from .rng import RngStream, rademacher_matrix
@@ -392,7 +395,8 @@ class FrozenProbes:
 
     Rows of points: [0:K] theta+eps*v, [K:2K] theta-eps*v, then theta+eps*J0,
     theta-eps*J0, theta itself.  grads holds the gradient field at the first
-    2K rows only — the volume term needs no gradients.
+    2K rows only — the volume term needs no gradients — sliced from the
+    pass's single field call (``probe_field_rows``).
     """
 
     points: np.ndarray
@@ -402,16 +406,39 @@ class FrozenProbes:
     theta: np.ndarray
 
 
-def freeze_probe_batch(phi: MetricNetParams, theta: np.ndarray, grad_fn,
-                       pc: ProbeConfig, probes=None) -> FrozenProbes:
+def probe_field_rows(grad_fn, theta: np.ndarray, probes: np.ndarray,
+                     eps: float):
+    """Gradient field at theta and at every probe row, in one field call.
+
+    probes stacks I probe matrices, shape (I, K, n).  The call covers
+    [theta; theta + eps*V_1; theta - eps*V_1; ...; theta - eps*V_I] and
+    returns (g0, grads) with g0 = grad f(theta) and grads[i] the (2K, n)
+    rows of iteration i, plus rows first.  Nothing is checked for
+    finiteness here: each consumer checks the rows it uses.
+    """
     theta = np.asarray(theta, dtype=np.float64)
-    n = theta.size
-    if probes is None:
-        probes = rademacher_matrix(RngStream(pc.seed), pc.probe_count, n)
-    eps = pc.step_at(theta)
-    fe = FieldEvaluator(grad_fn=grad_fn, u_fn=build_u_field(phi), n=n)
-    u0 = fe.factors(theta[None])[0]
-    g0 = fe.gradients(theta[None])[0]
+    shifted = np.stack([theta + eps * probes, theta - eps * probes], axis=1)
+    pts = np.concatenate([theta[None], shifted.reshape(-1, theta.size)])
+    # looked up on the module, so wrappers installed on
+    # rpg.fields.eval_points also see this call
+    out = fields.eval_points(grad_fn, pts)
+    return out[0], out[1:].reshape(shifted.shape[0], -1, theta.size)
+
+
+def freeze_probe_batch(phi: MetricNetParams, theta: np.ndarray,
+                       g0: np.ndarray, probes: np.ndarray,
+                       probe_grads: np.ndarray, eps: float) -> FrozenProbes:
+    """Freeze one iteration's batch from precomputed gradient-field values.
+
+    g0 is grad f(theta) and probe_grads the (2K, n) field rows at
+    [theta + eps*probes; theta - eps*probes] (see ``probe_field_rows``).
+    Raises NonFiniteField when g0, probe_grads or u(theta) is not finite.
+    """
+    theta = np.asarray(theta, dtype=np.float64)
+    u0 = require_finite(fields.eval_points(build_u_field(phi), theta[None]),
+                        "metric factor field")[0]
+    g0 = require_finite(g0, "gradient field")
+    grads = require_finite(probe_grads, "gradient field")
     j0 = inverse_apply(MetricPoint(u0), g0)
     pts = np.concatenate([
         theta + eps * probes,
@@ -420,7 +447,6 @@ def freeze_probe_batch(phi: MetricNetParams, theta: np.ndarray, grad_fn,
         (theta - eps * j0)[None],
         theta[None],
     ], axis=0)
-    grads = fe.gradients(pts[:2 * probes.shape[0]])
     return FrozenProbes(points=pts, probes=probes, grads=grads, eps=eps,
                         theta=theta)
 
@@ -476,11 +502,11 @@ def train_metric_net(phi: MetricNetParams, theta: np.ndarray, grad_fn,
     history records one (iter, div, loss) triple per completed iteration,
     always describing the best iterate seen so far — the curve is exactly
     non-increasing in loss, and the final entry describes the returned phi.
-    A non-finite loss (or a non-finite u field while freezing the batch)
-    aborts the loop; the incumbent is returned unchanged.
+    The gradient field is evaluated once, over theta and all max_iters
+    iterations' probe rows.  A non-finite loss, u field, or gradient row
+    of the current iteration aborts the loop there; the incumbent is
+    returned unchanged.
     """
-    from .errors import NonFiniteField
-
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     cfg = step_cfg if step_cfg is not None else StepConfig()
@@ -496,10 +522,15 @@ def train_metric_net(phi: MetricNetParams, theta: np.ndarray, grad_fn,
     best_loss, best_div = np.inf, np.nan
     history = []
 
+    probes = np.stack([rademacher_matrix(probe_rng, pc.probe_count, theta.size)
+                       for _ in range(max_iters)])
+    eps = pc.step_at(theta)
+    g0, probe_grads = probe_field_rows(grad_fn, theta, probes, eps)
+
     for it in range(max_iters):
-        probes = rademacher_matrix(probe_rng, pc.probe_count, theta.size)
         try:
-            ctx = freeze_probe_batch(work, theta, grad_fn, pc, probes=probes)
+            ctx = freeze_probe_batch(work, theta, g0, probes[it],
+                                     probe_grads[it], eps)
             div, loss, grads = evaluate_divergence_loss(work, ctx)
         except NonFiniteField:
             break

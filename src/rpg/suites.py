@@ -35,8 +35,8 @@ from .linalg import dense_det, dense_inverse
 from .metric import MetricPoint, inverse_apply, metric_det, metric_matrix
 from .metricnet import (LayerLayout, MetricNetConfig, StepConfig,
                         evaluate_divergence_loss, freeze_probe_batch,
-                        init_params, train_metric_net)
-from .rng import RngStream
+                        init_params, probe_field_rows, train_metric_net)
+from .rng import RngStream, rademacher_matrix
 
 PASS, FAIL, SKIP, DEFECT = "PASS", "FAIL", "SKIP", "KNOWN-DEFECT"
 
@@ -277,7 +277,10 @@ def suite_metric_training():
     for a in (phi.head_omega_w, phi.head_omega_b,
               phi.head_sigma_w, phi.head_sigma_b):
         a += r.uniform(-0.05, 0.05, a.shape)
-    ctx = freeze_probe_batch(phi, theta, grad_fn, ProbeConfig(probe_count=8))
+    probes = rademacher_matrix(RngStream(0), 8, theta.size)
+    eps = ProbeConfig().step_at(theta)
+    g0, probe_grads = probe_field_rows(grad_fn, theta, probes[None], eps)
+    ctx = freeze_probe_batch(phi, theta, g0, probes, probe_grads[0], eps)
     _, _, grads = evaluate_divergence_loss(phi, ctx)
     arrs = phi.params_list()
     picks = [(0, 0), (len(arrs) - 6, 0), (len(arrs) - 4, 0),

@@ -215,10 +215,16 @@ def _build_policy(env, cfg, rng):
 def _gradient_field(env, policy, cfg, backend, probe_seed):
     """Batched ascent-gradient field over policy parameters.
 
-    analytic: exact closed forms (LQR recursion / landscape gradient).
+    analytic: exact closed forms (LQR recursion / landscape gradient); the
+    update's own gradient is this field at theta.
     reinforce: REINFORCE at each parameter point with common random
     numbers — every point reuses the same rollout stream, which keeps the
-    field smooth enough to probe with finite differences.
+    field smooth enough to probe with finite differences.  The update's own
+    gradient comes from the freshly collected batch instead.
+
+    Each metric-regularization pass calls the field twice: once in
+    ``train_metric_net`` for theta and every inner iteration's probe rows,
+    once in ``divergence_report`` for its 2K probe rows and theta.
     """
     if backend == "analytic":
         if env.kind == "lqr":
@@ -245,14 +251,6 @@ def _gradient_field(env, policy, cfg, backend, probe_seed):
     return field_fn
 
 
-def _point_gradient(env, policy, cfg, backend, fresh):
-    if backend == "analytic":
-        if env.kind == "lqr":
-            return lqr_return_gradient(policy.theta, env, cfg.gamma)
-        return env.analytic_gradient(policy.theta)
-    return reinforce_gradient_from_batch(policy, fresh, cfg.gamma)
-
-
 def evaluate_policy(env, policy, episodes, gamma, rng):
     """Mean discounted return over evaluation episodes (no exploration)."""
     total = 0.0
@@ -271,7 +269,9 @@ def run_training(cfg):
     """Run one configured training session and return its RunSummary.
 
     Aborts with a partial summary (records so far, aborted=True) as soon as
-    the policy parameters stop being finite.
+    the policy parameters, or the evaluation of a new policy, stop being
+    finite; the update that failed leaves no record, so final_return is the
+    last finite evaluation.
     """
     root = RngStream(cfg.seed)
     env = make_env(cfg.env_kind, **cfg.env_params)
@@ -304,15 +304,18 @@ def run_training(cfg):
         steps += collected
 
         theta = policy.theta
-        grad = _point_gradient(env, policy, cfg, backend, fresh)
+        grad_fn = _gradient_field(env, policy, cfg, backend,
+                                  _probe_seed(cfg.seed, update_idx) + 1)
+        if backend == "analytic":
+            grad = grad_fn(theta)
+        else:
+            grad = reinforce_gradient_from_batch(policy, fresh, cfg.gamma)
         if not np.all(np.isfinite(grad)):
             aborted = True
             break
 
         probe_cfg = ProbeConfig(probe_count=cfg.probe_count,
                                 seed=_probe_seed(cfg.seed, update_idx))
-        grad_fn = _gradient_field(env, policy, cfg, backend,
-                                  _probe_seed(cfg.seed, update_idx) + 1)
         direction, report, phi = regularize_step(theta, grad, phi, cfg,
                                                  grad_fn, probe_cfg)
         policy.set_theta(theta + cfg.policy_lr * direction)
@@ -323,6 +326,9 @@ def run_training(cfg):
         eval_return = evaluate_policy(env, policy, cfg.eval_episodes,
                                       cfg.gamma,
                                       root.spawn(f"eval-{update_idx}"))
+        if not np.isfinite(eval_return):
+            aborted = True
+            break
         if cfg.variant == "baseline":
             gate_flag = False
         else:

@@ -136,6 +136,22 @@ def test_report_shared_probes_give_unit_ratio_when_flat():
     assert rep.probe_count == 16
 
 
+def test_report_evaluates_gradient_field_once():
+    """One gradient call over the 2K probe rows plus theta; the two rows
+    theta +- eps*J0 need u alone."""
+    calls = []
+
+    def grad_fn(pts):
+        calls.append(np.shape(pts))
+        return 2.0 * pts
+
+    fe = evaluator(grad_fn, lambda p: 0.2 * p, 3)
+    rep = divergence_report(fe, np.array([0.5, -0.5, 0.25]),
+                            ProbeConfig(probe_count=4, seed=9))
+    assert calls == [(2 * 4 + 1, 3)]
+    assert np.isfinite(rep.div)
+
+
 def test_report_fields_populated():
     fe = evaluator(lambda p: p, lambda p: 0.2 * p, 3)
     rep = divergence_report(fe, np.array([0.5, -0.5, 0.25]),

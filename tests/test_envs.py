@@ -266,3 +266,62 @@ def test_batched_recursions_match_single_points():
             lqr_expected_return(pts[i], env, GAMMA), abs=1e-12)
         single = lqr_return_gradient(pts[i], env, GAMMA)
         assert np.max(np.abs(grads[i] - single)) <= 1e-12
+
+
+def einsum_return_gradient(points, env, gamma):
+    """Reference: the LQR return gradient as 3-operand einsum contractions."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    n, m = env.state_dim, env.action_dim
+    k = pts[:, :m * n].reshape(-1, m, n)
+    k_aug = np.concatenate([k, -pts[:, m * n:].reshape(-1, m)[:, :, None]],
+                           axis=2)
+    a_aug = np.zeros((n + 1, n + 1))
+    a_aug[:n, :n] = env.a
+    a_aug[n, n] = 1.0
+    b_aug = np.zeros((n + 1, m))
+    b_aug[:n, :] = env.b
+    q_aug = np.zeros((n + 1, n + 1))
+    q_aug[:n, :n] = env.q
+    noise = np.zeros((n + 1, n + 1))
+    noise[:n, :n] = env.noise_scale ** 2 * np.eye(n)
+
+    batch = len(k_aug)
+    a_cl = a_aug[None] - np.einsum("ij,bjk->bik", b_aug, k_aug)
+    cost_mat = q_aug[None] + np.einsum(
+        "bji,jk,bkl->bil", k_aug, env.r, k_aug)
+    p_stack = [np.zeros((batch, n + 1, n + 1))]
+    for _ in range(env.horizon):
+        p_stack.append(cost_mat + gamma * np.einsum(
+            "bji,bjk,bkl->bil", a_cl, p_stack[-1], a_cl))
+    p_stack.reverse()
+    rk = np.einsum("ij,bjk->bik", env.r, k_aug)
+    m_t = np.broadcast_to(default_init_second_moment(env), a_cl.shape).copy()
+    grad_aug = np.zeros_like(k_aug)
+    disc = 1.0
+    for t in range(env.horizon):
+        inner = rk - gamma * np.einsum(
+            "ji,bjk,bkl->bil", b_aug, p_stack[t + 1], a_cl)
+        grad_aug += disc * 2.0 * np.einsum("bij,bjk->bik", inner, m_t)
+        m_t = np.einsum("bij,bjk,blk->bil", a_cl, m_t, a_cl) + noise
+        disc *= gamma
+    return np.concatenate([-grad_aug[:, :, :n].reshape(batch, -1),
+                           grad_aug[:, :, n]], axis=1)
+
+
+@pytest.mark.parametrize("rows", [1, 33, 673])
+@pytest.mark.parametrize("kind", ["scalar", "two-dim-noisy"])
+def test_matmul_gradient_matches_einsum_reference(rows, kind):
+    rng = RngStream(rows)
+    if kind == "scalar":
+        # gains around the stabilizing band 0 < k < 2 of a = b = 1
+        env = make_env("lqr")
+        pts = np.column_stack([rng.uniform(0.2, 1.6, size=rows),
+                               rng.uniform(-0.5, 0.5, size=rows)])
+    else:
+        env = two_dim_env(noise=0.1)
+        pts = rng.uniform(-0.3, 0.3, size=(rows, 6))
+    got = lqr_return_gradient(pts, env, GAMMA)
+    want = einsum_return_gradient(pts, env, GAMMA)
+    assert got.shape == want.shape == pts.shape
+    scale = np.max(np.abs(want), axis=1, keepdims=True)
+    assert np.all(np.abs(got - want) <= 1e-12 * scale)

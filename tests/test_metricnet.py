@@ -18,9 +18,9 @@ from rpg.fields import FieldEvaluator, ProbeConfig
 from rpg.metricnet import (LayerLayout, MetricNetConfig, StepConfig,
                            build_u_field, evaluate_divergence_loss,
                            freeze_probe_batch, init_params, load_params,
-                           metric_net_forward, params_to_json, save_params,
-                           train_metric_net)
-from rpg.rng import RngStream
+                           metric_net_forward, params_to_json,
+                           probe_field_rows, save_params, train_metric_net)
+from rpg.rng import RngStream, rademacher_matrix
 from rpg.tape import DiffGraph, add, reduce_sum, value
 
 
@@ -208,11 +208,19 @@ def quad_fixture(n=8):
     return layout, grad_fn, theta, d
 
 
+def freeze(phi, theta, grad_fn, pc):
+    """One frozen batch at pc's own probe draw, field rows from one call."""
+    probes = rademacher_matrix(RngStream(pc.seed), pc.probe_count, theta.size)
+    eps = pc.step_at(theta)
+    g0, probe_grads = probe_field_rows(grad_fn, theta, probes[None], eps)
+    return freeze_probe_batch(phi, theta, g0, probes, probe_grads[0], eps)
+
+
 def test_zero_head_start_is_exact_saddle():
     """Loss positive, every phi-gradient exactly 0.0 — not approximately."""
     layout, grad_fn, theta, d = quad_fixture()
     phi = init_params(RngStream(30), MetricNetConfig(m_tilde=3), layout)
-    ctx = freeze_probe_batch(phi, theta, grad_fn, ProbeConfig(probe_count=8))
+    ctx = freeze(phi, theta, grad_fn, ProbeConfig(probe_count=8))
     div, loss, grads = evaluate_divergence_loss(phi, ctx)
     assert div == pytest.approx(float(np.sum(d)), abs=1e-9)
     assert loss > 0
@@ -223,7 +231,7 @@ def test_initial_divergence_matches_hutchinson():
     layout, grad_fn, theta, d = quad_fixture()
     phi = init_params(RngStream(31), MetricNetConfig(m_tilde=3), layout)
     pc = ProbeConfig(probe_count=8, seed=4)
-    ctx = freeze_probe_batch(phi, theta, grad_fn, pc)
+    ctx = freeze(phi, theta, grad_fn, pc)
     div, _, _ = evaluate_divergence_loss(phi, ctx)
     trace = hessian_trace_hutchinson(grad_fn, theta, pc)
     assert div == pytest.approx(trace, rel=1e-12)
@@ -237,7 +245,7 @@ def test_phi_gradient_matches_fd():
     for a in (phi.head_omega_w, phi.head_omega_b,
               phi.head_sigma_w, phi.head_sigma_b):
         a += r.uniform(-0.05, 0.05, a.shape)
-    ctx = freeze_probe_batch(phi, theta, grad_fn, ProbeConfig(probe_count=8))
+    ctx = freeze(phi, theta, grad_fn, ProbeConfig(probe_count=8))
     _, _, grads = evaluate_divergence_loss(phi, ctx)
 
     arrs = phi.params_list()
@@ -312,6 +320,55 @@ def test_train_aborts_on_non_finite():
             phi, theta, grad_fn, ProbeConfig(probe_count=4), max_iters=5)
     assert history == []
     assert np.isinf(out.trunk_w[0, 0])
+
+    # a NaN gradient field: same abort, phi untouched, nothing raised
+    phi = init_params(RngStream(37), MetricNetConfig(m_tilde=3), layout)
+    out, history = train_metric_net(
+        phi, theta, lambda p: np.full_like(p, np.nan),
+        ProbeConfig(probe_count=4), max_iters=5)
+    assert history == []
+    assert all(np.array_equal(a, b)
+               for a, b in zip(out.params_list(), phi.params_list()))
+
+
+def test_train_non_finite_row_ends_loop_at_its_iteration():
+    """The field is evaluated for every iteration up front, yet a NaN row
+    in iteration 2's probes ends the loop at iteration 2, not before."""
+    layout, grad_fn, theta, d = quad_fixture()
+    pc = ProbeConfig(probe_count=4, seed=5)
+    probe_rng = RngStream(pc.seed).spawn("alg1-probes")
+    draws = [rademacher_matrix(probe_rng, 4, theta.size) for _ in range(5)]
+    bad = theta + pc.step_at(theta) * draws[2][0]
+    # no row theta +- eps*v of iterations 0 and 1 is the bad point
+    earlier = np.concatenate(draws[:2])
+    assert not np.any(np.all(earlier == draws[2][0], axis=1))
+    assert not np.any(np.all(-earlier == draws[2][0], axis=1))
+
+    def field(pts):
+        out = pts * d
+        out[np.all(pts == bad, axis=1)] = np.nan
+        return out
+
+    phi = init_params(RngStream(39), MetricNetConfig(m_tilde=3), layout)
+    _, history = train_metric_net(phi, theta, field, pc, max_iters=5)
+    _, clean = train_metric_net(phi, theta, grad_fn, pc, max_iters=5)
+    assert [it for it, _, _ in history] == [0, 1]
+    assert history == clean[:2]
+
+
+@pytest.mark.parametrize("max_iters", [1, 3, 7])
+def test_train_evaluates_field_once_per_pass(max_iters):
+    layout, _, theta, d = quad_fixture()
+    calls = []
+
+    def field(pts):
+        calls.append(np.shape(pts))
+        return pts * d
+
+    phi = init_params(RngStream(36), MetricNetConfig(m_tilde=3), layout)
+    train_metric_net(phi, theta, field, ProbeConfig(probe_count=4, seed=3),
+                     max_iters=max_iters)
+    assert calls == [(1 + 2 * 4 * max_iters, theta.size)]
 
 
 def test_train_rejects_zero_iters():

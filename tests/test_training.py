@@ -302,6 +302,23 @@ def test_abort_on_nonfinite_theta_returns_partial_summary():
     assert len(summary.records) < 40
 
 
+def test_abort_on_nonfinite_evaluation_keeps_last_finite_return():
+    # a step of 1e3 on the bowl overflows theta within ~100 updates; the
+    # update whose evaluation is no longer finite must end the run without
+    # leaving a record, so final_return is the last finite evaluation
+    cfg = TrainConfig(env_kind="landscape",
+                      env_params={"objective": "bowl", "dim": 4},
+                      variant="baseline", total_steps=200, update_interval=1,
+                      policy_lr=1e3, seed=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        summary = run_training(cfg)
+    assert summary.aborted
+    assert 0 < len(summary.records) < 200
+    assert all(np.isfinite(r.eval_return) for r in summary.records)
+    assert summary.final_return == summary.records[-1].eval_return
+    assert np.isfinite(summary.final_return)
+
+
 def test_records_fraction_matches_definition():
     cfg = TrainConfig(env_kind="lqr", variant="J", total_steps=500,
                       update_interval=50, probe_count=8, seed=1)
