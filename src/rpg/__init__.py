@@ -20,7 +20,7 @@ Import layout:
     rpg.geodesic    geodesic update direction + Christoffel/ODE oracles
     rpg.metricnet   the metric network and its inner training loop
     rpg.envs        toy environments (LQR, point-mass, landscapes)
-    rpg.policy      policies, REINFORCE estimator, replay buffer
+    rpg.policy      policies, rollouts, the REINFORCE estimator
     rpg.training    the outer training loop (baseline / J / T variants)
     rpg.runconfig   run-configuration parsing/validation
     rpg.reporting   CSV/JSON logs and SVG charts

@@ -7,7 +7,7 @@ splits into a Jacobian-trace part and a log-volume part:
           + sum_m J^m / (1 + u.u) * sum_n u^n du^n/dtheta^m
 
 ``divergence_exact`` computes this with one central difference per coordinate
-(2n field evaluations).  ``divergence_estimate`` replaces the Jacobian trace
+(2n field evaluations).  ``divergence_report`` replaces the Jacobian trace
 with Hutchinson probes and collapses the second double sum into a *single*
 directional derivative along J — the identity
 
@@ -83,13 +83,6 @@ def divergence_exact(fe: FieldEvaluator, theta: np.ndarray,
     du = (u_plus - u_minus) / (2.0 * step)
     volume_term = float(j0 @ (du @ u0)) / (1.0 + float(u0 @ u0))
     return jacobian_trace + volume_term
-
-
-def divergence_estimate(fe: FieldEvaluator, theta: np.ndarray,
-                        pc: ProbeConfig) -> float:
-    """Probe-based divergence: K Jacobian probes + one directional derivative."""
-    report = divergence_report(fe, theta, pc)
-    return report.div
 
 
 def divergence_report(fe: FieldEvaluator, theta: np.ndarray,

@@ -35,14 +35,6 @@ class NonFiniteField(RpgError):
     """A field evaluation returned NaN or infinity."""
 
 
-class NonFiniteLoss(RpgError):
-    """The inner training loss became NaN or infinity."""
-
-
-class EmptyBuffer(RpgError):
-    """Sampling was requested from an empty replay buffer."""
-
-
 class ConfigError(RpgError):
     """A run-configuration document failed to parse or validate."""
 

@@ -2,19 +2,20 @@
 
 A "field" here is any callable mapping a parameter point to a vector of the
 same dimension (the gradient field, or the metric factor field u).  Field
-callables are expected to be batch-capable — given a (B, n) stack of row
-points they return a (B, n) stack — because every finite-difference sweep and
-probe sweep in the package evaluates many points in one call.  ``eval_points``
-falls back to a row loop for callables that only understand single points.
+callables must be batch-capable — given a (B, n) stack of row points they
+return a (B, n) stack — because every finite-difference sweep and probe sweep
+in the package evaluates many points in one call.  ``eval_points`` calls the
+field once and raises BadDimensions when the result is not shaped like the
+points; any error the field itself raises propagates unchanged.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteField
+from .errors import BadDimensions, NonFiniteField
 
 
 def default_fd_step(theta: np.ndarray) -> float:
@@ -24,15 +25,13 @@ def default_fd_step(theta: np.ndarray) -> float:
 
 
 def eval_points(fn, pts: np.ndarray) -> np.ndarray:
-    """Evaluate a field at a (B, n) stack of points, tolerating scalar-only fns."""
+    """Evaluate a batch-capable field at a (B, n) stack of points."""
     pts = np.asarray(pts, dtype=np.float64)
-    try:
-        out = np.asarray(fn(pts), dtype=np.float64)
-        if out.shape == pts.shape:
-            return out
-    except Exception:
-        pass
-    return np.stack([np.asarray(fn(p), dtype=np.float64) for p in pts])
+    out = np.asarray(fn(pts), dtype=np.float64)
+    if out.shape != pts.shape:
+        raise BadDimensions(f"field returned shape {out.shape} for points "
+                            f"of shape {pts.shape}")
+    return out
 
 
 def require_finite(values: np.ndarray, what: str) -> np.ndarray:

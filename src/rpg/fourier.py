@@ -19,6 +19,7 @@ vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -51,8 +52,12 @@ class TransformParams:
     sigma_tilde: object
 
 
+@lru_cache(maxsize=16)
 def build_fourier_pair(n: int, m_tilde: int) -> FourierPair:
-    """Sampled cosine/sine columns sqrt(2/n)*cos|sin(2*pi*i*j/n), i=1..m_tilde."""
+    """Sampled cosine/sine columns sqrt(2/n)*cos|sin(2*pi*i*j/n), i=1..m_tilde.
+
+    Built once per (n, m_tilde) and shared: both bases are read-only.
+    """
     if not (1 <= m_tilde < n):
         raise BadDimensions(f"need 1 <= m_tilde < n, got m_tilde={m_tilde}, n={n}")
     j = np.arange(n)[:, None]
@@ -66,6 +71,8 @@ def build_fourier_pair(n: int, m_tilde: int) -> FourierPair:
         float(np.max(np.abs(omega.T @ omega - eye))),
         float(np.max(np.abs(phi.T @ phi - eye))),
     )
+    omega.flags.writeable = False
+    phi.flags.writeable = False
     return FourierPair(n=n, m_tilde=m_tilde, omega=omega, phi=phi,
                        gram_error=gram_error)
 

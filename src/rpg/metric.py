@@ -68,11 +68,6 @@ def inverse_apply(mp: MetricPoint, x):
     return tape.sub(x, tape.mul(mp.u, tape.div(_row_dot(mp.u, x), mp.g_det)))
 
 
-def regularized_gradient(mp: MetricPoint, grad):
-    """The metric-preconditioned gradient: identical to inverse_apply."""
-    return inverse_apply(mp, grad)
-
-
 def bilinear_form(mp: MetricPoint, x, y):
     """x^T G y = x.y + (u.x)(u.y), O(n) per point."""
     out = tape.add(_row_dot(x, y), tape.mul(_row_dot(mp.u, x), _row_dot(mp.u, y)))

@@ -7,6 +7,9 @@ kernel) -> flatten -> average pool (size 5, stride 5, partial trailing
 window; the policy's output bias part is exempt) -> dense -> softplus.  Part
 features are concatenated into a shared dense trunk (softplus), which feeds
 two zero-initialized *linear* heads producing omega_tilde and sigma_tilde.
+Each convolution stage and each pool is one tape operation
+(``tape.conv_valid``, ``tape.avg_pool``), so a batch of points costs one
+graph node per stage, not one per kernel tap or pooling window.
 
 Zero heads mean u = 0 identically at initialization: the learned metric
 starts exactly Euclidean and the step-0 regularized gradient equals the raw
@@ -265,47 +268,11 @@ def init_params(rng: RngStream, cfg: MetricNetConfig,
 # ----------------------------------------------------------------- forward
 
 
-def _conv2d(x, kern, k: int):
-    ro = x.shape[1] - k + 1
-    co = x.shape[2] - k + 1
-    out = None
-    for a in range(k):
-        for b in range(k):
-            seg = tape.slice_axis(x, (slice(None), slice(a, a + ro),
-                                      slice(b, b + co)))
-            term = tape.mul(seg, tape.pick(kern, a * k + b))
-            out = term if out is None else tape.add(out, term)
-    return out
-
-
-def _conv1d(x, kern, k: int):
-    lo = x.shape[1] - k + 1
-    out = None
-    for j in range(k):
-        seg = tape.slice_axis(x, (slice(None), slice(j, j + lo)))
-        term = tape.mul(seg, tape.pick(kern, j))
-        out = term if out is None else tape.add(out, term)
-    return out
-
-
 def _flatten(x):
     sh = x.shape
     if len(sh) == 2:
         return x
     return tape.reshape(x, (sh[0], int(np.prod(sh[1:]))))
-
-
-def _avg_pool(x, size: int):
-    b, length = x.shape
-    cols = []
-    for s in range(0, length, size):
-        e = min(s + size, length)
-        seg = tape.slice_axis(x, (slice(None), slice(s, e)))
-        avg = tape.mul(tape.reduce_sum(seg, axis=1), 1.0 / (e - s))
-        cols.append(tape.reshape(avg, (b, 1)))
-    if len(cols) == 1:
-        return cols[0]
-    return tape.concat(cols, axis=1)
 
 
 def _dense(x, w, b):
@@ -336,14 +303,12 @@ def metric_net_forward(phi: MetricNetParams, theta_layers):
             raise LayoutMismatch(f"part {i} shape {sh[1:]} != {base}")
         for stage, kern in zip(phi.plans[i], phi.part_convs[i]):
             if stage == "2d":
-                x = _conv2d(x, kern, phi.kernel)
+                x = tape.conv_valid(x, kern, phi.kernel, 2)
             elif stage == "1d":
-                x = _conv1d(_flatten(x), kern, phi.kernel)
-            else:
-                x = _flatten(x)
+                x = tape.conv_valid(_flatten(x), kern, phi.kernel, 1)
         x = _flatten(x)
         if i != exempt:
-            x = _avg_pool(x, phi.pool_size)
+            x = tape.avg_pool(x, phi.pool_size)
         w, b = phi.part_dense[i]
         feats.append(tape.softplus(_dense(x, w, b)))
 
@@ -576,6 +541,12 @@ def save_params(phi: MetricNetParams, path: str) -> None:
 
 
 def load_params(path: str) -> MetricNetParams:
+    """Read a ``save_params`` checkpoint, checking its header first.
+
+    The header's plans and array shapes must be exactly those that
+    ``init_params`` builds for its layout, kernel, pool size and widths;
+    any difference raises LayoutMismatch.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
@@ -584,37 +555,32 @@ def load_params(path: str) -> MetricNetParams:
         header = json.loads(fh.read(size).decode("utf-8"))
         payload = np.frombuffer(fh.read(), dtype="<f8")
     layout = LayerLayout(shapes=tuple(tuple(s) for s in header["layout"]))
-    arrays, at = [], 0
-    for shape in header["arrays"]:
-        size = int(np.prod(shape)) if shape else 1
-        arrays.append(payload[at:at + size].reshape(shape).copy())
-        at += size
-    if at != payload.size:
-        raise ValueError(f"checkpoint payload mismatch: {at} != {payload.size}")
+    shapes = [tuple(s) for s in header["arrays"]]
+    if len(shapes) < 6 or len(shapes[-6]) != 2:
+        raise LayoutMismatch("checkpoint arrays do not end in a dense trunk")
+    trunk_in, trunk_width = shapes[-6]
+    cfg = MetricNetConfig(m_tilde=int(header["m_tilde"]),
+                          pool_size=int(header["pool_size"]),
+                          kernel=int(header["kernel"]),
+                          part_width=trunk_in // len(layout.shapes),
+                          trunk_width=trunk_width)
+    # the network the header describes, holding throwaway values
+    template = init_params(RngStream(0), cfg, layout)
     plans = tuple(tuple(p) for p in header["plans"])
-    convs_per_part = [sum(1 for s in p if s is not None) for p in plans]
-    it = iter(arrays)
-    part_convs, part_dense = [], []
-    for stages, n_conv in zip(plans, convs_per_part):
-        kerns, used = [], 0
-        for s in stages:
-            if s is None:
-                kerns.append(None)
-            else:
-                kerns.append(next(it))
-                used += 1
-        assert used == n_conv
-        part_dense.append([next(it), next(it)])
-        part_convs.append(kerns)
-    rest = list(it)
-    if len(rest) != 6:
-        raise ValueError("checkpoint arrays do not match the layout plans")
-    return MetricNetParams(
-        layout=layout, m_tilde=int(header["m_tilde"]),
-        pool_size=int(header["pool_size"]), kernel=int(header["kernel"]),
-        plans=plans, part_convs=part_convs, part_dense=part_dense,
-        trunk_w=rest[0], trunk_b=rest[1], head_omega_w=rest[2],
-        head_omega_b=rest[3], head_sigma_w=rest[4], head_sigma_b=rest[5])
+    if plans != template.plans:
+        raise LayoutMismatch(f"checkpoint plans {plans} differ from "
+                             f"{template.plans}, implied by its layout")
+    expected = [a.shape for a in template.params_list()]
+    if shapes != expected:
+        raise LayoutMismatch(f"checkpoint array shapes {shapes} differ from "
+                             f"{expected}, implied by its header")
+    ends = np.cumsum([int(np.prod(s)) for s in shapes])
+    if ends[-1] != payload.size:
+        raise ValueError(
+            f"checkpoint payload mismatch: {ends[-1]} != {payload.size}")
+    return template.with_arrays([
+        payload[end - a.size:end].reshape(a.shape).copy()
+        for a, end in zip(template.params_list(), ends)])
 
 
 def params_to_json(phi: MetricNetParams) -> dict:

@@ -9,9 +9,7 @@ interface (`theta` / `set_theta`, a `layout` describing the parts), which is
 what the metric machinery consumes.
 
 The estimator here is plain REINFORCE on return-to-go with a per-timestep
-mean baseline over the episode batch — no critics, no bootstrapping.  On the
-degenerate landscape environment it short-circuits to the exact analytic
-gradient, which gives the rest of the stack a noiseless test bed.
+mean baseline over the episode batch — no critics, no bootstrapping.
 """
 
 from dataclasses import dataclass
@@ -19,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tape
-from .errors import EmptyBuffer
 from .metricnet import LayerLayout
 
 
@@ -247,51 +244,3 @@ def reinforce_gradient_from_batch(policy, trajectories, gamma):
     states = np.concatenate([t.states for t in trajectories])
     actions = np.concatenate([t.actions for t in trajectories])
     return policy.weighted_logprob_grad(states, actions, weights)
-
-
-def policy_gradient_reinforce(env, policy, episodes, gamma, rng):
-    """Ascent policy-gradient estimate, averaged over an episode batch.
-
-    Landscape environments short-circuit to the exact analytic gradient of
-    the return at the policy's point — no sampling, no variance.  Everywhere
-    else episodes are rolled with exploration and handed to
-    reinforce_gradient_from_batch.
-    """
-    if env.kind == "landscape":
-        return env.analytic_gradient(policy.theta)
-    if not getattr(policy, "stochastic", False):
-        raise ValueError("sampled policy gradients need a stochastic policy")
-    trajectories = [rollout(env, policy, rng) for _ in range(int(episodes))]
-    return reinforce_gradient_from_batch(policy, trajectories, gamma)
-
-
-class ReplayBuffer:
-    """Fixed-capacity ring store with uniform sampling.
-
-    Once full, each push overwrites the oldest element.  Sampling draws
-    indices uniformly (with replacement) from the filled region only.
-    """
-
-    def __init__(self, capacity):
-        capacity = int(capacity)
-        if capacity < 1:
-            raise ValueError("capacity must be positive")
-        self.capacity = capacity
-        self._items = []
-        self._cursor = 0
-
-    def __len__(self):
-        return len(self._items)
-
-    def push(self, item):
-        if len(self._items) < self.capacity:
-            self._items.append(item)
-        else:
-            self._items[self._cursor] = item
-            self._cursor = (self._cursor + 1) % self.capacity
-
-    def sample(self, batch, rng):
-        if not self._items:
-            raise EmptyBuffer("cannot sample from an empty buffer")
-        idx = rng.integers(0, len(self._items), size=int(batch))
-        return [self._items[i] for i in np.asarray(idx).reshape(-1)]

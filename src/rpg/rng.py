@@ -82,13 +82,6 @@ class RngStream:
         return 2.0 * g.integers(0, 2, size).astype(np.float64) - 1.0
 
 
-def rademacher_probe(rng: RngStream, n: int) -> np.ndarray:
-    """One probe vector with i.i.d. +-1 entries."""
-    if n < 1:
-        raise ValueError(f"probe dimension must be >= 1, got {n}")
-    return rng.signs(n)
-
-
 def rademacher_matrix(rng: RngStream, k: int, n: int) -> np.ndarray:
     """k probe vectors as rows, drawn in one event (order-stable)."""
     if k < 1 or n < 1:

@@ -10,7 +10,7 @@ Sections and keys (defaults in parentheses are TrainConfig's):
 
     [run]     variant (baseline) | total_steps | update_interval |
               policy_lr | gamma | seed | gradient_backend |
-              eval_episodes | buffer_capacity | explore_sigma
+              eval_episodes | explore_sigma
     [env]     kind (lqr) plus the chosen environment's parameters:
               a, b, q, r, horizon, noise_scale   (lqr)
               objective, dim                     (landscape)
@@ -76,7 +76,6 @@ _FIELDS = {
     ("run", "seed"): ("seed", _int),
     ("run", "gradient_backend"): ("gradient_backend", _str),
     ("run", "eval_episodes"): ("eval_episodes", _int),
-    ("run", "buffer_capacity"): ("buffer_capacity", _int),
     ("run", "explore_sigma"): ("explore_sigma", _float),
     ("metric", "probe_count"): ("probe_count", _int),
     ("metric", "probe_episodes"): ("probe_episodes", _int),
@@ -218,7 +217,6 @@ def default_config_text():
         "; empty = analytic where available, else: analytic | reinforce",
         "gradient_backend =",
         f"eval_episodes = {cfg.eval_episodes}",
-        f"buffer_capacity = {cfg.buffer_capacity}",
         f"explore_sigma = {cfg.explore_sigma}",
         "",
         "[env]",

@@ -6,6 +6,9 @@ DiffGraph, every operation produces a Var holding a numpy array, and
 ``backprop`` replays the recorded nodes once in reverse.  Values are allowed
 to carry a leading batch axis; parameters broadcast against it and the
 backward pass sums the broadcast axes away (see ``_unbroadcast``).
+Besides elementwise maps, slicing and matmul, two stage-sized primitives
+serve the metric network's front end: ``conv_valid`` (a whole valid
+convolution) and ``avg_pool`` (every pooling window), one node each.
 
 Constants never enter the graph: any plain ndarray argument is treated as a
 fixed value, so an expression built entirely from ndarrays evaluates to an
@@ -62,8 +65,9 @@ class DiffGraph:
                 if contribution is None:
                     continue
                 if parent.grad is None:
-                    parent.grad = np.zeros_like(parent.value)
-                parent.grad = parent.grad + contribution
+                    parent.grad = contribution
+                else:
+                    parent.grad = parent.grad + contribution
         return [
             leaf.grad if leaf.grad is not None else np.zeros_like(leaf.value)
             for leaf in self.leaves
@@ -176,36 +180,48 @@ def matmul(a, b):
     return _binary(a, b, out, vjp_a, vjp_b)
 
 
-def window_dot(windows: np.ndarray, kernel):
-    """Contract constant windows (..., W, K) with a kernel vector (K,).
+def conv_valid(a, kernel, k: int, ndim: int):
+    """Valid cross-correlation over the trailing ndim (1 or 2) axes of a.
 
-    This is the im2col form of a valid convolution whose *input* is constant
-    with respect to the parameters: only the kernel participates in backprop.
+    kernel holds the k**ndim taps flat, row-major; the output is the sum of
+    kernel[t] * (a shifted by tap t), accumulated in tap order.
     """
-    kv = _val(kernel)
-    out = windows @ kv
-    if not isinstance(kernel, Var):
-        return out
-    return Var(
-        kernel.graph, out, (kernel,),
-        lambda g: [np.tensordot(g, windows, axes=(tuple(range(np.ndim(g))),
-                                                  tuple(range(np.ndim(g)))))],
-    )
+    av, kv = _val(a), _val(kernel)
+    shape = np.shape(av)
+    lead = (slice(None),) * (len(shape) - ndim)
+    spans = [n - k + 1 for n in shape[-ndim:]]
+    keys = [lead + tuple(slice(o, o + m) for o, m in zip(offsets, spans))
+            for offsets in np.ndindex(*(k,) * ndim)]
+    out = av[keys[0]] * kv[0]
+    for t in range(1, len(keys)):
+        out += av[keys[t]] * kv[t]
+
+    def vjp_a(g):
+        z = np.zeros_like(av)
+        for t, key in enumerate(keys):
+            z[key] += g * kv[t]
+        return z
+
+    def vjp_kernel(g):
+        return np.array([np.sum(g * av[key]) for key in keys])
+
+    return _binary(a, kernel, out, vjp_a, vjp_kernel)
 
 
-def pick(a, index: int):
-    """Scalar element of a flat parameter vector."""
+def avg_pool(a, size: int):
+    """Means of consecutive size-wide windows along the last axis of a.
+
+    A partial trailing window is averaged over the entries it has.
+    """
     av = _val(a)
-    out = av[index]
+    length = np.shape(av)[-1]
+    starts = np.arange(0, length, size)
+    counts = np.minimum(starts + size, length) - starts
+    out = np.add.reduceat(av, starts, axis=-1) * (1.0 / counts)
     if not isinstance(a, Var):
         return out
-
-    def vjp(g):
-        z = np.zeros_like(av)
-        z[index] = np.sum(g)
-        return [z]
-
-    return Var(a.graph, out, (a,), vjp)
+    return Var(a.graph, out, (a,),
+               lambda g: [np.repeat(g * (1.0 / counts), counts, axis=-1)])
 
 
 def slice_axis(a, key):

@@ -1,7 +1,7 @@
 """Outer training loop: policy ascent with metric-regularized directions.
 
 One update cycle = collect `update_interval` environment steps (whole
-episodes, pushed to the replay buffer), estimate an ascent gradient with the
+episodes), estimate an ascent gradient with the
 configured backend, optionally regularize it through the learned metric
 (variant J applies the inverse metric, variant T follows the geodesic
 direction), gate back to the plain gradient when the divergence ratio says
@@ -28,7 +28,7 @@ from .geodesic import GeodesicConfig, geodesic_gradient
 from .metric import MetricPoint, inverse_apply
 from .metricnet import (MetricNetConfig, StepConfig, build_u_field,
                         init_params, train_metric_net)
-from .policy import (LinearGainPolicy, ParamPolicy, PolicyMLP, ReplayBuffer,
+from .policy import (LinearGainPolicy, ParamPolicy, PolicyMLP,
                      reinforce_gradient_from_batch, rollout)
 from .rng import RngStream
 
@@ -59,7 +59,6 @@ class TrainConfig:
     explore_sigma: float = 0.1
     eval_episodes: int = 10
     probe_episodes: int = 4         # rollouts per field probe (reinforce)
-    buffer_capacity: int = 256
     seed: int = 0
 
     def __post_init__(self):
@@ -87,8 +86,6 @@ class TrainConfig:
             raise ValueError("eval_episodes must be >= 1")
         if self.probe_episodes < 1:
             raise ValueError("probe_episodes must be >= 1")
-        if self.buffer_capacity < 1:
-            raise ValueError("buffer_capacity must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
@@ -285,7 +282,6 @@ def run_training(cfg):
         phi = init_params(root.spawn("phi-init"),
                           MetricNetConfig(m_tilde=m_tilde), policy.layout)
 
-    buffer = ReplayBuffer(cfg.buffer_capacity)
     rollout_rng = root.spawn("rollout")
     records = []
     steps = 0
@@ -298,7 +294,6 @@ def run_training(cfg):
         collected = 0
         while collected < cfg.update_interval:
             traj = rollout(env, policy, rollout_rng)
-            buffer.push(traj)
             fresh.append(traj)
             collected += len(traj)
         steps += collected

@@ -36,7 +36,6 @@ def test_full_config_round_trip():
         "seed = 7",
         "gradient_backend = analytic",
         "eval_episodes = 4",
-        "buffer_capacity = 64",
         "explore_sigma = 0.2",
         "[env]",
         "kind = lqr",
@@ -59,9 +58,14 @@ def test_full_config_round_trip():
         env_kind="lqr", env_params={"a": 0.9, "q": 2.0, "horizon": 30},
         variant="T", total_steps=400, update_interval=20, policy_lr=0.01,
         gamma=0.95, seed=7, gradient_backend="analytic", eval_episodes=4,
-        buffer_capacity=64, explore_sigma=0.2, probe_count=12,
+        explore_sigma=0.2, probe_count=12,
         probe_episodes=2, kappa=0.125, m_tilde=2, metric_iters=5,
         metric_lr=0.02, kick_scale=0.01, gate_enabled=False, freeze_phi=True)
+
+
+def test_removed_buffer_capacity_key_is_rejected():
+    with pytest.raises(ConfigError, match="unknown key 'buffer_capacity'"):
+        parse_config_text("[run]\nbuffer_capacity = 64\n")
 
 
 def test_empty_text_gives_defaults():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from rpg.divergence import (DivergenceReport, covariant_laplacian_oracle,
-                            divergence_estimate, divergence_exact,
+                            divergence_exact,
                             divergence_ratio, divergence_report,
                             hessian_trace_hutchinson, laplace_beltrami_oracle)
 from rpg.errors import BadDimensions
@@ -74,7 +74,7 @@ def test_estimate_flat_quadratic_is_exact():
     """Rademacher probes satisfy v_i^2 = 1, so the identity Jacobian gives
     exactly n per probe regardless of K."""
     fe = evaluator(lambda p: p, zero_u, 6)
-    est = divergence_estimate(fe, np.zeros(6), ProbeConfig(probe_count=3))
+    est = divergence_report(fe, np.zeros(6), ProbeConfig(probe_count=3)).div
     assert est == pytest.approx(6.0, abs=1e-9)
 
 
@@ -82,8 +82,8 @@ def test_estimate_constant_field_first_term_zero():
     """A constant field has a zero Jacobian and zero volume term."""
     fe = evaluator(const_u(np.array([1.0, 2.0, 3.0])),
                    const_u(np.array([0.4, 0.1, -0.3])), 3)
-    est = divergence_estimate(fe, np.array([0.2, 0.0, -0.5]),
-                              ProbeConfig(probe_count=8))
+    est = divergence_report(fe, np.array([0.2, 0.0, -0.5]),
+                            ProbeConfig(probe_count=8)).div
     assert abs(est) <= 1e-8
 
 
@@ -99,8 +99,8 @@ def test_estimate_tracks_exact_at_k64():
     exact = divergence_exact(fe, theta)
     errs = []
     for seed in range(20):
-        est = divergence_estimate(fe, theta,
-                                  ProbeConfig(probe_count=64, seed=seed))
+        est = divergence_report(fe, theta,
+                                ProbeConfig(probe_count=64, seed=seed)).div
         errs.append(abs(est - exact) / abs(exact))
     assert np.median(errs) <= 0.15
 
@@ -116,8 +116,8 @@ def test_estimate_error_shrinks_with_probes():
     exact = divergence_exact(fe, theta)
     medians = []
     for k in (4, 16, 64, 256):
-        errs = [abs(divergence_estimate(
-            fe, theta, ProbeConfig(probe_count=k, seed=s)) - exact)
+        errs = [abs(divergence_report(
+            fe, theta, ProbeConfig(probe_count=k, seed=s)).div - exact)
             for s in range(20)]
         medians.append(float(np.median(errs)))
     assert medians[0] > medians[1] > medians[2] > medians[3]

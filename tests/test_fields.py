@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from rpg.errors import NonFiniteField
+from rpg.errors import BadDimensions, NonFiniteField
 from rpg.fields import (FieldEvaluator, ProbeConfig, default_fd_step,
                         eval_points, require_finite)
 
@@ -28,23 +28,25 @@ def test_eval_points_batch_capable():
     assert np.array_equal(out, 2.0 * pts)
 
 
-def test_eval_points_row_only_fallback():
-    """A field that insists on single rows gets looped transparently."""
+def test_eval_points_propagates_field_errors():
+    """A field that only takes single rows fails; no row-by-row retry."""
+    calls = []
 
     def rows_only(p):
+        calls.append(p.shape)
         assert p.ndim == 1
         return np.sin(p)
 
-    pts = np.linspace(-1.0, 1.0, 15).reshape(5, 3)
-    out = eval_points(rows_only, pts)
-    assert np.allclose(out, np.sin(pts), atol=1e-15)
+    with pytest.raises(AssertionError):
+        eval_points(rows_only, np.linspace(-1.0, 1.0, 15).reshape(5, 3))
+    assert calls == [(5, 3)]
 
 
 def test_eval_points_constant_field():
+    """One vector for every row is not a (B, n) result."""
     const = np.array([0.5, -0.25])
-    out = eval_points(lambda p: const, np.zeros((3, 2)))
-    assert out.shape == (3, 2)
-    assert np.array_equal(out[1], const)
+    with pytest.raises(BadDimensions, match=r"\(2,\).*\(3, 2\)"):
+        eval_points(lambda p: const, np.zeros((3, 2)))
 
 
 def test_require_finite_passthrough():

@@ -32,6 +32,15 @@ def test_gram_error_small_for_low_frequencies():
     assert fp.gram_error <= 1e-13
 
 
+def test_pair_is_built_once_and_read_only():
+    fp = build_fourier_pair(24, 5)
+    assert build_fourier_pair(24, 5) is fp
+    with pytest.raises(ValueError):
+        fp.omega[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        fp.phi[0, 0] = 1.0
+
+
 def test_bad_dimensions_rejected():
     with pytest.raises(BadDimensions):
         build_fourier_pair(4, 4)

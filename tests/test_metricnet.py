@@ -7,12 +7,15 @@ the loss carries a factor of u, so the gradient is exactly zero while the
 loss is not — the training loop must kick its way off the plateau).
 """
 
+import json
 import time
 
 import numpy as np
 import pytest
 
+from rpg import tape
 from rpg.divergence import divergence_report, hessian_trace_hutchinson
+from rpg.envs import make_env
 from rpg.errors import BadDimensions, LayoutMismatch
 from rpg.fields import FieldEvaluator, ProbeConfig
 from rpg.metricnet import (LayerLayout, MetricNetConfig, StepConfig,
@@ -20,12 +23,18 @@ from rpg.metricnet import (LayerLayout, MetricNetConfig, StepConfig,
                            freeze_probe_batch, init_params, load_params,
                            metric_net_forward, params_to_json,
                            probe_field_rows, save_params, train_metric_net)
+from rpg.policy import LinearGainPolicy, PolicyMLP
 from rpg.rng import RngStream, rademacher_matrix
-from rpg.tape import DiffGraph, add, reduce_sum, value
+from rpg.tape import DiffGraph, add, mul, reduce_sum, value
 
 
 def small_layout():
     return LayerLayout(shapes=((4, 4), (4,), (4, 2), (2,)))
+
+
+def pointmass_layout():
+    env = make_env("pointmass")
+    return PolicyMLP(env.state_dim, env.action_dim, RngStream(0)).layout
 
 
 def make_phi(seed=0, layout=None, m_tilde=3, heads="zero"):
@@ -134,6 +143,73 @@ def test_trunk_perturbation_matches_backprop():
         phi.trunk_w[0, 0] -= sign * h
     fd = (up - down) / (2 * h)
     assert abs(fd - predicted) <= 1e-3 * abs(fd)
+
+
+# The front end built tap by tap and window by window from slice, mul, add
+# and concat nodes: the reference that the stage primitives must reproduce.
+
+
+def per_tap_conv(x, kern, k, ndim):
+    out = None
+    if ndim == 2:
+        ro, co = x.shape[1] - k + 1, x.shape[2] - k + 1
+        for a in range(k):
+            for b in range(k):
+                seg = tape.slice_axis(x, (slice(None), slice(a, a + ro),
+                                          slice(b, b + co)))
+                term = tape.mul(seg, tape.slice_axis(kern, a * k + b))
+                out = term if out is None else tape.add(out, term)
+        return out
+    lo = x.shape[1] - k + 1
+    for j in range(k):
+        seg = tape.slice_axis(x, (slice(None), slice(j, j + lo)))
+        term = tape.mul(seg, tape.slice_axis(kern, j))
+        out = term if out is None else tape.add(out, term)
+    return out
+
+
+def per_window_pool(x, size):
+    b, length = x.shape
+    cols = []
+    for s in range(0, length, size):
+        e = min(s + size, length)
+        seg = tape.slice_axis(x, (slice(None), slice(s, e)))
+        avg = tape.mul(tape.reduce_sum(seg, axis=1), 1.0 / (e - s))
+        cols.append(tape.reshape(avg, (b, 1)))
+    return cols[0] if len(cols) == 1 else tape.concat(cols, axis=1)
+
+
+def outputs_and_phi_grads(phi, pts):
+    """(omega, sigma) at pts, and the phi-gradient of a fixed mix of them."""
+    omega, sigma, _ = metric_net_forward(
+        phi, phi.layout.unflatten_batch(pts))
+    graph = DiffGraph()
+    var_phi = phi.with_arrays([graph.leaf(a) for a in phi.params_list()])
+    om, sg, _ = metric_net_forward(var_phi, phi.layout.unflatten_batch(pts))
+    mix = RngStream(99).normal(np.shape(omega))
+    total = add(reduce_sum(mul(om, mix)), reduce_sum(mul(sg, sg)))
+    return [omega, sigma] + graph.leaf_gradients(total)
+
+
+@pytest.mark.parametrize("layout", [
+    pointmass_layout(),
+    LinearGainPolicy(1, 1).layout,
+    small_layout(),
+    LayerLayout(shapes=((5, 4), (7, 3), (3,))),
+], ids=["pointmass", "lqr", "small", "mixed-2d-1d"])
+def test_stage_primitives_match_per_tap_front_end(layout, monkeypatch):
+    phi = make_phi(seed=50, layout=layout, m_tilde=min(3, layout.n - 1),
+                   heads="random")
+    pts = RngStream(51).normal((11, layout.n))
+    got = outputs_and_phi_grads(phi, pts)
+    monkeypatch.setattr(tape, "conv_valid", per_tap_conv)
+    monkeypatch.setattr(tape, "avg_pool", per_window_pool)
+    want = outputs_and_phi_grads(phi, pts)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape
+        assert np.max(np.abs(a - b), initial=0.0) <= 1e-12 * max(
+            1.0, np.max(np.abs(b), initial=0.0))
 
 
 def test_forward_cost_scales_linearly():
@@ -271,6 +347,38 @@ def test_phi_gradient_matches_fd():
             assert abs(got) <= 1e-6
 
 
+def test_phi_gradient_matches_fd_on_2d_kernels():
+    """Every tap of the first 2-d kernel of the pointmass layout, and of the
+    second 2-d stage of its 16x16 part, against central differences."""
+    layout = pointmass_layout()
+    phi = make_phi(seed=52, layout=layout, heads="random")
+    assert phi.plans[0] == ("2d", "1d") and phi.plans[2] == ("2d", "2d")
+    theta = RngStream(53).normal((layout.n,))
+    d = 1.0 + np.arange(layout.n) / layout.n
+    ctx = freeze(phi, theta, lambda p: p * d, ProbeConfig(probe_count=8))
+    _, _, grads = evaluate_divergence_loss(phi, ctx)
+
+    arrs = phi.params_list()
+    second_2d = next(i for i, a in enumerate(arrs)
+                     if a is phi.part_convs[2][1])
+    # The loss sits near 3.4e5 while these derivatives are ~1e-2 to 1e-1,
+    # and the loss itself carries probe-difference rounding of ~1e-9, so
+    # the step must be large; the loss is smooth enough in the kernel taps
+    # that truncation stays ~1e-5 relative at 1e-2.
+    h = 1e-2
+    for ai in (0, second_2d):
+        assert arrs[ai].shape == (9,)
+        for t in range(9):
+            arrs[ai][t] += h
+            _, up, _ = evaluate_divergence_loss(phi, ctx)
+            arrs[ai][t] -= 2 * h
+            _, down, _ = evaluate_divergence_loss(phi, ctx)
+            arrs[ai][t] += h
+            fd = (up - down) / (2 * h)
+            assert abs(fd) > 1e-8
+            assert abs(grads[ai][t] - fd) <= 1e-3 * abs(fd)
+
+
 def test_train_zero_field_is_noop():
     """J = 0 everywhere: loss exactly 0, phi returned bit-identical."""
     layout = LayerLayout.from_vector(6)
@@ -403,6 +511,33 @@ def test_checkpoint_rejects_garbage(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"not a checkpoint")
     with pytest.raises(ValueError):
+        load_params(str(path))
+
+
+def tamper_header(path, edit):
+    """Rewrite a checkpoint's JSON header through edit, payload untouched."""
+    raw = path.read_bytes()
+    at = 8 + 8
+    size = int.from_bytes(raw[8:at], "little")
+    header = json.loads(raw[at:at + size])
+    edit(header)
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    path.write_bytes(raw[:8] + len(blob).to_bytes(8, "little") + blob
+                     + raw[at + size:])
+
+
+@pytest.mark.parametrize("edit", [
+    lambda h: h["plans"].__setitem__(0, ["1d", "1d"]),
+    lambda h: h["arrays"].__setitem__(-6, h["arrays"][-6][::-1]),
+], ids=["plan", "array-shape"])
+def test_checkpoint_rejects_header_that_mismatches_layout(tmp_path, edit):
+    """A header edited so the payload size still adds up must not load."""
+    phi = make_phi(seed=47, heads="random")
+    assert phi.plans[0] == ("2d", "1d")
+    path = tmp_path / "phi.bin"
+    save_params(phi, str(path))
+    tamper_header(path, edit)
+    with pytest.raises(LayoutMismatch):
         load_params(str(path))
 
 

@@ -1,13 +1,11 @@
-"""Policies, trajectories, REINFORCE, and the replay buffer."""
+"""Policies, trajectories, rollouts, and the REINFORCE estimator."""
 
 import numpy as np
 import pytest
 
 from rpg.envs import lqr_analytic_gradient, make_env
-from rpg.errors import EmptyBuffer
-from rpg.policy import (LinearGainPolicy, ParamPolicy, PolicyMLP,
-                        ReplayBuffer, Trajectory, policy_gradient_reinforce,
-                        rollout)
+from rpg.policy import (LinearGainPolicy, ParamPolicy, PolicyMLP, Trajectory,
+                        reinforce_gradient_from_batch, rollout)
 from rpg.rng import RngStream
 
 GAMMA = 0.99
@@ -28,6 +26,12 @@ class ConstantRewardEnv:
     def step(self, state, action, rng=None):
         self._t += 1
         return state, 1.0, self._t >= self.horizon
+
+
+def reinforce(env, policy, episodes, rng):
+    """REINFORCE over a fresh batch of rollouts, as training collects it."""
+    batch = [rollout(env, policy, rng) for _ in range(episodes)]
+    return reinforce_gradient_from_batch(policy, batch, GAMMA)
 
 
 def logprob_sum(policy, theta, states, actions, weights):
@@ -156,18 +160,9 @@ def test_param_policy_acts_its_vector():
     assert np.array_equal(pol.theta, [0.0, 0.0, 1.0])
 
 
-def test_reinforce_on_landscape_is_exact():
-    env = make_env("landscape", objective="bowl", dim=3)
-    pol = ParamPolicy(3, init=[0.5, -0.2, 0.1])
-    grad = policy_gradient_reinforce(env, pol, 5, GAMMA, RngStream(0))
-    analytic = env.analytic_gradient(pol.theta)
-    assert np.max(np.abs(grad - analytic)) <= 1e-6 * np.max(np.abs(analytic))
-
-
 def test_reinforce_zero_advantage_on_constant_rewards():
-    grad = policy_gradient_reinforce(ConstantRewardEnv(),
-                                     LinearGainPolicy(2, 1), 100, GAMMA,
-                                     RngStream(5))
+    grad = reinforce(ConstantRewardEnv(), LinearGainPolicy(2, 1), 100,
+                     RngStream(5))
     assert np.max(np.abs(grad)) <= 1e-10
 
 
@@ -180,7 +175,7 @@ def test_reinforce_sign_agreement_with_analytic_oracle():
         rng = RngStream(1000 + trial)
         k0 = float(rng.uniform(0.05, 0.45, size=1)[0])
         pol = LinearGainPolicy(1, 1, sigma=0.1, k=[[k0]])
-        est = policy_gradient_reinforce(env, pol, 20, GAMMA, rng)
+        est = reinforce(env, pol, 20, rng)
         oracle = lqr_analytic_gradient(pol.k, env, env.horizon, GAMMA)
         agree += int(np.sign(est[0]) == np.sign(oracle[0, 0]))
     assert agree >= 95
@@ -189,38 +184,12 @@ def test_reinforce_sign_agreement_with_analytic_oracle():
 def test_reinforce_deterministic_given_stream():
     env = make_env("lqr")
     pol = LinearGainPolicy(1, 1, sigma=0.1, k=[[0.2]])
-    g1 = policy_gradient_reinforce(env, pol, 8, GAMMA, RngStream(21))
-    g2 = policy_gradient_reinforce(env, pol, 8, GAMMA, RngStream(21))
+    g1 = reinforce(env, pol, 8, RngStream(21))
+    g2 = reinforce(env, pol, 8, RngStream(21))
     assert np.array_equal(g1, g2)
 
 
 def test_reinforce_requires_stochastic_policy():
-    with pytest.raises(ValueError):
-        policy_gradient_reinforce(make_env("lqr"), ParamPolicy(1), 4, GAMMA,
-                                  RngStream(0))
-
-
-def test_buffer_fifo_eviction():
-    rb = ReplayBuffer(3)
-    for i in range(1, 6):
-        rb.push(i)
-    assert len(rb) == 3
-    assert sorted(rb.sample(50, RngStream(1))) != []
-    assert set(rb.sample(50, RngStream(1))) <= {3, 4, 5}
-
-
-def test_buffer_sample_validity_and_determinism():
-    rb = ReplayBuffer(8)
-    for i in range(5):
-        rb.push(i)
-    s1 = rb.sample(6, RngStream(2))
-    s2 = rb.sample(6, RngStream(2))
-    assert s1 == s2
-    assert all(0 <= x < 5 for x in s1)
-
-
-def test_buffer_empty_and_capacity_validation():
-    with pytest.raises(EmptyBuffer):
-        ReplayBuffer(4).sample(1, RngStream(0))
-    with pytest.raises(ValueError):
-        ReplayBuffer(0)
+    traj = Trajectory(np.zeros((3, 1)), np.zeros((3, 1)), np.ones(3))
+    with pytest.raises(ValueError, match="stochastic"):
+        reinforce_gradient_from_batch(ParamPolicy(1), [traj], GAMMA)

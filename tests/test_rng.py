@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rpg.rng import RngStream, rademacher_matrix, rademacher_probe
+from rpg.rng import RngStream, rademacher_matrix
 
 
 def test_same_seed_counter_replays_identically():
@@ -42,19 +42,19 @@ def test_spawn_does_not_disturb_parent():
 
 
 def test_rademacher_codomain():
-    v = rademacher_probe(RngStream(0), 4)
-    assert v.shape == (4,)
+    v = rademacher_matrix(RngStream(0), 1, 4)
+    assert v.shape == (1, 4)
     assert set(np.unique(v)).issubset({-1.0, 1.0})
 
 
 def test_rademacher_determinism():
-    assert np.array_equal(rademacher_probe(RngStream(3, 5), 16),
-                          rademacher_probe(RngStream(3, 5), 16))
+    assert np.array_equal(rademacher_matrix(RngStream(3, 5), 1, 16),
+                          rademacher_matrix(RngStream(3, 5), 1, 16))
 
 
 def test_rademacher_mean_bound():
     # Law-of-large-numbers check pinned by the binomial variance bound.
-    v = rademacher_probe(RngStream(2024), 10_000)
+    v = rademacher_matrix(RngStream(2024), 1, 10_000)
     assert abs(float(np.mean(v))) <= 0.05
 
 
@@ -66,7 +66,7 @@ def test_rademacher_matrix_rows_match_shape():
 
 def test_bad_probe_dimension_rejected():
     with pytest.raises(ValueError):
-        rademacher_probe(RngStream(0), 0)
+        rademacher_matrix(RngStream(0), 1, 0)
 
 
 def test_tag_type_rejected():

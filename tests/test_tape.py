@@ -127,23 +127,43 @@ def test_trig_and_slice_and_concat_gradients():
     assert np.max(np.abs(auto - numeric)) <= 1e-6
 
 
-def test_window_dot_gradient():
+def reference_conv(a, kernel, k, ndim):
+    """Valid cross-correlation of each row of a, written out directly."""
+    if ndim == 1:
+        return np.stack([np.correlate(row, kernel, mode="valid") for row in a])
+    taps = kernel.reshape(k, k)
+    rows, cols = a.shape[1] - k + 1, a.shape[2] - k + 1
+    return np.array([[[np.sum(x[i:i + k, j:j + k] * taps)
+                       for j in range(cols)] for i in range(rows)]
+                     for x in a])
+
+
+@pytest.mark.parametrize("ndim,shape", [(1, (3, 7)), (2, (2, 5, 4))],
+                         ids=["1d", "2d"])
+def test_conv_valid_gradients(ndim, shape):
+    """Forward against the direct sum; both operands against central FD."""
     rng = RngStream(29)
-    windows = rng.normal(size=(4, 7, 3))  # constant im2col stack
-    k0 = rng.normal(size=3)
+    a0 = rng.normal(size=shape)
+    k0 = rng.normal(size=3 ** ndim)
+    weights = rng.normal(size=reference_conv(a0, k0, 3, ndim).shape)
+    assert np.allclose(tape.conv_valid(a0, k0, 3, ndim),
+                       reference_conv(a0, k0, 3, ndim), rtol=0, atol=1e-14)
 
     def forward(params):
-        return float(np.sum((windows @ params[0]) ** 2))
+        return float(np.sum(weights * reference_conv(*params, 3, ndim)))
 
     g = DiffGraph()
-    k = g.leaf(k0)
-    out = tape.reduce_sum(tape.square(tape.window_dot(windows, k)))
-    auto = g.leaf_gradients(out)[0]
-    numeric = fd_gradient(forward, [k0])[0]
-    assert np.max(np.abs(auto - numeric)) <= 1e-6
+    a, k = g.leaf(a0), g.leaf(k0)
+    out = tape.reduce_sum(tape.mul(tape.conv_valid(a, k, 3, ndim), weights))
+    auto = g.leaf_gradients(out)
+    numeric = fd_gradient(forward, [a0, k0])
+    for x, y in zip(auto, numeric):
+        assert x.shape == y.shape
+        assert np.max(np.abs(x - y)) <= 1e-6
 
 
 def test_pick_and_reshape_gradients():
+    """Scalar elements picked by slice_axis, directly and through a reshape."""
     rng = RngStream(31)
     k0 = rng.normal(size=9)
 
@@ -155,9 +175,31 @@ def test_pick_and_reshape_gradients():
     k = g.leaf(k0)
     m = tape.reshape(k, (3, 3))
     out = tape.add(tape.mul(tape.slice_axis(m, (0, 0)), 2.0),
-                   tape.square(tape.pick(k, 4)))
+                   tape.square(tape.slice_axis(k, 4)))
     auto = g.leaf_gradients(out)[0]
     numeric = fd_gradient(forward, [k0])[0]
+    assert np.max(np.abs(auto - numeric)) <= 1e-6
+
+
+def test_avg_pool_gradient():
+    """Windows of 5 over 12 entries: two full windows and a partial one of 2."""
+    rng = RngStream(31)
+    x0 = rng.normal(size=24)
+    weights = rng.normal(size=(2, 3))
+
+    def reference(x):
+        m = x.reshape(2, 12)
+        return np.stack([m[:, 0:5].mean(axis=1), m[:, 5:10].mean(axis=1),
+                         m[:, 10:12].mean(axis=1)], axis=1)
+
+    g = DiffGraph()
+    x = g.leaf(x0)
+    pooled = tape.avg_pool(tape.reshape(x, (2, 12)), 5)
+    assert np.allclose(tape.value(pooled), reference(x0), rtol=0, atol=1e-15)
+    out = tape.reduce_sum(tape.mul(pooled, weights))
+    auto = g.leaf_gradients(out)[0]
+    numeric = fd_gradient(lambda p: float(np.sum(weights * reference(p[0]))),
+                          [x0])[0]
     assert np.max(np.abs(auto - numeric)) <= 1e-6
 
 

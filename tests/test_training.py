@@ -53,7 +53,7 @@ def test_config_defaults_are_valid():
     (dict(gradient_backend="sgd"), "gradient_backend"),
     (dict(eval_episodes=0), "eval_episodes"),
     (dict(probe_episodes=0), "probe_episodes"),
-    (dict(buffer_capacity=0), "buffer_capacity"),
+    (dict(policy_lr=float("nan")), "policy_lr"),
     (dict(seed=-1), "seed"),
 ])
 def test_config_validation_names_offending_field(kwargs, field_name):
