@@ -12,13 +12,16 @@ Import layout:
     rpg.errors      the exception taxonomy
     rpg.linalg      dense oracles (inverse, det, SVD, matrix exponential)
     rpg.rng         counter-addressed deterministic random streams
-    rpg.tape        reverse-mode autodiff over array-valued graphs
+    rpg.tape        reverse-mode autodiff, left only for the MLP policy's
+                    log-probability gradient
     rpg.fourier     truncated cosine/sine bases, scaling and rotation maps
     rpg.metric      the rank-one metric: det, inverse-apply, bilinear form
     rpg.fields      field evaluators and probe settings
     rpg.divergence  exact/estimated divergence, Hessian trace, ratio
     rpg.geodesic    geodesic update direction + Christoffel/ODE oracles
-    rpg.metricnet   the metric network and its inner training loop
+    rpg.metricnet   the metric network, its fused loss and phi-gradient
+                    (numpy forward, hand-written backward), the inner
+                    training loop with Adam, checkpoints
     rpg.envs        toy environments (LQR, point-mass, landscapes)
     rpg.policy      policies, rollouts, the REINFORCE estimator
     rpg.training    the outer training loop (baseline / J / T variants)

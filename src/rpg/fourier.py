@@ -10,10 +10,10 @@ with Sc = diag(cos sigma_tilde), Ss = diag(sin sigma_tilde).  The rotation is
 never materialized in production paths: ``rotate`` is the O(n*m) matrix-free
 form, and ``dense_rotation`` exists purely as the oracle.
 
-All maps are written over :mod:`rpg.tape` operations, so they accept plain
-ndarrays (returning ndarrays, zero overhead) or tape Vars (recording the
-computation for backprop), and either a single vector or a batch of row
-vectors.
+All maps are plain numpy over either a single vector or a batch of row
+vectors.  Their derivatives in omega_tilde and sigma_tilde are written out
+by hand where the metric-net loss needs them
+(``metricnet.evaluate_divergence_loss``).
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import tape
 from .errors import BadDimensions, DegenerateSpectrum
 from .linalg import matrix_exp, svd
 
@@ -48,8 +47,8 @@ class FourierPair:
 class TransformParams:
     """Scaling amplitudes and rotation phases (radians, interpreted mod 2pi)."""
 
-    omega_tilde: object  # (m_tilde,) or (B, m_tilde); ndarray or tape Var
-    sigma_tilde: object
+    omega_tilde: np.ndarray  # (m_tilde,) or (B, m_tilde)
+    sigma_tilde: np.ndarray
 
 
 @lru_cache(maxsize=16)
@@ -90,7 +89,7 @@ def full_pair(n: int) -> FourierPair:
 
 def scaling_vector(fp: FourierPair, omega_tilde):
     """omega = Omega @ omega_tilde; the diagonal scaling is applied elementwise."""
-    return tape.matmul(omega_tilde, fp.omega.T)
+    return omega_tilde @ fp.omega.T
 
 
 def rotate(fp: FourierPair, sigma_tilde, x):
@@ -99,17 +98,17 @@ def rotate(fp: FourierPair, sigma_tilde, x):
     c = Omega^T x holds the low-frequency cosine coefficients; everything
     orthogonal to the retained cosine columns passes through untouched.
     """
-    c = tape.matmul(x, fp.omega)
-    shifted_cos = tape.matmul(tape.mul(tape.cos(sigma_tilde), c), fp.omega.T)
-    shifted_sin = tape.matmul(tape.mul(tape.sin(sigma_tilde), c), fp.phi.T)
-    residual = tape.sub(x, tape.matmul(c, fp.omega.T))
-    return tape.add(tape.sub(shifted_cos, shifted_sin), residual)
+    c = x @ fp.omega
+    shifted_cos = (np.cos(sigma_tilde) * c) @ fp.omega.T
+    shifted_sin = (np.sin(sigma_tilde) * c) @ fp.phi.T
+    residual = x - c @ fp.omega.T
+    return (shifted_cos - shifted_sin) + residual
 
 
 def build_u(fp: FourierPair, tp: TransformParams, theta):
     """u = omega * (R theta): scale applied after rotation."""
-    return tape.mul(scaling_vector(fp, tp.omega_tilde),
-                    rotate(fp, tp.sigma_tilde, theta))
+    scale = scaling_vector(fp, tp.omega_tilde)
+    return scale * rotate(fp, tp.sigma_tilde, theta)
 
 
 def dense_rotation(fp: FourierPair, sigma_tilde: np.ndarray) -> np.ndarray:

@@ -10,8 +10,8 @@ Everything a caller needs from G is available without materializing it:
 1 + u.u >= 1 always, no damping floor is needed anywhere — the metric
 dominates the Euclidean one by construction.
 
-Operations accept plain ndarrays or tape Vars, single vectors or batches of
-row vectors, like the rest of the numeric stack.
+Operations are plain numpy over single vectors or batches of row vectors,
+like the rest of the numeric stack.
 """
 
 from __future__ import annotations
@@ -20,16 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tape
 from .errors import BadDimensions, NonFiniteField
 
 
 def _row_dot(a, b):
     """Inner product along the last axis, keeping a broadcastable tail dim."""
-    s = tape.reduce_sum(tape.mul(a, b), axis=-1)
-    if np.ndim(tape.value(a)) == 2:
-        n_rows = np.shape(tape.value(a))[0]
-        return tape.reshape(s, (n_rows, 1))
+    s = np.sum(a * b, axis=-1)
+    if np.ndim(a) == 2:
+        return s.reshape(len(a), 1)
     return s
 
 
@@ -37,20 +35,20 @@ def _row_dot(a, b):
 class MetricPoint:
     """The metric at one parameter point, described by its rank-one factor."""
 
-    u: object  # (n,) or (B, n); ndarray or tape Var
-    g_det: object = None  # filled by __post_init__: 1 + u.u
+    u: np.ndarray  # (n,) or (B, n)
+    g_det: np.ndarray = None  # filled by __post_init__: 1 + u.u
 
     def __post_init__(self):
-        u = self.u
-        if isinstance(u, np.ndarray) and not np.all(np.isfinite(u)):
+        u = np.asarray(self.u, dtype=np.float64)
+        if not np.all(np.isfinite(u)):
             raise NonFiniteField("metric factor u contains non-finite entries")
-        det = tape.add(_row_dot(u, u), 1.0)
-        object.__setattr__(self, "g_det", det)
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "g_det", _row_dot(u, u) + 1.0)
 
 
 def metric_matrix(mp: MetricPoint) -> np.ndarray:
     """Dense I + u u^T (oracle use only, n <= 64)."""
-    u = np.asarray(tape.value(mp.u), dtype=np.float64)
+    u = mp.u
     if u.ndim != 1:
         raise BadDimensions("metric_matrix expects a single point, not a batch")
     if u.size > 64:
@@ -65,13 +63,12 @@ def metric_det(mp: MetricPoint):
 
 def inverse_apply(mp: MetricPoint, x):
     """G^-1 x = x - u (u.x) / (1 + u.u), O(n) per point."""
-    return tape.sub(x, tape.mul(mp.u, tape.div(_row_dot(mp.u, x), mp.g_det)))
+    return x - mp.u * (_row_dot(mp.u, x) / mp.g_det)
 
 
 def bilinear_form(mp: MetricPoint, x, y):
     """x^T G y = x.y + (u.x)(u.y), O(n) per point."""
-    out = tape.add(_row_dot(x, y), tape.mul(_row_dot(mp.u, x), _row_dot(mp.u, y)))
-    if np.ndim(tape.value(out)) == 2:
-        n_rows = np.shape(tape.value(out))[0]
-        return tape.reshape(out, (n_rows,))
+    out = _row_dot(x, y) + _row_dot(mp.u, x) * _row_dot(mp.u, y)
+    if np.ndim(out) == 2:
+        return out.reshape(len(out))
     return out

@@ -7,9 +7,8 @@ kernel) -> flatten -> average pool (size 5, stride 5, partial trailing
 window; the policy's output bias part is exempt) -> dense -> softplus.  Part
 features are concatenated into a shared dense trunk (softplus), which feeds
 two zero-initialized *linear* heads producing omega_tilde and sigma_tilde.
-Each convolution stage and each pool is one tape operation
-(``tape.conv_valid``, ``tape.avg_pool``), so a batch of points costs one
-graph node per stage, not one per kernel tap or pooling window.
+The forward is plain numpy over a batch of points; each convolution stage
+is one sum over the kernel taps and each pool one ``np.add.reduceat``.
 
 Zero heads mean u = 0 identically at initialization: the learned metric
 starts exactly Euclidean and the step-0 regularized gradient equals the raw
@@ -21,12 +20,16 @@ so the probe vectors of every iteration are drawn up front and the field is
 evaluated once per pass, at theta and at every iteration's theta +- eps*v
 rows.  Per iteration those values, the probe vectors, and the two points
 theta +- eps*J displaced along the current field are frozen as constants;
-only u(., phi) re-enters the graph, so the loss is differentiable in phi
-without differentiating the objective's gradient field.  The zero-head
-start is an exact saddle — every phi-derivative carries a factor of u or
-u.g, which is exactly 0.0 — so when the loss is positive but the
-phi-gradient is identically zero the loop applies one small seeded kick to
-the head parameters and resumes descent.  The returned phi is the best
+only u(., phi) depends on phi, so the loss is differentiable in phi
+without differentiating the objective's gradient field.  The loss and its
+phi-gradient come from one forward that keeps its activations and one
+reverse pass written out by hand for this fixed architecture
+(``evaluate_divergence_loss``); ``tests/tape_reference.py`` builds the same
+loss on the general tape as the reference.  The zero-head start is an
+exact saddle — every phi-derivative carries a factor of u or u.g, which is
+exactly 0.0 — so when the loss is positive but the phi-gradient is
+identically zero the loop applies one small seeded kick to the head
+parameters and resumes descent.  The returned phi is the best
 recorded iterate, never the last one; a non-finite loss, u value or
 gradient row aborts the loop at its iteration and returns that incumbent.
 """
@@ -35,18 +38,22 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
-from . import fields, tape
+from . import fields
 from .errors import BadDimensions, LayoutMismatch, NonFiniteField
 from .fields import ProbeConfig, require_finite
-from .fourier import TransformParams, build_fourier_pair, build_u
+from .fourier import (TransformParams, build_fourier_pair, build_u, rotate,
+                      scaling_vector)
 from .metric import MetricPoint, inverse_apply
 from .rng import RngStream, rademacher_matrix
-from .tape import Adam, DiffGraph, Var
 
-CHECKPOINT_MAGIC = b"RPGPHI1\n"
+# v2 headers record LayerLayout.pool_exempt; v1 files still load, with the
+# default exempt part
+CHECKPOINT_MAGIC = b"RPGPHI2\n"
+CHECKPOINT_MAGIC_V1 = b"RPGPHI1\n"
 
 
 # ------------------------------------------------------------------ layout
@@ -214,8 +221,17 @@ class MetricNetParams:
                        head_omega_w=rest[2], head_omega_b=rest[3],
                        head_sigma_w=rest[4], head_sigma_b=rest[5])
 
-    def copy(self) -> "MetricNetParams":
-        return self.with_arrays([np.array(a) for a in self.params_list()])
+    def with_flat(self, vec: np.ndarray) -> "MetricNetParams":
+        """The same network with every array a view into the flat vec,
+        arrays laid end to end in ``params_list`` order."""
+        arrays, at = [], 0
+        for a in self.params_list():
+            arrays.append(vec[at:at + a.size].reshape(a.shape))
+            at += a.size
+        if at != vec.size:
+            raise LayoutMismatch(f"flat vector of {vec.size} values for "
+                                 f"{at} parameters")
+        return self.with_arrays(arrays)
 
 
 def _pooled_len(length: int, pool: int) -> int:
@@ -268,59 +284,139 @@ def init_params(rng: RngStream, cfg: MetricNetConfig,
 # ----------------------------------------------------------------- forward
 
 
+@lru_cache(maxsize=64)
+def _taps(shape: tuple, k: int, ndim: int):
+    """Windows of a valid k-wide correlation over the trailing ndim axes.
+
+    Returns (keys, out_shape): keys[t] indexes the input window under
+    kernel tap t (taps flat, row-major); out_shape is the output's shape.
+    """
+    lead = (slice(None),) * (len(shape) - ndim)
+    spans = [s - k + 1 for s in shape[-ndim:]]
+    keys = [lead + tuple(slice(o, o + m) for o, m in zip(offsets, spans))
+            for offsets in np.ndindex(*(k,) * ndim)]
+    return keys, shape[:-ndim] + tuple(spans)
+
+
+def _conv_valid(x, kernel, k: int, ndim: int):
+    """sum_t kernel[t] * (x shifted by tap t), accumulated in tap order."""
+    keys, _ = _taps(x.shape, k, ndim)
+    out = x[keys[0]] * kernel[0]
+    for t in range(1, len(keys)):
+        out += x[keys[t]] * kernel[t]
+    return out
+
+
+@lru_cache(maxsize=64)
+def _pool_windows(length: int, size: int):
+    """(starts, counts) of the size-wide windows along a length-long axis;
+    a partial trailing window counts the entries it has.  Both are shared
+    between callers, so both are read-only."""
+    starts = np.arange(0, length, size)
+    counts = np.minimum(starts + size, length) - starts
+    starts.flags.writeable = False
+    counts.flags.writeable = False
+    return starts, counts
+
+
 def _flatten(x):
-    sh = x.shape
-    if len(sh) == 2:
-        return x
-    return tape.reshape(x, (sh[0], int(np.prod(sh[1:]))))
+    return x if x.ndim == 2 else x.reshape(len(x), -1)
 
 
-def _dense(x, w, b):
-    return tape.add(tape.matmul(x, w), b)
+def _sigmoid(z):
+    """The derivative of softplus, in the overflow-free tanh form."""
+    return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
-def metric_net_forward(phi: MetricNetParams, theta_layers):
-    """Network forward pass; returns (omega_tilde, sigma_tilde, graph).
+def metric_net_forward(phi: MetricNetParams, theta_layers, keep=False):
+    """Network forward pass; returns (omega_tilde, sigma_tilde, acts).
 
     theta_layers follows phi.layout — a list of parts, each either a single
-    part or a (B, ...) stack.  Outputs mirror the batching; graph is the
-    DiffGraph when phi holds tape variables, else None.
+    part or a (B, ...) stack.  Outputs mirror the batching.  acts is None
+    unless keep, when it holds the activations ``_net_backward`` reads.
     """
     parts = list(theta_layers)
     if len(parts) != len(phi.layout.shapes):
         raise LayoutMismatch(
             f"expected {len(phi.layout.shapes)} parts, got {len(parts)}")
-    base0 = phi.layout.shapes[0]
-    sh0 = np.shape(tape.value(parts[0]))
-    batched = len(sh0) == len(base0) + 1
+    batched = np.ndim(parts[0]) == len(phi.layout.shapes[0]) + 1
     exempt = phi.layout.output_bias_part
 
-    feats = []
+    feats, part_acts = [], []
     for i, (part, base) in enumerate(zip(parts, phi.layout.shapes)):
-        x = part if batched else np.asarray(part, dtype=np.float64)[None]
-        sh = np.shape(tape.value(x))
-        if sh[1:] != base:
-            raise LayoutMismatch(f"part {i} shape {sh[1:]} != {base}")
+        x = np.asarray(part, dtype=np.float64)
+        if not batched:
+            x = x[None]
+        if x.shape[1:] != base:
+            raise LayoutMismatch(f"part {i} shape {x.shape[1:]} != {base}")
+        stage_in = []
         for stage, kern in zip(phi.plans[i], phi.part_convs[i]):
-            if stage == "2d":
-                x = tape.conv_valid(x, kern, phi.kernel, 2)
-            elif stage == "1d":
-                x = tape.conv_valid(_flatten(x), kern, phi.kernel, 1)
+            if stage is not None:
+                x = x if stage == "2d" else _flatten(x)
+                stage_in.append(x)
+                x = _conv_valid(x, kern, phi.kernel, x.ndim - 1)
         x = _flatten(x)
+        flat_len = x.shape[1]
         if i != exempt:
-            x = tape.avg_pool(x, phi.pool_size)
+            starts, counts = _pool_windows(flat_len, phi.pool_size)
+            x = np.add.reduceat(x, starts, axis=-1) * (1.0 / counts)
         w, b = phi.part_dense[i]
-        feats.append(tape.softplus(_dense(x, w, b)))
+        z = x @ w + b
+        feats.append(np.logaddexp(0.0, z))
+        part_acts.append((stage_in, flat_len, x, z))
 
-    h = feats[0] if len(feats) == 1 else tape.concat(feats, axis=1)
-    h = tape.softplus(_dense(h, phi.trunk_w, phi.trunk_b))
-    omega = _dense(h, phi.head_omega_w, phi.head_omega_b)
-    sigma = _dense(h, phi.head_sigma_w, phi.head_sigma_b)
+    h_in = feats[0] if len(feats) == 1 else np.concatenate(feats, axis=1)
+    z_trunk = h_in @ phi.trunk_w + phi.trunk_b
+    h = np.logaddexp(0.0, z_trunk)
+    omega = h @ phi.head_omega_w + phi.head_omega_b
+    sigma = h @ phi.head_sigma_w + phi.head_sigma_b
     if not batched:
-        omega = tape.reshape(omega, (phi.m_tilde,))
-        sigma = tape.reshape(sigma, (phi.m_tilde,))
-    graph = omega.graph if isinstance(omega, Var) else None
-    return omega, sigma, graph
+        omega = omega.reshape(phi.m_tilde)
+        sigma = sigma.reshape(phi.m_tilde)
+    acts = (part_acts, h_in, z_trunk, h) if keep else None
+    return omega, sigma, acts
+
+
+def _net_backward(phi: MetricNetParams, acts, g_omega, g_sigma) -> list:
+    """phi-gradients, in ``params_list`` order, of a batched forward whose
+    (B, m_tilde) outputs carry the cotangents g_omega and g_sigma.
+
+    theta is a constant, so the first conv stage of a part needs only its
+    kernel gradient; the second also passes a cotangent to its input.
+    """
+    part_acts, h_in, z_trunk, h = acts
+    g_h = g_omega @ phi.head_omega_w.T + g_sigma @ phi.head_sigma_w.T
+    g_z = g_h * _sigmoid(z_trunk)
+    tail = [h_in.T @ g_z, g_z.sum(axis=0),
+            h.T @ g_omega, g_omega.sum(axis=0),
+            h.T @ g_sigma, g_sigma.sum(axis=0)]
+    g_feats = g_z @ phi.trunk_w.T
+
+    grads, at = [], 0
+    for i, (stage_in, flat_len, x, z) in enumerate(part_acts):
+        w = phi.part_dense[i][0]
+        g_z = g_feats[:, at:at + w.shape[1]] * _sigmoid(z)
+        at += w.shape[1]
+        kern_grads = []
+        if stage_in:
+            g = g_z @ w.T
+            if i != phi.layout.output_bias_part:
+                _, counts = _pool_windows(flat_len, phi.pool_size)
+                g = np.repeat(g * (1.0 / counts), counts, axis=-1)
+            kerns = [kern for kern in phi.part_convs[i] if kern is not None]
+            for s in reversed(range(len(stage_in))):
+                a = stage_in[s]
+                keys, out_shape = _taps(a.shape, phi.kernel, a.ndim - 1)
+                g = g.reshape(out_shape)
+                kern_grads.insert(0, np.array([np.sum(g * a[key])
+                                               for key in keys]))
+                if s:
+                    g_in = np.zeros(a.shape)
+                    for t, key in enumerate(keys):
+                        g_in[key] += g * kerns[s][t]
+                    g = g_in
+        grads.extend(kern_grads + [x.T @ g_z, g_z.sum(axis=0)])
+    return grads + tail
 
 
 def build_u_field(phi: MetricNetParams):
@@ -341,6 +437,27 @@ def build_u_field(phi: MetricNetParams):
 
 
 # ---------------------------------------------------------------- training
+
+
+class Adam:
+    """Plain Adam over one flat parameter vector (updated in place)."""
+
+    def __init__(self, size: int, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.lr = lr
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.eps = eps
+        self.t = 0
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
+
+    def step(self, params: np.ndarray, grads: np.ndarray) -> None:
+        self.t += 1
+        b1c = 1.0 - self.beta1**self.t
+        b2c = 1.0 - self.beta2**self.t
+        self.m += (1.0 - self.beta1) * (grads - self.m)
+        self.v += (1.0 - self.beta2) * (grads * grads - self.v)
+        params -= self.lr * (self.m / b1c) / (np.sqrt(self.v / b2c) + self.eps)
 
 
 @dataclass(frozen=True)
@@ -395,16 +512,14 @@ def freeze_probe_batch(phi: MetricNetParams, theta: np.ndarray,
                        probe_grads: np.ndarray, eps: float) -> FrozenProbes:
     """Freeze one iteration's batch from precomputed gradient-field values.
 
-    g0 is grad f(theta) and probe_grads the (2K, n) field rows at
+    g0 is grad f(theta), finite (``train_metric_net`` checks it once per
+    pass), and probe_grads the (2K, n) field rows at
     [theta + eps*probes; theta - eps*probes] (see ``probe_field_rows``).
-    Raises NonFiniteField when g0, probe_grads or u(theta) is not finite.
+    Raises NonFiniteField when probe_grads or u(theta) is not finite.
     """
     theta = np.asarray(theta, dtype=np.float64)
-    u0 = require_finite(fields.eval_points(build_u_field(phi), theta[None]),
-                        "metric factor field")[0]
-    g0 = require_finite(g0, "gradient field")
     grads = require_finite(probe_grads, "gradient field")
-    j0 = inverse_apply(MetricPoint(u0), g0)
+    j0 = inverse_apply(MetricPoint(build_u_field(phi)(theta)), g0)
     pts = np.concatenate([
         theta + eps * probes,
         theta - eps * probes,
@@ -419,38 +534,59 @@ def freeze_probe_batch(phi: MetricNetParams, theta: np.ndarray,
 def evaluate_divergence_loss(phi: MetricNetParams, ctx: FrozenProbes):
     """(div, loss, phi-gradients) for the frozen probe batch.
 
-    Builds the squared divergence estimate as a tape over phi: u is
-    re-evaluated through the network at every frozen point, the gradient
-    field enters as constants.
+    One numpy forward re-evaluates u through the network at every frozen
+    point and keeps its activations; the gradient field enters as
+    constants.  One hand-written reverse pass then carries d loss back
+    through the two loss terms, the rank-one inverse, the Fourier scaling
+    and rotation, and the network (``_net_backward``).  The gradients come
+    in ``phi.params_list()`` order.
     """
     fp = build_fourier_pair(phi.layout.n, phi.m_tilde)
-    graph = DiffGraph()
-    var_phi = phi.with_arrays([graph.leaf(a) for a in phi.params_list()])
-
-    omega, sigma, _ = metric_net_forward(
-        var_phi, phi.layout.unflatten_batch(ctx.points))
+    pts = ctx.points
+    omega, sigma, acts = metric_net_forward(
+        phi, phi.layout.unflatten_batch(pts), keep=True)
     u = build_u(fp, TransformParams(omega_tilde=omega, sigma_tilde=sigma),
-                ctx.points)
+                pts)
 
+    # probe term: J = G^-1 grad at theta +- eps*v, differenced along v
     k = ctx.probes.shape[0]
-    u_probe = tape.slice_axis(u, (slice(0, 2 * k), slice(None)))
-    j = inverse_apply(MetricPoint(u_probe), ctx.grads)
-    j_diff = tape.sub(tape.slice_axis(j, (slice(0, k), slice(None))),
-                      tape.slice_axis(j, (slice(k, 2 * k), slice(None))))
-    term1 = tape.mul(tape.reduce_sum(tape.mul(ctx.probes, j_diff)),
-                     1.0 / (2.0 * ctx.eps * k))
+    up, x = u[:2 * k], ctx.grads
+    det = np.sum(up * up, axis=-1).reshape(2 * k, 1) + 1.0
+    ux = np.sum(up * x, axis=-1).reshape(2 * k, 1)
+    q = ux / det
+    j = x - up * q
+    scale = 1.0 / (2.0 * ctx.eps * k)
+    term1 = np.sum(ctx.probes * (j[:k] - j[k:])) * scale
+    # volume term: u(theta) . (u(theta + eps*J0) - u(theta - eps*J0))
+    u_jp, u_jm, u_t = u[2 * k], u[2 * k + 1], u[2 * k + 2]
+    du = u_jp - u_jm
+    den = (np.sum(u_t * u_t) + 1.0) * (2.0 * ctx.eps)
+    num = np.sum(u_t * du)
+    div = term1 + num / den
+    loss = div * div
 
-    u_jp = tape.slice_axis(u, 2 * k)
-    u_jm = tape.slice_axis(u, 2 * k + 1)
-    u_t = tape.slice_axis(u, 2 * k + 2)
-    det_t = tape.add(tape.reduce_sum(tape.mul(u_t, u_t)), 1.0)
-    term2 = tape.div(tape.reduce_sum(tape.mul(u_t, tape.sub(u_jp, u_jm))),
-                     tape.mul(det_t, 2.0 * ctx.eps))
-
-    div = tape.add(term1, term2)
-    loss = tape.mul(div, div)
-    grads = graph.leaf_gradients(loss)
-    return float(tape.value(div)), float(tape.value(loss)), grads
+    # reverse pass to u, summing each row's terms in the order a reverse
+    # sweep over the forward's operations would
+    g_div = 2.0 * div
+    g_j = ctx.probes * (g_div * scale)
+    g_j = np.concatenate([g_j, -g_j])
+    g_q = -np.sum(g_j * up, axis=-1).reshape(2 * k, 1)
+    g_det = -g_q * ux / (det * det)
+    g_u = np.empty_like(u)
+    g_u[:2 * k] = -g_j * q + (g_q / det) * x + g_det * up + g_det * up
+    g_num = g_div / den
+    g_det_t = -g_div * num / (den * den) * (2.0 * ctx.eps)
+    g_u[2 * k] = g_num * u_t
+    g_u[2 * k + 1] = -g_u[2 * k]
+    g_u[2 * k + 2] = g_num * du + g_det_t * u_t + g_det_t * u_t
+    # through u = (Omega omega_tilde) * (R theta) to the network outputs
+    c = pts @ fp.omega
+    g_rot = g_u * scaling_vector(fp, omega)
+    g_omega = (g_u * rotate(fp, sigma, pts)) @ fp.omega
+    g_sigma = (-(g_rot @ fp.phi) * c) * np.cos(sigma) \
+        - ((g_rot @ fp.omega) * c) * np.sin(sigma)
+    grads = _net_backward(phi, acts, g_omega, g_sigma)
+    return float(div), float(loss), grads
 
 
 def _kick_heads(phi: MetricNetParams, rng: RngStream, scale: float) -> None:
@@ -468,9 +604,10 @@ def train_metric_net(phi: MetricNetParams, theta: np.ndarray, grad_fn,
     always describing the best iterate seen so far — the curve is exactly
     non-increasing in loss, and the final entry describes the returned phi.
     The gradient field is evaluated once, over theta and all max_iters
-    iterations' probe rows.  A non-finite loss, u field, or gradient row
-    of the current iteration aborts the loop there; the incumbent is
-    returned unchanged.
+    iterations' probe rows; a non-finite value at theta ends the pass
+    before its first iteration.  A non-finite loss, u field, or gradient
+    row of the current iteration aborts the loop there; the incumbent is
+    returned unchanged.  Adam works on one flat copy of phi's arrays.
     """
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
@@ -479,11 +616,11 @@ def train_metric_net(phi: MetricNetParams, theta: np.ndarray, grad_fn,
     probe_rng = RngStream(pc.seed).spawn("alg1-probes")
     kick_rng = RngStream(pc.seed).spawn("alg1-kick")
 
-    work = phi.copy()
-    arrs = work.params_list()
-    adam = Adam([a.shape for a in arrs], lr=cfg.lr, beta1=cfg.beta1,
-                beta2=cfg.beta2, eps=cfg.eps)
-    best_arrays = [a.copy() for a in arrs]
+    flat = np.concatenate([np.ravel(a) for a in phi.params_list()])
+    work = phi.with_flat(flat)
+    adam = Adam(flat.size, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2,
+                eps=cfg.eps)
+    best = flat.copy()
     best_loss, best_div = np.inf, np.nan
     history = []
 
@@ -492,27 +629,28 @@ def train_metric_net(phi: MetricNetParams, theta: np.ndarray, grad_fn,
     eps = pc.step_at(theta)
     g0, probe_grads = probe_field_rows(grad_fn, theta, probes, eps)
 
-    for it in range(max_iters):
-        try:
+    try:
+        require_finite(g0, "gradient field")
+        for it in range(max_iters):
             ctx = freeze_probe_batch(work, theta, g0, probes[it],
                                      probe_grads[it], eps)
             div, loss, grads = evaluate_divergence_loss(work, ctx)
-        except NonFiniteField:
-            break
-        if not np.isfinite(loss):
-            break
-        if loss < best_loss:
-            best_loss, best_div = loss, div
-            best_arrays = [a.copy() for a in arrs]
-        history.append((it, best_div, best_loss))
-        grad_peak = max(float(np.max(np.abs(g))) for g in grads)
-        if grad_peak == 0.0 and loss > 0.0:
-            # Exact saddle of the zero-head start: every loss derivative
-            # carries a factor of u, which is identically 0.0 here.
-            _kick_heads(work, kick_rng, cfg.kick_scale)
-        else:
-            adam.step(arrs, grads)
-    return work.with_arrays(best_arrays), history
+            if not np.isfinite(loss):
+                break
+            if loss < best_loss:
+                best_loss, best_div = loss, div
+                best = flat.copy()
+            history.append((it, best_div, best_loss))
+            grad = np.concatenate([np.ravel(g) for g in grads])
+            if loss > 0.0 and not np.any(grad):
+                # Exact saddle of the zero-head start: every loss derivative
+                # carries a factor of u, which is identically 0.0 here.
+                _kick_heads(work, kick_rng, cfg.kick_scale)
+            else:
+                adam.step(flat, grad)
+    except NonFiniteField:
+        pass  # the incumbent stands
+    return phi.with_flat(best), history
 
 
 # ------------------------------------------------------------- checkpoints
@@ -522,8 +660,9 @@ def save_params(phi: MetricNetParams, path: str) -> None:
     """Versioned binary checkpoint: magic, JSON header, raw f8 payload."""
     arrs = phi.params_list()
     header = {
-        "version": 1,
+        "version": 2,
         "layout": [list(s) for s in phi.layout.shapes],
+        "pool_exempt": phi.layout.pool_exempt,
         "m_tilde": phi.m_tilde,
         "pool_size": phi.pool_size,
         "kernel": phi.kernel,
@@ -545,16 +684,18 @@ def load_params(path: str) -> MetricNetParams:
 
     The header's plans and array shapes must be exactly those that
     ``init_params`` builds for its layout, kernel, pool size and widths;
-    any difference raises LayoutMismatch.
+    any difference raises LayoutMismatch.  A v1 file has no pool_exempt
+    entry and loads with the layout's default exempt part.
     """
     with open(path, "rb") as fh:
         magic = fh.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
+        if magic not in (CHECKPOINT_MAGIC, CHECKPOINT_MAGIC_V1):
             raise ValueError(f"not a metric-net checkpoint: {path}")
         size = int.from_bytes(fh.read(8), "little")
         header = json.loads(fh.read(size).decode("utf-8"))
         payload = np.frombuffer(fh.read(), dtype="<f8")
-    layout = LayerLayout(shapes=tuple(tuple(s) for s in header["layout"]))
+    layout = LayerLayout(shapes=tuple(tuple(s) for s in header["layout"]),
+                         pool_exempt=header.get("pool_exempt"))
     shapes = [tuple(s) for s in header["arrays"]]
     if len(shapes) < 6 or len(shapes[-6]) != 2:
         raise LayoutMismatch("checkpoint arrays do not end in a dense trunk")
@@ -574,13 +715,11 @@ def load_params(path: str) -> MetricNetParams:
     if shapes != expected:
         raise LayoutMismatch(f"checkpoint array shapes {shapes} differ from "
                              f"{expected}, implied by its header")
-    ends = np.cumsum([int(np.prod(s)) for s in shapes])
-    if ends[-1] != payload.size:
+    total = sum(int(np.prod(s)) for s in shapes)
+    if total != payload.size:
         raise ValueError(
-            f"checkpoint payload mismatch: {ends[-1]} != {payload.size}")
-    return template.with_arrays([
-        payload[end - a.size:end].reshape(a.shape).copy()
-        for a, end in zip(template.params_list(), ends)])
+            f"checkpoint payload mismatch: {total} != {payload.size}")
+    return template.with_flat(payload.copy())
 
 
 def params_to_json(phi: MetricNetParams) -> dict:

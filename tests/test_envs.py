@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from helpers import lqr_analytic_gradient
 from rpg.envs import (LandscapeEnv, default_init_second_moment,
-                      lqr_analytic_gradient, lqr_expected_return,
-                      lqr_return_gradient, make_env, riccati_gain)
+                      lqr_expected_return, lqr_return_gradient, make_env,
+                      riccati_gain)
 from rpg.errors import BadDimensions
 from rpg.rng import RngStream
 

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from rpg import tape
+import tape_reference as tape
 from rpg.divergence import divergence_report, hessian_trace_hutchinson
 from rpg.envs import make_env
 from rpg.errors import BadDimensions, LayoutMismatch
@@ -25,7 +25,7 @@ from rpg.metricnet import (LayerLayout, MetricNetConfig, StepConfig,
                            probe_field_rows, save_params, train_metric_net)
 from rpg.policy import LinearGainPolicy, PolicyMLP
 from rpg.rng import RngStream, rademacher_matrix
-from rpg.tape import DiffGraph, add, mul, reduce_sum, value
+from tape_reference import DiffGraph, add, mul, reduce_sum
 
 
 def small_layout():
@@ -118,13 +118,14 @@ def test_forward_rejects_wrong_layout():
 
 
 def test_trunk_perturbation_matches_backprop():
-    """FD directional derivative of the summed outputs vs the tape gradient."""
+    """FD directional derivative of the summed outputs vs the tape gradient
+    of the reference forward."""
     phi = make_phi(seed=11, heads="random")
     theta_parts = phi.layout.unflatten(RngStream(12).normal((phi.layout.n,)))
 
     graph = DiffGraph()
     var_phi = phi.with_arrays([graph.leaf(a) for a in phi.params_list()])
-    omega, sigma, _ = metric_net_forward(var_phi, theta_parts)
+    omega, sigma, _ = tape.metric_net_forward(var_phi, theta_parts)
     total = add(reduce_sum(omega), reduce_sum(sigma))
     grads = graph.leaf_gradients(total)
     trunk_index = next(i for i, a in enumerate(phi.params_list())
@@ -146,7 +147,8 @@ def test_trunk_perturbation_matches_backprop():
 
 
 # The front end built tap by tap and window by window from slice, mul, add
-# and concat nodes: the reference that the stage primitives must reproduce.
+# and concat nodes: the reference that the tape's stage primitives must
+# reproduce.
 
 
 def per_tap_conv(x, kern, k, ndim):
@@ -185,18 +187,23 @@ def outputs_and_phi_grads(phi, pts):
         phi, phi.layout.unflatten_batch(pts))
     graph = DiffGraph()
     var_phi = phi.with_arrays([graph.leaf(a) for a in phi.params_list()])
-    om, sg, _ = metric_net_forward(var_phi, phi.layout.unflatten_batch(pts))
+    om, sg, _ = tape.metric_net_forward(var_phi,
+                                        phi.layout.unflatten_batch(pts))
     mix = RngStream(99).normal(np.shape(omega))
     total = add(reduce_sum(mul(om, mix)), reduce_sum(mul(sg, sg)))
     return [omega, sigma] + graph.leaf_gradients(total)
 
 
-@pytest.mark.parametrize("layout", [
+# the pointmass MLP, LQR, small and mixed 2-d/1-d layouts
+over_layouts = pytest.mark.parametrize("layout", [
     pointmass_layout(),
     LinearGainPolicy(1, 1).layout,
     small_layout(),
     LayerLayout(shapes=((5, 4), (7, 3), (3,))),
 ], ids=["pointmass", "lqr", "small", "mixed-2d-1d"])
+
+
+@over_layouts
 def test_stage_primitives_match_per_tap_front_end(layout, monkeypatch):
     phi = make_phi(seed=50, layout=layout, m_tilde=min(3, layout.n - 1),
                    heads="random")
@@ -210,6 +217,31 @@ def test_stage_primitives_match_per_tap_front_end(layout, monkeypatch):
         assert a.shape == b.shape
         assert np.max(np.abs(a - b), initial=0.0) <= 1e-12 * max(
             1.0, np.max(np.abs(b), initial=0.0))
+
+
+@over_layouts
+def test_fused_loss_matches_tape_reference(layout):
+    """The numpy forward equals the tape forward bitwise; the hand-written
+    backward gives the tape's loss and phi-gradients to 1e-12 relative."""
+    phi = make_phi(seed=54, layout=layout, m_tilde=min(3, layout.n - 1),
+                   heads="random")
+    pts = RngStream(55).normal((11, layout.n))
+    got = metric_net_forward(phi, layout.unflatten_batch(pts))
+    want = tape.metric_net_forward(phi, layout.unflatten_batch(pts))
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+
+    d = 1.0 + np.arange(layout.n) / layout.n
+    ctx = freeze(phi, pts[0], lambda p: p * d + np.sin(p),
+                 ProbeConfig(probe_count=8, seed=6))
+    div, loss, grads = evaluate_divergence_loss(phi, ctx)
+    ref_div, ref_loss, ref_grads = tape.evaluate_divergence_loss(phi, ctx)
+    assert abs(div - ref_div) <= 1e-12 * abs(ref_div)
+    assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+    assert len(grads) == len(ref_grads) == len(phi.params_list())
+    for a, b in zip(grads, ref_grads):
+        assert a.shape == b.shape
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
 
 
 def test_forward_cost_scales_linearly():
@@ -505,6 +537,42 @@ def test_checkpoint_round_trip(tmp_path):
     after = metric_net_forward(back, back.layout.unflatten(theta))
     assert np.array_equal(before[0], after[0])
     assert np.array_equal(before[1], after[1])
+
+
+def test_checkpoint_round_trip_keeps_pool_exempt(tmp_path):
+    """A PolicyMLP layout exempts its output bias, not its trailing log_std."""
+    layout = PolicyMLP(4, 2, RngStream(0)).layout
+    assert layout.output_bias_part == 5
+    phi = make_phi(seed=48, layout=layout, heads="random")
+    path = str(tmp_path / "phi.bin")
+    save_params(phi, path)
+    back = load_params(path)
+    assert back.layout == layout
+    for a, b in zip(phi.params_list(), back.params_list()):
+        assert np.array_equal(a, b)
+    theta = RngStream(49).normal((layout.n,))
+    before = metric_net_forward(phi, layout.unflatten(theta))
+    after = metric_net_forward(back, back.layout.unflatten(theta))
+    assert np.array_equal(before[0], after[0])
+    assert np.array_equal(before[1], after[1])
+
+
+def test_checkpoint_reads_version_1(tmp_path):
+    """A v1 file has no pool_exempt entry: the default exempt part applies."""
+    phi = make_phi(seed=50, heads="random")
+    path = tmp_path / "phi.bin"
+    save_params(phi, str(path))
+
+    def to_v1(header):
+        header["version"] = 1
+        del header["pool_exempt"]
+
+    tamper_header(path, to_v1)
+    path.write_bytes(b"RPGPHI1\n" + path.read_bytes()[8:])
+    back = load_params(str(path))
+    assert back.layout == phi.layout
+    for a, b in zip(phi.params_list(), back.params_list()):
+        assert np.array_equal(a, b)
 
 
 def test_checkpoint_rejects_garbage(tmp_path):

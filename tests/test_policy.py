@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from rpg.envs import lqr_analytic_gradient, make_env
+from helpers import lqr_analytic_gradient
+from rpg.envs import make_env
 from rpg.policy import (LinearGainPolicy, ParamPolicy, PolicyMLP, Trajectory,
                         reinforce_gradient_from_batch, rollout)
 from rpg.rng import RngStream
