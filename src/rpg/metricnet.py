@@ -333,7 +333,8 @@ def metric_net_forward(phi: MetricNetParams, theta_layers, keep=False):
 
     theta_layers follows phi.layout — a list of parts, each either a single
     part or a (B, ...) stack.  Outputs mirror the batching.  acts is None
-    unless keep, when it holds the activations ``_net_backward`` reads.
+    unless keep, when it holds the activations ``_net_backward`` reads;
+    without keep none of them is collected.
     """
     parts = list(theta_layers)
     if len(parts) != len(phi.layout.shapes):
@@ -353,7 +354,8 @@ def metric_net_forward(phi: MetricNetParams, theta_layers, keep=False):
         for stage, kern in zip(phi.plans[i], phi.part_convs[i]):
             if stage is not None:
                 x = x if stage == "2d" else _flatten(x)
-                stage_in.append(x)
+                if keep:
+                    stage_in.append(x)
                 x = _conv_valid(x, kern, phi.kernel, x.ndim - 1)
         x = _flatten(x)
         flat_len = x.shape[1]
@@ -363,7 +365,8 @@ def metric_net_forward(phi: MetricNetParams, theta_layers, keep=False):
         w, b = phi.part_dense[i]
         z = x @ w + b
         feats.append(np.logaddexp(0.0, z))
-        part_acts.append((stage_in, flat_len, x, z))
+        if keep:
+            part_acts.append((stage_in, flat_len, x, z))
 
     h_in = feats[0] if len(feats) == 1 else np.concatenate(feats, axis=1)
     z_trunk = h_in @ phi.trunk_w + phi.trunk_b
@@ -684,8 +687,9 @@ def load_params(path: str) -> MetricNetParams:
 
     The header's plans and array shapes must be exactly those that
     ``init_params`` builds for its layout, kernel, pool size and widths;
-    any difference raises LayoutMismatch.  A v1 file has no pool_exempt
-    entry and loads with the layout's default exempt part.
+    any difference raises LayoutMismatch.  A v2 header must hold an int
+    or null pool_exempt; a v1 file has none and loads with the layout's
+    default exempt part.
     """
     with open(path, "rb") as fh:
         magic = fh.read(len(CHECKPOINT_MAGIC))
@@ -694,8 +698,14 @@ def load_params(path: str) -> MetricNetParams:
         size = int.from_bytes(fh.read(8), "little")
         header = json.loads(fh.read(size).decode("utf-8"))
         payload = np.frombuffer(fh.read(), dtype="<f8")
+    exempt = None
+    if magic == CHECKPOINT_MAGIC:
+        exempt = header.get("pool_exempt", "missing")
+        if exempt is not None and type(exempt) is not int:
+            raise LayoutMismatch(
+                f"checkpoint pool_exempt {exempt!r} is not an int or null")
     layout = LayerLayout(shapes=tuple(tuple(s) for s in header["layout"]),
-                         pool_exempt=header.get("pool_exempt"))
+                         pool_exempt=exempt)
     shapes = [tuple(s) for s in header["arrays"]]
     if len(shapes) < 6 or len(shapes[-6]) != 2:
         raise LayoutMismatch("checkpoint arrays do not end in a dense trunk")

@@ -182,16 +182,15 @@ def per_window_pool(x, size):
 
 
 def outputs_and_phi_grads(phi, pts):
-    """(omega, sigma) at pts, and the phi-gradient of a fixed mix of them."""
-    omega, sigma, _ = metric_net_forward(
-        phi, phi.layout.unflatten_batch(pts))
+    """(omega, sigma) of the reference forward at pts, and the
+    phi-gradient of a fixed mix of them."""
     graph = DiffGraph()
     var_phi = phi.with_arrays([graph.leaf(a) for a in phi.params_list()])
     om, sg, _ = tape.metric_net_forward(var_phi,
                                         phi.layout.unflatten_batch(pts))
-    mix = RngStream(99).normal(np.shape(omega))
+    mix = RngStream(99).normal(np.shape(tape.value(om)))
     total = add(reduce_sum(mul(om, mix)), reduce_sum(mul(sg, sg)))
-    return [omega, sigma] + graph.leaf_gradients(total)
+    return [tape.value(om), tape.value(sg)] + graph.leaf_gradients(total)
 
 
 # the pointmass MLP, LQR, small and mixed 2-d/1-d layouts
@@ -597,7 +596,11 @@ def tamper_header(path, edit):
 @pytest.mark.parametrize("edit", [
     lambda h: h["plans"].__setitem__(0, ["1d", "1d"]),
     lambda h: h["arrays"].__setitem__(-6, h["arrays"][-6][::-1]),
-], ids=["plan", "array-shape"])
+    lambda h: h.pop("pool_exempt"),
+    lambda h: h.__setitem__("pool_exempt", "1"),
+    lambda h: h.__setitem__("pool_exempt", 1.0),
+], ids=["plan", "array-shape", "pool-exempt-missing", "pool-exempt-str",
+        "pool-exempt-float"])
 def test_checkpoint_rejects_header_that_mismatches_layout(tmp_path, edit):
     """A header edited so the payload size still adds up must not load."""
     phi = make_phi(seed=47, heads="random")
