@@ -17,7 +17,8 @@ Import layout:
     rpg.fourier     truncated cosine/sine bases, scaling and rotation maps
     rpg.metric      the rank-one metric: det, inverse-apply, bilinear form
     rpg.fields      field evaluators and probe settings
-    rpg.divergence  exact/estimated divergence, Hessian trace, ratio
+    rpg.divergence  exact divergence; the probe estimator shared by the
+                    report and the metric loss; Hessian trace, ratio
     rpg.geodesic    geodesic update direction + Christoffel/ODE oracles
     rpg.metricnet   the metric network, its fused loss and phi-gradient
                     (numpy forward, hand-written backward), the inner

@@ -30,9 +30,6 @@ def cmd_verify(args):
     except UnknownSuite as err:
         print(f"error: {err.args[0]}", file=sys.stderr)
         return 2
-    except ConfigError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
     print(format_results(results))
     return exit_status(results)
 

@@ -7,13 +7,17 @@ splits into a Jacobian-trace part and a log-volume part:
           + sum_m J^m / (1 + u.u) * sum_n u^n du^n/dtheta^m
 
 ``divergence_exact`` computes this with one central difference per coordinate
-(2n field evaluations).  ``divergence_report`` replaces the Jacobian trace
+(2n field evaluations).  The probe estimator replaces the Jacobian trace
 with Hutchinson probes and collapses the second double sum into a *single*
 directional derivative along J — the identity
 
     sum_m J^m sum_n u^n du^n/dtheta^m = u . (D_J u)
 
 is exact, which turns O(n^2) work into O(1) field evaluations per estimate.
+
+``probe_divergence`` is that estimator, with its reverse pass to u, at a
+batch frozen by ``freeze_probe_batch``.  The metric net's loss and
+``divergence_report`` both call it, so they agree bit for bit.
 
 Two independent oracles guard the algebra at small n: the volume-weighted
 form (1/sqrt(g)) sum_m d_m(sqrt(g) J^m), and the Christoffel-corrected
@@ -27,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import fields
 from .errors import BadDimensions
 from .fields import (FieldEvaluator, ProbeConfig, default_fd_step,
                      eval_points, require_finite)
@@ -51,11 +56,6 @@ class DivergenceReport:
 def divergence_ratio(div: float, trace: float) -> float:
     """|div| / max(|trace|, 1e-12) — the floor guards a vanishing trace."""
     return abs(div) / max(abs(trace), RATIO_FLOOR)
-
-
-def _reg_field(fe: FieldEvaluator, pts: np.ndarray) -> np.ndarray:
-    """J at a batch of points: G^-1 grad f with the local factor u."""
-    return inverse_apply(MetricPoint(fe.factors(pts)), fe.gradients(pts))
 
 
 def divergence_exact(fe: FieldEvaluator, theta: np.ndarray,
@@ -85,66 +85,140 @@ def divergence_exact(fe: FieldEvaluator, theta: np.ndarray,
     return jacobian_trace + volume_term
 
 
+# ------------------------------------------------------- probe estimator
+
+
+@dataclass(frozen=True)
+class FrozenProbes:
+    """One probe batch's constants: probe points, field values, and step.
+
+    Rows of points: [0:K] theta+eps*v, [K:2K] theta-eps*v, then theta+eps*J0,
+    theta-eps*J0, theta itself.  grads holds the gradient field at the first
+    2K rows only — the volume term needs no gradients — sliced from a
+    single field call (``probe_field_rows``).
+    """
+
+    points: np.ndarray
+    probes: np.ndarray
+    grads: np.ndarray
+    eps: float
+
+
+def probe_field_rows(grad_fn, theta: np.ndarray, probes: np.ndarray,
+                     eps: float):
+    """Gradient field at theta and at every probe row, in one field call.
+
+    probes stacks I probe matrices, shape (I, K, n).  The call covers
+    [theta; theta + eps*V_1; theta - eps*V_1; ...; theta - eps*V_I] and
+    returns (g0, grads) with g0 = grad f(theta) and grads[i] the (2K, n)
+    rows of iteration i, plus rows first.  Nothing is checked for
+    finiteness here: each consumer checks the rows it uses.
+    """
+    theta = np.asarray(theta, dtype=np.float64)
+    shifted = np.stack([theta + eps * probes, theta - eps * probes], axis=1)
+    pts = np.concatenate([theta[None], shifted.reshape(-1, theta.size)])
+    # looked up on the module, so wrappers installed on
+    # rpg.fields.eval_points also see this call
+    out = fields.eval_points(grad_fn, pts)
+    return out[0], out[1:].reshape(shifted.shape[0], -1, theta.size)
+
+
+def freeze_probe_batch(u0: np.ndarray, theta: np.ndarray, g0: np.ndarray,
+                       probes: np.ndarray, probe_grads: np.ndarray,
+                       eps: float) -> FrozenProbes:
+    """Freeze one probe batch from precomputed field values.
+
+    u0 is u(theta), g0 is grad f(theta), and probe_grads the (2K, n)
+    field rows at [theta + eps*probes; theta - eps*probes] (see
+    ``probe_field_rows``).  Raises NonFiniteField when any of them is not
+    finite.
+    """
+    theta = np.asarray(theta, dtype=np.float64)
+    require_finite(g0, "gradient field")
+    grads = require_finite(probe_grads, "gradient field")
+    j0 = inverse_apply(MetricPoint(u0), g0)
+    pts = np.concatenate([
+        theta + eps * probes,
+        theta - eps * probes,
+        (theta + eps * j0)[None],
+        (theta - eps * j0)[None],
+        theta[None],
+    ], axis=0)
+    return FrozenProbes(points=pts, probes=probes, grads=grads, eps=eps)
+
+
+def probe_divergence(u: np.ndarray, ctx: FrozenProbes):
+    """(div, vjp): the probe estimate of Div J from u at every row of
+    ctx.points; vjp maps a cotangent of div to the cotangent of u."""
+    # probe term: J = G^-1 grad at theta +- eps*v, differenced along v
+    k = ctx.probes.shape[0]
+    up, x = u[:2 * k], ctx.grads
+    det = np.sum(up * up, axis=-1).reshape(2 * k, 1) + 1.0
+    ux = np.sum(up * x, axis=-1).reshape(2 * k, 1)
+    q = ux / det
+    j = x - up * q
+    scale = 1.0 / (2.0 * ctx.eps * k)
+    term1 = np.sum(ctx.probes * (j[:k] - j[k:])) * scale
+    # volume term: u(theta) . (u(theta + eps*J0) - u(theta - eps*J0))
+    u_jp, u_jm, u_t = u[2 * k], u[2 * k + 1], u[2 * k + 2]
+    du = u_jp - u_jm
+    den = (np.sum(u_t * u_t) + 1.0) * (2.0 * ctx.eps)
+    num = np.sum(u_t * du)
+    div = term1 + num / den
+
+    def vjp(g_div):
+        # summing each row's terms in the order a reverse sweep over the
+        # forward's operations would
+        g_j = ctx.probes * (g_div * scale)
+        g_j = np.concatenate([g_j, -g_j])
+        g_q = -np.sum(g_j * up, axis=-1).reshape(2 * k, 1)
+        g_det = -g_q * ux / (det * det)
+        g_u = np.empty_like(u)
+        g_u[:2 * k] = -g_j * q + (g_q / det) * x + g_det * up + g_det * up
+        g_num = g_div / den
+        g_det_t = -g_div * num / (den * den) * (2.0 * ctx.eps)
+        g_u[2 * k] = g_num * u_t
+        g_u[2 * k + 1] = -g_u[2 * k]
+        g_u[2 * k + 2] = g_num * du + g_det_t * u_t + g_det_t * u_t
+        return g_u
+
+    return div, vjp
+
+
 def divergence_report(fe: FieldEvaluator, theta: np.ndarray,
                       pc: ProbeConfig) -> DivergenceReport:
     """Estimated divergence and Hessian trace from one shared probe draw.
 
-    Sharing the probe set makes the two estimates identical when u = 0
-    (J = grad f exactly), so the reported ratio is exactly 1 at the
-    Euclidean starting point rather than 1 +- probe noise.
-
-    One gradient-field call covers rows [theta + eps*v; theta - eps*v;
-    theta] (2K+1 rows).  The factor field is evaluated at theta, then at
-    the 2K probe rows plus theta +- eps*J0; the volume term needs u alone
-    at those last two rows.
+    The trace is the same estimate at u = 0, where J = grad f and Div J is
+    the Laplacian: its probe sum runs over the raw gradient rows.  So the
+    two are identical when u = 0, and the ratio is exactly 1 at the
+    Euclidean start rather than 1 +- probe noise.  One gradient-field call
+    covers theta and the 2K probe rows.
     """
     theta = np.asarray(theta, dtype=np.float64)
-    n = theta.size
-    k = pc.probe_count
     eps = pc.step_at(theta)
-    probes = rademacher_matrix(RngStream(pc.seed), k, n)
-
-    probe_pts = np.concatenate([theta + eps * probes,     # rows 0..k-1
-                                theta - eps * probes])    # rows k..2k-1
-    u0 = fe.factors(theta[None])[0]
-    gs = fe.gradients(np.concatenate([probe_pts, theta[None]]))
-    j0 = inverse_apply(MetricPoint(u0), gs[2 * k])
-    us = fe.factors(np.concatenate([probe_pts,
-                                    theta[None] + eps * j0,   # row 2k
-                                    theta[None] - eps * j0])) # row 2k+1
-    js = inverse_apply(MetricPoint(us[:2 * k]), gs[:2 * k])
-
-    j_diff = (js[:k] - js[k : 2 * k]) / (2.0 * eps)
-    grad_diff = (gs[:k] - gs[k : 2 * k]) / (2.0 * eps)
-    jacobian_term = float(np.sum(probes * j_diff)) / k
-    hessian_trace = float(np.sum(probes * grad_diff)) / k
-
-    du_along_j = (us[2 * k] - us[2 * k + 1]) / (2.0 * eps)
-    volume_term = float(u0 @ du_along_j) / (1.0 + float(u0 @ u0))
-
-    div = jacobian_term + volume_term
+    probes = rademacher_matrix(RngStream(pc.seed), pc.probe_count, theta.size)
+    g0, rows = probe_field_rows(fe.grad_fn, theta, probes[None], eps)
+    ctx = freeze_probe_batch(fe.factors(theta[None])[0], theta, g0, probes,
+                             rows[0], eps)
+    div, _ = probe_divergence(fe.factors(ctx.points), ctx)
+    trace, _ = probe_divergence(np.zeros_like(ctx.points), ctx)
+    div, trace = float(div), float(trace)
     return DivergenceReport(
         div=div,
-        hessian_trace=hessian_trace,
-        ratio=divergence_ratio(div, hessian_trace),
+        hessian_trace=trace,
+        ratio=divergence_ratio(div, trace),
         method="estimated",
-        probe_count=k,
+        probe_count=pc.probe_count,
         fd_step=eps,
     )
 
 
 def hessian_trace_hutchinson(grad_fn, theta: np.ndarray,
                              pc: ProbeConfig) -> float:
-    """(1/K) sum_k v_k . (grad f(theta + eps v_k) - grad f(theta - eps v_k)) / 2 eps."""
-    theta = np.asarray(theta, dtype=np.float64)
-    k = pc.probe_count
-    eps = pc.step_at(theta)
-    probes = rademacher_matrix(RngStream(pc.seed), k, theta.size)
-    pts = np.concatenate([theta + eps * probes, theta - eps * probes], axis=0)
-    gs = eval_points(grad_fn, pts)
-    require_finite(gs, "gradient field")
-    diffs = (gs[:k] - gs[k:]) / (2.0 * eps)
-    return float(np.sum(probes * diffs)) / k
+    """Hutchinson's trace of the Hessian: the report's trace, at u = 0."""
+    fe = FieldEvaluator(grad_fn, np.zeros_like)
+    return divergence_report(fe, theta, pc).hessian_trace
 
 
 # ----------------------------------------------------------------- oracles

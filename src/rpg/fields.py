@@ -52,7 +52,6 @@ class FieldEvaluator:
 
     grad_fn: object
     u_fn: object
-    n: int
 
     def gradients(self, pts: np.ndarray) -> np.ndarray:
         return require_finite(eval_points(self.grad_fn, pts), "gradient field")

@@ -21,9 +21,10 @@ evaluated once per pass, at theta and at every iteration's theta +- eps*v
 rows.  Per iteration those values, the probe vectors, and the two points
 theta +- eps*J displaced along the current field are frozen as constants;
 only u(., phi) depends on phi, so the loss is differentiable in phi
-without differentiating the objective's gradient field.  The loss and its
-phi-gradient come from one forward that keeps its activations and one
-reverse pass written out by hand for this fixed architecture
+without differentiating the objective's gradient field.  The loss squares
+the divergence report's own estimate (``rpg.divergence.probe_divergence``),
+whose reverse pass ends at u; from there a pass written out by hand for
+this fixed architecture carries the gradient to phi
 (``evaluate_divergence_loss``); ``tests/tape_reference.py`` builds the same
 loss on the general tape as the reference.  The zero-head start is an
 exact saddle — every phi-derivative carries a factor of u or u.g, which is
@@ -42,12 +43,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import fields
+from .divergence import (FrozenProbes, freeze_probe_batch, probe_divergence,
+                         probe_field_rows)
 from .errors import BadDimensions, LayoutMismatch, NonFiniteField
-from .fields import ProbeConfig, require_finite
+from .fields import ProbeConfig
 from .fourier import (TransformParams, build_fourier_pair, build_u, rotate,
                       scaling_vector)
-from .metric import MetricPoint, inverse_apply
 from .rng import RngStream, rademacher_matrix
 
 # v2 headers record LayerLayout.pool_exempt; v1 files still load, with the
@@ -474,75 +475,15 @@ class StepConfig:
     kick_scale: float = 1e-2
 
 
-@dataclass(frozen=True)
-class FrozenProbes:
-    """One iteration's constants: probe points, field values, and step.
-
-    Rows of points: [0:K] theta+eps*v, [K:2K] theta-eps*v, then theta+eps*J0,
-    theta-eps*J0, theta itself.  grads holds the gradient field at the first
-    2K rows only — the volume term needs no gradients — sliced from the
-    pass's single field call (``probe_field_rows``).
-    """
-
-    points: np.ndarray
-    probes: np.ndarray
-    grads: np.ndarray
-    eps: float
-    theta: np.ndarray
-
-
-def probe_field_rows(grad_fn, theta: np.ndarray, probes: np.ndarray,
-                     eps: float):
-    """Gradient field at theta and at every probe row, in one field call.
-
-    probes stacks I probe matrices, shape (I, K, n).  The call covers
-    [theta; theta + eps*V_1; theta - eps*V_1; ...; theta - eps*V_I] and
-    returns (g0, grads) with g0 = grad f(theta) and grads[i] the (2K, n)
-    rows of iteration i, plus rows first.  Nothing is checked for
-    finiteness here: each consumer checks the rows it uses.
-    """
-    theta = np.asarray(theta, dtype=np.float64)
-    shifted = np.stack([theta + eps * probes, theta - eps * probes], axis=1)
-    pts = np.concatenate([theta[None], shifted.reshape(-1, theta.size)])
-    # looked up on the module, so wrappers installed on
-    # rpg.fields.eval_points also see this call
-    out = fields.eval_points(grad_fn, pts)
-    return out[0], out[1:].reshape(shifted.shape[0], -1, theta.size)
-
-
-def freeze_probe_batch(phi: MetricNetParams, theta: np.ndarray,
-                       g0: np.ndarray, probes: np.ndarray,
-                       probe_grads: np.ndarray, eps: float) -> FrozenProbes:
-    """Freeze one iteration's batch from precomputed gradient-field values.
-
-    g0 is grad f(theta), finite (``train_metric_net`` checks it once per
-    pass), and probe_grads the (2K, n) field rows at
-    [theta + eps*probes; theta - eps*probes] (see ``probe_field_rows``).
-    Raises NonFiniteField when probe_grads or u(theta) is not finite.
-    """
-    theta = np.asarray(theta, dtype=np.float64)
-    grads = require_finite(probe_grads, "gradient field")
-    j0 = inverse_apply(MetricPoint(build_u_field(phi)(theta)), g0)
-    pts = np.concatenate([
-        theta + eps * probes,
-        theta - eps * probes,
-        (theta + eps * j0)[None],
-        (theta - eps * j0)[None],
-        theta[None],
-    ], axis=0)
-    return FrozenProbes(points=pts, probes=probes, grads=grads, eps=eps,
-                        theta=theta)
-
-
 def evaluate_divergence_loss(phi: MetricNetParams, ctx: FrozenProbes):
     """(div, loss, phi-gradients) for the frozen probe batch.
 
     One numpy forward re-evaluates u through the network at every frozen
     point and keeps its activations; the gradient field enters as
-    constants.  One hand-written reverse pass then carries d loss back
-    through the two loss terms, the rank-one inverse, the Fourier scaling
-    and rotation, and the network (``_net_backward``).  The gradients come
-    in ``phi.params_list()`` order.
+    constants.  ``probe_divergence`` carries d loss back to u; a reverse
+    pass continues through the Fourier scaling and rotation and the
+    network (``_net_backward``).  The gradients come in
+    ``phi.params_list()`` order.
     """
     fp = build_fourier_pair(phi.layout.n, phi.m_tilde)
     pts = ctx.points
@@ -550,38 +491,8 @@ def evaluate_divergence_loss(phi: MetricNetParams, ctx: FrozenProbes):
         phi, phi.layout.unflatten_batch(pts), keep=True)
     u = build_u(fp, TransformParams(omega_tilde=omega, sigma_tilde=sigma),
                 pts)
-
-    # probe term: J = G^-1 grad at theta +- eps*v, differenced along v
-    k = ctx.probes.shape[0]
-    up, x = u[:2 * k], ctx.grads
-    det = np.sum(up * up, axis=-1).reshape(2 * k, 1) + 1.0
-    ux = np.sum(up * x, axis=-1).reshape(2 * k, 1)
-    q = ux / det
-    j = x - up * q
-    scale = 1.0 / (2.0 * ctx.eps * k)
-    term1 = np.sum(ctx.probes * (j[:k] - j[k:])) * scale
-    # volume term: u(theta) . (u(theta + eps*J0) - u(theta - eps*J0))
-    u_jp, u_jm, u_t = u[2 * k], u[2 * k + 1], u[2 * k + 2]
-    du = u_jp - u_jm
-    den = (np.sum(u_t * u_t) + 1.0) * (2.0 * ctx.eps)
-    num = np.sum(u_t * du)
-    div = term1 + num / den
-    loss = div * div
-
-    # reverse pass to u, summing each row's terms in the order a reverse
-    # sweep over the forward's operations would
-    g_div = 2.0 * div
-    g_j = ctx.probes * (g_div * scale)
-    g_j = np.concatenate([g_j, -g_j])
-    g_q = -np.sum(g_j * up, axis=-1).reshape(2 * k, 1)
-    g_det = -g_q * ux / (det * det)
-    g_u = np.empty_like(u)
-    g_u[:2 * k] = -g_j * q + (g_q / det) * x + g_det * up + g_det * up
-    g_num = g_div / den
-    g_det_t = -g_div * num / (den * den) * (2.0 * ctx.eps)
-    g_u[2 * k] = g_num * u_t
-    g_u[2 * k + 1] = -g_u[2 * k]
-    g_u[2 * k + 2] = g_num * du + g_det_t * u_t + g_det_t * u_t
+    div, vjp = probe_divergence(u, ctx)
+    g_u = vjp(2.0 * div)
     # through u = (Omega omega_tilde) * (R theta) to the network outputs
     c = pts @ fp.omega
     g_rot = g_u * scaling_vector(fp, omega)
@@ -589,7 +500,7 @@ def evaluate_divergence_loss(phi: MetricNetParams, ctx: FrozenProbes):
     g_sigma = (-(g_rot @ fp.phi) * c) * np.cos(sigma) \
         - ((g_rot @ fp.omega) * c) * np.sin(sigma)
     grads = _net_backward(phi, acts, g_omega, g_sigma)
-    return float(div), float(loss), grads
+    return float(div), float(div * div), grads
 
 
 def _kick_heads(phi: MetricNetParams, rng: RngStream, scale: float) -> None:
@@ -633,10 +544,9 @@ def train_metric_net(phi: MetricNetParams, theta: np.ndarray, grad_fn,
     g0, probe_grads = probe_field_rows(grad_fn, theta, probes, eps)
 
     try:
-        require_finite(g0, "gradient field")
         for it in range(max_iters):
-            ctx = freeze_probe_batch(work, theta, g0, probes[it],
-                                     probe_grads[it], eps)
+            ctx = freeze_probe_batch(build_u_field(work)(theta), theta, g0,
+                                     probes[it], probe_grads[it], eps)
             div, loss, grads = evaluate_divergence_loss(work, ctx)
             if not np.isfinite(loss):
                 break

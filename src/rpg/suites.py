@@ -15,16 +15,15 @@ basis Gram error can bound it. The corresponding identity is pinned
 exactly in tests/test_fourier.py.
 """
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .divergence import (covariant_laplacian_oracle, divergence_exact,
-                         hessian_trace_hutchinson, laplace_beltrami_oracle)
-from .errors import ConfigError, DegenerateSpectrum
+                         freeze_probe_batch, hessian_trace_hutchinson,
+                         laplace_beltrami_oracle, probe_field_rows)
+from .errors import DegenerateSpectrum
 from .fields import FieldEvaluator, ProbeConfig
 from .fourier import (build_fourier_pair, check_exp_decomposition,
                       dense_rotation, full_pair, rotate)
@@ -34,8 +33,8 @@ from .geodesic import (GeodesicConfig, christoffel_fd,
 from .linalg import dense_det, dense_inverse
 from .metric import MetricPoint, inverse_apply, metric_det, metric_matrix
 from .metricnet import (LayerLayout, MetricNetConfig, StepConfig,
-                        evaluate_divergence_loss, freeze_probe_batch,
-                        init_params, probe_field_rows, train_metric_net)
+                        build_u_field, evaluate_divergence_loss, init_params,
+                        train_metric_net)
 from .rng import RngStream, rademacher_matrix
 
 PASS, FAIL, SKIP, DEFECT = "PASS", "FAIL", "SKIP", "KNOWN-DEFECT"
@@ -112,7 +111,7 @@ def suite_divergence():
     for k in range(20):
         n = 2 + (k % 5)
         f, grad_fn, u_fn, theta = _divergence_fixture(200 + k, n)
-        exact = divergence_exact(FieldEvaluator(grad_fn, u_fn, n), theta)
+        exact = divergence_exact(FieldEvaluator(grad_fn, u_fn), theta)
         lb = laplace_beltrami_oracle(f, u_fn, theta)
         cov = covariant_laplacian_oracle(f, u_fn, theta)
         worst_lb = max(worst_lb, abs(exact - lb))
@@ -280,7 +279,8 @@ def suite_metric_training():
     probes = rademacher_matrix(RngStream(0), 8, theta.size)
     eps = ProbeConfig().step_at(theta)
     g0, probe_grads = probe_field_rows(grad_fn, theta, probes[None], eps)
-    ctx = freeze_probe_batch(phi, theta, g0, probes, probe_grads[0], eps)
+    ctx = freeze_probe_batch(build_u_field(phi)(theta), theta, g0, probes,
+                             probe_grads[0], eps)
     _, _, grads = evaluate_divergence_loss(phi, ctx)
     arrs = phi.params_list()
     picks = [(0, 0), (len(arrs) - 6, 0), (len(arrs) - 4, 0),
@@ -359,42 +359,17 @@ def resolve_suite(name):
     return canon
 
 
-def worker_count():
-    raw = os.environ.get("RPG_THREADS", "").strip()
-    if not raw:
-        return os.cpu_count() or 1
-    try:
-        count = int(raw)
-    except ValueError:
-        raise ConfigError(f"RPG_THREADS must be a positive integer, "
-                          f"got {raw!r}")
-    if count < 1:
-        raise ConfigError(f"RPG_THREADS must be a positive integer, "
-                          f"got {raw!r}")
-    return count
-
-
 def run_suites(names=None):
-    """Run the requested suites (all by default) and return SuiteResults.
-
-    Suites are sharded across RPG_THREADS workers; each suite seeds its own
-    randomness, and results are collected in declaration order, so the
-    output is identical at any thread count.
-    """
+    """Run the requested suites (all by default) in declaration order and
+    return SuiteResults; each suite seeds its own randomness."""
     chosen = list(SUITES) if names is None else [resolve_suite(n)
                                                  for n in names]
-
-    def run_one(name):
+    results = []
+    for name in chosen:
         start = time.perf_counter()
         rows = SUITES[name]()
-        return SuiteResult(name, rows, time.perf_counter() - start)
-
-    workers = min(worker_count(), len(chosen)) or 1
-    if workers == 1:
-        return [run_one(name) for name in chosen]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(run_one, name) for name in chosen]
-        return [f.result() for f in futures]
+        results.append(SuiteResult(name, rows, time.perf_counter() - start))
+    return results
 
 
 def format_results(results):

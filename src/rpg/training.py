@@ -174,7 +174,7 @@ def regularize_step(theta, grad, phi, cfg, grad_fn, probe_cfg):
 
     try:
         u_field = build_u_field(new_phi)
-        evaluator = FieldEvaluator(grad_fn, u_field, theta.size)
+        evaluator = FieldEvaluator(grad_fn, u_field)
         report = divergence_report(evaluator, theta, probe_cfg)
         u0 = u_field(theta)
         direction = inverse_apply(MetricPoint(u0), grad)

@@ -50,14 +50,6 @@ def test_verify_unknown_suite_exits_2(capsys):
     assert "unknown suite 'nosuch'" in capsys.readouterr().err
 
 
-def test_verify_respects_thread_cap(capsys, monkeypatch):
-    monkeypatch.setenv("RPG_THREADS", "2")
-    assert main(["verify", "--suite", "hutchinson"]) == 0
-    monkeypatch.setenv("RPG_THREADS", "lots")
-    assert main(["verify", "--suite", "hutchinson"]) == 2
-    assert "RPG_THREADS" in capsys.readouterr().err
-
-
 # ----------------------------------------------------------------- train
 
 

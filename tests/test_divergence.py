@@ -31,28 +31,24 @@ def quad_grad(a):
     return lambda p: p @ a
 
 
-def evaluator(grad_fn, u_fn, n):
-    return FieldEvaluator(grad_fn=grad_fn, u_fn=u_fn, n=n)
-
-
 # ------------------------------------------------------------------ exact
 
 
 def test_exact_flat_quadratic():
     """u = 0, f = ||theta||^2 / 2: the field is the identity, Div = n."""
-    fe = evaluator(lambda p: p, zero_u, 2)
+    fe = FieldEvaluator(lambda p: p, zero_u)
     assert divergence_exact(fe, np.zeros(2)) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_exact_constant_factor():
     """u = (1, 0) everywhere: Div = tr(G^-1) = 1/2 + 1 = 1.5."""
-    fe = evaluator(lambda p: p, const_u(np.array([1.0, 0.0])), 2)
+    fe = FieldEvaluator(lambda p: p, const_u(np.array([1.0, 0.0])))
     div = divergence_exact(fe, np.array([0.3, -0.7]))
     assert div == pytest.approx(1.5, abs=1e-9)
 
 
 def test_exact_dimension_guard():
-    fe = evaluator(lambda p: p, zero_u, 65)
+    fe = FieldEvaluator(lambda p: p, zero_u)
     with pytest.raises(BadDimensions):
         divergence_exact(fe, np.zeros(65))
 
@@ -60,7 +56,7 @@ def test_exact_dimension_guard():
 def test_exact_vs_laplace_beltrami_curved():
     """u(theta) = theta on n = 3 — a curved metric with moving volume."""
     theta = np.array([0.3, -0.2, 0.5])
-    fe = evaluator(lambda p: p, lambda p: p, 3)
+    fe = FieldEvaluator(lambda p: p, lambda p: p)
     div = divergence_exact(fe, theta)
     oracle = laplace_beltrami_oracle(lambda t: 0.5 * float(t @ t),
                                      lambda p: p, theta)
@@ -73,15 +69,15 @@ def test_exact_vs_laplace_beltrami_curved():
 def test_estimate_flat_quadratic_is_exact():
     """Rademacher probes satisfy v_i^2 = 1, so the identity Jacobian gives
     exactly n per probe regardless of K."""
-    fe = evaluator(lambda p: p, zero_u, 6)
+    fe = FieldEvaluator(lambda p: p, zero_u)
     est = divergence_report(fe, np.zeros(6), ProbeConfig(probe_count=3)).div
     assert est == pytest.approx(6.0, abs=1e-9)
 
 
 def test_estimate_constant_field_first_term_zero():
     """A constant field has a zero Jacobian and zero volume term."""
-    fe = evaluator(const_u(np.array([1.0, 2.0, 3.0])),
-                   const_u(np.array([0.4, 0.1, -0.3])), 3)
+    fe = FieldEvaluator(const_u(np.array([1.0, 2.0, 3.0])),
+                        const_u(np.array([0.4, 0.1, -0.3])))
     est = divergence_report(fe, np.array([0.2, 0.0, -0.5]),
                             ProbeConfig(probe_count=8)).div
     assert abs(est) <= 1e-8
@@ -95,7 +91,7 @@ def test_estimate_tracks_exact_at_k64():
     a = 2.0 * np.eye(n) + 0.25 * (w + w.T)
     umat = rng.normal((n, n), scale=0.3)
     theta = rng.normal((n,), scale=0.5)
-    fe = evaluator(quad_grad(a), lambda p: 0.6 * np.tanh(p @ umat.T), n)
+    fe = FieldEvaluator(quad_grad(a), lambda p: 0.6 * np.tanh(p @ umat.T))
     exact = divergence_exact(fe, theta)
     errs = []
     for seed in range(20):
@@ -112,7 +108,7 @@ def test_estimate_error_shrinks_with_probes():
     a = 2.0 * np.eye(n) + 0.3 * (w + w.T)
     umat = rng.normal((n, n), scale=0.4)
     theta = rng.normal((n,), scale=0.5)
-    fe = evaluator(quad_grad(a), lambda p: 0.5 * np.tanh(p @ umat.T), n)
+    fe = FieldEvaluator(quad_grad(a), lambda p: 0.5 * np.tanh(p @ umat.T))
     exact = divergence_exact(fe, theta)
     medians = []
     for k in (4, 16, 64, 256):
@@ -127,7 +123,7 @@ def test_report_shared_probes_give_unit_ratio_when_flat():
     """With u = 0 the field equals the raw gradient, and because the report
     reuses one probe draw for both estimates, div == trace bitwise."""
     a = np.diag([1.0, 2.0, 3.0, 4.0])
-    fe = evaluator(quad_grad(a), zero_u, 4)
+    fe = FieldEvaluator(quad_grad(a), zero_u)
     rep = divergence_report(fe, np.array([0.1, 0.2, -0.3, 0.4]),
                             ProbeConfig(probe_count=16, seed=3))
     assert rep.div == rep.hessian_trace
@@ -145,7 +141,7 @@ def test_report_evaluates_gradient_field_once():
         calls.append(np.shape(pts))
         return 2.0 * pts
 
-    fe = evaluator(grad_fn, lambda p: 0.2 * p, 3)
+    fe = FieldEvaluator(grad_fn, lambda p: 0.2 * p)
     rep = divergence_report(fe, np.array([0.5, -0.5, 0.25]),
                             ProbeConfig(probe_count=4, seed=9))
     assert calls == [(2 * 4 + 1, 3)]
@@ -153,7 +149,7 @@ def test_report_evaluates_gradient_field_once():
 
 
 def test_report_fields_populated():
-    fe = evaluator(lambda p: p, lambda p: 0.2 * p, 3)
+    fe = FieldEvaluator(lambda p: p, lambda p: 0.2 * p)
     rep = divergence_report(fe, np.array([0.5, -0.5, 0.25]),
                             ProbeConfig(probe_count=4, fd_step=1e-5, seed=9))
     assert isinstance(rep, DivergenceReport)
@@ -172,7 +168,7 @@ def test_laplace_beltrami_flat_is_plain_laplacian():
 
 def test_laplace_beltrami_constant_factor_matches_exact():
     u_fn = const_u(np.array([1.0, 0.0]))
-    fe = evaluator(lambda p: p, u_fn, 2)
+    fe = FieldEvaluator(lambda p: p, u_fn)
     theta = np.array([0.3, -0.7])
     lb = laplace_beltrami_oracle(lambda t: 0.5 * float(t @ t), u_fn, theta)
     assert lb == pytest.approx(divergence_exact(fe, theta), abs=1e-4)
@@ -205,7 +201,7 @@ def test_covariant_matches_laplace_beltrami_curved():
 def test_covariant_matches_exact_curved():
     u_fn = lambda p: p
     theta = np.array([0.3, -0.2, 0.5])
-    fe = evaluator(lambda p: p, u_fn, 3)
+    fe = FieldEvaluator(lambda p: p, u_fn)
     cov = covariant_laplacian_oracle(lambda t: 0.5 * float(t @ t), u_fn, theta)
     assert cov == pytest.approx(divergence_exact(fe, theta), abs=1e-3)
 

@@ -61,13 +61,13 @@ def test_require_finite_rejects_nan():
 
 def test_evaluator_checks_gradients():
     fe = FieldEvaluator(grad_fn=lambda p: p * np.inf,
-                        u_fn=lambda p: np.zeros_like(p), n=2)
+                        u_fn=lambda p: np.zeros_like(p))
     with pytest.raises(NonFiniteField):
         fe.gradients(np.ones((1, 2)))
 
 
 def test_evaluator_factors_shape():
-    fe = FieldEvaluator(grad_fn=lambda p: p, u_fn=lambda p: 0.1 * p, n=3)
+    fe = FieldEvaluator(grad_fn=lambda p: p, u_fn=lambda p: 0.1 * p)
     out = fe.factors(np.ones((4, 3)))
     assert out.shape == (4, 3)
 

@@ -297,7 +297,7 @@ def test_initial_ratio_is_exactly_one():
     phi = make_phi(seed=24)
     n = phi.layout.n
     a = 2.0 * np.eye(n) + 0.1
-    fe = FieldEvaluator(grad_fn=lambda p: p @ a, u_fn=build_u_field(phi), n=n)
+    fe = FieldEvaluator(grad_fn=lambda p: p @ a, u_fn=build_u_field(phi))
     rep = divergence_report(fe, RngStream(25).normal((n,)),
                             ProbeConfig(probe_count=8, seed=1))
     assert rep.div == rep.hessian_trace
@@ -320,7 +320,28 @@ def freeze(phi, theta, grad_fn, pc):
     probes = rademacher_matrix(RngStream(pc.seed), pc.probe_count, theta.size)
     eps = pc.step_at(theta)
     g0, probe_grads = probe_field_rows(grad_fn, theta, probes[None], eps)
-    return freeze_probe_batch(phi, theta, g0, probes, probe_grads[0], eps)
+    return freeze_probe_batch(build_u_field(phi)(theta), theta, g0, probes,
+                              probe_grads[0], eps)
+
+
+@pytest.mark.parametrize("layout, m_tilde", [
+    (LayerLayout.from_vector(4), 3),
+    (LayerLayout(shapes=((1, 1), (1,))), 1),
+    (pointmass_layout(), 3),
+], ids=["vector", "lqr", "pointmass"])
+def test_report_div_is_loss_div_bitwise(layout, m_tilde):
+    """The report and the metric loss share one probe estimator: for the
+    same phi and probe draw their div agrees in every bit."""
+    phi = make_phi(seed=26, layout=layout, m_tilde=m_tilde, heads="random")
+    n = layout.n
+    w = RngStream(27).normal((n, n))
+    grad_fn = lambda p: np.tanh(p) @ (w + w.T)
+    theta = RngStream(28).normal((n,), scale=0.5)
+    pc = ProbeConfig(probe_count=8, seed=2)
+    rep = divergence_report(FieldEvaluator(grad_fn, build_u_field(phi)),
+                            theta, pc)
+    div, _, _ = evaluate_divergence_loss(phi, freeze(phi, theta, grad_fn, pc))
+    assert rep.div == div
 
 
 def test_zero_head_start_is_exact_saddle():

@@ -198,7 +198,7 @@ def test_algorithm_step_lowers_median_ratio_variant_t():
         phi.head_sigma_w += kick.normal(size=phi.head_sigma_w.shape,
                                         scale=0.1)
         probe_cfg = ProbeConfig(probe_count=16, seed=seed)
-        evaluator = FieldEvaluator(grad_fn, build_u_field(phi), 4)
+        evaluator = FieldEvaluator(grad_fn, build_u_field(phi))
         before.append(divergence_report(evaluator, theta, probe_cfg).ratio)
         _, report, _ = regularize_step(theta, grad_fn(theta), phi, cfg,
                                        grad_fn, probe_cfg)
