@@ -7,8 +7,7 @@ quarter the angle between the two directions.
 
 import numpy as np
 
-from rpg.geodesic import (GeodesicConfig, geodesic_gradient,
-                          geodesic_ode_direction)
+from rpg.geodesic import geodesic_gradient, geodesic_ode_direction
 from rpg.metric import MetricPoint, inverse_apply
 from rpg.rng import RngStream
 
@@ -34,15 +33,14 @@ def main():
 
     print(f"{'dt':>10} {'angle(T, ode)':>14} {'rel norm gap':>13}")
     for dt in (1e-1, 1e-2, 1e-3, 1e-4):
-        t_dir = geodesic_gradient(u_field, theta, j0,
-                                  GeodesicConfig(kappa=dt / 2.0))
+        t_dir = geodesic_gradient(u_field, theta, j0, dt / 2.0)
         ode = geodesic_ode_direction(u_field, theta, j0, dt)
         gap = abs(np.linalg.norm(t_dir) - np.linalg.norm(ode))
         gap /= np.linalg.norm(ode)
         print(f"{dt:>10.0e} {angle(t_dir, ode):>14.3e} {gap:>13.3e}")
 
     flat = geodesic_gradient(lambda p: np.zeros_like(np.atleast_2d(p)),
-                             theta, grad, GeodesicConfig(kappa=0.05))
+                             theta, grad, 0.05)
     print("\nflat metric leaves the direction untouched:",
           np.array_equal(flat, grad))
 

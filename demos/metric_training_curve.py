@@ -13,8 +13,8 @@ import argparse
 import numpy as np
 
 from rpg.fields import ProbeConfig
-from rpg.metricnet import (LayerLayout, MetricNetConfig, StepConfig,
-                           init_params, train_metric_net)
+from rpg.metricnet import (LayerLayout, MetricNetConfig, init_params,
+                           train_metric_net)
 from rpg.rng import RngStream
 
 
@@ -34,7 +34,7 @@ def main():
     _, history = train_metric_net(
         phi, theta, grad_fn, ProbeConfig(probe_count=args.probes,
                                          seed=args.seed),
-        max_iters=args.iters, step_cfg=StepConfig(lr=0.1, kick_scale=0.05))
+        max_iters=args.iters, lr=0.1, kick_scale=0.05)
 
     print(f"{'iter':>4} {'best |div|':>12} {'best loss':>12}")
     for it, div, loss in history:

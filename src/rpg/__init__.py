@@ -16,7 +16,7 @@ Import layout:
                     log-probability gradient
     rpg.fourier     truncated cosine/sine bases, scaling and rotation maps
     rpg.metric      the rank-one metric: det, inverse-apply, bilinear form
-    rpg.fields      field evaluators and probe settings
+    rpg.fields      batched field calls, FD step, probe settings
     rpg.divergence  exact divergence; the probe estimator shared by the
                     report and the metric loss; Hessian trace, ratio
     rpg.geodesic    geodesic update direction + Christoffel/ODE oracles

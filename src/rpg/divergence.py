@@ -31,10 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fields
 from .errors import BadDimensions
-from .fields import (FieldEvaluator, ProbeConfig, default_fd_step,
-                     eval_points, require_finite)
+from .fields import ProbeConfig, default_fd_step, eval_points, require_finite
 from .metric import MetricPoint, inverse_apply
 from .rng import RngStream, rademacher_matrix
 
@@ -48,9 +46,7 @@ class DivergenceReport:
     div: float
     hessian_trace: float
     ratio: float
-    method: str  # "exact" | "estimated"
-    probe_count: int = 0
-    fd_step: float = 0.0
+    method: str  # "estimated" | "none" | "fallback"
 
 
 def divergence_ratio(div: float, trace: float) -> float:
@@ -58,11 +54,12 @@ def divergence_ratio(div: float, trace: float) -> float:
     return abs(div) / max(abs(trace), RATIO_FLOOR)
 
 
-def divergence_exact(fe: FieldEvaluator, theta: np.ndarray,
+def divergence_exact(grad_fn, u_fn, theta: np.ndarray,
                      fd_step: float | None = None) -> float:
     """Coordinate divergence with every theta-partial by central differences.
 
-    Cost: 2n+1 evaluations of (grad_fn, u_fn).  n <= 64.
+    Cost: 2n+1 evaluations of (grad_fn, u_fn).  n <= 64.  Raises
+    NonFiniteField when either field returns a non-finite value.
     """
     theta = np.asarray(theta, dtype=np.float64)
     n = theta.size
@@ -71,8 +68,9 @@ def divergence_exact(fe: FieldEvaluator, theta: np.ndarray,
     step = fd_step if fd_step is not None else default_fd_step(theta)
     eye = step * np.eye(n)
     pts = np.concatenate([theta + eye, theta - eye, theta[None]], axis=0)
-    us = fe.factors(pts)
-    js = inverse_apply(MetricPoint(us), fe.gradients(pts))
+    us = require_finite(eval_points(u_fn, pts), "metric factor field")
+    gs = require_finite(eval_points(grad_fn, pts), "gradient field")
+    js = inverse_apply(MetricPoint(us), gs)
     j_plus, j_minus = js[:n], js[n : 2 * n]
     u_plus, u_minus = us[:n], us[n : 2 * n]
     u0, j0 = us[-1], js[-1]
@@ -117,9 +115,7 @@ def probe_field_rows(grad_fn, theta: np.ndarray, probes: np.ndarray,
     theta = np.asarray(theta, dtype=np.float64)
     shifted = np.stack([theta + eps * probes, theta - eps * probes], axis=1)
     pts = np.concatenate([theta[None], shifted.reshape(-1, theta.size)])
-    # looked up on the module, so wrappers installed on
-    # rpg.fields.eval_points also see this call
-    out = fields.eval_points(grad_fn, pts)
+    out = eval_points(grad_fn, pts)
     return out[0], out[1:].reshape(shifted.shape[0], -1, theta.size)
 
 
@@ -185,7 +181,7 @@ def probe_divergence(u: np.ndarray, ctx: FrozenProbes):
     return div, vjp
 
 
-def divergence_report(fe: FieldEvaluator, theta: np.ndarray,
+def divergence_report(grad_fn, u_fn, theta: np.ndarray,
                       pc: ProbeConfig) -> DivergenceReport:
     """Estimated divergence and Hessian trace from one shared probe draw.
 
@@ -196,12 +192,13 @@ def divergence_report(fe: FieldEvaluator, theta: np.ndarray,
     covers theta and the 2K probe rows.
     """
     theta = np.asarray(theta, dtype=np.float64)
-    eps = pc.step_at(theta)
+    eps = default_fd_step(theta)
     probes = rademacher_matrix(RngStream(pc.seed), pc.probe_count, theta.size)
-    g0, rows = probe_field_rows(fe.grad_fn, theta, probes[None], eps)
-    ctx = freeze_probe_batch(fe.factors(theta[None])[0], theta, g0, probes,
-                             rows[0], eps)
-    div, _ = probe_divergence(fe.factors(ctx.points), ctx)
+    g0, rows = probe_field_rows(grad_fn, theta, probes[None], eps)
+    u0 = require_finite(eval_points(u_fn, theta[None]), "metric factor field")
+    ctx = freeze_probe_batch(u0[0], theta, g0, probes, rows[0], eps)
+    us = require_finite(eval_points(u_fn, ctx.points), "metric factor field")
+    div, _ = probe_divergence(us, ctx)
     trace, _ = probe_divergence(np.zeros_like(ctx.points), ctx)
     div, trace = float(div), float(trace)
     return DivergenceReport(
@@ -209,16 +206,13 @@ def divergence_report(fe: FieldEvaluator, theta: np.ndarray,
         hessian_trace=trace,
         ratio=divergence_ratio(div, trace),
         method="estimated",
-        probe_count=pc.probe_count,
-        fd_step=eps,
     )
 
 
 def hessian_trace_hutchinson(grad_fn, theta: np.ndarray,
                              pc: ProbeConfig) -> float:
     """Hutchinson's trace of the Hessian: the report's trace, at u = 0."""
-    fe = FieldEvaluator(grad_fn, np.zeros_like)
-    return divergence_report(fe, theta, pc).hessian_trace
+    return divergence_report(grad_fn, np.zeros_like, theta, pc).hessian_trace
 
 
 # ----------------------------------------------------------------- oracles

@@ -1,12 +1,13 @@
 """Shared plumbing for evaluating vector fields over parameter space.
 
 A "field" here is any callable mapping a parameter point to a vector of the
-same dimension (the gradient field, or the metric factor field u).  Field
-callables must be batch-capable — given a (B, n) stack of row points they
-return a (B, n) stack — because every finite-difference sweep and probe sweep
-in the package evaluates many points in one call.  ``eval_points`` calls the
-field once and raises BadDimensions when the result is not shaped like the
-points; any error the field itself raises propagates unchanged.
+same dimension: the gradient field grad_fn (ascent convention), or the metric
+factor field u_fn.  Both must be deterministic for fixed inputs (sampling
+noise frozen by seed) and batch-capable — given a (B, n) stack of row points
+they return a (B, n) stack — because every finite-difference sweep and probe
+sweep in the package evaluates many points in one call.  ``eval_points``
+calls the field once and raises BadDimensions when the result is not shaped
+like the points; any error the field itself raises propagates unchanged.
 """
 
 from __future__ import annotations
@@ -41,38 +42,12 @@ def require_finite(values: np.ndarray, what: str) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class FieldEvaluator:
-    """The two maps that define the regularized gradient field.
-
-    grad_fn: theta -> gradient of the objective (ascent convention)
-    u_fn:    theta -> metric factor u(theta)
-    Both must be deterministic for fixed inputs (sampling noise frozen by
-    seed) and ideally batch-capable.
-    """
-
-    grad_fn: object
-    u_fn: object
-
-    def gradients(self, pts: np.ndarray) -> np.ndarray:
-        return require_finite(eval_points(self.grad_fn, pts), "gradient field")
-
-    def factors(self, pts: np.ndarray) -> np.ndarray:
-        return require_finite(eval_points(self.u_fn, pts), "metric factor field")
-
-
-@dataclass(frozen=True)
 class ProbeConfig:
-    """Hutchinson probe settings: probe count, FD step (None = auto), seed."""
+    """Hutchinson probe settings; the FD step is ``default_fd_step``."""
 
     probe_count: int = 64
-    fd_step: float | None = None
     seed: int = 0
 
     def __post_init__(self):
         if self.probe_count < 1:
             raise ValueError(f"probe_count must be >= 1, got {self.probe_count}")
-        if self.fd_step is not None and not self.fd_step > 0:
-            raise ValueError(f"fd_step must be positive, got {self.fd_step}")
-
-    def step_at(self, theta: np.ndarray) -> float:
-        return self.fd_step if self.fd_step is not None else default_fd_step(theta)

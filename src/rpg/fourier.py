@@ -43,14 +43,6 @@ class FourierPair:
     gram_error: float
 
 
-@dataclass
-class TransformParams:
-    """Scaling amplitudes and rotation phases (radians, interpreted mod 2pi)."""
-
-    omega_tilde: np.ndarray  # (m_tilde,) or (B, m_tilde)
-    sigma_tilde: np.ndarray
-
-
 @lru_cache(maxsize=16)
 def build_fourier_pair(n: int, m_tilde: int) -> FourierPair:
     """Sampled cosine/sine columns sqrt(2/n)*cos|sin(2*pi*i*j/n), i=1..m_tilde.
@@ -105,10 +97,14 @@ def rotate(fp: FourierPair, sigma_tilde, x):
     return (shifted_cos - shifted_sin) + residual
 
 
-def build_u(fp: FourierPair, tp: TransformParams, theta):
-    """u = omega * (R theta): scale applied after rotation."""
-    scale = scaling_vector(fp, tp.omega_tilde)
-    return scale * rotate(fp, tp.sigma_tilde, theta)
+def build_u(fp: FourierPair, omega_tilde, sigma_tilde, theta):
+    """u = omega * (R theta): scale applied after rotation.
+
+    omega_tilde holds the scaling amplitudes, sigma_tilde the rotation phases
+    (radians, mod 2pi); each is (m_tilde,), or (B, m_tilde) for a batch.
+    """
+    scale = scaling_vector(fp, omega_tilde)
+    return scale * rotate(fp, sigma_tilde, theta)
 
 
 def dense_rotation(fp: FourierPair, sigma_tilde: np.ndarray) -> np.ndarray:

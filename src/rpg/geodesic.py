@@ -31,21 +31,6 @@ from .metric import MetricPoint, bilinear_form, inverse_apply, metric_matrix
 
 
 @dataclass(frozen=True)
-class GeodesicConfig:
-    """kappa >= 0 weights the correction; fd_step None = auto-scaled."""
-
-    kappa: float = 0.1
-    fd_step: float | None = None
-
-    def __post_init__(self):
-        if not np.isfinite(self.kappa) or self.kappa < 0:
-            raise ValueError(f"kappa must be finite and >= 0, got {self.kappa}")
-
-    def step_at(self, theta: np.ndarray) -> float:
-        return self.fd_step if self.fd_step is not None else default_fd_step(theta)
-
-
-@dataclass(frozen=True)
 class ChristoffelTensor:
     """gamma[d, m, n] — upper index first, symmetric in the lower pair."""
 
@@ -98,21 +83,27 @@ def christoffel_fd(u_field, theta: np.ndarray, fd_step: float | None = None
     return ChristoffelTensor(gamma=gamma)
 
 
+def _check_kappa(kappa: float) -> None:
+    if not np.isfinite(kappa) or kappa < 0:
+        raise ValueError(f"kappa must be finite and >= 0, got {kappa}")
+
+
 def geodesic_gradient(u_field, theta: np.ndarray, grad_j: np.ndarray,
-                      cfg: GeodesicConfig) -> np.ndarray:
+                      kappa: float) -> np.ndarray:
     """Matrix-form update direction T = J + kappa * G^-1 grad(J^T G J).
 
     grad_j is frozen inside the quadratic form: only the metric's
     theta-dependence is differentiated (2n field evaluations).
     """
+    _check_kappa(kappa)
     theta = np.asarray(theta, dtype=np.float64)
     grad_j = np.asarray(grad_j, dtype=np.float64)
     if not np.all(np.isfinite(grad_j)):
         raise ValueError("geodesic_gradient requires a finite input direction")
-    if cfg.kappa == 0.0:
+    if kappa == 0.0:
         return grad_j.copy()
     n = theta.size
-    step = cfg.step_at(theta)
+    step = default_fd_step(theta)
     us = require_finite(eval_points(u_field, _fd_points(theta, step)),
                         "metric factor field")
     q = bilinear_form(MetricPoint(us), np.broadcast_to(grad_j, us.shape),
@@ -120,29 +111,30 @@ def geodesic_gradient(u_field, theta: np.ndarray, grad_j: np.ndarray,
     grad_q = (q[:n] - q[n:]) / (2.0 * step)
     u0 = require_finite(eval_points(u_field, theta[None])[0],
                         "metric factor field")
-    return grad_j + cfg.kappa * inverse_apply(MetricPoint(u0), grad_q)
+    return grad_j + kappa * inverse_apply(MetricPoint(u0), grad_q)
 
 
 def geodesic_gradient_component(u_field, theta: np.ndarray, grad_j: np.ndarray,
-                                cfg: GeodesicConfig) -> np.ndarray:
+                                kappa: float) -> np.ndarray:
     """Component-form rebuild of the same direction from dense metric partials.
 
     T^d = J^d + kappa * sum_r g^{dr} sum_mn (d g_mn / d theta_r) J^m J^n,
     normalized to the same (1+zeta1) scale as the matrix form.
     """
+    _check_kappa(kappa)
     theta = np.asarray(theta, dtype=np.float64)
     grad_j = np.asarray(grad_j, dtype=np.float64)
     n = theta.size
     if n > 16:
         raise BadDimensions(f"component form is dense FD (n <= 16), got n={n}")
-    if cfg.kappa == 0.0:
+    if kappa == 0.0:
         return grad_j.copy()
-    step = cfg.step_at(theta)
+    step = default_fd_step(theta)
     partials = _metric_partials(u_field, theta, step)
     contraction = np.einsum("rmn,m,n->r", partials, grad_j, grad_j)
     u0 = require_finite(eval_points(u_field, theta[None])[0],
                         "metric factor field")
-    return grad_j + cfg.kappa * inverse_apply(MetricPoint(u0), contraction)
+    return grad_j + kappa * inverse_apply(MetricPoint(u0), contraction)
 
 
 def geodesic_ode_direction(u_field, theta: np.ndarray, tangent: np.ndarray,

@@ -1,12 +1,13 @@
 """The metric network: layered policy parameters in, (omega_tilde, sigma_tilde) out.
 
 Architecture, per parameter part (weight matrix or bias vector): two valid
-convolutions (3x3 while the part is a matrix with both dims >= 3, length-3 on
-the flattened part otherwise, skipped when the part is smaller than the
-kernel) -> flatten -> average pool (size 5, stride 5, partial trailing
-window; the policy's output bias part is exempt) -> dense -> softplus.  Part
-features are concatenated into a shared dense trunk (softplus), which feeds
-two zero-initialized *linear* heads producing omega_tilde and sigma_tilde.
+convolutions (KERNEL = 3: 3x3 while the part is a matrix with both dims >= 3,
+length-3 on the flattened part otherwise, skipped when the part is smaller)
+-> flatten -> average pool (POOL_SIZE = 5, stride 5, partial trailing window;
+the policy's output bias part is exempt) -> dense (PART_WIDTH) -> softplus.
+Part features are concatenated into a shared dense trunk (TRUNK_WIDTH,
+softplus), which feeds two zero-initialized *linear* heads producing
+omega_tilde and sigma_tilde.  Only m_tilde varies between networks.
 The forward is plain numpy over a batch of points; each convolution stage
 is one sum over the kernel taps and each pool one ``np.add.reduceat``.
 
@@ -46,15 +47,21 @@ import numpy as np
 from .divergence import (FrozenProbes, freeze_probe_batch, probe_divergence,
                          probe_field_rows)
 from .errors import BadDimensions, LayoutMismatch, NonFiniteField
-from .fields import ProbeConfig
-from .fourier import (TransformParams, build_fourier_pair, build_u, rotate,
-                      scaling_vector)
+from .fields import ProbeConfig, default_fd_step
+from .fourier import build_fourier_pair, build_u, rotate, scaling_vector
 from .rng import RngStream, rademacher_matrix
 
 # v2 headers record LayerLayout.pool_exempt; v1 files still load, with the
 # default exempt part
 CHECKPOINT_MAGIC = b"RPGPHI2\n"
 CHECKPOINT_MAGIC_V1 = b"RPGPHI1\n"
+
+# the fixed architecture; headers still record KERNEL and POOL_SIZE
+KERNEL = 3
+POOL_SIZE = 5
+PART_WIDTH = 8
+TRUNK_WIDTH = 16
+INIT_SCALE = 0.3        # uniform init bound, before dividing by sqrt(fan_in)
 
 
 # ------------------------------------------------------------------ layout
@@ -134,18 +141,18 @@ class LayerLayout:
         return parts
 
 
-def _conv_plan(shape, kernel: int):
+def _conv_plan(shape):
     """Two conv stages chosen by the running shape; returns (stages, out_len)."""
     stages, cur = [], tuple(shape)
     for _ in range(2):
-        if len(cur) == 2 and cur[0] >= kernel and cur[1] >= kernel:
+        if len(cur) == 2 and cur[0] >= KERNEL and cur[1] >= KERNEL:
             stages.append("2d")
-            cur = (cur[0] - kernel + 1, cur[1] - kernel + 1)
+            cur = (cur[0] - KERNEL + 1, cur[1] - KERNEL + 1)
         else:
             flat = int(np.prod(cur))
-            if flat >= kernel:
+            if flat >= KERNEL:
                 stages.append("1d")
-                cur = (flat - kernel + 1,)
+                cur = (flat - KERNEL + 1,)
             else:
                 stages.append(None)
                 cur = (flat,)
@@ -157,14 +164,9 @@ def _conv_plan(shape, kernel: int):
 
 @dataclass(frozen=True)
 class MetricNetConfig:
-    """m_tilde frequencies; the rest mirror the reference architecture."""
+    """m_tilde frequencies; every other size is a module constant."""
 
     m_tilde: int
-    pool_size: int = 5
-    kernel: int = 3
-    part_width: int = 8
-    trunk_width: int = 16
-    init_scale: float = 0.3
 
 
 @dataclass
@@ -179,8 +181,6 @@ class MetricNetParams:
 
     layout: LayerLayout
     m_tilde: int
-    pool_size: int
-    kernel: int
     plans: tuple
     part_convs: list
     part_dense: list
@@ -248,37 +248,35 @@ def init_params(rng: RngStream, cfg: MetricNetConfig,
             f"n={layout.n}")
 
     def uniform(shape, fan_in):
-        s = cfg.init_scale / max(1.0, np.sqrt(fan_in))
+        s = INIT_SCALE / max(1.0, np.sqrt(fan_in))
         return rng.uniform(-s, s, shape)
 
     plans, part_convs, part_dense = [], [], []
     exempt = layout.output_bias_part
     for i, shape in enumerate(layout.shapes):
-        stages, conv_len = _conv_plan(shape, cfg.kernel)
+        stages, conv_len = _conv_plan(shape)
         plans.append(stages)
         kerns = []
         for st in stages:
             if st == "2d":
-                kerns.append(uniform((cfg.kernel * cfg.kernel,),
-                                     cfg.kernel * cfg.kernel))
+                kerns.append(uniform((KERNEL * KERNEL,), KERNEL * KERNEL))
             elif st == "1d":
-                kerns.append(uniform((cfg.kernel,), cfg.kernel))
+                kerns.append(uniform((KERNEL,), KERNEL))
             else:
                 kerns.append(None)
-        feat = conv_len if i == exempt else _pooled_len(conv_len, cfg.pool_size)
+        feat = conv_len if i == exempt else _pooled_len(conv_len, POOL_SIZE)
         part_convs.append(kerns)
-        part_dense.append([uniform((feat, cfg.part_width), feat),
-                           np.zeros(cfg.part_width)])
-    trunk_in = len(layout.shapes) * cfg.part_width
+        part_dense.append([uniform((feat, PART_WIDTH), feat),
+                           np.zeros(PART_WIDTH)])
+    trunk_in = len(layout.shapes) * PART_WIDTH
     return MetricNetParams(
-        layout=layout, m_tilde=cfg.m_tilde, pool_size=cfg.pool_size,
-        kernel=cfg.kernel, plans=tuple(plans),
+        layout=layout, m_tilde=cfg.m_tilde, plans=tuple(plans),
         part_convs=part_convs, part_dense=part_dense,
-        trunk_w=uniform((trunk_in, cfg.trunk_width), trunk_in),
-        trunk_b=np.zeros(cfg.trunk_width),
-        head_omega_w=np.zeros((cfg.trunk_width, cfg.m_tilde)),
+        trunk_w=uniform((trunk_in, TRUNK_WIDTH), trunk_in),
+        trunk_b=np.zeros(TRUNK_WIDTH),
+        head_omega_w=np.zeros((TRUNK_WIDTH, cfg.m_tilde)),
         head_omega_b=np.zeros(cfg.m_tilde),
-        head_sigma_w=np.zeros((cfg.trunk_width, cfg.m_tilde)),
+        head_sigma_w=np.zeros((TRUNK_WIDTH, cfg.m_tilde)),
         head_sigma_b=np.zeros(cfg.m_tilde))
 
 
@@ -357,11 +355,11 @@ def metric_net_forward(phi: MetricNetParams, theta_layers, keep=False):
                 x = x if stage == "2d" else _flatten(x)
                 if keep:
                     stage_in.append(x)
-                x = _conv_valid(x, kern, phi.kernel, x.ndim - 1)
+                x = _conv_valid(x, kern, KERNEL, x.ndim - 1)
         x = _flatten(x)
         flat_len = x.shape[1]
         if i != exempt:
-            starts, counts = _pool_windows(flat_len, phi.pool_size)
+            starts, counts = _pool_windows(flat_len, POOL_SIZE)
             x = np.add.reduceat(x, starts, axis=-1) * (1.0 / counts)
         w, b = phi.part_dense[i]
         z = x @ w + b
@@ -405,12 +403,12 @@ def _net_backward(phi: MetricNetParams, acts, g_omega, g_sigma) -> list:
         if stage_in:
             g = g_z @ w.T
             if i != phi.layout.output_bias_part:
-                _, counts = _pool_windows(flat_len, phi.pool_size)
+                _, counts = _pool_windows(flat_len, POOL_SIZE)
                 g = np.repeat(g * (1.0 / counts), counts, axis=-1)
             kerns = [kern for kern in phi.part_convs[i] if kern is not None]
             for s in reversed(range(len(stage_in))):
                 a = stage_in[s]
-                keys, out_shape = _taps(a.shape, phi.kernel, a.ndim - 1)
+                keys, out_shape = _taps(a.shape, KERNEL, a.ndim - 1)
                 g = g.reshape(out_shape)
                 kern_grads.insert(0, np.array([np.sum(g * a[key])
                                                for key in keys]))
@@ -433,8 +431,7 @@ def build_u_field(phi: MetricNetParams):
         single = pts.ndim == 1
         batch = pts[None] if single else pts
         omega, sigma, _ = metric_net_forward(phi, layout.unflatten_batch(batch))
-        u = build_u(fp, TransformParams(omega_tilde=omega, sigma_tilde=sigma),
-                    batch)
+        u = build_u(fp, omega, sigma, batch)
         return u[0] if single else u
 
     return u_fn
@@ -444,13 +441,15 @@ def build_u_field(phi: MetricNetParams):
 
 
 class Adam:
-    """Plain Adam over one flat parameter vector (updated in place)."""
+    """Plain Adam over one flat parameter vector (updated in place), with
+    Kingma & Ba's (2015) recommended decays and epsilon."""
 
-    def __init__(self, size: int, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, size: int, lr=1e-3):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = np.zeros(size)
         self.v = np.zeros(size)
@@ -462,17 +461,6 @@ class Adam:
         self.m += (1.0 - self.beta1) * (grads - self.m)
         self.v += (1.0 - self.beta2) * (grads * grads - self.v)
         params -= self.lr * (self.m / b1c) / (np.sqrt(self.v / b2c) + self.eps)
-
-
-@dataclass(frozen=True)
-class StepConfig:
-    """Optimizer settings for the phi loop, plus the saddle-escape kick."""
-
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    kick_scale: float = 1e-2
 
 
 def evaluate_divergence_loss(phi: MetricNetParams, ctx: FrozenProbes):
@@ -489,8 +477,7 @@ def evaluate_divergence_loss(phi: MetricNetParams, ctx: FrozenProbes):
     pts = ctx.points
     omega, sigma, acts = metric_net_forward(
         phi, phi.layout.unflatten_batch(pts), keep=True)
-    u = build_u(fp, TransformParams(omega_tilde=omega, sigma_tilde=sigma),
-                pts)
+    u = build_u(fp, omega, sigma, pts)
     div, vjp = probe_divergence(u, ctx)
     g_u = vjp(2.0 * div)
     # through u = (Omega omega_tilde) * (R theta) to the network outputs
@@ -510,10 +497,12 @@ def _kick_heads(phi: MetricNetParams, rng: RngStream, scale: float) -> None:
 
 
 def train_metric_net(phi: MetricNetParams, theta: np.ndarray, grad_fn,
-                     pc: ProbeConfig, max_iters: int = 20,
-                     step_cfg: StepConfig | None = None):
+                     pc: ProbeConfig, max_iters: int = 20, lr: float = 1e-3,
+                     kick_scale: float = 1e-2):
     """Descend (divergence estimate)^2 in phi; return (best phi, history).
 
+    lr is Adam's step size; a kick at an exact saddle adds uniform
+    +-kick_scale noise to the heads.
     history records one (iter, div, loss) triple per completed iteration,
     always describing the best iterate seen so far — the curve is exactly
     non-increasing in loss, and the final entry describes the returned phi.
@@ -525,22 +514,20 @@ def train_metric_net(phi: MetricNetParams, theta: np.ndarray, grad_fn,
     """
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
-    cfg = step_cfg if step_cfg is not None else StepConfig()
     theta = np.asarray(theta, dtype=np.float64)
     probe_rng = RngStream(pc.seed).spawn("alg1-probes")
     kick_rng = RngStream(pc.seed).spawn("alg1-kick")
 
     flat = np.concatenate([np.ravel(a) for a in phi.params_list()])
     work = phi.with_flat(flat)
-    adam = Adam(flat.size, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2,
-                eps=cfg.eps)
+    adam = Adam(flat.size, lr=lr)
     best = flat.copy()
     best_loss, best_div = np.inf, np.nan
     history = []
 
     probes = np.stack([rademacher_matrix(probe_rng, pc.probe_count, theta.size)
                        for _ in range(max_iters)])
-    eps = pc.step_at(theta)
+    eps = default_fd_step(theta)
     g0, probe_grads = probe_field_rows(grad_fn, theta, probes, eps)
 
     try:
@@ -558,7 +545,7 @@ def train_metric_net(phi: MetricNetParams, theta: np.ndarray, grad_fn,
             if loss > 0.0 and not np.any(grad):
                 # Exact saddle of the zero-head start: every loss derivative
                 # carries a factor of u, which is identically 0.0 here.
-                _kick_heads(work, kick_rng, cfg.kick_scale)
+                _kick_heads(work, kick_rng, kick_scale)
             else:
                 adam.step(flat, grad)
     except NonFiniteField:
@@ -577,8 +564,8 @@ def save_params(phi: MetricNetParams, path: str) -> None:
         "layout": [list(s) for s in phi.layout.shapes],
         "pool_exempt": phi.layout.pool_exempt,
         "m_tilde": phi.m_tilde,
-        "pool_size": phi.pool_size,
-        "kernel": phi.kernel,
+        "pool_size": POOL_SIZE,
+        "kernel": KERNEL,
         "plans": [[s for s in p] for p in phi.plans],
         "arrays": [list(a.shape) for a in arrs],
     }
@@ -595,11 +582,11 @@ def save_params(phi: MetricNetParams, path: str) -> None:
 def load_params(path: str) -> MetricNetParams:
     """Read a ``save_params`` checkpoint, checking its header first.
 
-    The header's plans and array shapes must be exactly those that
-    ``init_params`` builds for its layout, kernel, pool size and widths;
-    any difference raises LayoutMismatch.  A v2 header must hold an int
-    or null pool_exempt; a v1 file has none and loads with the layout's
-    default exempt part.
+    The header's kernel and pool size must be KERNEL and POOL_SIZE, and
+    its plans and array shapes exactly those that ``init_params`` builds
+    for its layout and m_tilde; any difference raises LayoutMismatch.  A
+    v2 header must hold an int or null pool_exempt; a v1 file has none and
+    loads with the layout's default exempt part.
     """
     with open(path, "rb") as fh:
         magic = fh.read(len(CHECKPOINT_MAGIC))
@@ -614,23 +601,20 @@ def load_params(path: str) -> MetricNetParams:
         if exempt is not None and type(exempt) is not int:
             raise LayoutMismatch(
                 f"checkpoint pool_exempt {exempt!r} is not an int or null")
+    if (header["kernel"], header["pool_size"]) != (KERNEL, POOL_SIZE):
+        raise LayoutMismatch(f"checkpoint kernel/pool size {header['kernel']}"
+                             f"/{header['pool_size']} != {KERNEL}/{POOL_SIZE}")
     layout = LayerLayout(shapes=tuple(tuple(s) for s in header["layout"]),
                          pool_exempt=exempt)
-    shapes = [tuple(s) for s in header["arrays"]]
-    if len(shapes) < 6 or len(shapes[-6]) != 2:
-        raise LayoutMismatch("checkpoint arrays do not end in a dense trunk")
-    trunk_in, trunk_width = shapes[-6]
-    cfg = MetricNetConfig(m_tilde=int(header["m_tilde"]),
-                          pool_size=int(header["pool_size"]),
-                          kernel=int(header["kernel"]),
-                          part_width=trunk_in // len(layout.shapes),
-                          trunk_width=trunk_width)
     # the network the header describes, holding throwaway values
-    template = init_params(RngStream(0), cfg, layout)
+    template = init_params(RngStream(0),
+                           MetricNetConfig(m_tilde=int(header["m_tilde"])),
+                           layout)
     plans = tuple(tuple(p) for p in header["plans"])
     if plans != template.plans:
         raise LayoutMismatch(f"checkpoint plans {plans} differ from "
                              f"{template.plans}, implied by its layout")
+    shapes = [tuple(s) for s in header["arrays"]]
     expected = [a.shape for a in template.params_list()]
     if shapes != expected:
         raise LayoutMismatch(f"checkpoint array shapes {shapes} differ from "
@@ -647,8 +631,8 @@ def params_to_json(phi: MetricNetParams) -> dict:
     return {
         "layout": [list(s) for s in phi.layout.shapes],
         "m_tilde": phi.m_tilde,
-        "pool_size": phi.pool_size,
-        "kernel": phi.kernel,
+        "pool_size": POOL_SIZE,
+        "kernel": KERNEL,
         "plans": [[s for s in p] for p in phi.plans],
         "groups": phi.param_groups(),
         "arrays": [np.asarray(a).tolist() for a in phi.params_list()],

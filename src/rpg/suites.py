@@ -24,16 +24,16 @@ from .divergence import (covariant_laplacian_oracle, divergence_exact,
                          freeze_probe_batch, hessian_trace_hutchinson,
                          laplace_beltrami_oracle, probe_field_rows)
 from .errors import DegenerateSpectrum
-from .fields import FieldEvaluator, ProbeConfig
+from .fields import ProbeConfig, default_fd_step
 from .fourier import (build_fourier_pair, check_exp_decomposition,
                       dense_rotation, full_pair, rotate)
-from .geodesic import (GeodesicConfig, christoffel_fd,
-                       covariant_metric_residual, geodesic_gradient,
-                       geodesic_gradient_component, geodesic_ode_direction)
+from .geodesic import (christoffel_fd, covariant_metric_residual,
+                       geodesic_gradient, geodesic_gradient_component,
+                       geodesic_ode_direction)
 from .linalg import dense_det, dense_inverse
 from .metric import MetricPoint, inverse_apply, metric_det, metric_matrix
-from .metricnet import (LayerLayout, MetricNetConfig, StepConfig,
-                        build_u_field, evaluate_divergence_loss, init_params,
+from .metricnet import (LayerLayout, MetricNetConfig, build_u_field,
+                        evaluate_divergence_loss, init_params,
                         train_metric_net)
 from .rng import RngStream, rademacher_matrix
 
@@ -111,7 +111,7 @@ def suite_divergence():
     for k in range(20):
         n = 2 + (k % 5)
         f, grad_fn, u_fn, theta = _divergence_fixture(200 + k, n)
-        exact = divergence_exact(FieldEvaluator(grad_fn, u_fn), theta)
+        exact = divergence_exact(grad_fn, u_fn, theta)
         lb = laplace_beltrami_oracle(f, u_fn, theta)
         cov = covariant_laplacian_oracle(f, u_fn, theta)
         worst_lb = max(worst_lb, abs(exact - lb))
@@ -205,9 +205,8 @@ def suite_geodesic():
         field = _tanh_field(rng.normal((n, n), scale=0.6), 0.5)
         theta = rng.normal((n,), scale=0.5)
         j = rng.normal((n,), scale=0.5)
-        cfg = GeodesicConfig(kappa=0.25)
-        a = geodesic_gradient(field, theta, j, cfg)
-        b = geodesic_gradient_component(field, theta, j, cfg)
+        a = geodesic_gradient(field, theta, j, 0.25)
+        b = geodesic_gradient_component(field, theta, j, 0.25)
         scale = max(1.0, float(np.max(np.abs(a))))
         worst_rel = max(worst_rel, float(np.max(np.abs(a - b))) / scale)
     rows.append(_bound_row("matrix form vs component-sum form "
@@ -215,8 +214,7 @@ def suite_geodesic():
 
     rng = RngStream(510)
     theta, j = rng.normal((5,)), rng.normal((5,))
-    flat = geodesic_gradient(lambda p: np.zeros_like(p), theta, j,
-                             GeodesicConfig(kappa=0.3))
+    flat = geodesic_gradient(lambda p: np.zeros_like(p), theta, j, 0.3)
     rows.append(CheckRow("flat field returns the input direction bit-exactly",
                          PASS if np.array_equal(flat, j) else FAIL,
                          "bitwise comparison"))
@@ -228,8 +226,7 @@ def suite_geodesic():
         field = _tanh_field(rng.normal((3, 3)), 0.5)
         theta = rng.normal((3,), scale=0.5)
         j = rng.normal((3,), scale=0.5)
-        direction = geodesic_gradient(field, theta, j,
-                                      GeodesicConfig(kappa=dt / 2))
+        direction = geodesic_gradient(field, theta, j, dt / 2)
         ode = geodesic_ode_direction(field, theta, j, dt)
         cos = float(direction @ ode) / (np.linalg.norm(direction)
                                         * np.linalg.norm(ode))
@@ -260,13 +257,12 @@ def suite_metric_training():
     grad_fn = lambda p: p * d
     theta = np.ones(8)
     layout = LayerLayout.from_vector(8)
-    step_cfg = StepConfig(lr=0.1, kick_scale=0.05)
     ratios = []
     for seed in range(10):
         phi = init_params(RngStream(seed), MetricNetConfig(m_tilde=3), layout)
         _, history = train_metric_net(
             phi, theta, grad_fn, ProbeConfig(probe_count=64, seed=seed),
-            max_iters=20, step_cfg=step_cfg)
+            max_iters=20, lr=0.1, kick_scale=0.05)
         ratios.append(history[-1][2] / history[0][2])
     rows = [_bound_row("median squared-divergence reduction over 10 seeds "
                        "(<= 20 iterations)", float(np.median(ratios)), 0.5)]
@@ -277,7 +273,7 @@ def suite_metric_training():
               phi.head_sigma_w, phi.head_sigma_b):
         a += r.uniform(-0.05, 0.05, a.shape)
     probes = rademacher_matrix(RngStream(0), 8, theta.size)
-    eps = ProbeConfig().step_at(theta)
+    eps = default_fd_step(theta)
     g0, probe_grads = probe_field_rows(grad_fn, theta, probes[None], eps)
     ctx = freeze_probe_batch(build_u_field(phi)(theta), theta, g0, probes,
                              probe_grads[0], eps)

@@ -23,11 +23,11 @@ import numpy as np
 from .divergence import DivergenceReport, divergence_report
 from .envs import lqr_return_gradient, make_env
 from .errors import NonFiniteField
-from .fields import FieldEvaluator, ProbeConfig
-from .geodesic import GeodesicConfig, geodesic_gradient
+from .fields import ProbeConfig
+from .geodesic import geodesic_gradient
 from .metric import MetricPoint, inverse_apply
-from .metricnet import (MetricNetConfig, StepConfig, build_u_field,
-                        init_params, train_metric_net)
+from .metricnet import (MetricNetConfig, build_u_field, init_params,
+                        train_metric_net)
 from .policy import (LinearGainPolicy, ParamPolicy, PolicyMLP,
                      reinforce_gradient_from_batch, rollout)
 from .rng import RngStream
@@ -75,10 +75,17 @@ class TrainConfig:
             raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
         if self.probe_count < 1:
             raise ValueError("probe_count must be >= 1")
-        if self.kappa is not None and self.kappa < 0:
-            raise ValueError("kappa must be >= 0")
+        if self.kappa is not None and not (np.isfinite(self.kappa)
+                                           and self.kappa >= 0):
+            raise ValueError("kappa must be none, or finite and >= 0")
+        if self.m_tilde < 0:
+            raise ValueError("m_tilde must be >= 0")
         if self.metric_iters < 1:
             raise ValueError("metric_iters must be >= 1")
+        if not (np.isfinite(self.metric_lr) and self.metric_lr > 0):
+            raise ValueError("metric_lr must be finite and > 0")
+        if not (np.isfinite(self.kick_scale) and self.kick_scale >= 0):
+            raise ValueError("kick_scale must be finite and >= 0")
         if self.gradient_backend not in BACKENDS:
             raise ValueError(f"gradient_backend must be one of {BACKENDS}, "
                              f"got {self.gradient_backend!r}")
@@ -93,6 +100,11 @@ class TrainConfig:
         if self.gate_enabled is None:
             return self.variant == "T"
         return bool(self.gate_enabled)
+
+    def gates(self, report):
+        """True when the gate sends this report's step back to the plain
+        gradient: gating is on and the divergence ratio is >= 1."""
+        return self.resolved_gate() and report.ratio >= 1.0
 
     def resolved_kappa(self):
         """Geodesic weight; the flow expansion pairs kappa with half the step."""
@@ -165,30 +177,25 @@ def regularize_step(theta, grad, phi, cfg, grad_fn, probe_cfg):
     if not cfg.freeze_phi:
         try:
             new_phi, _ = train_metric_net(
-                phi, theta, grad_fn, probe_cfg,
-                max_iters=cfg.metric_iters,
-                step_cfg=StepConfig(lr=cfg.metric_lr,
-                                    kick_scale=cfg.kick_scale))
+                phi, theta, grad_fn, probe_cfg, max_iters=cfg.metric_iters,
+                lr=cfg.metric_lr, kick_scale=cfg.kick_scale)
         except NonFiniteField:
             return grad.copy(), _fallback_report(), phi
 
     try:
         u_field = build_u_field(new_phi)
-        evaluator = FieldEvaluator(grad_fn, u_field)
-        report = divergence_report(evaluator, theta, probe_cfg)
+        report = divergence_report(grad_fn, u_field, theta, probe_cfg)
         u0 = u_field(theta)
         direction = inverse_apply(MetricPoint(u0), grad)
         if cfg.variant == "T":
-            direction = geodesic_gradient(
-                u_field, theta, direction,
-                GeodesicConfig(kappa=cfg.resolved_kappa(),
-                               fd_step=probe_cfg.fd_step))
+            direction = geodesic_gradient(u_field, theta, direction,
+                                          cfg.resolved_kappa())
         if not np.all(np.isfinite(direction)):
             raise NonFiniteField("regularized direction")
     except NonFiniteField:
         return grad.copy(), _fallback_report(), new_phi
 
-    if cfg.resolved_gate() and report.ratio >= 1.0:
+    if cfg.gates(report):
         return grad.copy(), report, new_phi
     return direction, report, new_phi
 
@@ -327,8 +334,7 @@ def run_training(cfg):
         if cfg.variant == "baseline":
             gate_flag = False
         else:
-            gate_flag = (report.method == "fallback"
-                         or (cfg.resolved_gate() and report.ratio >= 1.0))
+            gate_flag = report.method == "fallback" or cfg.gates(report)
         records.append(StepRecord(
             step=steps,
             eval_return=float(eval_return),

@@ -19,6 +19,7 @@ import numpy as np
 
 from rpg.errors import LayoutMismatch
 from rpg.fourier import build_fourier_pair
+from rpg.metricnet import KERNEL, POOL_SIZE
 from rpg.tape import (DiffGraph, Var, _binary, _graph_of,  # noqa: F401
                       _unbroadcast, _val, add, matmul, mul, reduce_sum,
                       square, sub, tanh, value)
@@ -221,12 +222,12 @@ def metric_net_forward(phi, theta_layers):
             raise LayoutMismatch(f"part {i} shape {sh[1:]} != {base}")
         for stage, kern in zip(phi.plans[i], phi.part_convs[i]):
             if stage == "2d":
-                x = conv_valid(x, kern, phi.kernel, 2)
+                x = conv_valid(x, kern, KERNEL, 2)
             elif stage == "1d":
-                x = conv_valid(_flatten(x), kern, phi.kernel, 1)
+                x = conv_valid(_flatten(x), kern, KERNEL, 1)
         x = _flatten(x)
         if i != exempt:
-            x = avg_pool(x, phi.pool_size)
+            x = avg_pool(x, POOL_SIZE)
         w, b = phi.part_dense[i]
         feats.append(softplus(_dense(x, w, b)))
 

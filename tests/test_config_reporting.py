@@ -109,6 +109,13 @@ def test_validation_error_names_field_and_line():
     assert "line 3" in msg and "gamma" in msg and "1.5" in msg
 
 
+def test_nan_kappa_is_a_config_error_on_its_line():
+    with pytest.raises(ConfigError) as err:
+        parse_config_text("[run]\nvariant = T\n\n[metric]\nkappa = nan\n")
+    msg = str(err.value)
+    assert "line 5" in msg and "kappa" in msg
+
+
 def test_cross_field_validation_anchors_to_present_key():
     # total_steps stays at its default, so the complaint about the pair is
     # anchored to the update_interval line the file actually contains

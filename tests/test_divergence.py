@@ -14,7 +14,7 @@ from rpg.divergence import (DivergenceReport, covariant_laplacian_oracle,
                             divergence_ratio, divergence_report,
                             hessian_trace_hutchinson, laplace_beltrami_oracle)
 from rpg.errors import BadDimensions
-from rpg.fields import FieldEvaluator, ProbeConfig
+from rpg.fields import ProbeConfig
 from rpg.rng import RngStream
 
 
@@ -36,28 +36,26 @@ def quad_grad(a):
 
 def test_exact_flat_quadratic():
     """u = 0, f = ||theta||^2 / 2: the field is the identity, Div = n."""
-    fe = FieldEvaluator(lambda p: p, zero_u)
-    assert divergence_exact(fe, np.zeros(2)) == pytest.approx(2.0, abs=1e-12)
+    div = divergence_exact(lambda p: p, zero_u, np.zeros(2))
+    assert div == pytest.approx(2.0, abs=1e-12)
 
 
 def test_exact_constant_factor():
     """u = (1, 0) everywhere: Div = tr(G^-1) = 1/2 + 1 = 1.5."""
-    fe = FieldEvaluator(lambda p: p, const_u(np.array([1.0, 0.0])))
-    div = divergence_exact(fe, np.array([0.3, -0.7]))
+    div = divergence_exact(lambda p: p, const_u(np.array([1.0, 0.0])),
+                           np.array([0.3, -0.7]))
     assert div == pytest.approx(1.5, abs=1e-9)
 
 
 def test_exact_dimension_guard():
-    fe = FieldEvaluator(lambda p: p, zero_u)
     with pytest.raises(BadDimensions):
-        divergence_exact(fe, np.zeros(65))
+        divergence_exact(lambda p: p, zero_u, np.zeros(65))
 
 
 def test_exact_vs_laplace_beltrami_curved():
     """u(theta) = theta on n = 3 — a curved metric with moving volume."""
     theta = np.array([0.3, -0.2, 0.5])
-    fe = FieldEvaluator(lambda p: p, lambda p: p)
-    div = divergence_exact(fe, theta)
+    div = divergence_exact(lambda p: p, lambda p: p, theta)
     oracle = laplace_beltrami_oracle(lambda t: 0.5 * float(t @ t),
                                      lambda p: p, theta)
     assert div == pytest.approx(oracle, abs=1e-4)
@@ -69,16 +67,16 @@ def test_exact_vs_laplace_beltrami_curved():
 def test_estimate_flat_quadratic_is_exact():
     """Rademacher probes satisfy v_i^2 = 1, so the identity Jacobian gives
     exactly n per probe regardless of K."""
-    fe = FieldEvaluator(lambda p: p, zero_u)
-    est = divergence_report(fe, np.zeros(6), ProbeConfig(probe_count=3)).div
+    est = divergence_report(lambda p: p, zero_u, np.zeros(6),
+                            ProbeConfig(probe_count=3)).div
     assert est == pytest.approx(6.0, abs=1e-9)
 
 
 def test_estimate_constant_field_first_term_zero():
     """A constant field has a zero Jacobian and zero volume term."""
-    fe = FieldEvaluator(const_u(np.array([1.0, 2.0, 3.0])),
-                        const_u(np.array([0.4, 0.1, -0.3])))
-    est = divergence_report(fe, np.array([0.2, 0.0, -0.5]),
+    est = divergence_report(const_u(np.array([1.0, 2.0, 3.0])),
+                            const_u(np.array([0.4, 0.1, -0.3])),
+                            np.array([0.2, 0.0, -0.5]),
                             ProbeConfig(probe_count=8)).div
     assert abs(est) <= 1e-8
 
@@ -91,11 +89,11 @@ def test_estimate_tracks_exact_at_k64():
     a = 2.0 * np.eye(n) + 0.25 * (w + w.T)
     umat = rng.normal((n, n), scale=0.3)
     theta = rng.normal((n,), scale=0.5)
-    fe = FieldEvaluator(quad_grad(a), lambda p: 0.6 * np.tanh(p @ umat.T))
-    exact = divergence_exact(fe, theta)
+    fields = (quad_grad(a), lambda p: 0.6 * np.tanh(p @ umat.T))
+    exact = divergence_exact(*fields, theta)
     errs = []
     for seed in range(20):
-        est = divergence_report(fe, theta,
+        est = divergence_report(*fields, theta,
                                 ProbeConfig(probe_count=64, seed=seed)).div
         errs.append(abs(est - exact) / abs(exact))
     assert np.median(errs) <= 0.15
@@ -108,12 +106,12 @@ def test_estimate_error_shrinks_with_probes():
     a = 2.0 * np.eye(n) + 0.3 * (w + w.T)
     umat = rng.normal((n, n), scale=0.4)
     theta = rng.normal((n,), scale=0.5)
-    fe = FieldEvaluator(quad_grad(a), lambda p: 0.5 * np.tanh(p @ umat.T))
-    exact = divergence_exact(fe, theta)
+    fields = (quad_grad(a), lambda p: 0.5 * np.tanh(p @ umat.T))
+    exact = divergence_exact(*fields, theta)
     medians = []
     for k in (4, 16, 64, 256):
         errs = [abs(divergence_report(
-            fe, theta, ProbeConfig(probe_count=k, seed=s)).div - exact)
+            *fields, theta, ProbeConfig(probe_count=k, seed=s)).div - exact)
             for s in range(20)]
         medians.append(float(np.median(errs)))
     assert medians[0] > medians[1] > medians[2] > medians[3]
@@ -123,13 +121,12 @@ def test_report_shared_probes_give_unit_ratio_when_flat():
     """With u = 0 the field equals the raw gradient, and because the report
     reuses one probe draw for both estimates, div == trace bitwise."""
     a = np.diag([1.0, 2.0, 3.0, 4.0])
-    fe = FieldEvaluator(quad_grad(a), zero_u)
-    rep = divergence_report(fe, np.array([0.1, 0.2, -0.3, 0.4]),
+    rep = divergence_report(quad_grad(a), zero_u,
+                            np.array([0.1, 0.2, -0.3, 0.4]),
                             ProbeConfig(probe_count=16, seed=3))
     assert rep.div == rep.hessian_trace
     assert rep.ratio == 1.0
     assert rep.method == "estimated"
-    assert rep.probe_count == 16
 
 
 def test_report_evaluates_gradient_field_once():
@@ -141,19 +138,18 @@ def test_report_evaluates_gradient_field_once():
         calls.append(np.shape(pts))
         return 2.0 * pts
 
-    fe = FieldEvaluator(grad_fn, lambda p: 0.2 * p)
-    rep = divergence_report(fe, np.array([0.5, -0.5, 0.25]),
+    rep = divergence_report(grad_fn, lambda p: 0.2 * p,
+                            np.array([0.5, -0.5, 0.25]),
                             ProbeConfig(probe_count=4, seed=9))
     assert calls == [(2 * 4 + 1, 3)]
     assert np.isfinite(rep.div)
 
 
 def test_report_fields_populated():
-    fe = FieldEvaluator(lambda p: p, lambda p: 0.2 * p)
-    rep = divergence_report(fe, np.array([0.5, -0.5, 0.25]),
-                            ProbeConfig(probe_count=4, fd_step=1e-5, seed=9))
+    rep = divergence_report(lambda p: p, lambda p: 0.2 * p,
+                            np.array([0.5, -0.5, 0.25]),
+                            ProbeConfig(probe_count=4, seed=9))
     assert isinstance(rep, DivergenceReport)
-    assert rep.fd_step == 1e-5
     assert np.isfinite(rep.div) and np.isfinite(rep.hessian_trace)
 
 
@@ -168,10 +164,10 @@ def test_laplace_beltrami_flat_is_plain_laplacian():
 
 def test_laplace_beltrami_constant_factor_matches_exact():
     u_fn = const_u(np.array([1.0, 0.0]))
-    fe = FieldEvaluator(lambda p: p, u_fn)
     theta = np.array([0.3, -0.7])
     lb = laplace_beltrami_oracle(lambda t: 0.5 * float(t @ t), u_fn, theta)
-    assert lb == pytest.approx(divergence_exact(fe, theta), abs=1e-4)
+    assert lb == pytest.approx(divergence_exact(lambda p: p, u_fn, theta),
+                               abs=1e-4)
     assert lb == pytest.approx(1.5, abs=1e-4)
 
 
@@ -201,9 +197,9 @@ def test_covariant_matches_laplace_beltrami_curved():
 def test_covariant_matches_exact_curved():
     u_fn = lambda p: p
     theta = np.array([0.3, -0.2, 0.5])
-    fe = FieldEvaluator(lambda p: p, u_fn)
     cov = covariant_laplacian_oracle(lambda t: 0.5 * float(t @ t), u_fn, theta)
-    assert cov == pytest.approx(divergence_exact(fe, theta), abs=1e-3)
+    assert cov == pytest.approx(divergence_exact(lambda p: p, u_fn, theta),
+                                abs=1e-3)
 
 
 def test_covariant_dimension_guard():

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from rpg.divergence import divergence_exact, divergence_report
 from rpg.errors import BadDimensions, NonFiniteField
-from rpg.fields import (FieldEvaluator, ProbeConfig, default_fd_step,
-                        eval_points, require_finite)
+from rpg.fields import (ProbeConfig, default_fd_step, eval_points,
+                        require_finite)
+from rpg.rng import RngStream, rademacher_matrix
 
 
 def test_default_step_at_origin():
@@ -60,30 +62,41 @@ def test_require_finite_rejects_nan():
 
 
 def test_evaluator_checks_gradients():
-    fe = FieldEvaluator(grad_fn=lambda p: p * np.inf,
-                        u_fn=lambda p: np.zeros_like(p))
+    """One infinite gradient row is enough to refuse the estimate."""
+    def grad_fn(p):
+        out = p.copy()
+        out[0] = np.inf
+        return out
+
     with pytest.raises(NonFiniteField):
-        fe.gradients(np.ones((1, 2)))
+        divergence_exact(grad_fn, np.zeros_like, np.ones(2))
 
 
 def test_evaluator_factors_shape():
-    fe = FieldEvaluator(grad_fn=lambda p: p, u_fn=lambda p: 0.1 * p)
-    out = fe.factors(np.ones((4, 3)))
-    assert out.shape == (4, 3)
+    """A u_fn whose rows are not shaped like its points is refused."""
+    with pytest.raises(BadDimensions):
+        divergence_report(lambda p: p, lambda p: 0.1 * p[:, :-1], np.ones(3),
+                          ProbeConfig(probe_count=4))
 
 
 def test_probe_config_validation():
     with pytest.raises(ValueError):
         ProbeConfig(probe_count=0)
-    with pytest.raises(ValueError):
-        ProbeConfig(fd_step=-1e-5)
-
-
-def test_probe_config_step_override():
-    pc = ProbeConfig(probe_count=8, fd_step=1e-3)
-    assert pc.step_at(np.ones(5) * 100.0) == 1e-3
 
 
 def test_probe_config_step_auto():
-    pc = ProbeConfig(probe_count=8)
-    assert pc.step_at(np.array([3.0])) == pytest.approx(4e-4)
+    """Probe rows sit at theta +- default_fd_step(theta) * v."""
+    theta = np.array([3.0, -1.0])
+    pc = ProbeConfig(probe_count=8, seed=2)
+    seen = []
+
+    def grad_fn(p):
+        seen.append(p.copy())
+        return p
+
+    divergence_report(grad_fn, np.zeros_like, theta, pc)
+    eps = default_fd_step(theta)
+    assert eps == pytest.approx(4e-4)
+    probes = rademacher_matrix(RngStream(pc.seed), 8, theta.size)
+    assert np.array_equal(seen[0][1:9], theta + eps * probes)
+    assert np.array_equal(seen[0][9:], theta - eps * probes)

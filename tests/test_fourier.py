@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from rpg.errors import BadDimensions, DegenerateSpectrum
-from rpg.fourier import (TransformParams, build_fourier_pair, build_u,
-                         check_exp_decomposition, dense_rotation, full_pair,
-                         rotate, scaling_vector)
+from rpg.fourier import (build_fourier_pair, build_u, check_exp_decomposition,
+                         dense_rotation, full_pair, rotate, scaling_vector)
 from rpg.linalg import matrix_exp
 from rpg.rng import RngStream
 
@@ -149,35 +148,33 @@ def test_rotation_gram_defect_identity():
 
 def test_build_u_zero_scaling_annihilates():
     fp = build_fourier_pair(8, 2)
-    tp = TransformParams(np.zeros(2), np.array([0.4, -0.9]))
     rng = RngStream(8)
-    assert np.allclose(build_u(fp, tp, rng.normal(size=8)), np.zeros(8), atol=0)
+    u = build_u(fp, np.zeros(2), np.array([0.4, -0.9]), rng.normal(size=8))
+    assert np.allclose(u, np.zeros(8), atol=0)
 
 
 def test_build_u_identity_rotation_case():
     fp = build_fourier_pair(4, 1)
-    tp = TransformParams(np.array([np.sqrt(2.0)]), np.zeros(1))
-    u = build_u(fp, tp, np.ones(4))
+    u = build_u(fp, np.array([np.sqrt(2.0)]), np.zeros(1), np.ones(4))
     assert np.allclose(u, [1.0, 0.0, -1.0, 0.0], atol=1e-14)
 
 
 def test_build_u_matches_dense_construction():
     fp = build_fourier_pair(16, 4)
     rng = RngStream(9)
-    tp = TransformParams(rng.normal(size=4), rng.uniform(-np.pi, np.pi, size=4))
+    omega, sigma = rng.normal(size=4), rng.uniform(-np.pi, np.pi, size=4)
     theta = rng.normal(size=16)
-    dense = np.diag(fp.omega @ tp.omega_tilde) @ dense_rotation(
-        fp, tp.sigma_tilde) @ theta
-    assert np.max(np.abs(build_u(fp, tp, theta) - dense)) <= 1e-12
+    dense = np.diag(fp.omega @ omega) @ dense_rotation(fp, sigma) @ theta
+    assert np.max(np.abs(build_u(fp, omega, sigma, theta) - dense)) <= 1e-12
 
 
 def test_build_u_linear_in_theta():
     fp = build_fourier_pair(16, 4)
     rng = RngStream(10)
-    tp = TransformParams(rng.normal(size=4), rng.uniform(-np.pi, np.pi, size=4))
+    tp = (rng.normal(size=4), rng.uniform(-np.pi, np.pi, size=4))
     t1, t2 = rng.normal(size=16), rng.normal(size=16)
-    combined = build_u(fp, tp, 0.3 * t1 - 1.7 * t2)
-    split = 0.3 * build_u(fp, tp, t1) - 1.7 * build_u(fp, tp, t2)
+    combined = build_u(fp, *tp, 0.3 * t1 - 1.7 * t2)
+    split = 0.3 * build_u(fp, *tp, t1) - 1.7 * build_u(fp, *tp, t2)
     assert np.max(np.abs(combined - split)) <= 1e-10
 
 

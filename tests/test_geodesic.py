@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from rpg.errors import BadDimensions
-from rpg.geodesic import (ChristoffelTensor, GeodesicConfig, christoffel_fd,
+from rpg.geodesic import (ChristoffelTensor, christoffel_fd,
                           covariant_metric_residual, geodesic_gradient,
                           geodesic_gradient_component, geodesic_ode_direction)
 from rpg.rng import RngStream
@@ -31,8 +31,11 @@ def angle_between(a, b):
 
 
 def test_config_rejects_negative_kappa():
-    with pytest.raises(ValueError):
-        GeodesicConfig(kappa=-0.1)
+    """Both forms require kappa finite and >= 0."""
+    for form in (geodesic_gradient, geodesic_gradient_component):
+        for kappa in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="kappa"):
+                form(zero_field, np.zeros(2), np.ones(2), kappa)
 
 
 def test_flat_field_is_exact_passthrough():
@@ -40,7 +43,7 @@ def test_flat_field_is_exact_passthrough():
     rng = RngStream(11)
     theta = rng.normal((5,))
     j = rng.normal((5,))
-    out = geodesic_gradient(zero_field, theta, j, GeodesicConfig(kappa=0.3))
+    out = geodesic_gradient(zero_field, theta, j, 0.3)
     assert np.array_equal(out, j)
 
 
@@ -48,8 +51,7 @@ def test_kappa_zero_passthrough():
     w = RngStream(12).normal((4, 4))
     theta = np.array([0.2, -0.1, 0.4, 0.0])
     j = np.array([1.0, 2.0, -1.0, 0.5])
-    out = geodesic_gradient(tanh_field(w, 0.5), theta, j,
-                            GeodesicConfig(kappa=0.0))
+    out = geodesic_gradient(tanh_field(w, 0.5), theta, j, 0.0)
     assert np.array_equal(out, j)
     assert out is not j
 
@@ -58,7 +60,7 @@ def test_constant_field_passthrough():
     uc = np.array([0.7, -0.2])
     out = geodesic_gradient(lambda p: np.broadcast_to(uc, p.shape),
                             np.array([0.3, 0.9]), np.array([1.0, -1.0]),
-                            GeodesicConfig(kappa=0.5))
+                            0.5)
     assert np.array_equal(out, np.array([1.0, -1.0]))
 
 
@@ -69,7 +71,7 @@ def test_two_dim_closed_form():
     at the base point, and G^-1 = diag(1/2, 1) gives T = (1,0) + (1,0) = (2,0).
     """
     out = geodesic_gradient(lambda p: p, np.array([1.0, 0.0]),
-                            np.array([1.0, 0.0]), GeodesicConfig(kappa=1.0))
+                            np.array([1.0, 0.0]), 1.0)
     assert np.allclose(out, [2.0, 0.0], atol=1e-6)
 
 
@@ -79,16 +81,15 @@ def test_matrix_vs_component_agreement(n):
     w = rng.normal((n, n), scale=0.6)
     theta = rng.normal((n,), scale=0.5)
     j = rng.normal((n,), scale=0.5)
-    cfg = GeodesicConfig(kappa=0.25)
-    a = geodesic_gradient(tanh_field(w, 0.5), theta, j, cfg)
-    b = geodesic_gradient_component(tanh_field(w, 0.5), theta, j, cfg)
+    a = geodesic_gradient(tanh_field(w, 0.5), theta, j, 0.25)
+    b = geodesic_gradient_component(tanh_field(w, 0.5), theta, j, 0.25)
     assert np.max(np.abs(a - b)) <= 1e-8 * max(1.0, float(np.max(np.abs(a))))
 
 
 def test_component_dimension_guard():
     with pytest.raises(BadDimensions):
         geodesic_gradient_component(zero_field, np.zeros(17), np.ones(17),
-                                    GeodesicConfig())
+                                    0.1)
 
 
 def test_christoffel_flat_is_zero():
@@ -149,7 +150,7 @@ def test_ode_matches_direction_at_small_dt():
     j = rng.normal((3,), scale=0.5)
     field = tanh_field(w, 0.5)
     dt = 1e-3
-    direction = geodesic_gradient(field, theta, j, GeodesicConfig(kappa=dt / 2))
+    direction = geodesic_gradient(field, theta, j, dt / 2)
     ode = geodesic_ode_direction(field, theta, j, dt)
     assert angle_between(direction, ode) <= 1e-2
 
@@ -162,8 +163,7 @@ def test_ode_angle_shrinks_with_dt():
     field = tanh_field(w, 0.5)
     angles = []
     for dt in (1e-2, 1e-3, 1e-4):
-        direction = geodesic_gradient(field, theta, j,
-                                      GeodesicConfig(kappa=dt / 2))
+        direction = geodesic_gradient(field, theta, j, dt / 2)
         angles.append(angle_between(direction,
                                     geodesic_ode_direction(field, theta, j, dt)))
     assert angles[0] > angles[1] > angles[2]

@@ -17,12 +17,12 @@ import tape_reference as tape
 from rpg.divergence import divergence_report, hessian_trace_hutchinson
 from rpg.envs import make_env
 from rpg.errors import BadDimensions, LayoutMismatch
-from rpg.fields import FieldEvaluator, ProbeConfig
-from rpg.metricnet import (LayerLayout, MetricNetConfig, StepConfig,
-                           build_u_field, evaluate_divergence_loss,
-                           freeze_probe_batch, init_params, load_params,
-                           metric_net_forward, params_to_json,
-                           probe_field_rows, save_params, train_metric_net)
+from rpg.fields import ProbeConfig, default_fd_step
+from rpg.metricnet import (LayerLayout, MetricNetConfig, build_u_field,
+                           evaluate_divergence_loss, freeze_probe_batch,
+                           init_params, load_params, metric_net_forward,
+                           params_to_json, probe_field_rows, save_params,
+                           train_metric_net)
 from rpg.policy import LinearGainPolicy, PolicyMLP
 from rpg.rng import RngStream, rademacher_matrix
 from tape_reference import DiffGraph, add, mul, reduce_sum
@@ -297,8 +297,8 @@ def test_initial_ratio_is_exactly_one():
     phi = make_phi(seed=24)
     n = phi.layout.n
     a = 2.0 * np.eye(n) + 0.1
-    fe = FieldEvaluator(grad_fn=lambda p: p @ a, u_fn=build_u_field(phi))
-    rep = divergence_report(fe, RngStream(25).normal((n,)),
+    rep = divergence_report(lambda p: p @ a, build_u_field(phi),
+                            RngStream(25).normal((n,)),
                             ProbeConfig(probe_count=8, seed=1))
     assert rep.div == rep.hessian_trace
     assert rep.ratio == 1.0
@@ -318,7 +318,7 @@ def quad_fixture(n=8):
 def freeze(phi, theta, grad_fn, pc):
     """One frozen batch at pc's own probe draw, field rows from one call."""
     probes = rademacher_matrix(RngStream(pc.seed), pc.probe_count, theta.size)
-    eps = pc.step_at(theta)
+    eps = default_fd_step(theta)
     g0, probe_grads = probe_field_rows(grad_fn, theta, probes[None], eps)
     return freeze_probe_batch(build_u_field(phi)(theta), theta, g0, probes,
                               probe_grads[0], eps)
@@ -338,8 +338,7 @@ def test_report_div_is_loss_div_bitwise(layout, m_tilde):
     grad_fn = lambda p: np.tanh(p) @ (w + w.T)
     theta = RngStream(28).normal((n,), scale=0.5)
     pc = ProbeConfig(probe_count=8, seed=2)
-    rep = divergence_report(FieldEvaluator(grad_fn, build_u_field(phi)),
-                            theta, pc)
+    rep = divergence_report(grad_fn, build_u_field(phi), theta, pc)
     div, _, _ = evaluate_divergence_loss(phi, freeze(phi, theta, grad_fn, pc))
     assert rep.div == div
 
@@ -498,7 +497,7 @@ def test_train_non_finite_row_ends_loop_at_its_iteration():
     pc = ProbeConfig(probe_count=4, seed=5)
     probe_rng = RngStream(pc.seed).spawn("alg1-probes")
     draws = [rademacher_matrix(probe_rng, 4, theta.size) for _ in range(5)]
-    bad = theta + pc.step_at(theta) * draws[2][0]
+    bad = theta + default_fd_step(theta) * draws[2][0]
     # no row theta +- eps*v of iterations 0 and 1 is the bad point
     earlier = np.concatenate(draws[:2])
     assert not np.any(np.all(earlier == draws[2][0], axis=1))
@@ -620,15 +619,26 @@ def tamper_header(path, edit):
     lambda h: h.pop("pool_exempt"),
     lambda h: h.__setitem__("pool_exempt", "1"),
     lambda h: h.__setitem__("pool_exempt", 1.0),
+    lambda h: h.__setitem__("kernel", 5),
+    lambda h: h.__setitem__("pool_size", 4),
 ], ids=["plan", "array-shape", "pool-exempt-missing", "pool-exempt-str",
-        "pool-exempt-float"])
+        "pool-exempt-float", "kernel", "pool-size"])
 def test_checkpoint_rejects_header_that_mismatches_layout(tmp_path, edit):
-    """A header edited so the payload size still adds up must not load."""
+    """A header edited so the payload size still adds up must not load.
+
+    Headers still record kernel 3 and pool size 5, the values every v1 and
+    v2 file was written with.
+    """
     phi = make_phi(seed=47, heads="random")
     assert phi.plans[0] == ("2d", "1d")
     path = tmp_path / "phi.bin"
     save_params(phi, str(path))
-    tamper_header(path, edit)
+
+    def check_then_edit(header):
+        assert (header["kernel"], header["pool_size"]) == (3, 5)
+        edit(header)
+
+    tamper_header(path, check_then_edit)
     with pytest.raises(LayoutMismatch):
         load_params(str(path))
 

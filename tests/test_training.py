@@ -8,10 +8,10 @@ contracts and the cheap end-to-end behaviours.
 import numpy as np
 import pytest
 
-from rpg.divergence import divergence_report
+from rpg.divergence import DivergenceReport, divergence_report
 from rpg.envs import lqr_expected_return, make_env, riccati_gain
 from rpg.errors import NonFiniteField
-from rpg.fields import FieldEvaluator, ProbeConfig
+from rpg.fields import ProbeConfig
 from rpg.metricnet import MetricNetConfig, build_u_field, init_params
 from rpg.policy import LinearGainPolicy, ParamPolicy, rollout
 from rpg.rng import RngStream
@@ -55,6 +55,16 @@ def test_config_defaults_are_valid():
     (dict(probe_episodes=0), "probe_episodes"),
     (dict(policy_lr=float("nan")), "policy_lr"),
     (dict(seed=-1), "seed"),
+    (dict(kappa=float("nan")), "kappa"),
+    (dict(kappa=float("inf")), "kappa"),
+    (dict(metric_lr=float("nan")), "metric_lr"),
+    (dict(metric_lr=-0.01), "metric_lr"),
+    (dict(metric_lr=0.0), "metric_lr"),
+    (dict(metric_lr=float("inf")), "metric_lr"),
+    (dict(kick_scale=float("nan")), "kick_scale"),
+    (dict(kick_scale=-0.005), "kick_scale"),
+    (dict(kick_scale=float("inf")), "kick_scale"),
+    (dict(m_tilde=-1), "m_tilde"),
 ])
 def test_config_validation_names_offending_field(kwargs, field_name):
     with pytest.raises(ValueError, match=field_name):
@@ -73,6 +83,18 @@ def test_gate_defaults_on_for_variant_t_only():
     # explicit override wins in both directions
     assert TrainConfig(variant="T", gate_enabled=False).resolved_gate() is False
     assert TrainConfig(variant="J", gate_enabled=True).resolved_gate() is True
+
+
+def test_gate_rule_needs_gate_on_and_ratio_at_least_one():
+    """One predicate decides both the step and the recorded gate flag."""
+    def report(ratio):
+        return DivergenceReport(div=ratio, hessian_trace=1.0, ratio=ratio,
+                                method="estimated")
+
+    assert TrainConfig(variant="T").gates(report(1.0))
+    assert not TrainConfig(variant="T").gates(report(0.5))
+    assert not TrainConfig(variant="J").gates(report(2.0))
+    assert TrainConfig(variant="J", gate_enabled=True).gates(report(2.0))
 
 
 def test_kappa_defaults_to_half_policy_lr():
@@ -198,8 +220,8 @@ def test_algorithm_step_lowers_median_ratio_variant_t():
         phi.head_sigma_w += kick.normal(size=phi.head_sigma_w.shape,
                                         scale=0.1)
         probe_cfg = ProbeConfig(probe_count=16, seed=seed)
-        evaluator = FieldEvaluator(grad_fn, build_u_field(phi))
-        before.append(divergence_report(evaluator, theta, probe_cfg).ratio)
+        before.append(divergence_report(grad_fn, build_u_field(phi), theta,
+                                        probe_cfg).ratio)
         _, report, _ = regularize_step(theta, grad_fn(theta), phi, cfg,
                                        grad_fn, probe_cfg)
         after.append(report.ratio)
