@@ -12,8 +12,10 @@ Import layout:
     rpg.errors      the exception taxonomy
     rpg.linalg      dense oracles (inverse, det, SVD, matrix exponential)
     rpg.rng         counter-addressed deterministic random streams
-    rpg.tape        reverse-mode autodiff, left only for the MLP policy's
-                    log-probability gradient
+    rpg.tape        reverse-mode autodiff; no library module uses it, it
+                    stays for perfbench/tracer.py, which patches
+                    DiffGraph.leaf_gradients, and for the tests' tape
+                    references
     rpg.fourier     truncated cosine/sine bases, scaling and rotation maps
     rpg.metric      the rank-one metric: det, inverse-apply, bilinear form
     rpg.fields      batched field calls, FD step, probe settings
@@ -24,7 +26,8 @@ Import layout:
                     (numpy forward, hand-written backward), the inner
                     training loop with Adam, checkpoints
     rpg.envs        toy environments (LQR, point-mass, landscapes)
-    rpg.policy      policies, rollouts, the REINFORCE estimator
+    rpg.policy      policies, rollouts, the REINFORCE estimator and its
+                    common-random-numbers field over parameter rows
     rpg.training    the outer training loop (baseline / J / T variants)
     rpg.runconfig   run-configuration parsing/validation
     rpg.reporting   CSV/JSON logs and SVG charts

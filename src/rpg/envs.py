@@ -11,6 +11,14 @@ True once `horizon` transitions have been taken (landscape environments are
 single-step and finish immediately).  Rewards are negated costs throughout:
 trainers maximize return.
 
+The LQR and point-mass environments also split a step into its draw event
+and its dynamics: draw_noise(rng) makes the step's one draw (None when the
+dynamics are noiseless, without drawing) and transition(state, action,
+noise) -> (next_state, reward) is pure and takes states with leading row
+axes, against which the noise broadcasts.  step is the two in sequence, so
+it takes row axes too; a single state gives the same numbers as before
+(``np.vecdot`` sums like the 1-d ``@`` it replaces).
+
 The module also carries the two closed-form references used to check learned
 policies on the linear-quadratic problem: the discounted Riccati fixed point
 (optimal gain) and the exact finite-horizon return gradient for affine
@@ -30,6 +38,17 @@ def _check_horizon(horizon):
     if not 1 <= horizon <= MAX_HORIZON:
         raise ValueError(f"horizon must be in 1..{MAX_HORIZON}, got {horizon}")
     return horizon
+
+
+def _action_rows(action, state, action_dim):
+    """The action shaped (*rows, action_dim) for a (*rows, state_dim) state."""
+    return np.asarray(action, dtype=float).reshape(
+        state.shape[:-1] + (action_dim,))
+
+
+def _reward_out(reward):
+    """A float for one state, an array of per-row rewards for a batch."""
+    return float(reward) if reward.ndim == 0 else reward
 
 
 class LqrEnv:
@@ -77,17 +96,28 @@ class LqrEnv:
         self._t = 0
         return rng.uniform(-1.0, 1.0, size=self.state_dim)
 
-    def step(self, state, action, rng=None):
+    def draw_noise(self, rng):
+        """xi of one step (one draw event), or None for noiseless dynamics."""
+        if not self.noise_scale > 0.0:
+            return None
+        if rng is None:
+            raise ValueError("noisy dynamics need an rng")
+        return rng.normal(size=self.state_dim)
+
+    def transition(self, state, action, noise=None):
         state = np.asarray(state, dtype=float)
-        action = np.asarray(action, dtype=float).reshape(self.action_dim)
-        reward = -(state @ self.q @ state + action @ self.r @ action)
-        nxt = self.a @ state + self.b @ action
-        if self.noise_scale > 0.0:
-            if rng is None:
-                raise ValueError("noisy dynamics need an rng")
-            nxt = nxt + self.noise_scale * rng.normal(size=self.state_dim)
+        action = _action_rows(action, state, self.action_dim)
+        reward = -(np.vecdot(state @ self.q, state)
+                   + np.vecdot(action @ self.r, action))
+        nxt = state @ self.a.T + action @ self.b.T
+        if noise is not None:
+            nxt = nxt + self.noise_scale * noise
+        return nxt, reward
+
+    def step(self, state, action, rng=None):
+        nxt, reward = self.transition(state, action, self.draw_noise(rng))
         self._t += 1
-        return nxt, float(reward), self._t >= self.horizon
+        return nxt, _reward_out(reward), self._t >= self.horizon
 
 
 class PointmassEnv:
@@ -112,14 +142,24 @@ class PointmassEnv:
         self._t = 0
         return rng.uniform(-1.0, 1.0, size=4)
 
-    def step(self, state, action, rng=None):
+    def draw_noise(self, rng):
+        """The dynamics are deterministic: no draw event, no noise."""
+        return None
+
+    def transition(self, state, action, noise=None):
         state = np.asarray(state, dtype=float)
-        action = np.asarray(action, dtype=float).reshape(2)
-        pos, vel = state[:2], state[2:]
-        reward = -(pos @ pos + 0.1 * (action @ action))
-        nxt = np.concatenate([pos + self.dt * vel, vel + self.dt * action])
+        action = _action_rows(action, state, 2)
+        pos = state[..., :2]
+        reward = -(np.vecdot(pos, pos) + 0.1 * np.vecdot(action, action))
+        # [pos + dt vel, vel + dt action]
+        nxt = state + self.dt * np.concatenate([state[..., 2:], action],
+                                               axis=-1)
+        return nxt, reward
+
+    def step(self, state, action, rng=None):
+        nxt, reward = self.transition(state, action)
         self._t += 1
-        return nxt, float(reward), self._t >= self.horizon
+        return nxt, _reward_out(reward), self._t >= self.horizon
 
 
 def _bowl(x):

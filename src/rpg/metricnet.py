@@ -579,14 +579,17 @@ def save_params(phi: MetricNetParams, path: str) -> None:
         fh.write(payload)
 
 
+_HEADER_KEYS = ("kernel", "pool_size", "m_tilde", "layout", "plans", "arrays")
+
+
 def load_params(path: str) -> MetricNetParams:
     """Read a ``save_params`` checkpoint, checking its header first.
 
     The header's kernel and pool size must be KERNEL and POOL_SIZE, and
     its plans and array shapes exactly those that ``init_params`` builds
-    for its layout and m_tilde; any difference raises LayoutMismatch.  A
-    v2 header must hold an int or null pool_exempt; a v1 file has none and
-    loads with the layout's default exempt part.
+    for its layout and m_tilde; any difference, or a missing key, raises
+    LayoutMismatch.  A v2 header must hold an int or null pool_exempt; a v1
+    file has none and loads with the layout's default exempt part.
     """
     with open(path, "rb") as fh:
         magic = fh.read(len(CHECKPOINT_MAGIC))
@@ -595,6 +598,9 @@ def load_params(path: str) -> MetricNetParams:
         size = int.from_bytes(fh.read(8), "little")
         header = json.loads(fh.read(size).decode("utf-8"))
         payload = np.frombuffer(fh.read(), dtype="<f8")
+    missing = [key for key in _HEADER_KEYS if key not in header]
+    if missing:
+        raise LayoutMismatch(f"checkpoint header lacks {', '.join(missing)}")
     exempt = None
     if magic == CHECKPOINT_MAGIC:
         exempt = header.get("pool_exempt", "missing")

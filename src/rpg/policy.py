@@ -9,15 +9,61 @@ interface (`theta` / `set_theta`, a `layout` describing the parts), which is
 what the metric machinery consumes.
 
 The estimator here is plain REINFORCE on return-to-go with a per-timestep
-mean baseline over the episode batch — no critics, no bootstrapping.
+mean baseline over the episode batch — no critics, no bootstrapping.  It
+comes in two forms that share the weights (``_reinforce_weights``) and the
+log-probability gradient.  ``reinforce_gradient_from_batch`` serves one
+parameter vector and a batch that ``rollout`` collected.
+``reinforce_field`` serves B parameter rows at once with common random
+numbers: every draw event of the episodes is made once, in the order
+``rollout`` makes it, and shared by all rows, so row b equals the
+estimator at row b over episodes replayed from the same stream.  The two
+stochastic policies compute their mean and their log-probability gradient
+in closed form over rows of parameters (``LayerLayout.unflatten_batch``);
+a single parameter vector is the one-row case.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import tape
 from .metricnet import LayerLayout
+
+# parameter rows played and differentiated together by reinforce_field.
+# It bounds the activations of one block; at the `rpg train` pointmass
+# defaults (1,281 rows in one call) blocks of 32 rows peak at 56 MB RSS
+# against 275 MB for one block, at the same speed
+ROW_BLOCK = 32
+
+
+def _return_to_go(rewards, gamma):
+    """G_t = r_t + gamma * G_{t+1} along the last axis, from the tail."""
+    # time first; one episode stays 1-d, so its steps are numpy scalars
+    steps = rewards.T
+    out = np.zeros_like(steps)
+    acc = 0.0
+    for t in range(len(steps) - 1, -1, -1):
+        acc = steps[t] + gamma * acc
+        out[t] = acc
+    return out.T
+
+
+def _reinforce_weights(rewards, gamma):
+    """Weights gamma^t * (G_t - baseline_t) / E for rewards shaped (..., E, H).
+
+    The baseline is the per-timestep mean of the return-to-go across the E
+    episodes (a constant-reward environment therefore yields an exactly
+    zero advantage).
+    """
+    rtg = _return_to_go(rewards, gamma)
+    episodes, horizon = rewards.shape[-2:]
+    if episodes > 1:
+        advantage = rtg - rtg.mean(axis=-2, keepdims=True)
+    else:
+        # the cross-episode mean of a single episode is itself, which would
+        # zero the weights identically; fall back to raw return-to-go
+        advantage = rtg
+    discounts = gamma ** np.arange(horizon)
+    return discounts * advantage / episodes
 
 
 @dataclass
@@ -40,12 +86,7 @@ class Trajectory:
 
     def return_to_go(self, gamma):
         """G_t = r_t + gamma * G_{t+1}, accumulated from the tail."""
-        out = np.zeros_like(self.rewards)
-        acc = 0.0
-        for t in range(len(self.rewards) - 1, -1, -1):
-            acc = self.rewards[t] + gamma * acc
-            out[t] = acc
-        return out
+        return _return_to_go(self.rewards, gamma)
 
     def discounted_return(self, gamma):
         """Total discounted return; same accumulation as return_to_go."""
@@ -72,16 +113,117 @@ def rollout(env, policy, rng, explore=True):
                       np.array(rewards))
 
 
-class PolicyMLP:
+def _draw_episode_events(env, policy, episodes, rng):
+    """Every draw of `episodes` rollouts, made in the order rollout makes it.
+
+    Per episode: the reset, then per step the action noise and the
+    dynamics noise (an event only when the dynamics are noisy).  Returns
+    the start states (E, state_dim), the action noise (H, E, action_dim)
+    and the dynamics noise (H, E, state_dim) or None.
+    """
+    starts, xi, noise = [], [], []
+    for _ in range(episodes):
+        starts.append(env.reset(rng))
+        for _ in range(env.horizon):
+            xi.append(rng.normal(size=policy.action_dim))
+            noise.append(env.draw_noise(rng))
+    steps = (episodes, env.horizon, -1)
+    xi = np.reshape(xi, steps).swapaxes(0, 1)
+    if noise[0] is not None:
+        noise = np.reshape(noise, steps).swapaxes(0, 1)
+    else:
+        noise = None
+    return np.array(starts), xi, noise
+
+
+def _play_rows(env, policy, parts, events):
+    """Step the B x E trajectories of parameter rows `parts` on `events`.
+
+    Returns states (B, E*H, state_dim) and actions (B, E*H, action_dim),
+    episode-major as reinforce_gradient_from_batch stacks them, and the
+    rewards (B, E, H).  Every episode runs the full horizon, which holds
+    for the environments with a ``transition``.
+    """
+    starts, xi, noise = events
+    sigma = policy.row_sigmas(parts)
+    state = np.broadcast_to(starts, (len(parts[0]),) + starts.shape)
+    states, actions, rewards = [], [], []
+    for t in range(env.horizon):
+        action = policy.row_means(parts, state) + sigma * xi[t]
+        nxt, reward = env.transition(state, action,
+                                     None if noise is None else noise[t])
+        states.append(state)
+        actions.append(action)
+        rewards.append(reward)
+        state = nxt
+    rows = len(state)
+    return (np.stack(states, axis=2).reshape(rows, -1, env.state_dim),
+            np.stack(actions, axis=2).reshape(rows, -1, policy.action_dim),
+            np.stack(rewards, axis=2))
+
+
+def reinforce_field(env, policy, points, episodes, gamma, rng):
+    """REINFORCE gradients at the (B, n) parameter rows, on common noise.
+
+    Row b is reinforce_gradient_from_batch over `episodes` rollouts of the
+    policy at points[b], every row replaying the same draws of `rng`: the
+    E * (1 + H) draw events (E * (1 + 2H) with noisy dynamics) are made
+    once, whatever B is, and broadcast over the rows.  `policy` supplies
+    the layout and the row methods only; its own theta is not read.
+    """
+    if not getattr(policy, "stochastic", False):
+        raise ValueError("sampled policy gradients need a stochastic policy")
+    points = np.asarray(points, dtype=float)
+    events = _draw_episode_events(env, policy, episodes, rng)
+    out = []
+    for at in range(0, len(points), ROW_BLOCK):
+        parts = policy.layout.unflatten_batch(points[at:at + ROW_BLOCK])
+        states, actions, rewards = _play_rows(env, policy, parts, events)
+        weights = _reinforce_weights(rewards, gamma).reshape(len(states), -1)
+        out.append(policy.row_logprob_grads(parts, states, actions, weights))
+    return np.concatenate(out)
+
+
+class _GaussianPolicy:
+    """Shared single-vector gradient of the two Gaussian policies."""
+
+    stochastic = True
+
+    def weighted_logprob_grad(self, states, actions, weights):
+        """Flat gradient of sum_i w_i * log pi(a_i | s_i) w.r.t. theta.
+
+        The one-row case of ``row_logprob_grads``.
+        """
+        return self.row_logprob_grads(
+            self.layout.unflatten_batch(self.theta[None]),
+            np.atleast_2d(np.asarray(states, dtype=float))[None],
+            np.atleast_2d(np.asarray(actions, dtype=float))[None],
+            np.asarray(weights, dtype=float).reshape(1, -1))[0]
+
+
+def _mlp_layers(parts, states):
+    """Hidden activations and mean of the tanh MLP at B parameter rows."""
+    w1, b1, w2, b2, w3, b3 = parts[:6]
+    h1 = np.tanh(states @ w1 + b1[:, None, :])
+    h2 = np.tanh(h1 @ w2 + b2[:, None, :])
+    return h1, h2, h2 @ w3 + b3[:, None, :]
+
+
+def _flat_rows(grads):
+    return np.concatenate([g.reshape(len(g), -1) for g in grads], axis=1)
+
+
+class PolicyMLP(_GaussianPolicy):
     """Two-hidden-layer tanh network with a Gaussian action head.
 
     mean(s) = tanh(tanh(s W1 + b1) W2 + b2) W3 + b3, and actions are drawn
     as mean + exp(log_std) * xi with a learnable state-independent log_std.
     Parameters flatten in layer order with log_std last; the output bias b3
     is flagged as the pooling-exempt part for downstream consumers.
-    """
 
-    stochastic = True
+    The row methods take ``layout.unflatten_batch(points)`` for B parameter
+    rows and states shaped (B, N, state_dim).
+    """
 
     def __init__(self, state_dim, action_dim, rng, hidden=(16, 16),
                  log_std_init=-0.5):
@@ -121,43 +263,41 @@ class PolicyMLP:
         sigma = np.exp(self.arrays[6])
         return mu + sigma * rng.normal(size=self.action_dim)
 
-    def weighted_logprob_grad(self, states, actions, weights):
-        """Flat gradient of sum_i w_i * log pi(a_i | s_i) w.r.t. theta.
+    def row_means(self, parts, states):
+        return _mlp_layers(parts, states)[2]
 
-        The network part runs through the reverse-mode tape with the
-        variance held constant; the log_std part has the closed form
-        sum_i w_i (z_i^2 - 1) per action dimension, z = (a - mean)/sigma.
+    def row_sigmas(self, parts):
+        return np.exp(parts[6])[:, None, :]
+
+    def row_logprob_grads(self, parts, states, actions, weights):
+        """Rows of d/dtheta sum_i w_i log pi(a_i | s_i), weights (B, N).
+
+        With z = (a - mean)/sigma, the mean receives w z / sigma and the
+        backward runs through the two tanh layers by hand; the log_std part
+        is sum_i w_i (z_i^2 - 1) per action dimension.
         """
-        states = np.atleast_2d(np.asarray(states, dtype=float))
-        actions = np.atleast_2d(np.asarray(actions, dtype=float))
-        weights = np.asarray(weights, dtype=float).reshape(-1, 1)
-        inv_var = np.exp(-2.0 * self.arrays[6])
-
-        graph = tape.DiffGraph()
-        leafs = [graph.leaf(a) for a in self.arrays[:6]]
-        w1, b1, w2, b2, w3, b3 = leafs
-        h = tape.tanh(tape.add(tape.matmul(states, w1), b1))
-        h = tape.tanh(tape.add(tape.matmul(h, w2), b2))
-        mu = tape.add(tape.matmul(h, w3), b3)
-        diff = tape.sub(actions, mu)
-        z2 = tape.mul(tape.square(diff), inv_var[None, :])
-        loss = tape.reduce_sum(tape.mul(z2, -0.5 * weights))
-        grads = graph.leaf_gradients(loss)
-
-        mu_val = self.mean(states)
-        z2_val = (actions - mu_val) ** 2 * inv_var[None, :]
-        grad_log_std = np.sum(weights * (z2_val - 1.0), axis=0)
-        return self.layout.flatten(grads + [grad_log_std])
+        w1, b1, w2, b2, w3, b3, log_std = parts
+        h1, h2, mu = _mlp_layers(parts, states)
+        inv_var = np.exp(-2.0 * log_std)[:, None, :]
+        w = weights[:, :, None]
+        diff = actions - mu
+        g3 = w * diff * inv_var
+        g2 = (g3 @ w3.swapaxes(1, 2)) * (1.0 - h2 * h2)
+        g1 = (g2 @ w2.swapaxes(1, 2)) * (1.0 - h1 * h1)
+        return _flat_rows([
+            states.swapaxes(1, 2) @ g1, g1.sum(axis=1),
+            h1.swapaxes(1, 2) @ g2, g2.sum(axis=1),
+            h2.swapaxes(1, 2) @ g3, g3.sum(axis=1),
+            np.sum(w * (diff * diff * inv_var - 1.0), axis=1)])
 
 
-class LinearGainPolicy:
+class LinearGainPolicy(_GaussianPolicy):
     """Affine controller a = -K s + b with fixed Gaussian exploration.
 
     Exploration sigma is a constant, not a parameter: theta is exactly
-    (K, b), which keeps the analytic return gradient applicable.
+    (K, b), which keeps the analytic return gradient applicable.  The row
+    methods are PolicyMLP's, for parts (K, b).
     """
-
-    stochastic = True
 
     def __init__(self, state_dim, action_dim, sigma=0.1, k=None, b=None):
         self.state_dim = int(state_dim)
@@ -186,15 +326,17 @@ class LinearGainPolicy:
             return mu
         return mu + self.sigma * rng.normal(size=self.action_dim)
 
-    def weighted_logprob_grad(self, states, actions, weights):
-        states = np.atleast_2d(np.asarray(states, dtype=float))
-        actions = np.atleast_2d(np.asarray(actions, dtype=float))
-        weights = np.asarray(weights, dtype=float).reshape(-1, 1)
-        zs = (actions - self.mean(states)) / self.sigma ** 2
-        wz = weights * zs
-        grad_k = -np.einsum("bm,bn->mn", wz, states)
-        grad_b = wz.sum(axis=0)
-        return self.layout.flatten([grad_k, grad_b])
+    def row_means(self, parts, states):
+        k, b = parts
+        return -states @ k.swapaxes(1, 2) + b[:, None, :]
+
+    def row_sigmas(self, parts):
+        return self.sigma
+
+    def row_logprob_grads(self, parts, states, actions, weights):
+        zs = (actions - self.row_means(parts, states)) / self.sigma ** 2
+        wz = weights[:, :, None] * zs
+        return _flat_rows([-(wz.swapaxes(1, 2) @ states), wz.sum(axis=1)])
 
 
 class ParamPolicy:
@@ -222,25 +364,16 @@ class ParamPolicy:
 def reinforce_gradient_from_batch(policy, trajectories, gamma):
     """REINFORCE on an already-collected batch of equal-length episodes.
 
-    Weights gamma^t * (G_t - baseline_t) / batch applied to grad log pi,
-    with the baseline the per-timestep mean of the return-to-go across the
-    batch (a constant-reward environment therefore yields an exactly zero
-    advantage).
+    The ``_reinforce_weights`` of the batch's rewards applied to
+    grad log pi at the policy's own theta.
     """
     if not getattr(policy, "stochastic", False):
         raise ValueError("sampled policy gradients need a stochastic policy")
     horizon = len(trajectories[0])
     if any(len(t) != horizon for t in trajectories):
         raise ValueError("episode batch must share one length")
-    rtg = np.stack([t.return_to_go(gamma) for t in trajectories])
-    if len(trajectories) > 1:
-        advantage = rtg - rtg.mean(axis=0, keepdims=True)
-    else:
-        # the cross-episode mean of a single episode is itself, which would
-        # zero the weights identically; fall back to raw return-to-go
-        advantage = rtg
-    discounts = gamma ** np.arange(horizon)
-    weights = (discounts[None, :] * advantage / len(trajectories)).reshape(-1)
+    rewards = np.stack([t.rewards for t in trajectories])
+    weights = _reinforce_weights(rewards, gamma).reshape(-1)
     states = np.concatenate([t.states for t in trajectories])
     actions = np.concatenate([t.actions for t in trajectories])
     return policy.weighted_logprob_grad(states, actions, weights)

@@ -9,7 +9,9 @@ non-interfering substreams of one run seed.
 
 Each draw *event* advances the event counter by one and consumes a private
 2^64-wide block of the Philox counter space, so no two events can overlap no
-matter how much an individual event draws.
+matter how much an individual event draws.  A stream keeps one Philox and
+moves it to each event's block by resetting its state, which draws exactly
+what a freshly built ``Philox(key=seed, counter=event << 64)`` would.
 """
 
 from __future__ import annotations
@@ -46,19 +48,27 @@ class RngStream:
     identical (seed, counter) => identical output sequence.
     """
 
-    __slots__ = ("seed", "counter")
+    __slots__ = ("seed", "counter", "_state", "_generator")
 
     def __init__(self, seed: int, counter: int = 0):
         self.seed = int(seed) & _MASK64
         self.counter = int(counter) & _MASK64
+        self._generator = None
 
     def __repr__(self):
         return f"RngStream(seed={self.seed}, counter={self.counter})"
 
     def _next_generator(self) -> np.random.Generator:
-        block = self.counter << 64  # private 2^64 draw block per event
+        if self._generator is None:
+            bit_generator = np.random.Philox(key=self.seed)
+            self._generator = np.random.Generator(bit_generator)
+            # a fresh state: empty buffer, no cached uint32
+            self._state = bit_generator.state
+        # private 2^64 draw block per event: counter word 1 is the event index
+        self._state["state"]["counter"][:] = (0, self.counter, 0, 0)
+        self._generator.bit_generator.state = self._state
         self.counter = (self.counter + 1) & _MASK64
-        return np.random.Generator(np.random.Philox(key=self.seed, counter=block))
+        return self._generator
 
     def spawn(self, tag) -> "RngStream":
         """Derive an independent child stream from a string/int tag."""

@@ -1,10 +1,12 @@
 """Reverse-mode automatic differentiation over array-valued graphs.
 
-What is left of the general tape serves one caller: the log-probability
-gradient of the tanh MLP policy (``policy.PolicyMLP.weighted_logprob_grad``).
-The metric network, the Fourier maps and the rank-one metric are plain
-numpy, and the metric-net loss has a hand-written backward
-(``metricnet.evaluate_divergence_loss``).
+No library module calls the general tape any more: the metric-net loss
+and the MLP policy's log-probability gradient have hand-written backward
+passes (``metricnet.evaluate_divergence_loss``,
+``policy.PolicyMLP.row_logprob_grads``).  The module stays because the
+benchmark's tracer (``perfbench/tracer.py``) patches
+``DiffGraph.leaf_gradients`` and reads ``value``, and the tests' tape
+references (``tests/tape_reference.py``) build on it.
 
 Leaves are float64 arrays registered on a DiffGraph, every operation
 produces a Var holding a numpy array, and ``DiffGraph.leaf_gradients``

@@ -1,11 +1,12 @@
 """Outer training loop: policy ascent with metric-regularized directions.
 
-One update cycle = collect `update_interval` environment steps (whole
-episodes), estimate an ascent gradient with the
-configured backend, optionally regularize it through the learned metric
-(variant J applies the inverse metric, variant T follows the geodesic
-direction), gate back to the plain gradient when the divergence ratio says
-the metric is not helping, then take one ascent step and evaluate.
+One update cycle = advance `update_interval` environment steps (whole
+episodes, played only by the reinforce backend), estimate an ascent
+gradient with the configured backend, optionally regularize it through the
+learned metric (variant J applies the inverse metric, variant T follows
+the geodesic direction), gate back to the plain gradient when the
+divergence ratio says the metric is not helping, then take one ascent step
+and evaluate.
 
 Determinism contract: every stochastic concern draws from its own named
 substream of the run seed (policy init, metric-net init, rollouts, one eval
@@ -29,7 +30,7 @@ from .metric import MetricPoint, inverse_apply
 from .metricnet import (MetricNetConfig, build_u_field, init_params,
                         train_metric_net)
 from .policy import (LinearGainPolicy, ParamPolicy, PolicyMLP,
-                     reinforce_gradient_from_batch, rollout)
+                     reinforce_field, reinforce_gradient_from_batch, rollout)
 from .rng import RngStream
 
 VARIANTS = ("baseline", "J", "T")
@@ -89,6 +90,8 @@ class TrainConfig:
         if self.gradient_backend not in BACKENDS:
             raise ValueError(f"gradient_backend must be one of {BACKENDS}, "
                              f"got {self.gradient_backend!r}")
+        if not (np.isfinite(self.explore_sigma) and self.explore_sigma > 0):
+            raise ValueError("explore_sigma must be finite and > 0")
         if self.eval_episodes < 1:
             raise ValueError("eval_episodes must be >= 1")
         if self.probe_episodes < 1:
@@ -221,9 +224,10 @@ def _gradient_field(env, policy, cfg, backend, probe_seed):
 
     analytic: exact closed forms (LQR recursion / landscape gradient); the
     update's own gradient is this field at theta.
-    reinforce: REINFORCE at each parameter point with common random
-    numbers — every point reuses the same rollout stream, which keeps the
-    field smooth enough to probe with finite differences.  The update's own
+    reinforce: REINFORCE at every parameter row with common random
+    numbers: one ``reinforce_field`` call per field call plays all rows on
+    the same draws of ``RngStream(probe_seed)``, which keeps the field
+    smooth enough to probe with finite differences.  The update's own
     gradient comes from the freshly collected batch instead.
 
     Each metric-regularization pass calls the field twice: once in
@@ -240,17 +244,10 @@ def _gradient_field(env, policy, cfg, backend, probe_seed):
     probe_policy = _build_policy(env, cfg, RngStream(0))
 
     def field_fn(points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        rows = []
-        for p in pts:
-            probe_policy.set_theta(p)
-            rng = RngStream(probe_seed)
-            batch = [rollout(env, probe_policy, rng)
-                     for _ in range(cfg.probe_episodes)]
-            rows.append(reinforce_gradient_from_batch(
-                probe_policy, batch, cfg.gamma))
-        out = np.stack(rows)
-        return out[0] if np.asarray(points).ndim == 1 else out
+        out = reinforce_field(env, probe_policy, np.atleast_2d(points),
+                              cfg.probe_episodes, cfg.gamma,
+                              RngStream(probe_seed))
+        return out[0] if np.ndim(points) == 1 else out
 
     return field_fn
 
@@ -271,6 +268,11 @@ def _probe_seed(seed, update_idx):
 
 def run_training(cfg):
     """Run one configured training session and return its RunSummary.
+
+    Each update advances the step count by whole episodes of at least
+    update_interval steps.  Only the reinforce backend plays them, as the
+    fresh batch its update gradient comes from; the analytic backend takes
+    the closed-form field at theta and counts the episodes unplayed.
 
     Aborts with a partial summary (records so far, aborted=True) as soon as
     the policy parameters, or the evaluation of a new policy, stop being
@@ -297,20 +299,23 @@ def run_training(cfg):
 
     while steps < cfg.total_steps:
         started = time.perf_counter()
-        fresh = []
-        collected = 0
-        while collected < cfg.update_interval:
-            traj = rollout(env, policy, rollout_rng)
-            fresh.append(traj)
-            collected += len(traj)
-        steps += collected
-
         theta = policy.theta
         grad_fn = _gradient_field(env, policy, cfg, backend,
                                   _probe_seed(cfg.seed, update_idx) + 1)
         if backend == "analytic":
+            # the closed form reads no episode, and LQR and landscape
+            # episodes always run their full horizon: count whole
+            # episodes without playing them
+            steps += -(-cfg.update_interval // env.horizon) * env.horizon
             grad = grad_fn(theta)
         else:
+            fresh = []
+            collected = 0
+            while collected < cfg.update_interval:
+                traj = rollout(env, policy, rollout_rng)
+                fresh.append(traj)
+                collected += len(traj)
+            steps += collected
             grad = reinforce_gradient_from_batch(policy, fresh, cfg.gamma)
         if not np.all(np.isfinite(grad)):
             aborted = True

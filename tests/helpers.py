@@ -4,6 +4,8 @@ import numpy as np
 
 from rpg.envs import lqr_return_gradient
 from rpg.errors import BadDimensions
+from rpg.policy import reinforce_gradient_from_batch, rollout
+from rpg.rng import RngStream
 
 
 def lqr_analytic_gradient(k, env, horizon, gamma=0.99,
@@ -27,3 +29,19 @@ def lqr_analytic_gradient(k, env, horizon, gamma=0.99,
                                init_second_moment=init_second_moment,
                                horizon=horizon)
     return full[:m * n].reshape(k.shape)
+
+
+def per_row_reinforce_field(env, policy, points, episodes, gamma, seed):
+    """The REINFORCE field row by row, each row replaying RngStream(seed).
+
+    The reference for ``rpg.policy.reinforce_field``: every row sets the
+    policy to its point, plays `episodes` rollouts from a fresh stream and
+    applies reinforce_gradient_from_batch, so all rows meet the same draws.
+    """
+    rows = []
+    for point in np.atleast_2d(points):
+        policy.set_theta(point)
+        rng = RngStream(seed)
+        batch = [rollout(env, policy, rng) for _ in range(episodes)]
+        rows.append(reinforce_gradient_from_batch(policy, batch, gamma))
+    return np.stack(rows)

@@ -1,15 +1,18 @@
-"""The tape-built metric-net forward and divergence loss, kept as a reference.
+"""Tape-built forms of hand-written library gradients, kept as references.
 
 The library computes the metric-net loss and its phi-gradient with a plain
 numpy forward and a hand-written backward
-(``rpg.metricnet.evaluate_divergence_loss``).  This module keeps the
-earlier construction: every step recorded on the general reverse-mode tape
+(``rpg.metricnet.evaluate_divergence_loss``), and the tanh MLP policy's
+log-probability gradient in closed form
+(``rpg.policy.PolicyMLP.row_logprob_grads``).  This module keeps the
+earlier constructions: every step recorded on the general reverse-mode tape
 of ``rpg.tape`` and differentiated by ``DiffGraph.leaf_gradients``.  It
-holds the tape operations that only this construction needs (stage-sized
+holds the tape operations that only these constructions need (stage-sized
 convolution and pooling, slicing, concatenation, softplus, cos, sin,
 division, reshape), the tape forms of the Fourier maps and of the rank-one
-inverse, and the tape-built forward and loss.  Tests check the library
-against it; nothing under ``src/`` imports it.
+inverse, the tape-built forward and loss, and the tape-built MLP
+log-probability gradient.  Tests check the library against it; nothing
+under ``src/`` imports it.
 
 Import it as a module (``import tape_reference as tape``): it re-exports the
 operations ``rpg.tape`` still has, so one name covers every tape operation.
@@ -276,3 +279,33 @@ def evaluate_divergence_loss(phi, ctx):
     loss = mul(div_est, div_est)
     grads = graph.leaf_gradients(loss)
     return float(value(div_est)), float(value(loss)), grads
+
+
+# ------------------------------------------- MLP policy log-probability
+
+
+def mlp_logprob_grad(policy, states, actions, weights):
+    """Flat d/dtheta sum_i w_i log pi(a_i | s_i) of a ``PolicyMLP``.
+
+    The network part runs through the tape with the variance held
+    constant; the log_std part has the closed form sum_i w_i (z_i^2 - 1)
+    per action dimension, z = (a - mean)/sigma.
+    """
+    states = np.atleast_2d(np.asarray(states, dtype=float))
+    actions = np.atleast_2d(np.asarray(actions, dtype=float))
+    weights = np.asarray(weights, dtype=float).reshape(-1, 1)
+    inv_var = np.exp(-2.0 * policy.arrays[6])
+
+    graph = DiffGraph()
+    w1, b1, w2, b2, w3, b3 = [graph.leaf(a) for a in policy.arrays[:6]]
+    h = tanh(add(matmul(states, w1), b1))
+    h = tanh(add(matmul(h, w2), b2))
+    mu = add(matmul(h, w3), b3)
+    diff = sub(actions, mu)
+    z2 = mul(square(diff), inv_var[None, :])
+    loss = reduce_sum(mul(z2, -0.5 * weights))
+    grads = graph.leaf_gradients(loss)
+
+    z2_val = (actions - policy.mean(states)) ** 2 * inv_var[None, :]
+    grad_log_std = np.sum(weights * (z2_val - 1.0), axis=0)
+    return policy.layout.flatten(grads + [grad_log_std])

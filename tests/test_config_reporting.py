@@ -116,6 +116,14 @@ def test_nan_kappa_is_a_config_error_on_its_line():
     assert "line 5" in msg and "kappa" in msg
 
 
+@pytest.mark.parametrize("raw", ["nan", "inf", "0", "-0.1"])
+def test_bad_explore_sigma_is_a_config_error_on_its_line(raw):
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(f"[run]\nvariant = J\nexplore_sigma = {raw}\n")
+    msg = str(err.value)
+    assert "line 3" in msg and "explore_sigma" in msg
+
+
 def test_cross_field_validation_anchors_to_present_key():
     # total_steps stays at its default, so the complaint about the pair is
     # anchored to the update_interval line the file actually contains

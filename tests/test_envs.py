@@ -92,6 +92,58 @@ def test_noisy_lqr_needs_rng_and_is_seeded():
     assert np.array_equal(a, b)
 
 
+def test_single_state_step_keeps_its_formulas_bitwise():
+    rng = RngStream(30)
+    for env in (two_dim_env(noise=0.3), make_env("lqr", noise_scale=0.5),
+                make_env("pointmass")):
+        for seed in range(20):
+            s = rng.normal(size=env.state_dim)
+            a = rng.normal(size=env.action_dim)
+            env.reset(RngStream(0))
+            nxt, reward, _ = env.step(s, a, RngStream(seed))
+            if env.kind == "lqr":
+                want_reward = -(s @ env.q @ s + a @ env.r @ a)
+                want = (env.a @ s + env.b @ a
+                        + env.noise_scale * RngStream(seed).normal(
+                            size=env.state_dim))
+            else:
+                pos, vel = s[:2], s[2:]
+                want_reward = -(pos @ pos + 0.1 * (a @ a))
+                want = np.concatenate([pos + env.dt * vel,
+                                       vel + env.dt * a])
+            assert reward == float(want_reward)
+            assert np.array_equal(nxt, want)
+
+
+def test_step_takes_leading_row_axes():
+    rng = RngStream(31)
+    for env in (two_dim_env(noise=0.3), make_env("pointmass")):
+        states = rng.normal(size=(3, 5, env.state_dim))
+        actions = rng.normal(size=(3, 5, env.action_dim))
+        env.reset(RngStream(0))
+        nxt, reward, done = env.step(states, actions, RngStream(4))
+        assert nxt.shape == states.shape and reward.shape == (3, 5)
+        assert not done
+        for i, j in np.ndindex(3, 5):
+            env.reset(RngStream(0))
+            one, one_reward, _ = env.step(states[i, j], actions[i, j],
+                                          RngStream(4))
+            assert np.allclose(nxt[i, j], one, rtol=1e-15, atol=1e-15)
+            assert reward[i, j] == pytest.approx(one_reward, rel=1e-15)
+
+
+def test_noise_is_one_event_broadcast_over_rows():
+    env = two_dim_env(noise=0.3)
+    assert make_env("pointmass").draw_noise(RngStream(0)) is None
+    assert make_env("lqr").draw_noise(RngStream(0)) is None
+    stream = RngStream(5)
+    xi = env.draw_noise(stream)
+    assert xi.shape == (2,) and stream.counter == 1
+    states = np.zeros((4, 2))
+    nxt, _ = env.transition(states, np.zeros((4, 2)), xi)
+    assert np.array_equal(nxt, np.broadcast_to(0.3 * xi, (4, 2)))
+
+
 def test_pointmass_rest_at_origin_scores_zero():
     env = make_env("pointmass")
     s = np.zeros(4)

@@ -613,6 +613,9 @@ def tamper_header(path, edit):
                      + raw[at + size:])
 
 
+HEADER_KEYS = ("kernel", "pool_size", "m_tilde", "layout", "plans", "arrays")
+
+
 @pytest.mark.parametrize("edit", [
     lambda h: h["plans"].__setitem__(0, ["1d", "1d"]),
     lambda h: h["arrays"].__setitem__(-6, h["arrays"][-6][::-1]),
@@ -621,8 +624,10 @@ def tamper_header(path, edit):
     lambda h: h.__setitem__("pool_exempt", 1.0),
     lambda h: h.__setitem__("kernel", 5),
     lambda h: h.__setitem__("pool_size", 4),
-], ids=["plan", "array-shape", "pool-exempt-missing", "pool-exempt-str",
-        "pool-exempt-float", "kernel", "pool-size"])
+] + [lambda h, key=key: h.pop(key) for key in HEADER_KEYS],
+    ids=["plan", "array-shape", "pool-exempt-missing", "pool-exempt-str",
+         "pool-exempt-float", "kernel", "pool-size"]
+    + [f"{key}-missing" for key in HEADER_KEYS])
 def test_checkpoint_rejects_header_that_mismatches_layout(tmp_path, edit):
     """A header edited so the payload size still adds up must not load.
 
@@ -641,6 +646,16 @@ def test_checkpoint_rejects_header_that_mismatches_layout(tmp_path, edit):
     tamper_header(path, check_then_edit)
     with pytest.raises(LayoutMismatch):
         load_params(str(path))
+
+
+def test_checkpoint_header_missing_key_is_named(tmp_path):
+    phi = make_phi(seed=47)
+    path = tmp_path / "phi.bin"
+    for key in HEADER_KEYS:
+        save_params(phi, str(path))
+        tamper_header(path, lambda h: h.pop(key))
+        with pytest.raises(LayoutMismatch, match=f"lacks {key}$"):
+            load_params(str(path))
 
 
 def test_json_export_structure():

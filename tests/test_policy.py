@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+import tape_reference
 from helpers import lqr_analytic_gradient
 from rpg.envs import make_env
 from rpg.policy import (LinearGainPolicy, ParamPolicy, PolicyMLP, Trajectory,
-                        reinforce_gradient_from_batch, rollout)
+                        reinforce_field, reinforce_gradient_from_batch,
+                        rollout)
 from rpg.rng import RngStream
 
 GAMMA = 0.99
@@ -135,6 +137,36 @@ def test_mlp_logprob_gradient_matches_fd():
         assert grad[i] == pytest.approx(fd, abs=1e-6)
 
 
+@pytest.mark.parametrize("seed,dims,rows", [
+    (13, (3, 2), 6), (15, (4, 2), 200), (16, (2, 1), 1), (17, (5, 3), 40)])
+def test_mlp_closed_form_gradient_matches_tape_reference(seed, dims, rows):
+    rng = RngStream(seed)
+    pol = PolicyMLP(*dims, rng)
+    pol.set_theta(pol.theta + rng.normal(size=pol.theta.size, scale=0.3))
+    states = rng.normal(size=(rows, dims[0]))
+    actions = rng.normal(size=(rows, dims[1]))
+    weights = rng.normal(size=rows)
+    want = tape_reference.mlp_logprob_grad(pol, states, actions, weights)
+    got = pol.weighted_logprob_grad(states, actions, weights)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_mlp_gradient_rows_match_one_row_each():
+    rng = RngStream(18)
+    pol = PolicyMLP(4, 2, rng)
+    points = pol.theta + rng.normal(size=(5, pol.theta.size), scale=0.2)
+    states = rng.normal(size=(5, 30, 4))
+    actions = rng.normal(size=(5, 30, 2))
+    weights = rng.normal(size=(5, 30))
+    got = pol.row_logprob_grads(pol.layout.unflatten_batch(points), states,
+                                actions, weights)
+    for b, point in enumerate(points):
+        pol.set_theta(point)
+        want = tape_reference.mlp_logprob_grad(pol, states[b], actions[b],
+                                               weights[b])
+        assert np.max(np.abs(got[b] - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 def test_linear_policy_logprob_gradient_matches_fd():
     rng = RngStream(14)
     pol = LinearGainPolicy(2, 2, sigma=0.3)
@@ -194,3 +226,10 @@ def test_reinforce_requires_stochastic_policy():
     traj = Trajectory(np.zeros((3, 1)), np.zeros((3, 1)), np.ones(3))
     with pytest.raises(ValueError, match="stochastic"):
         reinforce_gradient_from_batch(ParamPolicy(1), [traj], GAMMA)
+
+
+def test_reinforce_field_needs_stochastic_policy():
+    land = make_env("landscape", objective="bowl", dim=2)
+    with pytest.raises(ValueError, match="stochastic"):
+        reinforce_field(land, ParamPolicy(2), np.zeros((3, 2)), 2, GAMMA,
+                        RngStream(0))

@@ -72,3 +72,31 @@ def test_bad_probe_dimension_rejected():
 def test_tag_type_rejected():
     with pytest.raises(TypeError):
         RngStream(0).spawn(3.14)
+
+
+
+@pytest.mark.parametrize("seed", [0, 1, 12345, 2 ** 64 - 1])
+@pytest.mark.parametrize("counter", [0, 1, 2 ** 32, 2 ** 63, 2 ** 64 - 1])
+def test_event_draws_match_a_freshly_built_philox(seed, counter):
+    """Each event of a stream draws what a new Philox at its block draws.
+
+    The stream reuses one Philox across events; the events run in an order
+    where each follows one that left a part-used buffer or a cached uint32
+    behind.
+    """
+    def fresh(event):
+        block = ((counter + event) & (2 ** 64 - 1)) << 64
+        return np.random.Generator(np.random.Philox(key=seed, counter=block))
+
+    stream = RngStream(seed, counter)
+    assert np.array_equal(stream.integers(0, 9, size=5),
+                          fresh(0).integers(0, 9, size=5))
+    assert np.array_equal(
+        stream.signs((2, 3)),
+        2.0 * fresh(1).integers(0, 2, (2, 3)).astype(np.float64) - 1.0)
+    assert np.array_equal(stream.normal(size=7, scale=0.5),
+                          fresh(2).normal(0.0, 0.5, size=7))
+    assert np.array_equal(stream.uniform(-1.0, 1.0, size=3),
+                          fresh(3).uniform(-1.0, 1.0, size=3))
+    assert np.array_equal(stream.integers(0, 2 ** 40, size=3),
+                          fresh(4).integers(0, 2 ** 40, size=3))

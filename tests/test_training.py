@@ -8,6 +8,8 @@ contracts and the cheap end-to-end behaviours.
 import numpy as np
 import pytest
 
+import rpg.policy
+from helpers import per_row_reinforce_field
 from rpg.divergence import DivergenceReport, divergence_report
 from rpg.envs import lqr_expected_return, make_env, riccati_gain
 from rpg.errors import NonFiniteField
@@ -15,8 +17,8 @@ from rpg.fields import ProbeConfig
 from rpg.metricnet import MetricNetConfig, build_u_field, init_params
 from rpg.policy import LinearGainPolicy, ParamPolicy, rollout
 from rpg.rng import RngStream
-from rpg.training import (TrainConfig, evaluate_policy, regularize_step,
-                          run_training)
+from rpg.training import (TrainConfig, _build_policy, _gradient_field,
+                          evaluate_policy, regularize_step, run_training)
 
 
 def bowl_field(dim):
@@ -65,6 +67,10 @@ def test_config_defaults_are_valid():
     (dict(kick_scale=-0.005), "kick_scale"),
     (dict(kick_scale=float("inf")), "kick_scale"),
     (dict(m_tilde=-1), "m_tilde"),
+    (dict(explore_sigma=float("nan")), "explore_sigma"),
+    (dict(explore_sigma=float("inf")), "explore_sigma"),
+    (dict(explore_sigma=0.0), "explore_sigma"),
+    (dict(explore_sigma=-0.1), "explore_sigma"),
 ])
 def test_config_validation_names_offending_field(kwargs, field_name):
     with pytest.raises(ValueError, match=field_name):
@@ -376,6 +382,70 @@ def test_pointmass_variant_j_smoke():
     assert not summary.aborted
     assert len(summary.records) == 2
     assert all(np.isfinite(r.ratio) for r in summary.records)
+
+
+# ------------------------------------------------ REINFORCE gradient field
+
+NOISY_2D = dict(a=[[0.9, 0.2], [0.0, 0.8]], b=[[1.0, 0.0], [0.3, 1.0]],
+                q=[[1.0, 0.0], [0.0, 0.5]], r=[[1.0, 0.0], [0.0, 0.7]],
+                horizon=30, noise_scale=0.2)
+
+
+def reinforce_case(env_kind, env_params, rows, seed):
+    """A reinforce-backend field and `rows` points scattered around theta0."""
+    cfg = TrainConfig(env_kind=env_kind, env_params=env_params,
+                      gradient_backend="reinforce", probe_episodes=3)
+    env = make_env(env_kind, **env_params)
+    policy = _build_policy(env, cfg, RngStream(seed).spawn("policy-init"))
+    theta = policy.theta
+    points = theta + RngStream(seed).normal(size=(rows, theta.size),
+                                            scale=0.05 * (1 + abs(theta)))
+    field = _gradient_field(env, policy, cfg, "reinforce", 1000 + seed)
+    return cfg, env, policy, points, field
+
+
+@pytest.mark.parametrize("env_kind,env_params,rows", [
+    ("pointmass", {}, 1), ("pointmass", {}, 9), ("pointmass", {}, 17),
+    ("lqr", {}, 9), ("lqr", NOISY_2D, 9)],
+    ids=["pointmass-1", "pointmass-9", "pointmass-17", "lqr", "lqr-noisy-2d"])
+def test_batched_reinforce_field_matches_per_row_reference(
+        env_kind, env_params, rows):
+    cfg, env, policy, points, field = reinforce_case(env_kind, env_params,
+                                                     rows, seed=rows)
+    got = field(points)
+    want = per_row_reinforce_field(env, policy, points, cfg.probe_episodes,
+                                   cfg.gamma, 1000 + rows)
+    scale = np.max(np.abs(want), axis=1, keepdims=True)
+    assert got.shape == points.shape
+    assert np.all(np.abs(got - want) <= 1e-12 * scale)
+    assert np.all(np.abs(field(points[0]) - got[0]) <= 1e-12 * scale[0])
+
+
+def test_reinforce_field_rows_in_several_blocks(monkeypatch):
+    cfg, env, policy, points, field = reinforce_case("pointmass", {}, 9, 9)
+    want = field(points)
+    monkeypatch.setattr(rpg.policy, "ROW_BLOCK", 4)
+    assert np.array_equal(field(points), want)
+
+
+@pytest.mark.parametrize("env_kind,env_params,events_per_step", [
+    ("pointmass", {}, 1), ("lqr", NOISY_2D, 2)])
+def test_reinforce_field_draw_events_do_not_depend_on_rows(
+        monkeypatch, env_kind, env_params, events_per_step):
+    counted = [0]
+    draw = RngStream._next_generator
+
+    def counting(stream):
+        counted[0] += 1
+        return draw(stream)
+
+    cfg, env, _, points, field = reinforce_case(env_kind, env_params, 17, 5)
+    monkeypatch.setattr(RngStream, "_next_generator", counting)
+    expected = cfg.probe_episodes * (1 + events_per_step * env.horizon)
+    for rows in (1, 4, 17):
+        counted[0] = 0
+        field(points[:rows])
+        assert counted[0] == expected
 
 
 def test_evaluate_policy_matches_manual_mean():
