@@ -21,10 +21,12 @@ Import layout:
     rpg.fields      batched field calls, FD step, probe settings
     rpg.divergence  exact divergence; the probe estimator shared by the
                     report and the metric loss; Hessian trace, ratio
-    rpg.geodesic    geodesic update direction + Christoffel/ODE oracles
+    rpg.geodesic    geodesic update direction (one u-VJP) +
+                    Christoffel/ODE oracles
     rpg.metricnet   the metric network, its fused loss and phi-gradient
-                    (numpy forward, hand-written backward), the inner
-                    training loop with Adam, checkpoints
+                    (numpy forward, hand-written backward), the u-VJP
+                    that shares that backward, the inner training loop
+                    with Adam, checkpoints
     rpg.envs        toy environments (LQR, point-mass, landscapes)
     rpg.policy      policies, rollouts, the REINFORCE estimator and its
                     common-random-numbers field over parameter rows

@@ -8,12 +8,12 @@ frequency-domain operations on theta:
 
 with Sc = diag(cos sigma_tilde), Ss = diag(sin sigma_tilde).  The rotation is
 never materialized in production paths: ``rotate`` is the O(n*m) matrix-free
-form, and ``dense_rotation`` exists purely as the oracle.
+form, ``rotate_transpose`` its adjoint, and ``dense_rotation`` exists
+purely as the oracle.
 
 All maps are plain numpy over either a single vector or a batch of row
 vectors.  Their derivatives in omega_tilde and sigma_tilde are written out
-by hand where the metric-net loss needs them
-(``metricnet.evaluate_divergence_loss``).
+by hand where the metric net needs them (``metricnet._through_u``).
 """
 
 from __future__ import annotations
@@ -95,6 +95,17 @@ def rotate(fp: FourierPair, sigma_tilde, x):
     shifted_sin = (np.sin(sigma_tilde) * c) @ fp.phi.T
     residual = x - c @ fp.omega.T
     return (shifted_cos - shifted_sin) + residual
+
+
+def rotate_transpose(fp: FourierPair, sigma_tilde, y):
+    """R^T y, matrix-free: Omega(cos st * c - sin st * Phi^T y - c) + y.
+
+    c = Omega^T y; the adjoint of ``rotate``, which carries a cotangent of
+    R theta back to theta.
+    """
+    c = y @ fp.omega
+    mixed = np.cos(sigma_tilde) * c - np.sin(sigma_tilde) * (y @ fp.phi)
+    return (mixed - c) @ fp.omega.T + y
 
 
 def build_u(fp: FourierPair, omega_tilde, sigma_tilde, theta):

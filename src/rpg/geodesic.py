@@ -5,13 +5,20 @@ regularized gradient J:
 
     T = J + kappa * G^-1 grad_theta( q ),   q(theta) = J0^T G(theta) J0
 
-with J0 frozen ("no-grad") while q is differentiated over theta by central
-finite differences.  ``geodesic_gradient`` computes this matrix form;
-``geodesic_gradient_component`` rebuilds it from dense metric partials
-(the component sum over g^{dr} dg_{mn}/dtheta_r J^m J^n); and the oracles
-``christoffel_fd`` / ``geodesic_ode_direction`` integrate the actual geodesic
-equation so the direction can be checked against differential geometry rather
-than against a second copy of the same algebra.
+with J0 frozen ("no-grad") while q is differentiated over theta.  For the
+rank-one metric G = I + u u^T, q = |J0|^2 + (u.J0)^2, so
+
+    grad q = 2 (u.J0) (du/dtheta)^T J0,
+
+one vector-Jacobian product of u with cotangent J0.  ``geodesic_gradient``
+takes it from a caller-supplied ``u_vjp`` (for the metric net,
+``rpg.metricnet.build_u_vjp``: one forward and one reverse pass, whatever
+n is).  ``geodesic_gradient_component`` rebuilds the same direction from
+dense finite-difference metric partials (the component sum over
+g^{dr} dg_{mn}/dtheta_r J^m J^n); and the oracles ``christoffel_fd`` /
+``geodesic_ode_direction`` integrate the actual geodesic equation so the
+direction can be checked against differential geometry rather than against
+a second copy of the same algebra.
 
 kappa bundles the two step hyper-parameters as zeta2/(1+zeta1); the leftover
 positive scale (1+zeta1) is absorbed by the caller's learning rate, so both
@@ -24,10 +31,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadDimensions
+from .errors import BadDimensions, NonFiniteField
 from .fields import default_fd_step, eval_points, require_finite
 from .linalg import dense_inverse
-from .metric import MetricPoint, bilinear_form, inverse_apply, metric_matrix
+from .metric import MetricPoint, inverse_apply, metric_matrix
 
 
 @dataclass(frozen=True)
@@ -88,30 +95,28 @@ def _check_kappa(kappa: float) -> None:
         raise ValueError(f"kappa must be finite and >= 0, got {kappa}")
 
 
-def geodesic_gradient(u_field, theta: np.ndarray, grad_j: np.ndarray,
+def geodesic_gradient(u_vjp, theta: np.ndarray, grad_j: np.ndarray,
                       kappa: float) -> np.ndarray:
-    """Matrix-form update direction T = J + kappa * G^-1 grad(J^T G J).
+    """Update direction T = J + kappa * G^-1 grad(J^T G J), exactly.
 
+    u_vjp(theta, cot) -> (u(theta), (du/dtheta)^T cot) at one point.
     grad_j is frozen inside the quadratic form: only the metric's
-    theta-dependence is differentiated (2n field evaluations).
+    theta-dependence is differentiated, by one u_vjp call with cotangent
+    grad_j.  A non-finite grad_j, u or product raises NonFiniteField.
     """
     _check_kappa(kappa)
     theta = np.asarray(theta, dtype=np.float64)
     grad_j = np.asarray(grad_j, dtype=np.float64)
     if not np.all(np.isfinite(grad_j)):
-        raise ValueError("geodesic_gradient requires a finite input direction")
+        raise NonFiniteField(
+            "geodesic_gradient requires a finite input direction")
     if kappa == 0.0:
         return grad_j.copy()
-    n = theta.size
-    step = default_fd_step(theta)
-    us = require_finite(eval_points(u_field, _fd_points(theta, step)),
-                        "metric factor field")
-    q = bilinear_form(MetricPoint(us), np.broadcast_to(grad_j, us.shape),
-                      np.broadcast_to(grad_j, us.shape))
-    grad_q = (q[:n] - q[n:]) / (2.0 * step)
-    u0 = require_finite(eval_points(u_field, theta[None])[0],
-                        "metric factor field")
-    return grad_j + kappa * inverse_apply(MetricPoint(u0), grad_q)
+    u0, pullback = u_vjp(theta, grad_j)
+    require_finite(pullback, "metric factor field product")
+    mp = MetricPoint(u0)
+    grad_q = (2.0 * float(mp.u @ grad_j)) * pullback
+    return grad_j + kappa * inverse_apply(mp, grad_q)
 
 
 def geodesic_gradient_component(u_field, theta: np.ndarray, grad_j: np.ndarray,
@@ -119,7 +124,8 @@ def geodesic_gradient_component(u_field, theta: np.ndarray, grad_j: np.ndarray,
     """Component-form rebuild of the same direction from dense metric partials.
 
     T^d = J^d + kappa * sum_r g^{dr} sum_mn (d g_mn / d theta_r) J^m J^n,
-    normalized to the same (1+zeta1) scale as the matrix form.
+    normalized to the same (1+zeta1) scale as ``geodesic_gradient``; the
+    partials are central differences of u_field over 2n points.
     """
     _check_kappa(kappa)
     theta = np.asarray(theta, dtype=np.float64)

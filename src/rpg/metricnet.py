@@ -34,6 +34,10 @@ identically zero the loop applies one small seeded kick to the head
 parameters and resumes descent.  The returned phi is the best
 recorded iterate, never the last one; a non-finite loss, u value or
 gradient row aborts the loop at its iteration and returns that incumbent.
+
+``build_u_vjp`` reuses the same reverse pass, carried on to theta, for
+the vector-Jacobian product of u at one point that the geodesic
+correction needs (``rpg.geodesic.geodesic_gradient``).
 """
 
 from __future__ import annotations
@@ -48,7 +52,8 @@ from .divergence import (FrozenProbes, freeze_probe_batch, probe_divergence,
                          probe_field_rows)
 from .errors import BadDimensions, LayoutMismatch, NonFiniteField
 from .fields import ProbeConfig, default_fd_step
-from .fourier import build_fourier_pair, build_u, rotate, scaling_vector
+from .fourier import (build_fourier_pair, build_u, rotate, rotate_transpose,
+                      scaling_vector)
 from .rng import RngStream, rademacher_matrix
 
 # v2 headers record LayerLayout.pool_exempt; v1 files still load, with the
@@ -379,12 +384,17 @@ def metric_net_forward(phi: MetricNetParams, theta_layers, keep=False):
     return omega, sigma, acts
 
 
-def _net_backward(phi: MetricNetParams, acts, g_omega, g_sigma) -> list:
-    """phi-gradients, in ``params_list`` order, of a batched forward whose
+def _net_backward(phi: MetricNetParams, acts, g_omega, g_sigma,
+                  to_theta=False):
+    """(phi-gradients, theta-cotangent) of a batched forward whose
     (B, m_tilde) outputs carry the cotangents g_omega and g_sigma.
 
-    theta is a constant, so the first conv stage of a part needs only its
-    kernel gradient; the second also passes a cotangent to its input.
+    The phi-gradients come in ``params_list`` order.  Without to_theta,
+    theta is a constant: the first conv stage of a part needs only its
+    kernel gradient, and the theta-cotangent is None.  With to_theta the
+    cotangent also continues through each part's first conv stage, or its
+    pool when it has no conv stage, to the part's input, and comes back as
+    one (B, n) array in the flat theta order.
     """
     part_acts, h_in, z_trunk, h = acts
     g_h = g_omega @ phi.head_omega_w.T + g_sigma @ phi.head_sigma_w.T
@@ -394,13 +404,13 @@ def _net_backward(phi: MetricNetParams, acts, g_omega, g_sigma) -> list:
             h.T @ g_sigma, g_sigma.sum(axis=0)]
     g_feats = g_z @ phi.trunk_w.T
 
-    grads, at = [], 0
+    grads, g_parts, at = [], [], 0
     for i, (stage_in, flat_len, x, z) in enumerate(part_acts):
         w = phi.part_dense[i][0]
         g_z = g_feats[:, at:at + w.shape[1]] * _sigmoid(z)
         at += w.shape[1]
         kern_grads = []
-        if stage_in:
+        if stage_in or to_theta:
             g = g_z @ w.T
             if i != phi.layout.output_bias_part:
                 _, counts = _pool_windows(flat_len, POOL_SIZE)
@@ -412,13 +422,16 @@ def _net_backward(phi: MetricNetParams, acts, g_omega, g_sigma) -> list:
                 g = g.reshape(out_shape)
                 kern_grads.insert(0, np.array([np.sum(g * a[key])
                                                for key in keys]))
-                if s:
+                if s or to_theta:
                     g_in = np.zeros(a.shape)
                     for t, key in enumerate(keys):
                         g_in[key] += g * kerns[s][t]
                     g = g_in
+            if to_theta:
+                g_parts.append(g.reshape(len(g), -1))
         grads.extend(kern_grads + [x.T @ g_z, g_z.sum(axis=0)])
-    return grads + tail
+    g_theta = np.concatenate(g_parts, axis=1) if to_theta else None
+    return grads + tail, g_theta
 
 
 def build_u_field(phi: MetricNetParams):
@@ -435,6 +448,43 @@ def build_u_field(phi: MetricNetParams):
         return u[0] if single else u
 
     return u_fn
+
+
+def _through_u(fp, omega, sigma, pts, g_u):
+    """Carry a cotangent g_u of u = (Omega omega_tilde) * (R theta) back to
+    (g_rot, g_omega, g_sigma): the cotangents of R theta and of the
+    network's two outputs."""
+    c = pts @ fp.omega
+    g_rot = g_u * scaling_vector(fp, omega)
+    g_omega = (g_u * rotate(fp, sigma, pts)) @ fp.omega
+    g_sigma = (-(g_rot @ fp.phi) * c) * np.cos(sigma) \
+        - ((g_rot @ fp.omega) * c) * np.sin(sigma)
+    return g_rot, g_omega, g_sigma
+
+
+def build_u_vjp(phi: MetricNetParams):
+    """u and its vector-Jacobian product at one point, over fixed phi.
+
+    u_vjp(theta, cot) returns (u(theta), (du/dtheta)^T cot) from one
+    forward of one row and one reverse pass.  theta enters u twice: in
+    R theta directly, which gives R^T (cot * Omega omega_tilde), and
+    through the network's outputs, which ``_net_backward`` carries on to
+    its input.
+    """
+    fp = build_fourier_pair(phi.layout.n, phi.m_tilde)
+    layout = phi.layout
+
+    def u_vjp(theta, cot):
+        pts = np.asarray(theta, dtype=np.float64)[None]
+        omega, sigma, acts = metric_net_forward(
+            phi, layout.unflatten_batch(pts), keep=True)
+        u = build_u(fp, omega, sigma, pts)
+        g_rot, g_omega, g_sigma = _through_u(
+            fp, omega, sigma, pts, np.asarray(cot, dtype=np.float64)[None])
+        _, g_net = _net_backward(phi, acts, g_omega, g_sigma, to_theta=True)
+        return u[0], (rotate_transpose(fp, sigma, g_rot) + g_net)[0]
+
+    return u_vjp
 
 
 # ---------------------------------------------------------------- training
@@ -479,14 +529,8 @@ def evaluate_divergence_loss(phi: MetricNetParams, ctx: FrozenProbes):
         phi, phi.layout.unflatten_batch(pts), keep=True)
     u = build_u(fp, omega, sigma, pts)
     div, vjp = probe_divergence(u, ctx)
-    g_u = vjp(2.0 * div)
-    # through u = (Omega omega_tilde) * (R theta) to the network outputs
-    c = pts @ fp.omega
-    g_rot = g_u * scaling_vector(fp, omega)
-    g_omega = (g_u * rotate(fp, sigma, pts)) @ fp.omega
-    g_sigma = (-(g_rot @ fp.phi) * c) * np.cos(sigma) \
-        - ((g_rot @ fp.omega) * c) * np.sin(sigma)
-    grads = _net_backward(phi, acts, g_omega, g_sigma)
+    _, g_omega, g_sigma = _through_u(fp, omega, sigma, pts, vjp(2.0 * div))
+    grads, _ = _net_backward(phi, acts, g_omega, g_sigma)
     return float(div), float(div * div), grads
 
 

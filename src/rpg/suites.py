@@ -70,6 +70,14 @@ def _tanh_field(mat, scale):
     return lambda p: scale * np.tanh(p @ mat.T)
 
 
+def _tanh_vjp(mat, scale):
+    """(u, (du/dtheta)^T c) of ``_tanh_field`` at one point."""
+    def vjp(theta, cot):
+        t = np.tanh(theta @ mat.T)
+        return scale * t, (scale * (1.0 - t * t) * cot) @ mat
+    return vjp
+
+
 # ---------------------------------------------------------------- suites
 
 
@@ -202,19 +210,21 @@ def suite_geodesic():
     for k in range(20):
         n = 2 + (k % 7)
         rng = RngStream(500 + k)
-        field = _tanh_field(rng.normal((n, n), scale=0.6), 0.5)
+        mat = rng.normal((n, n), scale=0.6)
         theta = rng.normal((n,), scale=0.5)
         j = rng.normal((n,), scale=0.5)
-        a = geodesic_gradient(field, theta, j, 0.25)
-        b = geodesic_gradient_component(field, theta, j, 0.25)
+        a = geodesic_gradient(_tanh_vjp(mat, 0.5), theta, j, 0.25)
+        b = geodesic_gradient_component(_tanh_field(mat, 0.5), theta, j,
+                                        0.25)
         scale = max(1.0, float(np.max(np.abs(a))))
         worst_rel = max(worst_rel, float(np.max(np.abs(a - b))) / scale)
-    rows.append(_bound_row("matrix form vs component-sum form "
+    rows.append(_bound_row("VJP form vs component-sum form "
                            "(20 fixtures, n<=8)", worst_rel, 1e-4))
 
     rng = RngStream(510)
     theta, j = rng.normal((5,)), rng.normal((5,))
-    flat = geodesic_gradient(lambda p: np.zeros_like(p), theta, j, 0.3)
+    flat = geodesic_gradient(
+        lambda p, c: (np.zeros_like(p), np.zeros_like(p)), theta, j, 0.3)
     rows.append(CheckRow("flat field returns the input direction bit-exactly",
                          PASS if np.array_equal(flat, j) else FAIL,
                          "bitwise comparison"))
@@ -223,11 +233,11 @@ def suite_geodesic():
     dt = 1e-3
     for seed in (31, 32, 33):
         rng = RngStream(seed)
-        field = _tanh_field(rng.normal((3, 3)), 0.5)
+        mat = rng.normal((3, 3))
         theta = rng.normal((3,), scale=0.5)
         j = rng.normal((3,), scale=0.5)
-        direction = geodesic_gradient(field, theta, j, dt / 2)
-        ode = geodesic_ode_direction(field, theta, j, dt)
+        direction = geodesic_gradient(_tanh_vjp(mat, 0.5), theta, j, dt / 2)
+        ode = geodesic_ode_direction(_tanh_field(mat, 0.5), theta, j, dt)
         cos = float(direction @ ode) / (np.linalg.norm(direction)
                                         * np.linalg.norm(ode))
         worst_angle = max(worst_angle,

@@ -27,8 +27,8 @@ from .errors import NonFiniteField
 from .fields import ProbeConfig
 from .geodesic import geodesic_gradient
 from .metric import MetricPoint, inverse_apply
-from .metricnet import (MetricNetConfig, build_u_field, init_params,
-                        train_metric_net)
+from .metricnet import (MetricNetConfig, build_u_field, build_u_vjp,
+                        init_params, train_metric_net)
 from .policy import (LinearGainPolicy, ParamPolicy, PolicyMLP,
                      reinforce_field, reinforce_gradient_from_batch, rollout)
 from .rng import RngStream
@@ -162,12 +162,14 @@ def regularize_step(theta, grad, phi, cfg, grad_fn, probe_cfg):
     baseline: the gradient passes through untouched and phi is not consulted.
     J/T: the metric net is refined in place (<= cfg.metric_iters iterations,
     warm-started from phi) unless cfg.freeze_phi, the divergence diagnostics
-    are computed with shared probes, and the direction is G^-1 grad (J) or
-    the geodesic direction built on top of it (T).  If gating is enabled and
-    the divergence ratio is >= 1, or if any field evaluation turns
-    non-finite, the direction falls back to the plain gradient; the
-    fallback marks the report with ratio = inf so the record stays visibly
-    flagged while keeping the gate bookkeeping exact.
+    are computed with shared probes, and the direction is J = G^-1 grad or,
+    for T, the geodesic direction built on top of it, whose correction
+    takes one vector-Jacobian product of u with cotangent J
+    (``build_u_vjp``: one metric-net row, whatever n is).  If gating is
+    enabled and the divergence ratio is >= 1, or if any field evaluation or
+    direction turns non-finite, the direction falls back to the plain
+    gradient; the fallback marks the report with ratio = inf so the record
+    stays visibly flagged while keeping the gate bookkeeping exact.
     """
     theta = np.asarray(theta, dtype=float)
     grad = np.asarray(grad, dtype=float)
@@ -191,8 +193,8 @@ def regularize_step(theta, grad, phi, cfg, grad_fn, probe_cfg):
         u0 = u_field(theta)
         direction = inverse_apply(MetricPoint(u0), grad)
         if cfg.variant == "T":
-            direction = geodesic_gradient(u_field, theta, direction,
-                                          cfg.resolved_kappa())
+            direction = geodesic_gradient(build_u_vjp(new_phi), theta,
+                                          direction, cfg.resolved_kappa())
         if not np.all(np.isfinite(direction)):
             raise NonFiniteField("regularized direction")
     except NonFiniteField:

@@ -4,6 +4,9 @@ import numpy as np
 
 from rpg.envs import lqr_return_gradient
 from rpg.errors import BadDimensions
+from rpg.fields import default_fd_step, eval_points, require_finite
+from rpg.geodesic import _fd_points
+from rpg.metric import MetricPoint, bilinear_form, inverse_apply
 from rpg.policy import reinforce_gradient_from_batch, rollout
 from rpg.rng import RngStream
 
@@ -45,3 +48,35 @@ def per_row_reinforce_field(env, policy, points, episodes, gamma, seed):
         batch = [rollout(env, policy, rng) for _ in range(episodes)]
         rows.append(reinforce_gradient_from_batch(policy, batch, gamma))
     return np.stack(rows)
+
+
+def fd_pullback(u_field, theta, cot):
+    """(du/dtheta)^T cot by central differences of theta -> u(theta).cot,
+    with the step ``default_fd_step(theta)``; 2n field rows."""
+    theta = np.asarray(theta, dtype=np.float64)
+    step = default_fd_step(theta)
+    q = eval_points(u_field, _fd_points(theta, step)) @ cot
+    return (q[:theta.size] - q[theta.size:]) / (2.0 * step)
+
+
+def fd_geodesic_gradient(u_field, theta, grad_j, kappa):
+    """T = J + kappa * G^-1 grad(J^T G J), with grad q by central differences.
+
+    The finite-difference matrix form that ``rpg.geodesic.geodesic_gradient``
+    replaces, kept as its reference: 2n + 1 rows of the batch-capable
+    u_field, against one vector-Jacobian product.
+    """
+    theta = np.asarray(theta, dtype=np.float64)
+    grad_j = np.asarray(grad_j, dtype=np.float64)
+    if kappa == 0.0:
+        return grad_j.copy()
+    n = theta.size
+    step = default_fd_step(theta)
+    us = require_finite(eval_points(u_field, _fd_points(theta, step)),
+                        "metric factor field")
+    q = bilinear_form(MetricPoint(us), np.broadcast_to(grad_j, us.shape),
+                      np.broadcast_to(grad_j, us.shape))
+    grad_q = (q[:n] - q[n:]) / (2.0 * step)
+    u0 = require_finite(eval_points(u_field, theta[None])[0],
+                        "metric factor field")
+    return grad_j + kappa * inverse_apply(MetricPoint(u0), grad_q)

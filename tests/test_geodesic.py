@@ -1,28 +1,38 @@
 """Geodesic direction tests: closed forms, component cross-checks, ODE oracle.
 
-The matrix form is checked three independent ways: against a hand-derived
-two-dimensional closed form, against the component-sum rebuild from dense
-metric partials, and against an actual RK2 integration of the geodesic
-equation whose Christoffel symbols come from their own finite-difference
-oracle.
+The production form takes grad q from one vector-Jacobian product of u.
+It is checked four independent ways: against a hand-derived
+two-dimensional closed form, against the finite-difference matrix form it
+replaced (``helpers.fd_geodesic_gradient``), against the component-sum
+rebuild from dense metric partials, and against an actual RK2 integration
+of the geodesic equation whose Christoffel symbols come from their own
+finite-difference oracle.
 """
 
 import numpy as np
 import pytest
 
-from rpg.errors import BadDimensions
+from helpers import fd_geodesic_gradient, fd_pullback
+from rpg.errors import BadDimensions, NonFiniteField
 from rpg.geodesic import (ChristoffelTensor, christoffel_fd,
                           covariant_metric_residual, geodesic_gradient,
                           geodesic_gradient_component, geodesic_ode_direction)
 from rpg.rng import RngStream
+from rpg.suites import _tanh_field as tanh_field
+from rpg.suites import _tanh_vjp as tanh_vjp
 
 
 def zero_field(p):
     return np.zeros_like(p)
 
 
-def tanh_field(mat, scale):
-    return lambda p: scale * np.tanh(p @ mat.T)
+def zero_vjp(theta, cot):
+    return np.zeros_like(theta), np.zeros_like(theta)
+
+
+def identity_vjp(theta, cot):
+    """u(theta) = theta."""
+    return theta.copy(), cot.copy()
 
 
 def angle_between(a, b):
@@ -30,12 +40,38 @@ def angle_between(a, b):
     return float(np.arccos(np.clip(cos, -1.0, 1.0)))
 
 
+def suite_fixture(k):
+    """The k-th of the 20 tanh fixtures of ``rpg.suites.suite_geodesic``."""
+    n = 2 + (k % 7)
+    rng = RngStream(500 + k)
+    mat = rng.normal((n, n), scale=0.6)
+    theta = rng.normal((n,), scale=0.5)
+    j = rng.normal((n,), scale=0.5)
+    return mat, theta, j
+
+
 def test_config_rejects_negative_kappa():
     """Both forms require kappa finite and >= 0."""
-    for form in (geodesic_gradient, geodesic_gradient_component):
+    for form, field in ((geodesic_gradient, zero_vjp),
+                        (geodesic_gradient_component, zero_field)):
         for kappa in (-0.1, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="kappa"):
-                form(zero_field, np.zeros(2), np.ones(2), kappa)
+                form(field, np.zeros(2), np.ones(2), kappa)
+
+
+def test_non_finite_direction_is_a_typed_error():
+    """A non-finite J raises NonFiniteField, the trainer's fallback cue."""
+    for bad in (np.nan, np.inf):
+        with pytest.raises(NonFiniteField, match="finite input direction"):
+            geodesic_gradient(zero_vjp, np.zeros(3),
+                              np.array([1.0, bad, 0.0]), 0.1)
+
+
+def test_non_finite_product_is_a_typed_error():
+    def blown_vjp(theta, cot):
+        return np.ones_like(theta), np.full_like(theta, np.inf)
+    with pytest.raises(NonFiniteField):
+        geodesic_gradient(blown_vjp, np.zeros(3), np.ones(3), 0.1)
 
 
 def test_flat_field_is_exact_passthrough():
@@ -43,7 +79,7 @@ def test_flat_field_is_exact_passthrough():
     rng = RngStream(11)
     theta = rng.normal((5,))
     j = rng.normal((5,))
-    out = geodesic_gradient(zero_field, theta, j, 0.3)
+    out = geodesic_gradient(zero_vjp, theta, j, 0.3)
     assert np.array_equal(out, j)
 
 
@@ -51,14 +87,14 @@ def test_kappa_zero_passthrough():
     w = RngStream(12).normal((4, 4))
     theta = np.array([0.2, -0.1, 0.4, 0.0])
     j = np.array([1.0, 2.0, -1.0, 0.5])
-    out = geodesic_gradient(tanh_field(w, 0.5), theta, j, 0.0)
+    out = geodesic_gradient(tanh_vjp(w, 0.5), theta, j, 0.0)
     assert np.array_equal(out, j)
     assert out is not j
 
 
 def test_constant_field_passthrough():
     uc = np.array([0.7, -0.2])
-    out = geodesic_gradient(lambda p: np.broadcast_to(uc, p.shape),
+    out = geodesic_gradient(lambda p, c: (uc, np.zeros_like(p)),
                             np.array([0.3, 0.9]), np.array([1.0, -1.0]),
                             0.5)
     assert np.array_equal(out, np.array([1.0, -1.0]))
@@ -70,9 +106,9 @@ def test_two_dim_closed_form():
     q(theta) = J^T (I + theta theta^T) J = 1 + theta_1^2, so grad q = (2, 0)
     at the base point, and G^-1 = diag(1/2, 1) gives T = (1,0) + (1,0) = (2,0).
     """
-    out = geodesic_gradient(lambda p: p, np.array([1.0, 0.0]),
+    out = geodesic_gradient(identity_vjp, np.array([1.0, 0.0]),
                             np.array([1.0, 0.0]), 1.0)
-    assert np.allclose(out, [2.0, 0.0], atol=1e-6)
+    assert np.array_equal(out, [2.0, 0.0])
 
 
 @pytest.mark.parametrize("n", [2, 5, 8])
@@ -81,9 +117,23 @@ def test_matrix_vs_component_agreement(n):
     w = rng.normal((n, n), scale=0.6)
     theta = rng.normal((n,), scale=0.5)
     j = rng.normal((n,), scale=0.5)
-    a = geodesic_gradient(tanh_field(w, 0.5), theta, j, 0.25)
+    a = geodesic_gradient(tanh_vjp(w, 0.5), theta, j, 0.25)
     b = geodesic_gradient_component(tanh_field(w, 0.5), theta, j, 0.25)
     assert np.max(np.abs(a - b)) <= 1e-8 * max(1.0, float(np.max(np.abs(a))))
+
+
+@pytest.mark.parametrize("k", range(20))
+def test_vjp_form_matches_fd_reference_on_suite_fixtures(k):
+    """The analytic tanh VJP and the direction built from it agree with
+    central differences of u.c and with the FD matrix form to 1e-6."""
+    mat, theta, j = suite_fixture(k)
+    u, pullback = tanh_vjp(mat, 0.5)(theta, j)
+    assert np.array_equal(u, tanh_field(mat, 0.5)(theta))
+    want = fd_pullback(tanh_field(mat, 0.5), theta, j)
+    assert np.max(np.abs(pullback - want)) <= 1e-6 * np.max(np.abs(want))
+    got = geodesic_gradient(tanh_vjp(mat, 0.5), theta, j, 0.25)
+    want = fd_geodesic_gradient(tanh_field(mat, 0.5), theta, j, 0.25)
+    assert np.max(np.abs(got - want)) <= 1e-6 * np.max(np.abs(want))
 
 
 def test_component_dimension_guard():
@@ -150,7 +200,7 @@ def test_ode_matches_direction_at_small_dt():
     j = rng.normal((3,), scale=0.5)
     field = tanh_field(w, 0.5)
     dt = 1e-3
-    direction = geodesic_gradient(field, theta, j, dt / 2)
+    direction = geodesic_gradient(tanh_vjp(w, 0.5), theta, j, dt / 2)
     ode = geodesic_ode_direction(field, theta, j, dt)
     assert angle_between(direction, ode) <= 1e-2
 
@@ -163,7 +213,7 @@ def test_ode_angle_shrinks_with_dt():
     field = tanh_field(w, 0.5)
     angles = []
     for dt in (1e-2, 1e-3, 1e-4):
-        direction = geodesic_gradient(field, theta, j, dt / 2)
+        direction = geodesic_gradient(tanh_vjp(w, 0.5), theta, j, dt / 2)
         angles.append(angle_between(direction,
                                     geodesic_ode_direction(field, theta, j, dt)))
     assert angles[0] > angles[1] > angles[2]

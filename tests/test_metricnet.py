@@ -13,12 +13,16 @@ import time
 import numpy as np
 import pytest
 
+import rpg.metricnet
 import tape_reference as tape
+from helpers import fd_geodesic_gradient, fd_pullback
 from rpg.divergence import divergence_report, hessian_trace_hutchinson
 from rpg.envs import make_env
 from rpg.errors import BadDimensions, LayoutMismatch
 from rpg.fields import ProbeConfig, default_fd_step
+from rpg.geodesic import geodesic_gradient
 from rpg.metricnet import (LayerLayout, MetricNetConfig, build_u_field,
+                           build_u_vjp,
                            evaluate_divergence_loss, freeze_probe_batch,
                            init_params, load_params, metric_net_forward,
                            params_to_json, probe_field_rows, save_params,
@@ -685,3 +689,63 @@ def test_u_field_nonzero_after_head_kick():
     u_fn = build_u_field(phi)
     out = u_fn(RngStream(46).normal((3, phi.layout.n)))
     assert np.max(np.abs(out)) > 0
+
+
+# ------------------------------------------------------------ u VJP
+
+
+@over_layouts
+def test_u_vjp_matches_fd_reference(layout):
+    """With kicked heads, u_vjp's u is the u field's bitwise, its product
+    matches central differences of u.c, and the direction built from it
+    matches the finite-difference matrix form, both to 1e-6 relative."""
+    phi = make_phi(seed=56, layout=layout, m_tilde=min(3, layout.n - 1),
+                   heads="random")
+    rng = RngStream(57)
+    theta, cot = rng.normal((layout.n,)), rng.normal((layout.n,))
+    u_vjp, u_field = build_u_vjp(phi), build_u_field(phi)
+    u, pullback = u_vjp(theta, cot)
+    assert np.array_equal(u, u_field(theta))
+    want = fd_pullback(u_field, theta, cot)
+    assert np.max(np.abs(pullback - want)) <= 1e-6 * np.max(np.abs(want))
+    got = geodesic_gradient(u_vjp, theta, cot, 0.3)
+    want = fd_geodesic_gradient(u_field, theta, cot, 0.3)
+    assert np.max(np.abs(got - want)) <= 1e-6 * np.max(np.abs(want))
+
+
+@over_layouts
+def test_geodesic_zero_heads_and_zero_kappa_pass_through(layout):
+    """Zero heads make u = 0 and the product 0, so T is J bitwise; kappa = 0
+    returns a copy without calling the network."""
+    phi = make_phi(seed=58, layout=layout, m_tilde=min(3, layout.n - 1))
+    rng = RngStream(59)
+    theta, j = rng.normal((layout.n,)), rng.normal((layout.n,))
+    u, pullback = build_u_vjp(phi)(theta, j)
+    assert not np.any(u) and not np.any(pullback)
+    assert np.array_equal(geodesic_gradient(build_u_vjp(phi), theta, j, 0.3),
+                          j)
+    kicked = make_phi(seed=58, layout=layout, m_tilde=min(3, layout.n - 1),
+                      heads="random")
+    out = geodesic_gradient(build_u_vjp(kicked), theta, j, 0.0)
+    assert np.array_equal(out, j) and out is not j
+
+
+def test_geodesic_forwards_one_row_whatever_n(monkeypatch):
+    """One T correction on the pointmass layout (n = 388) forwards exactly
+    one metric-net row, where the central-difference form forwarded
+    2n + 1."""
+    phi = make_phi(seed=60, layout=pointmass_layout(), heads="random")
+    rows = []
+    forward = rpg.metricnet.metric_net_forward
+
+    def counted(phi_, parts, keep=False):
+        rows.append(len(parts[0]))
+        return forward(phi_, parts, keep=keep)
+
+    monkeypatch.setattr(rpg.metricnet, "metric_net_forward", counted)
+    rng = RngStream(61)
+    n = phi.layout.n
+    out = geodesic_gradient(build_u_vjp(phi), rng.normal((n,)),
+                            rng.normal((n,)), 0.3)
+    assert n == 388 and out.shape == (n,)
+    assert rows == [1]

@@ -191,6 +191,25 @@ def test_nonfinite_metric_falls_back_with_flagged_report():
     assert np.isinf(report.ratio)
 
 
+@pytest.mark.parametrize("variant", ["J", "T"])
+def test_nonfinite_direction_falls_back_in_both_variants(variant):
+    # u ~ 1e155 and a gradient of 1e160 overflow G^-1 grad; T must fall
+    # back to the plain gradient the way J does, not raise
+    env, grad_fn = bowl_field(4)
+    cfg = TrainConfig(env_kind="landscape", variant=variant,
+                      freeze_phi=True, gate_enabled=False)
+    phi = fresh_phi(4)
+    phi.head_omega_b[:] = 1e155
+    grad = np.full(4, 1e160)
+    with np.errstate(over="ignore", invalid="ignore"):
+        direction, report, _ = regularize_step(
+            np.array([0.4, -0.7, 0.2, 0.9]), grad, phi, cfg, grad_fn,
+            ProbeConfig(probe_count=8, seed=0))
+    assert np.array_equal(direction, grad)
+    assert report.method == "fallback"
+    assert np.isinf(report.ratio)
+
+
 def test_variant_j_preserves_ascent_direction():
     # direction . grad = grad^T G^-1 grad > 0 for any positive-definite
     # metric; check it on trained (nonzero-head) metrics at random points
