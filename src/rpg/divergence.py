@@ -27,7 +27,7 @@ compatibility makes all of them equal on smooth fixtures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,12 +41,18 @@ RATIO_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class DivergenceReport:
-    """Divergence, Hessian trace, and their guarded absolute ratio."""
+    """Divergence, Hessian trace, and their guarded absolute ratio.
+
+    u0 is the metric factor u(theta) that ``divergence_report`` forwarded
+    to freeze its batch, for the caller's J = G^-1 grad f; None in the
+    placeholder reports that no u field produced.
+    """
 
     div: float
     hessian_trace: float
     ratio: float
     method: str  # "estimated" | "none" | "fallback"
+    u0: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 def divergence_ratio(div: float, trace: float) -> float:
@@ -189,7 +195,7 @@ def divergence_report(grad_fn, u_fn, theta: np.ndarray,
     the Laplacian: its probe sum runs over the raw gradient rows.  So the
     two are identical when u = 0, and the ratio is exactly 1 at the
     Euclidean start rather than 1 +- probe noise.  One gradient-field call
-    covers theta and the 2K probe rows.
+    covers theta and the 2K probe rows.  The report carries u(theta).
     """
     theta = np.asarray(theta, dtype=np.float64)
     eps = default_fd_step(theta)
@@ -206,6 +212,7 @@ def divergence_report(grad_fn, u_fn, theta: np.ndarray,
         hessian_trace=trace,
         ratio=divergence_ratio(div, trace),
         method="estimated",
+        u0=u0[0],
     )
 
 

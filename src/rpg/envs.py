@@ -11,13 +11,15 @@ True once `horizon` transitions have been taken (landscape environments are
 single-step and finish immediately).  Rewards are negated costs throughout:
 trainers maximize return.
 
-The LQR and point-mass environments also split a step into its draw event
-and its dynamics: draw_noise(rng) makes the step's one draw (None when the
-dynamics are noiseless, without drawing) and transition(state, action,
-noise) -> (next_state, reward) is pure and takes states with leading row
-axes, against which the noise broadcasts.  step is the two in sequence, so
-it takes row axes too; a single state gives the same numbers as before
-(``np.vecdot`` sums like the 1-d ``@`` it replaces).
+Every environment also splits a step into its draw event and its dynamics:
+draw_noise(rng) makes the step's one draw (None when the dynamics are
+noiseless, without drawing) and transition(state, action, noise) ->
+(next_state, reward) is pure and takes states with leading row axes,
+against which the noise broadcasts.  step is the two in sequence, so it
+takes row axes too; a single state gives the same numbers as before
+(``np.vecdot`` sums like the 1-d ``@`` it replaces, and the landscape
+reward is the scalar objective of each row).  The batched rollouts of
+``rpg.policy`` step many episodes at once through transition.
 
 The module also carries the two closed-form references used to check learned
 policies on the linear-quadratic problem: the discounted Riccati fixed point
@@ -46,12 +48,22 @@ def _action_rows(action, state, action_dim):
         state.shape[:-1] + (action_dim,))
 
 
-def _reward_out(reward):
-    """A float for one state, an array of per-row rewards for a batch."""
-    return float(reward) if reward.ndim == 0 else reward
+class _SplitStepEnv:
+    """step as draw_noise then transition, plus the step counter."""
+
+    def draw_noise(self, rng):
+        """The dynamics are deterministic: no draw event, no noise."""
+        return None
+
+    def step(self, state, action, rng=None):
+        nxt, reward = self.transition(state, action, self.draw_noise(rng))
+        self._t += 1
+        # a float for one state, an array of per-row rewards for a batch
+        reward = float(reward) if reward.ndim == 0 else reward
+        return nxt, reward, self._t >= self.horizon
 
 
-class LqrEnv:
+class LqrEnv(_SplitStepEnv):
     """Discrete-time linear dynamics with quadratic cost.
 
     s' = A s + B a + noise_scale * xi,   xi ~ N(0, I)
@@ -114,13 +126,8 @@ class LqrEnv:
             nxt = nxt + self.noise_scale * noise
         return nxt, reward
 
-    def step(self, state, action, rng=None):
-        nxt, reward = self.transition(state, action, self.draw_noise(rng))
-        self._t += 1
-        return nxt, _reward_out(reward), self._t >= self.horizon
 
-
-class PointmassEnv:
+class PointmassEnv(_SplitStepEnv):
     """2-D double integrator steering toward the origin.
 
     State is [px, py, vx, vy]; the action is an acceleration, Euler-stepped
@@ -142,10 +149,6 @@ class PointmassEnv:
         self._t = 0
         return rng.uniform(-1.0, 1.0, size=4)
 
-    def draw_noise(self, rng):
-        """The dynamics are deterministic: no draw event, no noise."""
-        return None
-
     def transition(self, state, action, noise=None):
         state = np.asarray(state, dtype=float)
         action = _action_rows(action, state, 2)
@@ -155,11 +158,6 @@ class PointmassEnv:
         nxt = state + self.dt * np.concatenate([state[..., 2:], action],
                                                axis=-1)
         return nxt, reward
-
-    def step(self, state, action, rng=None):
-        nxt, reward = self.transition(state, action)
-        self._t += 1
-        return nxt, _reward_out(reward), self._t >= self.horizon
 
 
 def _bowl(x):
@@ -186,7 +184,7 @@ _LANDSCAPES = {
 }
 
 
-class LandscapeEnv:
+class LandscapeEnv(_SplitStepEnv):
     """Single-step environment: the action is a point, the reward is -f(point).
 
     Useful for driving the trainer on a deterministic optimization surface.
@@ -222,8 +220,15 @@ class LandscapeEnv:
         return self._f(np.asarray(point, dtype=float))
 
     def analytic_gradient(self, point):
-        """Ascent gradient of the return (= -grad f); rows batch."""
+        """Ascent gradient of the return (= -grad f); rows batch.
+
+        The bowl's gradient is elementwise, so all rows take one product.
+        Rosenbrock's goes row by row: numpy-scalar and array squares round
+        differently, so a vectorised form would move the last bit.
+        """
         point = np.asarray(point, dtype=float)
+        if self.objective == "bowl":
+            return -2.0 * point
         if point.ndim == 1:
             return -self._grad(point)
         return -np.stack([self._grad(p) for p in point])
@@ -232,10 +237,15 @@ class LandscapeEnv:
         self._t = 0
         return np.zeros(self.dim)
 
-    def step(self, state, action, rng=None):
-        action = np.asarray(action, dtype=float).reshape(self.dim)
-        self._t += 1
-        return np.zeros(self.dim), -self._f(action), True
+    def transition(self, state, action, noise=None):
+        state = np.asarray(state, dtype=float)
+        action = _action_rows(action, state, self.dim)
+        # f row by row: the scalar objective is the reference, and the
+        # vectorised Rosenbrock differs from it in the last bit
+        rows = action.reshape(-1, self.dim)
+        reward = -np.array([self._f(a) for a in rows]).reshape(
+            state.shape[:-1])
+        return np.zeros_like(state), reward
 
 
 def make_env(kind, **params):

@@ -132,16 +132,13 @@ def svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     zero_cut = max(norms[0], 1.0) * n * np.finfo(np.float64).eps
     live = norms > zero_cut
     u[:, live] = b[:, live] / norms[live]
-    # Null columns: complete to an orthonormal basis so U stays orthogonal.
+    # Null columns: complete to an orthonormal basis so U stays orthogonal,
+    # each with the basis vector that keeps the largest residual against
+    # the columns so far (at least 1/sqrt(n), so the division is safe).
     for col in np.flatnonzero(~live):
-        for k in range(n):
-            cand = np.zeros(n)
-            cand[k] = 1.0
-            cand -= u @ (u.T @ cand)
-            nrm = np.linalg.norm(cand)
-            if nrm > 0.5:
-                u[:, col] = cand / nrm
-                break
+        residuals = np.eye(n) - u @ u.T
+        best = int(np.argmax(np.sum(residuals * residuals, axis=0)))
+        u[:, col] = residuals[:, best] / np.linalg.norm(residuals[:, best])
     return u, norms, v
 
 

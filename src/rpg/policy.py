@@ -19,7 +19,9 @@ numbers: every draw event of the episodes is made once, in the order
 estimator at row b over episodes replayed from the same stream.  The two
 stochastic policies compute their mean and their log-probability gradient
 in closed form over rows of parameters (``LayerLayout.unflatten_batch``);
-a single parameter vector is the one-row case.
+a single parameter vector is the one-row case.  ``evaluation_returns``
+plays evaluation episodes on the same engine, at one row and without
+action noise.
 """
 
 from dataclasses import dataclass
@@ -113,53 +115,76 @@ def rollout(env, policy, rng, explore=True):
                       np.array(rewards))
 
 
-def _draw_episode_events(env, policy, episodes, rng):
+def _draw_episode_events(env, policy, episodes, rng, explore=True):
     """Every draw of `episodes` rollouts, made in the order rollout makes it.
 
-    Per episode: the reset, then per step the action noise and the
-    dynamics noise (an event only when the dynamics are noisy).  Returns
-    the start states (E, state_dim), the action noise (H, E, action_dim)
-    and the dynamics noise (H, E, state_dim) or None.
+    Per episode: the reset, then per step the action noise (only when
+    exploring) and the dynamics noise (an event only when the dynamics are
+    noisy; once draw_noise has answered None, it is not asked again).
+    Returns the start states (E, state_dim), the action noise
+    (H, E, action_dim) or None, and the dynamics noise (H, E, state_dim)
+    or None.
     """
     starts, xi, noise = [], [], []
+    noisy = True
     for _ in range(episodes):
         starts.append(env.reset(rng))
         for _ in range(env.horizon):
-            xi.append(rng.normal(size=policy.action_dim))
-            noise.append(env.draw_noise(rng))
+            if explore:
+                xi.append(rng.normal(size=policy.action_dim))
+            if noisy:
+                noise.append(env.draw_noise(rng))
+                noisy = noise[-1] is not None
     steps = (episodes, env.horizon, -1)
-    xi = np.reshape(xi, steps).swapaxes(0, 1)
-    if noise[0] is not None:
-        noise = np.reshape(noise, steps).swapaxes(0, 1)
-    else:
-        noise = None
+    xi = np.reshape(xi, steps).swapaxes(0, 1) if explore else None
+    noise = np.reshape(noise, steps).swapaxes(0, 1) if noisy else None
     return np.array(starts), xi, noise
 
 
 def _play_rows(env, policy, parts, events):
     """Step the B x E trajectories of parameter rows `parts` on `events`.
 
-    Returns states (B, E*H, state_dim) and actions (B, E*H, action_dim),
-    episode-major as reinforce_gradient_from_batch stacks them, and the
-    rewards (B, E, H).  Every episode runs the full horizon, which holds
-    for the environments with a ``transition``.
+    Returns per-step lists, one entry per step t: the states
+    (B, E, state_dim), the actions (B, E, action_dim) and the rewards
+    (B, E).  Every episode runs the full horizon, as every environment's
+    does.  Without action noise the policy acts on its mean.
     """
     starts, xi, noise = events
     sigma = policy.row_sigmas(parts)
     state = np.broadcast_to(starts, (len(parts[0]),) + starts.shape)
     states, actions, rewards = [], [], []
     for t in range(env.horizon):
-        action = policy.row_means(parts, state) + sigma * xi[t]
+        action = policy.row_means(parts, state)
+        if xi is not None:
+            action = action + sigma * xi[t]
         nxt, reward = env.transition(state, action,
                                      None if noise is None else noise[t])
         states.append(state)
         actions.append(action)
         rewards.append(reward)
         state = nxt
-    rows = len(state)
-    return (np.stack(states, axis=2).reshape(rows, -1, env.state_dim),
-            np.stack(actions, axis=2).reshape(rows, -1, policy.action_dim),
-            np.stack(rewards, axis=2))
+    return states, actions, rewards
+
+
+def _episode_major(steps):
+    """Per-step (B, E, d) arrays as (B, E*H, d), episode-major as
+    reinforce_gradient_from_batch stacks its batch."""
+    return np.stack(steps, axis=2).reshape(len(steps[0]), -1,
+                                           steps[0].shape[-1])
+
+
+def evaluation_returns(env, policy, episodes, gamma, rng):
+    """Discounted returns of `episodes` episodes at the policy's own theta.
+
+    The episodes act on the mean and are played together, at one parameter
+    row.  Their draws are those of as many ``rollout(..., explore=False)``
+    calls on `rng`, in the same order, and each return comes from the
+    same ``_return_to_go``.
+    """
+    events = _draw_episode_events(env, policy, episodes, rng, explore=False)
+    parts = policy.layout.unflatten_batch(policy.theta[None])
+    rewards = np.stack(_play_rows(env, policy, parts, events)[2], axis=-1)
+    return _return_to_go(rewards[0], gamma)[:, 0]
 
 
 def reinforce_field(env, policy, points, episodes, gamma, rng):
@@ -179,8 +204,10 @@ def reinforce_field(env, policy, points, episodes, gamma, rng):
     for at in range(0, len(points), ROW_BLOCK):
         parts = policy.layout.unflatten_batch(points[at:at + ROW_BLOCK])
         states, actions, rewards = _play_rows(env, policy, parts, events)
-        weights = _reinforce_weights(rewards, gamma).reshape(len(states), -1)
-        out.append(policy.row_logprob_grads(parts, states, actions, weights))
+        weights = _reinforce_weights(np.stack(rewards, axis=-1), gamma)
+        out.append(policy.row_logprob_grads(
+            parts, _episode_major(states), _episode_major(actions),
+            weights.reshape(len(parts[0]), -1)))
     return np.concatenate(out)
 
 
@@ -359,6 +386,13 @@ class ParamPolicy:
 
     def act(self, state, rng=None):
         return self._theta.copy()
+
+    def row_means(self, parts, states):
+        return np.broadcast_to(parts[0][:, None, :],
+                               states.shape[:-1] + (self.dim,))
+
+    def row_sigmas(self, parts):
+        return 0.0
 
 
 def reinforce_gradient_from_batch(policy, trajectories, gamma):

@@ -6,7 +6,8 @@ gradient with the configured backend, optionally regularize it through the
 learned metric (variant J applies the inverse metric, variant T follows
 the geodesic direction), gate back to the plain gradient when the
 divergence ratio says the metric is not helping, then take one ascent step
-and evaluate.
+and evaluate the new policy on its mean, all evaluation episodes played
+together (``evaluate_policy``).
 
 Determinism contract: every stochastic concern draws from its own named
 substream of the run seed (policy init, metric-net init, rollouts, one eval
@@ -30,7 +31,8 @@ from .metric import MetricPoint, inverse_apply
 from .metricnet import (MetricNetConfig, build_u_field, build_u_vjp,
                         init_params, train_metric_net)
 from .policy import (LinearGainPolicy, ParamPolicy, PolicyMLP,
-                     reinforce_field, reinforce_gradient_from_batch, rollout)
+                     evaluation_returns, reinforce_field,
+                     reinforce_gradient_from_batch, rollout)
 from .rng import RngStream
 
 VARIANTS = ("baseline", "J", "T")
@@ -162,7 +164,8 @@ def regularize_step(theta, grad, phi, cfg, grad_fn, probe_cfg):
     baseline: the gradient passes through untouched and phi is not consulted.
     J/T: the metric net is refined in place (<= cfg.metric_iters iterations,
     warm-started from phi) unless cfg.freeze_phi, the divergence diagnostics
-    are computed with shared probes, and the direction is J = G^-1 grad or,
+    are computed with shared probes, and the direction is J = G^-1 grad,
+    at the u(theta) the report forwarded (``DivergenceReport.u0``), or,
     for T, the geodesic direction built on top of it, whose correction
     takes one vector-Jacobian product of u with cotangent J
     (``build_u_vjp``: one metric-net row, whatever n is).  If gating is
@@ -188,10 +191,9 @@ def regularize_step(theta, grad, phi, cfg, grad_fn, probe_cfg):
             return grad.copy(), _fallback_report(), phi
 
     try:
-        u_field = build_u_field(new_phi)
-        report = divergence_report(grad_fn, u_field, theta, probe_cfg)
-        u0 = u_field(theta)
-        direction = inverse_apply(MetricPoint(u0), grad)
+        report = divergence_report(grad_fn, build_u_field(new_phi), theta,
+                                   probe_cfg)
+        direction = inverse_apply(MetricPoint(report.u0), grad)
         if cfg.variant == "T":
             direction = geodesic_gradient(build_u_vjp(new_phi), theta,
                                           direction, cfg.resolved_kappa())
@@ -255,11 +257,15 @@ def _gradient_field(env, policy, cfg, backend, probe_seed):
 
 
 def evaluate_policy(env, policy, episodes, gamma, rng):
-    """Mean discounted return over evaluation episodes (no exploration)."""
+    """Mean discounted return over evaluation episodes (no exploration).
+
+    All episodes are played at once (``evaluation_returns``); their
+    returns are summed in sequence and divided by their count, as a loop
+    of ``rollout`` calls on `rng` would.
+    """
     total = 0.0
-    for _ in range(int(episodes)):
-        total += rollout(env, policy, rng, explore=False).discounted_return(
-            gamma)
+    for ret in evaluation_returns(env, policy, int(episodes), gamma, rng):
+        total += float(ret)
     return total / int(episodes)
 
 

@@ -50,6 +50,20 @@ def per_row_reinforce_field(env, policy, points, episodes, gamma, seed):
     return np.stack(rows)
 
 
+def scalar_evaluate_policy(env, policy, episodes, gamma, rng):
+    """Mean discounted return of `episodes` scalar rollouts, one at a time.
+
+    The reference for ``rpg.training.evaluate_policy``, which plays the
+    same episodes together: each rollout acts on the policy's mean and
+    steps the environment one state at a time.
+    """
+    total = 0.0
+    for _ in range(int(episodes)):
+        total += rollout(env, policy, rng, explore=False).discounted_return(
+            gamma)
+    return total / int(episodes)
+
+
 def fd_pullback(u_field, theta, cot):
     """(du/dtheta)^T cot by central differences of theta -> u(theta).cot,
     with the step ``default_fd_step(theta)``; 2n field rows."""

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import lqr_analytic_gradient
-from rpg.envs import (LandscapeEnv, default_init_second_moment,
+from rpg.envs import (LandscapeEnv, _bowl_grad, default_init_second_moment,
                       lqr_expected_return, lqr_return_gradient, make_env,
                       riccati_gain)
 from rpg.errors import BadDimensions
@@ -184,6 +184,14 @@ def test_landscape_gradients_match_fd():
             assert grad[i] == pytest.approx(fd, abs=1e-4)
 
 
+def test_bowl_field_rows_equal_the_row_gradient():
+    env = make_env("landscape", objective="bowl", dim=5)
+    pts = RngStream(8).normal(size=(321, 5), scale=3.0)
+    want = np.stack([-_bowl_grad(p) for p in pts])
+    assert np.array_equal(env.analytic_gradient(pts), want)
+    assert np.array_equal(env.analytic_gradient(pts[0]), want[0])
+
+
 def test_rosenbrock_forces_two_dims_and_has_known_minimum():
     env = make_env("landscape", objective="rosenbrock", dim=7)
     assert env.dim == 2
@@ -196,6 +204,30 @@ def test_landscape_is_single_step():
     env.reset(RngStream(0))
     _, _, done = env.step(np.zeros(2), np.zeros(2))
     assert done
+
+
+@pytest.mark.parametrize("kind,params", [
+    ("lqr", {}), ("lqr", {"noise_scale": 0.3, "horizon": 7}),
+    ("pointmass", {"horizon": 9}),
+    ("landscape", {"objective": "bowl", "dim": 3}),
+    ("landscape", {"objective": "rosenbrock"})],
+    ids=["lqr", "lqr-noisy", "pointmass", "bowl", "rosenbrock"])
+def test_every_env_steps_as_draw_then_transition(kind, params):
+    # the contract the batched rollouts rely on: step(s, a, rng) is
+    # transition(s, a, draw_noise(rng)) plus the counter, done at the horizon
+    env = make_env(kind, **params)
+    step_rng, split_rng = RngStream(4), RngStream(4)
+    state = env.reset(RngStream(3))
+    action = RngStream(5).normal(size=env.action_dim)
+    for t in range(1, env.horizon + 1):
+        nxt, reward, done = env.step(state, action, step_rng)
+        want_nxt, want_reward = env.transition(state, action,
+                                               env.draw_noise(split_rng))
+        assert np.array_equal(nxt, want_nxt)
+        assert reward == want_reward and isinstance(reward, float)
+        assert done == (t == env.horizon)
+        state = nxt
+    assert step_rng.counter == split_rng.counter
 
 
 def test_riccati_scalar_closed_form():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from rpg.errors import BadDimensions, SingularMatrix
+from rpg.fourier import check_exp_decomposition
 from rpg.linalg import dense_det, dense_inverse, matrix_exp, svd
 from rpg.rng import RngStream
 
@@ -126,6 +127,17 @@ def test_svd_handles_singular_input():
     assert np.max(np.abs(u @ np.diag(s) @ v.T - m)) <= 1e-9
     assert np.max(np.abs(u.T @ u - np.eye(3))) <= 1e-9
     assert s[1] <= 1e-12 and s[2] <= 1e-12
+
+
+def test_svd_completes_null_column_of_odd_antisymmetric():
+    # An odd antisymmetric matrix has a zero singular value.  Here every
+    # entry of its null vector is below 0.5, so no basis vector clears a
+    # fixed residual threshold: the completion must take the best one.
+    a = random_antisymmetric(RngStream(0), 13)
+    u, s, v = svd(a)
+    assert s[-1] <= 1e-12
+    assert np.max(np.abs(u.T @ u - np.eye(13))) <= 1e-9
+    assert check_exp_decomposition(a) <= 1e-7
 
 
 def test_svd_size_guard():

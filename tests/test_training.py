@@ -8,14 +8,17 @@ contracts and the cheap end-to-end behaviours.
 import numpy as np
 import pytest
 
+import rpg.metricnet
 import rpg.policy
-from helpers import per_row_reinforce_field
+import rpg.training
+from helpers import per_row_reinforce_field, scalar_evaluate_policy
 from rpg.divergence import DivergenceReport, divergence_report
 from rpg.envs import lqr_expected_return, make_env, riccati_gain
 from rpg.errors import NonFiniteField
 from rpg.fields import ProbeConfig
+from rpg.metric import MetricPoint, inverse_apply
 from rpg.metricnet import MetricNetConfig, build_u_field, init_params
-from rpg.policy import LinearGainPolicy, ParamPolicy, rollout
+from rpg.policy import LinearGainPolicy, ParamPolicy
 from rpg.rng import RngStream
 from rpg.training import (TrainConfig, _build_policy, _gradient_field,
                           evaluate_policy, regularize_step, run_training)
@@ -224,6 +227,41 @@ def test_variant_j_preserves_ascent_direction():
             theta, grad, fresh_phi(4, seed=seed), cfg, grad_fn,
             ProbeConfig(probe_count=16, seed=seed))
         assert float(direction @ grad) > 0.0
+
+
+def test_j_update_forwards_u_at_theta_once(monkeypatch):
+    # after metric training, u(theta) is forwarded once, for the report's
+    # frozen batch, and J = G^-1 grad reuses that row bitwise
+    env, grad_fn = bowl_field(4)
+    cfg = TrainConfig(env_kind="landscape", variant="J", probe_count=8,
+                      metric_iters=3)
+    theta = np.array([0.4, -0.7, 0.2, 0.9])
+    grad = grad_fn(theta)
+    probe_cfg = ProbeConfig(probe_count=8, seed=2)
+    forward = rpg.metricnet.metric_net_forward
+    train = rpg.training.train_metric_net
+    trained, rows = [False], []
+
+    def counting(phi, theta_layers, keep=False):
+        if trained[0]:
+            rows.append(len(theta_layers[0]))
+        return forward(phi, theta_layers, keep)
+
+    def training(*args, **kwargs):
+        out = train(*args, **kwargs)
+        trained[0] = True
+        return out
+
+    monkeypatch.setattr(rpg.metricnet, "metric_net_forward", counting)
+    monkeypatch.setattr(rpg.training, "train_metric_net", training)
+    direction, report, phi = regularize_step(theta, grad, fresh_phi(4), cfg,
+                                             grad_fn, probe_cfg)
+    assert rows.count(1) == 1
+    assert len(rows) == 2       # that row, then the frozen batch
+    u0 = build_u_field(phi)(theta)
+    assert np.array_equal(report.u0, u0)
+    assert np.array_equal(direction,
+                          inverse_apply(MetricPoint(u0), grad))
 
 
 def test_algorithm_step_lowers_median_ratio_variant_t():
@@ -471,10 +509,72 @@ def test_evaluate_policy_matches_manual_mean():
     env = make_env("lqr")
     policy = LinearGainPolicy(1, 1, sigma=0.1, k=np.array([[0.5]]))
     got = evaluate_policy(env, policy, 6, 0.99, RngStream(21))
-    rng = RngStream(21)
-    want = np.mean([rollout(env, policy, rng, explore=False)
-                    .discounted_return(0.99) for _ in range(6)])
-    assert got == want
+    assert got == scalar_evaluate_policy(env, policy, 6, 0.99,
+                                         RngStream(21))
+
+
+NOISY_3X2 = dict(a=[[0.9, 0.2, 0.0], [0.0, 0.8, 0.1], [0.1, 0.0, 0.7]],
+                 b=[[1.0, 0.0], [0.3, 1.0], [0.0, 0.5]],
+                 q=np.diag([1.0, 0.5, 0.2]), r=np.diag([1.0, 0.7]),
+                 horizon=30, noise_scale=0.3)
+# (env kind, env params, relative tolerance): 0 means bitwise.  The MLP and
+# a multi-dim gain take matrix products over all episodes at once, whose
+# BLAS kernel may round differently from the one-state product.
+EVAL_CASES = [
+    ("lqr", {}, 0.0),
+    ("lqr", {"noise_scale": 0.3}, 0.0),
+    ("landscape", {"objective": "bowl", "dim": 4}, 0.0),
+    ("landscape", {"objective": "rosenbrock"}, 0.0),
+    ("pointmass", {}, 1e-14),
+    ("lqr", NOISY_3X2, 1e-14),
+]
+EVAL_IDS = ["lqr", "lqr-noisy", "bowl", "rosenbrock", "pointmass",
+            "lqr-noisy-3x2"]
+
+
+def eval_case(env_kind, env_params, seed):
+    cfg = TrainConfig(env_kind=env_kind, env_params=env_params)
+    env = make_env(env_kind, **env_params)
+    policy = _build_policy(env, cfg, RngStream(seed).spawn("policy-init"))
+    return cfg, env, policy
+
+
+@pytest.mark.parametrize("env_kind,env_params,rel", EVAL_CASES, ids=EVAL_IDS)
+def test_evaluate_policy_matches_scalar_rollouts(env_kind, env_params, rel):
+    for seed in range(5):
+        cfg, env, policy = eval_case(env_kind, env_params, seed)
+        got = evaluate_policy(env, policy, cfg.eval_episodes, cfg.gamma,
+                              RngStream(seed).spawn("eval-0"))
+        want = scalar_evaluate_policy(env, policy, cfg.eval_episodes,
+                                      cfg.gamma,
+                                      RngStream(seed).spawn("eval-0"))
+        assert abs(got - want) <= rel * abs(want)
+
+
+@pytest.mark.parametrize("env_kind,env_params",
+                         [case[:2] for case in EVAL_CASES], ids=EVAL_IDS)
+def test_evaluate_policy_draws_what_scalar_rollouts_draw(
+        monkeypatch, env_kind, env_params):
+    # no action noise: a reset per episode, plus a dynamics draw per step
+    # of a noisy LQR; the landscapes draw nothing
+    counted = [0]
+    draw = RngStream._next_generator
+
+    def counting(stream):
+        counted[0] += 1
+        return draw(stream)
+
+    cfg, env, policy = eval_case(env_kind, env_params, 0)
+    episodes = cfg.eval_episodes
+    if env_kind == "landscape":
+        expected = 0
+    elif env_kind == "lqr" and env.noise_scale > 0:
+        expected = episodes * (1 + env.horizon)
+    else:
+        expected = episodes
+    monkeypatch.setattr(RngStream, "_next_generator", counting)
+    evaluate_policy(env, policy, episodes, cfg.gamma, RngStream(1))
+    assert counted[0] == expected
 
 
 def test_final_theta_is_the_policy_vector():
