@@ -293,33 +293,19 @@ def riccati_gain(env, gamma, tol=1e-13, max_iters=100_000):
     return gain, p
 
 
-def _augmented_system(env):
-    """Ã, B̃, Q̃ over the homogeneous state [s; 1].
-
-    The constant coordinate turns the affine policy a = -K s + b into the
-    linear one a = -K_aug [s; 1] with K_aug = [K, -b], which keeps every
-    recursion below purely quadratic.
-    """
-    n, m = env.state_dim, env.action_dim
-    a_aug = np.zeros((n + 1, n + 1))
-    a_aug[:n, :n] = env.a
-    a_aug[n, n] = 1.0
-    b_aug = np.zeros((n + 1, m))
-    b_aug[:n, :] = env.b
-    q_aug = np.zeros((n + 1, n + 1))
-    q_aug[:n, :n] = env.q
-    return a_aug, b_aug, q_aug
-
-
 def default_init_second_moment(env):
     """E[[s;1][s;1]^T] for s uniform on [-1,1]^n: diag(I/3, 1)."""
-    n = env.state_dim
-    m0 = np.eye(n + 1) / 3.0
-    m0[n, n] = 1.0
-    return m0
+    return np.diag([1.0 / 3.0] * env.state_dim + [1.0])
 
 
-def _unpack_gain_points(points, env):
+def _closed_loop(points, env):
+    """R K̃ (m, N, B), Ãc = Ã - B̃ K̃ (N, N, B), vec(Q̃ + K̃^T R K̃) (N², B).
+
+    Over the homogeneous state [s; 1] (N = n + 1) the affine policy
+    a = -K s + b is linear, a = -K̃ [s; 1] with K̃ = [K, -b], which keeps
+    every recursion quadratic.  The B rows of `points` (flat (K, b)
+    vectors) sit on the last axis.  Also returns whether `points` was one.
+    """
     points = np.asarray(points, dtype=float)
     single = points.ndim == 1
     pts = np.atleast_2d(points)
@@ -327,17 +313,46 @@ def _unpack_gain_points(points, env):
     if pts.shape[1] != m * n + m:
         raise BadDimensions(
             f"expected {m * n + m} affine-gain parameters, got {pts.shape[1]}")
-    k = pts[:, :m * n].reshape(-1, m, n)
-    bias = pts[:, m * n:].reshape(-1, m)
-    k_aug = np.concatenate([k, -bias[:, :, None]], axis=2)
-    return k_aug, single
+    a_aug, b_aug = np.eye(n + 1), np.vstack([env.b, np.zeros(m)])
+    a_aug[:n, :n] = env.a
+    k_aug = np.concatenate([pts[:, :m * n].T.reshape(m, n, -1),
+                            -pts[:, None, m * n:].T], axis=1)
+    a_cl = a_aug[..., None] - (b_aug.T[:, :, None, None]
+                               * k_aug[:, None]).sum(0)
+    rk = (env.r.T[:, :, None, None] * k_aug[:, None]).sum(0)
+    cost = (k_aug[:, :, None] * rk[:, None]).sum(0)
+    cost[:n, :n] += env.q[..., None]
+    return rk, a_cl, cost.reshape(-1, len(pts)), single
 
 
-def _closed_loop(k_aug, env, a_aug, b_aug, q_aug):
-    """Per-row Ãc = Ã - B̃ K̃, its transpose, and the stage cost Q̃ + K̃^T R K̃."""
-    a_cl = a_aug - b_aug @ k_aug
-    cost_mat = q_aug + k_aug.swapaxes(1, 2) @ env.r @ k_aug
-    return a_cl, a_cl.swapaxes(1, 2), cost_mat
+def _vec_kron(x):
+    """x ⊗ x of a batch-last (N, N, B) x, [(k,l),(i,j)] = x[k,i] x[l,j]."""
+    nn = x.shape[0] ** 2
+    return (x[:, None, :, None] * x[None, :, None, :]).reshape(nn, nn, -1)
+
+
+def _discounted_moments(a_cl, env, gamma, init_second_moment, horizon):
+    """Yield vec(g^t M_t), t = 0 .. horizon-1, as (N², B) arrays.
+
+    M_{t+1} = Ãc M_t Ãc^T + diag(noise_scale^2 I, 0), and with row-major
+    vec, vec(Ãc M Ãc^T) = (Ãc ⊗ Ãc) vec(M): a step is one product and one
+    sum over axis 0.  Every step overwrites the one array it yields.
+    """
+    if init_second_moment is None:
+        init_second_moment = default_init_second_moment(env)
+    nn, batch = a_cl.shape[0] ** 2, a_cl.shape[2]
+    noise = np.diag([env.noise_scale ** 2] * env.state_dim + [0.0])
+    kron = gamma * _vec_kron(a_cl.transpose(1, 0, 2))
+    tmp, disc = np.empty((nn, nn, batch)), 1.0
+    m_t = np.repeat(np.reshape(init_second_moment, (nn, 1)), batch, axis=1)
+    for t in range(horizon):
+        if t:
+            np.multiply(kron, m_t[:, None], out=tmp)
+            tmp.sum(0, out=m_t)
+            disc *= gamma
+            if env.noise_scale:
+                m_t += disc * noise.reshape(nn, 1)
+        yield m_t
 
 
 def lqr_expected_return(points, env, gamma, init_second_moment=None,
@@ -345,31 +360,17 @@ def lqr_expected_return(points, env, gamma, init_second_moment=None,
     """Exact expected discounted return of affine policies a = -K s + b.
 
     `points` stacks flattened (K, b) parameter vectors, one per row.  With
-    M_t = E[[s;1][s;1]^T] propagated through the closed loop, the return is
-
-        J = -sum_t g^t tr((Q̃ + K̃^T R K̃) M_t),
-        M_{t+1} = Ãc M_t Ãc^T + diag(noise_scale^2 I, 0),  Ãc = Ã - B̃ K̃.
+    the moments M_t = E[[s;1][s;1]^T] of _discounted_moments, the return is
+    J = -sum_t g^t vec(Q̃ + K̃^T R K̃) . vec(M_t).
     """
-    k_aug, single = _unpack_gain_points(points, env)
-    a_aug, b_aug, q_aug = _augmented_system(env)
-    if init_second_moment is None:
-        init_second_moment = default_init_second_moment(env)
-    if horizon is None:
-        horizon = env.horizon
-    n_aug = a_aug.shape[0]
-    noise = np.zeros((n_aug, n_aug))
-    noise[:env.state_dim, :env.state_dim] = (
-        env.noise_scale ** 2 * np.eye(env.state_dim))
-
-    a_cl, a_cl_t, cost_mat = _closed_loop(k_aug, env, a_aug, b_aug, q_aug)
-    m_t = np.broadcast_to(init_second_moment, a_cl.shape).copy()
-    total = np.zeros(len(k_aug))
-    disc = 1.0
-    for _ in range(horizon):
-        total += disc * np.einsum("bij,bji->b", cost_mat, m_t)
-        m_t = a_cl @ m_t @ a_cl_t + noise
-        disc *= gamma
-    returns = -total
+    _, a_cl, cost, single = _closed_loop(points, env)
+    horizon = env.horizon if horizon is None else horizon
+    s_m = np.zeros_like(cost)
+    for m_t in _discounted_moments(a_cl, env, gamma, init_second_moment,
+                                   horizon):
+        s_m += m_t
+    # term by term: a sum over the (N², 1) of one row would pair its terms
+    returns = -sum(c * m for c, m in zip(cost, s_m))
     return float(returns[0]) if single else returns
 
 
@@ -377,50 +378,48 @@ def lqr_return_gradient(points, env, gamma, init_second_moment=None,
                         horizon=None):
     """Exact gradient of lqr_expected_return w.r.t. the flat (K, b) params.
 
-    Backward pass builds the discounted cost-to-go quadratics
+    With the cost-to-go P_T = 0, P_t = Q̃ + K̃^T R K̃ + g Ãc^T P_{t+1} Ãc and
+    the moments M_t of _discounted_moments, the cost gradient is
 
-        P_T = 0,   P_t = Q̃ + K̃^T R K̃ + g Ãc^T P_{t+1} Ãc,
+        dJ_cost/dK̃ = 2 sum_t g^t H_t M_t,   H_t = R K̃ - g B̃^T P_{t+1} Ãc.
 
-    the forward pass propagates the state second moments M_t, and the
-    cost gradient w.r.t. the augmented gain is the classic contraction
-
-        dJ_cost/dK̃ = 2 sum_t g^t (R K̃ - g B̃^T P_{t+1} Ãc) M_t.
+    Rows sit on the last axis: a step is a few whole-batch numpy calls, not
+    one BLAS call per row.  In row-major vec form vec(P_t) = vec(Q̃ + K̃^T R
+    K̃) + g (Ãc ⊗ Ãc)^T vec(P_{t+1}), and H_t is R K̃ minus a fixed linear
+    map of vec(P_{t+1}); only the H_t stack (T, Nm, B) outlives that pass.
+    Summing H_t g^t M_t step by step keeps the cancellation inside H_t.
+    Every sum runs over axis 0 with more than the row axis left, so a row
+    sees the same additions in any batch and one row alone equals that row
+    in a batch bit for bit (a sum along the fastest axis, as over one row's
+    (N², 1), pairs its terms).
 
     Returned as the ascent gradient of the RETURN (cost gradient negated),
-    with the bias column mapped back through K̃ = [K, -b].  Rows of `points`
-    are handled in a single batched recursion.
+    with the bias column mapped back through K̃ = [K, -b].
     """
-    k_aug, single = _unpack_gain_points(points, env)
-    a_aug, b_aug, q_aug = _augmented_system(env)
-    if init_second_moment is None:
-        init_second_moment = default_init_second_moment(env)
-    if horizon is None:
-        horizon = env.horizon
-    n_aug = a_aug.shape[0]
-    noise = np.zeros((n_aug, n_aug))
-    noise[:env.state_dim, :env.state_dim] = (
-        env.noise_scale ** 2 * np.eye(env.state_dim))
-
-    batch = len(k_aug)
-    a_cl, a_cl_t, cost_mat = _closed_loop(k_aug, env, a_aug, b_aug, q_aug)
-
-    p_stack = [np.zeros((batch, n_aug, n_aug))]
-    for _ in range(horizon):
-        p_stack.append(cost_mat + gamma * (a_cl_t @ p_stack[-1] @ a_cl))
-    p_stack.reverse()  # p_stack[t] is now the cost-to-go at step t
-
-    rk = env.r @ k_aug
-    m_t = np.broadcast_to(init_second_moment, a_cl.shape).copy()
-    grad_aug = np.zeros_like(k_aug)
-    disc = 1.0
-    for t in range(horizon):
-        inner = rk - gamma * (b_aug.T @ p_stack[t + 1] @ a_cl)
-        grad_aug += disc * 2.0 * (inner @ m_t)
-        m_t = a_cl @ m_t @ a_cl_t + noise
-        disc *= gamma
+    rk, a_cl, cost, single = _closed_loop(points, env)
+    horizon = env.horizon if horizon is None else horizon
+    n, m = env.state_dim, env.action_dim
+    n_aug, (nn, batch) = n + 1, cost.shape
+    # A backward step is one product and one sum over the index (i,k) of
+    # vec(P_{t+1}).  The columns of `back`, g (Ãc ⊗ Ãc) and then
+    # -g B̃[i,a] Ãc[k,j], give vec(P_t) and H_t^T[(j,a)] less R K̃^T; the
+    # last row of tmp, [vec(Q̃ + K̃^T R K̃) | R K̃^T], is added last.
+    back = np.concatenate([gamma * _vec_kron(a_cl), (
+        -gamma * np.vstack([env.b, np.zeros(m)])[:, None, None, :, None]
+        * a_cl[None, :, :, None]).reshape(nn, n_aug * m, batch)], axis=1)
+    tmp = np.empty((nn + 1,) + back.shape[1:])
+    tmp[nn] = np.concatenate([cost, rk.transpose(1, 0, 2).reshape(-1, batch)])
+    p_h = np.zeros(back.shape[1:])  # [vec(P_{t+1}) | H_t^T]
+    h = np.empty((horizon, n_aug * m, batch))
+    for t in range(horizon - 1, -1, -1):
+        np.multiply(back, p_h[:nn, None], out=tmp[:nn])
+        h[t] = tmp.sum(0, out=p_h)[nn:]
+    grad_aug = np.zeros((m, n_aug, batch))
+    for h_t, m_t in zip(h, _discounted_moments(a_cl, env, gamma,
+                                               init_second_moment, horizon)):
+        grad_aug += (h_t.reshape(n_aug, m, 1, batch)
+                     * m_t.reshape(n_aug, 1, n_aug, batch)).sum(0)
     # ascent on return = descent on cost; undo the K̃ = [K, -b] packing
-    n = env.state_dim
-    grad_k = -grad_aug[:, :, :n].reshape(batch, -1)
-    grad_b = grad_aug[:, :, n]
-    out = np.concatenate([grad_k, grad_b], axis=1)
-    return out[0] if single else out
+    out = 2.0 * np.concatenate([-grad_aug[:, :n].reshape(-1, batch),
+                                grad_aug[:, n]])
+    return out[:, 0] if single else out.T.copy()

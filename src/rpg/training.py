@@ -234,9 +234,12 @@ def _gradient_field(env, policy, cfg, backend, probe_seed):
     smooth enough to probe with finite differences.  The update's own
     gradient comes from the freshly collected batch instead.
 
-    Each metric-regularization pass calls the field twice: once in
-    ``train_metric_net`` for theta and every inner iteration's probe rows,
-    once in ``divergence_report`` for its 2K probe rows and theta.
+    A J/T update with the analytic field calls it three times: at theta
+    alone for the update's gradient, then (unless freeze_phi) in
+    ``train_metric_net`` on 1 + 2K * metric_iters rows (theta and every
+    inner iteration's probe rows), then in ``divergence_report`` on 2K + 1
+    rows (theta and its probe rows), K = probe_count.  A reinforce update
+    skips the first.
     """
     if backend == "analytic":
         if env.kind == "lqr":

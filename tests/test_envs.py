@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from helpers import lqr_analytic_gradient
-from rpg.envs import (LandscapeEnv, _bowl_grad, default_init_second_moment,
-                      lqr_expected_return, lqr_return_gradient, make_env,
-                      riccati_gain)
+from rpg.envs import (MAX_LQR_STATE_DIM, LandscapeEnv, _bowl_grad,
+                      default_init_second_moment, lqr_expected_return,
+                      lqr_return_gradient, make_env, riccati_gain)
 from rpg.errors import BadDimensions
 from rpg.rng import RngStream
 
@@ -21,6 +21,20 @@ def two_dim_env(horizon=40, noise=0.0):
         q=np.diag([1.0, 0.5]),
         r=np.diag([1.0, 0.7]),
         horizon=horizon,
+        noise_scale=noise,
+    )
+
+
+def four_state_env(noise=0.2):
+    """A noisy coupled system at the largest LQR state dimension, 2 actions."""
+    n = MAX_LQR_STATE_DIM
+    return make_env(
+        "lqr",
+        a=0.85 * np.eye(n) + 0.05 * np.eye(n, k=1) - 0.04 * np.eye(n, k=-2),
+        b=np.array([[1.0, 0.0], [0.2, 0.5], [0.0, 1.0], [-0.3, 0.4]]),
+        q=np.diag([1.0, 0.5, 0.8, 0.3]),
+        r=np.diag([0.6, 1.2]),
+        horizon=30,
         noise_scale=noise,
     )
 
@@ -393,20 +407,54 @@ def einsum_return_gradient(points, env, gamma):
                            grad_aug[:, :, n]], axis=1)
 
 
-@pytest.mark.parametrize("rows", [1, 33, 673])
-@pytest.mark.parametrize("kind", ["scalar", "two-dim-noisy"])
-def test_matmul_gradient_matches_einsum_reference(rows, kind):
-    rng = RngStream(rows)
+def field_case(kind, rows, rng):
+    """(env, points) of a field call: rows of flat (K, b) parameters."""
     if kind == "scalar":
         # gains around the stabilizing band 0 < k < 2 of a = b = 1
-        env = make_env("lqr")
-        pts = np.column_stack([rng.uniform(0.2, 1.6, size=rows),
-                               rng.uniform(-0.5, 0.5, size=rows)])
-    else:
-        env = two_dim_env(noise=0.1)
-        pts = rng.uniform(-0.3, 0.3, size=(rows, 6))
+        return make_env("lqr"), np.column_stack(
+            [rng.uniform(0.2, 1.6, size=rows),
+             rng.uniform(-0.5, 0.5, size=rows)])
+    if kind == "two-dim-noisy":
+        return two_dim_env(noise=0.1), rng.uniform(-0.3, 0.3, size=(rows, 6))
+    return four_state_env(), rng.uniform(-0.3, 0.3, size=(rows, 10))
+
+
+@pytest.mark.parametrize("rows", [1, 33, 673])
+@pytest.mark.parametrize("kind",
+                         ["scalar", "two-dim-noisy", "four-state-noisy"])
+def test_matmul_gradient_matches_einsum_reference(rows, kind):
+    env, pts = field_case(kind, rows, RngStream(rows))
     got = lqr_return_gradient(pts, env, GAMMA)
     want = einsum_return_gradient(pts, env, GAMMA)
     assert got.shape == want.shape == pts.shape
     scale = np.max(np.abs(want), axis=1, keepdims=True)
     assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("kind,rows", [("scalar", 673),
+                                       ("four-state-noisy", 97)])
+def test_batched_rows_equal_single_row_calls_bitwise(kind, rows):
+    # every sum of the recursions runs over axis 0, so a row's additions
+    # do not depend on the batch around it
+    env, pts = field_case(kind, rows, RngStream(rows + 1))
+    grads = lqr_return_gradient(pts, env, GAMMA)
+    rets = lqr_expected_return(pts, env, GAMMA)
+    for i, point in enumerate(pts):
+        assert np.array_equal(lqr_return_gradient(point, env, GAMMA), grads[i])
+        assert lqr_expected_return(point, env, GAMMA) == rets[i]
+
+
+@pytest.mark.parametrize("kind", ["scalar", "four-state-noisy"])
+def test_overflowing_row_leaves_the_other_rows_bitwise_unchanged(kind):
+    env, pts = field_case(kind, 41, RngStream(6))
+    wild = pts.copy()
+    wild[17] = 1e7  # far outside the stabilizing set: the recursions overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        grads = lqr_return_gradient(wild, env, GAMMA)
+        rets = lqr_expected_return(wild, env, GAMMA)
+    assert not np.all(np.isfinite(grads[17])) and not np.isfinite(rets[17])
+    keep = np.arange(41) != 17
+    assert np.array_equal(grads[keep],
+                          lqr_return_gradient(pts, env, GAMMA)[keep])
+    assert np.array_equal(rets[keep],
+                          lqr_expected_return(pts, env, GAMMA)[keep])
