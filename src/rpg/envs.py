@@ -384,9 +384,10 @@ def lqr_return_gradient(points, env, gamma, init_second_moment=None,
         dJ_cost/dK̃ = 2 sum_t g^t H_t M_t,   H_t = R K̃ - g B̃^T P_{t+1} Ãc.
 
     Rows sit on the last axis: a step is a few whole-batch numpy calls, not
-    one BLAS call per row.  In row-major vec form vec(P_t) = vec(Q̃ + K̃^T R
-    K̃) + g (Ãc ⊗ Ãc)^T vec(P_{t+1}), and H_t is R K̃ minus a fixed linear
-    map of vec(P_{t+1}); only the H_t stack (T, Nm, B) outlives that pass.
+    one BLAS call per row.  In row-major vec form the backward step is
+    vec(P_t) = vec(C) + g (Ãc ⊗ Ãc)^T vec(P_{t+1}), C = Q̃ + K̃^T R K̃, and
+    H_t is R K̃ minus a fixed linear map of vec(P_{t+1}); only the H_t stack
+    (T, Nm, B) outlives that pass.
     Summing H_t g^t M_t step by step keeps the cancellation inside H_t.
     Every sum runs over axis 0 with more than the row axis left, so a row
     sees the same additions in any batch and one row alone equals that row
@@ -402,14 +403,14 @@ def lqr_return_gradient(points, env, gamma, init_second_moment=None,
     n_aug, (nn, batch) = n + 1, cost.shape
     # A backward step is one product and one sum over the index (i,k) of
     # vec(P_{t+1}).  The columns of `back`, g (Ãc ⊗ Ãc) and then
-    # -g B̃[i,a] Ãc[k,j], give vec(P_t) and H_t^T[(j,a)] less R K̃^T; the
-    # last row of tmp, [vec(Q̃ + K̃^T R K̃) | R K̃^T], is added last.
+    # -g B̃[i,a] Ãc[k,j], give vec(P_t) and H_t^T[(j,a)] but for the last
+    # row of tmp, [vec(C) | R K̃^T], which the sum adds last.
     back = np.concatenate([gamma * _vec_kron(a_cl), (
         -gamma * np.vstack([env.b, np.zeros(m)])[:, None, None, :, None]
         * a_cl[None, :, :, None]).reshape(nn, n_aug * m, batch)], axis=1)
     tmp = np.empty((nn + 1,) + back.shape[1:])
     tmp[nn] = np.concatenate([cost, rk.transpose(1, 0, 2).reshape(-1, batch)])
-    p_h = np.zeros(back.shape[1:])  # [vec(P_{t+1}) | H_t^T]
+    p_h = np.zeros(back.shape[1:])  # [vec(P_t) | H_t^T] after step t
     h = np.empty((horizon, n_aug * m, batch))
     for t in range(horizon - 1, -1, -1):
         np.multiply(back, p_h[:nn, None], out=tmp[:nn])
