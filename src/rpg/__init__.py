@@ -10,13 +10,13 @@ control problems.
 Import layout:
 
     rpg.errors      the exception taxonomy
-    rpg.linalg      dense oracles (inverse, det, SVD, matrix exponential)
     rpg.rng         counter-addressed deterministic random streams
     rpg.tape        reverse-mode autodiff; no library module uses it, it
                     stays for perfbench/tracer.py, which patches
                     DiffGraph.leaf_gradients, and for the tests' tape
                     references
-    rpg.fourier     truncated cosine/sine bases, scaling and rotation maps
+    rpg.fourier     truncated cosine/sine bases, scaling and rotation maps,
+                    the exp-decomposition check and its matrix_exp
     rpg.metric      the rank-one metric: det, inverse-apply, bilinear form
     rpg.fields      batched field calls, FD step, probe settings
     rpg.divergence  exact divergence; the probe estimator shared by the

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import BadDimensions
 from .fields import ProbeConfig, default_fd_step, eval_points, require_finite
-from .metric import MetricPoint, inverse_apply
+from .metric import MetricPoint, inverse_apply, metric_matrix
 from .rng import RngStream, rademacher_matrix
 
 RATIO_FLOOR = 1e-12
@@ -297,5 +297,5 @@ def covariant_laplacian_oracle(f, u_fn, theta: np.ndarray,
     gamma = christoffel_fd(u_fn, theta, step).gamma
     corrected = hessian - np.einsum("lmn,l->mn", gamma, grad)
     u0 = np.asarray(eval_points(u_fn, theta[None])[0])
-    g_inv = np.eye(n) - np.outer(u0, u0) / (1.0 + float(u0 @ u0))
+    g_inv = np.linalg.inv(metric_matrix(MetricPoint(u0)))
     return float(np.sum(g_inv * corrected))

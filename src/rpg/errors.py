@@ -11,14 +11,6 @@ class RpgError(Exception):
     """Base class for all package-specific errors."""
 
 
-class SingularMatrix(RpgError):
-    """Elimination hit a pivot below the singularity threshold."""
-
-
-class NoConvergence(RpgError):
-    """An iterative routine exhausted its sweep budget."""
-
-
 class DegenerateSpectrum(RpgError):
     """Singular-value clusters too close for a unique decomposition."""
 

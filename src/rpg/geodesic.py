@@ -33,7 +33,6 @@ import numpy as np
 
 from .errors import BadDimensions, NonFiniteField
 from .fields import default_fd_step, eval_points, require_finite
-from .linalg import dense_inverse
 from .metric import MetricPoint, inverse_apply, metric_matrix
 
 
@@ -84,7 +83,7 @@ def christoffel_fd(u_field, theta: np.ndarray, fd_step: float | None = None
     lowered = (partials
                + np.transpose(partials, (1, 0, 2))
                - np.moveaxis(partials, 0, 2))
-    g_inv = dense_inverse(metric_matrix(MetricPoint(
+    g_inv = np.linalg.inv(metric_matrix(MetricPoint(
         np.asarray(eval_points(u_field, theta[None])[0]))))
     gamma = 0.5 * np.einsum("dr,mnr->dmn", g_inv, lowered)
     return ChristoffelTensor(gamma=gamma)

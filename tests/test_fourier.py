@@ -3,8 +3,8 @@ import pytest
 
 from rpg.errors import BadDimensions, DegenerateSpectrum
 from rpg.fourier import (build_fourier_pair, build_u, check_exp_decomposition,
-                         dense_rotation, full_pair, rotate, scaling_vector)
-from rpg.linalg import matrix_exp
+                         dense_rotation, full_pair, matrix_exp, rotate,
+                         scaling_vector)
 from rpg.rng import RngStream
 
 
@@ -197,11 +197,13 @@ def test_exp_decomposition_random_8x8():
         assert check_exp_decomposition(a) <= 1e-7
 
 
-def test_exp_decomposition_odd_dimension():
+@pytest.mark.parametrize("n, seed", [(5, 12), (9, 0), (13, 0), (15, 12)])
+def test_exp_decomposition_odd_dimension(n, seed):
     # Odd n forces a structural zero singular value; the formula must still
-    # reproduce exp(A) = identity on the null direction.
-    rng = RngStream(12)
-    m = rng.normal(size=(5, 5))
+    # reproduce exp(A) = identity on the null direction.  At n = 13 and 15
+    # the null vector has no entry above 0.5, where completing U from basis
+    # vectors past a fixed residual threshold leaves a column empty.
+    m = RngStream(seed).normal(size=(n, n))
     a = m - m.T
     assert check_exp_decomposition(a) <= 1e-7
 
@@ -225,3 +227,41 @@ def test_exp_decomposition_matches_exp_oracle_values():
                          [-np.sin(1.3), np.cos(1.3)]])
     assert np.max(np.abs(matrix_exp(a) - expected)) <= 1e-12
     assert check_exp_decomposition(a) <= 1e-9
+
+
+# ---------------------------------------------------------------- matrix_exp
+
+
+def test_exp_zero_is_identity():
+    assert np.allclose(matrix_exp(np.zeros((3, 3))), np.eye(3), atol=0)
+
+
+def test_exp_quarter_turn():
+    a = rotation_block(np.pi / 2)
+    expected = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    assert np.max(np.abs(matrix_exp(a) - expected)) <= 1e-9
+
+
+def test_exp_antisymmetric_is_orthogonal():
+    rng = RngStream(31)
+    for _ in range(5):
+        m = rng.normal(size=(8, 8))
+        e = matrix_exp(m - m.T)
+        assert np.max(np.abs(e.T @ e - np.eye(8))) <= 1e-8
+        assert np.linalg.det(e) == pytest.approx(1.0, abs=1e-6)
+
+
+def test_exp_matches_series_small_norm():
+    rng = RngStream(32)
+    a = 0.01 * rng.normal(size=(4, 4))
+    a2 = a @ a
+    series = np.eye(4) + a + a2 / 2 + a2 @ a / 6 + a2 @ a2 / 24
+    assert np.max(np.abs(matrix_exp(a) - series)) <= 1e-10
+
+
+def test_exp_large_norm_scaling_path():
+    # Norm >> 1 exercises the squaring loop.
+    e = matrix_exp(rotation_block(20.0))
+    expected = np.array([[np.cos(20.0), np.sin(20.0)],
+                         [-np.sin(20.0), np.cos(20.0)]])
+    assert np.max(np.abs(e - expected)) <= 1e-9

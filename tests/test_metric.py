@@ -3,7 +3,6 @@ import pytest
 
 import tape_reference as tape
 from rpg.errors import NonFiniteField
-from rpg.linalg import dense_det, dense_inverse
 from rpg.metric import (MetricPoint, bilinear_form, inverse_apply,
                         metric_det, metric_matrix)
 from rpg.rng import RngStream
@@ -41,7 +40,7 @@ def test_det_matches_dense_oracle():
     for _ in range(10):
         u = rng.normal(size=12)
         mp = MetricPoint(u)
-        dense = dense_det(metric_matrix(mp))
+        dense = np.linalg.det(metric_matrix(mp))
         assert metric_det(mp) == pytest.approx(dense, rel=1e-10)
 
 
@@ -56,13 +55,13 @@ def test_inverse_apply_closed_form():
     assert np.allclose(out, [0.5, 0.0], atol=0)
 
 
-def test_inverse_apply_matches_dense_inverse():
+def test_inverse_apply_matches_numpy_inverse():
     rng = RngStream(3)
     for _ in range(10):
         u = rng.normal(size=16)
         x = rng.normal(size=16)
         mp = MetricPoint(u)
-        dense = dense_inverse(metric_matrix(mp)) @ x
+        dense = np.linalg.inv(metric_matrix(mp)) @ x
         assert np.max(np.abs(inverse_apply(mp, x) - dense)) <= 1e-10
 
 
