@@ -37,13 +37,12 @@ def cmd_verify(args):
 def cmd_train(args):
     try:
         cfg = load_config(args.config, seed=args.seed)
+        summary = run_training(cfg)
     except ConfigError as err:
         print(f"error: {args.config}: {err}", file=sys.stderr)
         return 1
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-
-    summary = run_training(cfg)
 
     csv_path = out / "metrics.csv"
     write_metrics(summary.records, csv_path)

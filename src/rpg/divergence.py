@@ -43,9 +43,9 @@ RATIO_FLOOR = 1e-12
 class DivergenceReport:
     """Divergence, Hessian trace, and their guarded absolute ratio.
 
-    u0 is the metric factor u(theta) that ``divergence_report`` forwarded
-    to freeze its batch, for the caller's J = G^-1 grad f; None in the
-    placeholder reports that no u field produced.
+    u0 is the metric factor u(theta) that froze the report's batch, for
+    the caller's J = G^-1 grad f; None in the placeholder reports that no
+    u field produced.
     """
 
     div: float
@@ -114,39 +114,49 @@ def probe_field_rows(grad_fn, theta: np.ndarray, probes: np.ndarray,
 
     probes stacks I probe matrices, shape (I, K, n).  The call covers
     [theta; theta + eps*V_1; theta - eps*V_1; ...; theta - eps*V_I] and
-    returns (g0, grads) with g0 = grad f(theta) and grads[i] the (2K, n)
-    rows of iteration i, plus rows first.  Nothing is checked for
-    finiteness here: each consumer checks the rows it uses.
+    returns (g0, grads, rows): g0 = grad f(theta), grads[i] the (2K, n)
+    field rows of iteration i, plus rows first, and rows[i] the (2K, n)
+    points they were taken at, theta + eps*V_i then theta - eps*V_i.
+    Nothing is checked for finiteness here: each consumer checks the
+    rows it uses.
     """
     theta = np.asarray(theta, dtype=np.float64)
-    shifted = np.stack([theta + eps * probes, theta - eps * probes], axis=1)
-    pts = np.concatenate([theta[None], shifted.reshape(-1, theta.size)])
-    out = eval_points(grad_fn, pts)
-    return out[0], out[1:].reshape(shifted.shape[0], -1, theta.size)
+    rows = np.stack([theta + eps * probes, theta - eps * probes], axis=1)
+    rows = rows.reshape(rows.shape[0], -1, theta.size)
+    out = eval_points(grad_fn, np.concatenate(
+        [theta[None], rows.reshape(-1, theta.size)]))
+    return out[0], out[1:].reshape(rows.shape), rows
 
 
-def freeze_probe_batch(u0: np.ndarray, theta: np.ndarray, g0: np.ndarray,
+def probe_batch_points(rows: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """A new (2K + 3, n) points buffer for ``freeze_probe_batch``: the 2K
+    probe rows, two rows that will hold theta +- eps*J0, and theta."""
+    return np.concatenate([rows, np.broadcast_to(theta, (3, theta.size))])
+
+
+def freeze_probe_batch(points: np.ndarray, u0: np.ndarray, g0: np.ndarray,
                        probes: np.ndarray, probe_grads: np.ndarray,
                        eps: float) -> FrozenProbes:
-    """Freeze one probe batch from precomputed field values.
+    """Freeze one probe batch into points, from precomputed field values.
 
+    points is the batch's (2K + 3, n) buffer (``probe_batch_points``):
+    its first 2K rows already hold theta +- eps*probes and its last row
+    theta.  This writes rows 2K and 2K + 1, theta +- eps*J0 with
+    J0 = G^-1 g0 at u0, and the returned batch refers to the buffer, so a
+    caller that reuses it for the next batch must be done with this one.
     u0 is u(theta), g0 is grad f(theta), and probe_grads the (2K, n)
-    field rows at [theta + eps*probes; theta - eps*probes] (see
-    ``probe_field_rows``).  Raises NonFiniteField when any of them is not
-    finite.
+    field rows at the first 2K points (see ``probe_field_rows``).
+    Nothing is checked for finiteness: the callers check each input once,
+    a training pass for all its iterations up front.
     """
-    theta = np.asarray(theta, dtype=np.float64)
-    require_finite(g0, "gradient field")
-    grads = require_finite(probe_grads, "gradient field")
-    j0 = inverse_apply(MetricPoint(u0), g0)
-    pts = np.concatenate([
-        theta + eps * probes,
-        theta - eps * probes,
-        (theta + eps * j0)[None],
-        (theta - eps * j0)[None],
-        theta[None],
-    ], axis=0)
-    return FrozenProbes(points=pts, probes=probes, grads=grads, eps=eps)
+    k2 = 2 * len(probes)
+    theta = points[-1]
+    # G^-1 g0 = g0 - u0 (u0.g0) / (1 + u0.u0), as ``metric.inverse_apply``
+    j0 = g0 - u0 * ((u0 * g0).sum(axis=-1) / ((u0 * u0).sum(axis=-1) + 1.0))
+    points[k2] = theta + eps * j0
+    points[k2 + 1] = theta - eps * j0
+    return FrozenProbes(points=points, probes=probes, grads=probe_grads,
+                        eps=eps)
 
 
 def probe_divergence(u: np.ndarray, ctx: FrozenProbes):
@@ -155,17 +165,17 @@ def probe_divergence(u: np.ndarray, ctx: FrozenProbes):
     # probe term: J = G^-1 grad at theta +- eps*v, differenced along v
     k = ctx.probes.shape[0]
     up, x = u[:2 * k], ctx.grads
-    det = np.sum(up * up, axis=-1).reshape(2 * k, 1) + 1.0
-    ux = np.sum(up * x, axis=-1).reshape(2 * k, 1)
+    det = (up * up).sum(axis=-1).reshape(2 * k, 1) + 1.0
+    ux = (up * x).sum(axis=-1).reshape(2 * k, 1)
     q = ux / det
     j = x - up * q
     scale = 1.0 / (2.0 * ctx.eps * k)
-    term1 = np.sum(ctx.probes * (j[:k] - j[k:])) * scale
+    term1 = (ctx.probes * (j[:k] - j[k:])).sum() * scale
     # volume term: u(theta) . (u(theta + eps*J0) - u(theta - eps*J0))
     u_jp, u_jm, u_t = u[2 * k], u[2 * k + 1], u[2 * k + 2]
     du = u_jp - u_jm
-    den = (np.sum(u_t * u_t) + 1.0) * (2.0 * ctx.eps)
-    num = np.sum(u_t * du)
+    den = ((u_t * u_t).sum() + 1.0) * (2.0 * ctx.eps)
+    num = (u_t * du).sum()
     div = term1 + num / den
 
     def vjp(g_div):
@@ -173,7 +183,7 @@ def probe_divergence(u: np.ndarray, ctx: FrozenProbes):
         # forward's operations would
         g_j = ctx.probes * (g_div * scale)
         g_j = np.concatenate([g_j, -g_j])
-        g_q = -np.sum(g_j * up, axis=-1).reshape(2 * k, 1)
+        g_q = -(g_j * up).sum(axis=-1).reshape(2 * k, 1)
         g_det = -g_q * ux / (det * det)
         g_u = np.empty_like(u)
         g_u[:2 * k] = -g_j * q + (g_q / det) * x + g_det * up + g_det * up
@@ -187,22 +197,29 @@ def probe_divergence(u: np.ndarray, ctx: FrozenProbes):
     return div, vjp
 
 
-def divergence_report(grad_fn, u_fn, theta: np.ndarray,
-                      pc: ProbeConfig) -> DivergenceReport:
+def divergence_report(grad_fn, u_fn, theta: np.ndarray, pc: ProbeConfig,
+                      u0: np.ndarray | None = None) -> DivergenceReport:
     """Estimated divergence and Hessian trace from one shared probe draw.
 
     The trace is the same estimate at u = 0, where J = grad f and Div J is
     the Laplacian: its probe sum runs over the raw gradient rows.  So the
     two are identical when u = 0, and the ratio is exactly 1 at the
     Euclidean start rather than 1 +- probe noise.  One gradient-field call
-    covers theta and the 2K probe rows.  The report carries u(theta).
+    covers theta and the 2K probe rows.  The report carries u(theta):
+    u0 when the caller has already forwarded it, else one u_fn row.  A
+    non-finite u or field value raises NonFiniteField.
     """
     theta = np.asarray(theta, dtype=np.float64)
     eps = default_fd_step(theta)
     probes = rademacher_matrix(RngStream(pc.seed), pc.probe_count, theta.size)
-    g0, rows = probe_field_rows(grad_fn, theta, probes[None], eps)
-    u0 = require_finite(eval_points(u_fn, theta[None]), "metric factor field")
-    ctx = freeze_probe_batch(u0[0], theta, g0, probes, rows[0], eps)
+    g0, grads, rows = probe_field_rows(grad_fn, theta, probes[None], eps)
+    if u0 is None:
+        u0 = eval_points(u_fn, theta[None])[0]
+    require_finite(u0, "metric factor field")
+    require_finite(g0, "gradient field")
+    require_finite(grads, "gradient field")
+    ctx = freeze_probe_batch(probe_batch_points(rows[0], theta), u0, g0,
+                             probes, grads[0], eps)
     us = require_finite(eval_points(u_fn, ctx.points), "metric factor field")
     div, _ = probe_divergence(us, ctx)
     trace, _ = probe_divergence(np.zeros_like(ctx.points), ctx)
@@ -212,7 +229,7 @@ def divergence_report(grad_fn, u_fn, theta: np.ndarray,
         hessian_trace=trace,
         ratio=divergence_ratio(div, trace),
         method="estimated",
-        u0=u0[0],
+        u0=u0,
     )
 
 

@@ -25,7 +25,7 @@ from .errors import BadDimensions, NonFiniteField
 
 def _row_dot(a, b):
     """Inner product along the last axis, keeping a broadcastable tail dim."""
-    s = np.sum(a * b, axis=-1)
+    s = (a * b).sum(axis=-1)
     if np.ndim(a) == 2:
         return s.reshape(len(a), 1)
     return s

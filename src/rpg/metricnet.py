@@ -17,11 +17,15 @@ gradient bitwise.
 
 ``train_metric_net`` drives the squared probe-estimated divergence toward
 zero in the network parameters phi.  No gradient-field value depends on phi,
-so the probe vectors of every iteration are drawn up front and the field is
-evaluated once per pass, at theta and at every iteration's theta +- eps*v
-rows.  Per iteration those values, the probe vectors, and the two points
-theta +- eps*J displaced along the current field are frozen as constants;
-only u(., phi) depends on phi, so the loss is differentiable in phi
+so everything that does not is done once per pass: the probe vectors of
+every iteration are drawn up front, the field is evaluated once, at theta
+and at every iteration's theta +- eps*v rows, the first iteration with a
+non-finite field row is found, and theta is split into its layout parts
+and placed in one reused frozen-points buffer.  Per iteration the loop
+forwards u(theta), copies its probe rows into the buffer and writes the
+two points theta +- eps*J displaced along the current field; the field
+values, probe vectors and points are then frozen as constants.  Only
+u(., phi) depends on phi, so the loss is differentiable in phi
 without differentiating the objective's gradient field.  The loss squares
 the divergence report's own estimate (``rpg.divergence.probe_divergence``),
 whose reverse pass ends at u; from there a pass written out by hand for
@@ -31,13 +35,16 @@ loss on the general tape as the reference.  The zero-head start is an
 exact saddle — every phi-derivative carries a factor of u or u.g, which is
 exactly 0.0 — so when the loss is positive but the phi-gradient is
 identically zero the loop applies one small seeded kick to the head
-parameters and resumes descent.  The returned phi is the best
-recorded iterate, never the last one; a non-finite loss, u value or
-gradient row aborts the loop at its iteration and returns that incumbent.
+parameters and resumes descent.  The phi-gradient is written straight
+into one flat vector, laid out like the flat copy of phi that Adam
+steps.  The returned phi is the best recorded iterate, never the last
+one; a non-finite loss, u value or gradient row aborts the loop at its
+iteration and returns that incumbent.
 
 ``build_u_vjp`` reuses the same reverse pass, carried on to theta, for
 the vector-Jacobian product of u at one point that the geodesic
-correction needs (``rpg.geodesic.geodesic_gradient``).
+correction needs (``rpg.geodesic.geodesic_gradient``); given the
+``forward_u`` that already forwarded that point, it runs no forward.
 """
 
 from __future__ import annotations
@@ -48,9 +55,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .divergence import (FrozenProbes, freeze_probe_batch, probe_divergence,
-                         probe_field_rows)
-from .errors import BadDimensions, LayoutMismatch, NonFiniteField
+from .divergence import (FrozenProbes, freeze_probe_batch, probe_batch_points,
+                         probe_divergence, probe_field_rows)
+from .errors import BadDimensions, LayoutMismatch
 from .fields import ProbeConfig, default_fd_step
 from .fourier import (build_fourier_pair, build_u, rotate, rotate_transpose,
                       scaling_vector)
@@ -84,25 +91,24 @@ class LayerLayout:
     shapes: tuple
     pool_exempt: int | None = None
     n: int = field(init=False)
+    sizes: tuple = field(init=False)    # entries per part
 
     def __post_init__(self):
         norm = tuple(tuple(int(d) for d in s) for s in self.shapes)
-        if not norm or any(int(np.prod(s)) < 1 for s in norm):
+        sizes = tuple(int(np.prod(s)) for s in norm)
+        if not norm or any(size < 1 for size in sizes):
             raise LayoutMismatch(f"bad layout shapes: {self.shapes}")
         if self.pool_exempt is not None and not (
                 0 <= self.pool_exempt < len(norm)):
             raise LayoutMismatch(
                 f"pool_exempt {self.pool_exempt} out of range")
         object.__setattr__(self, "shapes", norm)
-        object.__setattr__(self, "n", int(sum(np.prod(s) for s in norm)))
+        object.__setattr__(self, "sizes", sizes)
+        object.__setattr__(self, "n", sum(sizes))
 
     @classmethod
     def from_vector(cls, n: int) -> "LayerLayout":
         return cls(shapes=((n,),))
-
-    @property
-    def sizes(self) -> tuple:
-        return tuple(int(np.prod(s)) for s in self.shapes)
 
     @property
     def output_bias_part(self):
@@ -195,6 +201,11 @@ class MetricNetParams:
     head_omega_b: object
     head_sigma_w: object
     head_sigma_b: object
+
+    @property
+    def size(self) -> int:
+        """Number of trainable values, the length of a ``with_flat`` vector."""
+        return sum(a.size for a in self.params_list())
 
     def params_list(self) -> list:
         out = []
@@ -384,44 +395,50 @@ def metric_net_forward(phi: MetricNetParams, theta_layers, keep=False):
     return omega, sigma, acts
 
 
-def _net_backward(phi: MetricNetParams, acts, g_omega, g_sigma,
+def _net_backward(phi: MetricNetParams, acts, g_omega, g_sigma, out,
                   to_theta=False):
-    """(phi-gradients, theta-cotangent) of a batched forward whose
-    (B, m_tilde) outputs carry the cotangents g_omega and g_sigma.
+    """theta-cotangent of a batched forward whose (B, m_tilde) outputs
+    carry the cotangents g_omega and g_sigma; the phi-gradients go to out.
 
-    The phi-gradients come in ``params_list`` order.  Without to_theta,
-    theta is a constant: the first conv stage of a part needs only its
-    kernel gradient, and the theta-cotangent is None.  With to_theta the
+    out is one flat vector of ``phi.size`` values, and each phi-gradient
+    is written straight into its slot, laid out as ``with_flat`` lays out
+    the arrays (``params_list`` order).  Without to_theta, theta is a
+    constant: the first conv stage of a part needs only its kernel
+    gradient, and the theta-cotangent is None.  With to_theta the
     cotangent also continues through each part's first conv stage, or its
     pool when it has no conv stage, to the part's input, and comes back as
     one (B, n) array in the flat theta order.
     """
     part_acts, h_in, z_trunk, h = acts
     g_h = g_omega @ phi.head_omega_w.T + g_sigma @ phi.head_sigma_w.T
-    g_z = g_h * _sigmoid(z_trunk)
-    tail = [h_in.T @ g_z, g_z.sum(axis=0),
-            h.T @ g_omega, g_omega.sum(axis=0),
-            h.T @ g_sigma, g_sigma.sum(axis=0)]
-    g_feats = g_z @ phi.trunk_w.T
+    g_trunk = g_h * _sigmoid(z_trunk)
+    g_feats = g_trunk @ phi.trunk_w.T
 
-    grads, g_parts, at = [], [], 0
+    def put_dense(x, g_z, at):
+        # the (weight, bias) gradients of a dense layer x @ w + b
+        size = x.shape[1] * g_z.shape[1]
+        np.matmul(x.T, g_z, out=out[at:at + size].reshape(x.shape[1], -1))
+        g_z.sum(axis=0, out=out[at + size:at + size + g_z.shape[1]])
+        return at + size + g_z.shape[1]
+
+    g_parts, at, col = [], 0, 0
     for i, (stage_in, flat_len, x, z) in enumerate(part_acts):
         w = phi.part_dense[i][0]
-        g_z = g_feats[:, at:at + w.shape[1]] * _sigmoid(z)
-        at += w.shape[1]
-        kern_grads = []
+        g_z = g_feats[:, col:col + w.shape[1]] * _sigmoid(z)
+        col += w.shape[1]
+        kerns = [kern for kern in phi.part_convs[i] if kern is not None]
         if stage_in or to_theta:
             g = g_z @ w.T
             if i != phi.layout.output_bias_part:
                 _, counts = _pool_windows(flat_len, POOL_SIZE)
                 g = np.repeat(g * (1.0 / counts), counts, axis=-1)
-            kerns = [kern for kern in phi.part_convs[i] if kern is not None]
             for s in reversed(range(len(stage_in))):
                 a = stage_in[s]
                 keys, out_shape = _taps(a.shape, KERNEL, a.ndim - 1)
                 g = g.reshape(out_shape)
-                kern_grads.insert(0, np.array([np.sum(g * a[key])
-                                               for key in keys]))
+                tap_at = at + sum(kern.size for kern in kerns[:s])
+                for t, key in enumerate(keys):
+                    out[tap_at + t] = (g * a[key]).sum()
                 if s or to_theta:
                     g_in = np.zeros(a.shape)
                     for t, key in enumerate(keys):
@@ -429,9 +446,11 @@ def _net_backward(phi: MetricNetParams, acts, g_omega, g_sigma,
                     g = g_in
             if to_theta:
                 g_parts.append(g.reshape(len(g), -1))
-        grads.extend(kern_grads + [x.T @ g_z, g_z.sum(axis=0)])
-    g_theta = np.concatenate(g_parts, axis=1) if to_theta else None
-    return grads + tail, g_theta
+        at = put_dense(x, g_z, at + sum(kern.size for kern in kerns))
+    at = put_dense(h_in, g_trunk, at)
+    at = put_dense(h, g_omega, at)
+    put_dense(h, g_sigma, at)
+    return np.concatenate(g_parts, axis=1) if to_theta else None
 
 
 def build_u_field(phi: MetricNetParams):
@@ -462,27 +481,55 @@ def _through_u(fp, omega, sigma, pts, g_u):
     return g_rot, g_omega, g_sigma
 
 
-def build_u_vjp(phi: MetricNetParams):
+@dataclass(frozen=True)
+class PointForward:
+    """One forward of u at a single point, activations kept.
+
+    pts is the point as a (1, n) batch, omega and sigma the network's
+    (1, m_tilde) outputs, acts what ``_net_backward`` reads, and u the
+    (n,) value u(theta).
+    """
+
+    pts: np.ndarray
+    omega: np.ndarray
+    sigma: np.ndarray
+    acts: tuple
+    u: np.ndarray
+
+
+def forward_u(phi: MetricNetParams, theta) -> PointForward:
+    """u(theta) from one one-row forward that keeps its activations, so
+    that ``build_u_vjp`` can carry a cotangent back without a second
+    forward.  u equals ``build_u_field(phi)(theta)`` bitwise."""
+    pts = np.asarray(theta, dtype=np.float64)[None]
+    omega, sigma, acts = metric_net_forward(
+        phi, phi.layout.unflatten_batch(pts), keep=True)
+    u = build_u(build_fourier_pair(phi.layout.n, phi.m_tilde), omega, sigma,
+                pts)
+    return PointForward(pts=pts, omega=omega, sigma=sigma, acts=acts, u=u[0])
+
+
+def build_u_vjp(phi: MetricNetParams, at: PointForward | None = None):
     """u and its vector-Jacobian product at one point, over fixed phi.
 
     u_vjp(theta, cot) returns (u(theta), (du/dtheta)^T cot) from one
-    forward of one row and one reverse pass.  theta enters u twice: in
+    forward of one row and one reverse pass.  Given at, a ``forward_u``
+    of this phi at the theta the product will be taken at, the forward is
+    reused and only the reverse pass runs.  theta enters u twice: in
     R theta directly, which gives R^T (cot * Omega omega_tilde), and
     through the network's outputs, which ``_net_backward`` carries on to
     its input.
     """
     fp = build_fourier_pair(phi.layout.n, phi.m_tilde)
-    layout = phi.layout
 
     def u_vjp(theta, cot):
-        pts = np.asarray(theta, dtype=np.float64)[None]
-        omega, sigma, acts = metric_net_forward(
-            phi, layout.unflatten_batch(pts), keep=True)
-        u = build_u(fp, omega, sigma, pts)
+        fwd = forward_u(phi, theta) if at is None else at
         g_rot, g_omega, g_sigma = _through_u(
-            fp, omega, sigma, pts, np.asarray(cot, dtype=np.float64)[None])
-        _, g_net = _net_backward(phi, acts, g_omega, g_sigma, to_theta=True)
-        return u[0], (rotate_transpose(fp, sigma, g_rot) + g_net)[0]
+            fp, fwd.omega, fwd.sigma, fwd.pts,
+            np.asarray(cot, dtype=np.float64)[None])
+        g_net = _net_backward(phi, fwd.acts, g_omega, g_sigma,
+                              np.empty(phi.size), to_theta=True)
+        return fwd.u, (rotate_transpose(fp, fwd.sigma, g_rot) + g_net)[0]
 
     return u_vjp
 
@@ -513,15 +560,17 @@ class Adam:
         params -= self.lr * (self.m / b1c) / (np.sqrt(self.v / b2c) + self.eps)
 
 
-def evaluate_divergence_loss(phi: MetricNetParams, ctx: FrozenProbes):
-    """(div, loss, phi-gradients) for the frozen probe batch.
+def evaluate_divergence_loss(phi: MetricNetParams, ctx: FrozenProbes,
+                             out: np.ndarray | None = None):
+    """(div, loss, phi-gradient) for the frozen probe batch.
 
     One numpy forward re-evaluates u through the network at every frozen
     point and keeps its activations; the gradient field enters as
     constants.  ``probe_divergence`` carries d loss back to u; a reverse
     pass continues through the Fourier scaling and rotation and the
-    network (``_net_backward``).  The gradients come in
-    ``phi.params_list()`` order.
+    network (``_net_backward``).  The gradient is one flat vector laid out
+    like ``phi.with_flat``'s (arrays in ``params_list`` order), written
+    into out when given.
     """
     fp = build_fourier_pair(phi.layout.n, phi.m_tilde)
     pts = ctx.points
@@ -530,8 +579,10 @@ def evaluate_divergence_loss(phi: MetricNetParams, ctx: FrozenProbes):
     u = build_u(fp, omega, sigma, pts)
     div, vjp = probe_divergence(u, ctx)
     _, g_omega, g_sigma = _through_u(fp, omega, sigma, pts, vjp(2.0 * div))
-    grads, _ = _net_backward(phi, acts, g_omega, g_sigma)
-    return float(div), float(div * div), grads
+    if out is None:
+        out = np.empty(phi.size)
+    _net_backward(phi, acts, g_omega, g_sigma, out)
+    return float(div), float(div * div), out
 
 
 def _kick_heads(phi: MetricNetParams, rng: RngStream, scale: float) -> None:
@@ -550,11 +601,19 @@ def train_metric_net(phi: MetricNetParams, theta: np.ndarray, grad_fn,
     history records one (iter, div, loss) triple per completed iteration,
     always describing the best iterate seen so far — the curve is exactly
     non-increasing in loss, and the final entry describes the returned phi.
-    The gradient field is evaluated once, over theta and all max_iters
-    iterations' probe rows; a non-finite value at theta ends the pass
-    before its first iteration.  A non-finite loss, u field, or gradient
-    row of the current iteration aborts the loop there; the incumbent is
-    returned unchanged.  Adam works on one flat copy of phi's arrays.
+
+    Once per pass: the probe draws of all max_iters iterations, one
+    gradient-field call over theta and all their probe rows, the first
+    iteration whose field rows are not all finite (a non-finite value at
+    theta is the first, and the pass ends before it), the points buffer
+    of a frozen batch with theta in its last row, and theta split into
+    the layout's parts.  Per iteration, only what depends on phi: u(theta)
+    (one one-row forward), the batch's probe rows copied in and
+    theta +- eps*J0 written (``freeze_probe_batch``), and the loss and its
+    phi-gradient (``evaluate_divergence_loss``, written into one flat
+    buffer), then an Adam step or a kick.  A non-finite u(theta) or loss
+    aborts the loop at its iteration; the incumbent is returned unchanged.
+    Adam works on one flat copy of phi's arrays.
     """
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
@@ -564,6 +623,7 @@ def train_metric_net(phi: MetricNetParams, theta: np.ndarray, grad_fn,
 
     flat = np.concatenate([np.ravel(a) for a in phi.params_list()])
     work = phi.with_flat(flat)
+    grad = np.empty_like(flat)
     adam = Adam(flat.size, lr=lr)
     best = flat.copy()
     best_loss, best_div = np.inf, np.nan
@@ -572,28 +632,36 @@ def train_metric_net(phi: MetricNetParams, theta: np.ndarray, grad_fn,
     probes = np.stack([rademacher_matrix(probe_rng, pc.probe_count, theta.size)
                        for _ in range(max_iters)])
     eps = default_fd_step(theta)
-    g0, probe_grads = probe_field_rows(grad_fn, theta, probes, eps)
+    g0, probe_grads, rows = probe_field_rows(grad_fn, theta, probes, eps)
+    finite = np.isfinite(probe_grads).all(axis=(1, 2)) & np.isfinite(g0).all()
+    stop = max_iters if finite.all() else int(finite.argmin())
+    points = probe_batch_points(rows[0], theta)
+    k2 = rows.shape[1]
+    theta_row = theta[None]
+    theta_layers = phi.layout.unflatten_batch(theta_row)
+    fp = build_fourier_pair(theta.size, phi.m_tilde)
 
-    try:
-        for it in range(max_iters):
-            ctx = freeze_probe_batch(build_u_field(work)(theta), theta, g0,
-                                     probes[it], probe_grads[it], eps)
-            div, loss, grads = evaluate_divergence_loss(work, ctx)
-            if not np.isfinite(loss):
-                break
-            if loss < best_loss:
-                best_loss, best_div = loss, div
-                best = flat.copy()
-            history.append((it, best_div, best_loss))
-            grad = np.concatenate([np.ravel(g) for g in grads])
-            if loss > 0.0 and not np.any(grad):
-                # Exact saddle of the zero-head start: every loss derivative
-                # carries a factor of u, which is identically 0.0 here.
-                _kick_heads(work, kick_rng, kick_scale)
-            else:
-                adam.step(flat, grad)
-    except NonFiniteField:
-        pass  # the incumbent stands
+    for it in range(stop):
+        omega, sigma, _ = metric_net_forward(work, theta_layers)
+        u0 = build_u(fp, omega, sigma, theta_row)[0]
+        if not np.isfinite(u0).all():
+            break
+        points[:k2] = rows[it]
+        ctx = freeze_probe_batch(points, u0, g0, probes[it], probe_grads[it],
+                                 eps)
+        div, loss, _ = evaluate_divergence_loss(work, ctx, grad)
+        if not np.isfinite(loss):
+            break
+        if loss < best_loss:
+            best_loss, best_div = loss, div
+            best[:] = flat
+        history.append((it, best_div, best_loss))
+        if loss > 0.0 and not grad.any():
+            # Exact saddle of the zero-head start: every loss derivative
+            # carries a factor of u, which is identically 0.0 here.
+            _kick_heads(work, kick_rng, kick_scale)
+        else:
+            adam.step(flat, grad)
     return phi.with_flat(best), history
 
 

@@ -22,7 +22,8 @@ import numpy as np
 
 from .divergence import (covariant_laplacian_oracle, divergence_exact,
                          freeze_probe_batch, hessian_trace_hutchinson,
-                         laplace_beltrami_oracle, probe_field_rows)
+                         laplace_beltrami_oracle, probe_batch_points,
+                         probe_field_rows)
 from .errors import DegenerateSpectrum
 from .fields import ProbeConfig, default_fd_step
 from .fourier import (build_fourier_pair, check_exp_decomposition,
@@ -283,10 +284,13 @@ def suite_metric_training():
         a += r.uniform(-0.05, 0.05, a.shape)
     probes = rademacher_matrix(RngStream(0), 8, theta.size)
     eps = default_fd_step(theta)
-    g0, probe_grads = probe_field_rows(grad_fn, theta, probes[None], eps)
-    ctx = freeze_probe_batch(build_u_field(phi)(theta), theta, g0, probes,
+    g0, probe_grads, points = probe_field_rows(grad_fn, theta,
+                                               probes[None], eps)
+    ctx = freeze_probe_batch(probe_batch_points(points[0], theta),
+                             build_u_field(phi)(theta), g0, probes,
                              probe_grads[0], eps)
-    _, _, grads = evaluate_divergence_loss(phi, ctx)
+    _, _, grad = evaluate_divergence_loss(phi, ctx)
+    grads = phi.with_flat(grad).params_list()
     arrs = phi.params_list()
     picks = [(0, 0), (len(arrs) - 6, 0), (len(arrs) - 4, 0),
              (len(arrs) - 2, 0), (len(arrs) - 1, 0)]

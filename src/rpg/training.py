@@ -24,12 +24,12 @@ import numpy as np
 
 from .divergence import DivergenceReport, divergence_report
 from .envs import lqr_return_gradient, make_env
-from .errors import NonFiniteField
+from .errors import ConfigError, NonFiniteField
 from .fields import ProbeConfig
 from .geodesic import geodesic_gradient
 from .metric import MetricPoint, inverse_apply
 from .metricnet import (MetricNetConfig, build_u_field, build_u_vjp,
-                        init_params, train_metric_net)
+                        forward_u, init_params, train_metric_net)
 from .policy import (LinearGainPolicy, ParamPolicy, PolicyMLP,
                      evaluation_returns, reinforce_field,
                      reinforce_gradient_from_batch, rollout)
@@ -165,10 +165,12 @@ def regularize_step(theta, grad, phi, cfg, grad_fn, probe_cfg):
     J/T: the metric net is refined in place (<= cfg.metric_iters iterations,
     warm-started from phi) unless cfg.freeze_phi, the divergence diagnostics
     are computed with shared probes, and the direction is J = G^-1 grad,
-    at the u(theta) the report forwarded (``DivergenceReport.u0``), or,
-    for T, the geodesic direction built on top of it, whose correction
+    or, for T, the geodesic direction built on top of it, whose correction
     takes one vector-Jacobian product of u with cotangent J
-    (``build_u_vjp``: one metric-net row, whatever n is).  If gating is
+    (``build_u_vjp``: one reverse pass, whatever n is).  u(theta) is
+    forwarded once at the final phi (``forward_u``): the report freezes
+    its batch with it, J uses it, and T's product reuses its activations.
+    If gating is
     enabled and the divergence ratio is >= 1, or if any field evaluation or
     direction turns non-finite, the direction falls back to the plain
     gradient; the fallback marks the report with ratio = inf so the record
@@ -191,12 +193,14 @@ def regularize_step(theta, grad, phi, cfg, grad_fn, probe_cfg):
             return grad.copy(), _fallback_report(), phi
 
     try:
+        at_theta = forward_u(new_phi, theta)
         report = divergence_report(grad_fn, build_u_field(new_phi), theta,
-                                   probe_cfg)
+                                   probe_cfg, u0=at_theta.u)
         direction = inverse_apply(MetricPoint(report.u0), grad)
         if cfg.variant == "T":
-            direction = geodesic_gradient(build_u_vjp(new_phi), theta,
-                                          direction, cfg.resolved_kappa())
+            direction = geodesic_gradient(build_u_vjp(new_phi, at_theta),
+                                          theta, direction,
+                                          cfg.resolved_kappa())
         if not np.all(np.isfinite(direction)):
             raise NonFiniteField("regularized direction")
     except NonFiniteField:
@@ -285,10 +289,11 @@ def run_training(cfg):
     fresh batch its update gradient comes from; the analytic backend takes
     the closed-form field at theta and counts the episodes unplayed.
 
-    Aborts with a partial summary (records so far, aborted=True) as soon as
-    the policy parameters, or the evaluation of a new policy, stop being
-    finite; the update that failed leaves no record, so final_return is the
-    last finite evaluation.
+    Raises ConfigError when a J/T run's m_tilde is not below the policy's
+    parameter count.  Aborts with a partial summary (records so far,
+    aborted=True) as soon as the policy parameters, or the evaluation of a
+    new policy, stop being finite; the update that failed leaves no record,
+    so final_return is the last finite evaluation.
     """
     root = RngStream(cfg.seed)
     env = make_env(cfg.env_kind, **cfg.env_params)
@@ -299,6 +304,10 @@ def run_training(cfg):
     phi = None
     if cfg.variant in ("J", "T"):
         m_tilde = cfg.m_tilde or max(1, min(3, n_params - 1))
+        if not m_tilde < n_params:
+            raise ConfigError(
+                f"m_tilde = {m_tilde} must be below n = {n_params}, the "
+                f"policy's parameter count")
         phi = init_params(root.spawn("phi-init"),
                           MetricNetConfig(m_tilde=m_tilde), policy.layout)
 

@@ -2,13 +2,16 @@
 
 import numpy as np
 
+from rpg.divergence import FrozenProbes
 from rpg.envs import lqr_return_gradient
-from rpg.errors import BadDimensions
+from rpg.errors import BadDimensions, NonFiniteField
 from rpg.fields import default_fd_step, eval_points, require_finite
 from rpg.geodesic import _fd_points
 from rpg.metric import MetricPoint, bilinear_form, inverse_apply
+from rpg.metricnet import (Adam, _kick_heads, build_u_field,
+                           evaluate_divergence_loss)
 from rpg.policy import reinforce_gradient_from_batch, rollout
-from rpg.rng import RngStream
+from rpg.rng import RngStream, rademacher_matrix
 
 
 def lqr_analytic_gradient(k, env, horizon, gamma=0.99,
@@ -94,3 +97,63 @@ def fd_geodesic_gradient(u_field, theta, grad_j, kappa):
     u0 = require_finite(eval_points(u_field, theta[None])[0],
                         "metric factor field")
     return grad_j + kappa * inverse_apply(MetricPoint(u0), grad_q)
+
+
+def reference_train_metric_net(phi, theta, grad_fn, pc, max_iters=20,
+                               lr=1e-3, kick_scale=1e-2):
+    """The metric-net training loop with every step redone per iteration.
+
+    The reference for ``rpg.metricnet.train_metric_net``, which does the
+    work that does not depend on phi once per pass.  Here each iteration
+    builds a u field closure to forward u(theta), checks g0 and its own
+    probe rows for finiteness, builds its 2K + 3 frozen points anew and
+    takes J0 through a ``MetricPoint``; a NonFiniteField from any of these
+    ends the loop.  The field is still called once, over theta and every
+    iteration's probe rows.
+    """
+    theta = np.asarray(theta, dtype=np.float64)
+    probe_rng = RngStream(pc.seed).spawn("alg1-probes")
+    kick_rng = RngStream(pc.seed).spawn("alg1-kick")
+
+    flat = np.concatenate([np.ravel(a) for a in phi.params_list()])
+    work = phi.with_flat(flat)
+    adam = Adam(flat.size, lr=lr)
+    best = flat.copy()
+    best_loss, best_div = np.inf, np.nan
+    history = []
+
+    probes = np.stack([rademacher_matrix(probe_rng, pc.probe_count, theta.size)
+                       for _ in range(max_iters)])
+    eps = default_fd_step(theta)
+    shifted = np.stack([theta + eps * probes, theta - eps * probes], axis=1)
+    out = eval_points(grad_fn, np.concatenate(
+        [theta[None], shifted.reshape(-1, theta.size)]))
+    g0, probe_grads = out[0], out[1:].reshape(max_iters, -1, theta.size)
+
+    try:
+        for it in range(max_iters):
+            u0 = build_u_field(work)(theta)
+            require_finite(g0, "gradient field")
+            grads = require_finite(probe_grads[it], "gradient field")
+            j0 = inverse_apply(MetricPoint(u0), g0)
+            pts = np.concatenate([theta + eps * probes[it],
+                                  theta - eps * probes[it],
+                                  (theta + eps * j0)[None],
+                                  (theta - eps * j0)[None],
+                                  theta[None]])
+            ctx = FrozenProbes(points=pts, probes=probes[it], grads=grads,
+                               eps=eps)
+            div, loss, grad = evaluate_divergence_loss(work, ctx)
+            if not np.isfinite(loss):
+                break
+            if loss < best_loss:
+                best_loss, best_div = loss, div
+                best = flat.copy()
+            history.append((it, best_div, best_loss))
+            if loss > 0.0 and not np.any(grad):
+                _kick_heads(work, kick_rng, kick_scale)
+            else:
+                adam.step(flat, grad)
+    except NonFiniteField:
+        pass
+    return phi.with_flat(best), history

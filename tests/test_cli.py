@@ -83,6 +83,22 @@ def test_train_invalid_gamma_exits_1(tmp_path, capsys):
     assert "gamma" in err and "line 3" in err
 
 
+def test_train_m_tilde_not_below_n_exits_1(tmp_path, capsys):
+    # scalar LQR has n = 2 policy parameters; baseline never reads m_tilde
+    text = "[run]\nvariant = J\n[env]\nkind = lqr\n[metric]\nm_tilde = 5\n"
+    cfg = write_cfg(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["train", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}: ")
+    assert "m_tilde = 5" in err and "n = 2" in err
+    assert not out.exists()
+    baseline = write_cfg(tmp_path, text.replace("variant = J",
+                                                "variant = baseline"),
+                         name="baseline.cfg")
+    assert main(["train", str(baseline), "--out", str(out)]) == 0
+
+
 def test_train_missing_config_exits_1(tmp_path, capsys):
     assert main(["train", str(tmp_path / "absent.cfg")]) == 1
     assert "cannot read config" in capsys.readouterr().err

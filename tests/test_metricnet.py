@@ -15,7 +15,8 @@ import pytest
 
 import rpg.metricnet
 import tape_reference as tape
-from helpers import fd_geodesic_gradient, fd_pullback
+from helpers import (fd_geodesic_gradient, fd_pullback,
+                     reference_train_metric_net)
 from rpg.divergence import divergence_report, hessian_trace_hutchinson
 from rpg.envs import make_env
 from rpg.errors import BadDimensions, LayoutMismatch
@@ -25,8 +26,8 @@ from rpg.metricnet import (LayerLayout, MetricNetConfig, build_u_field,
                            build_u_vjp,
                            evaluate_divergence_loss, freeze_probe_batch,
                            init_params, load_params, metric_net_forward,
-                           params_to_json, probe_field_rows, save_params,
-                           train_metric_net)
+                           params_to_json, probe_batch_points,
+                           probe_field_rows, save_params, train_metric_net)
 from rpg.policy import LinearGainPolicy, PolicyMLP
 from rpg.rng import RngStream, rademacher_matrix
 from tape_reference import DiffGraph, add, mul, reduce_sum
@@ -237,7 +238,8 @@ def test_fused_loss_matches_tape_reference(layout):
     d = 1.0 + np.arange(layout.n) / layout.n
     ctx = freeze(phi, pts[0], lambda p: p * d + np.sin(p),
                  ProbeConfig(probe_count=8, seed=6))
-    div, loss, grads = evaluate_divergence_loss(phi, ctx)
+    div, loss, grad = evaluate_divergence_loss(phi, ctx)
+    grads = phi.with_flat(grad).params_list()
     ref_div, ref_loss, ref_grads = tape.evaluate_divergence_loss(phi, ctx)
     assert abs(div - ref_div) <= 1e-12 * abs(ref_div)
     assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
@@ -311,9 +313,10 @@ def test_initial_ratio_is_exactly_one():
 # ---------------------------------------------------------------- training
 
 
-def quad_fixture(n=8):
+def quad_fixture(n=8, layout=None):
+    layout = layout or LayerLayout.from_vector(n)
+    n = layout.n
     d = np.arange(1.0, n + 1.0)
-    layout = LayerLayout.from_vector(n)
     grad_fn = lambda p: p * d
     theta = 0.5 * np.ones(n)
     return layout, grad_fn, theta, d
@@ -323,16 +326,22 @@ def freeze(phi, theta, grad_fn, pc):
     """One frozen batch at pc's own probe draw, field rows from one call."""
     probes = rademacher_matrix(RngStream(pc.seed), pc.probe_count, theta.size)
     eps = default_fd_step(theta)
-    g0, probe_grads = probe_field_rows(grad_fn, theta, probes[None], eps)
-    return freeze_probe_batch(build_u_field(phi)(theta), theta, g0, probes,
+    g0, probe_grads, rows = probe_field_rows(grad_fn, theta, probes[None],
+                                             eps)
+    return freeze_probe_batch(probe_batch_points(rows[0], theta),
+                              build_u_field(phi)(theta), g0, probes,
                               probe_grads[0], eps)
 
 
-@pytest.mark.parametrize("layout, m_tilde", [
+# the bowl (4-vector), LQR and pointmass PolicyMLP policy layouts
+over_policy_layouts = pytest.mark.parametrize("layout, m_tilde", [
     (LayerLayout.from_vector(4), 3),
     (LayerLayout(shapes=((1, 1), (1,))), 1),
     (pointmass_layout(), 3),
 ], ids=["vector", "lqr", "pointmass"])
+
+
+@over_policy_layouts
 def test_report_div_is_loss_div_bitwise(layout, m_tilde):
     """The report and the metric loss share one probe estimator: for the
     same phi and probe draw their div agrees in every bit."""
@@ -352,10 +361,10 @@ def test_zero_head_start_is_exact_saddle():
     layout, grad_fn, theta, d = quad_fixture()
     phi = init_params(RngStream(30), MetricNetConfig(m_tilde=3), layout)
     ctx = freeze(phi, theta, grad_fn, ProbeConfig(probe_count=8))
-    div, loss, grads = evaluate_divergence_loss(phi, ctx)
+    div, loss, grad = evaluate_divergence_loss(phi, ctx)
     assert div == pytest.approx(float(np.sum(d)), abs=1e-9)
     assert loss > 0
-    assert all(np.all(g == 0.0) for g in grads)
+    assert grad.shape == (phi.size,) and np.all(grad == 0.0)
 
 
 def test_initial_divergence_matches_hutchinson():
@@ -377,7 +386,7 @@ def test_phi_gradient_matches_fd():
               phi.head_sigma_w, phi.head_sigma_b):
         a += r.uniform(-0.05, 0.05, a.shape)
     ctx = freeze(phi, theta, grad_fn, ProbeConfig(probe_count=8))
-    _, _, grads = evaluate_divergence_loss(phi, ctx)
+    grads = phi.with_flat(evaluate_divergence_loss(phi, ctx)[2]).params_list()
 
     arrs = phi.params_list()
     picks = [(0, 0), (len(arrs) - 6, 0), (len(arrs) - 4, 0),
@@ -411,7 +420,7 @@ def test_phi_gradient_matches_fd_on_2d_kernels():
     theta = RngStream(53).normal((layout.n,))
     d = 1.0 + np.arange(layout.n) / layout.n
     ctx = freeze(phi, theta, lambda p: p * d, ProbeConfig(probe_count=8))
-    _, _, grads = evaluate_divergence_loss(phi, ctx)
+    grads = phi.with_flat(evaluate_divergence_loss(phi, ctx)[2]).params_list()
 
     arrs = phi.params_list()
     second_2d = next(i for i, a in enumerate(arrs)
@@ -532,6 +541,73 @@ def test_train_evaluates_field_once_per_pass(max_iters):
     train_metric_net(phi, theta, field, ProbeConfig(probe_count=4, seed=3),
                      max_iters=max_iters)
     assert calls == [(1 + 2 * 4 * max_iters, theta.size)]
+
+
+@over_policy_layouts
+@pytest.mark.parametrize("case", ["kick", "nan-row", "inf-trunk"])
+def test_train_matches_reference_loop_bitwise(layout, m_tilde, case,
+                                              monkeypatch):
+    """The loop that does its per-pass work once returns the phi arrays
+    and history of the loop that redoes it every iteration, bit for bit:
+    from the zero-head start (which kicks), with a NaN field row in
+    iteration 2's probes, and with an infinite trunk weight."""
+    _, grad_fn, theta, d = quad_fixture(layout=layout)
+    pc = ProbeConfig(probe_count=4, seed=3)
+    phi = init_params(RngStream(36), MetricNetConfig(m_tilde=m_tilde), layout)
+    if case == "nan-row":
+        def grad_fn(pts):
+            # the pass's one call: theta, then 2K rows per iteration
+            out = pts * d
+            out[1 + 2 * 2 * pc.probe_count] = np.nan
+            return out
+    if case == "inf-trunk":
+        phi.trunk_w[0, 0] = np.inf
+    kicks = []
+    kick = rpg.metricnet._kick_heads
+    monkeypatch.setattr(rpg.metricnet, "_kick_heads",
+                        lambda *args: kicks.append(kick(*args)))
+
+    with np.errstate(invalid="ignore", over="ignore"):
+        out, history = train_metric_net(phi, theta, grad_fn, pc, max_iters=5)
+        ref, ref_history = reference_train_metric_net(phi, theta, grad_fn, pc,
+                                                      max_iters=5)
+    assert history == ref_history
+    assert all(np.array_equal(a, b)
+               for a, b in zip(out.params_list(), ref.params_list()))
+    if case == "kick":
+        assert len(kicks) == 1 and len(history) == 5
+    elif case == "nan-row":
+        assert [it for it, _, _ in history] == [0, 1]
+    else:
+        assert history == [] and np.isinf(out.trunk_w[0, 0])
+
+
+@pytest.mark.parametrize("max_iters", [1, 4])
+def test_train_forwards_twice_per_iteration_via_module_names(max_iters,
+                                                             monkeypatch):
+    """Each iteration forwards u(theta) on one row and its frozen batch on
+    2K + 3 rows, and no more.  The loop looks up the names that
+    perfbench/tracer.py patches in rpg.metricnet at call time."""
+    layout, grad_fn, theta, _ = quad_fixture()
+    calls = {}
+    for name in ("metric_net_forward", "build_u", "evaluate_divergence_loss",
+                 "freeze_probe_batch"):
+        def counting(*args, _fn=getattr(rpg.metricnet, name),
+                     _seen=calls.setdefault(name, []), **kwargs):
+            _seen.append(args)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(rpg.metricnet, name, counting)
+
+    phi = init_params(RngStream(36), MetricNetConfig(m_tilde=3), layout)
+    _, history = train_metric_net(phi, theta, grad_fn,
+                                  ProbeConfig(probe_count=4, seed=3),
+                                  max_iters=max_iters)
+    assert len(history) == max_iters
+    rows = [len(args[1][0]) for args in calls["metric_net_forward"]]
+    assert rows == [1, 2 * 4 + 3] * max_iters
+    assert len(calls["build_u"]) == 2 * max_iters
+    assert len(calls["evaluate_divergence_loss"]) == max_iters
+    assert len(calls["freeze_probe_batch"]) == max_iters
 
 
 def test_train_rejects_zero_iters():

@@ -17,7 +17,9 @@ from rpg.envs import lqr_expected_return, make_env, riccati_gain
 from rpg.errors import NonFiniteField
 from rpg.fields import ProbeConfig
 from rpg.metric import MetricPoint, inverse_apply
-from rpg.metricnet import MetricNetConfig, build_u_field, init_params
+from rpg.geodesic import geodesic_gradient
+from rpg.metricnet import (MetricNetConfig, build_u_field, build_u_vjp,
+                           init_params)
 from rpg.policy import LinearGainPolicy, ParamPolicy
 from rpg.rng import RngStream
 from rpg.training import (TrainConfig, _build_policy, _gradient_field,
@@ -229,15 +231,11 @@ def test_variant_j_preserves_ascent_direction():
         assert float(direction @ grad) > 0.0
 
 
-def test_j_update_forwards_u_at_theta_once(monkeypatch):
-    # after metric training, u(theta) is forwarded once, for the report's
-    # frozen batch, and J = G^-1 grad reuses that row bitwise
+def forward_rows_after_training(monkeypatch, cfg):
+    """regularize_step on a 4-dim bowl, with the rows of every metric-net
+    forward made after metric training: (direction, report, phi, rows)."""
     env, grad_fn = bowl_field(4)
-    cfg = TrainConfig(env_kind="landscape", variant="J", probe_count=8,
-                      metric_iters=3)
     theta = np.array([0.4, -0.7, 0.2, 0.9])
-    grad = grad_fn(theta)
-    probe_cfg = ProbeConfig(probe_count=8, seed=2)
     forward = rpg.metricnet.metric_net_forward
     train = rpg.training.train_metric_net
     trained, rows = [False], []
@@ -254,14 +252,41 @@ def test_j_update_forwards_u_at_theta_once(monkeypatch):
 
     monkeypatch.setattr(rpg.metricnet, "metric_net_forward", counting)
     monkeypatch.setattr(rpg.training, "train_metric_net", training)
-    direction, report, phi = regularize_step(theta, grad, fresh_phi(4), cfg,
-                                             grad_fn, probe_cfg)
-    assert rows.count(1) == 1
-    assert len(rows) == 2       # that row, then the frozen batch
+    out = regularize_step(theta, grad_fn(theta), fresh_phi(4), cfg, grad_fn,
+                          ProbeConfig(probe_count=8, seed=2))
+    return out + (rows,)
+
+
+def test_j_update_forwards_u_at_theta_once(monkeypatch):
+    # after metric training, u(theta) is forwarded once, for the report's
+    # frozen batch, and J = G^-1 grad reuses that row bitwise
+    cfg = TrainConfig(env_kind="landscape", variant="J", probe_count=8,
+                      metric_iters=3)
+    direction, report, phi, rows = forward_rows_after_training(monkeypatch,
+                                                               cfg)
+    assert rows == [1, 2 * 8 + 3]    # that row, then the frozen batch
+    theta = np.array([0.4, -0.7, 0.2, 0.9])
     u0 = build_u_field(phi)(theta)
     assert np.array_equal(report.u0, u0)
     assert np.array_equal(direction,
-                          inverse_apply(MetricPoint(u0), grad))
+                          inverse_apply(MetricPoint(u0),
+                                        bowl_field(4)[1](theta)))
+
+
+def test_t_update_forwards_u_at_theta_once(monkeypatch):
+    # T's vector-Jacobian product reuses the one-row forward at theta that
+    # the report froze its batch with, and T is the same bits as with a
+    # product that forwards theta afresh
+    cfg = TrainConfig(env_kind="landscape", variant="T", probe_count=8,
+                      metric_iters=3, gate_enabled=False)
+    direction, report, phi, rows = forward_rows_after_training(monkeypatch,
+                                                               cfg)
+    assert rows == [1, 2 * 8 + 3]
+    theta = np.array([0.4, -0.7, 0.2, 0.9])
+    grad_j = inverse_apply(MetricPoint(build_u_field(phi)(theta)),
+                           bowl_field(4)[1](theta))
+    assert np.array_equal(direction, geodesic_gradient(
+        build_u_vjp(phi), theta, grad_j, cfg.resolved_kappa()))
 
 
 def test_algorithm_step_lowers_median_ratio_variant_t():
