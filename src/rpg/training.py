@@ -170,11 +170,11 @@ def regularize_step(theta, grad, phi, cfg, grad_fn, probe_cfg):
     (``build_u_vjp``: one reverse pass, whatever n is).  u(theta) is
     forwarded once at the final phi (``forward_u``): the report freezes
     its batch with it, J uses it, and T's product reuses its activations.
-    If gating is
-    enabled and the divergence ratio is >= 1, or if any field evaluation or
-    direction turns non-finite, the direction falls back to the plain
-    gradient; the fallback marks the report with ratio = inf so the record
-    stays visibly flagged while keeping the gate bookkeeping exact.
+    If gating is enabled and the divergence ratio is >= 1, or if any field
+    evaluation or direction turns non-finite, the direction falls back to
+    the plain gradient; the fallback marks the report with ratio = inf so
+    the record stays visibly flagged while keeping the gate bookkeeping
+    exact.
     """
     theta = np.asarray(theta, dtype=float)
     grad = np.asarray(grad, dtype=float)
