@@ -99,7 +99,7 @@ class FrozenProbes:
     Rows of points: [0:K] theta+eps*v, [K:2K] theta-eps*v, then theta+eps*J0,
     theta-eps*J0, theta itself.  grads holds the gradient field at the first
     2K rows only — the volume term needs no gradients — sliced from a
-    single field call (``probe_field_rows``).
+    field call that covers them (``probe_field_rows``).
     """
 
     points: np.ndarray
@@ -108,24 +108,49 @@ class FrozenProbes:
     eps: float
 
 
+@dataclass(frozen=True)
+class ProbeRows:
+    """The gradient field at theta and at the probe rows of I probe matrices.
+
+    probes stacks the matrices, shape (I, K, n); rows[i] holds the (2K, n)
+    points theta + eps*V_i then theta - eps*V_i, and grads[i] the field at
+    them; g0 is grad f(theta).  Slicing with ``rows[a:b]`` keeps the
+    matrices a..b-1 and the shared g0 and eps.  Nothing is checked for
+    finiteness: each consumer checks the rows it uses.
+    """
+
+    probes: np.ndarray
+    eps: float
+    g0: np.ndarray
+    grads: np.ndarray
+    rows: np.ndarray
+
+    def __getitem__(self, which: slice) -> "ProbeRows":
+        return ProbeRows(probes=self.probes[which], eps=self.eps, g0=self.g0,
+                         grads=self.grads[which], rows=self.rows[which])
+
+
 def probe_field_rows(grad_fn, theta: np.ndarray, probes: np.ndarray,
-                     eps: float):
+                     eps: float) -> ProbeRows:
     """Gradient field at theta and at every probe row, in one field call.
 
     probes stacks I probe matrices, shape (I, K, n).  The call covers
-    [theta; theta + eps*V_1; theta - eps*V_1; ...; theta - eps*V_I] and
-    returns (g0, grads, rows): g0 = grad f(theta), grads[i] the (2K, n)
-    field rows of iteration i, plus rows first, and rows[i] the (2K, n)
-    points they were taken at, theta + eps*V_i then theta - eps*V_i.
-    Nothing is checked for finiteness here: each consumer checks the
-    rows it uses.
+    [theta; theta + eps*V_1; theta - eps*V_1; ...; theta - eps*V_I], one
+    row per point.
     """
     theta = np.asarray(theta, dtype=np.float64)
     rows = np.stack([theta + eps * probes, theta - eps * probes], axis=1)
     rows = rows.reshape(rows.shape[0], -1, theta.size)
     out = eval_points(grad_fn, np.concatenate(
         [theta[None], rows.reshape(-1, theta.size)]))
-    return out[0], out[1:].reshape(rows.shape), rows
+    return ProbeRows(probes=probes, eps=eps, g0=out[0],
+                     grads=out[1:].reshape(rows.shape), rows=rows)
+
+
+def report_probes(pc: ProbeConfig, n: int) -> np.ndarray:
+    """The report's one (K, n) probe matrix, drawn from ``RngStream(pc.seed)``
+    and so distinct from the metric net's training probes."""
+    return rademacher_matrix(RngStream(pc.seed), pc.probe_count, n)
 
 
 def probe_batch_points(rows: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -198,28 +223,34 @@ def probe_divergence(u: np.ndarray, ctx: FrozenProbes):
 
 
 def divergence_report(grad_fn, u_fn, theta: np.ndarray, pc: ProbeConfig,
-                      u0: np.ndarray | None = None) -> DivergenceReport:
+                      u0: np.ndarray | None = None,
+                      field_rows: ProbeRows | None = None) -> DivergenceReport:
     """Estimated divergence and Hessian trace from one shared probe draw.
 
     The trace is the same estimate at u = 0, where J = grad f and Div J is
     the Laplacian: its probe sum runs over the raw gradient rows.  So the
     two are identical when u = 0, and the ratio is exactly 1 at the
-    Euclidean start rather than 1 +- probe noise.  One gradient-field call
-    covers theta and the 2K probe rows.  The report carries u(theta):
-    u0 when the caller has already forwarded it, else one u_fn row.  A
+    Euclidean start rather than 1 +- probe noise.  The field enters at
+    theta and at the 2K rows of the probe matrix ``report_probes(pc, n)``:
+    field_rows, when the caller has evaluated them already in a larger
+    field call (one probe matrix; grad_fn is then not called), else one
+    grad_fn call over those 2K + 1 rows.  The report carries u(theta): u0
+    when the caller has already forwarded it, else one u_fn row.  A
     non-finite u or field value raises NonFiniteField.
     """
     theta = np.asarray(theta, dtype=np.float64)
-    eps = default_fd_step(theta)
-    probes = rademacher_matrix(RngStream(pc.seed), pc.probe_count, theta.size)
-    g0, grads, rows = probe_field_rows(grad_fn, theta, probes[None], eps)
+    if field_rows is None:
+        field_rows = probe_field_rows(
+            grad_fn, theta, report_probes(pc, theta.size)[None],
+            default_fd_step(theta))
     if u0 is None:
         u0 = eval_points(u_fn, theta[None])[0]
     require_finite(u0, "metric factor field")
-    require_finite(g0, "gradient field")
-    require_finite(grads, "gradient field")
-    ctx = freeze_probe_batch(probe_batch_points(rows[0], theta), u0, g0,
-                             probes, grads[0], eps)
+    require_finite(field_rows.g0, "gradient field")
+    require_finite(field_rows.grads, "gradient field")
+    ctx = freeze_probe_batch(probe_batch_points(field_rows.rows[0], theta),
+                             u0, field_rows.g0, field_rows.probes[0],
+                             field_rows.grads[0], field_rows.eps)
     us = require_finite(eval_points(u_fn, ctx.points), "metric factor field")
     div, _ = probe_divergence(us, ctx)
     trace, _ = probe_divergence(np.zeros_like(ctx.points), ctx)

@@ -18,13 +18,16 @@ gradient bitwise.
 ``train_metric_net`` drives the squared probe-estimated divergence toward
 zero in the network parameters phi.  No gradient-field value depends on phi,
 so everything that does not is done once per pass: the probe vectors of
-every iteration are drawn up front, the field is evaluated once, at theta
-and at every iteration's theta +- eps*v rows, the first iteration with a
-non-finite field row is found, and theta is split into its layout parts
-and placed in one reused frozen-points buffer.  Per iteration the loop
-forwards u(theta), copies its probe rows into the buffer and writes the
-two points theta +- eps*J displaced along the current field; the field
-values, probe vectors and points are then frozen as constants.  Only
+every iteration are drawn up front, the field values at theta and at
+every iteration's theta +- eps*v rows come from one field call (the
+pass's own, or the one call of a training update, which also covers the
+divergence report's rows; ``rpg.training.regularize_step``), the first
+iteration with a non-finite field row is found, and theta is split into
+its layout parts and placed in one reused frozen-points buffer.  Per
+iteration the loop forwards u(theta), copies its probe rows into the
+buffer and writes the two points theta +- eps*J displaced along the
+current field; the field values, probe vectors and points are then
+frozen as constants.  Only
 u(., phi) depends on phi, so the loss is differentiable in phi
 without differentiating the objective's gradient field.  The loss squares
 the divergence report's own estimate (``rpg.divergence.probe_divergence``),
@@ -55,8 +58,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .divergence import (FrozenProbes, freeze_probe_batch, probe_batch_points,
-                         probe_divergence, probe_field_rows)
+from .divergence import (FrozenProbes, ProbeRows, freeze_probe_batch,
+                         probe_batch_points, probe_divergence, probe_field_rows)
 from .errors import BadDimensions, LayoutMismatch
 from .fields import ProbeConfig, default_fd_step
 from .fourier import (build_fourier_pair, build_u, rotate, rotate_transpose,
@@ -469,13 +472,22 @@ def build_u_field(phi: MetricNetParams):
     return u_fn
 
 
-def _through_u(fp, omega, sigma, pts, g_u):
-    """Carry a cotangent g_u of u = (Omega omega_tilde) * (R theta) back to
-    (g_rot, g_omega, g_sigma): the cotangents of R theta and of the
-    network's two outputs."""
+def _u_factors(fp, omega, sigma, pts):
+    """(u, scale, rot): u = scale * rot with scale = Omega omega_tilde and
+    rot = R theta, the value ``build_u`` returns bitwise, and the two
+    factors that ``_through_u`` reads."""
+    scale = scaling_vector(fp, omega)
+    rot = rotate(fp, sigma, pts)
+    return scale * rot, scale, rot
+
+
+def _through_u(fp, sigma, pts, scale, rot, g_u):
+    """Carry a cotangent g_u of u = scale * rot back to (g_rot, g_omega,
+    g_sigma): the cotangents of R theta and of the network's two outputs.
+    scale and rot are the forward's factors (``_u_factors``)."""
     c = pts @ fp.omega
-    g_rot = g_u * scaling_vector(fp, omega)
-    g_omega = (g_u * rotate(fp, sigma, pts)) @ fp.omega
+    g_rot = g_u * scale
+    g_omega = (g_u * rot) @ fp.omega
     g_sigma = (-(g_rot @ fp.phi) * c) * np.cos(sigma) \
         - ((g_rot @ fp.omega) * c) * np.sin(sigma)
     return g_rot, g_omega, g_sigma
@@ -485,14 +497,15 @@ def _through_u(fp, omega, sigma, pts, g_u):
 class PointForward:
     """One forward of u at a single point, activations kept.
 
-    pts is the point as a (1, n) batch, omega and sigma the network's
-    (1, m_tilde) outputs, acts what ``_net_backward`` reads, and u the
-    (n,) value u(theta).
+    pts is the point as a (1, n) batch, sigma the network's (1, m_tilde)
+    rotation output, scale and rot the factors of u (``_u_factors``), acts
+    what ``_net_backward`` reads, and u the (n,) value u(theta).
     """
 
     pts: np.ndarray
-    omega: np.ndarray
     sigma: np.ndarray
+    scale: np.ndarray
+    rot: np.ndarray
     acts: tuple
     u: np.ndarray
 
@@ -504,9 +517,10 @@ def forward_u(phi: MetricNetParams, theta) -> PointForward:
     pts = np.asarray(theta, dtype=np.float64)[None]
     omega, sigma, acts = metric_net_forward(
         phi, phi.layout.unflatten_batch(pts), keep=True)
-    u = build_u(build_fourier_pair(phi.layout.n, phi.m_tilde), omega, sigma,
-                pts)
-    return PointForward(pts=pts, omega=omega, sigma=sigma, acts=acts, u=u[0])
+    u, scale, rot = _u_factors(build_fourier_pair(phi.layout.n, phi.m_tilde),
+                               omega, sigma, pts)
+    return PointForward(pts=pts, sigma=sigma, scale=scale, rot=rot,
+                        acts=acts, u=u[0])
 
 
 def build_u_vjp(phi: MetricNetParams, at: PointForward | None = None):
@@ -525,7 +539,7 @@ def build_u_vjp(phi: MetricNetParams, at: PointForward | None = None):
     def u_vjp(theta, cot):
         fwd = forward_u(phi, theta) if at is None else at
         g_rot, g_omega, g_sigma = _through_u(
-            fp, fwd.omega, fwd.sigma, fwd.pts,
+            fp, fwd.sigma, fwd.pts, fwd.scale, fwd.rot,
             np.asarray(cot, dtype=np.float64)[None])
         g_net = _net_backward(phi, fwd.acts, g_omega, g_sigma,
                               np.empty(phi.size), to_theta=True)
@@ -565,20 +579,21 @@ def evaluate_divergence_loss(phi: MetricNetParams, ctx: FrozenProbes,
     """(div, loss, phi-gradient) for the frozen probe batch.
 
     One numpy forward re-evaluates u through the network at every frozen
-    point and keeps its activations; the gradient field enters as
-    constants.  ``probe_divergence`` carries d loss back to u; a reverse
-    pass continues through the Fourier scaling and rotation and the
-    network (``_net_backward``).  The gradient is one flat vector laid out
-    like ``phi.with_flat``'s (arrays in ``params_list`` order), written
-    into out when given.
+    point and keeps its activations and u's two factors; the gradient
+    field enters as constants.  ``probe_divergence`` carries d loss back
+    to u; a reverse pass continues through the Fourier scaling and
+    rotation, reusing those factors, and the network (``_net_backward``).
+    The gradient is one flat vector laid out like ``phi.with_flat``'s
+    (arrays in ``params_list`` order), written into out when given.
     """
     fp = build_fourier_pair(phi.layout.n, phi.m_tilde)
     pts = ctx.points
     omega, sigma, acts = metric_net_forward(
         phi, phi.layout.unflatten_batch(pts), keep=True)
-    u = build_u(fp, omega, sigma, pts)
+    u, scale, rot = _u_factors(fp, omega, sigma, pts)
     div, vjp = probe_divergence(u, ctx)
-    _, g_omega, g_sigma = _through_u(fp, omega, sigma, pts, vjp(2.0 * div))
+    _, g_omega, g_sigma = _through_u(fp, sigma, pts, scale, rot,
+                                     vjp(2.0 * div))
     if out is None:
         out = np.empty(phi.size)
     _net_backward(phi, acts, g_omega, g_sigma, out)
@@ -591,9 +606,18 @@ def _kick_heads(phi: MetricNetParams, rng: RngStream, scale: float) -> None:
         a += rng.uniform(-scale, scale, a.shape)
 
 
+def training_probes(pc: ProbeConfig, max_iters: int, n: int) -> np.ndarray:
+    """The (max_iters, K, n) probe matrices of one training pass, drawn in
+    iteration order from ``RngStream(pc.seed).spawn("alg1-probes")``."""
+    probe_rng = RngStream(pc.seed).spawn("alg1-probes")
+    return np.stack([rademacher_matrix(probe_rng, pc.probe_count, n)
+                     for _ in range(max_iters)])
+
+
 def train_metric_net(phi: MetricNetParams, theta: np.ndarray, grad_fn,
                      pc: ProbeConfig, max_iters: int = 20, lr: float = 1e-3,
-                     kick_scale: float = 1e-2):
+                     kick_scale: float = 1e-2,
+                     field_rows: ProbeRows | None = None):
     """Descend (divergence estimate)^2 in phi; return (best phi, history).
 
     lr is Adam's step size; a kick at an exact saddle adds uniform
@@ -602,23 +626,32 @@ def train_metric_net(phi: MetricNetParams, theta: np.ndarray, grad_fn,
     always describing the best iterate seen so far — the curve is exactly
     non-increasing in loss, and the final entry describes the returned phi.
 
-    Once per pass: the probe draws of all max_iters iterations, one
-    gradient-field call over theta and all their probe rows, the first
-    iteration whose field rows are not all finite (a non-finite value at
-    theta is the first, and the pass ends before it), the points buffer
-    of a frozen batch with theta in its last row, and theta split into
-    the layout's parts.  Per iteration, only what depends on phi: u(theta)
-    (one one-row forward), the batch's probe rows copied in and
-    theta +- eps*J0 written (``freeze_probe_batch``), and the loss and its
-    phi-gradient (``evaluate_divergence_loss``, written into one flat
-    buffer), then an Adam step or a kick.  A non-finite u(theta) or loss
+    The field enters at theta and at the rows of the max_iters probe
+    matrices ``training_probes(pc, max_iters, n)``: field_rows, when the
+    caller has evaluated them already in a larger field call (grad_fn is
+    then not called), else one grad_fn call over those 1 + 2K * max_iters
+    rows.  Also once per pass: the first iteration whose field rows are
+    not all finite (a non-finite value at theta is the first, and the pass
+    ends before it), the points buffer of a frozen batch with theta in
+    its last row, and theta split into the layout's parts.  Per
+    iteration, only what depends on phi: u(theta) (one one-row forward),
+    the batch's probe rows copied in and theta +- eps*J0 written
+    (``freeze_probe_batch``), and the loss and its phi-gradient
+    (``evaluate_divergence_loss``, written into one flat buffer), then an
+    Adam step or a kick.  A non-finite u(theta) or loss
     aborts the loop at its iteration; the incumbent is returned unchanged.
     Adam works on one flat copy of phi's arrays.
     """
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     theta = np.asarray(theta, dtype=np.float64)
-    probe_rng = RngStream(pc.seed).spawn("alg1-probes")
+    if field_rows is None:
+        field_rows = probe_field_rows(
+            grad_fn, theta, training_probes(pc, max_iters, theta.size),
+            default_fd_step(theta))
+    if len(field_rows.probes) != max_iters:
+        raise ValueError(f"field rows of {len(field_rows.probes)} probe "
+                         f"matrices for {max_iters} iterations")
     kick_rng = RngStream(pc.seed).spawn("alg1-kick")
 
     flat = np.concatenate([np.ravel(a) for a in phi.params_list()])
@@ -629,10 +662,8 @@ def train_metric_net(phi: MetricNetParams, theta: np.ndarray, grad_fn,
     best_loss, best_div = np.inf, np.nan
     history = []
 
-    probes = np.stack([rademacher_matrix(probe_rng, pc.probe_count, theta.size)
-                       for _ in range(max_iters)])
-    eps = default_fd_step(theta)
-    g0, probe_grads, rows = probe_field_rows(grad_fn, theta, probes, eps)
+    probes, eps, g0 = field_rows.probes, field_rows.eps, field_rows.g0
+    probe_grads, rows = field_rows.grads, field_rows.rows
     finite = np.isfinite(probe_grads).all(axis=(1, 2)) & np.isfinite(g0).all()
     stop = max_iters if finite.all() else int(finite.argmin())
     points = probe_batch_points(rows[0], theta)

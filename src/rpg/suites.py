@@ -284,11 +284,10 @@ def suite_metric_training():
         a += r.uniform(-0.05, 0.05, a.shape)
     probes = rademacher_matrix(RngStream(0), 8, theta.size)
     eps = default_fd_step(theta)
-    g0, probe_grads, points = probe_field_rows(grad_fn, theta,
-                                               probes[None], eps)
-    ctx = freeze_probe_batch(probe_batch_points(points[0], theta),
-                             build_u_field(phi)(theta), g0, probes,
-                             probe_grads[0], eps)
+    field = probe_field_rows(grad_fn, theta, probes[None], eps)
+    ctx = freeze_probe_batch(probe_batch_points(field.rows[0], theta),
+                             build_u_field(phi)(theta), field.g0, probes,
+                             field.grads[0], eps)
     _, _, grad = evaluate_divergence_loss(phi, ctx)
     grads = phi.with_flat(grad).params_list()
     arrs = phi.params_list()

@@ -22,14 +22,16 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .divergence import DivergenceReport, divergence_report
+from .divergence import (DivergenceReport, divergence_report,
+                         probe_field_rows, report_probes)
 from .envs import lqr_return_gradient, make_env
 from .errors import ConfigError, NonFiniteField
-from .fields import ProbeConfig
+from .fields import ProbeConfig, default_fd_step
 from .geodesic import geodesic_gradient
 from .metric import MetricPoint, inverse_apply
 from .metricnet import (MetricNetConfig, build_u_field, build_u_vjp,
-                        forward_u, init_params, train_metric_net)
+                        forward_u, init_params, train_metric_net,
+                        training_probes)
 from .policy import (LinearGainPolicy, ParamPolicy, PolicyMLP,
                      evaluation_returns, reinforce_field,
                      reinforce_gradient_from_batch, rollout)
@@ -158,44 +160,69 @@ def _fallback_report():
                             ratio=float("inf"), method="fallback")
 
 
+def _finite_gradient(grad):
+    grad = np.asarray(grad, dtype=float)
+    if not np.all(np.isfinite(grad)):
+        raise NonFiniteField("gradient at theta")
+    return grad
+
+
 def regularize_step(theta, grad, phi, cfg, grad_fn, probe_cfg):
     """One metric-regularization pass: (theta, grad) -> (direction, report, phi').
 
-    baseline: the gradient passes through untouched and phi is not consulted.
-    J/T: the metric net is refined in place (<= cfg.metric_iters iterations,
-    warm-started from phi) unless cfg.freeze_phi, the divergence diagnostics
-    are computed with shared probes, and the direction is J = G^-1 grad,
-    or, for T, the geodesic direction built on top of it, whose correction
-    takes one vector-Jacobian product of u with cotangent J
-    (``build_u_vjp``: one reverse pass, whatever n is).  u(theta) is
-    forwarded once at the final phi (``forward_u``): the report freezes
-    its batch with it, J uses it, and T's product reuses its activations.
-    If gating is enabled and the divergence ratio is >= 1, or if any field
-    evaluation or direction turns non-finite, the direction falls back to
-    the plain gradient; the fallback marks the report with ratio = inf so
-    the record stays visibly flagged while keeping the gate bookkeeping
-    exact.
+    grad is the update's ascent gradient, or None to take grad f(theta)
+    from grad_fn (the analytic backend).  A non-finite gradient raises
+    NonFiniteField.
+    baseline: the gradient passes through untouched and phi is not
+    consulted; a None grad costs one grad_fn call at theta alone.
+    J/T: one grad_fn call covers theta (row 0, the gradient when grad is
+    None), the probe rows of every metric-training iteration
+    (``training_probes``; none with cfg.freeze_phi) and the report's probe
+    rows (``report_probes``, a draw of its own, so the ratio is measured
+    on probes the net did not train on): 1 + 2K * metric_iters + 2K rows,
+    K = probe_count.  The metric net is refined in place on its slice
+    (<= cfg.metric_iters iterations, warm-started from phi) unless
+    cfg.freeze_phi; a non-finite row ends that training at its iteration.
+    The divergence diagnostics are computed from the report's slice, and
+    the direction is J = G^-1 grad, or, for T, the geodesic direction
+    built on top of it, whose correction takes one vector-Jacobian
+    product of u with cotangent J (``build_u_vjp``: one reverse pass,
+    whatever n is).  u(theta) is forwarded once at the final phi
+    (``forward_u``): the report freezes its batch with it, J uses it, and
+    T's product reuses its activations.  If gating is enabled and the
+    divergence ratio is >= 1, or if a report row or the direction turns
+    non-finite, the direction falls back to the plain gradient; the
+    fallback marks the report with ratio = inf so the record stays
+    visibly flagged while keeping the gate bookkeeping exact.
     """
     theta = np.asarray(theta, dtype=float)
-    grad = np.asarray(grad, dtype=float)
-    if not np.all(np.isfinite(grad)):
-        raise NonFiniteField("gradient passed to regularize_step")
+    if grad is not None:
+        grad = _finite_gradient(grad)
     if cfg.variant == "baseline":
+        if grad is None:
+            grad = _finite_gradient(grad_fn(theta))
         return grad.copy(), _neutral_report(), phi
 
+    iters = 0 if cfg.freeze_phi else cfg.metric_iters
+    probes = report_probes(probe_cfg, theta.size)[None]
+    if iters:
+        probes = np.concatenate(
+            [training_probes(probe_cfg, iters, theta.size), probes])
+    field = probe_field_rows(grad_fn, theta, probes, default_fd_step(theta))
+    if grad is None:
+        grad = _finite_gradient(field.g0)
+
     new_phi = phi
-    if not cfg.freeze_phi:
-        try:
-            new_phi, _ = train_metric_net(
-                phi, theta, grad_fn, probe_cfg, max_iters=cfg.metric_iters,
-                lr=cfg.metric_lr, kick_scale=cfg.kick_scale)
-        except NonFiniteField:
-            return grad.copy(), _fallback_report(), phi
+    if iters:
+        new_phi, _ = train_metric_net(
+            phi, theta, None, probe_cfg, max_iters=iters, lr=cfg.metric_lr,
+            kick_scale=cfg.kick_scale, field_rows=field[:-1])
 
     try:
         at_theta = forward_u(new_phi, theta)
-        report = divergence_report(grad_fn, build_u_field(new_phi), theta,
-                                   probe_cfg, u0=at_theta.u)
+        report = divergence_report(None, build_u_field(new_phi), theta,
+                                   probe_cfg, u0=at_theta.u,
+                                   field_rows=field[-1:])
         direction = inverse_apply(MetricPoint(report.u0), grad)
         if cfg.variant == "T":
             direction = geodesic_gradient(build_u_vjp(new_phi, at_theta),
@@ -238,12 +265,12 @@ def _gradient_field(env, policy, cfg, backend, probe_seed):
     smooth enough to probe with finite differences.  The update's own
     gradient comes from the freshly collected batch instead.
 
-    A J/T update with the analytic field calls it three times: at theta
-    alone for the update's gradient, then (unless freeze_phi) in
-    ``train_metric_net`` on 1 + 2K * metric_iters rows (theta and every
-    inner iteration's probe rows), then in ``divergence_report`` on 2K + 1
-    rows (theta and its probe rows), K = probe_count.  A reinforce update
-    skips the first.
+    Each J/T update calls it once (``regularize_step``), on theta, every
+    inner iteration's probe rows and the report's probe rows:
+    1 + 2K * metric_iters + 2K rows, K = probe_count (1 + 2K with
+    freeze_phi); the analytic backend takes the update's gradient from
+    row 0.  A baseline update calls the analytic field once, at theta
+    alone, and the reinforce field not at all.
     """
     if backend == "analytic":
         if env.kind == "lqr":
@@ -287,13 +314,15 @@ def run_training(cfg):
     Each update advances the step count by whole episodes of at least
     update_interval steps.  Only the reinforce backend plays them, as the
     fresh batch its update gradient comes from; the analytic backend takes
-    the closed-form field at theta and counts the episodes unplayed.
+    the closed-form field at theta, in regularize_step's field call, and
+    counts the episodes unplayed.
 
     Raises ConfigError when a J/T run's m_tilde is not below the policy's
     parameter count.  Aborts with a partial summary (records so far,
-    aborted=True) as soon as the policy parameters, or the evaluation of a
-    new policy, stop being finite; the update that failed leaves no record,
-    so final_return is the last finite evaluation.
+    aborted=True) as soon as the update gradient, the policy parameters,
+    or the evaluation of a new policy stop being finite; the update that
+    failed leaves no record, so final_return is the last finite
+    evaluation.
     """
     root = RngStream(cfg.seed)
     env = make_env(cfg.env_kind, **cfg.env_params)
@@ -325,9 +354,10 @@ def run_training(cfg):
         if backend == "analytic":
             # the closed form reads no episode, and LQR and landscape
             # episodes always run their full horizon: count whole
-            # episodes without playing them
+            # episodes without playing them; regularize_step takes the
+            # gradient from the field at theta
             steps += -(-cfg.update_interval // env.horizon) * env.horizon
-            grad = grad_fn(theta)
+            grad = None
         else:
             fresh = []
             collected = 0
@@ -337,14 +367,15 @@ def run_training(cfg):
                 collected += len(traj)
             steps += collected
             grad = reinforce_gradient_from_batch(policy, fresh, cfg.gamma)
-        if not np.all(np.isfinite(grad)):
-            aborted = True
-            break
 
         probe_cfg = ProbeConfig(probe_count=cfg.probe_count,
                                 seed=_probe_seed(cfg.seed, update_idx))
-        direction, report, phi = regularize_step(theta, grad, phi, cfg,
-                                                 grad_fn, probe_cfg)
+        try:
+            direction, report, phi = regularize_step(theta, grad, phi, cfg,
+                                                     grad_fn, probe_cfg)
+        except NonFiniteField:
+            aborted = True
+            break
         policy.set_theta(theta + cfg.policy_lr * direction)
         if not np.all(np.isfinite(policy.theta)):
             aborted = True

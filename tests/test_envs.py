@@ -431,17 +431,24 @@ def test_matmul_gradient_matches_einsum_reference(rows, kind):
     assert np.all(np.abs(got - want) <= 1e-12 * scale)
 
 
-@pytest.mark.parametrize("kind,rows", [("scalar", 673),
-                                       ("four-state-noisy", 97)])
+@pytest.mark.parametrize("kind,rows", [
+    ("scalar", 673), ("four-state-noisy", 97),
+    # a J/T update's one call: theta, training's rows, the report's rows
+    pytest.param("scalar", (1, 640, 32), id="scalar-1+640+32")])
 def test_batched_rows_equal_single_row_calls_bitwise(kind, rows):
     # every sum of the recursions runs over axis 0, so a row's additions
-    # do not depend on the batch around it
-    env, pts = field_case(kind, rows, RngStream(rows + 1))
+    # do not depend on the batch around it: neither on single rows nor on
+    # the row sets that one call merges
+    parts = np.atleast_1d(rows)
+    env, pts = field_case(kind, parts.sum(), RngStream(parts.sum() + 1))
     grads = lqr_return_gradient(pts, env, GAMMA)
     rets = lqr_expected_return(pts, env, GAMMA)
     for i, point in enumerate(pts):
         assert np.array_equal(lqr_return_gradient(point, env, GAMMA), grads[i])
         assert lqr_expected_return(point, env, GAMMA) == rets[i]
+    sets = np.split(pts, np.cumsum(parts)[:-1])
+    assert np.array_equal(np.concatenate(
+        [lqr_return_gradient(p, env, GAMMA) for p in sets]), grads)
 
 
 @pytest.mark.parametrize("kind", ["scalar", "four-state-noisy"])

@@ -326,11 +326,10 @@ def freeze(phi, theta, grad_fn, pc):
     """One frozen batch at pc's own probe draw, field rows from one call."""
     probes = rademacher_matrix(RngStream(pc.seed), pc.probe_count, theta.size)
     eps = default_fd_step(theta)
-    g0, probe_grads, rows = probe_field_rows(grad_fn, theta, probes[None],
-                                             eps)
-    return freeze_probe_batch(probe_batch_points(rows[0], theta),
-                              build_u_field(phi)(theta), g0, probes,
-                              probe_grads[0], eps)
+    field = probe_field_rows(grad_fn, theta, probes[None], eps)
+    return freeze_probe_batch(probe_batch_points(field.rows[0], theta),
+                              build_u_field(phi)(theta), field.g0, probes,
+                              field.grads[0], eps)
 
 
 # the bowl (4-vector), LQR and pointmass PolicyMLP policy layouts
@@ -605,7 +604,7 @@ def test_train_forwards_twice_per_iteration_via_module_names(max_iters,
     assert len(history) == max_iters
     rows = [len(args[1][0]) for args in calls["metric_net_forward"]]
     assert rows == [1, 2 * 4 + 3] * max_iters
-    assert len(calls["build_u"]) == 2 * max_iters
+    assert len(calls["build_u"]) == max_iters    # u(theta); the loss has none
     assert len(calls["evaluate_divergence_loss"]) == max_iters
     assert len(calls["freeze_probe_batch"]) == max_iters
 

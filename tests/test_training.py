@@ -466,6 +466,103 @@ def test_pointmass_variant_j_smoke():
     assert all(np.isfinite(r.ratio) for r in summary.records)
 
 
+# K = 4 probes, I = 3 metric iterations: a J/T update's one field call
+# holds theta, then 2K rows per iteration, then the report's 2K rows
+MERGED = dict(probe_count=4, metric_iters=3)
+MERGED_ROWS = 1 + 2 * 4 * 3 + 2 * 4
+
+
+@pytest.mark.parametrize("variant,backend,freeze_phi,per_update", [
+    ("baseline", "analytic", False, [1]),
+    ("J", "analytic", False, [MERGED_ROWS]),
+    ("T", "analytic", False, [MERGED_ROWS]),
+    ("J", "analytic", True, [1 + 2 * 4]),
+    ("baseline", "reinforce", False, []),
+    ("J", "reinforce", False, [MERGED_ROWS]),
+    ("T", "reinforce", False, [MERGED_ROWS]),
+], ids=["baseline-analytic", "J-analytic", "T-analytic", "J-analytic-frozen",
+        "baseline-reinforce", "J-reinforce", "T-reinforce"])
+def test_one_field_call_per_update(monkeypatch, variant, backend, freeze_phi,
+                                   per_update):
+    # every field call's row count, at the names the trainer looks up
+    rows = []
+    lqr_field = rpg.training.lqr_return_gradient
+    reinforce_field = rpg.training.reinforce_field
+
+    def counted_lqr(pts, *args):
+        rows.append(len(np.atleast_2d(pts)))
+        return lqr_field(pts, *args)
+
+    def counted_reinforce(env, policy, points, *args):
+        rows.append(len(points))
+        return reinforce_field(env, policy, points, *args)
+
+    monkeypatch.setattr(rpg.training, "lqr_return_gradient", counted_lqr)
+    monkeypatch.setattr(rpg.training, "reinforce_field", counted_reinforce)
+    cfg = TrainConfig(env_kind="lqr", variant=variant,
+                      gradient_backend=backend, freeze_phi=freeze_phi,
+                      total_steps=600, update_interval=200, policy_lr=0.002,
+                      probe_episodes=2, eval_episodes=2, seed=3, **MERGED)
+    summary = run_training(cfg)
+    assert not summary.aborted and len(summary.records) == 3
+    assert rows == per_update * 3
+
+
+@pytest.mark.parametrize("case", ["training", "report", "theta"])
+def test_non_finite_row_of_the_one_field_call_routes_by_index(monkeypatch,
+                                                            case):
+    """A NaN at one row of an analytic J update's field call: in
+    iteration 1's training rows it ends metric training after one
+    history entry, with no fallback; in a report row the report falls
+    back and the direction is the plain gradient; at theta the run aborts
+    and that update leaves no record."""
+    bad = {"training": 1 + 2 * 4, "report": 1 + 2 * 4 * 3 + 5,
+           "theta": 0}[case]
+    calls, histories, steps = [], [], []
+    lqr_field = rpg.training.lqr_return_gradient
+    train = rpg.training.train_metric_net
+    step = rpg.training.regularize_step
+
+    def poisoned(pts, *args):
+        out = lqr_field(pts, *args)
+        calls.append(out)
+        if len(calls) == 2:         # the second update's one call
+            out[bad] = np.nan
+        return out
+
+    def recorded_train(*args, **kwargs):
+        out = train(*args, **kwargs)
+        histories.append(len(out[1]))
+        return out
+
+    def recorded_step(*args):
+        steps.append(step(*args))
+        return steps[-1]
+
+    monkeypatch.setattr(rpg.training, "lqr_return_gradient", poisoned)
+    monkeypatch.setattr(rpg.training, "train_metric_net", recorded_train)
+    monkeypatch.setattr(rpg.training, "regularize_step", recorded_step)
+    cfg = TrainConfig(env_kind="lqr", variant="J", total_steps=150,
+                      update_interval=50, seed=0, **MERGED)
+    summary = run_training(cfg)
+    assert [len(c) for c in calls] == [MERGED_ROWS] * len(calls)
+    if case == "theta":
+        assert summary.aborted and len(summary.records) == 1
+        assert len(calls) == 2 and histories == [3]
+        return
+    assert not summary.aborted and len(summary.records) == 3
+    direction, report, _ = steps[1]
+    if case == "training":
+        assert histories == [3, 1, 3]
+        assert report.method == "estimated"
+        assert not summary.records[1].gate
+    else:
+        assert histories == [3, 3, 3]
+        assert report.method == "fallback"
+        assert summary.records[1].gate
+        assert np.array_equal(direction, calls[1][0])
+
+
 # ------------------------------------------------ REINFORCE gradient field
 
 NOISY_2D = dict(a=[[0.9, 0.2], [0.0, 0.8]], b=[[1.0, 0.0], [0.3, 1.0]],
@@ -508,6 +605,22 @@ def test_reinforce_field_rows_in_several_blocks(monkeypatch):
     want = field(points)
     monkeypatch.setattr(rpg.policy, "ROW_BLOCK", 4)
     assert np.array_equal(field(points), want)
+
+
+@pytest.mark.parametrize("env_kind,env_params,parts", [
+    ("pointmass", {}, (17, 9)), ("pointmass", {}, (641, 33)),
+    ("lqr", NOISY_2D, (17, 9))],
+    ids=["pointmass-17+9", "pointmass-641+33", "lqr-noisy-2d-17+9"])
+def test_reinforce_field_merged_rows_equal_separate_calls_bitwise(
+        env_kind, env_params, parts):
+    # a J/T update merges training's and the report's rows into one call;
+    # no row may depend on the rows called with it, across ROW_BLOCK
+    # blocks included
+    cfg, env, policy, points, field = reinforce_case(env_kind, env_params,
+                                                     sum(parts), seed=4)
+    first = parts[0]
+    assert np.array_equal(field(points), np.concatenate(
+        [field(points[:first]), field(points[first:])]))
 
 
 @pytest.mark.parametrize("env_kind,env_params,events_per_step", [
