@@ -12,9 +12,10 @@ import argparse
 
 import numpy as np
 
-from rpg.fields import ProbeConfig
+from rpg.divergence import probe_field_rows
+from rpg.fields import ProbeConfig, default_fd_step
 from rpg.metricnet import (LayerLayout, MetricNetConfig, init_params,
-                           train_metric_net)
+                           train_metric_net, training_probes)
 from rpg.rng import RngStream
 
 
@@ -31,10 +32,12 @@ def main():
 
     layout = LayerLayout.from_vector(theta.size)
     phi = init_params(RngStream(args.seed), MetricNetConfig(m_tilde=3), layout)
-    _, history = train_metric_net(
-        phi, theta, grad_fn, ProbeConfig(probe_count=args.probes,
-                                         seed=args.seed),
-        max_iters=args.iters, lr=0.1, kick_scale=0.05)
+    pc = ProbeConfig(probe_count=args.probes, seed=args.seed)
+    rows = probe_field_rows(grad_fn, theta,
+                            training_probes(pc, args.iters, theta.size),
+                            default_fd_step(theta))
+    _, history = train_metric_net(phi, theta, rows, pc, lr=0.1,
+                                  kick_scale=0.05)
 
     print(f"{'iter':>4} {'best |div|':>12} {'best loss':>12}")
     for it, div, loss in history:

@@ -17,7 +17,8 @@ is exact, which turns O(n^2) work into O(1) field evaluations per estimate.
 
 ``probe_divergence`` is that estimator, with its reverse pass to u, at a
 batch frozen by ``freeze_probe_batch``.  The metric net's loss and
-``divergence_report`` both call it, so they agree bit for bit.
+``divergence_report`` both call it, so they agree bit for bit; both take
+the field only as ``ProbeRows``, the rows of one ``probe_field_rows`` call.
 
 Two independent oracles guard the algebra at small n: the volume-weighted
 form (1/sqrt(g)) sum_m d_m(sqrt(g) J^m), and the Christoffel-corrected
@@ -27,7 +28,7 @@ compatibility makes all of them equal on smooth fixtures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,18 +42,12 @@ RATIO_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class DivergenceReport:
-    """Divergence, Hessian trace, and their guarded absolute ratio.
-
-    u0 is the metric factor u(theta) that froze the report's batch, for
-    the caller's J = G^-1 grad f; None in the placeholder reports that no
-    u field produced.
-    """
+    """Divergence, Hessian trace, and their guarded absolute ratio."""
 
     div: float
     hessian_trace: float
     ratio: float
     method: str  # "estimated" | "none" | "fallback"
-    u0: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 def divergence_ratio(div: float, trace: float) -> float:
@@ -222,29 +217,20 @@ def probe_divergence(u: np.ndarray, ctx: FrozenProbes):
     return div, vjp
 
 
-def divergence_report(grad_fn, u_fn, theta: np.ndarray, pc: ProbeConfig,
-                      u0: np.ndarray | None = None,
-                      field_rows: ProbeRows | None = None) -> DivergenceReport:
+def divergence_report(u_fn, theta: np.ndarray, field_rows: ProbeRows,
+                      u0: np.ndarray) -> DivergenceReport:
     """Estimated divergence and Hessian trace from one shared probe draw.
 
     The trace is the same estimate at u = 0, where J = grad f and Div J is
     the Laplacian: its probe sum runs over the raw gradient rows.  So the
     two are identical when u = 0, and the ratio is exactly 1 at the
-    Euclidean start rather than 1 +- probe noise.  The field enters at
-    theta and at the 2K rows of the probe matrix ``report_probes(pc, n)``:
-    field_rows, when the caller has evaluated them already in a larger
-    field call (one probe matrix; grad_fn is then not called), else one
-    grad_fn call over those 2K + 1 rows.  The report carries u(theta): u0
-    when the caller has already forwarded it, else one u_fn row.  A
+    Euclidean start rather than 1 +- probe noise.  field_rows holds the
+    field at theta and at the 2K rows of one probe matrix
+    (``probe_field_rows`` over ``report_probes(pc, n)[None]``); u0 is
+    u(theta).  u_fn is forwarded once, over the frozen batch.  A
     non-finite u or field value raises NonFiniteField.
     """
     theta = np.asarray(theta, dtype=np.float64)
-    if field_rows is None:
-        field_rows = probe_field_rows(
-            grad_fn, theta, report_probes(pc, theta.size)[None],
-            default_fd_step(theta))
-    if u0 is None:
-        u0 = eval_points(u_fn, theta[None])[0]
     require_finite(u0, "metric factor field")
     require_finite(field_rows.g0, "gradient field")
     require_finite(field_rows.grads, "gradient field")
@@ -255,19 +241,20 @@ def divergence_report(grad_fn, u_fn, theta: np.ndarray, pc: ProbeConfig,
     div, _ = probe_divergence(us, ctx)
     trace, _ = probe_divergence(np.zeros_like(ctx.points), ctx)
     div, trace = float(div), float(trace)
-    return DivergenceReport(
-        div=div,
-        hessian_trace=trace,
-        ratio=divergence_ratio(div, trace),
-        method="estimated",
-        u0=u0,
-    )
+    return DivergenceReport(div=div, hessian_trace=trace,
+                            ratio=divergence_ratio(div, trace),
+                            method="estimated")
 
 
 def hessian_trace_hutchinson(grad_fn, theta: np.ndarray,
                              pc: ProbeConfig) -> float:
     """Hutchinson's trace of the Hessian: the report's trace, at u = 0."""
-    return divergence_report(grad_fn, np.zeros_like, theta, pc).hessian_trace
+    theta = np.asarray(theta, dtype=np.float64)
+    rows = probe_field_rows(grad_fn, theta,
+                            report_probes(pc, theta.size)[None],
+                            default_fd_step(theta))
+    return divergence_report(np.zeros_like, theta, rows,
+                             np.zeros_like(theta)).hessian_trace
 
 
 # ----------------------------------------------------------------- oracles

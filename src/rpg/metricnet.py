@@ -19,9 +19,9 @@ gradient bitwise.
 zero in the network parameters phi.  No gradient-field value depends on phi,
 so everything that does not is done once per pass: the probe vectors of
 every iteration are drawn up front, the field values at theta and at
-every iteration's theta +- eps*v rows come from one field call (the
-pass's own, or the one call of a training update, which also covers the
-divergence report's rows; ``rpg.training.regularize_step``), the first
+every iteration's theta +- eps*v rows come in as one ``ProbeRows`` (the
+one field call of a training update, which also covers the divergence
+report's rows; ``rpg.training.regularize_step``), the first
 iteration with a non-finite field row is found, and theta is split into
 its layout parts and placed in one reused frozen-points buffer.  Per
 iteration the loop forwards u(theta), copies its probe rows into the
@@ -59,9 +59,9 @@ from functools import lru_cache
 import numpy as np
 
 from .divergence import (FrozenProbes, ProbeRows, freeze_probe_batch,
-                         probe_batch_points, probe_divergence, probe_field_rows)
+                         probe_batch_points, probe_divergence)
 from .errors import BadDimensions, LayoutMismatch
-from .fields import ProbeConfig, default_fd_step
+from .fields import ProbeConfig
 from .fourier import (build_fourier_pair, build_u, rotate, rotate_transpose,
                       scaling_vector)
 from .rng import RngStream, rademacher_matrix
@@ -614,44 +614,36 @@ def training_probes(pc: ProbeConfig, max_iters: int, n: int) -> np.ndarray:
                      for _ in range(max_iters)])
 
 
-def train_metric_net(phi: MetricNetParams, theta: np.ndarray, grad_fn,
-                     pc: ProbeConfig, max_iters: int = 20, lr: float = 1e-3,
-                     kick_scale: float = 1e-2,
-                     field_rows: ProbeRows | None = None):
+def train_metric_net(phi: MetricNetParams, theta: np.ndarray,
+                     field_rows: ProbeRows, pc: ProbeConfig, lr: float = 1e-3,
+                     kick_scale: float = 1e-2):
     """Descend (divergence estimate)^2 in phi; return (best phi, history).
 
     lr is Adam's step size; a kick at an exact saddle adds uniform
-    +-kick_scale noise to the heads.
+    +-kick_scale noise to the heads, drawn from pc.seed's kick stream.
     history records one (iter, div, loss) triple per completed iteration,
     always describing the best iterate seen so far — the curve is exactly
     non-increasing in loss, and the final entry describes the returned phi.
 
-    The field enters at theta and at the rows of the max_iters probe
-    matrices ``training_probes(pc, max_iters, n)``: field_rows, when the
-    caller has evaluated them already in a larger field call (grad_fn is
-    then not called), else one grad_fn call over those 1 + 2K * max_iters
-    rows.  Also once per pass: the first iteration whose field rows are
-    not all finite (a non-finite value at theta is the first, and the pass
-    ends before it), the points buffer of a frozen batch with theta in
-    its last row, and theta split into the layout's parts.  Per
-    iteration, only what depends on phi: u(theta) (one one-row forward),
-    the batch's probe rows copied in and theta +- eps*J0 written
-    (``freeze_probe_batch``), and the loss and its phi-gradient
-    (``evaluate_divergence_loss``, written into one flat buffer), then an
-    Adam step or a kick.  A non-finite u(theta) or loss
+    field_rows holds the field at theta and at the rows of the pass's
+    probe matrices (``probe_field_rows`` over ``training_probes``); the
+    pass runs at most one iteration per matrix, and a ProbeRows without
+    one raises ValueError.  Once per pass: the first iteration whose
+    field rows are not all finite (a non-finite value at theta is the
+    first, and the pass ends before it), the points buffer of a frozen
+    batch with theta in its last row, and theta split into the layout's
+    parts.  Per iteration, only what depends on phi: u(theta) (one
+    one-row forward), the batch's probe rows copied in and theta +-
+    eps*J0 written (``freeze_probe_batch``), and the loss and its
+    phi-gradient (``evaluate_divergence_loss``, written into one flat
+    buffer), then an Adam step or a kick.  A non-finite u(theta) or loss
     aborts the loop at its iteration; the incumbent is returned unchanged.
     Adam works on one flat copy of phi's arrays.
     """
-    if max_iters < 1:
-        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
+    iters = len(field_rows.probes)
+    if iters < 1:
+        raise ValueError("field rows hold no probe matrix")
     theta = np.asarray(theta, dtype=np.float64)
-    if field_rows is None:
-        field_rows = probe_field_rows(
-            grad_fn, theta, training_probes(pc, max_iters, theta.size),
-            default_fd_step(theta))
-    if len(field_rows.probes) != max_iters:
-        raise ValueError(f"field rows of {len(field_rows.probes)} probe "
-                         f"matrices for {max_iters} iterations")
     kick_rng = RngStream(pc.seed).spawn("alg1-kick")
 
     flat = np.concatenate([np.ravel(a) for a in phi.params_list()])
@@ -665,7 +657,7 @@ def train_metric_net(phi: MetricNetParams, theta: np.ndarray, grad_fn,
     probes, eps, g0 = field_rows.probes, field_rows.eps, field_rows.g0
     probe_grads, rows = field_rows.grads, field_rows.rows
     finite = np.isfinite(probe_grads).all(axis=(1, 2)) & np.isfinite(g0).all()
-    stop = max_iters if finite.all() else int(finite.argmin())
+    stop = iters if finite.all() else int(finite.argmin())
     points = probe_batch_points(rows[0], theta)
     k2 = rows.shape[1]
     theta_row = theta[None]

@@ -34,7 +34,7 @@ from .geodesic import (christoffel_fd, covariant_metric_residual,
 from .metric import MetricPoint, inverse_apply, metric_det, metric_matrix
 from .metricnet import (LayerLayout, MetricNetConfig, build_u_field,
                         evaluate_divergence_loss, init_params,
-                        train_metric_net)
+                        train_metric_net, training_probes)
 from .rng import RngStream, rademacher_matrix
 
 PASS, FAIL, SKIP, DEFECT = "PASS", "FAIL", "SKIP", "KNOWN-DEFECT"
@@ -266,13 +266,16 @@ def suite_metric_training():
     d = np.arange(1.0, 9.0)
     grad_fn = lambda p: p * d
     theta = np.ones(8)
+    eps = default_fd_step(theta)
     layout = LayerLayout.from_vector(8)
     ratios = []
     for seed in range(10):
         phi = init_params(RngStream(seed), MetricNetConfig(m_tilde=3), layout)
-        _, history = train_metric_net(
-            phi, theta, grad_fn, ProbeConfig(probe_count=64, seed=seed),
-            max_iters=20, lr=0.1, kick_scale=0.05)
+        pc = ProbeConfig(probe_count=64, seed=seed)
+        rows = probe_field_rows(grad_fn, theta,
+                                training_probes(pc, 20, theta.size), eps)
+        _, history = train_metric_net(phi, theta, rows, pc, lr=0.1,
+                                      kick_scale=0.05)
         ratios.append(history[-1][2] / history[0][2])
     rows = [_bound_row("median squared-divergence reduction over 10 seeds "
                        "(<= 20 iterations)", float(np.median(ratios)), 0.5)]
@@ -283,7 +286,6 @@ def suite_metric_training():
               phi.head_sigma_w, phi.head_sigma_b):
         a += r.uniform(-0.05, 0.05, a.shape)
     probes = rademacher_matrix(RngStream(0), 8, theta.size)
-    eps = default_fd_step(theta)
     field = probe_field_rows(grad_fn, theta, probes[None], eps)
     ctx = freeze_probe_batch(probe_batch_points(field.rows[0], theta),
                              build_u_field(phi)(theta), field.g0, probes,

@@ -175,23 +175,20 @@ def regularize_step(theta, grad, phi, cfg, grad_fn, probe_cfg):
     NonFiniteField.
     baseline: the gradient passes through untouched and phi is not
     consulted; a None grad costs one grad_fn call at theta alone.
-    J/T: one grad_fn call covers theta (row 0, the gradient when grad is
-    None), the probe rows of every metric-training iteration
-    (``training_probes``; none with cfg.freeze_phi) and the report's probe
-    rows (``report_probes``, a draw of its own, so the ratio is measured
-    on probes the net did not train on): 1 + 2K * metric_iters + 2K rows,
-    K = probe_count.  The metric net is refined in place on its slice
-    (<= cfg.metric_iters iterations, warm-started from phi) unless
-    cfg.freeze_phi; a non-finite row ends that training at its iteration.
-    The divergence diagnostics are computed from the report's slice, and
-    the direction is J = G^-1 grad, or, for T, the geodesic direction
-    built on top of it, whose correction takes one vector-Jacobian
-    product of u with cotangent J (``build_u_vjp``: one reverse pass,
-    whatever n is).  u(theta) is forwarded once at the final phi
-    (``forward_u``): the report freezes its batch with it, J uses it, and
-    T's product reuses its activations.  If gating is enabled and the
-    divergence ratio is >= 1, or if a report row or the direction turns
-    non-finite, the direction falls back to the plain gradient; the
+    J/T: one grad_fn call (``probe_field_rows``) covers theta (row 0, the
+    gradient when grad is None), the probe rows of every metric-training
+    iteration (``training_probes``; none with cfg.freeze_phi) and the
+    report's probe rows (``report_probes``, a draw of its own, so the
+    ratio is measured on probes the net did not train on):
+    1 + 2K * metric_iters + 2K rows, K = probe_count.  Unless
+    cfg.freeze_phi, the metric net is refined on the training slice,
+    warm-started from phi; the report reads the last matrix's slice.
+    u(theta) is forwarded once at the final phi (``forward_u``): the
+    report freezes its batch with it, J = G^-1 grad uses it, and T's
+    geodesic correction reuses its activations for its one
+    vector-Jacobian product of u (``build_u_vjp``).  If gating is enabled
+    and the divergence ratio is >= 1, or if a report row or the direction
+    turns non-finite, the direction falls back to the plain gradient; the
     fallback marks the report with ratio = inf so the record stays
     visibly flagged while keeping the gate bookkeeping exact.
     """
@@ -214,16 +211,15 @@ def regularize_step(theta, grad, phi, cfg, grad_fn, probe_cfg):
 
     new_phi = phi
     if iters:
-        new_phi, _ = train_metric_net(
-            phi, theta, None, probe_cfg, max_iters=iters, lr=cfg.metric_lr,
-            kick_scale=cfg.kick_scale, field_rows=field[:-1])
+        new_phi, _ = train_metric_net(phi, theta, field[:-1], probe_cfg,
+                                      lr=cfg.metric_lr,
+                                      kick_scale=cfg.kick_scale)
 
     try:
         at_theta = forward_u(new_phi, theta)
-        report = divergence_report(None, build_u_field(new_phi), theta,
-                                   probe_cfg, u0=at_theta.u,
-                                   field_rows=field[-1:])
-        direction = inverse_apply(MetricPoint(report.u0), grad)
+        report = divergence_report(build_u_field(new_phi), theta,
+                                   field[-1:], at_theta.u)
+        direction = inverse_apply(MetricPoint(at_theta.u), grad)
         if cfg.variant == "T":
             direction = geodesic_gradient(build_u_vjp(new_phi, at_theta),
                                           theta, direction,
@@ -262,15 +258,13 @@ def _gradient_field(env, policy, cfg, backend, probe_seed):
     reinforce: REINFORCE at every parameter row with common random
     numbers: one ``reinforce_field`` call per field call plays all rows on
     the same draws of ``RngStream(probe_seed)``, which keeps the field
-    smooth enough to probe with finite differences.  The update's own
-    gradient comes from the freshly collected batch instead.
+    smooth enough to probe with finite differences; policy supplies the
+    layout and row methods, not its theta.  The update's own gradient
+    comes from the freshly collected batch instead.
 
-    Each J/T update calls it once (``regularize_step``), on theta, every
-    inner iteration's probe rows and the report's probe rows:
-    1 + 2K * metric_iters + 2K rows, K = probe_count (1 + 2K with
-    freeze_phi); the analytic backend takes the update's gradient from
-    row 0.  A baseline update calls the analytic field once, at theta
-    alone, and the reinforce field not at all.
+    A J/T update calls the field once (``regularize_step``); a baseline
+    update calls the analytic field at theta alone, and the reinforce
+    field not at all.
     """
     if backend == "analytic":
         if env.kind == "lqr":
@@ -279,10 +273,8 @@ def _gradient_field(env, policy, cfg, backend, probe_seed):
             return lambda pts: env.analytic_gradient(pts)
         raise ValueError(f"no analytic gradient for {env.kind!r}")
 
-    probe_policy = _build_policy(env, cfg, RngStream(0))
-
     def field_fn(points):
-        out = reinforce_field(env, probe_policy, np.atleast_2d(points),
+        out = reinforce_field(env, policy, np.atleast_2d(points),
                               cfg.probe_episodes, cfg.gamma,
                               RngStream(probe_seed))
         return out[0] if np.ndim(points) == 1 else out

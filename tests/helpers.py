@@ -2,14 +2,14 @@
 
 import numpy as np
 
-from rpg.divergence import FrozenProbes
+from rpg.divergence import FrozenProbes, probe_field_rows, report_probes
 from rpg.envs import lqr_return_gradient
 from rpg.errors import BadDimensions, NonFiniteField
 from rpg.fields import default_fd_step, eval_points, require_finite
 from rpg.geodesic import _fd_points
 from rpg.metric import MetricPoint, bilinear_form, inverse_apply
 from rpg.metricnet import (Adam, _kick_heads, build_u_field,
-                           evaluate_divergence_loss)
+                           evaluate_divergence_loss, training_probes)
 from rpg.policy import reinforce_gradient_from_batch, rollout
 from rpg.rng import RngStream, rademacher_matrix
 
@@ -35,6 +35,18 @@ def lqr_analytic_gradient(k, env, horizon, gamma=0.99,
                                init_second_moment=init_second_moment,
                                horizon=horizon)
     return full[:m * n].reshape(k.shape)
+
+
+def probe_rows(grad_fn, theta, pc, iters=None):
+    """The ``ProbeRows`` of a metric-training pass of `iters` iterations
+    (``training_probes``), or of the divergence report when iters is None
+    (``report_probes``), from one ``probe_field_rows`` call at the step
+    ``default_fd_step(theta)``, as ``rpg.training.regularize_step`` draws
+    and evaluates them."""
+    theta = np.asarray(theta, dtype=np.float64)
+    probes = (report_probes(pc, theta.size)[None] if iters is None
+              else training_probes(pc, iters, theta.size))
+    return probe_field_rows(grad_fn, theta, probes, default_fd_step(theta))
 
 
 def per_row_reinforce_field(env, policy, points, episodes, gamma, seed):

@@ -9,6 +9,7 @@ genuinely curved fixture — three distinct discretizations of the same scalar.
 import numpy as np
 import pytest
 
+from helpers import probe_rows
 from rpg.divergence import (DivergenceReport, covariant_laplacian_oracle,
                             divergence_exact,
                             divergence_ratio, divergence_report,
@@ -29,6 +30,13 @@ def const_u(vec):
 def quad_grad(a):
     """Gradient field of f = 1/2 theta^T A theta (A symmetric)."""
     return lambda p: p @ a
+
+
+def report(grad_fn, u_fn, theta, pc):
+    """The divergence report on its own probe rows, at u0 = u(theta)."""
+    theta = np.asarray(theta, dtype=float)
+    return divergence_report(u_fn, theta, probe_rows(grad_fn, theta, pc),
+                             u_fn(theta[None])[0])
 
 
 # ------------------------------------------------------------------ exact
@@ -67,17 +75,16 @@ def test_exact_vs_laplace_beltrami_curved():
 def test_estimate_flat_quadratic_is_exact():
     """Rademacher probes satisfy v_i^2 = 1, so the identity Jacobian gives
     exactly n per probe regardless of K."""
-    est = divergence_report(lambda p: p, zero_u, np.zeros(6),
-                            ProbeConfig(probe_count=3)).div
+    est = report(lambda p: p, zero_u, np.zeros(6),
+                 ProbeConfig(probe_count=3)).div
     assert est == pytest.approx(6.0, abs=1e-9)
 
 
 def test_estimate_constant_field_first_term_zero():
     """A constant field has a zero Jacobian and zero volume term."""
-    est = divergence_report(const_u(np.array([1.0, 2.0, 3.0])),
-                            const_u(np.array([0.4, 0.1, -0.3])),
-                            np.array([0.2, 0.0, -0.5]),
-                            ProbeConfig(probe_count=8)).div
+    est = report(const_u(np.array([1.0, 2.0, 3.0])),
+                 const_u(np.array([0.4, 0.1, -0.3])),
+                 np.array([0.2, 0.0, -0.5]), ProbeConfig(probe_count=8)).div
     assert abs(est) <= 1e-8
 
 
@@ -93,8 +100,8 @@ def test_estimate_tracks_exact_at_k64():
     exact = divergence_exact(*fields, theta)
     errs = []
     for seed in range(20):
-        est = divergence_report(*fields, theta,
-                                ProbeConfig(probe_count=64, seed=seed)).div
+        est = report(*fields, theta,
+                     ProbeConfig(probe_count=64, seed=seed)).div
         errs.append(abs(est - exact) / abs(exact))
     assert np.median(errs) <= 0.15
 
@@ -110,7 +117,7 @@ def test_estimate_error_shrinks_with_probes():
     exact = divergence_exact(*fields, theta)
     medians = []
     for k in (4, 16, 64, 256):
-        errs = [abs(divergence_report(
+        errs = [abs(report(
             *fields, theta, ProbeConfig(probe_count=k, seed=s)).div - exact)
             for s in range(20)]
         medians.append(float(np.median(errs)))
@@ -121,34 +128,36 @@ def test_report_shared_probes_give_unit_ratio_when_flat():
     """With u = 0 the field equals the raw gradient, and because the report
     reuses one probe draw for both estimates, div == trace bitwise."""
     a = np.diag([1.0, 2.0, 3.0, 4.0])
-    rep = divergence_report(quad_grad(a), zero_u,
-                            np.array([0.1, 0.2, -0.3, 0.4]),
-                            ProbeConfig(probe_count=16, seed=3))
+    rep = report(quad_grad(a), zero_u, np.array([0.1, 0.2, -0.3, 0.4]),
+                 ProbeConfig(probe_count=16, seed=3))
     assert rep.div == rep.hessian_trace
     assert rep.ratio == 1.0
     assert rep.method == "estimated"
 
 
-def test_report_evaluates_gradient_field_once():
-    """One gradient call over the 2K probe rows plus theta; the two rows
-    theta +- eps*J0 need u alone."""
+@pytest.mark.parametrize("iters", [None, 1, 3, 7],
+                         ids=["report", "1", "3", "7"])
+def test_probe_field_rows_makes_one_field_call(iters):
+    """The report's rows (iters None) or a training pass's: one gradient
+    call over theta and the 2K rows of each of the I probe matrices; the
+    two rows theta +- eps*J0 of a frozen batch need u alone."""
     calls = []
 
     def grad_fn(pts):
         calls.append(np.shape(pts))
         return 2.0 * pts
 
-    rep = divergence_report(grad_fn, lambda p: 0.2 * p,
-                            np.array([0.5, -0.5, 0.25]),
-                            ProbeConfig(probe_count=4, seed=9))
-    assert calls == [(2 * 4 + 1, 3)]
-    assert np.isfinite(rep.div)
+    theta = np.array([0.5, -0.5, 0.25])
+    rows = probe_rows(grad_fn, theta, ProbeConfig(probe_count=4, seed=9),
+                      iters)
+    count = 1 if iters is None else iters
+    assert calls == [(1 + 2 * 4 * count, 3)]
+    assert rows.grads.shape == rows.rows.shape == (count, 2 * 4, 3)
 
 
 def test_report_fields_populated():
-    rep = divergence_report(lambda p: p, lambda p: 0.2 * p,
-                            np.array([0.5, -0.5, 0.25]),
-                            ProbeConfig(probe_count=4, seed=9))
+    rep = report(lambda p: p, lambda p: 0.2 * p, np.array([0.5, -0.5, 0.25]),
+                 ProbeConfig(probe_count=4, seed=9))
     assert isinstance(rep, DivergenceReport)
     assert np.isfinite(rep.div) and np.isfinite(rep.hessian_trace)
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from helpers import probe_rows
 from rpg.divergence import divergence_exact, divergence_report
 from rpg.errors import BadDimensions, NonFiniteField
 from rpg.fields import (ProbeConfig, default_fd_step, eval_points,
@@ -75,8 +76,10 @@ def test_evaluator_checks_gradients():
 def test_evaluator_factors_shape():
     """A u_fn whose rows are not shaped like its points is refused."""
     with pytest.raises(BadDimensions):
-        divergence_report(lambda p: p, lambda p: 0.1 * p[:, :-1], np.ones(3),
-                          ProbeConfig(probe_count=4))
+        divergence_report(lambda p: 0.1 * p[:, :-1], np.ones(3),
+                          probe_rows(lambda p: p, np.ones(3),
+                                     ProbeConfig(probe_count=4)),
+                          np.zeros(3))
 
 
 def test_probe_config_validation():
@@ -94,7 +97,7 @@ def test_probe_config_step_auto():
         seen.append(p.copy())
         return p
 
-    divergence_report(grad_fn, np.zeros_like, theta, pc)
+    probe_rows(grad_fn, theta, pc)
     eps = default_fd_step(theta)
     assert eps == pytest.approx(4e-4)
     probes = rademacher_matrix(RngStream(pc.seed), 8, theta.size)

@@ -15,7 +15,7 @@ import pytest
 
 import rpg.metricnet
 import tape_reference as tape
-from helpers import (fd_geodesic_gradient, fd_pullback,
+from helpers import (fd_geodesic_gradient, fd_pullback, probe_rows,
                      reference_train_metric_net)
 from rpg.divergence import divergence_report, hessian_trace_hutchinson
 from rpg.envs import make_env
@@ -26,8 +26,8 @@ from rpg.metricnet import (LayerLayout, MetricNetConfig, build_u_field,
                            build_u_vjp,
                            evaluate_divergence_loss, freeze_probe_batch,
                            init_params, load_params, metric_net_forward,
-                           params_to_json, probe_batch_points,
-                           probe_field_rows, save_params, train_metric_net)
+                           params_to_json, probe_batch_points, save_params,
+                           train_metric_net)
 from rpg.policy import LinearGainPolicy, PolicyMLP
 from rpg.rng import RngStream, rademacher_matrix
 from tape_reference import DiffGraph, add, mul, reduce_sum
@@ -303,9 +303,12 @@ def test_initial_ratio_is_exactly_one():
     phi = make_phi(seed=24)
     n = phi.layout.n
     a = 2.0 * np.eye(n) + 0.1
-    rep = divergence_report(lambda p: p @ a, build_u_field(phi),
-                            RngStream(25).normal((n,)),
-                            ProbeConfig(probe_count=8, seed=1))
+    theta = RngStream(25).normal((n,))
+    u_fn = build_u_field(phi)
+    rep = divergence_report(
+        u_fn, theta,
+        probe_rows(lambda p: p @ a, theta, ProbeConfig(probe_count=8, seed=1)),
+        u_fn(theta))
     assert rep.div == rep.hessian_trace
     assert rep.ratio == 1.0
 
@@ -323,13 +326,12 @@ def quad_fixture(n=8, layout=None):
 
 
 def freeze(phi, theta, grad_fn, pc):
-    """One frozen batch at pc's own probe draw, field rows from one call."""
-    probes = rademacher_matrix(RngStream(pc.seed), pc.probe_count, theta.size)
-    eps = default_fd_step(theta)
-    field = probe_field_rows(grad_fn, theta, probes[None], eps)
+    """One frozen batch at the report's probe draw, field rows from one
+    call."""
+    field = probe_rows(grad_fn, theta, pc)
     return freeze_probe_batch(probe_batch_points(field.rows[0], theta),
-                              build_u_field(phi)(theta), field.g0, probes,
-                              field.grads[0], eps)
+                              build_u_field(phi)(theta), field.g0,
+                              field.probes[0], field.grads[0], field.eps)
 
 
 # the bowl (4-vector), LQR and pointmass PolicyMLP policy layouts
@@ -350,7 +352,9 @@ def test_report_div_is_loss_div_bitwise(layout, m_tilde):
     grad_fn = lambda p: np.tanh(p) @ (w + w.T)
     theta = RngStream(28).normal((n,), scale=0.5)
     pc = ProbeConfig(probe_count=8, seed=2)
-    rep = divergence_report(grad_fn, build_u_field(phi), theta, pc)
+    u_fn = build_u_field(phi)
+    rep = divergence_report(u_fn, theta, probe_rows(grad_fn, theta, pc),
+                            u_fn(theta))
     div, _, _ = evaluate_divergence_loss(phi, freeze(phi, theta, grad_fn, pc))
     assert rep.div == div
 
@@ -447,9 +451,9 @@ def test_train_zero_field_is_noop():
     layout = LayerLayout.from_vector(6)
     phi = init_params(RngStream(34), MetricNetConfig(m_tilde=2), layout)
     before = [a.copy() for a in phi.params_list()]
-    out, history = train_metric_net(phi, np.ones(6),
-                                    lambda p: np.zeros_like(p),
-                                    ProbeConfig(probe_count=4), max_iters=5)
+    pc = ProbeConfig(probe_count=4)
+    out, history = train_metric_net(
+        phi, np.ones(6), probe_rows(np.zeros_like, np.ones(6), pc, 5), pc)
     assert [(i, d, l) for i, d, l in history] == [(i, 0.0, 0.0)
                                                   for i in range(5)]
     assert all(np.array_equal(a, b)
@@ -459,9 +463,9 @@ def test_train_zero_field_is_noop():
 def test_train_history_loss_non_increasing():
     layout, grad_fn, theta, _ = quad_fixture()
     phi = init_params(RngStream(35), MetricNetConfig(m_tilde=3), layout)
-    _, history = train_metric_net(phi, theta, grad_fn,
-                                  ProbeConfig(probe_count=8, seed=2),
-                                  max_iters=8)
+    pc = ProbeConfig(probe_count=8, seed=2)
+    _, history = train_metric_net(phi, theta,
+                                  probe_rows(grad_fn, theta, pc, 8), pc)
     losses = [l for _, _, l in history]
     assert len(losses) == 8
     assert all(b <= a for a, b in zip(losses, losses[1:]))
@@ -470,12 +474,12 @@ def test_train_history_loss_non_increasing():
 
 def test_train_deterministic():
     layout, grad_fn, theta, _ = quad_fixture()
+    pc = ProbeConfig(probe_count=8, seed=3)
     runs = []
     for _ in range(2):
         phi = init_params(RngStream(36), MetricNetConfig(m_tilde=3), layout)
-        out, history = train_metric_net(phi, theta, grad_fn,
-                                        ProbeConfig(probe_count=8, seed=3),
-                                        max_iters=5)
+        out, history = train_metric_net(
+            phi, theta, probe_rows(grad_fn, theta, pc, 5), pc)
         runs.append((out, history))
     assert runs[0][1] == runs[1][1]
     assert all(np.array_equal(a, b) for a, b in
@@ -486,17 +490,18 @@ def test_train_aborts_on_non_finite():
     layout, grad_fn, theta, _ = quad_fixture()
     phi = init_params(RngStream(37), MetricNetConfig(m_tilde=3), layout)
     phi.trunk_w[0, 0] = np.inf
+    pc = ProbeConfig(probe_count=4)
     with np.errstate(invalid="ignore"):
         out, history = train_metric_net(
-            phi, theta, grad_fn, ProbeConfig(probe_count=4), max_iters=5)
+            phi, theta, probe_rows(grad_fn, theta, pc, 5), pc)
     assert history == []
     assert np.isinf(out.trunk_w[0, 0])
 
     # a NaN gradient field: same abort, phi untouched, nothing raised
     phi = init_params(RngStream(37), MetricNetConfig(m_tilde=3), layout)
     out, history = train_metric_net(
-        phi, theta, lambda p: np.full_like(p, np.nan),
-        ProbeConfig(probe_count=4), max_iters=5)
+        phi, theta, probe_rows(lambda p: np.full_like(p, np.nan), theta, pc,
+                               5), pc)
     assert history == []
     assert all(np.array_equal(a, b)
                for a, b in zip(out.params_list(), phi.params_list()))
@@ -521,25 +526,12 @@ def test_train_non_finite_row_ends_loop_at_its_iteration():
         return out
 
     phi = init_params(RngStream(39), MetricNetConfig(m_tilde=3), layout)
-    _, history = train_metric_net(phi, theta, field, pc, max_iters=5)
-    _, clean = train_metric_net(phi, theta, grad_fn, pc, max_iters=5)
+    _, history = train_metric_net(phi, theta,
+                                  probe_rows(field, theta, pc, 5), pc)
+    _, clean = train_metric_net(phi, theta, probe_rows(grad_fn, theta, pc, 5),
+                                pc)
     assert [it for it, _, _ in history] == [0, 1]
     assert history == clean[:2]
-
-
-@pytest.mark.parametrize("max_iters", [1, 3, 7])
-def test_train_evaluates_field_once_per_pass(max_iters):
-    layout, _, theta, d = quad_fixture()
-    calls = []
-
-    def field(pts):
-        calls.append(np.shape(pts))
-        return pts * d
-
-    phi = init_params(RngStream(36), MetricNetConfig(m_tilde=3), layout)
-    train_metric_net(phi, theta, field, ProbeConfig(probe_count=4, seed=3),
-                     max_iters=max_iters)
-    assert calls == [(1 + 2 * 4 * max_iters, theta.size)]
 
 
 @over_policy_layouts
@@ -567,7 +559,8 @@ def test_train_matches_reference_loop_bitwise(layout, m_tilde, case,
                         lambda *args: kicks.append(kick(*args)))
 
     with np.errstate(invalid="ignore", over="ignore"):
-        out, history = train_metric_net(phi, theta, grad_fn, pc, max_iters=5)
+        out, history = train_metric_net(phi, theta,
+                                        probe_rows(grad_fn, theta, pc, 5), pc)
         ref, ref_history = reference_train_metric_net(phi, theta, grad_fn, pc,
                                                       max_iters=5)
     assert history == ref_history
@@ -598,9 +591,9 @@ def test_train_forwards_twice_per_iteration_via_module_names(max_iters,
         monkeypatch.setattr(rpg.metricnet, name, counting)
 
     phi = init_params(RngStream(36), MetricNetConfig(m_tilde=3), layout)
-    _, history = train_metric_net(phi, theta, grad_fn,
-                                  ProbeConfig(probe_count=4, seed=3),
-                                  max_iters=max_iters)
+    pc = ProbeConfig(probe_count=4, seed=3)
+    field = probe_rows(grad_fn, theta, pc, max_iters)
+    _, history = train_metric_net(phi, theta, field, pc)
     assert len(history) == max_iters
     rows = [len(args[1][0]) for args in calls["metric_net_forward"]]
     assert rows == [1, 2 * 4 + 3] * max_iters
@@ -610,11 +603,13 @@ def test_train_forwards_twice_per_iteration_via_module_names(max_iters,
 
 
 def test_train_rejects_zero_iters():
+    """Field rows that hold no probe matrix leave no iteration to run."""
     layout, grad_fn, theta, _ = quad_fixture()
     phi = init_params(RngStream(38), MetricNetConfig(m_tilde=3), layout)
+    pc = ProbeConfig(probe_count=4)
     with pytest.raises(ValueError):
-        train_metric_net(phi, theta, grad_fn, ProbeConfig(probe_count=4),
-                         max_iters=0)
+        train_metric_net(phi, theta, probe_rows(grad_fn, theta, pc, 1)[:0],
+                         pc)
 
 
 # ------------------------------------------------------------- checkpoints

@@ -5,13 +5,16 @@ statistics) live in test_acceptance.py; here we pin the step-level
 contracts and the cheap end-to-end behaviours.
 """
 
+import inspect
+
 import numpy as np
 import pytest
 
 import rpg.metricnet
 import rpg.policy
 import rpg.training
-from helpers import per_row_reinforce_field, scalar_evaluate_policy
+from helpers import (per_row_reinforce_field, probe_rows,
+                     scalar_evaluate_policy)
 from rpg.divergence import DivergenceReport, divergence_report
 from rpg.envs import lqr_expected_return, make_env, riccati_gain
 from rpg.errors import NonFiniteField
@@ -19,7 +22,7 @@ from rpg.fields import ProbeConfig
 from rpg.metric import MetricPoint, inverse_apply
 from rpg.geodesic import geodesic_gradient
 from rpg.metricnet import (MetricNetConfig, build_u_field, build_u_vjp,
-                           init_params)
+                           init_params, train_metric_net)
 from rpg.policy import LinearGainPolicy, ParamPolicy
 from rpg.rng import RngStream
 from rpg.training import (TrainConfig, _build_policy, _gradient_field,
@@ -267,7 +270,6 @@ def test_j_update_forwards_u_at_theta_once(monkeypatch):
     assert rows == [1, 2 * 8 + 3]    # that row, then the frozen batch
     theta = np.array([0.4, -0.7, 0.2, 0.9])
     u0 = build_u_field(phi)(theta)
-    assert np.array_equal(report.u0, u0)
     assert np.array_equal(direction,
                           inverse_apply(MetricPoint(u0),
                                         bowl_field(4)[1](theta)))
@@ -308,8 +310,10 @@ def test_algorithm_step_lowers_median_ratio_variant_t():
         phi.head_sigma_w += kick.normal(size=phi.head_sigma_w.shape,
                                         scale=0.1)
         probe_cfg = ProbeConfig(probe_count=16, seed=seed)
-        before.append(divergence_report(grad_fn, build_u_field(phi), theta,
-                                        probe_cfg).ratio)
+        u_fn = build_u_field(phi)
+        before.append(divergence_report(
+            u_fn, theta, probe_rows(grad_fn, theta, probe_cfg),
+            u_fn(theta)).ratio)
         _, report, _ = regularize_step(theta, grad_fn(theta), phi, cfg,
                                        grad_fn, probe_cfg)
         after.append(report.ratio)
@@ -464,6 +468,43 @@ def test_pointmass_variant_j_smoke():
     assert not summary.aborted
     assert len(summary.records) == 2
     assert all(np.isfinite(r.ratio) for r in summary.records)
+
+
+def test_pointmass_reinforce_field_plays_the_runs_policy(monkeypatch):
+    # the field reads the policy's layout and row methods, never its
+    # theta, so a J run builds one policy and every field call plays it
+    built, played = [], []
+    build = rpg.training._build_policy
+    reinforce_field = rpg.training.reinforce_field
+
+    def counted_build(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    def recorded_reinforce(env, policy, *args):
+        played.append(policy)
+        return reinforce_field(env, policy, *args)
+
+    monkeypatch.setattr(rpg.training, "_build_policy", counted_build)
+    monkeypatch.setattr(rpg.training, "reinforce_field", recorded_reinforce)
+    cfg = TrainConfig(env_kind="pointmass", variant="J", total_steps=100,
+                      update_interval=50, probe_count=4, probe_episodes=2,
+                      metric_iters=2, eval_episodes=2, policy_lr=0.001,
+                      seed=0)
+    summary = run_training(cfg)
+    assert not summary.aborted and len(summary.records) == 2
+    assert len(built) == 1
+    assert len(played) == 2 and all(p is built[0] for p in played)
+
+
+def test_metric_core_takes_field_rows_not_a_gradient_field():
+    # the field reaches metric training and the report only as the rows
+    # of one probe_field_rows call; neither can call a field itself
+    for fn in (train_metric_net, divergence_report):
+        params = inspect.signature(fn).parameters
+        assert "grad_fn" not in params
+        assert params["field_rows"].default is inspect.Parameter.empty
+    assert "max_iters" not in inspect.signature(train_metric_net).parameters
 
 
 # K = 4 probes, I = 3 metric iterations: a J/T update's one field call
