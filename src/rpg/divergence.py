@@ -241,9 +241,12 @@ def divergence_report(u_fn, theta: np.ndarray, field_rows: ProbeRows,
     div, _ = probe_divergence(us, ctx)
     trace, _ = probe_divergence(np.zeros_like(ctx.points), ctx)
     div, trace = float(div), float(trace)
-    return DivergenceReport(div=div, hessian_trace=trace,
-                            ratio=divergence_ratio(div, trace),
-                            method="estimated")
+    return DivergenceReport(
+        div=div,
+        hessian_trace=trace,
+        ratio=divergence_ratio(div, trace),
+        method="estimated",
+    )
 
 
 def hessian_trace_hutchinson(grad_fn, theta: np.ndarray,

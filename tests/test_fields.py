@@ -8,7 +8,9 @@ from rpg.divergence import divergence_exact, divergence_report
 from rpg.errors import BadDimensions, NonFiniteField
 from rpg.fields import (ProbeConfig, default_fd_step, eval_points,
                         require_finite)
+from rpg.metricnet import LayerLayout, MetricNetConfig, init_params
 from rpg.rng import RngStream, rademacher_matrix
+from rpg.training import TrainConfig, regularize_step
 
 
 def test_default_step_at_origin():
@@ -88,7 +90,8 @@ def test_probe_config_validation():
 
 
 def test_probe_config_step_auto():
-    """Probe rows sit at theta +- default_fd_step(theta) * v."""
+    """Probe rows sit at theta +- default_fd_step(theta) * v: the report's
+    rows in the one field call of a frozen-metric J update."""
     theta = np.array([3.0, -1.0])
     pc = ProbeConfig(probe_count=8, seed=2)
     seen = []
@@ -97,7 +100,12 @@ def test_probe_config_step_auto():
         seen.append(p.copy())
         return p
 
-    probe_rows(grad_fn, theta, pc)
+    phi = init_params(RngStream(0), MetricNetConfig(m_tilde=1),
+                      LayerLayout.from_vector(theta.size))
+    regularize_step(theta, None, phi, TrainConfig(variant="J",
+                                                  freeze_phi=True),
+                    grad_fn, pc)
+    assert len(seen) == 1 and np.array_equal(seen[0][0], theta)
     eps = default_fd_step(theta)
     assert eps == pytest.approx(4e-4)
     probes = rademacher_matrix(RngStream(pc.seed), 8, theta.size)
