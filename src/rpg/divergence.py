@@ -172,9 +172,11 @@ def freeze_probe_batch(points: np.ndarray, u0: np.ndarray, g0: np.ndarray,
     k2 = 2 * len(probes)
     theta = points[-1]
     # G^-1 g0 = g0 - u0 (u0.g0) / (1 + u0.u0), as ``metric.inverse_apply``
-    j0 = g0 - u0 * ((u0 * g0).sum(axis=-1) / ((u0 * u0).sum(axis=-1) + 1.0))
-    points[k2] = theta + eps * j0
-    points[k2 + 1] = theta - eps * j0
+    j0 = g0 - u0 * (np.add.reduce(u0 * g0, axis=-1)
+                    / (np.add.reduce(u0 * u0, axis=-1) + 1.0))
+    step = eps * j0
+    points[k2] = theta + step
+    points[k2 + 1] = theta - step
     return FrozenProbes(points=points, probes=probes, grads=probe_grads,
                         eps=eps)
 
@@ -185,33 +187,36 @@ def probe_divergence(u: np.ndarray, ctx: FrozenProbes):
     # probe term: J = G^-1 grad at theta +- eps*v, differenced along v
     k = ctx.probes.shape[0]
     up, x = u[:2 * k], ctx.grads
-    det = (up * up).sum(axis=-1).reshape(2 * k, 1) + 1.0
-    ux = (up * x).sum(axis=-1).reshape(2 * k, 1)
+    det = np.add.reduce(up * up, axis=-1, keepdims=True) + 1.0
+    ux = np.add.reduce(up * x, axis=-1, keepdims=True)
     q = ux / det
     j = x - up * q
     scale = 1.0 / (2.0 * ctx.eps * k)
-    term1 = (ctx.probes * (j[:k] - j[k:])).sum() * scale
+    term1 = np.add.reduce(ctx.probes * (j[:k] - j[k:]), axis=None) * scale
     # volume term: u(theta) . (u(theta + eps*J0) - u(theta - eps*J0))
     u_jp, u_jm, u_t = u[2 * k], u[2 * k + 1], u[2 * k + 2]
     du = u_jp - u_jm
-    den = ((u_t * u_t).sum() + 1.0) * (2.0 * ctx.eps)
-    num = (u_t * du).sum()
+    den = (np.add.reduce(u_t * u_t) + 1.0) * (2.0 * ctx.eps)
+    num = np.add.reduce(u_t * du)
     div = term1 + num / den
 
     def vjp(g_div):
         # summing each row's terms in the order a reverse sweep over the
-        # forward's operations would
+        # forward's operations would; det and den each enter through u
+        # twice, so their terms are added twice
         g_j = ctx.probes * (g_div * scale)
         g_j = np.concatenate([g_j, -g_j])
-        g_q = -(g_j * up).sum(axis=-1).reshape(2 * k, 1)
+        g_q = -np.add.reduce(g_j * up, axis=-1, keepdims=True)
         g_det = -g_q * ux / (det * det)
         g_u = np.empty_like(u)
-        g_u[:2 * k] = -g_j * q + (g_q / det) * x + g_det * up + g_det * up
+        g_det_up = g_det * up
+        g_u[:2 * k] = -g_j * q + (g_q / det) * x + g_det_up + g_det_up
         g_num = g_div / den
         g_det_t = -g_div * num / (den * den) * (2.0 * ctx.eps)
         g_u[2 * k] = g_num * u_t
         g_u[2 * k + 1] = -g_u[2 * k]
-        g_u[2 * k + 2] = g_num * du + g_det_t * u_t + g_det_t * u_t
+        g_det_u = g_det_t * u_t
+        g_u[2 * k + 2] = g_num * du + g_det_u + g_det_u
         return g_u
 
     return div, vjp

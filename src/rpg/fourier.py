@@ -93,11 +93,18 @@ def rotate(fp: FourierPair, sigma_tilde, x):
     c = Omega^T x holds the low-frequency cosine coefficients; everything
     orthogonal to the retained cosine columns passes through untouched.
     """
+    return rotate_parts(fp, sigma_tilde, x)[0]
+
+
+def rotate_parts(fp: FourierPair, sigma_tilde, x):
+    """(R x, c, cos st, sin st): ``rotate`` and the intermediates that its
+    derivative reads (``metricnet._through_u``)."""
     c = x @ fp.omega
-    shifted_cos = (np.cos(sigma_tilde) * c) @ fp.omega.T
-    shifted_sin = (np.sin(sigma_tilde) * c) @ fp.phi.T
+    cos, sin = np.cos(sigma_tilde), np.sin(sigma_tilde)
+    shifted_cos = (cos * c) @ fp.omega.T
+    shifted_sin = (sin * c) @ fp.phi.T
     residual = x - c @ fp.omega.T
-    return (shifted_cos - shifted_sin) + residual
+    return (shifted_cos - shifted_sin) + residual, c, cos, sin
 
 
 def rotate_transpose(fp: FourierPair, sigma_tilde, y):
@@ -118,7 +125,7 @@ def build_u(fp: FourierPair, omega_tilde, sigma_tilde, theta):
     (radians, mod 2pi); each is (m_tilde,), or (B, m_tilde) for a batch.
     """
     scale = scaling_vector(fp, omega_tilde)
-    return scale * rotate(fp, sigma_tilde, theta)
+    return scale * rotate_parts(fp, sigma_tilde, theta)[0]
 
 
 def dense_rotation(fp: FourierPair, sigma_tilde: np.ndarray) -> np.ndarray:

@@ -10,6 +10,10 @@ softplus), which feeds two zero-initialized *linear* heads producing
 omega_tilde and sigma_tilde.  Only m_tilde varies between networks.
 The forward is plain numpy over a batch of points; each convolution stage
 is one sum over the kernel taps and each pool one ``np.add.reduceat``.
+What the layout fixes for a batch size (conv taps, pool windows with their
+reciprocal counts, the slot of each phi-gradient in the flat gradient) is
+built once per (layout, rows) into a cached plan, which the forward and
+its reverse pass read in place of working it out on every call.
 
 Zero heads mean u = 0 identically at initialization: the learned metric
 starts exactly Euclidean and the step-0 regularized gradient equals the raw
@@ -53,6 +57,7 @@ correction needs (``rpg.geodesic.geodesic_gradient``); given the
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
@@ -62,8 +67,8 @@ from .divergence import (FrozenProbes, ProbeRows, freeze_probe_batch,
                          probe_batch_points, probe_divergence)
 from .errors import BadDimensions, LayoutMismatch
 from .fields import ProbeConfig
-from .fourier import (build_fourier_pair, build_u, rotate, rotate_transpose,
-                      scaling_vector)
+from .fourier import (build_fourier_pair, build_u, rotate_parts,
+                      rotate_transpose, scaling_vector)
 from .rng import RngStream, rademacher_matrix
 
 # v2 headers record LayerLayout.pool_exempt; v1 files still load, with the
@@ -88,13 +93,15 @@ class LayerLayout:
 
     pool_exempt overrides which part skips average pooling (the policy's
     output bias); by default it is the trailing part when that part is a
-    vector in a multi-part layout.
+    vector in a multi-part layout.  output_bias_part is the index of the
+    part that skips it, or None.
     """
 
     shapes: tuple
     pool_exempt: int | None = None
     n: int = field(init=False)
     sizes: tuple = field(init=False)    # entries per part
+    output_bias_part: int | None = field(init=False)
 
     def __post_init__(self):
         norm = tuple(tuple(int(d) for d in s) for s in self.shapes)
@@ -108,19 +115,14 @@ class LayerLayout:
         object.__setattr__(self, "shapes", norm)
         object.__setattr__(self, "sizes", sizes)
         object.__setattr__(self, "n", sum(sizes))
+        exempt = self.pool_exempt
+        if exempt is None and len(norm) > 1 and len(norm[-1]) == 1:
+            exempt = len(norm) - 1
+        object.__setattr__(self, "output_bias_part", exempt)
 
     @classmethod
     def from_vector(cls, n: int) -> "LayerLayout":
         return cls(shapes=((n,),))
-
-    @property
-    def output_bias_part(self):
-        """Index of the part exempt from pooling: a trailing 1-d part."""
-        if self.pool_exempt is not None:
-            return self.pool_exempt
-        if len(self.shapes) > 1 and len(self.shapes[-1]) == 1:
-            return len(self.shapes) - 1
-        return None
 
     def flatten(self, parts) -> np.ndarray:
         if len(parts) != len(self.shapes):
@@ -302,43 +304,102 @@ def init_params(rng: RngStream, cfg: MetricNetConfig,
 # ----------------------------------------------------------------- forward
 
 
-@lru_cache(maxsize=64)
-def _taps(shape: tuple, k: int, ndim: int):
-    """Windows of a valid k-wide correlation over the trailing ndim axes.
+@dataclass(frozen=True)
+class _StagePlan:
+    """One conv stage of a part, for a fixed batch size.
 
-    Returns (keys, out_shape): keys[t] indexes the input window under
-    kernel tap t (taps flat, row-major); out_shape is the output's shape.
+    keys[t] indexes the input window under kernel tap t (taps flat,
+    row-major); taps[t] holds the same window as flat indices into the
+    C-order input, so one ``take`` gathers every tap's window.
     """
-    lead = (slice(None),) * (len(shape) - ndim)
-    spans = [s - k + 1 for s in shape[-ndim:]]
-    keys = [lead + tuple(slice(o, o + m) for o, m in zip(offsets, spans))
-            for offsets in np.ndindex(*(k,) * ndim)]
-    return keys, shape[:-ndim] + tuple(spans)
+
+    flatten: tuple | None   # the (B, L) a 1-d stage reshapes its input to
+    keys: tuple
+    taps: np.ndarray        # (taps, outputs) flat input indices
+    kernel: int             # index of the kernel in the part's part_convs
+    slot: slice             # the kernel gradient's slot in the phi-gradient
 
 
-def _conv_valid(x, kernel, k: int, ndim: int):
-    """sum_t kernel[t] * (x shifted by tap t), accumulated in tap order."""
-    keys, _ = _taps(x.shape, k, ndim)
-    out = x[keys[0]] * kernel[0]
-    for t in range(1, len(keys)):
-        out += x[keys[t]] * kernel[t]
-    return out
+@dataclass(frozen=True)
+class _PartPlan:
+    """One parameter part of the network, for a fixed batch size.
+
+    pool is (starts, 1 / counts, counts) of the average pool's windows,
+    a partial trailing window counting the entries it has, or None for
+    the part exempt from pooling; 1 / counts is laid out for every row,
+    which spares the scaling a broadcast.  cols are the part's columns in
+    the trunk input and dense_at the offset of its dense (weight, bias)
+    gradients.
+    """
+
+    shape: tuple            # (B,) + the part's shape
+    stages: tuple
+    flatten: tuple | None   # the (B, L) the conv output is reshaped to
+    pool: tuple | None
+    cols: slice
+    dense_at: int
+
+
+@dataclass(frozen=True)
+class _NetPlan:
+    rows: int
+    parts: tuple
+    trunk_at: int           # offsets of the trunk's gradients and of the
+    heads_at: int           # heads', which follow them
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
 
 
 @lru_cache(maxsize=64)
-def _pool_windows(length: int, size: int):
-    """(starts, counts) of the size-wide windows along a length-long axis;
-    a partial trailing window counts the entries it has.  Both are shared
-    between callers, so both are read-only."""
-    starts = np.arange(0, length, size)
-    counts = np.minimum(starts + size, length) - starts
-    starts.flags.writeable = False
-    counts.flags.writeable = False
-    return starts, counts
+def _net_plan(shapes: tuple, exempt: int | None, rows: int) -> _NetPlan:
+    """What a layout fixes for a rows-row batch, built once per layout
+    (its part shapes and the part exempt from pooling) and batch size:
+    each part's conv taps, pool windows with their reciprocal counts, and
+    the slots of its phi-gradients in ``params_list`` order.  A reshape
+    that would leave its input as it is is left out (None).  The plan is
+    shared between callers, so its arrays are read-only."""
 
+    def flat(cur):
+        return None if len(cur) == 2 else (rows, int(np.prod(cur[1:])))
 
-def _flatten(x):
-    return x if x.ndim == 2 else x.reshape(len(x), -1)
+    parts, at = [], 0
+    for i, shape in enumerate(shapes):
+        stages_of, conv_len = _conv_plan(shape)
+        cur, stages = (rows,) + shape, []
+        for s, stage in enumerate(stages_of):
+            if stage is None:
+                continue
+            flatten = flat(cur) if stage == "1d" else None
+            cur = flatten or cur
+            spans = tuple(d - KERNEL + 1 for d in cur[1:])
+            keys = tuple(
+                (slice(None),) + tuple(slice(o, o + m)
+                                       for o, m in zip(offsets, spans))
+                for offsets in np.ndindex(*(KERNEL,) * len(spans)))
+            flat_in = np.arange(int(np.prod(cur))).reshape(cur)
+            taps = _read_only(np.stack([flat_in[key].ravel()
+                                        for key in keys]))
+            stages.append(_StagePlan(flatten, keys, taps, s,
+                                     slice(at, at + len(keys))))
+            at += len(keys)
+            cur = (rows,) + spans
+        pool = None
+        if i != exempt:
+            starts = np.arange(0, conv_len, POOL_SIZE)
+            counts = np.minimum(starts + POOL_SIZE, conv_len) - starts
+            inv_counts = np.tile(1.0 / counts, (rows, 1))
+            pool = tuple(map(_read_only, (starts, inv_counts, counts)))
+        feat = conv_len if pool is None else len(pool[0])
+        parts.append(_PartPlan((rows,) + shape, tuple(stages), flat(cur),
+                               pool,
+                               slice(i * PART_WIDTH, (i + 1) * PART_WIDTH),
+                               at))
+        at += (feat + 1) * PART_WIDTH
+    heads_at = at + (len(shapes) * PART_WIDTH + 1) * TRUNK_WIDTH
+    return _NetPlan(rows, tuple(parts), at, heads_at)
 
 
 def _sigmoid(z):
@@ -354,37 +415,47 @@ def metric_net_forward(phi: MetricNetParams, theta_layers, keep=False):
     unless keep, when it holds the activations ``_net_backward`` reads;
     without keep none of them is collected.
     """
+    shapes = phi.layout.shapes
     parts = list(theta_layers)
-    if len(parts) != len(phi.layout.shapes):
-        raise LayoutMismatch(
-            f"expected {len(phi.layout.shapes)} parts, got {len(parts)}")
-    batched = np.ndim(parts[0]) == len(phi.layout.shapes[0]) + 1
-    exempt = phi.layout.output_bias_part
+    if len(parts) != len(shapes):
+        raise LayoutMismatch(f"expected {len(shapes)} parts, "
+                             f"got {len(parts)}")
+    x = np.asarray(parts[0], dtype=np.float64)
+    batched = x.ndim > len(shapes[0])
+    plan = _net_plan(shapes, phi.layout.output_bias_part,
+                     x.shape[0] if batched else 1)
 
     feats, part_acts = [], []
-    for i, (part, base) in enumerate(zip(parts, phi.layout.shapes)):
+    for i, (part, pp) in enumerate(zip(parts, plan.parts)):
         x = np.asarray(part, dtype=np.float64)
         if not batched:
             x = x[None]
-        if x.shape[1:] != base:
-            raise LayoutMismatch(f"part {i} shape {x.shape[1:]} != {base}")
+        if x.shape != pp.shape:
+            raise LayoutMismatch(f"part {i} batch shape {x.shape} != "
+                                 f"{pp.shape}")
+        kerns = phi.part_convs[i]
         stage_in = []
-        for stage, kern in zip(phi.plans[i], phi.part_convs[i]):
-            if stage is not None:
-                x = x if stage == "2d" else _flatten(x)
-                if keep:
-                    stage_in.append(x)
-                x = _conv_valid(x, kern, KERNEL, x.ndim - 1)
-        x = _flatten(x)
-        flat_len = x.shape[1]
-        if i != exempt:
-            starts, counts = _pool_windows(flat_len, POOL_SIZE)
-            x = np.add.reduceat(x, starts, axis=-1) * (1.0 / counts)
+        for st in pp.stages:
+            if st.flatten:
+                x = x.reshape(st.flatten)
+            if keep:
+                stage_in.append(x)
+            # sum_t kernel[t] * (x shifted by tap t), accumulated in tap order
+            keys, kern = st.keys, kerns[st.kernel]
+            conv = x[keys[0]] * kern[0]
+            for t, key in enumerate(keys[1:], 1):
+                conv += x[key] * kern[t]
+            x = conv
+        if pp.flatten:
+            x = x.reshape(pp.flatten)
+        if pp.pool is not None:
+            starts, inv_counts, _ = pp.pool
+            x = np.add.reduceat(x, starts, axis=-1) * inv_counts
         w, b = phi.part_dense[i]
         z = x @ w + b
         feats.append(np.logaddexp(0.0, z))
         if keep:
-            part_acts.append((stage_in, flat_len, x, z))
+            part_acts.append((stage_in, x, z))
 
     h_in = feats[0] if len(feats) == 1 else np.concatenate(feats, axis=1)
     z_trunk = h_in @ phi.trunk_w + phi.trunk_b
@@ -394,7 +465,7 @@ def metric_net_forward(phi: MetricNetParams, theta_layers, keep=False):
     if not batched:
         omega = omega.reshape(phi.m_tilde)
         sigma = sigma.reshape(phi.m_tilde)
-    acts = (part_acts, h_in, z_trunk, h) if keep else None
+    acts = (plan, part_acts, h_in, z_trunk, h) if keep else None
     return omega, sigma, acts
 
 
@@ -410,49 +481,44 @@ def _net_backward(phi: MetricNetParams, acts, g_omega, g_sigma, out,
     gradient, and the theta-cotangent is None.  With to_theta the
     cotangent also continues through each part's first conv stage, or its
     pool when it has no conv stage, to the part's input, and comes back as
-    one (B, n) array in the flat theta order.
+    one (B, n) array in the flat theta order.  Each kernel gradient is one
+    reduction per tap over the tap's gathered window, and each carried
+    cotangent one ``bincount`` that adds the taps in order.
     """
-    part_acts, h_in, z_trunk, h = acts
+    plan, part_acts, h_in, z_trunk, h = acts
     g_h = g_omega @ phi.head_omega_w.T + g_sigma @ phi.head_sigma_w.T
     g_trunk = g_h * _sigmoid(z_trunk)
     g_feats = g_trunk @ phi.trunk_w.T
 
-    def put_dense(x, g_z, at):
-        # the (weight, bias) gradients of a dense layer x @ w + b
-        size = x.shape[1] * g_z.shape[1]
-        np.matmul(x.T, g_z, out=out[at:at + size].reshape(x.shape[1], -1))
-        g_z.sum(axis=0, out=out[at + size:at + size + g_z.shape[1]])
-        return at + size + g_z.shape[1]
-
-    g_parts, at, col = [], 0, 0
-    for i, (stage_in, flat_len, x, z) in enumerate(part_acts):
-        w = phi.part_dense[i][0]
-        g_z = g_feats[:, col:col + w.shape[1]] * _sigmoid(z)
-        col += w.shape[1]
-        kerns = [kern for kern in phi.part_convs[i] if kern is not None]
+    g_parts, dense = [], []
+    for pp, (stage_in, x, z), (w, _), kerns in zip(
+            plan.parts, part_acts, phi.part_dense, phi.part_convs):
+        g_z = g_feats[:, pp.cols] * _sigmoid(z)
         if stage_in or to_theta:
             g = g_z @ w.T
-            if i != phi.layout.output_bias_part:
-                _, counts = _pool_windows(flat_len, POOL_SIZE)
-                g = np.repeat(g * (1.0 / counts), counts, axis=-1)
-            for s in reversed(range(len(stage_in))):
-                a = stage_in[s]
-                keys, out_shape = _taps(a.shape, KERNEL, a.ndim - 1)
-                g = g.reshape(out_shape)
-                tap_at = at + sum(kern.size for kern in kerns[:s])
-                for t, key in enumerate(keys):
-                    out[tap_at + t] = (g * a[key]).sum()
+            if pp.pool is not None:
+                _, inv_counts, counts = pp.pool
+                g = (g * inv_counts).repeat(counts, axis=-1)
+            for s in range(len(stage_in) - 1, -1, -1):
+                st, a = pp.stages[s], stage_in[s]
+                g = g.reshape(-1)
+                np.add.reduce(a.take(st.taps) * g, axis=1, out=out[st.slot])
                 if s or to_theta:
-                    g_in = np.zeros(a.shape)
-                    for t, key in enumerate(keys):
-                        g_in[key] += g * kerns[s][t]
-                    g = g_in
+                    g = np.bincount(st.taps.reshape(-1),
+                                    (g * kerns[st.kernel][:, None]).reshape(-1),
+                                    a.size)
             if to_theta:
-                g_parts.append(g.reshape(len(g), -1))
-        at = put_dense(x, g_z, at + sum(kern.size for kern in kerns))
-    at = put_dense(h_in, g_trunk, at)
-    at = put_dense(h, g_omega, at)
-    put_dense(h, g_sigma, at)
+                g_parts.append(g.reshape(plan.rows, -1))
+        dense.append((x, g_z, pp.dense_at))
+    head = (TRUNK_WIDTH + 1) * g_omega.shape[1]
+    dense += [(h_in, g_trunk, plan.trunk_at), (h, g_omega, plan.heads_at),
+              (h, g_sigma, plan.heads_at + head)]
+    for x, g_z, at in dense:
+        # the (weight, bias) gradients of a dense layer x @ w + b
+        width = g_z.shape[1]
+        end = at + x.shape[1] * width
+        np.matmul(x.T, g_z, out=out[at:end].reshape(-1, width))
+        np.add.reduce(g_z, axis=0, out=out[end:end + width])
     return np.concatenate(g_parts, axis=1) if to_theta else None
 
 
@@ -473,23 +539,23 @@ def build_u_field(phi: MetricNetParams):
 
 
 def _u_factors(fp, omega, sigma, pts):
-    """(u, scale, rot): u = scale * rot with scale = Omega omega_tilde and
-    rot = R theta, the value ``build_u`` returns bitwise, and the two
-    factors that ``_through_u`` reads."""
+    """(u, factors): u = scale * rot with scale = Omega omega_tilde and
+    rot = R theta, the value ``build_u`` returns bitwise, and factors =
+    (scale, rot, Omega^T theta, cos sigma, sin sigma), what ``_through_u``
+    reads."""
     scale = scaling_vector(fp, omega)
-    rot = rotate(fp, sigma, pts)
-    return scale * rot, scale, rot
+    rot, c, cos, sin = rotate_parts(fp, sigma, pts)
+    return scale * rot, (scale, rot, c, cos, sin)
 
 
-def _through_u(fp, sigma, pts, scale, rot, g_u):
+def _through_u(fp, factors, g_u):
     """Carry a cotangent g_u of u = scale * rot back to (g_rot, g_omega,
     g_sigma): the cotangents of R theta and of the network's two outputs.
-    scale and rot are the forward's factors (``_u_factors``)."""
-    c = pts @ fp.omega
+    factors are the forward's (``_u_factors``)."""
+    scale, rot, c, cos, sin = factors
     g_rot = g_u * scale
     g_omega = (g_u * rot) @ fp.omega
-    g_sigma = (-(g_rot @ fp.phi) * c) * np.cos(sigma) \
-        - ((g_rot @ fp.omega) * c) * np.sin(sigma)
+    g_sigma = (-(g_rot @ fp.phi) * c) * cos - ((g_rot @ fp.omega) * c) * sin
     return g_rot, g_omega, g_sigma
 
 
@@ -497,15 +563,13 @@ def _through_u(fp, sigma, pts, scale, rot, g_u):
 class PointForward:
     """One forward of u at a single point, activations kept.
 
-    pts is the point as a (1, n) batch, sigma the network's (1, m_tilde)
-    rotation output, scale and rot the factors of u (``_u_factors``), acts
-    what ``_net_backward`` reads, and u the (n,) value u(theta).
+    sigma is the network's (1, m_tilde) rotation output, factors those of
+    u (``_u_factors``), acts what ``_net_backward`` reads, and u the (n,)
+    value u(theta).
     """
 
-    pts: np.ndarray
     sigma: np.ndarray
-    scale: np.ndarray
-    rot: np.ndarray
+    factors: tuple
     acts: tuple
     u: np.ndarray
 
@@ -517,10 +581,9 @@ def forward_u(phi: MetricNetParams, theta) -> PointForward:
     pts = np.asarray(theta, dtype=np.float64)[None]
     omega, sigma, acts = metric_net_forward(
         phi, phi.layout.unflatten_batch(pts), keep=True)
-    u, scale, rot = _u_factors(build_fourier_pair(phi.layout.n, phi.m_tilde),
-                               omega, sigma, pts)
-    return PointForward(pts=pts, sigma=sigma, scale=scale, rot=rot,
-                        acts=acts, u=u[0])
+    u, factors = _u_factors(build_fourier_pair(phi.layout.n, phi.m_tilde),
+                            omega, sigma, pts)
+    return PointForward(sigma=sigma, factors=factors, acts=acts, u=u[0])
 
 
 def build_u_vjp(phi: MetricNetParams, at: PointForward | None = None):
@@ -539,8 +602,7 @@ def build_u_vjp(phi: MetricNetParams, at: PointForward | None = None):
     def u_vjp(theta, cot):
         fwd = forward_u(phi, theta) if at is None else at
         g_rot, g_omega, g_sigma = _through_u(
-            fp, fwd.sigma, fwd.pts, fwd.scale, fwd.rot,
-            np.asarray(cot, dtype=np.float64)[None])
+            fp, fwd.factors, np.asarray(cot, dtype=np.float64)[None])
         g_net = _net_backward(phi, fwd.acts, g_omega, g_sigma,
                               np.empty(phi.size), to_theta=True)
         return fwd.u, (rotate_transpose(fp, fwd.sigma, g_rot) + g_net)[0]
@@ -564,14 +626,30 @@ class Adam:
         self.t = 0
         self.m = np.zeros(size)
         self.v = np.zeros(size)
+        self._a = np.empty(size)
+        self._b = np.empty(size)
 
     def step(self, params: np.ndarray, grads: np.ndarray) -> None:
+        # the update params -= lr * (m / b1c) / (sqrt(v / b2c) + eps),
+        # each operation in place in two scratch buffers
         self.t += 1
         b1c = 1.0 - self.beta1**self.t
         b2c = 1.0 - self.beta2**self.t
-        self.m += (1.0 - self.beta1) * (grads - self.m)
-        self.v += (1.0 - self.beta2) * (grads * grads - self.v)
-        params -= self.lr * (self.m / b1c) / (np.sqrt(self.v / b2c) + self.eps)
+        a, b = self._a, self._b
+        np.subtract(grads, self.m, out=a)
+        a *= 1.0 - self.beta1
+        self.m += a
+        np.multiply(grads, grads, out=a)
+        a -= self.v
+        a *= 1.0 - self.beta2
+        self.v += a
+        np.divide(self.m, b1c, out=a)
+        a *= self.lr
+        np.divide(self.v, b2c, out=b)
+        np.sqrt(b, out=b)
+        b += self.eps
+        a /= b
+        params -= a
 
 
 def evaluate_divergence_loss(phi: MetricNetParams, ctx: FrozenProbes,
@@ -590,10 +668,9 @@ def evaluate_divergence_loss(phi: MetricNetParams, ctx: FrozenProbes,
     pts = ctx.points
     omega, sigma, acts = metric_net_forward(
         phi, phi.layout.unflatten_batch(pts), keep=True)
-    u, scale, rot = _u_factors(fp, omega, sigma, pts)
+    u, factors = _u_factors(fp, omega, sigma, pts)
     div, vjp = probe_divergence(u, ctx)
-    _, g_omega, g_sigma = _through_u(fp, sigma, pts, scale, rot,
-                                     vjp(2.0 * div))
+    _, g_omega, g_sigma = _through_u(fp, factors, vjp(2.0 * div))
     if out is None:
         out = np.empty(phi.size)
     _net_backward(phi, acts, g_omega, g_sigma, out)
@@ -673,7 +750,7 @@ def train_metric_net(phi: MetricNetParams, theta: np.ndarray,
         ctx = freeze_probe_batch(points, u0, g0, probes[it], probe_grads[it],
                                  eps)
         div, loss, _ = evaluate_divergence_loss(work, ctx, grad)
-        if not np.isfinite(loss):
+        if not math.isfinite(loss):
             break
         if loss < best_loss:
             best_loss, best_div = loss, div

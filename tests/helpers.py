@@ -8,8 +8,9 @@ from rpg.errors import BadDimensions, NonFiniteField
 from rpg.fields import default_fd_step, eval_points, require_finite
 from rpg.geodesic import _fd_points
 from rpg.metric import MetricPoint, bilinear_form, inverse_apply
-from rpg.metricnet import (Adam, _kick_heads, build_u_field,
-                           evaluate_divergence_loss, training_probes)
+from rpg.metricnet import (KERNEL, POOL_SIZE, Adam, _conv_plan, _kick_heads,
+                           build_u_field, evaluate_divergence_loss,
+                           training_probes)
 from rpg.policy import reinforce_gradient_from_batch, rollout
 from rpg.rng import RngStream, rademacher_matrix
 
@@ -169,3 +170,59 @@ def reference_train_metric_net(phi, theta, grad_fn, pc, max_iters=20,
     except NonFiniteField:
         pass
     return phi.with_flat(best), history
+
+
+def reference_net_backward(phi, acts, g_omega, g_sigma, to_theta=False):
+    """The metric net's reverse pass with each conv tap in its own loop.
+
+    The reference for ``rpg.metricnet._net_backward``, which reads the
+    taps, pool windows and gradient slots from a cached plan and gathers
+    each stage's taps at once.  Here each call works them out again, each
+    kernel-gradient tap is one slice and one sum, and each carried
+    cotangent adds one slice per tap.  Returns the flat phi-gradient, in
+    ``params_list`` order, and the (B, n) theta-cotangent, or None without
+    to_theta.
+    """
+    _, part_acts, h_in, z_trunk, h = acts
+
+    def sigmoid(z):
+        return 0.5 * (1.0 + np.tanh(0.5 * z))
+
+    g_h = g_omega @ phi.head_omega_w.T + g_sigma @ phi.head_sigma_w.T
+    g_trunk = g_h * sigmoid(z_trunk)
+    g_feats = g_trunk @ phi.trunk_w.T
+    grads, g_parts, col = [], [], 0
+    for i, (stage_in, x, z) in enumerate(part_acts):
+        w = phi.part_dense[i][0]
+        g_z = g_feats[:, col:col + w.shape[1]] * sigmoid(z)
+        col += w.shape[1]
+        kerns = [k for k in phi.part_convs[i] if k is not None]
+        kern_grads = [np.empty(k.size) for k in kerns]
+        if stage_in or to_theta:
+            g = g_z @ w.T
+            if i != phi.layout.output_bias_part:
+                length = _conv_plan(phi.layout.shapes[i])[1]
+                starts = np.arange(0, length, POOL_SIZE)
+                counts = np.minimum(starts + POOL_SIZE, length) - starts
+                g = np.repeat(g * (1.0 / counts), counts, axis=-1)
+            for s in reversed(range(len(stage_in))):
+                a = stage_in[s]
+                spans = [d - KERNEL + 1 for d in a.shape[1:]]
+                keys = [(slice(None),) + tuple(slice(o, o + m)
+                                               for o, m in zip(offsets, spans))
+                        for offsets in np.ndindex(*(KERNEL,) * len(spans))]
+                g = g.reshape((len(a),) + tuple(spans))
+                for t, key in enumerate(keys):
+                    kern_grads[s][t] = (g * a[key]).sum()
+                if s or to_theta:
+                    g_in = np.zeros(a.shape)
+                    for t, key in enumerate(keys):
+                        g_in[key] += g * kerns[s][t]
+                    g = g_in
+            if to_theta:
+                g_parts.append(g.reshape(len(g), -1))
+        grads += kern_grads + [(x.T @ g_z).ravel(), g_z.sum(axis=0)]
+    for x, g_z in ((h_in, g_trunk), (h, g_omega), (h, g_sigma)):
+        grads += [(x.T @ g_z).ravel(), g_z.sum(axis=0)]
+    g_theta = np.concatenate(g_parts, axis=1) if to_theta else None
+    return np.concatenate(grads), g_theta

@@ -8,6 +8,8 @@ loss is not — the training loop must kick its way off the plateau).
 """
 
 import json
+import os
+import sys
 import time
 
 import numpy as np
@@ -16,7 +18,7 @@ import pytest
 import rpg.metricnet
 import tape_reference as tape
 from helpers import (fd_geodesic_gradient, fd_pullback, probe_rows,
-                     reference_train_metric_net)
+                     reference_net_backward, reference_train_metric_net)
 from rpg.divergence import divergence_report, hessian_trace_hutchinson
 from rpg.envs import make_env
 from rpg.errors import BadDimensions, LayoutMismatch
@@ -249,6 +251,32 @@ def test_fused_loss_matches_tape_reference(layout):
         assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
 
 
+@over_layouts
+@pytest.mark.parametrize("rows", [1, 11, 200])
+@pytest.mark.parametrize("to_theta", [False, True], ids=["phi", "theta"])
+def test_backward_matches_per_tap_reference_bitwise(layout, rows, to_theta):
+    """The reverse pass that reads the cached plan and gathers each
+    stage's taps at once gives the phi-gradient and theta-cotangent of
+    the per-tap loops (``helpers.reference_net_backward``) bit for bit."""
+    m_tilde = min(3, layout.n - 1)
+    phi = make_phi(seed=64, layout=layout, m_tilde=m_tilde, heads="random")
+    r = RngStream(65 + rows)
+    pts = r.normal((rows, layout.n))
+    _, _, acts = metric_net_forward(phi, layout.unflatten_batch(pts),
+                                    keep=True)
+    g_omega, g_sigma = r.normal((rows, m_tilde)), r.normal((rows, m_tilde))
+    out = np.empty(phi.size)
+    g_theta = rpg.metricnet._net_backward(phi, acts, g_omega, g_sigma, out,
+                                          to_theta=to_theta)
+    want, want_theta = reference_net_backward(phi, acts, g_omega, g_sigma,
+                                              to_theta)
+    assert np.array_equal(out, want)
+    if to_theta:
+        assert np.array_equal(g_theta, want_theta)
+    else:
+        assert g_theta is None
+
+
 def test_forward_cost_scales_linearly():
     """Doubling the flat dimension must not double-plus the forward time.
 
@@ -335,11 +363,13 @@ def freeze(phi, theta, grad_fn, pc):
 
 
 # the bowl (4-vector), LQR and pointmass PolicyMLP policy layouts
-over_policy_layouts = pytest.mark.parametrize("layout, m_tilde", [
+POLICY_LAYOUTS = [
     (LayerLayout.from_vector(4), 3),
     (LayerLayout(shapes=((1, 1), (1,))), 1),
     (pointmass_layout(), 3),
-], ids=["vector", "lqr", "pointmass"])
+]
+over_policy_layouts = pytest.mark.parametrize(
+    "layout, m_tilde", POLICY_LAYOUTS, ids=["vector", "lqr", "pointmass"])
 
 
 @over_policy_layouts
@@ -600,6 +630,84 @@ def test_train_forwards_twice_per_iteration_via_module_names(max_iters,
     assert len(calls["build_u"]) == max_iters    # u(theta); the loss has none
     assert len(calls["evaluate_divergence_loss"]) == max_iters
     assert len(calls["freeze_probe_batch"]) == max_iters
+
+
+def test_plan_cache_results_do_not_depend_on_call_order():
+    """The forward and backward read per-(layout, rows) plans from one
+    cache.  Forwards and backwards interleaved over the policy layouts,
+    at 1 and 2K + 3 rows, give the bits that the same calls give when each
+    case runs alone, in reverse order, from an empty cache.  A cache keyed
+    on too little would hand one case's taps, pools or gradient slots to
+    another.  Two layouts are added: the pointmass shapes with their
+    default exempt part, and a 2 x 2 part with the bowl vector's size and
+    exempt part, so that the key must hold the exempt part and the shapes
+    themselves."""
+    pm = pointmass_layout()
+    layouts = POLICY_LAYOUTS + [(LayerLayout(shapes=pm.shapes), 3),
+                                (LayerLayout(shapes=((2, 2),)), 3)]
+    assert layouts[-2][0].output_bias_part != pm.output_bias_part
+    cases = []
+    for layout, m_tilde in layouts:
+        phi = make_phi(seed=60, layout=layout, m_tilde=m_tilde,
+                       heads="random")
+        for rows in (1, 2 * 4 + 3):
+            cases.append((phi, RngStream(61 + rows).normal((rows, layout.n)),
+                          RngStream(62 + rows).normal((rows, m_tilde))))
+
+    def forward(phi, pts):
+        return metric_net_forward(phi, phi.layout.unflatten_batch(pts),
+                                  keep=True)
+
+    def backward(phi, acts, cot):
+        out = np.empty(phi.size)
+        g_theta = rpg.metricnet._net_backward(phi, acts, cot, 0.5 * cot, out,
+                                              to_theta=True)
+        return out, g_theta
+
+    rpg.metricnet._net_plan.cache_clear()
+    fwds = [forward(phi, pts) for phi, pts, _ in cases]
+    interleaved = [(om, sg) + backward(phi, acts, cot)
+                   for (phi, _, cot), (om, sg, acts) in zip(cases, fwds)]
+    alone = []
+    for phi, pts, cot in reversed(cases):
+        rpg.metricnet._net_plan.cache_clear()
+        om, sg, acts = forward(phi, pts)
+        alone.append((om, sg) + backward(phi, acts, cot))
+    for got, want in zip(interleaved, reversed(alone)):
+        assert all(a.shape == b.shape and np.array_equal(a, b)
+                   for a, b in zip(got, want))
+
+
+# Python calls into rpg of one warm bowl-layout training pass (K = 8, 20
+# iterations), as the loop that reads per-layout plans makes them; the loop
+# before them made 738.
+TRAIN_PASS_CALL_BOUND = 398
+
+
+def test_train_pass_python_calls_stay_within_bound():
+    """Count the Python-level calls into src/rpg that one training pass on
+    the bowl layout makes, with sys.setprofile, against a fixed bound:
+    per-iteration bookkeeping that creeps back in shows up here."""
+    layout, grad_fn, theta, _ = quad_fixture(n=4)
+    phi = init_params(RngStream(36), MetricNetConfig(m_tilde=3), layout)
+    pc = ProbeConfig(probe_count=8, seed=3)
+    field = probe_rows(grad_fn, theta, pc, 20)
+    train_metric_net(phi, theta, field, pc)    # builds the cached plans
+    package = os.path.dirname(rpg.metricnet.__file__) + os.sep
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename.startswith(package):
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        _, history = train_metric_net(phi, theta, field, pc)
+    finally:
+        sys.setprofile(None)
+    assert len(history) == 20
+    assert calls <= TRAIN_PASS_CALL_BOUND
 
 
 def test_train_rejects_zero_iters():
