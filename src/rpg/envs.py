@@ -298,21 +298,27 @@ def default_init_second_moment(env):
     return np.diag([1.0 / 3.0] * env.state_dim + [1.0])
 
 
-def _closed_loop(points, env):
-    """R K̃ (m, N, B), Ãc = Ã - B̃ K̃ (N, N, B), vec(Q̃ + K̃^T R K̃) (N², B).
-
-    Over the homogeneous state [s; 1] (N = n + 1) the affine policy
-    a = -K s + b is linear, a = -K̃ [s; 1] with K̃ = [K, -b], which keeps
-    every recursion quadratic.  The B rows of `points` (flat (K, b)
-    vectors) sit on the last axis.  Also returns whether `points` was one.
-    """
+def _gain_rows(points, env):
+    """`points` as (B, n) rows of flat (K, b) parameters, and whether it
+    was one point; a row of the wrong width raises BadDimensions."""
     points = np.asarray(points, dtype=float)
-    single = points.ndim == 1
     pts = np.atleast_2d(points)
     n, m = env.state_dim, env.action_dim
     if pts.shape[1] != m * n + m:
         raise BadDimensions(
             f"expected {m * n + m} affine-gain parameters, got {pts.shape[1]}")
+    return pts, points.ndim == 1
+
+
+def _closed_loop(pts, env):
+    """R K̃ (m, N, B), Ãc = Ã - B̃ K̃ (N, N, B), vec(Q̃ + K̃^T R K̃) (N², B).
+
+    Over the homogeneous state [s; 1] (N = n + 1) the affine policy
+    a = -K s + b is linear, a = -K̃ [s; 1] with K̃ = [K, -b], which keeps
+    every recursion quadratic.  The B rows of `pts` (``_gain_rows``) sit
+    on the last axis.
+    """
+    n, m = env.state_dim, env.action_dim
     a_aug, b_aug = np.eye(n + 1), np.vstack([env.b, np.zeros(m)])
     a_aug[:n, :n] = env.a
     k_aug = np.concatenate([pts[:, :m * n].T.reshape(m, n, -1),
@@ -322,7 +328,7 @@ def _closed_loop(points, env):
     rk = (env.r.T[:, :, None, None] * k_aug[:, None]).sum(0)
     cost = (k_aug[:, :, None] * rk[:, None]).sum(0)
     cost[:n, :n] += env.q[..., None]
-    return rk, a_cl, cost.reshape(-1, len(pts)), single
+    return rk, a_cl, cost.reshape(-1, len(pts))
 
 
 def _vec_kron(x):
@@ -363,7 +369,8 @@ def lqr_expected_return(points, env, gamma, init_second_moment=None,
     the moments M_t = E[[s;1][s;1]^T] of _discounted_moments, the return is
     J = -sum_t g^t vec(Q̃ + K̃^T R K̃) . vec(M_t).
     """
-    _, a_cl, cost, single = _closed_loop(points, env)
+    pts, single = _gain_rows(points, env)
+    _, a_cl, cost = _closed_loop(pts, env)
     horizon = env.horizon if horizon is None else horizon
     s_m = np.zeros_like(cost)
     for m_t in _discounted_moments(a_cl, env, gamma, init_second_moment,
@@ -393,11 +400,25 @@ def lqr_return_gradient(points, env, gamma, init_second_moment=None,
     sees the same additions in any batch and one row alone equals that row
     in a batch bit for bit (a sum along the fastest axis, as over one row's
     (N², 1), pairs its terms).
+    Hence rows that repeat bit for bit are computed once and gathered back:
+    the result is the one the whole batch would give.  The byte keys merge
+    only identical inputs (-0.0 and 0.0 stay apart; a NaN row merges only
+    with its own copies).  Probe rows repeat often: theta +- eps*v with
+    Rademacher v takes at most 2^n values in n dimensions, so a scalar-LQR
+    J/T update's 673 rows hold 5 distinct points.  A single 1-D point skips
+    the search.
 
     Returned as the ascent gradient of the RETURN (cost gradient negated),
     with the bias column mapped back through K̃ = [K, -b].
     """
-    rk, a_cl, cost, single = _closed_loop(points, env)
+    pts, single = _gain_rows(points, env)
+    if not single:
+        pts = np.ascontiguousarray(pts)
+        keys = pts.view(np.dtype((np.void, pts.itemsize * pts.shape[1])))
+        _, first, inverse = np.unique(keys[:, 0], return_index=True,
+                                      return_inverse=True)
+        pts = pts[first]
+    rk, a_cl, cost = _closed_loop(pts, env)
     horizon = env.horizon if horizon is None else horizon
     n, m = env.state_dim, env.action_dim
     n_aug, (nn, batch) = n + 1, cost.shape
@@ -423,4 +444,4 @@ def lqr_return_gradient(points, env, gamma, init_second_moment=None,
     # ascent on return = descent on cost; undo the K̃ = [K, -b] packing
     out = 2.0 * np.concatenate([-grad_aug[:, :n].reshape(-1, batch),
                                 grad_aug[:, n]])
-    return out[:, 0] if single else out.T.copy()
+    return out[:, 0] if single else out.T[inverse]

@@ -301,7 +301,8 @@ class PolicyMLP(_GaussianPolicy):
 
         With z = (a - mean)/sigma, the mean receives w z / sigma and the
         backward runs through the two tanh layers by hand; the log_std part
-        is sum_i w_i (z_i^2 - 1) per action dimension.
+        is sum_i w_i (z_i^2 - 1) per action dimension.  The (B, N, hidden)
+        temporaries are made in place: each fresh array costs page faults.
         """
         w1, b1, w2, b2, w3, b3, log_std = parts
         h1, h2, mu = _mlp_layers(parts, states)
@@ -309,8 +310,13 @@ class PolicyMLP(_GaussianPolicy):
         w = weights[:, :, None]
         diff = actions - mu
         g3 = w * diff * inv_var
-        g2 = (g3 @ w3.swapaxes(1, 2)) * (1.0 - h2 * h2)
-        g1 = (g2 @ w2.swapaxes(1, 2)) * (1.0 - h1 * h1)
+        g2 = g3 @ w3.swapaxes(1, 2)
+        slope = np.multiply(h2, h2)
+        g2 *= np.subtract(1.0, slope, out=slope)
+        g1 = g2 @ w2.swapaxes(1, 2)
+        slope = np.multiply(h1, h1, out=slope if h1.shape == h2.shape
+                            else None)
+        g1 *= np.subtract(1.0, slope, out=slope)
         return _flat_rows([
             states.swapaxes(1, 2) @ g1, g1.sum(axis=1),
             h1.swapaxes(1, 2) @ g2, g2.sum(axis=1),

@@ -11,7 +11,8 @@ from rpg.metric import MetricPoint, bilinear_form, inverse_apply
 from rpg.metricnet import (KERNEL, POOL_SIZE, Adam, _conv_plan, _kick_heads,
                            build_u_field, evaluate_divergence_loss,
                            training_probes)
-from rpg.policy import reinforce_gradient_from_batch, rollout
+from rpg.policy import (_flat_rows, _mlp_layers, reinforce_gradient_from_batch,
+                        rollout)
 from rpg.rng import RngStream, rademacher_matrix
 
 
@@ -64,6 +65,25 @@ def per_row_reinforce_field(env, policy, points, episodes, gamma, seed):
         batch = [rollout(env, policy, rng) for _ in range(episodes)]
         rows.append(reinforce_gradient_from_batch(policy, batch, gamma))
     return np.stack(rows)
+
+
+def reference_row_logprob_grads(parts, states, actions, weights):
+    """``PolicyMLP.row_logprob_grads`` with every temporary made out of
+    place, the reference for the in-place body: the same operations in the
+    same order."""
+    w1, b1, w2, b2, w3, b3, log_std = parts
+    h1, h2, mu = _mlp_layers(parts, states)
+    inv_var = np.exp(-2.0 * log_std)[:, None, :]
+    w = weights[:, :, None]
+    diff = actions - mu
+    g3 = w * diff * inv_var
+    g2 = (g3 @ w3.swapaxes(1, 2)) * (1.0 - h2 * h2)
+    g1 = (g2 @ w2.swapaxes(1, 2)) * (1.0 - h1 * h1)
+    return _flat_rows([
+        states.swapaxes(1, 2) @ g1, g1.sum(axis=1),
+        h1.swapaxes(1, 2) @ g2, g2.sum(axis=1),
+        h2.swapaxes(1, 2) @ g3, g3.sum(axis=1),
+        np.sum(w * (diff * diff * inv_var - 1.0), axis=1)])
 
 
 def scalar_evaluate_policy(env, policy, episodes, gamma, rng):

@@ -3,12 +3,17 @@
 import numpy as np
 import pytest
 
+import rpg.envs
 from helpers import lqr_analytic_gradient
+from rpg.divergence import probe_field_rows, report_probes
 from rpg.envs import (MAX_LQR_STATE_DIM, LandscapeEnv, _bowl_grad,
                       default_init_second_moment, lqr_expected_return,
                       lqr_return_gradient, make_env, riccati_gain)
 from rpg.errors import BadDimensions
+from rpg.fields import ProbeConfig, default_fd_step
+from rpg.metricnet import training_probes
 from rpg.rng import RngStream
+from rpg.training import TrainConfig, run_training
 
 GAMMA = 0.99
 
@@ -465,3 +470,93 @@ def test_overflowing_row_leaves_the_other_rows_bitwise_unchanged(kind):
                           lqr_return_gradient(pts, env, GAMMA)[keep])
     assert np.array_equal(rets[keep],
                           lqr_expected_return(pts, env, GAMMA)[keep])
+
+
+def j_update_rows(kind):
+    """(env, rows) of a J/T update's one field call at K = 16 and 20
+    training iterations: theta, then theta +- eps*V for every training
+    probe matrix and the report's, built as ``regularize_step`` builds
+    them."""
+    env, theta = field_case(kind, 1, RngStream(5))
+    theta = theta[0]
+    pc = ProbeConfig(probe_count=16, seed=3)
+    probes = np.concatenate([training_probes(pc, 20, theta.size),
+                             report_probes(pc, theta.size)[None]])
+    seen = []
+    probe_field_rows(lambda pts: seen.append(pts) or pts, theta, probes,
+                     default_fd_step(theta))
+    return env, seen[0]
+
+
+def recursion_rows(monkeypatch):
+    """The row count of every ``_closed_loop`` call made from now on."""
+    rows, closed_loop = [], rpg.envs._closed_loop
+
+    def counted(pts, env):
+        rows.append(len(pts))
+        return closed_loop(pts, env)
+
+    monkeypatch.setattr(rpg.envs, "_closed_loop", counted)
+    return rows
+
+
+@pytest.mark.parametrize("kind", ["scalar", "four-state-noisy"])
+def test_j_update_rows_equal_their_one_row_calls_bitwise(kind, monkeypatch):
+    env, rows = j_update_rows(kind)
+    assert len(rows) == 1 + 2 * 16 * 21
+    seen = recursion_rows(monkeypatch)
+    grads = lqr_return_gradient(rows, env, GAMMA)
+    distinct = len(np.unique(rows, axis=0))
+    assert seen == [distinct] and distinct < len(rows)
+    if kind == "scalar":
+        # theta and theta +- eps*v, v in {-1, 1}^2
+        assert distinct == 5
+    for row, grad in zip(rows, grads):
+        assert np.array_equal(lqr_return_gradient(row, env, GAMMA), grad)
+
+
+@pytest.mark.parametrize("variant,per_update", [
+    ("baseline", 1), ("J", 5), ("T", 5)])
+def test_scalar_lqr_update_runs_the_recursion_once_per_distinct_row(
+        monkeypatch, variant, per_update):
+    # a J/T update's call passes 673 rows; a baseline update's one 1-D
+    # point skips the duplicate search
+    seen = recursion_rows(monkeypatch)
+    unique = np.unique
+    searches = []
+    monkeypatch.setattr(np, "unique",
+                        lambda *a, **k: searches.append(1) or unique(*a, **k))
+    summary = run_training(TrainConfig(env_kind="lqr", variant=variant,
+                                       total_steps=150, probe_count=16))
+    assert not summary.aborted and len(summary.records) == 3
+    assert seen == [per_update] * 3
+    assert len(searches) == (0 if variant == "baseline" else 3)
+
+
+@pytest.mark.parametrize("kind", ["scalar", "four-state-noisy"])
+def test_repeated_wild_rows_merge_only_with_their_own_copies(kind,
+                                                             monkeypatch):
+    env, pts = field_case(kind, 41, RngStream(6))
+    wild = pts.copy()
+    overflow = [0, 17, 18, 40]
+    wild[overflow] = 1e7  # the recursions overflow
+    wild[29, -1] = 0.0
+    wild[30] = wild[29]
+    wild[30, -1] = -0.0   # equal to row 29 as a number, not as bytes
+    seen = recursion_rows(monkeypatch)
+    with np.errstate(over="ignore", invalid="ignore"):
+        grads = lqr_return_gradient(wild, env, GAMMA)
+        singles = [lqr_return_gradient(row, env, GAMMA) for row in wild]
+    assert seen[0] == 41 - len(overflow) + 1
+    assert not np.any(np.isfinite(grads[overflow]))
+    for single, grad in zip(singles, grads):
+        assert np.array_equal(single, grad, equal_nan=True)
+    keep = np.ones(41, dtype=bool)
+    keep[overflow + [29, 30]] = False
+    assert np.array_equal(grads[keep],
+                          lqr_return_gradient(pts, env, GAMMA)[keep])
+
+
+def test_wrong_width_with_repeated_rows_raises():
+    with pytest.raises(BadDimensions):
+        lqr_return_gradient(np.ones((6, 3)), make_env("lqr"), GAMMA)

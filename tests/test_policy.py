@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import tape_reference
-from helpers import lqr_analytic_gradient
+from helpers import lqr_analytic_gradient, reference_row_logprob_grads
 from rpg.envs import make_env
 from rpg.policy import (LinearGainPolicy, ParamPolicy, PolicyMLP, Trajectory,
                         reinforce_field, reinforce_gradient_from_batch,
@@ -165,6 +165,27 @@ def test_mlp_gradient_rows_match_one_row_each():
         want = tape_reference.mlp_logprob_grad(pol, states[b], actions[b],
                                                weights[b])
         assert np.max(np.abs(got[b] - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("episodes", [1, 4])
+@pytest.mark.parametrize("rows", [1, 25, 67])
+@pytest.mark.parametrize("hidden", [(16, 16), (12, 8)])
+def test_mlp_gradient_rows_equal_out_of_place_reference_bitwise(rows,
+                                                                episodes,
+                                                                hidden):
+    # pointmass shapes: E episodes of its horizon per row
+    env = make_env("pointmass")
+    rng = RngStream(rows * 10 + episodes)
+    pol = PolicyMLP(env.state_dim, env.action_dim, rng, hidden=hidden)
+    parts = pol.layout.unflatten_batch(
+        pol.theta + rng.normal(size=(rows, pol.theta.size), scale=0.3))
+    steps = episodes * env.horizon
+    states = rng.normal(size=(rows, steps, env.state_dim))
+    actions = rng.normal(size=(rows, steps, env.action_dim))
+    weights = rng.normal(size=(rows, steps))
+    assert np.array_equal(
+        pol.row_logprob_grads(parts, states, actions, weights),
+        reference_row_logprob_grads(parts, states, actions, weights))
 
 
 def test_linear_policy_logprob_gradient_matches_fd():
