@@ -11,15 +11,20 @@ True once `horizon` transitions have been taken (landscape environments are
 single-step and finish immediately).  Rewards are negated costs throughout:
 trainers maximize return.
 
-Every environment also splits a step into its draw event and its dynamics:
+Every environment also splits a step into its draw event, its recurrence
+and its rewards, all pure but the draw:
 draw_noise(rng) makes the step's one draw (None when the dynamics are
-noiseless, without drawing) and transition(state, action, noise) ->
-(next_state, reward) is pure and takes states with leading row axes,
-against which the noise broadcasts.  step is the two in sequence, so it
-takes row axes too; a single state gives the same numbers as before
+noiseless, without drawing); advance(state, action, noise) -> next_state
+is the recurrence; rewards(states, actions) -> reward computes the
+rewards, which no later state reads.  advance and rewards take float
+arrays with leading row axes, (*rows, state_dim) and (*rows, action_dim),
+against which the noise broadcasts, and each row's numbers do not depend
+on the rows around it.  step is draw, rewards and advance in sequence, so
+it takes row axes too; a single state gives the same numbers as before
 (``np.vecdot`` sums like the 1-d ``@`` it replaces, and the landscape
 reward is the scalar objective of each row).  The batched rollouts of
-``rpg.policy`` step many episodes at once through transition.
+``rpg.policy`` advance many episodes at once, step by step, and then take
+all their steps' rewards in one rewards call.
 
 The module also carries the two closed-form references used to check learned
 policies on the linear-quadratic problem: the discounted Riccati fixed point
@@ -33,6 +38,10 @@ from .errors import BadDimensions
 
 MAX_LQR_STATE_DIM = 4
 MAX_HORIZON = 200
+# distinct parameter rows whose LQR recursions run together.  It bounds the
+# (T, N, m, N, B) product of the gradient sum, about 20 KB a row at 4
+# states, 2 actions and horizon 50
+LQR_ROW_BLOCK = 512
 
 
 def _check_horizon(horizon):
@@ -49,14 +58,18 @@ def _action_rows(action, state, action_dim):
 
 
 class _SplitStepEnv:
-    """step as draw_noise then transition, plus the step counter."""
+    """step as draw_noise, rewards and advance, plus the step counter."""
 
     def draw_noise(self, rng):
         """The dynamics are deterministic: no draw event, no noise."""
         return None
 
     def step(self, state, action, rng=None):
-        nxt, reward = self.transition(state, action, self.draw_noise(rng))
+        noise = self.draw_noise(rng)
+        state = np.asarray(state, dtype=float)
+        action = _action_rows(action, state, self.action_dim)
+        reward = self.rewards(state, action)
+        nxt = self.advance(state, action, noise)
         self._t += 1
         # a float for one state, an array of per-row rewards for a batch
         reward = float(reward) if reward.ndim == 0 else reward
@@ -116,15 +129,15 @@ class LqrEnv(_SplitStepEnv):
             raise ValueError("noisy dynamics need an rng")
         return rng.normal(size=self.state_dim)
 
-    def transition(self, state, action, noise=None):
-        state = np.asarray(state, dtype=float)
-        action = _action_rows(action, state, self.action_dim)
-        reward = -(np.vecdot(state @ self.q, state)
-                   + np.vecdot(action @ self.r, action))
+    def advance(self, state, action, noise=None):
         nxt = state @ self.a.T + action @ self.b.T
         if noise is not None:
             nxt = nxt + self.noise_scale * noise
-        return nxt, reward
+        return nxt
+
+    def rewards(self, states, actions):
+        return -(np.vecdot(states @ self.q, states)
+                 + np.vecdot(actions @ self.r, actions))
 
 
 class PointmassEnv(_SplitStepEnv):
@@ -149,15 +162,14 @@ class PointmassEnv(_SplitStepEnv):
         self._t = 0
         return rng.uniform(-1.0, 1.0, size=4)
 
-    def transition(self, state, action, noise=None):
-        state = np.asarray(state, dtype=float)
-        action = _action_rows(action, state, 2)
-        pos = state[..., :2]
-        reward = -(np.vecdot(pos, pos) + 0.1 * np.vecdot(action, action))
+    def advance(self, state, action, noise=None):
         # [pos + dt vel, vel + dt action]
-        nxt = state + self.dt * np.concatenate([state[..., 2:], action],
-                                               axis=-1)
-        return nxt, reward
+        return state + self.dt * np.concatenate([state[..., 2:], action],
+                                                axis=-1)
+
+    def rewards(self, states, actions):
+        pos = states[..., :2]
+        return -(np.vecdot(pos, pos) + 0.1 * np.vecdot(actions, actions))
 
 
 def _bowl(x):
@@ -237,15 +249,15 @@ class LandscapeEnv(_SplitStepEnv):
         self._t = 0
         return np.zeros(self.dim)
 
-    def transition(self, state, action, noise=None):
-        state = np.asarray(state, dtype=float)
-        action = _action_rows(action, state, self.dim)
+    def advance(self, state, action, noise=None):
+        return np.zeros_like(state)
+
+    def rewards(self, states, actions):
         # f row by row: the scalar objective is the reference, and the
         # vectorised Rosenbrock differs from it in the last bit
-        rows = action.reshape(-1, self.dim)
-        reward = -np.array([self._f(a) for a in rows]).reshape(
-            state.shape[:-1])
-        return np.zeros_like(state), reward
+        rows = actions.reshape(-1, self.dim)
+        return -np.array([self._f(a) for a in rows]).reshape(
+            states.shape[:-1])
 
 
 def make_env(kind, **params):
@@ -328,7 +340,7 @@ def _closed_loop(pts, env):
     rk = (env.r.T[:, :, None, None] * k_aug[:, None]).sum(0)
     cost = (k_aug[:, :, None] * rk[:, None]).sum(0)
     cost[:n, :n] += env.q[..., None]
-    return rk, a_cl, cost.reshape(-1, len(pts))
+    return rk, a_cl, cost.reshape((n + 1) ** 2, len(pts))
 
 
 def _vec_kron(x):
@@ -338,11 +350,11 @@ def _vec_kron(x):
 
 
 def _discounted_moments(a_cl, env, gamma, init_second_moment, horizon):
-    """Yield vec(g^t M_t), t = 0 .. horizon-1, as (N², B) arrays.
+    """vec(g^t M_t), t = 0 .. horizon-1, stacked as one (T, N², B) array.
 
     M_{t+1} = Ãc M_t Ãc^T + diag(noise_scale^2 I, 0), and with row-major
     vec, vec(Ãc M Ãc^T) = (Ãc ⊗ Ãc) vec(M): a step is one product and one
-    sum over axis 0.  Every step overwrites the one array it yields.
+    sum over axis 0, written into the next slot.
     """
     if init_second_moment is None:
         init_second_moment = default_init_second_moment(env)
@@ -350,15 +362,15 @@ def _discounted_moments(a_cl, env, gamma, init_second_moment, horizon):
     noise = np.diag([env.noise_scale ** 2] * env.state_dim + [0.0])
     kron = gamma * _vec_kron(a_cl.transpose(1, 0, 2))
     tmp, disc = np.empty((nn, nn, batch)), 1.0
-    m_t = np.repeat(np.reshape(init_second_moment, (nn, 1)), batch, axis=1)
-    for t in range(horizon):
-        if t:
-            np.multiply(kron, m_t[:, None], out=tmp)
-            tmp.sum(0, out=m_t)
-            disc *= gamma
-            if env.noise_scale:
-                m_t += disc * noise.reshape(nn, 1)
-        yield m_t
+    moments = np.empty((horizon, nn, batch))
+    moments[0] = np.reshape(init_second_moment, (nn, 1))
+    for t in range(1, horizon):
+        np.multiply(kron, moments[t - 1, :, None], out=tmp)
+        m_t = tmp.sum(0, out=moments[t])
+        disc *= gamma
+        if env.noise_scale:
+            m_t += disc * noise.reshape(nn, 1)
+    return moments
 
 
 def lqr_expected_return(points, env, gamma, init_second_moment=None,
@@ -372,10 +384,10 @@ def lqr_expected_return(points, env, gamma, init_second_moment=None,
     pts, single = _gain_rows(points, env)
     _, a_cl, cost = _closed_loop(pts, env)
     horizon = env.horizon if horizon is None else horizon
-    s_m = np.zeros_like(cost)
-    for m_t in _discounted_moments(a_cl, env, gamma, init_second_moment,
-                                   horizon):
-        s_m += m_t
+    # one reduce over t, from 0.0 and in order, as a running sum adds
+    s_m = np.add.reduce(_discounted_moments(a_cl, env, gamma,
+                                            init_second_moment, horizon),
+                        axis=0, initial=0.0)
     # term by term: a sum over the (N², 1) of one row would pair its terms
     returns = -sum(c * m for c, m in zip(cost, s_m))
     return float(returns[0]) if single else returns
@@ -393,33 +405,49 @@ def lqr_return_gradient(points, env, gamma, init_second_moment=None,
     Rows sit on the last axis: a step is a few whole-batch numpy calls, not
     one BLAS call per row.  In row-major vec form the backward step is
     vec(P_t) = vec(C) + g (Ãc ⊗ Ãc)^T vec(P_{t+1}), C = Q̃ + K̃^T R K̃, and
-    H_t is R K̃ minus a fixed linear map of vec(P_{t+1}); only the H_t stack
-    (T, Nm, B) outlives that pass.
-    Summing H_t g^t M_t step by step keeps the cancellation inside H_t.
-    Every sum runs over axis 0 with more than the row axis left, so a row
-    sees the same additions in any batch and one row alone equals that row
-    in a batch bit for bit (a sum along the fastest axis, as over one row's
-    (N², 1), pairs its terms).
+    H_t is R K̃ minus a fixed linear map of vec(P_{t+1}); that loop keeps
+    only the recurrence and stores the H_t stack (T, Nm, B).  The sum over
+    t then takes the stacked moments: one (T, N, m, N, B) product, summed
+    over the moment's row index and then over t from 0.0, the additions of
+    a running sum over t, which keeps the cancellation inside H_t.
+    Every sum runs over axis 0, or over a later axis ahead of the row axis,
+    so a row sees the same additions in any batch and one row alone equals
+    that row in a batch bit for bit (a sum along the fastest axis, as over
+    one row's (N², 1), pairs its terms).
     Hence rows that repeat bit for bit are computed once and gathered back:
     the result is the one the whole batch would give.  The byte keys merge
     only identical inputs (-0.0 and 0.0 stay apart; a NaN row merges only
     with its own copies).  Probe rows repeat often: theta +- eps*v with
     Rademacher v takes at most 2^n values in n dimensions, so a scalar-LQR
     J/T update's 673 rows hold 5 distinct points.  A single 1-D point skips
-    the search.
+    the search.  For the same reason the distinct rows run in blocks of
+    LQR_ROW_BLOCK, which bounds the product's memory, and an empty batch
+    gives an empty result.
 
     Returned as the ascent gradient of the RETURN (cost gradient negated),
     with the bias column mapped back through K̃ = [K, -b].
     """
     pts, single = _gain_rows(points, env)
-    if not single:
-        pts = np.ascontiguousarray(pts)
-        keys = pts.view(np.dtype((np.void, pts.itemsize * pts.shape[1])))
-        _, first, inverse = np.unique(keys[:, 0], return_index=True,
-                                      return_inverse=True)
-        pts = pts[first]
-    rk, a_cl, cost = _closed_loop(pts, env)
     horizon = env.horizon if horizon is None else horizon
+    if single:
+        return _gradient_rows(pts, env, gamma, init_second_moment,
+                              horizon)[0]
+    pts = np.ascontiguousarray(pts)
+    keys = pts.view(np.dtype((np.void, pts.itemsize * pts.shape[1])))
+    _, first, inverse = np.unique(keys[:, 0], return_index=True,
+                                  return_inverse=True)
+    pts = pts[first]
+    out = np.empty(pts.shape)
+    for at in range(0, len(pts), LQR_ROW_BLOCK):
+        out[at:at + LQR_ROW_BLOCK] = _gradient_rows(
+            pts[at:at + LQR_ROW_BLOCK], env, gamma, init_second_moment,
+            horizon)
+    return out[inverse]
+
+
+def _gradient_rows(pts, env, gamma, init_second_moment, horizon):
+    """lqr_return_gradient at the (B, n) rows `pts`, all computed."""
+    rk, a_cl, cost = _closed_loop(pts, env)
     n, m = env.state_dim, env.action_dim
     n_aug, (nn, batch) = n + 1, cost.shape
     # A backward step is one product and one sum over the index (i,k) of
@@ -436,12 +464,12 @@ def lqr_return_gradient(points, env, gamma, init_second_moment=None,
     for t in range(horizon - 1, -1, -1):
         np.multiply(back, p_h[:nn, None], out=tmp[:nn])
         h[t] = tmp.sum(0, out=p_h)[nn:]
-    grad_aug = np.zeros((m, n_aug, batch))
-    for h_t, m_t in zip(h, _discounted_moments(a_cl, env, gamma,
-                                               init_second_moment, horizon)):
-        grad_aug += (h_t.reshape(n_aug, m, 1, batch)
-                     * m_t.reshape(n_aug, 1, n_aug, batch)).sum(0)
+    moments = _discounted_moments(a_cl, env, gamma, init_second_moment,
+                                  horizon)
+    grad_aug = np.add.reduce(
+        (h.reshape(horizon, n_aug, m, 1, batch)
+         * moments.reshape(horizon, n_aug, 1, n_aug, batch)).sum(1),
+        axis=0, initial=0.0)
     # ascent on return = descent on cost; undo the K̃ = [K, -b] packing
-    out = 2.0 * np.concatenate([-grad_aug[:, :n].reshape(-1, batch),
-                                grad_aug[:, n]])
-    return out[:, 0] if single else out.T[inverse]
+    return 2.0 * np.concatenate([-grad_aug[:, :n].reshape(-1, batch),
+                                 grad_aug[:, n]]).T

@@ -21,7 +21,10 @@ stochastic policies compute their mean and their log-probability gradient
 in closed form over rows of parameters (``LayerLayout.unflatten_batch``);
 a single parameter vector is the one-row case.  ``evaluation_returns``
 plays evaluation episodes on the same engine, at one row and without
-action noise.
+action noise.  The engine (``_play_rows``) keeps only the recurrence in
+its horizon loop: each step's states and actions go into C-order
+(B, E, H, ·) buffers, the environment's ``advance`` makes the next state,
+and one ``rewards`` call after the loop takes every step's rewards.
 """
 
 from dataclasses import dataclass
@@ -142,35 +145,32 @@ def _draw_episode_events(env, policy, episodes, rng, explore=True):
 
 
 def _play_rows(env, policy, parts, events):
-    """Step the B x E trajectories of parameter rows `parts` on `events`.
+    """Play the B x E trajectories of parameter rows `parts` on `events`.
 
-    Returns per-step lists, one entry per step t: the states
-    (B, E, state_dim), the actions (B, E, action_dim) and the rewards
-    (B, E).  Every episode runs the full horizon, as every environment's
-    does.  Without action noise the policy acts on its mean.
+    Returns the states (B, E, H, state_dim) and the actions
+    (B, E, H, action_dim) in C order, and the rewards (B, E, H).  The
+    horizon loop keeps only the recurrence: it writes each step's states
+    and actions into the buffers, makes no advance after the last step,
+    whose result nothing reads, and one rewards call then takes every
+    step's rewards.  Every episode runs the full horizon, as every
+    environment's does.  Without action noise the policy acts on its mean.
     """
     starts, xi, noise = events
     sigma = policy.row_sigmas(parts)
-    state = np.broadcast_to(starts, (len(parts[0]),) + starts.shape)
-    states, actions, rewards = [], [], []
-    for t in range(env.horizon):
+    rows, (episodes, dim), horizon = len(parts[0]), starts.shape, env.horizon
+    states = np.empty((rows, episodes, horizon, dim))
+    actions = np.empty((rows, episodes, horizon, env.action_dim))
+    state = np.broadcast_to(starts, (rows, episodes, dim))
+    for t in range(horizon):
         action = policy.row_means(parts, state)
         if xi is not None:
             action = action + sigma * xi[t]
-        nxt, reward = env.transition(state, action,
-                                     None if noise is None else noise[t])
-        states.append(state)
-        actions.append(action)
-        rewards.append(reward)
-        state = nxt
-    return states, actions, rewards
-
-
-def _episode_major(steps):
-    """Per-step (B, E, d) arrays as (B, E*H, d), episode-major as
-    reinforce_gradient_from_batch stacks its batch."""
-    return np.stack(steps, axis=2).reshape(len(steps[0]), -1,
-                                           steps[0].shape[-1])
+        states[:, :, t] = state
+        actions[:, :, t] = action
+        if t + 1 < horizon:
+            state = env.advance(state, action,
+                                None if noise is None else noise[t])
+    return states, actions, env.rewards(states, actions)
 
 
 def evaluation_returns(env, policy, episodes, gamma, rng):
@@ -183,7 +183,7 @@ def evaluation_returns(env, policy, episodes, gamma, rng):
     """
     events = _draw_episode_events(env, policy, episodes, rng, explore=False)
     parts = policy.layout.unflatten_batch(policy.theta[None])
-    rewards = np.stack(_play_rows(env, policy, parts, events)[2], axis=-1)
+    rewards = _play_rows(env, policy, parts, events)[2]
     return _return_to_go(rewards[0], gamma)[:, 0]
 
 
@@ -204,10 +204,13 @@ def reinforce_field(env, policy, points, episodes, gamma, rng):
     for at in range(0, len(points), ROW_BLOCK):
         parts = policy.layout.unflatten_batch(points[at:at + ROW_BLOCK])
         states, actions, rewards = _play_rows(env, policy, parts, events)
-        weights = _reinforce_weights(np.stack(rewards, axis=-1), gamma)
+        # episode-major (B, E*H, d), as reinforce_gradient_from_batch
+        # stacks its batch
+        rows = len(parts[0])
         out.append(policy.row_logprob_grads(
-            parts, _episode_major(states), _episode_major(actions),
-            weights.reshape(len(parts[0]), -1)))
+            parts, states.reshape(rows, -1, states.shape[-1]),
+            actions.reshape(rows, -1, actions.shape[-1]),
+            _reinforce_weights(rewards, gamma).reshape(rows, -1)))
     return np.concatenate(out)
 
 

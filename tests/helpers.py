@@ -3,7 +3,8 @@
 import numpy as np
 
 from rpg.divergence import FrozenProbes, probe_field_rows, report_probes
-from rpg.envs import lqr_return_gradient
+from rpg.envs import (_closed_loop, _gain_rows, _vec_kron,
+                      default_init_second_moment, lqr_return_gradient)
 from rpg.errors import BadDimensions, NonFiniteField
 from rpg.fields import default_fd_step, eval_points, require_finite
 from rpg.geodesic import _fd_points
@@ -11,8 +12,9 @@ from rpg.metric import MetricPoint, bilinear_form, inverse_apply
 from rpg.metricnet import (KERNEL, POOL_SIZE, Adam, _conv_plan, _kick_heads,
                            build_u_field, evaluate_divergence_loss,
                            training_probes)
-from rpg.policy import (_flat_rows, _mlp_layers, reinforce_gradient_from_batch,
-                        rollout)
+from rpg.policy import (_draw_episode_events, _flat_rows, _mlp_layers,
+                        _reinforce_weights, _return_to_go,
+                        reinforce_gradient_from_batch, rollout)
 from rpg.rng import RngStream, rademacher_matrix
 
 
@@ -246,3 +248,109 @@ def reference_net_backward(phi, acts, g_omega, g_sigma, to_theta=False):
         grads += [(x.T @ g_z).ravel(), g_z.sum(axis=0)]
     g_theta = np.concatenate(g_parts, axis=1) if to_theta else None
     return np.concatenate(grads), g_theta
+
+
+def reference_play_rows(env, policy, parts, events):
+    """The row engine step by step, the reference for
+    ``rpg.policy._play_rows``: every step advances and takes its own
+    rewards, the last step's advance included, into per-step lists that
+    ``np.stack`` then joins into (B, E, H, ...) arrays."""
+    starts, xi, noise = events
+    sigma = policy.row_sigmas(parts)
+    state = np.broadcast_to(starts, (len(parts[0]),) + starts.shape)
+    states, actions, rewards = [], [], []
+    for t in range(env.horizon):
+        action = policy.row_means(parts, state)
+        if xi is not None:
+            action = action + sigma * xi[t]
+        states.append(state)
+        actions.append(action)
+        rewards.append(env.rewards(state, action))
+        state = env.advance(state, action, None if noise is None else noise[t])
+    return (np.stack(states, axis=2), np.stack(actions, axis=2),
+            np.stack(rewards, axis=-1))
+
+
+def reference_evaluation_returns(env, policy, episodes, gamma, rng):
+    """``rpg.policy.evaluation_returns`` on ``reference_play_rows``."""
+    events = _draw_episode_events(env, policy, episodes, rng, explore=False)
+    parts = policy.layout.unflatten_batch(policy.theta[None])
+    rewards = reference_play_rows(env, policy, parts, events)[2]
+    return _return_to_go(rewards[0], gamma)[:, 0]
+
+
+def reference_reinforce_field(env, policy, points, episodes, gamma, rng):
+    """``rpg.policy.reinforce_field`` in one block on
+    ``reference_play_rows``, episode-major rows stacked from per-step
+    arrays."""
+    events = _draw_episode_events(env, policy, episodes, rng)
+    parts = policy.layout.unflatten_batch(np.asarray(points, dtype=float))
+    states, actions, rewards = reference_play_rows(env, policy, parts,
+                                                   events)
+    rows = len(points)
+    return policy.row_logprob_grads(
+        parts, states.reshape(rows, -1, states.shape[-1]),
+        actions.reshape(rows, -1, actions.shape[-1]),
+        _reinforce_weights(rewards, gamma).reshape(rows, -1))
+
+
+def _per_step_moments(a_cl, env, gamma, init_second_moment, horizon):
+    """Yield vec(g^t M_t) as (N², B), one step at a time, overwriting one
+    array."""
+    if init_second_moment is None:
+        init_second_moment = default_init_second_moment(env)
+    nn, batch = a_cl.shape[0] ** 2, a_cl.shape[2]
+    noise = np.diag([env.noise_scale ** 2] * env.state_dim + [0.0])
+    kron = gamma * _vec_kron(a_cl.transpose(1, 0, 2))
+    tmp, disc = np.empty((nn, nn, batch)), 1.0
+    m_t = np.repeat(np.reshape(init_second_moment, (nn, 1)), batch, axis=1)
+    for t in range(horizon):
+        if t:
+            np.multiply(kron, m_t[:, None], out=tmp)
+            tmp.sum(0, out=m_t)
+            disc *= gamma
+            if env.noise_scale:
+                m_t += disc * noise.reshape(nn, 1)
+        yield m_t
+
+
+def reference_lqr_expected_return(points, env, gamma, horizon=None):
+    """``rpg.envs.lqr_expected_return`` with a running sum of the moments
+    over t."""
+    pts, single = _gain_rows(points, env)
+    _, a_cl, cost = _closed_loop(pts, env)
+    horizon = env.horizon if horizon is None else horizon
+    s_m = np.zeros_like(cost)
+    for m_t in _per_step_moments(a_cl, env, gamma, None, horizon):
+        s_m += m_t
+    returns = -sum(c * m for c, m in zip(cost, s_m))
+    return float(returns[0]) if single else returns
+
+
+def reference_lqr_return_gradient(points, env, gamma, horizon=None):
+    """``rpg.envs.lqr_return_gradient`` over every row, with the gradient
+    accumulated step by step: grad += sum_i H_t[i] g^t M_t[i] for each t,
+    beside the moment recursion."""
+    pts, single = _gain_rows(points, env)
+    rk, a_cl, cost = _closed_loop(pts, env)
+    horizon = env.horizon if horizon is None else horizon
+    n, m = env.state_dim, env.action_dim
+    n_aug, (nn, batch) = n + 1, cost.shape
+    back = np.concatenate([gamma * _vec_kron(a_cl), (
+        -gamma * np.vstack([env.b, np.zeros(m)])[:, None, None, :, None]
+        * a_cl[None, :, :, None]).reshape(nn, n_aug * m, batch)], axis=1)
+    tmp = np.empty((nn + 1,) + back.shape[1:])
+    tmp[nn] = np.concatenate([cost, rk.transpose(1, 0, 2).reshape(-1, batch)])
+    p_h = np.zeros(back.shape[1:])
+    h = np.empty((horizon, n_aug * m, batch))
+    for t in range(horizon - 1, -1, -1):
+        np.multiply(back, p_h[:nn, None], out=tmp[:nn])
+        h[t] = tmp.sum(0, out=p_h)[nn:]
+    grad_aug = np.zeros((m, n_aug, batch))
+    for h_t, m_t in zip(h, _per_step_moments(a_cl, env, gamma, None,
+                                             horizon)):
+        grad_aug += (h_t.reshape(n_aug, m, 1, batch)
+                     * m_t.reshape(n_aug, 1, n_aug, batch)).sum(0)
+    out = 2.0 * np.concatenate([-grad_aug[:, :n].reshape(-1, batch),
+                                grad_aug[:, n]])
+    return out[:, 0] if single else out.T

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import rpg.envs
-from helpers import lqr_analytic_gradient
+from helpers import (lqr_analytic_gradient, reference_lqr_expected_return,
+                     reference_lqr_return_gradient)
 from rpg.divergence import probe_field_rows, report_probes
 from rpg.envs import (MAX_LQR_STATE_DIM, LandscapeEnv, _bowl_grad,
                       default_init_second_moment, lqr_expected_return,
@@ -159,7 +160,7 @@ def test_noise_is_one_event_broadcast_over_rows():
     xi = env.draw_noise(stream)
     assert xi.shape == (2,) and stream.counter == 1
     states = np.zeros((4, 2))
-    nxt, _ = env.transition(states, np.zeros((4, 2)), xi)
+    nxt = env.advance(states, np.zeros((4, 2)), xi)
     assert np.array_equal(nxt, np.broadcast_to(0.3 * xi, (4, 2)))
 
 
@@ -233,15 +234,16 @@ def test_landscape_is_single_step():
     ids=["lqr", "lqr-noisy", "pointmass", "bowl", "rosenbrock"])
 def test_every_env_steps_as_draw_then_transition(kind, params):
     # the contract the batched rollouts rely on: step(s, a, rng) is
-    # transition(s, a, draw_noise(rng)) plus the counter, done at the horizon
+    # rewards(s, a) and advance(s, a, draw_noise(rng)) plus the counter,
+    # done at the horizon
     env = make_env(kind, **params)
     step_rng, split_rng = RngStream(4), RngStream(4)
     state = env.reset(RngStream(3))
     action = RngStream(5).normal(size=env.action_dim)
     for t in range(1, env.horizon + 1):
         nxt, reward, done = env.step(state, action, step_rng)
-        want_nxt, want_reward = env.transition(state, action,
-                                               env.draw_noise(split_rng))
+        want_nxt = env.advance(state, action, env.draw_noise(split_rng))
+        want_reward = env.rewards(state, action)
         assert np.array_equal(nxt, want_nxt)
         assert reward == want_reward and isinstance(reward, float)
         assert done == (t == env.horizon)
@@ -560,3 +562,57 @@ def test_repeated_wild_rows_merge_only_with_their_own_copies(kind,
 def test_wrong_width_with_repeated_rows_raises():
     with pytest.raises(BadDimensions):
         lqr_return_gradient(np.ones((6, 3)), make_env("lqr"), GAMMA)
+
+
+def random_lqr(n, m, noise, rng):
+    """A random n-state, m-action LQR, open loop near the unit circle."""
+    return make_env("lqr", a=0.5 * rng.normal(size=(n, n)),
+                    b=rng.normal(size=(n, m)),
+                    q=np.diag(rng.uniform(0.2, 1.0, size=n)),
+                    r=np.diag(rng.uniform(0.2, 1.0, size=m)),
+                    horizon=50, noise_scale=noise)
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.3])
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_stacked_moments_equal_the_per_step_sums_bitwise(n, m, noise):
+    # the moments stacked over t and summed by one reduce, and the
+    # gradient's one (T, N, m, N, B) product, against running sums over t
+    rng = RngStream(100 * n + 10 * m + int(noise > 0))
+    env = random_lqr(n, m, noise, rng)
+    pts = rng.normal(size=(9, m * n + m), scale=0.3)
+    assert np.array_equal(lqr_return_gradient(pts, env, GAMMA),
+                          reference_lqr_return_gradient(pts, env, GAMMA))
+    assert np.array_equal(lqr_expected_return(pts, env, GAMMA),
+                          reference_lqr_expected_return(pts, env, GAMMA))
+    for point in pts[:2]:
+        assert np.array_equal(
+            lqr_return_gradient(point, env, GAMMA),
+            reference_lqr_return_gradient(point, env, GAMMA))
+        assert (lqr_expected_return(point, env, GAMMA)
+                == reference_lqr_expected_return(point, env, GAMMA))
+
+
+@pytest.mark.parametrize("kind", ["scalar", "four-state-noisy"])
+def test_rows_in_several_blocks_equal_one_block_bitwise(kind, monkeypatch):
+    env, pts = field_case(kind, 41, RngStream(12))
+    pts[30:] = pts[:11]
+    want = lqr_return_gradient(pts, env, GAMMA)
+    seen = recursion_rows(monkeypatch)
+    monkeypatch.setattr(rpg.envs, "LQR_ROW_BLOCK", 4)
+    assert np.array_equal(lqr_return_gradient(pts, env, GAMMA), want)
+    assert seen == [4] * 7 + [2]
+
+
+@pytest.mark.parametrize("kind", ["scalar", "four-state-noisy"])
+def test_return_gradient_of_an_empty_batch_is_empty(kind):
+    env, pts = field_case(kind, 0, RngStream(0))
+    grads = lqr_return_gradient(pts, env, GAMMA)
+    assert grads.shape == pts.shape == (0, pts.shape[1])
+
+
+@pytest.mark.parametrize("kind", ["scalar", "four-state-noisy"])
+def test_expected_return_of_an_empty_batch_is_empty(kind):
+    env, pts = field_case(kind, 0, RngStream(0))
+    assert lqr_expected_return(pts, env, GAMMA).shape == (0,)

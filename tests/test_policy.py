@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 
 import tape_reference
-from helpers import lqr_analytic_gradient, reference_row_logprob_grads
-from rpg.envs import make_env
+from helpers import (lqr_analytic_gradient, reference_evaluation_returns,
+                     reference_play_rows, reference_reinforce_field,
+                     reference_row_logprob_grads)
+from rpg.envs import LqrEnv, make_env
 from rpg.policy import (LinearGainPolicy, ParamPolicy, PolicyMLP, Trajectory,
+                        _draw_episode_events, _play_rows, evaluation_returns,
                         reinforce_field, reinforce_gradient_from_batch,
                         rollout)
 from rpg.rng import RngStream
+from rpg.training import TrainConfig, _build_policy
 
 GAMMA = 0.99
 
@@ -254,3 +258,80 @@ def test_reinforce_field_needs_stochastic_policy():
     with pytest.raises(ValueError, match="stochastic"):
         reinforce_field(land, ParamPolicy(2), np.zeros((3, 2)), 2, GAMMA,
                         RngStream(0))
+
+
+NOISY_3X2 = dict(a=[[0.9, 0.2, 0.0], [0.0, 0.8, 0.1], [0.1, 0.0, 0.7]],
+                 b=[[1.0, 0.0], [0.3, 1.0], [0.0, 0.5]],
+                 q=np.diag([1.0, 0.5, 0.2]), r=np.diag([1.0, 0.7]),
+                 horizon=30, noise_scale=0.3)
+PLAY_CASES = [("lqr", {}), ("lqr", NOISY_3X2), ("pointmass", {}),
+              ("landscape", {"objective": "bowl", "dim": 4}),
+              ("landscape", {"objective": "rosenbrock"})]
+PLAY_IDS = ["lqr", "lqr-noisy-3x2", "pointmass", "bowl", "rosenbrock"]
+
+
+def play_case(env_kind, env_params, rows, seed):
+    """env, the run's policy, and `rows` parameter rows around its theta."""
+    env = make_env(env_kind, **env_params)
+    policy = _build_policy(env, TrainConfig(env_kind=env_kind,
+                                            env_params=env_params),
+                           RngStream(seed).spawn("policy-init"))
+    theta = policy.theta
+    points = theta + RngStream(seed).normal(size=(rows, theta.size),
+                                            scale=0.05 * (1 + abs(theta)))
+    return env, policy, points
+
+
+@pytest.mark.parametrize("rows", [1, 7, 32, 33])
+@pytest.mark.parametrize("env_kind,env_params", PLAY_CASES, ids=PLAY_IDS)
+def test_play_rows_equal_the_per_step_reference_bitwise(env_kind, env_params,
+                                                       rows):
+    # C-order buffers and one rewards call against per-step lists joined
+    # by np.stack; ParamPolicy's actions are broadcast views
+    env, policy, points = play_case(env_kind, env_params, rows, rows)
+    stochastic = getattr(policy, "stochastic", False)
+    events = _draw_episode_events(env, policy, 3, RngStream(rows),
+                                  explore=stochastic)
+    parts = policy.layout.unflatten_batch(points)
+    got = _play_rows(env, policy, parts, events)
+    want = reference_play_rows(env, policy, parts, events)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.flags.c_contiguous
+        assert np.array_equal(g, w)
+    if stochastic:
+        assert np.array_equal(
+            reinforce_field(env, policy, points, 3, GAMMA, RngStream(rows)),
+            reference_reinforce_field(env, policy, points, 3, GAMMA,
+                                      RngStream(rows)))
+
+
+@pytest.mark.parametrize("env_kind,env_params", PLAY_CASES, ids=PLAY_IDS)
+def test_evaluation_returns_equal_the_per_step_reference_bitwise(
+        env_kind, env_params):
+    for seed in range(3):
+        env, policy, _ = play_case(env_kind, env_params, 1, seed)
+        got = evaluation_returns(env, policy, 10, GAMMA, RngStream(seed))
+        want = reference_evaluation_returns(env, policy, 10, GAMMA,
+                                            RngStream(seed))
+        assert got.tobytes() == want.tobytes()
+
+
+def test_play_makes_one_rewards_call_and_no_advance_after_the_last_step():
+    calls = []
+
+    class Counted(LqrEnv):
+        def advance(self, state, action, noise=None):
+            calls.append("advance")
+            return super().advance(state, action, noise)
+
+        def rewards(self, states, actions):
+            calls.append("rewards")
+            return super().rewards(states, actions)
+
+    env = Counted([[1.0]], [[1.0]], [[1.0]], [[1.0]], horizon=7)
+    policy = LinearGainPolicy(1, 1, k=np.array([[0.5]]))
+    evaluation_returns(env, policy, 4, GAMMA, RngStream(0))
+    assert calls == ["advance"] * 6 + ["rewards"]
+    calls.clear()
+    reinforce_field(env, policy, np.zeros((5, 2)), 3, GAMMA, RngStream(0))
+    assert calls == ["advance"] * 6 + ["rewards"]

@@ -100,3 +100,20 @@ def test_event_draws_match_a_freshly_built_philox(seed, counter):
                           fresh(3).uniform(-1.0, 1.0, size=3))
     assert np.array_equal(stream.integers(0, 2 ** 40, size=3),
                           fresh(4).integers(0, 2 ** 40, size=3))
+
+
+@pytest.mark.parametrize("size", [1, 7, (1,), (3, 3), (8, 4), (16, 2),
+                                  (5, 3), (2, 3, 5), (0,), (4, 0)])
+def test_signs_are_the_generator_integer_draws_bitwise(size):
+    # signs reads Philox's raw outputs; it must draw what
+    # 2 * Generator.integers(0, 2, size) - 1 on the event's block draws
+    for seed in (0, 1, 12345, 2 ** 64 - 1):
+        for counter in (0, 1, 7, 2 ** 63 + 5):
+            generator = np.random.Generator(
+                np.random.Philox(key=seed, counter=counter << 64))
+            want = 2.0 * generator.integers(0, 2, size).astype(np.float64) - 1.0
+            stream = RngStream(seed, counter)
+            got = stream.signs(size)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            assert stream.counter == counter + 1

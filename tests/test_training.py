@@ -10,6 +10,7 @@ import inspect
 import numpy as np
 import pytest
 
+import rpg.envs
 import rpg.metricnet
 import rpg.policy
 import rpg.training
@@ -547,6 +548,30 @@ def test_one_field_call_per_update(monkeypatch, variant, backend, freeze_phi,
     summary = run_training(cfg)
     assert not summary.aborted and len(summary.records) == 3
     assert rows == per_update * 3
+
+
+def test_lqr_baseline_update_takes_no_reward_inside_its_horizon_loop(
+        monkeypatch):
+    # a baseline update is the closed-form field at theta and one
+    # evaluation play: 49 advances, then one rewards call for all
+    # 10 x 50 steps; the field plays no episode
+    calls = []
+    advance, rewards = rpg.envs.LqrEnv.advance, rpg.envs.LqrEnv.rewards
+
+    def counted_advance(self, state, action, noise=None):
+        calls.append("advance")
+        return advance(self, state, action, noise)
+
+    def counted_rewards(self, states, actions):
+        calls.append(("rewards", states.shape))
+        return rewards(self, states, actions)
+
+    monkeypatch.setattr(rpg.envs.LqrEnv, "advance", counted_advance)
+    monkeypatch.setattr(rpg.envs.LqrEnv, "rewards", counted_rewards)
+    summary = run_training(TrainConfig(env_kind="lqr", total_steps=100,
+                                       update_interval=50, seed=1))
+    assert not summary.aborted and len(summary.records) == 2
+    assert calls == (["advance"] * 49 + [("rewards", (1, 10, 50, 1))]) * 2
 
 
 @pytest.mark.parametrize("case", ["training", "report", "theta"])
