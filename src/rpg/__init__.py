@@ -28,8 +28,10 @@ Import layout:
                     that shares that backward, the inner training loop
                     with Adam, checkpoints
     rpg.envs        toy environments (LQR, point-mass, landscapes)
-    rpg.policy      policies, rollouts, the REINFORCE estimator and its
-                    common-random-numbers field over parameter rows
+    rpg.policy      policies; one rollout engine over parameter rows,
+                    which plays the fresh batch, the evaluation episodes
+                    and the REINFORCE estimator's common-random-numbers
+                    field
     rpg.training    the outer training loop (baseline / J / T variants)
     rpg.runconfig   run-configuration parsing/validation
     rpg.reporting   CSV/JSON logs and SVG charts

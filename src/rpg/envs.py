@@ -2,35 +2,34 @@
 
 Every environment exposes the same surface:
 
-    reset(rng)                -> initial state (numpy vector)
-    step(state, action, rng)  -> (next_state, reward, done)
+    reset(rng)                      -> initial state (numpy vector)
+    draw_noise(rng)                 -> one step's dynamics noise, or None
+    advance(state, action, noise)   -> next state
+    rewards(states, actions)        -> rewards
     state_dim, action_dim, horizon, kind
 
-Environments hold a step counter that reset() clears, so `done` comes back
-True once `horizon` transitions have been taken (landscape environments are
-single-step and finish immediately).  Rewards are negated costs throughout:
-trainers maximize return.
+There is no step method, no step counter and no `done` flag: every
+episode runs exactly `horizon` steps (landscape environments are
+single-step).  Rewards are negated costs throughout: trainers maximize
+return.
 
-Every environment also splits a step into its draw event, its recurrence
-and its rewards, all pure but the draw:
-draw_noise(rng) makes the step's one draw (None when the dynamics are
-noiseless, without drawing); advance(state, action, noise) -> next_state
-is the recurrence; rewards(states, actions) -> reward computes the
-rewards, which no later state reads.  advance and rewards take float
-arrays with leading row axes, (*rows, state_dim) and (*rows, action_dim),
-against which the noise broadcasts, and each row's numbers do not depend
-on the rows around it.  step is draw, rewards and advance in sequence, so
-it takes row axes too; a single state gives the same numbers as before
-(``np.vecdot`` sums like the 1-d ``@`` it replaces, and the landscape
-reward is the scalar objective of each row).  The batched rollouts of
-``rpg.policy`` advance many episodes at once, step by step, and then take
-all their steps' rewards in one rewards call.
+reset and draw_noise make the draws.  draw_noise makes a step's one draw
+event, and answers None without drawing when the dynamics are noiseless.
+advance and rewards are pure: advance is the recurrence, and rewards
+computes rewards that no later state reads.  They take float arrays with
+leading row axes, (*rows, state_dim) and (*rows, action_dim), against
+which the noise broadcasts, and each row's numbers do not depend on the
+rows around it.  The rollouts of ``rpg.policy`` advance many episodes at
+once, step by step, and then take all their steps' rewards in one rewards
+call.
 
 The module also carries the two closed-form references used to check learned
 policies on the linear-quadratic problem: the discounted Riccati fixed point
 (optimal gain) and the exact finite-horizon return gradient for affine
 policies, batched over parameter points.
 """
+
+import inspect
 
 import numpy as np
 
@@ -51,32 +50,15 @@ def _check_horizon(horizon):
     return horizon
 
 
-def _action_rows(action, state, action_dim):
-    """The action shaped (*rows, action_dim) for a (*rows, state_dim) state."""
-    return np.asarray(action, dtype=float).reshape(
-        state.shape[:-1] + (action_dim,))
-
-
-class _SplitStepEnv:
-    """step as draw_noise, rewards and advance, plus the step counter."""
+class _Env:
+    """Deterministic dynamics unless a subclass says otherwise."""
 
     def draw_noise(self, rng):
         """The dynamics are deterministic: no draw event, no noise."""
         return None
 
-    def step(self, state, action, rng=None):
-        noise = self.draw_noise(rng)
-        state = np.asarray(state, dtype=float)
-        action = _action_rows(action, state, self.action_dim)
-        reward = self.rewards(state, action)
-        nxt = self.advance(state, action, noise)
-        self._t += 1
-        # a float for one state, an array of per-row rewards for a batch
-        reward = float(reward) if reward.ndim == 0 else reward
-        return nxt, reward, self._t >= self.horizon
 
-
-class LqrEnv(_SplitStepEnv):
+class LqrEnv(_Env):
     """Discrete-time linear dynamics with quadratic cost.
 
     s' = A s + B a + noise_scale * xi,   xi ~ N(0, I)
@@ -92,22 +74,26 @@ class LqrEnv(_SplitStepEnv):
     def __init__(self, a, b, q, r, horizon=50, noise_scale=0.0):
         self.a = np.atleast_2d(np.asarray(a, dtype=float))
         self.b = np.asarray(b, dtype=float)
-        if self.b.ndim == 1:
+        if self.b.ndim < 2:
             self.b = self.b.reshape(-1, 1)
         self.q = np.atleast_2d(np.asarray(q, dtype=float))
         self.r = np.atleast_2d(np.asarray(r, dtype=float))
         n = self.a.shape[0]
         m = self.b.shape[1]
         if self.a.shape != (n, n) or self.b.shape != (n, m):
-            raise BadDimensions("A must be square and B conformable")
+            raise BadDimensions(
+                f"a must be square and b conformable, got a {self.a.shape} "
+                f"and b {self.b.shape}")
         if self.q.shape != (n, n) or self.r.shape != (m, m):
-            raise BadDimensions("Q/R shapes must match state/action dims")
+            raise BadDimensions(
+                f"q and r must be {n}x{n} and {m}x{m} to match a and b, "
+                f"got {self.q.shape} and {self.r.shape}")
         if n > MAX_LQR_STATE_DIM:
             raise BadDimensions(
-                f"lqr state dimension capped at {MAX_LQR_STATE_DIM}, got {n}")
+                f"a is {n}x{n}, but the lqr state dimension is capped at "
+                f"{MAX_LQR_STATE_DIM}")
         self.horizon = _check_horizon(horizon)
         self.noise_scale = float(noise_scale)
-        self._t = 0
 
     @property
     def state_dim(self):
@@ -118,7 +104,6 @@ class LqrEnv(_SplitStepEnv):
         return self.b.shape[1]
 
     def reset(self, rng):
-        self._t = 0
         return rng.uniform(-1.0, 1.0, size=self.state_dim)
 
     def draw_noise(self, rng):
@@ -140,7 +125,7 @@ class LqrEnv(_SplitStepEnv):
                  + np.vecdot(actions @ self.r, actions))
 
 
-class PointmassEnv(_SplitStepEnv):
+class PointmassEnv(_Env):
     """2-D double integrator steering toward the origin.
 
     State is [px, py, vx, vy]; the action is an acceleration, Euler-stepped
@@ -153,13 +138,11 @@ class PointmassEnv(_SplitStepEnv):
     def __init__(self, horizon=50, dt=0.1):
         self.horizon = _check_horizon(horizon)
         self.dt = float(dt)
-        self._t = 0
 
     state_dim = 4
     action_dim = 2
 
     def reset(self, rng):
-        self._t = 0
         return rng.uniform(-1.0, 1.0, size=4)
 
     def advance(self, state, action, noise=None):
@@ -196,7 +179,7 @@ _LANDSCAPES = {
 }
 
 
-class LandscapeEnv(_SplitStepEnv):
+class LandscapeEnv(_Env):
     """Single-step environment: the action is a point, the reward is -f(point).
 
     Useful for driving the trainer on a deterministic optimization surface.
@@ -210,15 +193,15 @@ class LandscapeEnv(_SplitStepEnv):
 
     def __init__(self, objective="bowl", dim=4):
         if objective not in _LANDSCAPES:
-            raise ValueError(f"unknown landscape objective: {objective!r}")
+            raise ValueError(f"objective must be one of "
+                             f"{', '.join(_LANDSCAPES)}, got {objective!r}")
         f, grad, forced_dim = _LANDSCAPES[objective]
         self.objective = objective
         self.dim = int(forced_dim if forced_dim is not None else dim)
         if self.dim < 1:
-            raise ValueError("landscape dim must be positive")
+            raise ValueError(f"dim must be positive, got {self.dim}")
         self._f = f
         self._grad = grad
-        self._t = 0
 
     @property
     def state_dim(self):
@@ -246,7 +229,6 @@ class LandscapeEnv(_SplitStepEnv):
         return -np.stack([self._grad(p) for p in point])
 
     def reset(self, rng):
-        self._t = 0
         return np.zeros(self.dim)
 
     def advance(self, state, action, noise=None):
@@ -260,24 +242,31 @@ class LandscapeEnv(_SplitStepEnv):
             states.shape[:-1])
 
 
+_KINDS = {"lqr": LqrEnv, "pointmass": PointmassEnv,
+          "landscape": LandscapeEnv}
+
+
 def make_env(kind, **params):
     """Build one of the toy environments by name.
 
     kinds: "lqr" (params a, b, q, r, horizon, noise_scale; defaults to the
     scalar system a=b=q=r=1), "pointmass" (horizon, dt), "landscape"
-    (objective = "bowl" | "rosenbrock", dim).
+    (objective = "bowl" | "rosenbrock", dim).  An unknown kind or a
+    parameter the kind does not take raises ValueError, whose message
+    starts with the offending name.
     """
+    if kind not in _KINDS:
+        raise ValueError(f"kind must be one of {', '.join(_KINDS)}, "
+                         f"got {kind!r}")
+    names = inspect.signature(_KINDS[kind]).parameters
+    for key in params:
+        if key not in names:
+            raise ValueError(f"{key} is not a parameter of kind {kind} "
+                             f"(its parameters: {', '.join(names)})")
     if kind == "lqr":
-        params.setdefault("a", [[1.0]])
-        params.setdefault("b", [[1.0]])
-        params.setdefault("q", [[1.0]])
-        params.setdefault("r", [[1.0]])
-        return LqrEnv(**params)
-    if kind == "pointmass":
-        return PointmassEnv(**params)
-    if kind == "landscape":
-        return LandscapeEnv(**params)
-    raise ValueError(f"unknown environment kind: {kind!r}")
+        for key in "abqr":
+            params.setdefault(key, [[1.0]])
+    return _KINDS[kind](**params)
 
 
 def riccati_gain(env, gamma, tol=1e-13, max_iters=100_000):

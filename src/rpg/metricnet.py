@@ -629,7 +629,7 @@ class Adam:
         self._a = np.empty(size)
         self._b = np.empty(size)
 
-    def step(self, params: np.ndarray, grads: np.ndarray) -> None:
+    def update(self, params: np.ndarray, grads: np.ndarray) -> None:
         # the update params -= lr * (m / b1c) / (sqrt(v / b2c) + eps),
         # each operation in place in two scratch buffers
         self.t += 1
@@ -761,7 +761,7 @@ def train_metric_net(phi: MetricNetParams, theta: np.ndarray,
             # carries a factor of u, which is identically 0.0 here.
             _kick_heads(work, kick_rng, kick_scale)
         else:
-            adam.step(flat, grad)
+            adam.update(flat, grad)
     return phi.with_flat(best), history
 
 

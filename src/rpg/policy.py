@@ -8,23 +8,28 @@ action IS the parameter.  All of them expose the same flat-parameter
 interface (`theta` / `set_theta`, a `layout` describing the parts), which is
 what the metric machinery consumes.
 
-The estimator here is plain REINFORCE on return-to-go with a per-timestep
-mean baseline over the episode batch — no critics, no bootstrapping.  It
-comes in two forms that share the weights (``_reinforce_weights``) and the
-log-probability gradient.  ``reinforce_gradient_from_batch`` serves one
-parameter vector and a batch that ``rollout`` collected.
-``reinforce_field`` serves B parameter rows at once with common random
-numbers: every draw event of the episodes is made once, in the order
-``rollout`` makes it, and shared by all rows, so row b equals the
-estimator at row b over episodes replayed from the same stream.  The two
-stochastic policies compute their mean and their log-probability gradient
-in closed form over rows of parameters (``LayerLayout.unflatten_batch``);
-a single parameter vector is the one-row case.  ``evaluation_returns``
-plays evaluation episodes on the same engine, at one row and without
-action noise.  The engine (``_play_rows``) keeps only the recurrence in
-its horizon loop: each step's states and actions go into C-order
-(B, E, H, ·) buffers, the environment's ``advance`` makes the next state,
-and one ``rewards`` call after the loop takes every step's rewards.
+Episodes are played on one engine, ``_play_rows``: B parameter rows,
+each over the same E episodes, whose draws ``_draw_episode_events`` makes
+beforehand, in the order of play.  Its horizon loop keeps only the
+recurrence: each step's states and actions go into C-order (B, E, H, ·)
+buffers, the environment's ``advance`` makes the next state, and one
+``rewards`` call after the loop takes every step's rewards.  The policies
+compute their mean, and the two stochastic ones their log-probability
+gradient, in closed form over rows of parameters
+(``LayerLayout.unflatten_batch``); a single parameter vector is the
+one-row case.  ``rollout`` plays E episodes at the policy's own theta,
+one row, into a ``Trajectory``; ``evaluation_returns`` is a rollout on
+the mean.
+
+The estimator is plain REINFORCE on return-to-go with a per-timestep mean
+baseline over the episode batch — no critics, no bootstrapping.  Its one
+step, ``_reinforce_rows``, takes the weights (``_reinforce_weights``) and
+the log-probability gradient of B rows' batches.
+``reinforce_gradient_from_batch`` applies it to one rollout at the
+policy's own theta.  ``reinforce_field`` applies it to B parameter rows at
+once with common random numbers: every draw event of the episodes is made
+once and shared by all rows, so row b equals the estimator at row b over
+episodes replayed from the same stream.
 """
 
 from dataclasses import dataclass
@@ -73,57 +78,39 @@ def _reinforce_weights(rewards, gamma):
 
 @dataclass
 class Trajectory:
-    """One episode: row t holds (state_t, action_t, reward_t)."""
+    """E episodes of H steps, played together: states (E, H, state_dim),
+    actions (E, H, action_dim) and rewards (E, H).  Its length is the
+    number of steps, E * H."""
 
     states: np.ndarray
     actions: np.ndarray
     rewards: np.ndarray
 
-    def __post_init__(self):
-        self.states = np.atleast_2d(np.asarray(self.states, dtype=float))
-        self.actions = np.atleast_2d(np.asarray(self.actions, dtype=float))
-        self.rewards = np.asarray(self.rewards, dtype=float).reshape(-1)
-        if not (len(self.states) == len(self.actions) == len(self.rewards)):
-            raise ValueError("trajectory arrays disagree on episode length")
-
     def __len__(self):
-        return len(self.rewards)
-
-    def return_to_go(self, gamma):
-        """G_t = r_t + gamma * G_{t+1}, accumulated from the tail."""
-        return _return_to_go(self.rewards, gamma)
-
-    def discounted_return(self, gamma):
-        """Total discounted return; same accumulation as return_to_go."""
-        return float(self.return_to_go(gamma)[0])
+        return self.rewards.size
 
 
-def rollout(env, policy, rng, explore=True):
-    """Play one episode and return it as a Trajectory.
+def rollout(env, policy, episodes, rng, explore=True):
+    """Play `episodes` episodes at the policy's own theta, together.
 
-    With explore=False the policy acts on its mean (evaluation protocol).
+    The draws are made first (``_draw_episode_events``), then the episodes
+    are played at one parameter row (``_play_rows``).  With explore=False
+    the policy acts on its mean (evaluation protocol).
     """
-    states, actions, rewards = [], [], []
-    state = env.reset(rng)
-    for _ in range(env.horizon):
-        action = policy.act(state, rng if explore else None)
-        nxt, reward, done = env.step(state, action, rng)
-        states.append(state)
-        actions.append(action)
-        rewards.append(reward)
-        state = nxt
-        if done:
-            break
-    return Trajectory(np.array(states), np.array(actions),
-                      np.array(rewards))
+    events = _draw_episode_events(env, policy, episodes, rng, explore)
+    parts = policy.layout.unflatten_batch(policy.theta[None])
+    states, actions, rewards = _play_rows(env, policy, parts, events)
+    return Trajectory(states[0], actions[0], rewards[0])
 
 
 def _draw_episode_events(env, policy, episodes, rng, explore=True):
-    """Every draw of `episodes` rollouts, made in the order rollout makes it.
+    """Every draw of `episodes` episodes, in the order of play.
 
     Per episode: the reset, then per step the action noise (only when
     exploring) and the dynamics noise (an event only when the dynamics are
     noisy; once draw_noise has answered None, it is not asked again).
+    This is the order in which episodes played one at a time, step by
+    step, would draw.
     Returns the start states (E, state_dim), the action noise
     (H, E, action_dim) or None, and the dynamics noise (H, E, state_dim)
     or None.
@@ -174,61 +161,62 @@ def _play_rows(env, policy, parts, events):
 
 
 def evaluation_returns(env, policy, episodes, gamma, rng):
-    """Discounted returns of `episodes` episodes at the policy's own theta.
+    """Discounted returns of `episodes` episodes at the policy's own theta,
+    acting on the mean: ``rollout(..., explore=False)``, then
+    ``_return_to_go``."""
+    rewards = rollout(env, policy, episodes, rng, explore=False).rewards
+    return _return_to_go(rewards, gamma)[:, 0]
 
-    The episodes act on the mean and are played together, at one parameter
-    row.  Their draws are those of as many ``rollout(..., explore=False)``
-    calls on `rng`, in the same order, and each return comes from the
-    same ``_return_to_go``.
+
+def _check_stochastic(policy):
+    if not getattr(policy, "stochastic", False):
+        raise ValueError("sampled policy gradients need a stochastic policy")
+
+
+def _reinforce_rows(policy, parts, states, actions, rewards, gamma):
+    """REINFORCE gradients of B parameter rows from their (B, E, H, ·)
+    batches: ``_reinforce_weights``, then ``row_logprob_grads`` over the
+    episode-major (B, E*H, ·) steps."""
+    rows = len(parts[0])
+    return policy.row_logprob_grads(
+        parts, states.reshape(rows, -1, states.shape[-1]),
+        actions.reshape(rows, -1, actions.shape[-1]),
+        _reinforce_weights(rewards, gamma).reshape(rows, -1))
+
+
+def reinforce_gradient_from_batch(policy, batch, gamma):
+    """REINFORCE at the policy's own theta over a ``rollout`` batch.
+
+    The one-row case of ``_reinforce_rows``, the step every block of
+    ``reinforce_field`` takes.
     """
-    events = _draw_episode_events(env, policy, episodes, rng, explore=False)
+    _check_stochastic(policy)
     parts = policy.layout.unflatten_batch(policy.theta[None])
-    rewards = _play_rows(env, policy, parts, events)[2]
-    return _return_to_go(rewards[0], gamma)[:, 0]
+    return _reinforce_rows(policy, parts, batch.states[None],
+                           batch.actions[None], batch.rewards[None],
+                           gamma)[0]
 
 
 def reinforce_field(env, policy, points, episodes, gamma, rng):
     """REINFORCE gradients at the (B, n) parameter rows, on common noise.
 
-    Row b is reinforce_gradient_from_batch over `episodes` rollouts of the
-    policy at points[b], every row replaying the same draws of `rng`: the
-    E * (1 + H) draw events (E * (1 + 2H) with noisy dynamics) are made
-    once, whatever B is, and broadcast over the rows.  `policy` supplies
-    the layout and the row methods only; its own theta is not read.
+    Row b is reinforce_gradient_from_batch over a ``rollout`` of
+    `episodes` episodes of the policy at points[b], every row replaying
+    the same draws of `rng`: the E * (1 + H) draw events
+    (E * (1 + 2H) with noisy dynamics) are made once, whatever B is, and
+    broadcast over the rows.  `policy` supplies the layout and the row
+    methods only; its own theta is not read.
     """
-    if not getattr(policy, "stochastic", False):
-        raise ValueError("sampled policy gradients need a stochastic policy")
+    _check_stochastic(policy)
     points = np.asarray(points, dtype=float)
     events = _draw_episode_events(env, policy, episodes, rng)
     out = []
     for at in range(0, len(points), ROW_BLOCK):
         parts = policy.layout.unflatten_batch(points[at:at + ROW_BLOCK])
-        states, actions, rewards = _play_rows(env, policy, parts, events)
-        # episode-major (B, E*H, d), as reinforce_gradient_from_batch
-        # stacks its batch
-        rows = len(parts[0])
-        out.append(policy.row_logprob_grads(
-            parts, states.reshape(rows, -1, states.shape[-1]),
-            actions.reshape(rows, -1, actions.shape[-1]),
-            _reinforce_weights(rewards, gamma).reshape(rows, -1)))
+        out.append(_reinforce_rows(policy, parts,
+                                   *_play_rows(env, policy, parts, events),
+                                   gamma))
     return np.concatenate(out)
-
-
-class _GaussianPolicy:
-    """Shared single-vector gradient of the two Gaussian policies."""
-
-    stochastic = True
-
-    def weighted_logprob_grad(self, states, actions, weights):
-        """Flat gradient of sum_i w_i * log pi(a_i | s_i) w.r.t. theta.
-
-        The one-row case of ``row_logprob_grads``.
-        """
-        return self.row_logprob_grads(
-            self.layout.unflatten_batch(self.theta[None]),
-            np.atleast_2d(np.asarray(states, dtype=float))[None],
-            np.atleast_2d(np.asarray(actions, dtype=float))[None],
-            np.asarray(weights, dtype=float).reshape(1, -1))[0]
 
 
 def _mlp_layers(parts, states):
@@ -243,7 +231,7 @@ def _flat_rows(grads):
     return np.concatenate([g.reshape(len(g), -1) for g in grads], axis=1)
 
 
-class PolicyMLP(_GaussianPolicy):
+class PolicyMLP:
     """Two-hidden-layer tanh network with a Gaussian action head.
 
     mean(s) = tanh(tanh(s W1 + b1) W2 + b2) W3 + b3, and actions are drawn
@@ -254,6 +242,8 @@ class PolicyMLP(_GaussianPolicy):
     The row methods take ``layout.unflatten_batch(points)`` for B parameter
     rows and states shaped (B, N, state_dim).
     """
+
+    stochastic = True
 
     def __init__(self, state_dim, action_dim, rng, hidden=(16, 16),
                  log_std_init=-0.5):
@@ -279,19 +269,6 @@ class PolicyMLP(_GaussianPolicy):
 
     def set_theta(self, vec):
         self.arrays = list(self.layout.unflatten(vec))
-
-    def mean(self, states):
-        w1, b1, w2, b2, w3, b3 = self.arrays[:6]
-        h = np.tanh(states @ w1 + b1)
-        h = np.tanh(h @ w2 + b2)
-        return h @ w3 + b3
-
-    def act(self, state, rng=None):
-        mu = self.mean(np.asarray(state, dtype=float)[None, :])[0]
-        if rng is None:
-            return mu
-        sigma = np.exp(self.arrays[6])
-        return mu + sigma * rng.normal(size=self.action_dim)
 
     def row_means(self, parts, states):
         return _mlp_layers(parts, states)[2]
@@ -327,13 +304,15 @@ class PolicyMLP(_GaussianPolicy):
             np.sum(w * (diff * diff * inv_var - 1.0), axis=1)])
 
 
-class LinearGainPolicy(_GaussianPolicy):
+class LinearGainPolicy:
     """Affine controller a = -K s + b with fixed Gaussian exploration.
 
     Exploration sigma is a constant, not a parameter: theta is exactly
     (K, b), which keeps the analytic return gradient applicable.  The row
     methods are PolicyMLP's, for parts (K, b).
     """
+
+    stochastic = True
 
     def __init__(self, state_dim, action_dim, sigma=0.1, k=None, b=None):
         self.state_dim = int(state_dim)
@@ -352,15 +331,6 @@ class LinearGainPolicy(_GaussianPolicy):
 
     def set_theta(self, vec):
         self.k, self.b = self.layout.unflatten(vec)
-
-    def mean(self, states):
-        return -np.atleast_2d(states) @ self.k.T + self.b
-
-    def act(self, state, rng=None):
-        mu = -self.k @ np.asarray(state, dtype=float) + self.b
-        if rng is None:
-            return mu
-        return mu + self.sigma * rng.normal(size=self.action_dim)
 
     def row_means(self, parts, states):
         k, b = parts
@@ -393,9 +363,6 @@ class ParamPolicy:
     def set_theta(self, vec):
         self._theta = np.asarray(vec, dtype=float).copy()
 
-    def act(self, state, rng=None):
-        return self._theta.copy()
-
     def row_means(self, parts, states):
         return np.broadcast_to(parts[0][:, None, :],
                                states.shape[:-1] + (self.dim,))
@@ -403,20 +370,3 @@ class ParamPolicy:
     def row_sigmas(self, parts):
         return 0.0
 
-
-def reinforce_gradient_from_batch(policy, trajectories, gamma):
-    """REINFORCE on an already-collected batch of equal-length episodes.
-
-    The ``_reinforce_weights`` of the batch's rewards applied to
-    grad log pi at the policy's own theta.
-    """
-    if not getattr(policy, "stochastic", False):
-        raise ValueError("sampled policy gradients need a stochastic policy")
-    horizon = len(trajectories[0])
-    if any(len(t) != horizon for t in trajectories):
-        raise ValueError("episode batch must share one length")
-    rewards = np.stack([t.rewards for t in trajectories])
-    weights = _reinforce_weights(rewards, gamma).reshape(-1)
-    states = np.concatenate([t.states for t in trajectories])
-    actions = np.concatenate([t.actions for t in trajectories])
-    return policy.weighted_logprob_grad(states, actions, weights)

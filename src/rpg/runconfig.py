@@ -12,7 +12,9 @@ Sections and keys (defaults in parentheses are TrainConfig's):
               policy_lr | gamma | seed | gradient_backend |
               eval_episodes | explore_sigma
     [env]     kind (lqr) plus the chosen environment's parameters:
-              a, b, q, r, horizon, noise_scale   (lqr)
+              a, b, q, r, horizon, noise_scale   (lqr; a, b, q and r
+                  take a number or a bracketed list literal such as
+                  [[0.9, 0.0], [0.0, 0.9]])
               objective, dim                     (landscape)
               horizon, dt                        (pointmass)
     [metric]  probe_count | probe_episodes | kappa (none = half the
@@ -21,7 +23,10 @@ Sections and keys (defaults in parentheses are TrainConfig's):
               freeze_phi
 """
 
+import ast
 import dataclasses
+
+import numpy as np
 
 from .errors import ConfigError
 from .training import TrainConfig
@@ -42,6 +47,18 @@ def _float(raw):
         return float(raw)
     except ValueError:
         raise ConfigError(f"expected a number, got {raw!r}")
+
+
+def _float_or_list(raw):
+    """A number, or a bracketed list literal of numbers (a vector or a
+    matrix), returned as nested lists of floats."""
+    if not raw.startswith("["):
+        return _float(raw)
+    try:
+        return np.array(ast.literal_eval(raw), dtype=float).tolist()
+    except (ValueError, TypeError, SyntaxError):
+        raise ConfigError(f"expected a number or a bracketed list of "
+                          f"numbers, got {raw!r}")
 
 
 def _bool(raw):
@@ -89,7 +106,8 @@ _FIELDS = {
 }
 
 _ENV_PARAMS = {
-    "a": _float, "b": _float, "q": _float, "r": _float,
+    "a": _float_or_list, "b": _float_or_list, "q": _float_or_list,
+    "r": _float_or_list,
     "horizon": _int, "noise_scale": _float,
     "objective": _str, "dim": _int, "dt": _float,
 }
@@ -142,7 +160,7 @@ def parse_config_text(text):
         if section == "env":
             if key == "kind":
                 kwargs["env_kind"] = raw
-                lines_by_field["env_kind"] = lineno
+                lines_by_field["kind"] = lineno
                 continue
             conv = _ENV_PARAMS.get(key)
             if conv is None:
@@ -222,6 +240,7 @@ def default_config_text():
         "[env]",
         "; lqr | landscape | pointmass",
         f"kind = {cfg.env_kind}",
+        "; a, b, q, r: a number or a matrix like [[0.9, 0.0], [0.0, 0.9]]",
         "# a = 1.0",
         "# b = 1.0",
         "# q = 1.0",

@@ -25,7 +25,7 @@ import numpy as np
 from .divergence import (DivergenceReport, divergence_report,
                          probe_field_rows, report_probes)
 from .envs import lqr_return_gradient, make_env
-from .errors import ConfigError, NonFiniteField
+from .errors import BadDimensions, ConfigError, NonFiniteField
 from .fields import ProbeConfig, default_fd_step
 from .geodesic import geodesic_gradient
 from .metric import MetricPoint, inverse_apply
@@ -102,6 +102,15 @@ class TrainConfig:
             raise ValueError("probe_episodes must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+        try:
+            make_env(self.env_kind, **self.env_params)
+        except BadDimensions as err:
+            raise ValueError(str(err))
+        backend = self.resolved_backend(self.env_kind)
+        if (backend, self.env_kind) in (("analytic", "pointmass"),
+                                        ("reinforce", "landscape")):
+            raise ValueError(f"gradient_backend = {backend} cannot train "
+                             f"kind {self.env_kind}")
 
     def resolved_gate(self):
         if self.gate_enabled is None:
@@ -287,7 +296,7 @@ def evaluate_policy(env, policy, episodes, gamma, rng):
 
     All episodes are played at once (``evaluation_returns``); their
     returns are summed in sequence and divided by their count, as a loop
-    of ``rollout`` calls on `rng` would.
+    over episodes played one at a time would.
     """
     total = 0.0
     for ret in evaluation_returns(env, policy, int(episodes), gamma, rng):
@@ -303,11 +312,12 @@ def _probe_seed(seed, update_idx):
 def run_training(cfg):
     """Run one configured training session and return its RunSummary.
 
-    Each update advances the step count by whole episodes of at least
-    update_interval steps.  Only the reinforce backend plays them, as the
-    fresh batch its update gradient comes from; the analytic backend takes
-    the closed-form field at theta, in regularize_step's field call, and
-    counts the episodes unplayed.
+    Each update advances the step count by E * horizon, the
+    E = ceil(update_interval / horizon) whole episodes of at least
+    update_interval steps.  Only the reinforce backend plays them, in one
+    ``rollout``, as the fresh batch its update gradient comes from; the
+    analytic backend takes the closed-form field at theta, in
+    regularize_step's field call, and counts the episodes unplayed.
 
     Raises ConfigError when a J/T run's m_tilde is not below the policy's
     parameter count.  Aborts with a partial summary (records so far,
@@ -333,6 +343,8 @@ def run_training(cfg):
                           MetricNetConfig(m_tilde=m_tilde), policy.layout)
 
     rollout_rng = root.spawn("rollout")
+    # whole episodes of at least update_interval steps per update
+    episodes = -(-cfg.update_interval // env.horizon)
     records = []
     steps = 0
     update_idx = 0
@@ -343,22 +355,15 @@ def run_training(cfg):
         theta = policy.theta
         grad_fn = _gradient_field(env, policy, cfg, backend,
                                   _probe_seed(cfg.seed, update_idx) + 1)
+        steps += episodes * env.horizon
         if backend == "analytic":
-            # the closed form reads no episode, and LQR and landscape
-            # episodes always run their full horizon: count whole
-            # episodes without playing them; regularize_step takes the
+            # the closed form reads no episode: regularize_step takes the
             # gradient from the field at theta
-            steps += -(-cfg.update_interval // env.horizon) * env.horizon
             grad = None
         else:
-            fresh = []
-            collected = 0
-            while collected < cfg.update_interval:
-                traj = rollout(env, policy, rollout_rng)
-                fresh.append(traj)
-                collected += len(traj)
-            steps += collected
-            grad = reinforce_gradient_from_batch(policy, fresh, cfg.gamma)
+            grad = reinforce_gradient_from_batch(
+                policy, rollout(env, policy, episodes, rollout_rng),
+                cfg.gamma)
 
         probe_cfg = ProbeConfig(probe_count=cfg.probe_count,
                                 seed=_probe_seed(cfg.seed, update_idx))

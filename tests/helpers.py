@@ -12,9 +12,9 @@ from rpg.metric import MetricPoint, bilinear_form, inverse_apply
 from rpg.metricnet import (KERNEL, POOL_SIZE, Adam, _conv_plan, _kick_heads,
                            build_u_field, evaluate_divergence_loss,
                            training_probes)
-from rpg.policy import (_draw_episode_events, _flat_rows, _mlp_layers,
-                        _reinforce_weights, _return_to_go,
-                        reinforce_gradient_from_batch, rollout)
+from rpg.policy import (Trajectory, _draw_episode_events, _flat_rows,
+                        _mlp_layers, _reinforce_weights, _return_to_go,
+                        reinforce_gradient_from_batch)
 from rpg.rng import RngStream, rademacher_matrix
 
 
@@ -53,18 +53,57 @@ def probe_rows(grad_fn, theta, pc, iters=None):
     return probe_field_rows(grad_fn, theta, probes, default_fd_step(theta))
 
 
+def own_parts(policy):
+    """The policy's own theta as the one-row parts of its row methods."""
+    return policy.layout.unflatten_batch(policy.theta[None])
+
+
+def one_row_logprob_grad(policy, states, actions, weights):
+    """d/dtheta sum_i w_i log pi(a_i | s_i) at the policy's own theta, for
+    (N, state_dim) states: ``row_logprob_grads`` at one row."""
+    return policy.row_logprob_grads(own_parts(policy), states[None],
+                                    actions[None], weights[None])[0]
+
+
+def reference_rollout(env, policy, episodes, rng, explore=True):
+    """``rpg.policy.rollout`` played one episode and one step at a time.
+
+    The reference for the row engine: per episode a reset, then per step
+    the mean at the one state (``row_means`` at one row and one state),
+    plus sigma times a normal draw when exploring, the dynamics draw, the
+    step's own rewards and the advance, the last step's included.  The
+    per-step lists are joined by ``np.stack`` into a ``Trajectory`` of
+    (E, H, ...) arrays.
+    """
+    parts = own_parts(policy)
+    sigma = np.reshape(policy.row_sigmas(parts), -1)
+    played = []
+    for _ in range(episodes):
+        state = env.reset(rng)
+        steps = []
+        for _ in range(env.horizon):
+            action = policy.row_means(parts, state[None, None])[0, 0]
+            if explore:
+                action = action + sigma * rng.normal(size=policy.action_dim)
+            noise = env.draw_noise(rng)
+            steps.append((state, action, env.rewards(state, action)))
+            state = env.advance(state, action, noise)
+        played.append([np.stack(column) for column in zip(*steps)])
+    return Trajectory(*[np.stack(column) for column in zip(*played)])
+
+
 def per_row_reinforce_field(env, policy, points, episodes, gamma, seed):
     """The REINFORCE field row by row, each row replaying RngStream(seed).
 
     The reference for ``rpg.policy.reinforce_field``: every row sets the
-    policy to its point, plays `episodes` rollouts from a fresh stream and
-    applies reinforce_gradient_from_batch, so all rows meet the same draws.
+    policy to its point, plays `episodes` episodes one step at a time
+    (``reference_rollout``) from a fresh stream and applies
+    reinforce_gradient_from_batch, so all rows meet the same draws.
     """
     rows = []
     for point in np.atleast_2d(points):
         policy.set_theta(point)
-        rng = RngStream(seed)
-        batch = [rollout(env, policy, rng) for _ in range(episodes)]
+        batch = reference_rollout(env, policy, episodes, RngStream(seed))
         rows.append(reinforce_gradient_from_batch(policy, batch, gamma))
     return np.stack(rows)
 
@@ -89,16 +128,17 @@ def reference_row_logprob_grads(parts, states, actions, weights):
 
 
 def scalar_evaluate_policy(env, policy, episodes, gamma, rng):
-    """Mean discounted return of `episodes` scalar rollouts, one at a time.
+    """Mean discounted return of `episodes` episodes played one step at a
+    time (``reference_rollout`` on the mean), each episode's return taken
+    on its own.
 
     The reference for ``rpg.training.evaluate_policy``, which plays the
-    same episodes together: each rollout acts on the policy's mean and
-    steps the environment one state at a time.
+    same episodes together.
     """
+    batch = reference_rollout(env, policy, int(episodes), rng, explore=False)
     total = 0.0
-    for _ in range(int(episodes)):
-        total += rollout(env, policy, rng, explore=False).discounted_return(
-            gamma)
+    for rewards in batch.rewards:
+        total += float(_return_to_go(rewards, gamma)[0])
     return total / int(episodes)
 
 
@@ -188,7 +228,7 @@ def reference_train_metric_net(phi, theta, grad_fn, pc, max_iters=20,
             if loss > 0.0 and not np.any(grad):
                 _kick_heads(work, kick_rng, kick_scale)
             else:
-                adam.step(flat, grad)
+                adam.update(flat, grad)
     except NonFiniteField:
         pass
     return phi.with_flat(best), history

@@ -306,6 +306,8 @@ def mlp_logprob_grad(policy, states, actions, weights):
     loss = reduce_sum(mul(z2, -0.5 * weights))
     grads = graph.leaf_gradients(loss)
 
-    z2_val = (actions - policy.mean(states)) ** 2 * inv_var[None, :]
+    mean = policy.row_means(
+        policy.layout.unflatten_batch(policy.theta[None]), states[None])[0]
+    z2_val = (actions - mean) ** 2 * inv_var[None, :]
     grad_log_std = np.sum(weights * (z2_val - 1.0), axis=0)
     return policy.layout.flatten(grads + [grad_log_std])

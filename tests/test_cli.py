@@ -99,6 +99,30 @@ def test_train_m_tilde_not_below_n_exits_1(tmp_path, capsys):
     assert main(["train", str(baseline), "--out", str(out)]) == 0
 
 
+def test_train_two_state_lqr_from_list_literals(tmp_path, capsys):
+    text = "\n".join([
+        "[run]", "variant = J", "total_steps = 100", "seed = 1",
+        "[env]", "kind = lqr", "a = [[0.9, 0.2], [0.0, 0.8]]",
+        "b = [[1.0, 0.0], [0.3, 1.0]]", "q = [[1.0, 0.0], [0.0, 0.5]]",
+        "r = [[1.0, 0.0], [0.0, 0.7]]",
+        "[metric]", "probe_count = 4", "metric_iters = 2", ""])
+    out = tmp_path / "out"
+    assert main(["train", str(write_cfg(tmp_path, text)), "--out",
+                 str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["updates"] == 2 and not summary["aborted"]
+    # K is 2 x 2 and b has 2 entries
+    assert len(summary["final_theta"]) == 6
+    assert summary["config"]["env_params"]["a"] == [[0.9, 0.2], [0.0, 0.8]]
+
+
+def test_train_env_parameter_error_exits_1_on_its_line(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "[env]\nkind = lqr\ndt = 0.05\n")
+    assert main(["train", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}: line 3: dt ")
+
+
 def test_train_missing_config_exits_1(tmp_path, capsys):
     assert main(["train", str(tmp_path / "absent.cfg")]) == 1
     assert "cannot read config" in capsys.readouterr().err

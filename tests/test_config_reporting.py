@@ -133,6 +133,64 @@ def test_cross_field_validation_anchors_to_present_key():
     assert "line 2" in msg and "total_steps" in msg
 
 
+@pytest.mark.parametrize("text,line,name", [
+    ("[env]\nkind = lqr\ndt = 0.05\n", 3, "dt"),
+    ("[env]\nkind = pointmass\nnoise_scale = 0.1\n", 3, "noise_scale"),
+    ("[env]\nkind = pointmass\nhorizon = 500\n", 3, "horizon"),
+    ("[env]\nkind = landscape\nobjective = saddle\n", 3, "objective"),
+    ("[env]\nkind = cartpole\n", 2, "kind"),
+], ids=["dt-under-lqr", "noise-under-pointmass", "horizon-500",
+        "saddle", "cartpole"])
+def test_env_parameter_errors_are_config_errors_on_their_line(text, line,
+                                                              name):
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(text)
+    msg = str(err.value)
+    assert msg.startswith(f"line {line}: {name} ")
+
+
+def test_lqr_matrices_parse_from_list_literals():
+    cfg = parse_config_text("\n".join([
+        "[env]", "kind = lqr",
+        "a = [[0.9, 0.0], [0.0, 0.9]]", "b = [[1.0], [0.5]]",
+        "q = [[1, 0], [0, 2]]", "r = 0.5", ""]))
+    assert cfg.env_params == {"a": [[0.9, 0.0], [0.0, 0.9]],
+                              "b": [[1.0], [0.5]],
+                              "q": [[1.0, 0.0], [0.0, 2.0]], "r": 0.5}
+    assert all(type(v) is float for row in cfg.env_params["q"] for v in row)
+
+
+@pytest.mark.parametrize("raw", [
+    "[[0.9, 0.0], [0.0, 0.9]", "[[0.9, 0.0], [0.0]]", "[0.9, 'x']",
+    "[{1: 2}]", "[0.9 0.1]"])
+def test_malformed_lqr_literal_is_a_config_error_on_its_line(raw):
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(f"[env]\nkind = lqr\na = {raw}\n")
+    assert str(err.value).startswith("line 3: a: expected a number or a "
+                                     "bracketed list of numbers")
+
+
+@pytest.mark.parametrize("text,line", [
+    ("[env]\nkind = lqr\na = [[0.9, 0.0], [0.0, 0.9]]\n", 3),
+    ("[env]\nkind = lqr\nb = [[1.0, 0.0]]\nq = 1.0\n", 4),
+    ("[env]\nkind = lqr\na = [[0.9, 0.0], [0.0, 0.9]]\n"
+     "b = [[1.0], [0.5]]\n", 3),
+], ids=["a-without-b", "q-for-one-action", "q-defaults-scalar"])
+def test_lqr_shape_errors_are_config_errors_on_their_line(text, line):
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(text)
+    assert str(err.value).startswith(f"line {line}: ")
+
+
+@pytest.mark.parametrize("kind,backend", [
+    ("landscape", "reinforce"), ("pointmass", "analytic")])
+def test_backend_the_env_cannot_train_is_a_config_error(kind, backend):
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(f"[run]\ngradient_backend = {backend}\n"
+                          f"[env]\nkind = {kind}\n")
+    assert str(err.value).startswith("line 2: gradient_backend")
+
+
 def test_load_config_seed_override(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("[run]\nseed = 1\n", encoding="utf-8")

@@ -5,7 +5,7 @@ import pytest
 
 import rpg.envs
 from helpers import (lqr_analytic_gradient, reference_lqr_expected_return,
-                     reference_lqr_return_gradient)
+                     reference_lqr_return_gradient, reference_rollout)
 from rpg.divergence import probe_field_rows, report_probes
 from rpg.envs import (MAX_LQR_STATE_DIM, LandscapeEnv, _bowl_grad,
                       default_init_second_moment, lqr_expected_return,
@@ -13,8 +13,9 @@ from rpg.envs import (MAX_LQR_STATE_DIM, LandscapeEnv, _bowl_grad,
 from rpg.errors import BadDimensions
 from rpg.fields import ProbeConfig, default_fd_step
 from rpg.metricnet import training_probes
+from rpg.policy import ParamPolicy, rollout
 from rpg.rng import RngStream
-from rpg.training import TrainConfig, run_training
+from rpg.training import TrainConfig, _build_policy, run_training
 
 GAMMA = 0.99
 
@@ -69,24 +70,21 @@ def test_default_lqr_is_scalar_system():
     assert env.a[0, 0] == 1.0 and env.b[0, 0] == 1.0
 
 
+def test_scalar_lqr_parameters_make_one_by_one_matrices():
+    # a config file gives plain numbers; b as a number was an IndexError
+    env = make_env("lqr", a=0.9, b=2.0, q=1.5, r=0.5)
+    assert env.a.shape == env.b.shape == env.q.shape == env.r.shape == (1, 1)
+    assert env.b[0, 0] == 2.0 and env.action_dim == 1
+
+
 def test_lqr_step_matches_hand_computation():
     env = two_dim_env()
     s = np.array([0.5, -1.0])
     a = np.array([0.2, 0.1])
-    nxt, reward, done = env.step(s, a)
+    nxt = env.advance(s, a, env.draw_noise(RngStream(0)))
+    reward = env.rewards(s, a)
     assert np.allclose(nxt, env.a @ s + env.b @ a, atol=1e-15)
     assert reward == pytest.approx(-(s @ env.q @ s + a @ env.r @ a), abs=1e-15)
-    assert not done
-
-
-def test_lqr_done_after_horizon():
-    env = make_env("lqr", horizon=3)
-    s = env.reset(RngStream(0))
-    flags = []
-    for _ in range(3):
-        s, _, done = env.step(s, np.zeros(1))
-        flags.append(done)
-    assert flags == [False, False, True]
 
 
 def test_lqr_rejects_large_state_dim():
@@ -106,10 +104,10 @@ def test_make_env_rejects_unknown_kind_and_horizon():
 def test_noisy_lqr_needs_rng_and_is_seeded():
     env = make_env("lqr", noise_scale=0.1)
     with pytest.raises(ValueError):
-        env.step(np.zeros(1), np.zeros(1))
-    a = env.step(np.zeros(1), np.zeros(1), RngStream(9))[0]
-    b = env.step(np.zeros(1), np.zeros(1), RngStream(9))[0]
-    assert np.array_equal(a, b)
+        env.draw_noise(None)
+    a, b = (env.advance(np.zeros(1), np.zeros(1),
+                        env.draw_noise(RngStream(9))) for _ in range(2))
+    assert np.array_equal(a, b) and a[0] != 0.0
 
 
 def test_single_state_step_keeps_its_formulas_bitwise():
@@ -119,8 +117,8 @@ def test_single_state_step_keeps_its_formulas_bitwise():
         for seed in range(20):
             s = rng.normal(size=env.state_dim)
             a = rng.normal(size=env.action_dim)
-            env.reset(RngStream(0))
-            nxt, reward, _ = env.step(s, a, RngStream(seed))
+            nxt = env.advance(s, a, env.draw_noise(RngStream(seed)))
+            reward = env.rewards(s, a)
             if env.kind == "lqr":
                 want_reward = -(s @ env.q @ s + a @ env.r @ a)
                 want = (env.a @ s + env.b @ a
@@ -131,7 +129,7 @@ def test_single_state_step_keeps_its_formulas_bitwise():
                 want_reward = -(pos @ pos + 0.1 * (a @ a))
                 want = np.concatenate([pos + env.dt * vel,
                                        vel + env.dt * a])
-            assert reward == float(want_reward)
+            assert reward.shape == () and reward == want_reward
             assert np.array_equal(nxt, want)
 
 
@@ -140,14 +138,13 @@ def test_step_takes_leading_row_axes():
     for env in (two_dim_env(noise=0.3), make_env("pointmass")):
         states = rng.normal(size=(3, 5, env.state_dim))
         actions = rng.normal(size=(3, 5, env.action_dim))
-        env.reset(RngStream(0))
-        nxt, reward, done = env.step(states, actions, RngStream(4))
+        noise = env.draw_noise(RngStream(4))
+        nxt = env.advance(states, actions, noise)
+        reward = env.rewards(states, actions)
         assert nxt.shape == states.shape and reward.shape == (3, 5)
-        assert not done
         for i, j in np.ndindex(3, 5):
-            env.reset(RngStream(0))
-            one, one_reward, _ = env.step(states[i, j], actions[i, j],
-                                          RngStream(4))
+            one = env.advance(states[i, j], actions[i, j], noise)
+            one_reward = env.rewards(states[i, j], actions[i, j])
             assert np.allclose(nxt[i, j], one, rtol=1e-15, atol=1e-15)
             assert reward[i, j] == pytest.approx(one_reward, rel=1e-15)
 
@@ -166,28 +163,28 @@ def test_noise_is_one_event_broadcast_over_rows():
 
 def test_pointmass_rest_at_origin_scores_zero():
     env = make_env("pointmass")
-    s = np.zeros(4)
+    s, a = np.zeros(4), np.zeros(2)
     total = 0.0
     for _ in range(env.horizon):
-        s, r, done = env.step(s, np.zeros(2))
-        total += r
-    assert done and total == 0.0 and np.all(s == 0.0)
+        total += env.rewards(s, a)
+        s = env.advance(s, a, env.draw_noise(RngStream(0)))
+    assert total == 0.0 and np.all(s == 0.0)
 
 
 def test_pointmass_dynamics_hand_step():
     env = make_env("pointmass", dt=0.1)
     s = np.array([1.0, -2.0, 0.5, 0.25])
-    nxt, reward, _ = env.step(s, np.array([2.0, 0.0]))
+    a = np.array([2.0, 0.0])
+    nxt, reward = env.advance(s, a), env.rewards(s, a)
     assert np.allclose(nxt, [1.05, -1.975, 0.7, 0.25], atol=1e-15)
     assert reward == pytest.approx(-(1.0 + 4.0 + 0.1 * 4.0), abs=1e-12)
 
 
 def test_bowl_optimum_is_origin():
     env = make_env("landscape", objective="bowl", dim=3)
-    _, reward, done = env.step(np.zeros(3), np.zeros(3))
-    assert done and reward == 0.0
+    assert env.rewards(np.zeros(3), np.zeros(3)) == 0.0
     assert env.objective_value(np.zeros(3)) == 0.0
-    assert env.step(np.zeros(3), np.array([0.1, 0.0, 0.0]))[1] < 0.0
+    assert env.rewards(np.zeros(3), np.array([0.1, 0.0, 0.0])) < 0.0
 
 
 def test_landscape_gradients_match_fd():
@@ -221,9 +218,11 @@ def test_rosenbrock_forces_two_dims_and_has_known_minimum():
 
 def test_landscape_is_single_step():
     env = LandscapeEnv("bowl", dim=2)
-    env.reset(RngStream(0))
-    _, _, done = env.step(np.zeros(2), np.zeros(2))
-    assert done
+    assert env.horizon == 1
+    played = rollout(env, ParamPolicy(2, init=[0.5, 0.0]), 3, RngStream(0),
+                     explore=False)
+    assert played.rewards.shape == (3, 1)
+    assert np.all(played.rewards == -0.25)
 
 
 @pytest.mark.parametrize("kind,params", [
@@ -233,22 +232,25 @@ def test_landscape_is_single_step():
     ("landscape", {"objective": "rosenbrock"})],
     ids=["lqr", "lqr-noisy", "pointmass", "bowl", "rosenbrock"])
 def test_every_env_steps_as_draw_then_transition(kind, params):
-    # the contract the batched rollouts rely on: step(s, a, rng) is
-    # rewards(s, a) and advance(s, a, draw_noise(rng)) plus the counter,
-    # done at the horizon
+    # the contract the row engine relies on: played one step at a time,
+    # an episode is draw_noise, rewards and advance in sequence, and
+    # rollout makes the same draws and the same numbers: bitwise for one
+    # episode; over several, the MLP's matrix products take all episodes'
+    # states at once, whose kernel may round differently
     env = make_env(kind, **params)
-    step_rng, split_rng = RngStream(4), RngStream(4)
-    state = env.reset(RngStream(3))
-    action = RngStream(5).normal(size=env.action_dim)
-    for t in range(1, env.horizon + 1):
-        nxt, reward, done = env.step(state, action, step_rng)
-        want_nxt = env.advance(state, action, env.draw_noise(split_rng))
-        want_reward = env.rewards(state, action)
-        assert np.array_equal(nxt, want_nxt)
-        assert reward == want_reward and isinstance(reward, float)
-        assert done == (t == env.horizon)
-        state = nxt
-    assert step_rng.counter == split_rng.counter
+    policy = _build_policy(env, TrainConfig(env_kind=kind, env_params=params),
+                           RngStream(2))
+    explore = getattr(policy, "stochastic", False)
+    for episodes, rel in ((1, 0.0), (3, 1e-14)):
+        engine_rng, step_rng = RngStream(4), RngStream(4)
+        got = rollout(env, policy, episodes, engine_rng, explore=explore)
+        want = reference_rollout(env, policy, episodes, step_rng,
+                                 explore=explore)
+        for g, w in zip((got.states, got.actions, got.rewards),
+                        (want.states, want.actions, want.rewards)):
+            assert g.shape == w.shape
+            assert np.max(np.abs(g - w)) <= rel * np.max(np.abs(w))
+        assert engine_rng.counter == step_rng.counter
 
 
 def test_riccati_scalar_closed_form():

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 import tape_reference
-from helpers import (lqr_analytic_gradient, reference_evaluation_returns,
-                     reference_play_rows, reference_reinforce_field,
-                     reference_row_logprob_grads)
+from helpers import (lqr_analytic_gradient, one_row_logprob_grad, own_parts,
+                     reference_evaluation_returns, reference_play_rows,
+                     reference_reinforce_field, reference_row_logprob_grads)
 from rpg.envs import LqrEnv, make_env
 from rpg.policy import (LinearGainPolicy, ParamPolicy, PolicyMLP, Trajectory,
-                        _draw_episode_events, _play_rows, evaluation_returns,
-                        reinforce_field, reinforce_gradient_from_batch,
-                        rollout)
+                        _draw_episode_events, _play_rows, _return_to_go,
+                        evaluation_returns, reinforce_field,
+                        reinforce_gradient_from_batch, rollout)
 from rpg.rng import RngStream
 from rpg.training import TrainConfig, _build_policy
 
@@ -27,25 +27,29 @@ class ConstantRewardEnv:
     action_dim = 1
 
     def reset(self, rng):
-        self._t = 0
         return rng.uniform(-1.0, 1.0, size=2)
 
-    def step(self, state, action, rng=None):
-        self._t += 1
-        return state, 1.0, self._t >= self.horizon
+    def draw_noise(self, rng):
+        return None
+
+    def advance(self, state, action, noise=None):
+        return state
+
+    def rewards(self, states, actions):
+        return np.ones(states.shape[:-1])
 
 
 def reinforce(env, policy, episodes, rng):
     """REINFORCE over a fresh batch of rollouts, as training collects it."""
-    batch = [rollout(env, policy, rng) for _ in range(episodes)]
-    return reinforce_gradient_from_batch(policy, batch, GAMMA)
+    return reinforce_gradient_from_batch(
+        policy, rollout(env, policy, episodes, rng), GAMMA)
 
 
 def logprob_sum(policy, theta, states, actions, weights):
     """Reference sum_i w_i log pi(a_i|s_i), used as the FD target."""
     keep = policy.theta
     policy.set_theta(theta)
-    mu = policy.mean(states)
+    mu = policy.row_means(own_parts(policy), states[None])[0]
     if isinstance(policy, PolicyMLP):
         log_std = policy.arrays[6]
         var = np.exp(2.0 * log_std)
@@ -57,42 +61,39 @@ def logprob_sum(policy, theta, states, actions, weights):
     return float(np.sum(np.asarray(weights) * lp))
 
 
-def test_trajectory_rejects_inconsistent_lengths():
-    with pytest.raises(ValueError):
-        Trajectory(np.zeros((3, 2)), np.zeros((2, 1)), np.zeros(3))
-
-
 def test_return_to_go_matches_reversed_accumulation_exactly():
     rng = RngStream(4)
     rewards = rng.normal(size=12)
-    traj = Trajectory(np.zeros((12, 1)), np.zeros((12, 1)), rewards)
-    rtg = traj.return_to_go(GAMMA)
+    rtg = _return_to_go(rewards, GAMMA)
     acc = 0.0
     expected = np.zeros(12)
     for t in range(11, -1, -1):
         acc = rewards[t] + GAMMA * acc
         expected[t] = acc
     assert np.array_equal(rtg, expected)
-    assert traj.discounted_return(GAMMA) == rtg[0]
     power_sum = float(np.sum(GAMMA ** np.arange(12) * rewards))
-    assert traj.discounted_return(GAMMA) == pytest.approx(power_sum,
-                                                          rel=1e-12)
+    assert rtg[0] == pytest.approx(power_sum, rel=1e-12)
+    # episodes on a leading axis take the same additions
+    batch = np.stack([rewards, rewards[::-1]])
+    assert np.array_equal(_return_to_go(batch, GAMMA)[0], expected)
 
 
 def test_rollout_shapes_and_determinism():
     env = make_env("lqr")
     pol = LinearGainPolicy(1, 1, sigma=0.1, k=[[0.3]])
-    t1 = rollout(env, pol, RngStream(5))
-    t2 = rollout(env, pol, RngStream(5))
-    assert len(t1) == env.horizon
-    assert t1.states.shape == (50, 1) and t1.actions.shape == (50, 1)
+    t1 = rollout(env, pol, 3, RngStream(5))
+    t2 = rollout(env, pol, 3, RngStream(5))
+    assert len(t1) == 3 * env.horizon
+    assert t1.states.shape == (3, 50, 1) and t1.actions.shape == (3, 50, 1)
+    assert t1.rewards.shape == (3, 50)
     assert np.array_equal(t1.rewards, t2.rewards)
     assert np.array_equal(t1.actions, t2.actions)
 
     land = make_env("landscape", objective="bowl", dim=3)
-    t3 = rollout(land, ParamPolicy(3, init=[0.1, 0.2, 0.3]), RngStream(0))
+    t3 = rollout(land, ParamPolicy(3, init=[0.1, 0.2, 0.3]), 1,
+                 RngStream(0), explore=False)
     assert len(t3) == 1
-    assert t3.rewards[0] == pytest.approx(-0.14, abs=1e-12)
+    assert t3.rewards[0, 0] == pytest.approx(-0.14, abs=1e-12)
 
 
 def test_mlp_flatten_unflatten_bijection():
@@ -113,13 +114,19 @@ def test_mlp_layout_marks_output_bias_not_log_std():
 
 
 def test_mlp_act_mean_vs_stochastic():
-    pol = PolicyMLP(2, 1, RngStream(3))
-    s = np.array([0.4, -0.2])
-    mu = pol.act(s)
-    assert np.array_equal(mu, pol.mean(s[None, :])[0])
-    drawn = pol.act(s, RngStream(11))
-    assert not np.array_equal(mu, drawn)
-    assert np.array_equal(drawn, pol.act(s, RngStream(11)))
+    # explore=False acts on the mean; exploring adds sigma times the
+    # stream's draws, the same for the same stream
+    env = make_env("pointmass", horizon=5)
+    pol = PolicyMLP(4, 2, RngStream(3))
+    mean = rollout(env, pol, 2, RngStream(11), explore=False)
+    for t in range(env.horizon):
+        assert np.array_equal(
+            mean.actions[:, t],
+            pol.row_means(own_parts(pol), mean.states[None, :, t])[0])
+    drawn = rollout(env, pol, 2, RngStream(11))
+    assert not np.array_equal(mean.actions[:, 0], drawn.actions[:, 0])
+    assert np.array_equal(drawn.actions,
+                          rollout(env, pol, 2, RngStream(11)).actions)
 
 
 def test_mlp_logprob_gradient_matches_fd():
@@ -128,7 +135,7 @@ def test_mlp_logprob_gradient_matches_fd():
     states = rng.normal(size=(6, 3))
     actions = rng.normal(size=(6, 2))
     weights = rng.normal(size=6)
-    grad = pol.weighted_logprob_grad(states, actions, weights)
+    grad = one_row_logprob_grad(pol, states, actions, weights)
     theta = pol.theta
     h = 1e-6
     idx = np.linspace(0, len(theta) - 1, 25).astype(int)
@@ -151,7 +158,7 @@ def test_mlp_closed_form_gradient_matches_tape_reference(seed, dims, rows):
     actions = rng.normal(size=(rows, dims[1]))
     weights = rng.normal(size=rows)
     want = tape_reference.mlp_logprob_grad(pol, states, actions, weights)
-    got = pol.weighted_logprob_grad(states, actions, weights)
+    got = one_row_logprob_grad(pol, states, actions, weights)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -199,7 +206,7 @@ def test_linear_policy_logprob_gradient_matches_fd():
     states = rng.normal(size=(7, 2))
     actions = rng.normal(size=(7, 2))
     weights = rng.normal(size=7)
-    grad = pol.weighted_logprob_grad(states, actions, weights)
+    grad = one_row_logprob_grad(pol, states, actions, weights)
     theta = pol.theta
     h = 1e-6
     for i in range(6):
@@ -213,7 +220,8 @@ def test_linear_policy_logprob_gradient_matches_fd():
 
 def test_param_policy_acts_its_vector():
     pol = ParamPolicy(3, init=[1.0, -2.0, 0.5])
-    assert np.array_equal(pol.act(np.zeros(3)), [1.0, -2.0, 0.5])
+    assert np.array_equal(pol.row_means(own_parts(pol), np.zeros((1, 4, 3))),
+                          np.tile([1.0, -2.0, 0.5], (1, 4, 1)))
     pol.set_theta(np.array([0.0, 0.0, 1.0]))
     assert np.array_equal(pol.theta, [0.0, 0.0, 1.0])
 
@@ -248,7 +256,8 @@ def test_reinforce_deterministic_given_stream():
 
 
 def test_reinforce_requires_stochastic_policy():
-    traj = Trajectory(np.zeros((3, 1)), np.zeros((3, 1)), np.ones(3))
+    traj = Trajectory(np.zeros((1, 3, 1)), np.zeros((1, 3, 1)),
+                      np.ones((1, 3)))
     with pytest.raises(ValueError, match="stochastic"):
         reinforce_gradient_from_batch(ParamPolicy(1), [traj], GAMMA)
 

@@ -242,7 +242,7 @@ def test_adam_descends_quadratic():
     theta = np.array([5.0, -3.0])
     opt = Adam(theta.size, lr=0.1)
     for _ in range(200):
-        opt.step(theta, 2.0 * theta)
+        opt.update(theta, 2.0 * theta)
     assert np.max(np.abs(theta)) < 1e-2
 
 
@@ -251,7 +251,7 @@ def test_adam_is_deterministic():
         p = np.array([1.0, 1.0])
         opt = Adam(2, lr=0.05)
         for _ in range(50):
-            opt.step(p, p ** 2 + 1.0)
+            opt.update(p, p ** 2 + 1.0)
         return p.copy()
 
     assert np.array_equal(run(), run())

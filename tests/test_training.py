@@ -15,7 +15,7 @@ import rpg.metricnet
 import rpg.policy
 import rpg.training
 from helpers import (per_row_reinforce_field, probe_rows,
-                     scalar_evaluate_policy)
+                     reference_rollout, scalar_evaluate_policy)
 from rpg.divergence import DivergenceReport, divergence_report
 from rpg.envs import lqr_expected_return, make_env, riccati_gain
 from rpg.errors import NonFiniteField
@@ -24,7 +24,8 @@ from rpg.metric import MetricPoint, inverse_apply
 from rpg.geodesic import geodesic_gradient
 from rpg.metricnet import (MetricNetConfig, build_u_field, build_u_vjp,
                            init_params, train_metric_net)
-from rpg.policy import LinearGainPolicy, ParamPolicy
+from rpg.policy import (LinearGainPolicy, ParamPolicy,
+                        reinforce_gradient_from_batch)
 from rpg.rng import RngStream
 from rpg.training import (TrainConfig, _build_policy, _gradient_field,
                           evaluate_policy, regularize_step, run_training)
@@ -496,6 +497,100 @@ def test_pointmass_reinforce_field_plays_the_runs_policy(monkeypatch):
     assert not summary.aborted and len(summary.records) == 2
     assert len(built) == 1
     assert len(played) == 2 and all(p is built[0] for p in played)
+
+
+TWO_STATE = dict(a=[[0.9, 0.2], [0.0, 0.8]], b=[[1.0, 0.0], [0.3, 1.0]],
+                 q=[[1.0, 0.0], [0.0, 0.5]], r=[[1.0, 0.0], [0.0, 0.7]],
+                 horizon=40, noise_scale=0.1)
+
+
+def fresh_gradients(monkeypatch, cfg):
+    """(theta, update gradient) of every update of a run, as
+    regularize_step receives them."""
+    seen = []
+    step = rpg.training.regularize_step
+
+    def recorded(theta, grad, *args):
+        seen.append((theta, grad))
+        return step(theta, grad, *args)
+
+    monkeypatch.setattr(rpg.training, "regularize_step", recorded)
+    with np.errstate(all="ignore"):
+        run_training(cfg)
+    return seen
+
+
+def reference_fresh_gradients(cfg, thetas):
+    """The fresh batch at each theta, played one step at a time
+    (``reference_rollout``) on the run's rollout stream."""
+    env = make_env(cfg.env_kind, **cfg.env_params)
+    root = RngStream(cfg.seed)
+    policy = _build_policy(env, cfg, root.spawn("policy-init"))
+    stream = root.spawn("rollout")
+    episodes = -(-cfg.update_interval // env.horizon)
+    out = []
+    for theta in thetas:
+        policy.set_theta(theta)
+        with np.errstate(all="ignore"):
+            batch = reference_rollout(env, policy, episodes, stream)
+            out.append(reinforce_gradient_from_batch(policy, batch,
+                                                     cfg.gamma))
+    return out
+
+
+@pytest.mark.parametrize("env_kind,env_params", [
+    ("pointmass", {}), ("lqr", {"noise_scale": 0.3})],
+    ids=["pointmass", "lqr-noisy"])
+def test_one_episode_fresh_batch_equals_the_per_step_reference_bitwise(
+        monkeypatch, env_kind, env_params):
+    for seed in range(3):
+        cfg = TrainConfig(env_kind=env_kind, env_params=env_params,
+                          gradient_backend="reinforce", total_steps=150,
+                          seed=seed)
+        seen = fresh_gradients(monkeypatch, cfg)
+        want = reference_fresh_gradients(cfg, [theta for theta, _ in seen])
+        assert seen
+        for (_, got), ref in zip(seen, want):
+            assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("env_kind,env_params,interval,episodes", [
+    ("pointmass", {}, 120, 3), ("lqr", TWO_STATE, 80, 2)],
+    ids=["pointmass-120", "lqr-two-state-80"])
+def test_several_episode_fresh_batch_agrees_with_the_per_step_reference(
+        monkeypatch, env_kind, env_params, interval, episodes):
+    # the episodes' matrix products run over E states at once, which may
+    # round differently from one state at a time
+    cfg = TrainConfig(env_kind=env_kind, env_params=env_params,
+                      gradient_backend="reinforce", update_interval=interval,
+                      total_steps=3 * interval, policy_lr=0.001, seed=1)
+    env = make_env(env_kind, **env_params)
+    assert -(-interval // env.horizon) == episodes
+    seen = fresh_gradients(monkeypatch, cfg)
+    want = reference_fresh_gradients(cfg, [theta for theta, _ in seen])
+    assert len(seen) == 3
+    for (_, got), ref in zip(seen, want):
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_reinforce_update_plays_its_fresh_batch_in_one_engine_call(
+        monkeypatch):
+    # baseline calls no field: per update one exploring play (the fresh
+    # batch, E = 3 episodes at one row) and one evaluation play on the mean
+    plays = []
+    play = rpg.policy._play_rows
+
+    def counted(env, policy, parts, events):
+        plays.append((len(parts[0]), len(events[0]), events[1] is not None))
+        return play(env, policy, parts, events)
+
+    monkeypatch.setattr(rpg.policy, "_play_rows", counted)
+    cfg = TrainConfig(env_kind="pointmass", gradient_backend="reinforce",
+                      update_interval=120, total_steps=240, eval_episodes=2,
+                      policy_lr=0.001, seed=0)
+    summary = run_training(cfg)
+    assert [r.step for r in summary.records] == [150, 300]
+    assert plays == [(1, 3, True), (1, 2, False)] * 2
 
 
 def test_metric_core_takes_field_rows_not_a_gradient_field():
