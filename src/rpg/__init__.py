@@ -34,7 +34,7 @@ Import layout:
                     field
     rpg.training    the outer training loop (baseline / J / T variants)
     rpg.runconfig   run-configuration parsing/validation
-    rpg.reporting   CSV/JSON logs and SVG charts
+    rpg.reporting   CSV/JSON logs, the trajectory hash, SVG charts
     rpg.suites      the self-check suites behind `rpg verify`
     rpg.cli         `rpg verify | train | report`
 """

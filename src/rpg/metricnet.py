@@ -8,45 +8,45 @@ the policy's output bias part is exempt) -> dense (PART_WIDTH) -> softplus.
 Part features are concatenated into a shared dense trunk (TRUNK_WIDTH,
 softplus), which feeds two zero-initialized *linear* heads producing
 omega_tilde and sigma_tilde.  Only m_tilde varies between networks.
-The forward is plain numpy over a batch of points; each convolution stage
-is one sum over the kernel taps and each pool one ``np.add.reduceat``.
-What the layout fixes for a batch size (conv taps, pool windows with their
-reciprocal counts, the slot of each phi-gradient in the flat gradient) is
-built once per (layout, rows) into a cached plan, which the forward and
-its reverse pass read in place of working it out on every call.
+Nothing before a part's first softplus is nonlinear, so its pre-activation
+is x_i A_i + b_i with one (part size x PART_WIDTH) matrix A_i = C1 C2 P W_i,
+the convolutions being banded maps (Goodfellow, Bengio & Courville, *Deep
+Learning*, 2016, section 9.1).  ``_collapse`` builds the block-diagonal A
+of all parts from phi, and a forward over flat points is one x @ A + b.
+What the layout fixes (conv taps, pool windows, phi-gradient slots) is
+built once per layout into a cached plan.
 
 Zero heads mean u = 0 identically at initialization: the learned metric
 starts exactly Euclidean and the step-0 regularized gradient equals the raw
 gradient bitwise.
 
 ``train_metric_net`` drives the squared probe-estimated divergence toward
-zero in the network parameters phi.  No gradient-field value depends on phi,
-so everything that does not is done once per pass: the probe vectors of
-every iteration are drawn up front, the field values at theta and at
-every iteration's theta +- eps*v rows come in as one ``ProbeRows`` (the
-one field call of a training update, which also covers the divergence
-report's rows; ``rpg.training.regularize_step``), the first
-iteration with a non-finite field row is found, and theta is split into
-its layout parts and placed in one reused frozen-points buffer.  Per
-iteration the loop forwards u(theta), copies its probe rows into the
-buffer and writes the two points theta +- eps*J displaced along the
-current field; the field values, probe vectors and points are then
-frozen as constants.  Only
-u(., phi) depends on phi, so the loss is differentiable in phi
-without differentiating the objective's gradient field.  The loss squares
-the divergence report's own estimate (``rpg.divergence.probe_divergence``),
-whose reverse pass ends at u; from there a pass written out by hand for
-this fixed architecture carries the gradient to phi
-(``evaluate_divergence_loss``); ``tests/tape_reference.py`` builds the same
-loss on the general tape as the reference.  The zero-head start is an
-exact saddle — every phi-derivative carries a factor of u or u.g, which is
-exactly 0.0 — so when the loss is positive but the phi-gradient is
-identically zero the loop applies one small seeded kick to the head
-parameters and resumes descent.  The phi-gradient is written straight
-into one flat vector, laid out like the flat copy of phi that Adam
-steps.  The returned phi is the best recorded iterate, never the last
-one; a non-finite loss, u value or gradient row aborts the loop at its
-iteration and returns that incumbent.
+zero in the network parameters phi.  No gradient-field value depends on
+phi, so everything that does not is done once per pass: the probe vectors
+of every iteration are drawn up front, the field values at theta and at
+every iteration's theta +- eps*v rows come in as one ``ProbeRows`` (the one
+field call of a training update, which also covers the divergence report's
+rows; ``rpg.training.regularize_step``), the first iteration with a
+non-finite field row is found, and theta is placed in one reused
+frozen-points buffer.  Per iteration the loop builds A once, forwards
+u(theta), copies its probe rows into the buffer and writes the two points
+theta +- eps*J displaced along the current field; the field values, probe
+vectors and points are then frozen as constants, and the loss forward
+reuses that A.  Only u(., phi) depends on phi, so the loss is
+differentiable in phi without differentiating the objective's gradient
+field.  The loss squares the divergence report's own estimate
+(``rpg.divergence.probe_divergence``), whose reverse pass ends at u; from
+there a pass written out by hand for this fixed architecture carries the
+gradient to phi (``evaluate_divergence_loss``); ``tests/tape_reference.py``
+builds the same loss on the general tape as the reference.  The zero-head
+start is an exact saddle — every phi-derivative carries a factor of u or
+u.g, which is exactly 0.0 — so when the loss is positive but the
+phi-gradient is identically zero the loop applies one small seeded kick to
+the head parameters and resumes descent.  The phi-gradient is written
+straight into one flat vector, laid out like the flat copy of phi that Adam
+steps.  The returned phi is the best recorded iterate, never the last one;
+a non-finite loss, u value or gradient row aborts the loop at its iteration
+and returns that incumbent.
 
 ``build_u_vjp`` reuses the same reverse pass, carried on to theta, for
 the vector-Jacobian product of u at one point that the geodesic
@@ -256,10 +256,6 @@ class MetricNetParams:
         return self.with_arrays(arrays)
 
 
-def _pooled_len(length: int, pool: int) -> int:
-    return -(-length // pool)
-
-
 def init_params(rng: RngStream, cfg: MetricNetConfig,
                 layout: LayerLayout) -> MetricNetParams:
     """Scaled-uniform trunk/conv/dense parameters, exactly-zero heads."""
@@ -285,7 +281,7 @@ def init_params(rng: RngStream, cfg: MetricNetConfig,
                 kerns.append(uniform((KERNEL,), KERNEL))
             else:
                 kerns.append(None)
-        feat = conv_len if i == exempt else _pooled_len(conv_len, POOL_SIZE)
+        feat = conv_len if i == exempt else -(-conv_len // POOL_SIZE)
         part_convs.append(kerns)
         part_dense.append([uniform((feat, PART_WIDTH), feat),
                            np.zeros(PART_WIDTH)])
@@ -305,44 +301,24 @@ def init_params(rng: RngStream, cfg: MetricNetConfig,
 
 
 @dataclass(frozen=True)
-class _StagePlan:
-    """One conv stage of a part, for a fixed batch size.
-
-    keys[t] indexes the input window under kernel tap t (taps flat,
-    row-major); taps[t] holds the same window as flat indices into the
-    C-order input, so one ``take`` gathers every tap's window.
-    """
-
-    flatten: tuple | None   # the (B, L) a 1-d stage reshapes its input to
-    keys: tuple
-    taps: np.ndarray        # (taps, outputs) flat input indices
-    kernel: int             # index of the kernel in the part's part_convs
-    slot: slice             # the kernel gradient's slot in the phi-gradient
-
-
-@dataclass(frozen=True)
 class _PartPlan:
-    """One parameter part of the network, for a fixed batch size.
+    """One parameter part: its rows of A (its entries in flat theta) and
+    columns (in the trunk input); per conv stage (taps, inverse, kernel
+    index, kernel-gradient slot), where taps[t, o] is the flat input tap t
+    reads for output o and inverse[t, i] the output reading input i under
+    tap t (the output length where none does); the average pool P as
+    (window of each conv output, 1 / (pooled, 1) window sizes), None for
+    the part exempt from pooling; and its dense gradients' offset."""
 
-    pool is (starts, 1 / counts, counts) of the average pool's windows,
-    a partial trailing window counting the entries it has, or None for
-    the part exempt from pooling; 1 / counts is laid out for every row,
-    which spares the scaling a broadcast.  cols are the part's columns in
-    the trunk input and dense_at the offset of its dense (weight, bias)
-    gradients.
-    """
-
-    shape: tuple            # (B,) + the part's shape
-    stages: tuple
-    flatten: tuple | None   # the (B, L) the conv output is reshaped to
-    pool: tuple | None
+    rows: slice
     cols: slice
+    stages: tuple
+    pool: tuple | None
     dense_at: int
 
 
 @dataclass(frozen=True)
 class _NetPlan:
-    rows: int
     parts: tuple
     trunk_at: int           # offsets of the trunk's gradients and of the
     heads_at: int           # heads', which follow them
@@ -354,52 +330,75 @@ def _read_only(a):
 
 
 @lru_cache(maxsize=64)
-def _net_plan(shapes: tuple, exempt: int | None, rows: int) -> _NetPlan:
-    """What a layout fixes for a rows-row batch, built once per layout
-    (its part shapes and the part exempt from pooling) and batch size:
-    each part's conv taps, pool windows with their reciprocal counts, and
-    the slots of its phi-gradients in ``params_list`` order.  A reshape
-    that would leave its input as it is is left out (None).  The plan is
-    shared between callers, so its arrays are read-only."""
-
-    def flat(cur):
-        return None if len(cur) == 2 else (rows, int(np.prod(cur[1:])))
-
-    parts, at = [], 0
+def _net_plan(shapes: tuple, exempt: int | None) -> _NetPlan:
+    """What a layout (its part shapes and the part exempt from pooling)
+    fixes, once per layout: each part's conv taps and their inverse, its
+    pool windows and the slots of its phi-gradients in ``params_list``
+    order.  Callers share the plan, so its arrays are read-only."""
+    parts, at, start = [], 0, 0
     for i, shape in enumerate(shapes):
-        stages_of, conv_len = _conv_plan(shape)
-        cur, stages = (rows,) + shape, []
-        for s, stage in enumerate(stages_of):
-            if stage is None:
+        kinds, conv_len = _conv_plan(shape)
+        cur, stages = shape, []
+        for s, kind in enumerate(kinds):
+            if kind is None:
                 continue
-            flatten = flat(cur) if stage == "1d" else None
-            cur = flatten or cur
-            spans = tuple(d - KERNEL + 1 for d in cur[1:])
-            keys = tuple(
-                (slice(None),) + tuple(slice(o, o + m)
-                                       for o, m in zip(offsets, spans))
-                for offsets in np.ndindex(*(KERNEL,) * len(spans)))
+            if kind == "1d":
+                cur = (int(np.prod(cur)),)
+            # the flat C-order input index under each tap (row-major) for
+            # each output, and for each input the output reading it
             flat_in = np.arange(int(np.prod(cur))).reshape(cur)
-            taps = _read_only(np.stack([flat_in[key].ravel()
-                                        for key in keys]))
-            stages.append(_StagePlan(flatten, keys, taps, s,
-                                     slice(at, at + len(keys))))
-            at += len(keys)
-            cur = (rows,) + spans
+            windows = np.lib.stride_tricks.sliding_window_view(
+                flat_in, (KERNEL,) * flat_in.ndim)
+            cur = windows.shape[:flat_in.ndim]
+            taps = windows.reshape(-1, KERNEL ** flat_in.ndim).T.copy()
+            inverse = np.full((len(taps), flat_in.size), taps.shape[1])
+            np.put_along_axis(inverse, taps, np.arange(taps.shape[1]), 1)
+            stages.append((_read_only(taps), _read_only(inverse), s,
+                           slice(at, at + len(taps))))
+            at += len(taps)
         pool = None
         if i != exempt:
-            starts = np.arange(0, conv_len, POOL_SIZE)
-            counts = np.minimum(starts + POOL_SIZE, conv_len) - starts
-            inv_counts = np.tile(1.0 / counts, (rows, 1))
-            pool = tuple(map(_read_only, (starts, inv_counts, counts)))
-        feat = conv_len if pool is None else len(pool[0])
-        parts.append(_PartPlan((rows,) + shape, tuple(stages), flat(cur),
-                               pool,
+            # a partial trailing window averages the entries it has
+            window = np.arange(conv_len) // POOL_SIZE
+            counts = np.unique(window, return_counts=True)[1]
+            pool = (_read_only(window), _read_only(1.0 / counts[:, None]))
+        size = int(np.prod(shape))
+        parts.append(_PartPlan(slice(start, start + size),
                                slice(i * PART_WIDTH, (i + 1) * PART_WIDTH),
-                               at))
-        at += (feat + 1) * PART_WIDTH
+                               tuple(stages), pool, at))
+        start += size
+        at += ((conv_len if pool is None else len(pool[1])) + 1) * PART_WIDTH
     heads_at = at + (len(shapes) * PART_WIDTH + 1) * TRUNK_WIDTH
-    return _NetPlan(rows, tuple(parts), at, heads_at)
+    return _NetPlan(tuple(parts), at, heads_at)
+
+
+def _collapse(phi: MetricNetParams):
+    """(plan, A, b, gathered): every part's conv -> conv -> pool -> dense
+    chain as one product.
+
+    A_i = C1 C2 P W_i is built right to left: P W_i, row j being W_i's row
+    of j's window over the window size (W_i for the part exempt from
+    pooling), then each conv stage C applied to the product R on its right
+    as the sum over taps of kernel[t] * R[inverse[t]] (R padded with a zero
+    row).  A is the block-diagonal (n, PART_WIDTH * parts) matrix of the
+    A_i and b the parts' dense biases end to end.  gathered holds, per part
+    and stage in stage order, the (taps, stage input length, PART_WIDTH)
+    array R[inverse] that the reverse pass reads for the kernel gradient.
+    """
+    plan = _net_plan(phi.layout.shapes, phi.layout.output_bias_part)
+    a = np.zeros((phi.layout.n, len(plan.parts) * PART_WIDTH))
+    zero_row = np.zeros((1, PART_WIDTH))
+    gathered, biases = [], []
+    for pp, kerns, (w, b) in zip(plan.parts, phi.part_convs, phi.part_dense):
+        r, kept = w if pp.pool is None else (w * pp.pool[1])[pp.pool[0]], []
+        for _, inverse, kernel, _ in reversed(pp.stages):
+            g = np.concatenate([r, zero_row])[inverse]
+            kept.append(g)
+            r = (kerns[kernel] @ g.reshape(len(g), -1)).reshape(g.shape[1:])
+        a[pp.rows, pp.cols] = r
+        gathered.append(kept[::-1])
+        biases.append(b)
+    return plan, a, np.concatenate(biases), gathered
 
 
 def _sigmoid(z):
@@ -407,65 +406,34 @@ def _sigmoid(z):
     return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
-def metric_net_forward(phi: MetricNetParams, theta_layers, keep=False):
+def metric_net_forward(phi: MetricNetParams, points, keep=False, front=None):
     """Network forward pass; returns (omega_tilde, sigma_tilde, acts).
 
-    theta_layers follows phi.layout — a list of parts, each either a single
-    part or a (B, ...) stack.  Outputs mirror the batching.  acts is None
-    unless keep, when it holds the activations ``_net_backward`` reads;
-    without keep none of them is collected.
+    points are flat parameter vectors laid out by phi.layout, one (n,) or a
+    (B, n) batch; outputs mirror the batching.  front is phi's
+    ``_collapse``, built here when None.  acts is None unless keep, when
+    it holds what ``_net_backward`` reads: the front, the (B, n) points
+    and the activations.
     """
-    shapes = phi.layout.shapes
-    parts = list(theta_layers)
-    if len(parts) != len(shapes):
-        raise LayoutMismatch(f"expected {len(shapes)} parts, "
-                             f"got {len(parts)}")
-    x = np.asarray(parts[0], dtype=np.float64)
-    batched = x.ndim > len(shapes[0])
-    plan = _net_plan(shapes, phi.layout.output_bias_part,
-                     x.shape[0] if batched else 1)
-
-    feats, part_acts = [], []
-    for i, (part, pp) in enumerate(zip(parts, plan.parts)):
-        x = np.asarray(part, dtype=np.float64)
-        if not batched:
-            x = x[None]
-        if x.shape != pp.shape:
-            raise LayoutMismatch(f"part {i} batch shape {x.shape} != "
-                                 f"{pp.shape}")
-        kerns = phi.part_convs[i]
-        stage_in = []
-        for st in pp.stages:
-            if st.flatten:
-                x = x.reshape(st.flatten)
-            if keep:
-                stage_in.append(x)
-            # sum_t kernel[t] * (x shifted by tap t), accumulated in tap order
-            keys, kern = st.keys, kerns[st.kernel]
-            conv = x[keys[0]] * kern[0]
-            for t, key in enumerate(keys[1:], 1):
-                conv += x[key] * kern[t]
-            x = conv
-        if pp.flatten:
-            x = x.reshape(pp.flatten)
-        if pp.pool is not None:
-            starts, inv_counts, _ = pp.pool
-            x = np.add.reduceat(x, starts, axis=-1) * inv_counts
-        w, b = phi.part_dense[i]
-        z = x @ w + b
-        feats.append(np.logaddexp(0.0, z))
-        if keep:
-            part_acts.append((stage_in, x, z))
-
-    h_in = feats[0] if len(feats) == 1 else np.concatenate(feats, axis=1)
+    x = np.asarray(points, dtype=np.float64)
+    single = x.ndim == 1
+    if single:
+        x = x[None]
+    if x.ndim != 2 or x.shape[1] != phi.layout.n:
+        raise LayoutMismatch(f"points shape {np.shape(points)} is neither "
+                             f"({phi.layout.n},) nor (B, {phi.layout.n})")
+    if front is None:
+        front = _collapse(phi)
+    _, a, bias, _ = front
+    z = x @ a + bias
+    h_in = np.logaddexp(0.0, z)
     z_trunk = h_in @ phi.trunk_w + phi.trunk_b
     h = np.logaddexp(0.0, z_trunk)
     omega = h @ phi.head_omega_w + phi.head_omega_b
     sigma = h @ phi.head_sigma_w + phi.head_sigma_b
-    if not batched:
-        omega = omega.reshape(phi.m_tilde)
-        sigma = sigma.reshape(phi.m_tilde)
-    acts = (plan, part_acts, h_in, z_trunk, h) if keep else None
+    if single:
+        omega, sigma = omega[0], sigma[0]
+    acts = (front, x, z, h_in, z_trunk, h) if keep else None
     return omega, sigma, acts
 
 
@@ -476,64 +444,53 @@ def _net_backward(phi: MetricNetParams, acts, g_omega, g_sigma, out,
 
     out is one flat vector of ``phi.size`` values, and each phi-gradient
     is written straight into its slot, laid out as ``with_flat`` lays out
-    the arrays (``params_list`` order).  Without to_theta, theta is a
-    constant: the first conv stage of a part needs only its kernel
-    gradient, and the theta-cotangent is None.  With to_theta the
-    cotangent also continues through each part's first conv stage, or its
-    pool when it has no conv stage, to the part's input, and comes back as
-    one (B, n) array in the flat theta order.  Each kernel gradient is one
-    reduction per tap over the tap's gathered window, and each carried
-    cotangent one ``bincount`` that adds the taps in order.
+    the arrays (``params_list`` order).  The cotangent g_z of the parts'
+    pre-activations gives A_i's cotangent x_i^T g_z_i, one matmul whatever
+    the row count, which is carried back through the chain A_i = C1 C2 P W_i
+    to each kernel (one product with the forward's gathered R[inverse])
+    and through each stage (a gather at the stage's taps) to W_i.  With
+    to_theta the theta-cotangent g_z A^T comes back as one (B, n) array
+    in the flat theta order; without, it is None.
     """
-    plan, part_acts, h_in, z_trunk, h = acts
+    (plan, a, _, gathered), x, z, h_in, z_trunk, h = acts
     g_h = g_omega @ phi.head_omega_w.T + g_sigma @ phi.head_sigma_w.T
     g_trunk = g_h * _sigmoid(z_trunk)
-    g_feats = g_trunk @ phi.trunk_w.T
-
-    g_parts, dense = [], []
-    for pp, (stage_in, x, z), (w, _), kerns in zip(
-            plan.parts, part_acts, phi.part_dense, phi.part_convs):
-        g_z = g_feats[:, pp.cols] * _sigmoid(z)
-        if stage_in or to_theta:
-            g = g_z @ w.T
-            if pp.pool is not None:
-                _, inv_counts, counts = pp.pool
-                g = (g * inv_counts).repeat(counts, axis=-1)
-            for s in range(len(stage_in) - 1, -1, -1):
-                st, a = pp.stages[s], stage_in[s]
-                g = g.reshape(-1)
-                np.add.reduce(a.take(st.taps) * g, axis=1, out=out[st.slot])
-                if s or to_theta:
-                    g = np.bincount(st.taps.reshape(-1),
-                                    (g * kerns[st.kernel][:, None]).reshape(-1),
-                                    a.size)
-            if to_theta:
-                g_parts.append(g.reshape(plan.rows, -1))
-        dense.append((x, g_z, pp.dense_at))
+    g_z = (g_trunk @ phi.trunk_w.T) * _sigmoid(z)
+    for pp, kept, kerns in zip(plan.parts, gathered, phi.part_convs):
+        g = x[:, pp.rows].T @ g_z[:, pp.cols]
+        for (taps, _, kernel, slot), r in zip(pp.stages, kept):
+            np.matmul(r.reshape(len(r), -1), g.reshape(-1), out=out[slot])
+            g = (kerns[kernel] @ g[taps].reshape(len(taps), -1)).reshape(
+                -1, PART_WIDTH)
+        if pp.pool is not None:
+            # P^T g: each window's sum (zero-padded to whole windows) / count
+            pad = np.zeros((-len(g) % POOL_SIZE, PART_WIDTH))
+            g = np.concatenate([g, pad]).reshape(-1, POOL_SIZE, PART_WIDTH)
+            g = g.sum(axis=1) * pp.pool[1]
+        end = pp.dense_at + g.size
+        out[pp.dense_at:end] = g.ravel()
+        np.add.reduce(g_z[:, pp.cols], axis=0, out=out[end:end + PART_WIDTH])
     head = (TRUNK_WIDTH + 1) * g_omega.shape[1]
-    dense += [(h_in, g_trunk, plan.trunk_at), (h, g_omega, plan.heads_at),
-              (h, g_sigma, plan.heads_at + head)]
-    for x, g_z, at in dense:
-        # the (weight, bias) gradients of a dense layer x @ w + b
-        width = g_z.shape[1]
-        end = at + x.shape[1] * width
-        np.matmul(x.T, g_z, out=out[at:end].reshape(-1, width))
-        np.add.reduce(g_z, axis=0, out=out[end:end + width])
-    return np.concatenate(g_parts, axis=1) if to_theta else None
+    for x_in, g_out, at in ((h_in, g_trunk, plan.trunk_at),
+                            (h, g_omega, plan.heads_at),
+                            (h, g_sigma, plan.heads_at + head)):
+        # the (weight, bias) gradients of a dense layer x_in @ w + b
+        width = g_out.shape[1]
+        end = at + x_in.shape[1] * width
+        np.matmul(x_in.T, g_out, out=out[at:end].reshape(-1, width))
+        np.add.reduce(g_out, axis=0, out=out[end:end + width])
+    return g_z @ a.T if to_theta else None
 
 
 def build_u_field(phi: MetricNetParams):
     """Numeric, batch-capable u(theta) closure over fixed phi."""
     fp = build_fourier_pair(phi.layout.n, phi.m_tilde)
-    layout = phi.layout
 
     def u_fn(pts):
-        pts = np.asarray(pts, dtype=np.float64)
-        single = pts.ndim == 1
-        batch = pts[None] if single else pts
-        omega, sigma, _ = metric_net_forward(phi, layout.unflatten_batch(batch))
+        batch = np.atleast_2d(np.asarray(pts, dtype=np.float64))
+        omega, sigma, _ = metric_net_forward(phi, batch)
         u = build_u(fp, omega, sigma, batch)
-        return u[0] if single else u
+        return u[0] if np.ndim(pts) == 1 else u
 
     return u_fn
 
@@ -579,8 +536,7 @@ def forward_u(phi: MetricNetParams, theta) -> PointForward:
     that ``build_u_vjp`` can carry a cotangent back without a second
     forward.  u equals ``build_u_field(phi)(theta)`` bitwise."""
     pts = np.asarray(theta, dtype=np.float64)[None]
-    omega, sigma, acts = metric_net_forward(
-        phi, phi.layout.unflatten_batch(pts), keep=True)
+    omega, sigma, acts = metric_net_forward(phi, pts, keep=True)
     u, factors = _u_factors(build_fourier_pair(phi.layout.n, phi.m_tilde),
                             omega, sigma, pts)
     return PointForward(sigma=sigma, factors=factors, acts=acts, u=u[0])
@@ -653,7 +609,7 @@ class Adam:
 
 
 def evaluate_divergence_loss(phi: MetricNetParams, ctx: FrozenProbes,
-                             out: np.ndarray | None = None):
+                             out: np.ndarray | None = None, front=None):
     """(div, loss, phi-gradient) for the frozen probe batch.
 
     One numpy forward re-evaluates u through the network at every frozen
@@ -663,11 +619,12 @@ def evaluate_divergence_loss(phi: MetricNetParams, ctx: FrozenProbes,
     rotation, reusing those factors, and the network (``_net_backward``).
     The gradient is one flat vector laid out like ``phi.with_flat``'s
     (arrays in ``params_list`` order), written into out when given.
+    front is phi's ``_collapse``, built by the forward when None.
     """
     fp = build_fourier_pair(phi.layout.n, phi.m_tilde)
     pts = ctx.points
-    omega, sigma, acts = metric_net_forward(
-        phi, phi.layout.unflatten_batch(pts), keep=True)
+    omega, sigma, acts = metric_net_forward(phi, pts, keep=True,
+                                            front=front)
     u, factors = _u_factors(fp, omega, sigma, pts)
     div, vjp = probe_divergence(u, ctx)
     _, g_omega, g_sigma = _through_u(fp, factors, vjp(2.0 * div))
@@ -708,12 +665,12 @@ def train_metric_net(phi: MetricNetParams, theta: np.ndarray,
     one raises ValueError.  Once per pass: the first iteration whose
     field rows are not all finite (a non-finite value at theta is the
     first, and the pass ends before it), the points buffer of a frozen
-    batch with theta in its last row, and theta split into the layout's
-    parts.  Per iteration, only what depends on phi: u(theta) (one
+    batch with theta in its last row.  Per iteration, only what depends
+    on phi: A (``_collapse``), which both forwards share, u(theta) (one
     one-row forward), the batch's probe rows copied in and theta +-
-    eps*J0 written (``freeze_probe_batch``), and the loss and its
-    phi-gradient (``evaluate_divergence_loss``, written into one flat
-    buffer), then an Adam step or a kick.  A non-finite u(theta) or loss
+    eps*J0 written (``freeze_probe_batch``), the loss and its phi-gradient
+    (``evaluate_divergence_loss``, into one flat buffer), then an Adam
+    step or a kick.  A non-finite u(theta) or loss
     aborts the loop at its iteration; the incumbent is returned unchanged.
     Adam works on one flat copy of phi's arrays.
     """
@@ -738,18 +695,18 @@ def train_metric_net(phi: MetricNetParams, theta: np.ndarray,
     points = probe_batch_points(rows[0], theta)
     k2 = rows.shape[1]
     theta_row = theta[None]
-    theta_layers = phi.layout.unflatten_batch(theta_row)
     fp = build_fourier_pair(theta.size, phi.m_tilde)
 
     for it in range(stop):
-        omega, sigma, _ = metric_net_forward(work, theta_layers)
+        front = _collapse(work)
+        omega, sigma, _ = metric_net_forward(work, theta_row, front=front)
         u0 = build_u(fp, omega, sigma, theta_row)[0]
         if not np.isfinite(u0).all():
             break
         points[:k2] = rows[it]
         ctx = freeze_probe_batch(points, u0, g0, probes[it], probe_grads[it],
                                  eps)
-        div, loss, _ = evaluate_divergence_loss(work, ctx, grad)
+        div, loss, _ = evaluate_divergence_loss(work, ctx, grad, front)
         if not math.isfinite(loss):
             break
         if loss < best_loss:

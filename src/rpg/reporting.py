@@ -12,6 +12,7 @@ dependency-free, and checkable as XML.
 """
 
 import csv
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -101,8 +102,26 @@ def strip_wall_time(path):
     return "\n".join(kept).encode("utf-8")
 
 
+def trajectory_sha256(*summaries):
+    """Hex SHA-256 of run trajectories, the runs hashed in order as one
+    stream: per run the final theta's float64 bytes, then the repr of each
+    record's (step, eval_return, div, hessian_trace, ratio, gate).  Timing
+    is left out, so runs with the same config and seed hash alike."""
+    h = hashlib.sha256()
+    for summary in summaries:
+        if summary.final_theta is not None:
+            h.update(np.asarray(summary.final_theta,
+                                dtype=np.float64).tobytes())
+        for r in summary.records:
+            h.update(repr((int(r.step), float(r.eval_return), float(r.div),
+                           float(r.hessian_trace), float(r.ratio),
+                           bool(r.gate))).encode("utf-8"))
+    return h.hexdigest()
+
+
 def write_summary(summary, path):
-    """Write the run summary JSON (sorted keys, so byte-deterministic)."""
+    """Write the run summary JSON (sorted keys, so byte-deterministic),
+    with the run's ``trajectory_sha256``."""
     payload = {
         "final_return": summary.final_return,
         "best_return": summary.best_return,
@@ -113,6 +132,7 @@ def write_summary(summary, path):
         "config": summary.config,
         "final_theta": (None if summary.final_theta is None
                         else [float(v) for v in summary.final_theta]),
+        "trajectory_sha256": trajectory_sha256(summary),
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)

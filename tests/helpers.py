@@ -234,18 +234,74 @@ def reference_train_metric_net(phi, theta, grad_fn, pc, max_iters=20,
     return phi.with_flat(best), history
 
 
+def _tap_keys(shape):
+    """The window of a (B,) + spatial input under each valid KERNEL conv
+    tap, taps flat and row-major."""
+    spans = [d - KERNEL + 1 for d in shape[1:]]
+    return [(slice(None),) + tuple(slice(o, o + m)
+                                   for o, m in zip(offsets, spans))
+            for offsets in np.ndindex(*(KERNEL,) * len(spans))]
+
+
+def reference_net_forward(phi, points, keep=False):
+    """The metric net's forward run tap by tap and window by window.
+
+    The reference for ``rpg.metricnet.metric_net_forward``, which runs
+    every part's conv -> conv -> pool -> dense chain as one product with
+    a matrix built from phi.  Here each part of the (n,) or (B, n) points
+    is convolved one kernel tap at a time, average-pooled one window at a
+    time and then multiplied by its dense weights.  Returns (omega,
+    sigma, acts), outputs mirroring the batching; acts, kept only with
+    keep, is what ``reference_net_backward`` reads.
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    feats, part_acts = [], []
+    for i, x in enumerate(phi.layout.unflatten_batch(np.atleast_2d(pts))):
+        kinds, length = _conv_plan(phi.layout.shapes[i])
+        stage_in = []
+        for kind, kern in zip(kinds, phi.part_convs[i]):
+            if kind is None:
+                continue
+            if kind == "1d":
+                x = x.reshape(len(x), -1)
+            stage_in.append(x)
+            keys = _tap_keys(x.shape)
+            conv = x[keys[0]] * kern[0]
+            for t, key in enumerate(keys[1:], 1):
+                conv = conv + x[key] * kern[t]
+            x = conv
+        x = x.reshape(len(x), -1)
+        if i != phi.layout.output_bias_part:
+            starts = range(0, length, POOL_SIZE)
+            x = np.stack([x[:, s:s + POOL_SIZE].sum(axis=1) /
+                          (min(s + POOL_SIZE, length) - s) for s in starts],
+                         axis=1)
+        w, b = phi.part_dense[i]
+        z = x @ w + b
+        feats.append(np.logaddexp(0.0, z))
+        part_acts.append((stage_in, x, z))
+    h_in = np.concatenate(feats, axis=1)
+    z_trunk = h_in @ phi.trunk_w + phi.trunk_b
+    h = np.logaddexp(0.0, z_trunk)
+    omega = h @ phi.head_omega_w + phi.head_omega_b
+    sigma = h @ phi.head_sigma_w + phi.head_sigma_b
+    if pts.ndim == 1:
+        omega, sigma = omega[0], sigma[0]
+    return omega, sigma, (part_acts, h_in, z_trunk, h) if keep else None
+
+
 def reference_net_backward(phi, acts, g_omega, g_sigma, to_theta=False):
     """The metric net's reverse pass with each conv tap in its own loop.
 
-    The reference for ``rpg.metricnet._net_backward``, which reads the
-    taps, pool windows and gradient slots from a cached plan and gathers
-    each stage's taps at once.  Here each call works them out again, each
-    kernel-gradient tap is one slice and one sum, and each carried
-    cotangent adds one slice per tap.  Returns the flat phi-gradient, in
-    ``params_list`` order, and the (B, n) theta-cotangent, or None without
-    to_theta.
+    The reference for ``rpg.metricnet._net_backward``, which carries the
+    cotangent of the parts' collapsed matrices back to the kernels and
+    dense weights.  Here it goes back through the acts of
+    ``reference_net_forward``: each kernel-gradient tap is one slice and
+    one sum, and each carried cotangent adds one slice per tap.  Returns
+    the flat phi-gradient, in ``params_list`` order, and the (B, n)
+    theta-cotangent, or None without to_theta.
     """
-    _, part_acts, h_in, z_trunk, h = acts
+    part_acts, h_in, z_trunk, h = acts
 
     def sigmoid(z):
         return 0.5 * (1.0 + np.tanh(0.5 * z))
@@ -269,11 +325,9 @@ def reference_net_backward(phi, acts, g_omega, g_sigma, to_theta=False):
                 g = np.repeat(g * (1.0 / counts), counts, axis=-1)
             for s in reversed(range(len(stage_in))):
                 a = stage_in[s]
-                spans = [d - KERNEL + 1 for d in a.shape[1:]]
-                keys = [(slice(None),) + tuple(slice(o, o + m)
-                                               for o, m in zip(offsets, spans))
-                        for offsets in np.ndindex(*(KERNEL,) * len(spans))]
-                g = g.reshape((len(a),) + tuple(spans))
+                keys = _tap_keys(a.shape)
+                g = g.reshape((len(a),) + tuple(d - KERNEL + 1
+                                                for d in a.shape[1:]))
                 for t, key in enumerate(keys):
                     kern_grads[s][t] = (g * a[key]).sum()
                 if s or to_theta:

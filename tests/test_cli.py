@@ -137,6 +137,20 @@ def test_train_identical_seeds_byte_identical_csv(tmp_path):
         strip_wall_time(b / "metrics.csv")
 
 
+def test_train_summary_hash_follows_the_seed(tmp_path):
+    """Two runs of one config and seed write the same trajectory_sha256
+    to summary.json; a run at another seed writes another."""
+    cfg = write_cfg(tmp_path, BOWL_CFG.replace("total_steps = 150",
+                                               "total_steps = 20"))
+    hashes = []
+    for name, extra in (("a", []), ("b", []), ("c", ["--seed", "4"])):
+        out = tmp_path / name
+        assert main(["train", str(cfg), "--out", str(out)] + extra) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        hashes.append(summary["trajectory_sha256"])
+    assert hashes[0] == hashes[1] != hashes[2]
+
+
 def test_train_seed_override_changes_run(tmp_path):
     cfg = write_cfg(tmp_path)
     base, other = tmp_path / "base", tmp_path / "other"

@@ -1,5 +1,6 @@
 """Config parsing and run-artifact tests: CSV logs, JSON summaries, SVG."""
 
+import hashlib
 import json
 import math
 import xml.etree.ElementTree as ET
@@ -10,7 +11,8 @@ import pytest
 from rpg.errors import ConfigError, MalformedLog
 from rpg.reporting import (COLUMNS, ratio_fraction, read_metrics,
                            read_summary, strip_wall_time, svg_line_chart,
-                           write_metrics, write_report_charts, write_summary)
+                           trajectory_sha256, write_metrics,
+                           write_report_charts, write_summary)
 from rpg.runconfig import default_config_text, load_config, parse_config_text
 from rpg.training import RunSummary, StepRecord, TrainConfig
 
@@ -294,6 +296,37 @@ def test_summary_round_trip_and_fraction_consistency(tmp_path):
     # stored summary value exactly, not approximately
     assert ratio_fraction(read_metrics(csv_path)) == \
         loaded["fraction_ratio_below_one"]
+
+
+def test_trajectory_sha256_pinned_on_a_fixed_summary(tmp_path):
+    """The hash is SHA-256 over the final theta's float64 bytes, then the
+    repr of each record's (step, eval_return, div, hessian_trace, ratio,
+    gate): pinned here, blind to wall time and the summary's other
+    fields, streamed over several runs, and written to summary.json."""
+    records = [record(step=1, ret=-1.0, div=0.1, trace=2.0, ratio=0.4),
+               record(step=2, ret=-0.5, div=0.2, trace=2.0,
+                      ratio=float("inf"), gate=True, wall=9.5)]
+    summary = RunSummary(final_return=-0.5, best_return=-0.5,
+                         fraction_ratio_below_one=0.5, records=records,
+                         config={"seed": 5},
+                         final_theta=np.array([0.25, -0.5]))
+    pinned = ("0d9b1d6310bc279986e72b3113300544"
+              "210a5e5b60580ffa170df50bb2ee6201")
+    assert trajectory_sha256(summary) == pinned
+    retimed = RunSummary(final_return=0.0, best_return=0.0,
+                         fraction_ratio_below_one=0.0,
+                         records=[record(step=1, ret=-1.0, div=0.1,
+                                         trace=2.0, ratio=0.4, wall=1.0),
+                                  records[1]],
+                         config={}, final_theta=summary.final_theta)
+    assert trajectory_sha256(retimed) == pinned
+    payload = (summary.final_theta.tobytes()
+               + b"(1, -1.0, 0.1, 2.0, 0.4, False)"
+               + b"(2, -0.5, 0.2, 2.0, inf, True)")
+    assert trajectory_sha256(summary, summary) == \
+        hashlib.sha256(payload + payload).hexdigest()
+    write_summary(summary, tmp_path / "s.json")
+    assert read_summary(tmp_path / "s.json")["trajectory_sha256"] == pinned
 
 
 # ------------------------------------------------------------------- SVG

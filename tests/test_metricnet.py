@@ -18,7 +18,8 @@ import pytest
 import rpg.metricnet
 import tape_reference as tape
 from helpers import (fd_geodesic_gradient, fd_pullback, probe_rows,
-                     reference_net_backward, reference_train_metric_net)
+                     reference_net_backward, reference_net_forward,
+                     reference_train_metric_net)
 from rpg.divergence import divergence_report, hessian_trace_hutchinson
 from rpg.envs import make_env
 from rpg.errors import BadDimensions, LayoutMismatch
@@ -91,7 +92,7 @@ def test_layout_rejects_wrong_sizes():
 def test_zero_heads_give_zero_outputs():
     phi = make_phi(seed=3)
     theta = RngStream(4).normal((phi.layout.n,))
-    omega, sigma, graph = metric_net_forward(phi, phi.layout.unflatten(theta))
+    omega, sigma, graph = metric_net_forward(phi, theta)
     assert graph is None
     assert np.array_equal(omega, np.zeros(3))
     assert np.array_equal(sigma, np.zeros(3))
@@ -100,35 +101,36 @@ def test_zero_heads_give_zero_outputs():
 def test_forward_deterministic():
     phi = make_phi(seed=5, heads="random")
     theta = RngStream(6).normal((phi.layout.n,))
-    a = metric_net_forward(phi, phi.layout.unflatten(theta))
-    b = metric_net_forward(phi, phi.layout.unflatten(theta))
+    a = metric_net_forward(phi, theta)
+    b = metric_net_forward(phi, theta)
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
 def test_forward_batched_matches_single():
     phi = make_phi(seed=7, heads="random")
     pts = RngStream(8).normal((5, phi.layout.n))
-    om_b, sg_b, _ = metric_net_forward(phi, phi.layout.unflatten_batch(pts))
+    om_b, sg_b, _ = metric_net_forward(phi, pts)
     for i in range(5):
-        om, sg, _ = metric_net_forward(phi, phi.layout.unflatten(pts[i]))
+        om, sg, _ = metric_net_forward(phi, pts[i])
         assert np.allclose(om_b[i], om, atol=1e-14)
         assert np.allclose(sg_b[i], sg, atol=1e-14)
 
 
 def test_forward_rejects_wrong_layout():
     phi = make_phi(seed=9)
-    with pytest.raises(LayoutMismatch):
-        metric_net_forward(phi, [np.zeros((4, 4))])
-    with pytest.raises(LayoutMismatch):
-        metric_net_forward(phi, [np.zeros((4, 4)), np.zeros(4),
-                                 np.zeros((4, 2)), np.zeros(3)])
+    n = phi.layout.n
+    for bad in (np.zeros(n - 1), np.zeros((2, n + 1)), np.zeros((2, 1, n)),
+                np.zeros(())):
+        with pytest.raises(LayoutMismatch):
+            metric_net_forward(phi, bad)
 
 
 def test_trunk_perturbation_matches_backprop():
     """FD directional derivative of the summed outputs vs the tape gradient
     of the reference forward."""
     phi = make_phi(seed=11, heads="random")
-    theta_parts = phi.layout.unflatten(RngStream(12).normal((phi.layout.n,)))
+    theta = RngStream(12).normal((phi.layout.n,))
+    theta_parts = phi.layout.unflatten(theta)
 
     graph = DiffGraph()
     var_phi = phi.with_arrays([graph.leaf(a) for a in phi.params_list()])
@@ -143,7 +145,7 @@ def test_trunk_perturbation_matches_backprop():
     h = 1e-5
     for sign in (1.0, -1.0):
         phi.trunk_w[0, 0] += sign * h
-        om, sg, _ = metric_net_forward(phi, theta_parts)
+        om, sg, _ = metric_net_forward(phi, theta)
         if sign > 0:
             up = float(np.sum(om) + np.sum(sg))
         else:
@@ -227,15 +229,20 @@ def test_stage_primitives_match_per_tap_front_end(layout, monkeypatch):
 
 @over_layouts
 def test_fused_loss_matches_tape_reference(layout):
-    """The numpy forward equals the tape forward bitwise; the hand-written
-    backward gives the tape's loss and phi-gradients to 1e-12 relative."""
+    """The numpy forward, whose chain is one product per part, gives the
+    tape forward's outputs to 1e-15 relative; the hand-written backward
+    gives the tape's loss and div to 1e-12 relative and its phi-gradients
+    to 1e-12 of the largest gradient entry.  The loss differences rows
+    theta +- eps*v, so a last-bit change in an activation comes back
+    about 1/eps larger in a gradient, most visibly in one whose terms
+    cancel; the bound is taken against the whole gradient's scale."""
     phi = make_phi(seed=54, layout=layout, m_tilde=min(3, layout.n - 1),
                    heads="random")
     pts = RngStream(55).normal((11, layout.n))
-    got = metric_net_forward(phi, layout.unflatten_batch(pts))
+    got = metric_net_forward(phi, pts)
     want = tape.metric_net_forward(phi, layout.unflatten_batch(pts))
-    assert np.array_equal(got[0], want[0])
-    assert np.array_equal(got[1], want[1])
+    for a, b in zip(got[:2], want[:2]):
+        assert np.max(np.abs(a - b)) <= 1e-15 * np.max(np.abs(b))
 
     d = 1.0 + np.arange(layout.n) / layout.n
     ctx = freeze(phi, pts[0], lambda p: p * d + np.sin(p),
@@ -246,35 +253,72 @@ def test_fused_loss_matches_tape_reference(layout):
     assert abs(div - ref_div) <= 1e-12 * abs(ref_div)
     assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
     assert len(grads) == len(ref_grads) == len(phi.params_list())
+    scale = max(np.max(np.abs(b)) for b in ref_grads)
     for a, b in zip(grads, ref_grads):
         assert a.shape == b.shape
-        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+        assert np.max(np.abs(a - b)) <= 1e-12 * scale
+
+
+@over_layouts
+def test_collapsed_matrix_is_the_chain_on_identity_rows(layout):
+    """A, built from phi right to left, is the per-tap chain
+    (``helpers.reference_net_forward``) applied to the n identity rows:
+    each part's pre-activation less its bias, in the part's block, and
+    exact zeros outside it; to 1e-14 of A's largest entry (the worst
+    measured is 1.1e-15, on the mixed layout)."""
+    width = rpg.metricnet.PART_WIDTH
+    phi = make_phi(seed=66, layout=layout, m_tilde=min(3, layout.n - 1))
+    for _, b in phi.part_dense:
+        b += RngStream(67).uniform(-0.5, 0.5, b.shape)
+    _, _, (part_acts, _, _, _) = reference_net_forward(
+        phi, np.eye(layout.n), keep=True)
+    want = np.concatenate([z - b for (_, _, z), (_, b) in
+                           zip(part_acts, phi.part_dense)], axis=1)
+    _, a, bias, _ = rpg.metricnet._collapse(phi)
+    assert a.shape == want.shape == (layout.n, width * len(layout.shapes))
+    assert np.array_equal(bias, np.concatenate(
+        [b for _, b in phi.part_dense]))
+    off_block = np.ones_like(a, dtype=bool)
+    start = 0
+    for i, size in enumerate(layout.sizes):
+        off_block[start:start + size, width * i:width * (i + 1)] = False
+        start += size
+    assert not a[off_block].any()
+    err = np.max(np.abs(a - want)) / np.max(np.abs(want))
+    assert err <= 1e-14, err
 
 
 @over_layouts
 @pytest.mark.parametrize("rows", [1, 11, 200])
 @pytest.mark.parametrize("to_theta", [False, True], ids=["phi", "theta"])
 def test_backward_matches_per_tap_reference_bitwise(layout, rows, to_theta):
-    """The reverse pass that reads the cached plan and gathers each
-    stage's taps at once gives the phi-gradient and theta-cotangent of
-    the per-tap loops (``helpers.reference_net_backward``) bit for bit."""
+    """The forward and reverse pass through each part's collapsed matrix
+    give the outputs, phi-gradient and theta-cotangent of the per-tap
+    loops (``helpers.reference_net_forward`` and
+    ``reference_net_backward``) to 1e-14 of each one's largest entry.
+    They sum in another order, so they cannot agree bit for bit; the
+    worst measured is 3.7e-16 (the LQR theta-cotangent at 11 rows)."""
     m_tilde = min(3, layout.n - 1)
     phi = make_phi(seed=64, layout=layout, m_tilde=m_tilde, heads="random")
     r = RngStream(65 + rows)
     pts = r.normal((rows, layout.n))
-    _, _, acts = metric_net_forward(phi, layout.unflatten_batch(pts),
-                                    keep=True)
+    omega, sigma, acts = metric_net_forward(phi, pts, keep=True)
+    ref_omega, ref_sigma, ref_acts = reference_net_forward(phi, pts,
+                                                           keep=True)
     g_omega, g_sigma = r.normal((rows, m_tilde)), r.normal((rows, m_tilde))
     out = np.empty(phi.size)
     g_theta = rpg.metricnet._net_backward(phi, acts, g_omega, g_sigma, out,
                                           to_theta=to_theta)
-    want, want_theta = reference_net_backward(phi, acts, g_omega, g_sigma,
-                                              to_theta)
-    assert np.array_equal(out, want)
+    want, want_theta = reference_net_backward(phi, ref_acts, g_omega,
+                                              g_sigma, to_theta)
+    pairs = [(omega, ref_omega), (sigma, ref_sigma), (out, want)]
     if to_theta:
-        assert np.array_equal(g_theta, want_theta)
+        pairs.append((g_theta, want_theta))
     else:
         assert g_theta is None
+    for a, b in pairs:
+        assert a.shape == b.shape
+        assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(b))
 
 
 def test_forward_cost_scales_linearly():
@@ -288,12 +332,12 @@ def test_forward_cost_scales_linearly():
     for n in (256, 512):
         layout = LayerLayout(shapes=((16, 16), (n,)))
         phi = init_params(RngStream(13), MetricNetConfig(m_tilde=4), layout)
-        parts = layout.unflatten(np.zeros(layout.n))
-        metric_net_forward(phi, parts)  # warm up
+        theta = np.zeros(layout.n)
+        metric_net_forward(phi, theta)  # warm up
         best = np.inf
         for _ in range(9):
             t0 = time.perf_counter()
-            metric_net_forward(phi, parts)
+            metric_net_forward(phi, theta)
             best = min(best, time.perf_counter() - t0)
         times.append(best)
     assert times[1] / times[0] <= 2.0
@@ -625,7 +669,7 @@ def test_train_forwards_twice_per_iteration_via_module_names(max_iters,
     field = probe_rows(grad_fn, theta, pc, max_iters)
     _, history = train_metric_net(phi, theta, field, pc)
     assert len(history) == max_iters
-    rows = [len(args[1][0]) for args in calls["metric_net_forward"]]
+    rows = [len(args[1]) for args in calls["metric_net_forward"]]
     assert rows == [1, 2 * 4 + 3] * max_iters
     assert len(calls["build_u"]) == max_iters    # u(theta); the loss has none
     assert len(calls["evaluate_divergence_loss"]) == max_iters
@@ -633,15 +677,15 @@ def test_train_forwards_twice_per_iteration_via_module_names(max_iters,
 
 
 def test_plan_cache_results_do_not_depend_on_call_order():
-    """The forward and backward read per-(layout, rows) plans from one
-    cache.  Forwards and backwards interleaved over the policy layouts,
-    at 1 and 2K + 3 rows, give the bits that the same calls give when each
-    case runs alone, in reverse order, from an empty cache.  A cache keyed
-    on too little would hand one case's taps, pools or gradient slots to
-    another.  Two layouts are added: the pointmass shapes with their
-    default exempt part, and a 2 x 2 part with the bowl vector's size and
-    exempt part, so that the key must hold the exempt part and the shapes
-    themselves."""
+    """The forward and backward read per-layout plans from one cache,
+    keyed on the layout alone: forwards and backwards interleaved over the
+    policy layouts, at 1 and 2K + 3 rows, leave one plan per layout, and
+    give the bits that the same calls give when each case runs alone, in
+    reverse order, from an empty cache.  A cache keyed on too little would
+    hand one case's taps, pools or gradient slots to another.  Two layouts
+    are added: the pointmass shapes with their default exempt part, and a
+    2 x 2 part with the bowl vector's size and exempt part, so that the
+    key must hold the exempt part and the shapes themselves."""
     pm = pointmass_layout()
     layouts = POLICY_LAYOUTS + [(LayerLayout(shapes=pm.shapes), 3),
                                 (LayerLayout(shapes=((2, 2),)), 3)]
@@ -654,10 +698,6 @@ def test_plan_cache_results_do_not_depend_on_call_order():
             cases.append((phi, RngStream(61 + rows).normal((rows, layout.n)),
                           RngStream(62 + rows).normal((rows, m_tilde))))
 
-    def forward(phi, pts):
-        return metric_net_forward(phi, phi.layout.unflatten_batch(pts),
-                                  keep=True)
-
     def backward(phi, acts, cot):
         out = np.empty(phi.size)
         g_theta = rpg.metricnet._net_backward(phi, acts, cot, 0.5 * cot, out,
@@ -665,13 +705,14 @@ def test_plan_cache_results_do_not_depend_on_call_order():
         return out, g_theta
 
     rpg.metricnet._net_plan.cache_clear()
-    fwds = [forward(phi, pts) for phi, pts, _ in cases]
+    fwds = [metric_net_forward(phi, pts, keep=True) for phi, pts, _ in cases]
     interleaved = [(om, sg) + backward(phi, acts, cot)
                    for (phi, _, cot), (om, sg, acts) in zip(cases, fwds)]
+    assert rpg.metricnet._net_plan.cache_info().currsize == len(layouts)
     alone = []
     for phi, pts, cot in reversed(cases):
         rpg.metricnet._net_plan.cache_clear()
-        om, sg, acts = forward(phi, pts)
+        om, sg, acts = metric_net_forward(phi, pts, keep=True)
         alone.append((om, sg) + backward(phi, acts, cot))
     for got, want in zip(interleaved, reversed(alone)):
         assert all(a.shape == b.shape and np.array_equal(a, b)
@@ -734,8 +775,8 @@ def test_checkpoint_round_trip(tmp_path):
     for a, b in zip(phi.params_list(), back.params_list()):
         assert np.array_equal(a, b)
     theta = RngStream(41).normal((phi.layout.n,))
-    before = metric_net_forward(phi, phi.layout.unflatten(theta))
-    after = metric_net_forward(back, back.layout.unflatten(theta))
+    before = metric_net_forward(phi, theta)
+    after = metric_net_forward(back, theta)
     assert np.array_equal(before[0], after[0])
     assert np.array_equal(before[1], after[1])
 
@@ -752,8 +793,8 @@ def test_checkpoint_round_trip_keeps_pool_exempt(tmp_path):
     for a, b in zip(phi.params_list(), back.params_list()):
         assert np.array_equal(a, b)
     theta = RngStream(49).normal((layout.n,))
-    before = metric_net_forward(phi, layout.unflatten(theta))
-    after = metric_net_forward(back, back.layout.unflatten(theta))
+    before = metric_net_forward(phi, theta)
+    after = metric_net_forward(back, theta)
     assert np.array_equal(before[0], after[0])
     assert np.array_equal(before[1], after[1])
 
@@ -916,9 +957,9 @@ def test_geodesic_forwards_one_row_whatever_n(monkeypatch):
     rows = []
     forward = rpg.metricnet.metric_net_forward
 
-    def counted(phi_, parts, keep=False):
-        rows.append(len(parts[0]))
-        return forward(phi_, parts, keep=keep)
+    def counted(phi_, points, keep=False, front=None):
+        rows.append(len(points))
+        return forward(phi_, points, keep=keep, front=front)
 
     monkeypatch.setattr(rpg.metricnet, "metric_net_forward", counted)
     rng = RngStream(61)

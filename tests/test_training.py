@@ -245,10 +245,10 @@ def forward_rows_after_training(monkeypatch, cfg):
     train = rpg.training.train_metric_net
     trained, rows = [False], []
 
-    def counting(phi, theta_layers, keep=False):
+    def counting(phi, points, keep=False, front=None):
         if trained[0]:
-            rows.append(len(theta_layers[0]))
-        return forward(phi, theta_layers, keep)
+            rows.append(len(points))
+        return forward(phi, points, keep, front)
 
     def training(*args, **kwargs):
         out = train(*args, **kwargs)
@@ -373,6 +373,22 @@ def test_baseline_equivalence_of_frozen_zero_head_j():
     # the metric diagnostics differ (baseline logs the neutral report) but
     # the frozen-zero-head ratio is the exact Euclidean reduction
     assert all(r.ratio == 1.0 for r in frozen.records)
+
+
+def test_frozen_zero_head_j_is_bitwise_baseline_on_pointmass():
+    """The same reduction on the 7-part conv/pool layout of pointmass, at
+    the rpg train defaults: zero heads give u = 0 whatever the collapsed
+    chain holds, so every record and the final theta equal baseline's bit
+    for bit, up to where the runs end (ROADMAP item 1)."""
+    with np.errstate(all="ignore"):
+        plain = run_training(TrainConfig(env_kind="pointmass",
+                                         variant="baseline", seed=0))
+        frozen = run_training(TrainConfig(env_kind="pointmass", variant="J",
+                                          freeze_phi=True, seed=0))
+    assert plain.records and plain.aborted == frozen.aborted
+    assert np.array_equal(plain.final_theta, frozen.final_theta)
+    assert [(r.step, r.eval_return) for r in plain.records] == \
+           [(r.step, r.eval_return) for r in frozen.records]
 
 
 def test_identical_seed_reproduces_run():

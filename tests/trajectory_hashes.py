@@ -1,0 +1,95 @@
+"""Trajectory fingerprints of the acceptance protocols and of `pointmass`.
+
+Prints three SHA-256 hashes, each ``rpg.reporting.trajectory_sha256`` over
+its runs in the order given:
+
+- the 40-run hash: ``LQR_PROTOCOL`` then ``BOWL_PROTOCOL``
+  (``tests/test_acceptance.py``) x variants J, T x seeds 0-9;
+- the baseline hash: the same protocols and seeds, variant baseline;
+- the pointmass hash: variants baseline, J, T at seed 0, with
+  ``probe_count`` 4 and ``metric_iters`` 2, the rest at the `rpg train`
+  defaults (every run aborts; ROADMAP item 1).
+
+``--save PATH`` writes each run's final theta to a JSON file.
+``--reference PATH`` reads such a file and prints, per run, the largest
+move of final theta relative to the largest entry of the reference's and
+the new final |theta| (the bowl gate is |theta| <= 1e-2), then the worst
+move per protocol and variant.
+
+Run from the repository root::
+
+    python tests/trajectory_hashes.py [--save new.json] [--reference old.json]
+
+pytest does not collect this file: its name does not start with ``test_``.
+"""
+
+import argparse
+import json
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+HERE = Path(__file__).resolve().parent
+sys.path[:0] = [str(HERE), str(HERE.parent / "src")]
+
+from rpg.reporting import trajectory_sha256  # noqa: E402
+from rpg.training import TrainConfig, run_training  # noqa: E402
+from test_acceptance import BOWL_PROTOCOL, LQR_PROTOCOL, SEEDS  # noqa: E402
+
+PROTOCOLS = (("lqr", LQR_PROTOCOL), ("bowl", BOWL_PROTOCOL))
+POINTMASS = dict(env_kind="pointmass", seed=0, probe_count=4, metric_iters=2)
+
+
+def protocol_runs(variants):
+    """{name: summary} for each protocol x variant x seed, in hash order."""
+    return {f"{name}/{variant}/{seed}": run_training(
+                TrainConfig(variant=variant, seed=seed, **protocol))
+            for name, protocol in PROTOCOLS
+            for variant in variants
+            for seed in SEEDS}
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--save", help="write every run's final theta here")
+    parser.add_argument("--reference",
+                        help="a --save file to measure final-theta moves by")
+    args = parser.parse_args(argv)
+
+    start = time.perf_counter()
+    groups = {"40-run": protocol_runs(("J", "T")),
+              "baseline": protocol_runs(("baseline",))}
+    with np.errstate(all="ignore"):
+        groups["pointmass"] = {
+            f"pointmass/{variant}/0": run_training(
+                TrainConfig(variant=variant, **POINTMASS))
+            for variant in ("baseline", "J", "T")}
+    for group, runs in groups.items():
+        print(f"{group:9s} {trajectory_sha256(*runs.values())}")
+    print(f"wall clock {time.perf_counter() - start:.1f} s")
+
+    thetas = {key: np.asarray(run.final_theta, dtype=np.float64)
+              for runs in groups.values() for key, run in runs.items()}
+    if args.save:
+        Path(args.save).write_text(json.dumps(
+            {key: theta.tolist() for key, theta in thetas.items()},
+            indent=1), encoding="utf-8")
+    if args.reference:
+        reference = json.loads(Path(args.reference).read_text("utf-8"))
+        worst = {}
+        print("final-theta move, max |theta - ref| / max |ref|; |theta|:")
+        for key, theta in thetas.items():
+            ref = np.asarray(reference[key], dtype=np.float64)
+            move = float(np.max(np.abs(theta - ref)) / np.max(np.abs(ref)))
+            print(f"  {key:20s} {move:.3e}  {np.linalg.norm(theta):.3e}")
+            group = key.rsplit("/", 1)[0]
+            worst[group] = max(worst.get(group, 0.0), move)
+        print("worst per protocol and variant:")
+        for group, move in worst.items():
+            print(f"  {group:20s} {move:.3e}")
+
+
+if __name__ == "__main__":
+    main()
