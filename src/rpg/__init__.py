@@ -24,9 +24,9 @@ Import layout:
     rpg.geodesic    geodesic update direction (one u-VJP) +
                     Christoffel/ODE oracles
     rpg.metricnet   the metric network, its fused loss and phi-gradient
-                    (numpy forward, hand-written backward), the u-VJP
-                    that shares that backward, the inner training loop
-                    with Adam, checkpoints
+                    (numpy forward, hand-written backward), UField (u at
+                    one phi, and its VJP over that backward), the inner
+                    training loop with Adam, checkpoints
     rpg.envs        toy environments (LQR, point-mass, landscapes)
     rpg.policy      policies; one rollout engine over parameter rows,
                     which plays the fresh batch, the evaluation episodes

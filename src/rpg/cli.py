@@ -74,13 +74,19 @@ def cmd_train(args):
 
 
 def _run_names(paths):
-    """Stable short names for the report: stems, de-duplicated by suffix."""
+    """Distinct short names for the report's lines and chart files: each
+    log's stem, and for a taken stem the first free stem-2, stem-3, ...
+    that is no log's stem.  With several logs "overlay", the overlay
+    charts' prefix, is taken."""
     stems = [Path(p).stem for p in paths]
-    seen = {}
+    reserved = {"overlay"} if len(stems) > 1 else set()
     names = []
     for stem in stems:
-        seen[stem] = seen.get(stem, 0) + 1
-        names.append(stem if seen[stem] == 1 else f"{stem}-{seen[stem]}")
+        name, k = stem, 1
+        while name in names or name in reserved or (k > 1 and name in stems):
+            k += 1
+            name = f"{stem}-{k}"
+        names.append(name)
     return names
 
 

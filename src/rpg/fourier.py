@@ -17,7 +17,7 @@ truncated series numpy has no counterpart for, on the other.
 
 All maps are plain numpy over either a single vector or a batch of row
 vectors.  Their derivatives in omega_tilde and sigma_tilde are written out
-by hand where the metric net needs them (``metricnet._through_u``).
+by hand where the metric net needs them (``metricnet._u_backward``).
 """
 
 from __future__ import annotations
@@ -98,7 +98,7 @@ def rotate(fp: FourierPair, sigma_tilde, x):
 
 def rotate_parts(fp: FourierPair, sigma_tilde, x):
     """(R x, c, cos st, sin st): ``rotate`` and the intermediates that its
-    derivative reads (``metricnet._through_u``)."""
+    derivative reads (``metricnet._u_backward``)."""
     c = x @ fp.omega
     cos, sin = np.cos(sigma_tilde), np.sin(sigma_tilde)
     shifted_cos = (cos * c) @ fp.omega.T

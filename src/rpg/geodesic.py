@@ -11,9 +11,9 @@ rank-one metric G = I + u u^T, q = |J0|^2 + (u.J0)^2, so
     grad q = 2 (u.J0) (du/dtheta)^T J0,
 
 one vector-Jacobian product of u with cotangent J0.  ``geodesic_gradient``
-takes it from a caller-supplied ``u_vjp`` (for the metric net,
-``rpg.metricnet.build_u_vjp``: one forward and one reverse pass, whatever
-n is).  ``geodesic_gradient_component`` rebuilds the same direction from
+takes it from a caller-supplied ``u_vjp`` (for the metric net, that of
+``rpg.metricnet.UField.at``: one forward and one reverse pass, whatever n
+is).  ``geodesic_gradient_component`` rebuilds the same direction from
 dense finite-difference metric partials (the component sum over
 g^{dr} dg_{mn}/dtheta_r J^m J^n); and the oracles ``christoffel_fd`` /
 ``geodesic_ode_direction`` integrate the actual geodesic equation so the

@@ -48,10 +48,12 @@ steps.  The returned phi is the best recorded iterate, never the last one;
 a non-finite loss, u value or gradient row aborts the loop at its iteration
 and returns that incumbent.
 
-``build_u_vjp`` reuses the same reverse pass, carried on to theta, for
-the vector-Jacobian product of u at one point that the geodesic
-correction needs (``rpg.geodesic.geodesic_gradient``); given the
-``forward_u`` that already forwarded that point, it runs no forward.
+Outside the loop the network is read through one ``UField`` per phi,
+which builds A once: called, it gives u at a batch of points, and its
+``at`` forwards one point and returns u there with the vector-Jacobian
+product of u that the geodesic correction needs
+(``rpg.geodesic.geodesic_gradient``), the same reverse pass carried on to
+theta over that one forward.
 """
 
 from __future__ import annotations
@@ -406,22 +408,14 @@ def _sigmoid(z):
     return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
-def metric_net_forward(phi: MetricNetParams, points, keep=False, front=None):
-    """Network forward pass; returns (omega_tilde, sigma_tilde, acts).
-
-    points are flat parameter vectors laid out by phi.layout, one (n,) or a
-    (B, n) batch; outputs mirror the batching.  front is phi's
-    ``_collapse``, built here when None.  acts is None unless keep, when
-    it holds what ``_net_backward`` reads: the front, the (B, n) points
-    and the activations.
-    """
+def metric_net_forward(phi: MetricNetParams, points, front=None):
+    """Network forward pass over (B, n) flat points laid out by phi.layout:
+    (omega_tilde, sigma_tilde, acts), outputs (B, m_tilde).  front is phi's
+    ``_collapse``, built here when None; acts is what ``_net_backward``
+    reads: the front, the points and the activations."""
     x = np.asarray(points, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
-        x = x[None]
     if x.ndim != 2 or x.shape[1] != phi.layout.n:
-        raise LayoutMismatch(f"points shape {np.shape(points)} is neither "
-                             f"({phi.layout.n},) nor (B, {phi.layout.n})")
+        raise LayoutMismatch(f"points shape {x.shape} != (B, {phi.layout.n})")
     if front is None:
         front = _collapse(phi)
     _, a, bias, _ = front
@@ -431,28 +425,23 @@ def metric_net_forward(phi: MetricNetParams, points, keep=False, front=None):
     h = np.logaddexp(0.0, z_trunk)
     omega = h @ phi.head_omega_w + phi.head_omega_b
     sigma = h @ phi.head_sigma_w + phi.head_sigma_b
-    if single:
-        omega, sigma = omega[0], sigma[0]
-    acts = (front, x, z, h_in, z_trunk, h) if keep else None
-    return omega, sigma, acts
+    return omega, sigma, (front, x, z, h_in, z_trunk, h)
 
 
-def _net_backward(phi: MetricNetParams, acts, g_omega, g_sigma, out,
-                  to_theta=False):
-    """theta-cotangent of a batched forward whose (B, m_tilde) outputs
-    carry the cotangents g_omega and g_sigma; the phi-gradients go to out.
+def _net_backward(phi: MetricNetParams, acts, g_omega, g_sigma, out):
+    """The cotangent g_z of the parts' pre-activations (the theta-cotangent
+    is g_z A^T) for a forward whose (B, m_tilde) outputs carry the
+    cotangents g_omega and g_sigma; the phi-gradients go to out.
 
     out is one flat vector of ``phi.size`` values, and each phi-gradient
     is written straight into its slot, laid out as ``with_flat`` lays out
-    the arrays (``params_list`` order).  The cotangent g_z of the parts'
-    pre-activations gives A_i's cotangent x_i^T g_z_i, one matmul whatever
-    the row count, which is carried back through the chain A_i = C1 C2 P W_i
-    to each kernel (one product with the forward's gathered R[inverse])
-    and through each stage (a gather at the stage's taps) to W_i.  With
-    to_theta the theta-cotangent g_z A^T comes back as one (B, n) array
-    in the flat theta order; without, it is None.
+    the arrays (``params_list`` order).  g_z gives A_i's cotangent
+    x_i^T g_z_i, one matmul whatever the row count, which is carried back
+    through the chain A_i = C1 C2 P W_i to each kernel (one product with
+    the forward's gathered R[inverse]) and through each stage (a gather at
+    the stage's taps) to W_i.
     """
-    (plan, a, _, gathered), x, z, h_in, z_trunk, h = acts
+    (plan, _, _, gathered), x, z, h_in, z_trunk, h = acts
     g_h = g_omega @ phi.head_omega_w.T + g_sigma @ phi.head_sigma_w.T
     g_trunk = g_h * _sigmoid(z_trunk)
     g_z = (g_trunk @ phi.trunk_w.T) * _sigmoid(z)
@@ -479,91 +468,68 @@ def _net_backward(phi: MetricNetParams, acts, g_omega, g_sigma, out,
         end = at + x_in.shape[1] * width
         np.matmul(x_in.T, g_out, out=out[at:end].reshape(-1, width))
         np.add.reduce(g_out, axis=0, out=out[end:end + width])
-    return g_z @ a.T if to_theta else None
+    return g_z
 
 
-def build_u_field(phi: MetricNetParams):
-    """Numeric, batch-capable u(theta) closure over fixed phi."""
-    fp = build_fourier_pair(phi.layout.n, phi.m_tilde)
-
-    def u_fn(pts):
-        batch = np.atleast_2d(np.asarray(pts, dtype=np.float64))
-        omega, sigma, _ = metric_net_forward(phi, batch)
-        u = build_u(fp, omega, sigma, batch)
-        return u[0] if np.ndim(pts) == 1 else u
-
-    return u_fn
-
-
-def _u_factors(fp, omega, sigma, pts):
-    """(u, factors): u = scale * rot with scale = Omega omega_tilde and
-    rot = R theta, the value ``build_u`` returns bitwise, and factors =
-    (scale, rot, Omega^T theta, cos sigma, sin sigma), what ``_through_u``
-    reads."""
+def _u_forward(phi: MetricNetParams, fp, pts, front):
+    """(u, record) at (B, n) points: one forward, then u = scale * rot with
+    scale = Omega omega_tilde and rot = R theta, ``build_u``'s value
+    bitwise.  record, what ``_u_backward`` reads, is the forward's acts,
+    sigma_tilde, scale, rot, Omega^T theta, cos and sin sigma_tilde."""
+    omega, sigma, acts = metric_net_forward(phi, pts, front)
     scale = scaling_vector(fp, omega)
     rot, c, cos, sin = rotate_parts(fp, sigma, pts)
-    return scale * rot, (scale, rot, c, cos, sin)
+    return scale * rot, (acts, sigma, scale, rot, c, cos, sin)
 
 
-def _through_u(fp, factors, g_u):
-    """Carry a cotangent g_u of u = scale * rot back to (g_rot, g_omega,
-    g_sigma): the cotangents of R theta and of the network's two outputs.
-    factors are the forward's (``_u_factors``)."""
-    scale, rot, c, cos, sin = factors
+def _u_backward(phi: MetricNetParams, fp, record, g_u, out):
+    """Carry a cotangent g_u of ``_u_forward``'s u back through the network
+    (``_net_backward``, phi-gradients into out); returns (g_rot, g_z),
+    the cotangents of R theta and of the parts' pre-activations."""
+    acts, _, scale, rot, c, cos, sin = record
     g_rot = g_u * scale
     g_omega = (g_u * rot) @ fp.omega
     g_sigma = (-(g_rot @ fp.phi) * c) * cos - ((g_rot @ fp.omega) * c) * sin
-    return g_rot, g_omega, g_sigma
+    return g_rot, _net_backward(phi, acts, g_omega, g_sigma, out)
 
 
-@dataclass(frozen=True)
-class PointForward:
-    """One forward of u at a single point, activations kept.
+class UField:
+    """The metric factor u(theta) of G = I + u u^T over one fixed phi,
+    whose Fourier pair and A (``_collapse``) every forward shares.  Called
+    on (n,) or (B, n) points it returns u there, the ``u_fn`` that
+    ``rpg.divergence.divergence_report`` and the oracles take."""
 
-    sigma is the network's (1, m_tilde) rotation output, factors those of
-    u (``_u_factors``), acts what ``_net_backward`` reads, and u the (n,)
-    value u(theta).
-    """
+    def __init__(self, phi: MetricNetParams):
+        self.phi = phi
+        self.fp = build_fourier_pair(phi.layout.n, phi.m_tilde)
+        self.front = _collapse(phi)
 
-    sigma: np.ndarray
-    factors: tuple
-    acts: tuple
-    u: np.ndarray
+    def __call__(self, pts):
+        batch = np.atleast_2d(np.asarray(pts, dtype=np.float64))
+        omega, sigma, _ = metric_net_forward(self.phi, batch, self.front)
+        u = build_u(self.fp, omega, sigma, batch)
+        return u[0] if np.ndim(pts) == 1 else u
 
+    def at(self, theta):
+        """(u(theta), u_vjp) from one one-row forward.
 
-def forward_u(phi: MetricNetParams, theta) -> PointForward:
-    """u(theta) from one one-row forward that keeps its activations, so
-    that ``build_u_vjp`` can carry a cotangent back without a second
-    forward.  u equals ``build_u_field(phi)(theta)`` bitwise."""
-    pts = np.asarray(theta, dtype=np.float64)[None]
-    omega, sigma, acts = metric_net_forward(phi, pts, keep=True)
-    u, factors = _u_factors(build_fourier_pair(phi.layout.n, phi.m_tilde),
-                            omega, sigma, pts)
-    return PointForward(sigma=sigma, factors=factors, acts=acts, u=u[0])
+        u_vjp(theta, cot) returns (u(theta), (du/dtheta)^T cot) at this
+        theta only (``rpg.geodesic.geodesic_gradient``'s contract) and
+        runs only the reverse pass.  theta enters u twice: in R theta,
+        which gives R^T (cot * Omega omega_tilde), and through the
+        network's outputs, which give g_z A^T."""
+        phi, fp = self.phi, self.fp
+        pts = np.asarray(theta, dtype=np.float64)[None]
+        u, record = _u_forward(phi, fp, pts, self.front)
 
+        def u_vjp(_, cot):
+            g_rot, g_z = _u_backward(
+                phi, fp, record, np.asarray(cot, dtype=np.float64)[None],
+                np.empty(phi.size))
+            return u[0], (rotate_transpose(fp, record[1], g_rot)
+                          + g_z @ self.front[1].T)[0]
 
-def build_u_vjp(phi: MetricNetParams, at: PointForward | None = None):
-    """u and its vector-Jacobian product at one point, over fixed phi.
-
-    u_vjp(theta, cot) returns (u(theta), (du/dtheta)^T cot) from one
-    forward of one row and one reverse pass.  Given at, a ``forward_u``
-    of this phi at the theta the product will be taken at, the forward is
-    reused and only the reverse pass runs.  theta enters u twice: in
-    R theta directly, which gives R^T (cot * Omega omega_tilde), and
-    through the network's outputs, which ``_net_backward`` carries on to
-    its input.
-    """
-    fp = build_fourier_pair(phi.layout.n, phi.m_tilde)
-
-    def u_vjp(theta, cot):
-        fwd = forward_u(phi, theta) if at is None else at
-        g_rot, g_omega, g_sigma = _through_u(
-            fp, fwd.factors, np.asarray(cot, dtype=np.float64)[None])
-        g_net = _net_backward(phi, fwd.acts, g_omega, g_sigma,
-                              np.empty(phi.size), to_theta=True)
-        return fwd.u, (rotate_transpose(fp, fwd.sigma, g_rot) + g_net)[0]
-
-    return u_vjp
+        return u[0], u_vjp
 
 
 # ---------------------------------------------------------------- training
@@ -613,24 +579,20 @@ def evaluate_divergence_loss(phi: MetricNetParams, ctx: FrozenProbes,
     """(div, loss, phi-gradient) for the frozen probe batch.
 
     One numpy forward re-evaluates u through the network at every frozen
-    point and keeps its activations and u's two factors; the gradient
-    field enters as constants.  ``probe_divergence`` carries d loss back
-    to u; a reverse pass continues through the Fourier scaling and
-    rotation, reusing those factors, and the network (``_net_backward``).
-    The gradient is one flat vector laid out like ``phi.with_flat``'s
-    (arrays in ``params_list`` order), written into out when given.
-    front is phi's ``_collapse``, built by the forward when None.
+    point and keeps its record (``_u_forward``); the gradient field enters
+    as constants.  ``probe_divergence`` carries d loss back to u; a reverse
+    pass continues through the Fourier scaling and rotation and the
+    network (``_u_backward``).  The gradient is one flat vector laid out
+    like ``phi.with_flat``'s (arrays in ``params_list`` order), written
+    into out when given.  front is phi's ``_collapse``, built by the
+    forward when None.
     """
     fp = build_fourier_pair(phi.layout.n, phi.m_tilde)
-    pts = ctx.points
-    omega, sigma, acts = metric_net_forward(phi, pts, keep=True,
-                                            front=front)
-    u, factors = _u_factors(fp, omega, sigma, pts)
+    u, record = _u_forward(phi, fp, ctx.points, front)
     div, vjp = probe_divergence(u, ctx)
-    _, g_omega, g_sigma = _through_u(fp, factors, vjp(2.0 * div))
     if out is None:
         out = np.empty(phi.size)
-    _net_backward(phi, acts, g_omega, g_sigma, out)
+    _u_backward(phi, fp, record, vjp(2.0 * div), out)
     return float(div), float(div * div), out
 
 

@@ -32,7 +32,7 @@ from .geodesic import (christoffel_fd, covariant_metric_residual,
                        geodesic_gradient, geodesic_gradient_component,
                        geodesic_ode_direction)
 from .metric import MetricPoint, inverse_apply, metric_det, metric_matrix
-from .metricnet import (LayerLayout, MetricNetConfig, build_u_field,
+from .metricnet import (LayerLayout, MetricNetConfig, UField,
                         evaluate_divergence_loss, init_params,
                         train_metric_net, training_probes)
 from .rng import RngStream, rademacher_matrix
@@ -288,7 +288,7 @@ def suite_metric_training():
     probes = rademacher_matrix(RngStream(0), 8, theta.size)
     field = probe_field_rows(grad_fn, theta, probes[None], eps)
     ctx = freeze_probe_batch(probe_batch_points(field.rows[0], theta),
-                             build_u_field(phi)(theta), field.g0, probes,
+                             UField(phi)(theta), field.g0, probes,
                              field.grads[0], eps)
     _, _, grad = evaluate_divergence_loss(phi, ctx)
     grads = phi.with_flat(grad).params_list()

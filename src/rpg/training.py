@@ -29,9 +29,8 @@ from .errors import BadDimensions, ConfigError, NonFiniteField
 from .fields import ProbeConfig, default_fd_step
 from .geodesic import geodesic_gradient
 from .metric import MetricPoint, inverse_apply
-from .metricnet import (MetricNetConfig, build_u_field, build_u_vjp,
-                        forward_u, init_params, train_metric_net,
-                        training_probes)
+from .metricnet import (MetricNetConfig, UField, init_params,
+                        train_metric_net, training_probes)
 from .policy import (LinearGainPolicy, ParamPolicy, PolicyMLP,
                      evaluation_returns, reinforce_field,
                      reinforce_gradient_from_batch, rollout)
@@ -192,10 +191,11 @@ def regularize_step(theta, grad, phi, cfg, grad_fn, probe_cfg):
     1 + 2K * metric_iters + 2K rows, K = probe_count.  Unless
     cfg.freeze_phi, the metric net is refined on the training slice,
     warm-started from phi; the report reads the last matrix's slice.
-    u(theta) is forwarded once at the final phi (``forward_u``): the
-    report freezes its batch with it, J = G^-1 grad uses it, and T's
-    geodesic correction reuses its activations for its one
-    vector-Jacobian product of u (``build_u_vjp``).  If gating is enabled
+    The final phi is read through one ``UField``, which builds its
+    collapsed matrix once: u(theta) is forwarded once (``UField.at``), the
+    report freezes its batch with it and forwards that batch, J = G^-1
+    grad uses it, and T's geodesic correction takes its one
+    vector-Jacobian product of u over that forward.  If gating is enabled
     and the divergence ratio is >= 1, or if a report row or the direction
     turns non-finite, the direction falls back to the plain gradient; the
     fallback marks the report with ratio = inf so the record stays
@@ -225,13 +225,12 @@ def regularize_step(theta, grad, phi, cfg, grad_fn, probe_cfg):
                                       kick_scale=cfg.kick_scale)
 
     try:
-        at_theta = forward_u(new_phi, theta)
-        report = divergence_report(build_u_field(new_phi), theta,
-                                   field[-1:], at_theta.u)
-        direction = inverse_apply(MetricPoint(at_theta.u), grad)
+        u_field = UField(new_phi)
+        u0, u_vjp = u_field.at(theta)
+        report = divergence_report(u_field, theta, field[-1:], u0)
+        direction = inverse_apply(MetricPoint(u0), grad)
         if cfg.variant == "T":
-            direction = geodesic_gradient(build_u_vjp(new_phi, at_theta),
-                                          theta, direction,
+            direction = geodesic_gradient(u_vjp, theta, direction,
                                           cfg.resolved_kappa())
         if not np.all(np.isfinite(direction)):
             raise NonFiniteField("regularized direction")

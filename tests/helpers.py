@@ -9,8 +9,8 @@ from rpg.errors import BadDimensions, NonFiniteField
 from rpg.fields import default_fd_step, eval_points, require_finite
 from rpg.geodesic import _fd_points
 from rpg.metric import MetricPoint, bilinear_form, inverse_apply
-from rpg.metricnet import (KERNEL, POOL_SIZE, Adam, _conv_plan, _kick_heads,
-                           build_u_field, evaluate_divergence_loss,
+from rpg.metricnet import (KERNEL, POOL_SIZE, Adam, UField, _conv_plan,
+                           _kick_heads, evaluate_divergence_loss,
                            training_probes)
 from rpg.policy import (Trajectory, _draw_episode_events, _flat_rows,
                         _mlp_layers, _reinforce_weights, _return_to_go,
@@ -207,7 +207,7 @@ def reference_train_metric_net(phi, theta, grad_fn, pc, max_iters=20,
 
     try:
         for it in range(max_iters):
-            u0 = build_u_field(work)(theta)
+            u0 = UField(work)(theta)
             require_finite(g0, "gradient field")
             grads = require_finite(probe_grads[it], "gradient field")
             j0 = inverse_apply(MetricPoint(u0), g0)

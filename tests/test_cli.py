@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from rpg.cli import main
+from rpg.cli import _run_names, main
 from rpg.reporting import read_metrics, strip_wall_time, write_metrics
 from rpg.training import StepRecord
 
@@ -215,3 +215,23 @@ def test_report_duplicate_stems_are_disambiguated(tmp_path, capsys):
     assert main(["report", str(log_a), str(log_b)]) == 0
     out = capsys.readouterr().out
     assert "metrics:" in out and "metrics-2:" in out
+
+
+def test_report_run_names_are_distinct_and_not_overlay(tmp_path, capsys):
+    """A stem that another log's suffixed name would take, or the overlay
+    charts' prefix, still gives every run its own line and charts."""
+    assert _run_names(["x/a.csv", "y/a.csv", "z/a-2.csv"]) == \
+        ["a", "a-3", "a-2"]
+    assert _run_names(["m/metrics.csv", "n/metrics.csv"]) == \
+        ["metrics", "metrics-2"]
+    assert _run_names(["overlay.csv"]) == ["overlay"]
+    logs = []
+    for sub, stem in (("x", "a"), ("y", "a"), ("z", "a-2"), ("w", "overlay")):
+        (tmp_path / sub).mkdir()
+        logs.append(str(synthetic_log(tmp_path / sub / f"{stem}.csv", [0.5])))
+    plots = tmp_path / "charts"
+    assert main(["report", *logs, "--plot", str(plots)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    names = [line.split(":")[0] for line in lines[:4]]
+    assert names == ["a", "a-3", "a-2", "overlay-2"]
+    assert len(list(plots.iterdir())) == 4 * 3 + 3

@@ -3,7 +3,9 @@
 import hashlib
 import json
 import math
+import re
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +27,16 @@ def record(step=1, ret=-1.0, div=0.5, trace=1.0, ratio=0.5, gate=False,
 
 
 # ---------------------------------------------------------------- config
+
+
+def test_readme_config_examples_parse():
+    """Every ```ini block of README.md is a config that parses."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    blocks = re.findall(r"^```ini\n(.*?)^```", readme, re.M | re.S)
+    assert blocks
+    for block in blocks:
+        parse_config_text(block)
 
 
 def test_full_config_round_trip():

@@ -25,8 +25,7 @@ from rpg.envs import make_env
 from rpg.errors import BadDimensions, LayoutMismatch
 from rpg.fields import ProbeConfig, default_fd_step
 from rpg.geodesic import geodesic_gradient
-from rpg.metricnet import (LayerLayout, MetricNetConfig, build_u_field,
-                           build_u_vjp,
+from rpg.metricnet import (LayerLayout, MetricNetConfig, UField,
                            evaluate_divergence_loss, freeze_probe_batch,
                            init_params, load_params, metric_net_forward,
                            params_to_json, probe_batch_points, save_params,
@@ -91,16 +90,18 @@ def test_layout_rejects_wrong_sizes():
 
 def test_zero_heads_give_zero_outputs():
     phi = make_phi(seed=3)
-    theta = RngStream(4).normal((phi.layout.n,))
-    omega, sigma, graph = metric_net_forward(phi, theta)
-    assert graph is None
-    assert np.array_equal(omega, np.zeros(3))
-    assert np.array_equal(sigma, np.zeros(3))
+    theta = RngStream(4).normal((1, phi.layout.n))
+    omega, sigma, acts = metric_net_forward(phi, theta)
+    # acts: the front, the points and the activations, last the trunk's
+    assert np.array_equal(acts[1], theta)
+    assert acts[-1].shape == (1, rpg.metricnet.TRUNK_WIDTH)
+    assert np.array_equal(omega, np.zeros((1, 3)))
+    assert np.array_equal(sigma, np.zeros((1, 3)))
 
 
 def test_forward_deterministic():
     phi = make_phi(seed=5, heads="random")
-    theta = RngStream(6).normal((phi.layout.n,))
+    theta = RngStream(6).normal((1, phi.layout.n))
     a = metric_net_forward(phi, theta)
     b = metric_net_forward(phi, theta)
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
@@ -111,16 +112,16 @@ def test_forward_batched_matches_single():
     pts = RngStream(8).normal((5, phi.layout.n))
     om_b, sg_b, _ = metric_net_forward(phi, pts)
     for i in range(5):
-        om, sg, _ = metric_net_forward(phi, pts[i])
-        assert np.allclose(om_b[i], om, atol=1e-14)
-        assert np.allclose(sg_b[i], sg, atol=1e-14)
+        om, sg, _ = metric_net_forward(phi, pts[i:i + 1])
+        assert np.allclose(om_b[i], om[0], atol=1e-14)
+        assert np.allclose(sg_b[i], sg[0], atol=1e-14)
 
 
 def test_forward_rejects_wrong_layout():
     phi = make_phi(seed=9)
     n = phi.layout.n
-    for bad in (np.zeros(n - 1), np.zeros((2, n + 1)), np.zeros((2, 1, n)),
-                np.zeros(())):
+    for bad in (np.zeros(n), np.zeros(n - 1), np.zeros((2, n + 1)),
+                np.zeros((2, 1, n)), np.zeros(())):
         with pytest.raises(LayoutMismatch):
             metric_net_forward(phi, bad)
 
@@ -145,7 +146,7 @@ def test_trunk_perturbation_matches_backprop():
     h = 1e-5
     for sign in (1.0, -1.0):
         phi.trunk_w[0, 0] += sign * h
-        om, sg, _ = metric_net_forward(phi, theta)
+        om, sg, _ = metric_net_forward(phi, theta[None])
         if sign > 0:
             up = float(np.sum(om) + np.sum(sg))
         else:
@@ -302,20 +303,18 @@ def test_backward_matches_per_tap_reference_bitwise(layout, rows, to_theta):
     phi = make_phi(seed=64, layout=layout, m_tilde=m_tilde, heads="random")
     r = RngStream(65 + rows)
     pts = r.normal((rows, layout.n))
-    omega, sigma, acts = metric_net_forward(phi, pts, keep=True)
+    omega, sigma, acts = metric_net_forward(phi, pts)
     ref_omega, ref_sigma, ref_acts = reference_net_forward(phi, pts,
                                                            keep=True)
     g_omega, g_sigma = r.normal((rows, m_tilde)), r.normal((rows, m_tilde))
     out = np.empty(phi.size)
-    g_theta = rpg.metricnet._net_backward(phi, acts, g_omega, g_sigma, out,
-                                          to_theta=to_theta)
+    g_z = rpg.metricnet._net_backward(phi, acts, g_omega, g_sigma, out)
     want, want_theta = reference_net_backward(phi, ref_acts, g_omega,
                                               g_sigma, to_theta)
     pairs = [(omega, ref_omega), (sigma, ref_sigma), (out, want)]
     if to_theta:
-        pairs.append((g_theta, want_theta))
-    else:
-        assert g_theta is None
+        # the theta-cotangent g_z A^T, as UField.at's product forms it
+        pairs.append((g_z @ acts[0][1].T, want_theta))
     for a, b in pairs:
         assert a.shape == b.shape
         assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(b))
@@ -332,7 +331,7 @@ def test_forward_cost_scales_linearly():
     for n in (256, 512):
         layout = LayerLayout(shapes=((16, 16), (n,)))
         phi = init_params(RngStream(13), MetricNetConfig(m_tilde=4), layout)
-        theta = np.zeros(layout.n)
+        theta = np.zeros((1, layout.n))
         metric_net_forward(phi, theta)  # warm up
         best = np.inf
         for _ in range(9):
@@ -376,7 +375,7 @@ def test_initial_ratio_is_exactly_one():
     n = phi.layout.n
     a = 2.0 * np.eye(n) + 0.1
     theta = RngStream(25).normal((n,))
-    u_fn = build_u_field(phi)
+    u_fn = UField(phi)
     rep = divergence_report(
         u_fn, theta,
         probe_rows(lambda p: p @ a, theta, ProbeConfig(probe_count=8, seed=1)),
@@ -402,7 +401,7 @@ def freeze(phi, theta, grad_fn, pc):
     call."""
     field = probe_rows(grad_fn, theta, pc)
     return freeze_probe_batch(probe_batch_points(field.rows[0], theta),
-                              build_u_field(phi)(theta), field.g0,
+                              UField(phi)(theta), field.g0,
                               field.probes[0], field.grads[0], field.eps)
 
 
@@ -426,7 +425,7 @@ def test_report_div_is_loss_div_bitwise(layout, m_tilde):
     grad_fn = lambda p: np.tanh(p) @ (w + w.T)
     theta = RngStream(28).normal((n,), scale=0.5)
     pc = ProbeConfig(probe_count=8, seed=2)
-    u_fn = build_u_field(phi)
+    u_fn = UField(phi)
     rep = divergence_report(u_fn, theta, probe_rows(grad_fn, theta, pc),
                             u_fn(theta))
     div, _, _ = evaluate_divergence_loss(phi, freeze(phi, theta, grad_fn, pc))
@@ -700,19 +699,18 @@ def test_plan_cache_results_do_not_depend_on_call_order():
 
     def backward(phi, acts, cot):
         out = np.empty(phi.size)
-        g_theta = rpg.metricnet._net_backward(phi, acts, cot, 0.5 * cot, out,
-                                              to_theta=True)
-        return out, g_theta
+        g_z = rpg.metricnet._net_backward(phi, acts, cot, 0.5 * cot, out)
+        return out, g_z @ acts[0][1].T
 
     rpg.metricnet._net_plan.cache_clear()
-    fwds = [metric_net_forward(phi, pts, keep=True) for phi, pts, _ in cases]
+    fwds = [metric_net_forward(phi, pts) for phi, pts, _ in cases]
     interleaved = [(om, sg) + backward(phi, acts, cot)
                    for (phi, _, cot), (om, sg, acts) in zip(cases, fwds)]
     assert rpg.metricnet._net_plan.cache_info().currsize == len(layouts)
     alone = []
     for phi, pts, cot in reversed(cases):
         rpg.metricnet._net_plan.cache_clear()
-        om, sg, acts = metric_net_forward(phi, pts, keep=True)
+        om, sg, acts = metric_net_forward(phi, pts)
         alone.append((om, sg) + backward(phi, acts, cot))
     for got, want in zip(interleaved, reversed(alone)):
         assert all(a.shape == b.shape and np.array_equal(a, b)
@@ -774,7 +772,7 @@ def test_checkpoint_round_trip(tmp_path):
     assert back.layout.shapes == phi.layout.shapes
     for a, b in zip(phi.params_list(), back.params_list()):
         assert np.array_equal(a, b)
-    theta = RngStream(41).normal((phi.layout.n,))
+    theta = RngStream(41).normal((1, phi.layout.n))
     before = metric_net_forward(phi, theta)
     after = metric_net_forward(back, theta)
     assert np.array_equal(before[0], after[0])
@@ -792,7 +790,7 @@ def test_checkpoint_round_trip_keeps_pool_exempt(tmp_path):
     assert back.layout == layout
     for a, b in zip(phi.params_list(), back.params_list()):
         assert np.array_equal(a, b)
-    theta = RngStream(49).normal((layout.n,))
+    theta = RngStream(49).normal((1, layout.n))
     before = metric_net_forward(phi, theta)
     after = metric_net_forward(back, theta)
     assert np.array_equal(before[0], after[0])
@@ -894,7 +892,7 @@ def test_json_export_structure():
 
 def test_u_field_zero_at_init_and_batch_capable():
     phi = make_phi(seed=43)
-    u_fn = build_u_field(phi)
+    u_fn = UField(phi)
     pts = RngStream(44).normal((6, phi.layout.n))
     out = u_fn(pts)
     assert out.shape == pts.shape
@@ -905,7 +903,7 @@ def test_u_field_zero_at_init_and_batch_capable():
 
 def test_u_field_nonzero_after_head_kick():
     phi = make_phi(seed=45, heads="random")
-    u_fn = build_u_field(phi)
+    u_fn = UField(phi)
     out = u_fn(RngStream(46).normal((3, phi.layout.n)))
     assert np.max(np.abs(out)) > 0
 
@@ -922,9 +920,10 @@ def test_u_vjp_matches_fd_reference(layout):
                    heads="random")
     rng = RngStream(57)
     theta, cot = rng.normal((layout.n,)), rng.normal((layout.n,))
-    u_vjp, u_field = build_u_vjp(phi), build_u_field(phi)
+    u_field = UField(phi)
+    u_at, u_vjp = u_field.at(theta)
     u, pullback = u_vjp(theta, cot)
-    assert np.array_equal(u, u_field(theta))
+    assert np.array_equal(u, u_field(theta)) and np.array_equal(u, u_at)
     want = fd_pullback(u_field, theta, cot)
     assert np.max(np.abs(pullback - want)) <= 1e-6 * np.max(np.abs(want))
     got = geodesic_gradient(u_vjp, theta, cot, 0.3)
@@ -935,17 +934,17 @@ def test_u_vjp_matches_fd_reference(layout):
 @over_layouts
 def test_geodesic_zero_heads_and_zero_kappa_pass_through(layout):
     """Zero heads make u = 0 and the product 0, so T is J bitwise; kappa = 0
-    returns a copy without calling the network."""
+    returns a copy without taking the product."""
     phi = make_phi(seed=58, layout=layout, m_tilde=min(3, layout.n - 1))
     rng = RngStream(59)
     theta, j = rng.normal((layout.n,)), rng.normal((layout.n,))
-    u, pullback = build_u_vjp(phi)(theta, j)
+    u_vjp = UField(phi).at(theta)[1]
+    u, pullback = u_vjp(theta, j)
     assert not np.any(u) and not np.any(pullback)
-    assert np.array_equal(geodesic_gradient(build_u_vjp(phi), theta, j, 0.3),
-                          j)
+    assert np.array_equal(geodesic_gradient(u_vjp, theta, j, 0.3), j)
     kicked = make_phi(seed=58, layout=layout, m_tilde=min(3, layout.n - 1),
                       heads="random")
-    out = geodesic_gradient(build_u_vjp(kicked), theta, j, 0.0)
+    out = geodesic_gradient(UField(kicked).at(theta)[1], theta, j, 0.0)
     assert np.array_equal(out, j) and out is not j
 
 
@@ -957,14 +956,15 @@ def test_geodesic_forwards_one_row_whatever_n(monkeypatch):
     rows = []
     forward = rpg.metricnet.metric_net_forward
 
-    def counted(phi_, points, keep=False, front=None):
+    def counted(phi_, points, front=None):
         rows.append(len(points))
-        return forward(phi_, points, keep=keep, front=front)
+        return forward(phi_, points, front)
 
     monkeypatch.setattr(rpg.metricnet, "metric_net_forward", counted)
     rng = RngStream(61)
     n = phi.layout.n
-    out = geodesic_gradient(build_u_vjp(phi), rng.normal((n,)),
+    theta = rng.normal((n,))
+    out = geodesic_gradient(UField(phi).at(theta)[1], theta,
                             rng.normal((n,)), 0.3)
     assert n == 388 and out.shape == (n,)
     assert rows == [1]

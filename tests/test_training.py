@@ -22,8 +22,8 @@ from rpg.errors import NonFiniteField
 from rpg.fields import ProbeConfig
 from rpg.metric import MetricPoint, inverse_apply
 from rpg.geodesic import geodesic_gradient
-from rpg.metricnet import (MetricNetConfig, build_u_field, build_u_vjp,
-                           init_params, train_metric_net)
+from rpg.metricnet import (MetricNetConfig, UField, init_params,
+                           train_metric_net)
 from rpg.policy import (LinearGainPolicy, ParamPolicy,
                         reinforce_gradient_from_batch)
 from rpg.rng import RngStream
@@ -238,17 +238,23 @@ def test_variant_j_preserves_ascent_direction():
 
 def forward_rows_after_training(monkeypatch, cfg):
     """regularize_step on a 4-dim bowl, with the rows of every metric-net
-    forward made after metric training: (direction, report, phi, rows)."""
+    forward made after metric training and the number of ``_collapse``
+    calls made then: (direction, report, phi, rows, collapses)."""
     env, grad_fn = bowl_field(4)
     theta = np.array([0.4, -0.7, 0.2, 0.9])
     forward = rpg.metricnet.metric_net_forward
+    collapse = rpg.metricnet._collapse
     train = rpg.training.train_metric_net
-    trained, rows = [False], []
+    trained, rows, collapses = [False], [], [0]
 
-    def counting(phi, points, keep=False, front=None):
+    def counting(phi, points, front=None):
         if trained[0]:
             rows.append(len(points))
-        return forward(phi, points, keep, front)
+        return forward(phi, points, front)
+
+    def counting_collapse(phi):
+        collapses[0] += trained[0]
+        return collapse(phi)
 
     def training(*args, **kwargs):
         out = train(*args, **kwargs)
@@ -256,22 +262,25 @@ def forward_rows_after_training(monkeypatch, cfg):
         return out
 
     monkeypatch.setattr(rpg.metricnet, "metric_net_forward", counting)
+    monkeypatch.setattr(rpg.metricnet, "_collapse", counting_collapse)
     monkeypatch.setattr(rpg.training, "train_metric_net", training)
     out = regularize_step(theta, grad_fn(theta), fresh_phi(4), cfg, grad_fn,
                           ProbeConfig(probe_count=8, seed=2))
-    return out + (rows,)
+    return out + (rows, collapses[0])
 
 
 def test_j_update_forwards_u_at_theta_once(monkeypatch):
     # after metric training, u(theta) is forwarded once, for the report's
-    # frozen batch, and J = G^-1 grad reuses that row bitwise
+    # frozen batch, and J = G^-1 grad reuses that row bitwise; both
+    # forwards read one collapsed matrix of the final phi
     cfg = TrainConfig(env_kind="landscape", variant="J", probe_count=8,
                       metric_iters=3)
-    direction, report, phi, rows = forward_rows_after_training(monkeypatch,
-                                                               cfg)
+    direction, report, phi, rows, collapses = forward_rows_after_training(
+        monkeypatch, cfg)
     assert rows == [1, 2 * 8 + 3]    # that row, then the frozen batch
+    assert collapses == 1
     theta = np.array([0.4, -0.7, 0.2, 0.9])
-    u0 = build_u_field(phi)(theta)
+    u0 = UField(phi)(theta)
     assert np.array_equal(direction,
                           inverse_apply(MetricPoint(u0),
                                         bowl_field(4)[1](theta)))
@@ -279,18 +288,20 @@ def test_j_update_forwards_u_at_theta_once(monkeypatch):
 
 def test_t_update_forwards_u_at_theta_once(monkeypatch):
     # T's vector-Jacobian product reuses the one-row forward at theta that
-    # the report froze its batch with, and T is the same bits as with a
-    # product that forwards theta afresh
+    # the report froze its batch with, and the collapsed matrix of both
+    # forwards; T is the same bits as with a product that forwards theta
+    # afresh
     cfg = TrainConfig(env_kind="landscape", variant="T", probe_count=8,
                       metric_iters=3, gate_enabled=False)
-    direction, report, phi, rows = forward_rows_after_training(monkeypatch,
-                                                               cfg)
+    direction, report, phi, rows, collapses = forward_rows_after_training(
+        monkeypatch, cfg)
     assert rows == [1, 2 * 8 + 3]
+    assert collapses == 1
     theta = np.array([0.4, -0.7, 0.2, 0.9])
-    grad_j = inverse_apply(MetricPoint(build_u_field(phi)(theta)),
-                           bowl_field(4)[1](theta))
+    u0, u_vjp = UField(phi).at(theta)
+    grad_j = inverse_apply(MetricPoint(u0), bowl_field(4)[1](theta))
     assert np.array_equal(direction, geodesic_gradient(
-        build_u_vjp(phi), theta, grad_j, cfg.resolved_kappa()))
+        u_vjp, theta, grad_j, cfg.resolved_kappa()))
 
 
 def test_algorithm_step_lowers_median_ratio_variant_t():
@@ -312,7 +323,7 @@ def test_algorithm_step_lowers_median_ratio_variant_t():
         phi.head_sigma_w += kick.normal(size=phi.head_sigma_w.shape,
                                         scale=0.1)
         probe_cfg = ProbeConfig(probe_count=16, seed=seed)
-        u_fn = build_u_field(phi)
+        u_fn = UField(phi)
         before.append(divergence_report(
             u_fn, theta, probe_rows(grad_fn, theta, probe_cfg),
             u_fn(theta)).ratio)
