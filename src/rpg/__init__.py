@@ -31,7 +31,7 @@ Import layout:
     rpg.policy      policies; one rollout engine over parameter rows,
                     which plays the fresh batch, the evaluation episodes
                     and the REINFORCE estimator's common-random-numbers
-                    field
+                    field, whose gradient reads the forward kept by play
     rpg.training    the outer training loop (baseline / J / T variants)
     rpg.runconfig   run-configuration parsing/validation
     rpg.reporting   CSV/JSON logs, the trajectory hash, SVG charts

@@ -22,6 +22,13 @@ from .runconfig import load_config
 from .suites import (UnknownSuite, exit_status, format_results, run_suites)
 from .training import run_training
 
+# what each of run_training's abort checks found
+ABORT_CAUSES = {
+    "gradient": "the update gradient was not finite",
+    "parameters": "policy parameters left the finite range",
+    "evaluation": "the new policy's evaluation return was not finite",
+}
+
 
 def cmd_verify(args):
     names = [args.suite] if args.suite else None
@@ -67,7 +74,7 @@ def cmd_train(args):
     for path in written:
         print(f"wrote {path}")
     if summary.aborted:
-        print("aborted: policy parameters left the finite range; "
+        print(f"aborted: {ABORT_CAUSES[summary.abort_reason]}; "
               "the log above is partial", file=sys.stderr)
         return 1
     return 0

@@ -128,6 +128,7 @@ def write_summary(summary, path):
         "fraction_ratio_below_one": summary.fraction_ratio_below_one,
         "updates": len(summary.records),
         "aborted": summary.aborted,
+        "abort_reason": summary.abort_reason,
         "seed": summary.config.get("seed"),
         "config": summary.config,
         "final_theta": (None if summary.final_theta is None

@@ -153,7 +153,13 @@ class RunSummary:
     config: dict
     final_theta: np.ndarray = None
     final_phi: object = None        # metric-net state, variants J/T only
-    aborted: bool = False
+    # the check that ended the run early: "gradient", "parameters" or
+    # "evaluation"; None for a run that finished
+    abort_reason: str | None = None
+
+    @property
+    def aborted(self):
+        return self.abort_reason is not None
 
 
 def _neutral_report():
@@ -319,11 +325,11 @@ def run_training(cfg):
     regularize_step's field call, and counts the episodes unplayed.
 
     Raises ConfigError when a J/T run's m_tilde is not below the policy's
-    parameter count.  Aborts with a partial summary (records so far,
-    aborted=True) as soon as the update gradient, the policy parameters,
-    or the evaluation of a new policy stop being finite; the update that
-    failed leaves no record, so final_return is the last finite
-    evaluation.
+    parameter count.  Aborts with a partial summary (records so far) as
+    soon as the update gradient, the policy parameters, or the evaluation
+    of a new policy stop being finite; abort_reason names that check
+    ("gradient", "parameters" or "evaluation").  The update that failed
+    leaves no record, so final_return is the last finite evaluation.
     """
     root = RngStream(cfg.seed)
     env = make_env(cfg.env_kind, **cfg.env_params)
@@ -347,7 +353,7 @@ def run_training(cfg):
     records = []
     steps = 0
     update_idx = 0
-    aborted = False
+    abort_reason = None
 
     while steps < cfg.total_steps:
         started = time.perf_counter()
@@ -370,18 +376,18 @@ def run_training(cfg):
             direction, report, phi = regularize_step(theta, grad, phi, cfg,
                                                      grad_fn, probe_cfg)
         except NonFiniteField:
-            aborted = True
+            abort_reason = "gradient"
             break
         policy.set_theta(theta + cfg.policy_lr * direction)
         if not np.all(np.isfinite(policy.theta)):
-            aborted = True
+            abort_reason = "parameters"
             break
 
         eval_return = evaluate_policy(env, policy, cfg.eval_episodes,
                                       cfg.gamma,
                                       root.spawn(f"eval-{update_idx}"))
         if not np.isfinite(eval_return):
-            aborted = True
+            abort_reason = "evaluation"
             break
         if cfg.variant == "baseline":
             gate_flag = False
@@ -409,5 +415,5 @@ def run_training(cfg):
         config=asdict(cfg),
         final_theta=policy.theta,
         final_phi=phi,
-        aborted=aborted,
+        abort_reason=abort_reason,
     )

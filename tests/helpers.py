@@ -12,8 +12,8 @@ from rpg.metric import MetricPoint, bilinear_form, inverse_apply
 from rpg.metricnet import (KERNEL, POOL_SIZE, Adam, UField, _conv_plan,
                            _kick_heads, evaluate_divergence_loss,
                            training_probes)
-from rpg.policy import (Trajectory, _draw_episode_events, _flat_rows,
-                        _mlp_layers, _reinforce_weights, _return_to_go,
+from rpg.policy import (LinearGainPolicy, Trajectory, _draw_episode_events,
+                        _flat_rows, _reinforce_weights, _return_to_go,
                         reinforce_gradient_from_batch)
 from rpg.rng import RngStream, rademacher_matrix
 
@@ -58,22 +58,30 @@ def own_parts(policy):
     return policy.layout.unflatten_batch(policy.theta[None])
 
 
+def logprob_grads(policy, parts, states, actions, weights):
+    """``row_logprob_grads`` at (B, N, ·) steps, on the record of one
+    ``row_forward`` over all of them."""
+    return policy.row_logprob_grads(parts, states, actions,
+                                    policy.row_forward(parts, states),
+                                    weights)
+
+
 def one_row_logprob_grad(policy, states, actions, weights):
     """d/dtheta sum_i w_i log pi(a_i | s_i) at the policy's own theta, for
-    (N, state_dim) states: ``row_logprob_grads`` at one row."""
-    return policy.row_logprob_grads(own_parts(policy), states[None],
-                                    actions[None], weights[None])[0]
+    (N, state_dim) states: ``logprob_grads`` at one row."""
+    return logprob_grads(policy, own_parts(policy), states[None],
+                         actions[None], weights[None])[0]
 
 
 def reference_rollout(env, policy, episodes, rng, explore=True):
     """``rpg.policy.rollout`` played one episode and one step at a time.
 
     The reference for the row engine: per episode a reset, then per step
-    the mean at the one state (``row_means`` at one row and one state),
-    plus sigma times a normal draw when exploring, the dynamics draw, the
-    step's own rewards and the advance, the last step's included.  The
-    per-step lists are joined by ``np.stack`` into a ``Trajectory`` of
-    (E, H, ...) arrays.
+    the mean at the one state (``row_means`` at one row and one state; when
+    exploring, ``row_forward``, whose record is kept, plus sigma times a
+    normal draw), the dynamics draw, the step's own rewards and the
+    advance, the last step's included.  The per-step lists are joined by
+    ``np.stack`` into a ``Trajectory`` of (E, H, ...) arrays.
     """
     parts = own_parts(policy)
     sigma = np.reshape(policy.row_sigmas(parts), -1)
@@ -82,14 +90,20 @@ def reference_rollout(env, policy, episodes, rng, explore=True):
         state = env.reset(rng)
         steps = []
         for _ in range(env.horizon):
-            action = policy.row_means(parts, state[None, None])[0, 0]
             if explore:
-                action = action + sigma * rng.normal(size=policy.action_dim)
+                record = policy.row_forward(parts, state[None, None])
+                action = record[-1][0, 0] + sigma * rng.normal(
+                    size=policy.action_dim)
+            else:
+                record = []
+                action = policy.row_means(parts, state[None, None])[0, 0]
             noise = env.draw_noise(rng)
-            steps.append((state, action, env.rewards(state, action)))
+            steps.append((state, action, env.rewards(state, action),
+                          *[r[0, 0] for r in record]))
             state = env.advance(state, action, noise)
         played.append([np.stack(column) for column in zip(*steps)])
-    return Trajectory(*[np.stack(column) for column in zip(*played)])
+    columns = [np.stack(column) for column in zip(*played)]
+    return Trajectory(*columns[:3], tuple(columns[3:]) if explore else None)
 
 
 def per_row_reinforce_field(env, policy, points, episodes, gamma, seed):
@@ -108,12 +122,19 @@ def per_row_reinforce_field(env, policy, points, episodes, gamma, seed):
     return np.stack(rows)
 
 
-def reference_row_logprob_grads(parts, states, actions, weights):
+def reference_row_logprob_grads(parts, states, actions, weights,
+                                record=None):
     """``PolicyMLP.row_logprob_grads`` with every temporary made out of
-    place, the reference for the in-place body: the same operations in the
-    same order."""
+    place, the reference for the body that reads a kept record into
+    work-area buffers: the same operations in the same order.  Without a
+    `record` (h1, h2, mean) it forwards the MLP itself, out of place, over
+    all N steps at once."""
     w1, b1, w2, b2, w3, b3, log_std = parts
-    h1, h2, mu = _mlp_layers(parts, states)
+    if record is None:
+        h1 = np.tanh(states @ w1 + b1[:, None, :])
+        h2 = np.tanh(h1 @ w2 + b2[:, None, :])
+        record = h1, h2, h2 @ w3 + b3[:, None, :]
+    h1, h2, mu = record
     inv_var = np.exp(-2.0 * log_std)[:, None, :]
     w = weights[:, :, None]
     diff = actions - mu
@@ -373,19 +394,49 @@ def reference_evaluation_returns(env, policy, episodes, gamma, rng):
     return _return_to_go(rewards[0], gamma)[:, 0]
 
 
+def reference_record(policy, parts, states):
+    """The policy's record at (B, E, H, state_dim) states, forwarded out of
+    place one step of (B, E) states at a time, the products' shapes of
+    play: (h1, h2, mean) for the MLP, (mean,) for the gain policy, each
+    (B, E, H, width).  The matrix kernel, and so the last bits, may depend
+    on E; a forward over all E * H steps at once would take another."""
+    steps = []
+    for t in range(states.shape[2]):
+        state = states[:, :, t]
+        if isinstance(policy, LinearGainPolicy):
+            k, b = parts
+            steps.append((-state @ k.swapaxes(1, 2) + b[:, None, :],))
+        else:
+            w1, b1, w2, b2, w3, b3 = parts[:6]
+            h1 = np.tanh(state @ w1 + b1[:, None, :])
+            h2 = np.tanh(h1 @ w2 + b2[:, None, :])
+            steps.append((h1, h2, h2 @ w3 + b3[:, None, :]))
+    return [np.stack(column, axis=2) for column in zip(*steps)]
+
+
 def reference_reinforce_field(env, policy, points, episodes, gamma, rng):
     """``rpg.policy.reinforce_field`` in one block on
     ``reference_play_rows``, episode-major rows stacked from per-step
-    arrays."""
+    arrays, differentiated out of place on a forward of its own
+    (``reference_record``): ``reference_row_logprob_grads`` for the MLP,
+    the closed form for the gain policy."""
     events = _draw_episode_events(env, policy, episodes, rng)
     parts = policy.layout.unflatten_batch(np.asarray(points, dtype=float))
     states, actions, rewards = reference_play_rows(env, policy, parts,
                                                    events)
     rows = len(points)
-    return policy.row_logprob_grads(
-        parts, states.reshape(rows, -1, states.shape[-1]),
-        actions.reshape(rows, -1, actions.shape[-1]),
-        _reinforce_weights(rewards, gamma).reshape(rows, -1))
+
+    def steps(a):
+        return a.reshape(rows, -1, a.shape[-1])
+
+    record = [steps(r) for r in reference_record(policy, parts, states)]
+    states, actions = steps(states), steps(actions)
+    weights = _reinforce_weights(rewards, gamma).reshape(rows, -1)
+    if not isinstance(policy, LinearGainPolicy):
+        return reference_row_logprob_grads(parts, states, actions, weights,
+                                           record)
+    wz = weights[:, :, None] * ((actions - record[0]) / policy.sigma ** 2)
+    return _flat_rows([-(wz.swapaxes(1, 2) @ states), wz.sum(axis=1)])
 
 
 def _per_step_moments(a_cl, env, gamma, init_second_moment, horizon):

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from rpg.cli import _run_names, main
@@ -121,6 +122,25 @@ def test_train_env_parameter_error_exits_1_on_its_line(tmp_path, capsys):
     assert main(["train", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {cfg}: line 3: dt ")
+
+
+def test_train_abort_names_its_cause(tmp_path, capsys):
+    # pointmass at the defaults aborts at its third update on a non-finite
+    # gradient, with theta still finite (ROADMAP item 1)
+    cfg = write_cfg(tmp_path, "[run]\nvariant = baseline\n"
+                              "[env]\nkind = pointmass\n")
+    out = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["train", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert ("aborted: the update gradient was not finite; the log above "
+            "is partial") in err
+    assert "policy parameters" not in err
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["aborted"] and summary["abort_reason"] == "gradient"
+    assert summary["updates"] == 2
+    assert len(read_metrics(out / "metrics.csv")) == 2
+    assert all(np.isfinite(summary["final_theta"]))
 
 
 def test_train_missing_config_exits_1(tmp_path, capsys):

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+import rpg.policy
 import tape_reference
-from helpers import (lqr_analytic_gradient, one_row_logprob_grad, own_parts,
+from helpers import (logprob_grads, lqr_analytic_gradient,
+                     one_row_logprob_grad, own_parts, per_row_reinforce_field,
                      reference_evaluation_returns, reference_play_rows,
                      reference_reinforce_field, reference_row_logprob_grads)
 from rpg.envs import LqrEnv, make_env
@@ -169,8 +171,8 @@ def test_mlp_gradient_rows_match_one_row_each():
     states = rng.normal(size=(5, 30, 4))
     actions = rng.normal(size=(5, 30, 2))
     weights = rng.normal(size=(5, 30))
-    got = pol.row_logprob_grads(pol.layout.unflatten_batch(points), states,
-                                actions, weights)
+    got = logprob_grads(pol, pol.layout.unflatten_batch(points), states,
+                        actions, weights)
     for b, point in enumerate(points):
         pol.set_theta(point)
         want = tape_reference.mlp_logprob_grad(pol, states[b], actions[b],
@@ -195,7 +197,7 @@ def test_mlp_gradient_rows_equal_out_of_place_reference_bitwise(rows,
     actions = rng.normal(size=(rows, steps, env.action_dim))
     weights = rng.normal(size=(rows, steps))
     assert np.array_equal(
-        pol.row_logprob_grads(parts, states, actions, weights),
+        logprob_grads(pol, parts, states, actions, weights),
         reference_row_logprob_grads(parts, states, actions, weights))
 
 
@@ -344,3 +346,58 @@ def test_play_makes_one_rewards_call_and_no_advance_after_the_last_step():
     calls.clear()
     reinforce_field(env, policy, np.zeros((5, 2)), 3, GAMMA, RngStream(0))
     assert calls == ["advance"] * 6 + ["rewards"]
+
+
+def test_reinforce_field_work_area_leaks_nothing_between_calls():
+    # the area outlives each call; blocks of 32 and 8 rows, a 5-row call
+    # and a different E reuse or add its buffers, and gain-policy calls
+    # come in between: every result equals the out-of-place reference
+    env, policy, points = play_case("pointmass", {}, 40, 3)
+    lqr, gain, gain_points = play_case("lqr", NOISY_3X2, 7, 4)
+    for rows, episodes, seed in ((40, 4, 0), (5, 4, 1), (40, 3, 2)):
+        for field_env, field_policy, at in ((env, policy, points[:rows]),
+                                            (lqr, gain, gain_points)):
+            got = reinforce_field(field_env, field_policy, at, episodes,
+                                  GAMMA, RngStream(seed))
+            want = reference_reinforce_field(field_env, field_policy, at,
+                                             episodes, GAMMA,
+                                             RngStream(seed))
+            assert np.array_equal(got, want)
+
+
+def test_reinforce_forwards_each_step_once(monkeypatch):
+    # a field block forwards the MLP at each of its H steps and never
+    # again; the fresh batch forwards only while it plays
+    forwards = []
+    layers = rpg.policy._mlp_layers
+
+    def counted(parts, states):
+        forwards.append(states.shape[:2])
+        return layers(parts, states)
+
+    monkeypatch.setattr(rpg.policy, "_mlp_layers", counted)
+    env = make_env("pointmass", horizon=9)
+    policy = PolicyMLP(env.state_dim, env.action_dim, RngStream(5))
+    points = policy.theta + RngStream(6).normal(
+        size=(rpg.policy.ROW_BLOCK + 3, policy.theta.size), scale=0.1)
+    got = reinforce_field(env, policy, points, 4, GAMMA, RngStream(7))
+    assert forwards == [(rpg.policy.ROW_BLOCK, 4)] * 9 + [(3, 4)] * 9
+    forwards.clear()
+    batch = rollout(env, policy, 2, RngStream(8))
+    assert forwards == [(1, 2)] * 9
+    grad = reinforce_gradient_from_batch(policy, batch, GAMMA)
+    assert len(forwards) == 9
+    monkeypatch.undo()
+    assert np.array_equal(got, reference_reinforce_field(
+        env, policy, points, 4, GAMMA, RngStream(7)))
+    want = per_row_reinforce_field(env, policy, policy.theta, 2, GAMMA, 8)
+    assert np.max(np.abs(grad - want[0])) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_reinforce_needs_an_exploring_batch():
+    env = make_env("lqr")
+    policy = LinearGainPolicy(1, 1, k=[[0.3]])
+    batch = rollout(env, policy, 2, RngStream(0), explore=False)
+    assert batch.record is None
+    with pytest.raises(ValueError, match="exploration"):
+        reinforce_gradient_from_batch(policy, batch, GAMMA)

@@ -455,11 +455,33 @@ def test_abort_on_nonfinite_evaluation_keeps_last_finite_return():
                       policy_lr=1e3, seed=0)
     with np.errstate(over="ignore", invalid="ignore"):
         summary = run_training(cfg)
-    assert summary.aborted
+    assert summary.aborted and summary.abort_reason == "evaluation"
     assert 0 < len(summary.records) < 200
     assert all(np.isfinite(r.eval_return) for r in summary.records)
     assert summary.final_return == summary.records[-1].eval_return
     assert np.isfinite(summary.final_return)
+
+
+def test_abort_reason_names_the_check_that_ended_the_run(monkeypatch):
+    # pointmass at the defaults: the third update's gradient is not
+    # finite while theta still is (ROADMAP item 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        summary = run_training(TrainConfig(env_kind="pointmass"))
+    assert summary.abort_reason == "gradient" and len(summary.records) == 2
+    assert np.all(np.isfinite(summary.final_theta))
+    finished = run_training(TrainConfig(total_steps=50))
+    assert finished.abort_reason is None and not finished.aborted
+    # a finite direction whose step overflows theta
+    step = rpg.training.regularize_step
+
+    def overflowing(theta, *args):
+        direction, report, phi = step(theta, *args)
+        return np.full_like(direction, 1e308), report, phi
+
+    monkeypatch.setattr(rpg.training, "regularize_step", overflowing)
+    with np.errstate(over="ignore"):
+        summary = run_training(TrainConfig(policy_lr=10.0))
+    assert summary.abort_reason == "parameters" and not summary.records
 
 
 def test_records_fraction_matches_definition():
