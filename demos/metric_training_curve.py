@@ -12,10 +12,10 @@ import argparse
 
 import numpy as np
 
-from rpg.divergence import probe_field_rows
-from rpg.fields import ProbeConfig, default_fd_step
+from rpg.divergence import draw_probes, probe_field_rows
+from rpg.fields import ProbeConfig
 from rpg.metricnet import (LayerLayout, MetricNetConfig, init_params,
-                           train_metric_net, training_probes)
+                           train_metric_net)
 from rpg.rng import RngStream
 
 
@@ -34,8 +34,7 @@ def main():
     phi = init_params(RngStream(args.seed), MetricNetConfig(m_tilde=3), layout)
     pc = ProbeConfig(probe_count=args.probes, seed=args.seed)
     rows = probe_field_rows(grad_fn, theta,
-                            training_probes(pc, args.iters, theta.size),
-                            default_fd_step(theta))
+                            draw_probes(pc, args.iters, theta.size)[:-1])
     _, history = train_metric_net(phi, theta, rows, pc, lr=0.1,
                                   kick_scale=0.05)
 

@@ -19,8 +19,9 @@ Import layout:
                     the exp-decomposition check and its matrix_exp
     rpg.metric      the rank-one metric: det, inverse-apply, bilinear form
     rpg.fields      batched field calls, FD step, probe settings
-    rpg.divergence  exact divergence; the probe estimator shared by the
-                    report and the metric loss; Hessian trace, ratio
+    rpg.divergence  exact divergence; one probe draw and one field call
+                    per update, batches frozen in place, and the
+                    estimator the report and the metric loss share
     rpg.geodesic    geodesic update direction (one u-VJP) +
                     Christoffel/ODE oracles
     rpg.metricnet   the metric network, its fused loss and phi-gradient

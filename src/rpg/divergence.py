@@ -15,10 +15,12 @@ directional derivative along J — the identity
 
 is exact, which turns O(n^2) work into O(1) field evaluations per estimate.
 
-``probe_divergence`` is that estimator, with its reverse pass to u, at a
-batch frozen by ``freeze_probe_batch``.  The metric net's loss and
+An update draws its probe matrices at once (``draw_probes``) and calls the
+field once at all their rows (``probe_field_rows``).  ``probe_divergence``
+is the estimator, with its reverse pass to u, at one matrix's batch frozen
+in place by ``freeze_probe_batch``.  The metric net's loss and
 ``divergence_report`` both call it, so they agree bit for bit; both take
-the field only as ``ProbeRows``, the rows of one ``probe_field_rows`` call.
+the field only as ``ProbeRows``.
 
 Two independent oracles guard the algebra at small n: the volume-weighted
 form (1/sqrt(g)) sum_m d_m(sqrt(g) J^m), and the Christoffel-corrected
@@ -88,111 +90,93 @@ def divergence_exact(grad_fn, u_fn, theta: np.ndarray,
 
 
 @dataclass(frozen=True)
-class FrozenProbes:
-    """One probe batch's constants: probe points, field values, and step.
-
-    Rows of points: [0:K] theta+eps*v, [K:2K] theta-eps*v, then theta+eps*J0,
-    theta-eps*J0, theta itself.  grads holds the gradient field at the first
-    2K rows only — the volume term needs no gradients — sliced from a
-    field call that covers them (``probe_field_rows``).
-    """
-
-    points: np.ndarray
-    probes: np.ndarray
-    grads: np.ndarray
-    eps: float
-
-
-@dataclass(frozen=True)
 class ProbeRows:
-    """The gradient field at theta and at the probe rows of I probe matrices.
+    """I probe matrices, shape (I, K, n), each laid out as its batch.
 
-    probes stacks the matrices, shape (I, K, n); rows[i] holds the (2K, n)
-    points theta + eps*V_i then theta - eps*V_i, and grads[i] the field at
-    them; g0 is grad f(theta).  Slicing with ``rows[a:b]`` keeps the
-    matrices a..b-1 and the shared g0 and eps.  Nothing is checked for
-    finiteness: each consumer checks the rows it uses.
+    points[i] is matrix i's (2K + 3, n) batch: theta + eps*V_i, theta -
+    eps*V_i, two rows for theta +- eps*J0 (``freeze_probe_batch``), then
+    theta; grads[i] is the field at its first 2K rows and g0 at theta.
+    ``rows[a:b]`` keeps matrices a..b-1, as views.  Nothing is checked
+    for finiteness: each consumer checks the rows it uses.
     """
 
     probes: np.ndarray
     eps: float
     g0: np.ndarray
     grads: np.ndarray
-    rows: np.ndarray
+    points: np.ndarray
 
     def __getitem__(self, which: slice) -> "ProbeRows":
         return ProbeRows(probes=self.probes[which], eps=self.eps, g0=self.g0,
-                         grads=self.grads[which], rows=self.rows[which])
+                         grads=self.grads[which], points=self.points[which])
 
 
-def probe_field_rows(grad_fn, theta: np.ndarray, probes: np.ndarray,
-                     eps: float) -> ProbeRows:
+def draw_probes(pc: ProbeConfig, iters: int, n: int) -> np.ndarray:
+    """The (iters + 1, K, n) Rademacher probe matrices of one update.
+
+    Metric training's iters matrices come first, drawn in iteration order
+    from ``RngStream(pc.seed).spawn("alg1-probes")``; the report's own
+    comes last, from ``RngStream(pc.seed)``, so the ratio is measured on
+    probes the net did not train on.
+    """
+    train_rng = RngStream(pc.seed).spawn("alg1-probes")
+    mats = [rademacher_matrix(train_rng, pc.probe_count, n)
+            for _ in range(iters)]
+    mats.append(rademacher_matrix(RngStream(pc.seed), pc.probe_count, n))
+    return np.stack(mats)
+
+
+def probe_field_rows(grad_fn, theta: np.ndarray,
+                     probes: np.ndarray) -> ProbeRows:
     """Gradient field at theta and at every probe row, in one field call.
 
-    probes stacks I probe matrices, shape (I, K, n).  The call covers
-    [theta; theta + eps*V_1; theta - eps*V_1; ...; theta - eps*V_I], one
-    row per point.
+    The call covers [theta; theta + eps*V_1; theta - eps*V_1; ...;
+    theta - eps*V_I] for the (I, K, n) probes, eps = default_fd_step(theta).
     """
     theta = np.asarray(theta, dtype=np.float64)
-    rows = np.stack([theta + eps * probes, theta - eps * probes], axis=1)
-    rows = rows.reshape(rows.shape[0], -1, theta.size)
+    eps, (count, k, n) = default_fd_step(theta), probes.shape
+    step = eps * probes
+    points = np.concatenate([theta + step, theta - step,
+                             np.broadcast_to(theta, (count, 3, n))], axis=1)
     out = eval_points(grad_fn, np.concatenate(
-        [theta[None], rows.reshape(-1, theta.size)]))
+        [theta[None], points[:, :2 * k].reshape(-1, n)]))
     return ProbeRows(probes=probes, eps=eps, g0=out[0],
-                     grads=out[1:].reshape(rows.shape), rows=rows)
+                     grads=out[1:].reshape(count, 2 * k, n), points=points)
 
 
-def report_probes(pc: ProbeConfig, n: int) -> np.ndarray:
-    """The report's one (K, n) probe matrix, drawn from ``RngStream(pc.seed)``
-    and so distinct from the metric net's training probes."""
-    return rademacher_matrix(RngStream(pc.seed), pc.probe_count, n)
-
-
-def probe_batch_points(rows: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """A new (2K + 3, n) points buffer for ``freeze_probe_batch``: the 2K
-    probe rows, two rows that will hold theta +- eps*J0, and theta."""
-    return np.concatenate([rows, np.broadcast_to(theta, (3, theta.size))])
-
-
-def freeze_probe_batch(points: np.ndarray, u0: np.ndarray, g0: np.ndarray,
-                       probes: np.ndarray, probe_grads: np.ndarray,
-                       eps: float) -> FrozenProbes:
-    """Freeze one probe batch into points, from precomputed field values.
-
-    points is the batch's (2K + 3, n) buffer (``probe_batch_points``):
-    its first 2K rows already hold theta +- eps*probes and its last row
-    theta.  This writes rows 2K and 2K + 1, theta +- eps*J0 with
-    J0 = G^-1 g0 at u0, and the returned batch refers to the buffer, so a
-    caller that reuses it for the next batch must be done with this one.
-    u0 is u(theta), g0 is grad f(theta), and probe_grads the (2K, n)
-    field rows at the first 2K points (see ``probe_field_rows``).
-    Nothing is checked for finiteness: the callers check each input once,
-    a training pass for all its iterations up front.
+def freeze_probe_batch(rows: ProbeRows, i: int, u0: np.ndarray) -> ProbeRows:
+    """Write theta +- eps*J0, J0 = G^-1 g0 at u0 = u(theta), into matrix
+    i's batch in place, and return that matrix alone, for
+    ``probe_divergence``.  Nothing is checked for finiteness: the callers
+    check each input once, a training pass for all its iterations up front.
     """
-    k2 = 2 * len(probes)
+    points, g0 = rows.points[i], rows.g0
+    k2 = 2 * rows.probes.shape[1]
     theta = points[-1]
     # G^-1 g0 = g0 - u0 (u0.g0) / (1 + u0.u0), as ``metric.inverse_apply``
     j0 = g0 - u0 * (np.add.reduce(u0 * g0, axis=-1)
                     / (np.add.reduce(u0 * u0, axis=-1) + 1.0))
-    step = eps * j0
+    step = rows.eps * j0
     points[k2] = theta + step
     points[k2 + 1] = theta - step
-    return FrozenProbes(points=points, probes=probes, grads=probe_grads,
-                        eps=eps)
+    return ProbeRows(probes=rows.probes[i:i + 1], eps=rows.eps, g0=g0,
+                     grads=rows.grads[i:i + 1], points=rows.points[i:i + 1])
 
 
-def probe_divergence(u: np.ndarray, ctx: FrozenProbes):
-    """(div, vjp): the probe estimate of Div J from u at every row of
-    ctx.points; vjp maps a cotangent of div to the cotangent of u."""
+def probe_divergence(u: np.ndarray, ctx: ProbeRows):
+    """(div, vjp): the probe estimate of Div J from u at every row of the
+    one-matrix batch ctx (``freeze_probe_batch``); vjp maps a cotangent of
+    div to the cotangent of u."""
     # probe term: J = G^-1 grad at theta +- eps*v, differenced along v
-    k = ctx.probes.shape[0]
-    up, x = u[:2 * k], ctx.grads
+    probes, x = ctx.probes[0], ctx.grads[0]
+    k = probes.shape[0]
+    up = u[:2 * k]
     det = np.add.reduce(up * up, axis=-1, keepdims=True) + 1.0
     ux = np.add.reduce(up * x, axis=-1, keepdims=True)
     q = ux / det
     j = x - up * q
     scale = 1.0 / (2.0 * ctx.eps * k)
-    term1 = np.add.reduce(ctx.probes * (j[:k] - j[k:]), axis=None) * scale
+    term1 = np.add.reduce(probes * (j[:k] - j[k:]), axis=None) * scale
     # volume term: u(theta) . (u(theta + eps*J0) - u(theta - eps*J0))
     u_jp, u_jm, u_t = u[2 * k], u[2 * k + 1], u[2 * k + 2]
     du = u_jp - u_jm
@@ -204,7 +188,7 @@ def probe_divergence(u: np.ndarray, ctx: FrozenProbes):
         # summing each row's terms in the order a reverse sweep over the
         # forward's operations would; det and den each enter through u
         # twice, so their terms are added twice
-        g_j = ctx.probes * (g_div * scale)
+        g_j = probes * (g_div * scale)
         g_j = np.concatenate([g_j, -g_j])
         g_q = -np.add.reduce(g_j * up, axis=-1, keepdims=True)
         g_det = -g_q * ux / (det * det)
@@ -222,7 +206,7 @@ def probe_divergence(u: np.ndarray, ctx: FrozenProbes):
     return div, vjp
 
 
-def divergence_report(u_fn, theta: np.ndarray, field_rows: ProbeRows,
+def divergence_report(u_fn, field_rows: ProbeRows,
                       u0: np.ndarray) -> DivergenceReport:
     """Estimated divergence and Hessian trace from one shared probe draw.
 
@@ -230,21 +214,19 @@ def divergence_report(u_fn, theta: np.ndarray, field_rows: ProbeRows,
     the Laplacian: its probe sum runs over the raw gradient rows.  So the
     two are identical when u = 0, and the ratio is exactly 1 at the
     Euclidean start rather than 1 +- probe noise.  field_rows holds the
-    field at theta and at the 2K rows of one probe matrix
-    (``probe_field_rows`` over ``report_probes(pc, n)[None]``); u0 is
-    u(theta).  u_fn is forwarded once, over the frozen batch.  A
-    non-finite u or field value raises NonFiniteField.
+    field at theta and at the 2K rows of one probe matrix, the report's
+    (the last of ``draw_probes``); u0 is u(theta).  The batch is frozen in
+    place and u_fn forwarded once over it.  A non-finite u or field value
+    raises NonFiniteField.
     """
-    theta = np.asarray(theta, dtype=np.float64)
     require_finite(u0, "metric factor field")
     require_finite(field_rows.g0, "gradient field")
     require_finite(field_rows.grads, "gradient field")
-    ctx = freeze_probe_batch(probe_batch_points(field_rows.rows[0], theta),
-                             u0, field_rows.g0, field_rows.probes[0],
-                             field_rows.grads[0], field_rows.eps)
-    us = require_finite(eval_points(u_fn, ctx.points), "metric factor field")
+    ctx = freeze_probe_batch(field_rows, 0, u0)
+    points = ctx.points[0]
+    us = require_finite(eval_points(u_fn, points), "metric factor field")
     div, _ = probe_divergence(us, ctx)
-    trace, _ = probe_divergence(np.zeros_like(ctx.points), ctx)
+    trace, _ = probe_divergence(np.zeros_like(points), ctx)
     div, trace = float(div), float(trace)
     return DivergenceReport(
         div=div,
@@ -258,10 +240,8 @@ def hessian_trace_hutchinson(grad_fn, theta: np.ndarray,
                              pc: ProbeConfig) -> float:
     """Hutchinson's trace of the Hessian: the report's trace, at u = 0."""
     theta = np.asarray(theta, dtype=np.float64)
-    rows = probe_field_rows(grad_fn, theta,
-                            report_probes(pc, theta.size)[None],
-                            default_fd_step(theta))
-    return divergence_report(np.zeros_like, theta, rows,
+    rows = probe_field_rows(grad_fn, theta, draw_probes(pc, 0, theta.size))
+    return divergence_report(np.zeros_like, rows,
                              np.zeros_like(theta)).hessian_trace
 
 

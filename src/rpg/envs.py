@@ -94,6 +94,9 @@ class LqrEnv(_Env):
                 f"{MAX_LQR_STATE_DIM}")
         self.horizon = _check_horizon(horizon)
         self.noise_scale = float(noise_scale)
+        if not (np.isfinite(self.noise_scale) and self.noise_scale >= 0.0):
+            raise ValueError(f"noise_scale must be finite and >= 0, got "
+                             f"{noise_scale}")
 
     @property
     def state_dim(self):

@@ -22,17 +22,14 @@ gradient bitwise.
 
 ``train_metric_net`` drives the squared probe-estimated divergence toward
 zero in the network parameters phi.  No gradient-field value depends on
-phi, so everything that does not is done once per pass: the probe vectors
-of every iteration are drawn up front, the field values at theta and at
-every iteration's theta +- eps*v rows come in as one ``ProbeRows`` (the one
-field call of a training update, which also covers the divergence report's
-rows; ``rpg.training.regularize_step``), the first iteration with a
-non-finite field row is found, and theta is placed in one reused
-frozen-points buffer.  Per iteration the loop builds A once, forwards
-u(theta), copies its probe rows into the buffer and writes the two points
-theta +- eps*J displaced along the current field; the field values, probe
-vectors and points are then frozen as constants, and the loss forward
-reuses that A.  Only u(., phi) depends on phi, so the loss is
+phi, so everything that does not is done once per pass: every iteration's
+probe matrix, field values and batch of points come in as one
+``ProbeRows`` (from the one field call of a training update;
+``rpg.training.regularize_step``), and the first iteration with a
+non-finite field row is found.  Per iteration the loop builds A once,
+forwards u(theta) and writes, in place, the batch's two points theta +-
+eps*J displaced along the current field; the batch is then frozen as
+constants, and the loss forward reuses that A.  Only u(., phi) depends on phi, so the loss is
 differentiable in phi without differentiating the objective's gradient
 field.  The loss squares the divergence report's own estimate
 (``rpg.divergence.probe_divergence``), whose reverse pass ends at u; from
@@ -65,13 +62,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .divergence import (FrozenProbes, ProbeRows, freeze_probe_batch,
-                         probe_batch_points, probe_divergence)
+from .divergence import ProbeRows, freeze_probe_batch, probe_divergence
 from .errors import BadDimensions, LayoutMismatch
 from .fields import ProbeConfig
 from .fourier import (build_fourier_pair, build_u, rotate_parts,
                       rotate_transpose, scaling_vector)
-from .rng import RngStream, rademacher_matrix
+from .rng import RngStream
 
 # v2 headers record LayerLayout.pool_exempt; v1 files still load, with the
 # default exempt part
@@ -574,9 +570,9 @@ class Adam:
         params -= a
 
 
-def evaluate_divergence_loss(phi: MetricNetParams, ctx: FrozenProbes,
+def evaluate_divergence_loss(phi: MetricNetParams, ctx: ProbeRows,
                              out: np.ndarray | None = None, front=None):
-    """(div, loss, phi-gradient) for the frozen probe batch.
+    """(div, loss, phi-gradient) for the frozen batch ctx.
 
     One numpy forward re-evaluates u through the network at every frozen
     point and keeps its record (``_u_forward``); the gradient field enters
@@ -588,7 +584,7 @@ def evaluate_divergence_loss(phi: MetricNetParams, ctx: FrozenProbes,
     forward when None.
     """
     fp = build_fourier_pair(phi.layout.n, phi.m_tilde)
-    u, record = _u_forward(phi, fp, ctx.points, front)
+    u, record = _u_forward(phi, fp, ctx.points[0], front)
     div, vjp = probe_divergence(u, ctx)
     if out is None:
         out = np.empty(phi.size)
@@ -602,14 +598,6 @@ def _kick_heads(phi: MetricNetParams, rng: RngStream, scale: float) -> None:
         a += rng.uniform(-scale, scale, a.shape)
 
 
-def training_probes(pc: ProbeConfig, max_iters: int, n: int) -> np.ndarray:
-    """The (max_iters, K, n) probe matrices of one training pass, drawn in
-    iteration order from ``RngStream(pc.seed).spawn("alg1-probes")``."""
-    probe_rng = RngStream(pc.seed).spawn("alg1-probes")
-    return np.stack([rademacher_matrix(probe_rng, pc.probe_count, n)
-                     for _ in range(max_iters)])
-
-
 def train_metric_net(phi: MetricNetParams, theta: np.ndarray,
                      field_rows: ProbeRows, pc: ProbeConfig, lr: float = 1e-3,
                      kick_scale: float = 1e-2):
@@ -621,20 +609,18 @@ def train_metric_net(phi: MetricNetParams, theta: np.ndarray,
     always describing the best iterate seen so far — the curve is exactly
     non-increasing in loss, and the final entry describes the returned phi.
 
-    field_rows holds the field at theta and at the rows of the pass's
-    probe matrices (``probe_field_rows`` over ``training_probes``); the
-    pass runs at most one iteration per matrix, and a ProbeRows without
-    one raises ValueError.  Once per pass: the first iteration whose
-    field rows are not all finite (a non-finite value at theta is the
-    first, and the pass ends before it), the points buffer of a frozen
-    batch with theta in its last row.  Per iteration, only what depends
-    on phi: A (``_collapse``), which both forwards share, u(theta) (one
-    one-row forward), the batch's probe rows copied in and theta +-
-    eps*J0 written (``freeze_probe_batch``), the loss and its phi-gradient
+    field_rows holds the pass's probe matrices, at most one per
+    iteration, and the field at their rows (``probe_field_rows``); one
+    without a matrix raises ValueError.  Once per pass: the first
+    iteration whose field rows are not all finite (a non-finite value at
+    theta is the first, and the pass ends before it).  Per iteration,
+    only what depends on phi: A (``_collapse``), which both forwards
+    share, u(theta) (one one-row forward), the iteration's batch frozen
+    in place (``freeze_probe_batch``), the loss and its phi-gradient
     (``evaluate_divergence_loss``, into one flat buffer), then an Adam
-    step or a kick.  A non-finite u(theta) or loss
-    aborts the loop at its iteration; the incumbent is returned unchanged.
-    Adam works on one flat copy of phi's arrays.
+    step or a kick.  A non-finite u(theta) or loss aborts the loop at its
+    iteration; the incumbent is returned unchanged.  Adam works on one
+    flat copy of phi's arrays.
     """
     iters = len(field_rows.probes)
     if iters < 1:
@@ -650,12 +636,9 @@ def train_metric_net(phi: MetricNetParams, theta: np.ndarray,
     best_loss, best_div = np.inf, np.nan
     history = []
 
-    probes, eps, g0 = field_rows.probes, field_rows.eps, field_rows.g0
-    probe_grads, rows = field_rows.grads, field_rows.rows
-    finite = np.isfinite(probe_grads).all(axis=(1, 2)) & np.isfinite(g0).all()
+    finite = (np.isfinite(field_rows.grads).all(axis=(1, 2))
+              & np.isfinite(field_rows.g0).all())
     stop = iters if finite.all() else int(finite.argmin())
-    points = probe_batch_points(rows[0], theta)
-    k2 = rows.shape[1]
     theta_row = theta[None]
     fp = build_fourier_pair(theta.size, phi.m_tilde)
 
@@ -665,9 +648,7 @@ def train_metric_net(phi: MetricNetParams, theta: np.ndarray,
         u0 = build_u(fp, omega, sigma, theta_row)[0]
         if not np.isfinite(u0).all():
             break
-        points[:k2] = rows[it]
-        ctx = freeze_probe_batch(points, u0, g0, probes[it], probe_grads[it],
-                                 eps)
+        ctx = freeze_probe_batch(field_rows, it, u0)
         div, loss, _ = evaluate_divergence_loss(work, ctx, grad, front)
         if not math.isfinite(loss):
             break

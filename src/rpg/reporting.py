@@ -120,8 +120,10 @@ def trajectory_sha256(*summaries):
 
 
 def write_summary(summary, path):
-    """Write the run summary JSON (sorted keys, so byte-deterministic),
-    with the run's ``trajectory_sha256``."""
+    """Write the run summary as strict JSON (sorted keys, so
+    byte-deterministic), with the run's ``trajectory_sha256``.  A
+    non-finite float, such as the NaN returns of a run that aborted
+    before its first record, is written as null."""
     payload = {
         "final_return": summary.final_return,
         "best_return": summary.best_return,
@@ -135,8 +137,10 @@ def write_summary(summary, path):
                         else [float(v) for v in summary.final_theta]),
         "trajectory_sha256": trajectory_sha256(summary),
     }
+    # a round trip that reads NaN and +-Infinity as null, at any depth
+    payload = json.loads(json.dumps(payload), parse_constant=lambda _: None)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

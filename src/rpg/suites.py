@@ -21,11 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .divergence import (covariant_laplacian_oracle, divergence_exact,
-                         freeze_probe_batch, hessian_trace_hutchinson,
-                         laplace_beltrami_oracle, probe_batch_points,
+                         draw_probes, freeze_probe_batch,
+                         hessian_trace_hutchinson, laplace_beltrami_oracle,
                          probe_field_rows)
 from .errors import DegenerateSpectrum
-from .fields import ProbeConfig, default_fd_step
+from .fields import ProbeConfig
 from .fourier import (build_fourier_pair, check_exp_decomposition,
                       dense_rotation, full_pair, rotate)
 from .geodesic import (christoffel_fd, covariant_metric_residual,
@@ -34,7 +34,7 @@ from .geodesic import (christoffel_fd, covariant_metric_residual,
 from .metric import MetricPoint, inverse_apply, metric_det, metric_matrix
 from .metricnet import (LayerLayout, MetricNetConfig, UField,
                         evaluate_divergence_loss, init_params,
-                        train_metric_net, training_probes)
+                        train_metric_net)
 from .rng import RngStream, rademacher_matrix
 
 PASS, FAIL, SKIP, DEFECT = "PASS", "FAIL", "SKIP", "KNOWN-DEFECT"
@@ -266,14 +266,13 @@ def suite_metric_training():
     d = np.arange(1.0, 9.0)
     grad_fn = lambda p: p * d
     theta = np.ones(8)
-    eps = default_fd_step(theta)
     layout = LayerLayout.from_vector(8)
     ratios = []
     for seed in range(10):
         phi = init_params(RngStream(seed), MetricNetConfig(m_tilde=3), layout)
         pc = ProbeConfig(probe_count=64, seed=seed)
         rows = probe_field_rows(grad_fn, theta,
-                                training_probes(pc, 20, theta.size), eps)
+                                draw_probes(pc, 20, theta.size)[:-1])
         _, history = train_metric_net(phi, theta, rows, pc, lr=0.1,
                                       kick_scale=0.05)
         ratios.append(history[-1][2] / history[0][2])
@@ -286,10 +285,8 @@ def suite_metric_training():
               phi.head_sigma_w, phi.head_sigma_b):
         a += r.uniform(-0.05, 0.05, a.shape)
     probes = rademacher_matrix(RngStream(0), 8, theta.size)
-    field = probe_field_rows(grad_fn, theta, probes[None], eps)
-    ctx = freeze_probe_batch(probe_batch_points(field.rows[0], theta),
-                             UField(phi)(theta), field.g0, probes,
-                             field.grads[0], eps)
+    field = probe_field_rows(grad_fn, theta, probes[None])
+    ctx = freeze_probe_batch(field, 0, UField(phi)(theta))
     _, _, grad = evaluate_divergence_loss(phi, ctx)
     grads = phi.with_flat(grad).params_list()
     arrs = phi.params_list()

@@ -22,15 +22,14 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .divergence import (DivergenceReport, divergence_report,
-                         probe_field_rows, report_probes)
+from .divergence import (DivergenceReport, divergence_report, draw_probes,
+                         probe_field_rows)
 from .envs import lqr_return_gradient, make_env
 from .errors import BadDimensions, ConfigError, NonFiniteField
-from .fields import ProbeConfig, default_fd_step
+from .fields import ProbeConfig
 from .geodesic import geodesic_gradient
 from .metric import MetricPoint, inverse_apply
-from .metricnet import (MetricNetConfig, UField, init_params,
-                        train_metric_net, training_probes)
+from .metricnet import MetricNetConfig, UField, init_params, train_metric_net
 from .policy import (LinearGainPolicy, ParamPolicy, PolicyMLP,
                      evaluation_returns, reinforce_field,
                      reinforce_gradient_from_batch, rollout)
@@ -73,8 +72,8 @@ class TrainConfig:
             raise ValueError("update_interval must be >= 1")
         if self.total_steps < self.update_interval:
             raise ValueError("total_steps must be >= update_interval")
-        if not self.policy_lr > 0:
-            raise ValueError("policy_lr must be > 0")
+        if not (np.isfinite(self.policy_lr) and self.policy_lr > 0):
+            raise ValueError("policy_lr must be finite and > 0")
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
         if self.probe_count < 1:
@@ -189,14 +188,14 @@ def regularize_step(theta, grad, phi, cfg, grad_fn, probe_cfg):
     NonFiniteField.
     baseline: the gradient passes through untouched and phi is not
     consulted; a None grad costs one grad_fn call at theta alone.
-    J/T: one grad_fn call (``probe_field_rows``) covers theta (row 0, the
-    gradient when grad is None), the probe rows of every metric-training
-    iteration (``training_probes``; none with cfg.freeze_phi) and the
-    report's probe rows (``report_probes``, a draw of its own, so the
-    ratio is measured on probes the net did not train on):
+    J/T: one draw (``draw_probes``) gives the probe matrices of every
+    metric-training iteration (none with cfg.freeze_phi) and, last, the
+    report's own, so the ratio is measured on probes the net did not
+    train on.  One grad_fn call (``probe_field_rows``) covers theta (row
+    0, the gradient when grad is None) and their probe rows:
     1 + 2K * metric_iters + 2K rows, K = probe_count.  Unless
-    cfg.freeze_phi, the metric net is refined on the training slice,
-    warm-started from phi; the report reads the last matrix's slice.
+    cfg.freeze_phi, the metric net is refined on the training matrices,
+    warm-started from phi; the report reads the last matrix.
     The final phi is read through one ``UField``, which builds its
     collapsed matrix once: u(theta) is forwarded once (``UField.at``), the
     report freezes its batch with it and forwards that batch, J = G^-1
@@ -216,11 +215,8 @@ def regularize_step(theta, grad, phi, cfg, grad_fn, probe_cfg):
         return grad.copy(), _neutral_report(), phi
 
     iters = 0 if cfg.freeze_phi else cfg.metric_iters
-    probes = report_probes(probe_cfg, theta.size)[None]
-    if iters:
-        probes = np.concatenate(
-            [training_probes(probe_cfg, iters, theta.size), probes])
-    field = probe_field_rows(grad_fn, theta, probes, default_fd_step(theta))
+    field = probe_field_rows(grad_fn, theta,
+                             draw_probes(probe_cfg, iters, theta.size))
     if grad is None:
         grad = _finite_gradient(field.g0)
 
@@ -233,7 +229,7 @@ def regularize_step(theta, grad, phi, cfg, grad_fn, probe_cfg):
     try:
         u_field = UField(new_phi)
         u0, u_vjp = u_field.at(theta)
-        report = divergence_report(u_field, theta, field[-1:], u0)
+        report = divergence_report(u_field, field[-1:], u0)
         direction = inverse_apply(MetricPoint(u0), grad)
         if cfg.variant == "T":
             direction = geodesic_gradient(u_vjp, theta, direction,
@@ -329,7 +325,9 @@ def run_training(cfg):
     soon as the update gradient, the policy parameters, or the evaluation
     of a new policy stop being finite; abort_reason names that check
     ("gradient", "parameters" or "evaluation").  The update that failed
-    leaves no record, so final_return is the last finite evaluation.
+    leaves no record and its step is undone, so final_return is the last
+    finite evaluation and final_theta the theta it was measured at
+    (theta_0 when there is none).
     """
     root = RngStream(cfg.seed)
     env = make_env(cfg.env_kind, **cfg.env_params)
@@ -403,6 +401,8 @@ def run_training(cfg):
             wall_ms=(time.perf_counter() - started) * 1000.0,
         ))
         update_idx += 1
+    if abort_reason is not None:
+        policy.set_theta(theta)
 
     returns = [r.eval_return for r in records]
     ratios = [r.ratio for r in records]

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from rpg.divergence import FrozenProbes, probe_field_rows, report_probes
+from rpg.divergence import ProbeRows, draw_probes, probe_field_rows
 from rpg.envs import (_closed_loop, _gain_rows, _vec_kron,
                       default_init_second_moment, lqr_return_gradient)
 from rpg.errors import BadDimensions, NonFiniteField
@@ -10,8 +10,7 @@ from rpg.fields import default_fd_step, eval_points, require_finite
 from rpg.geodesic import _fd_points
 from rpg.metric import MetricPoint, bilinear_form, inverse_apply
 from rpg.metricnet import (KERNEL, POOL_SIZE, Adam, UField, _conv_plan,
-                           _kick_heads, evaluate_divergence_loss,
-                           training_probes)
+                           _kick_heads, evaluate_divergence_loss)
 from rpg.policy import (LinearGainPolicy, Trajectory, _draw_episode_events,
                         _flat_rows, _reinforce_weights, _return_to_go,
                         reinforce_gradient_from_batch)
@@ -43,14 +42,14 @@ def lqr_analytic_gradient(k, env, horizon, gamma=0.99,
 
 def probe_rows(grad_fn, theta, pc, iters=None):
     """The ``ProbeRows`` of a metric-training pass of `iters` iterations
-    (``training_probes``), or of the divergence report when iters is None
-    (``report_probes``), from one ``probe_field_rows`` call at the step
-    ``default_fd_step(theta)``, as ``rpg.training.regularize_step`` draws
-    and evaluates them."""
+    (all but the last matrix of ``draw_probes``), or of the divergence
+    report when iters is None (its last), from one ``probe_field_rows``
+    call at the step ``default_fd_step(theta)``, as
+    ``rpg.training.regularize_step`` draws and evaluates them."""
     theta = np.asarray(theta, dtype=np.float64)
-    probes = (report_probes(pc, theta.size)[None] if iters is None
-              else training_probes(pc, iters, theta.size))
-    return probe_field_rows(grad_fn, theta, probes, default_fd_step(theta))
+    probes = draw_probes(pc, iters or 0, theta.size)
+    probes = probes[-1:] if iters is None else probes[:-1]
+    return probe_field_rows(grad_fn, theta, probes)
 
 
 def own_parts(policy):
@@ -237,8 +236,8 @@ def reference_train_metric_net(phi, theta, grad_fn, pc, max_iters=20,
                                   (theta + eps * j0)[None],
                                   (theta - eps * j0)[None],
                                   theta[None]])
-            ctx = FrozenProbes(points=pts, probes=probes[it], grads=grads,
-                               eps=eps)
+            ctx = ProbeRows(probes=probes[it][None], eps=eps, g0=g0,
+                            grads=grads[None], points=pts[None])
             div, loss, grad = evaluate_divergence_loss(work, ctx)
             if not np.isfinite(loss):
                 break

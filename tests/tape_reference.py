@@ -246,7 +246,8 @@ def metric_net_forward(phi, theta_layers):
 
 
 def evaluate_divergence_loss(phi, ctx):
-    """(div, loss, phi-gradients) for a frozen probe batch, on the tape.
+    """(div, loss, phi-gradients) for a frozen one-matrix batch, on the
+    tape.
 
     u is re-evaluated through the taped network at every frozen point, the
     gradient field enters as constants, and leaf_gradients gives the
@@ -256,16 +257,17 @@ def evaluate_divergence_loss(phi, ctx):
     graph = DiffGraph()
     var_phi = phi.with_arrays([graph.leaf(a) for a in phi.params_list()])
 
+    points, probes = ctx.points[0], ctx.probes[0]
     omega, sigma, _ = metric_net_forward(
-        var_phi, phi.layout.unflatten_batch(ctx.points))
-    u = build_u(fp, omega, sigma, ctx.points)
+        var_phi, phi.layout.unflatten_batch(points))
+    u = build_u(fp, omega, sigma, points)
 
-    k = ctx.probes.shape[0]
+    k = probes.shape[0]
     u_probe = slice_axis(u, (slice(0, 2 * k), slice(None)))
-    j = inverse_apply(u_probe, ctx.grads)
+    j = inverse_apply(u_probe, ctx.grads[0])
     j_diff = sub(slice_axis(j, (slice(0, k), slice(None))),
                  slice_axis(j, (slice(k, 2 * k), slice(None))))
-    term1 = mul(reduce_sum(mul(ctx.probes, j_diff)),
+    term1 = mul(reduce_sum(mul(probes, j_diff)),
                 1.0 / (2.0 * ctx.eps * k))
 
     u_jp = slice_axis(u, 2 * k)

@@ -138,6 +138,21 @@ def test_bad_explore_sigma_is_a_config_error_on_its_line(raw):
     assert "line 3" in msg and "explore_sigma" in msg
 
 
+@pytest.mark.parametrize("text,line,name", [
+    ("[run]\nvariant = J\npolicy_lr = inf\n", 3, "policy_lr"),
+    ("[env]\nkind = lqr\nnoise_scale = -0.3\n", 3, "noise_scale"),
+    ("[env]\nkind = lqr\nnoise_scale = nan\n", 3, "noise_scale"),
+], ids=["inf-policy-lr", "negative-noise", "nan-noise"])
+def test_non_finite_or_negative_scale_is_a_config_error_on_its_line(
+        text, line, name):
+    # an infinite step sends theta to [inf, nan] at the first update; a
+    # negative noise scale plays noiseless episodes while the closed-form
+    # return adds noise_scale^2
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(text)
+    assert str(err.value).startswith(f"line {line}: {name} ")
+
+
 def test_cross_field_validation_anchors_to_present_key():
     # total_steps stays at its default, so the complaint about the pair is
     # anchored to the update_interval line the file actually contains
@@ -308,6 +323,28 @@ def test_summary_round_trip_and_fraction_consistency(tmp_path):
     # stored summary value exactly, not approximately
     assert ratio_fraction(read_metrics(csv_path)) == \
         loaded["fraction_ratio_below_one"]
+
+
+def test_summary_of_a_run_aborted_before_its_first_record_is_strict_json(
+        tmp_path):
+    """Its NaN returns are written as null: a parser that refuses the
+    NaN, Infinity and -Infinity tokens reads the file."""
+    summary = RunSummary(final_return=float("nan"), best_return=float("nan"),
+                         fraction_ratio_below_one=0.0, records=[],
+                         config={"seed": 5, "kappa": float("inf")},
+                         final_theta=np.array([0.25, -0.5]),
+                         abort_reason="parameters")
+    write_summary(summary, tmp_path / "s.json")
+
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    loaded = json.loads((tmp_path / "s.json").read_text(encoding="utf-8"),
+                        parse_constant=refuse)
+    assert loaded["final_return"] is None and loaded["best_return"] is None
+    assert loaded["config"]["kappa"] is None
+    assert loaded["final_theta"] == [0.25, -0.5]
+    assert loaded["aborted"] and loaded["updates"] == 0
 
 
 def test_trajectory_sha256_pinned_on_a_fixed_summary(tmp_path):

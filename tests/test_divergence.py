@@ -35,7 +35,7 @@ def quad_grad(a):
 def report(grad_fn, u_fn, theta, pc):
     """The divergence report on its own probe rows, at u0 = u(theta)."""
     theta = np.asarray(theta, dtype=float)
-    return divergence_report(u_fn, theta, probe_rows(grad_fn, theta, pc),
+    return divergence_report(u_fn, probe_rows(grad_fn, theta, pc),
                              u_fn(theta[None])[0])
 
 
@@ -152,7 +152,8 @@ def test_probe_field_rows_makes_one_field_call(iters):
                       iters)
     count = 1 if iters is None else iters
     assert calls == [(1 + 2 * 4 * count, 3)]
-    assert rows.grads.shape == rows.rows.shape == (count, 2 * 4, 3)
+    assert rows.grads.shape == (count, 2 * 4, 3)
+    assert rows.points.shape == (count, 2 * 4 + 3, 3)
 
 
 def test_report_fields_populated():

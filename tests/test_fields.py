@@ -78,7 +78,7 @@ def test_evaluator_checks_gradients():
 def test_evaluator_factors_shape():
     """A u_fn whose rows are not shaped like its points is refused."""
     with pytest.raises(BadDimensions):
-        divergence_report(lambda p: 0.1 * p[:, :-1], np.ones(3),
+        divergence_report(lambda p: 0.1 * p[:, :-1],
                           probe_rows(lambda p: p, np.ones(3),
                                      ProbeConfig(probe_count=4)),
                           np.zeros(3))

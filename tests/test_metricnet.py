@@ -28,7 +28,7 @@ from rpg.geodesic import geodesic_gradient
 from rpg.metricnet import (LayerLayout, MetricNetConfig, UField,
                            evaluate_divergence_loss, freeze_probe_batch,
                            init_params, load_params, metric_net_forward,
-                           params_to_json, probe_batch_points, save_params,
+                           params_to_json, save_params,
                            train_metric_net)
 from rpg.policy import LinearGainPolicy, PolicyMLP
 from rpg.rng import RngStream, rademacher_matrix
@@ -377,7 +377,7 @@ def test_initial_ratio_is_exactly_one():
     theta = RngStream(25).normal((n,))
     u_fn = UField(phi)
     rep = divergence_report(
-        u_fn, theta,
+        u_fn,
         probe_rows(lambda p: p @ a, theta, ProbeConfig(probe_count=8, seed=1)),
         u_fn(theta))
     assert rep.div == rep.hessian_trace
@@ -399,10 +399,8 @@ def quad_fixture(n=8, layout=None):
 def freeze(phi, theta, grad_fn, pc):
     """One frozen batch at the report's probe draw, field rows from one
     call."""
-    field = probe_rows(grad_fn, theta, pc)
-    return freeze_probe_batch(probe_batch_points(field.rows[0], theta),
-                              UField(phi)(theta), field.g0,
-                              field.probes[0], field.grads[0], field.eps)
+    return freeze_probe_batch(probe_rows(grad_fn, theta, pc), 0,
+                              UField(phi)(theta))
 
 
 # the bowl (4-vector), LQR and pointmass PolicyMLP policy layouts
@@ -426,7 +424,7 @@ def test_report_div_is_loss_div_bitwise(layout, m_tilde):
     theta = RngStream(28).normal((n,), scale=0.5)
     pc = ProbeConfig(probe_count=8, seed=2)
     u_fn = UField(phi)
-    rep = divergence_report(u_fn, theta, probe_rows(grad_fn, theta, pc),
+    rep = divergence_report(u_fn, probe_rows(grad_fn, theta, pc),
                             u_fn(theta))
     div, _, _ = evaluate_divergence_loss(phi, freeze(phi, theta, grad_fn, pc))
     assert rep.div == div

@@ -325,7 +325,7 @@ def test_algorithm_step_lowers_median_ratio_variant_t():
         probe_cfg = ProbeConfig(probe_count=16, seed=seed)
         u_fn = UField(phi)
         before.append(divergence_report(
-            u_fn, theta, probe_rows(grad_fn, theta, probe_cfg),
+            u_fn, probe_rows(grad_fn, theta, probe_cfg),
             u_fn(theta)).ratio)
         _, report, _ = regularize_step(theta, grad_fn(theta), phi, cfg,
                                        grad_fn, probe_cfg)
@@ -460,6 +460,14 @@ def test_abort_on_nonfinite_evaluation_keeps_last_finite_return():
     assert all(np.isfinite(r.eval_return) for r in summary.records)
     assert summary.final_return == summary.records[-1].eval_return
     assert np.isfinite(summary.final_return)
+    # the failed step is undone: final_theta is the theta that the last
+    # record's evaluation was measured at, as a run that stops there has
+    shorter = run_training(TrainConfig(**{**vars(cfg),
+                                          "total_steps":
+                                          summary.records[-1].step}))
+    assert not shorter.aborted
+    assert shorter.final_return == summary.final_return
+    assert np.array_equal(summary.final_theta, shorter.final_theta)
 
 
 def test_abort_reason_names_the_check_that_ended_the_run(monkeypatch):
@@ -479,9 +487,14 @@ def test_abort_reason_names_the_check_that_ended_the_run(monkeypatch):
         return np.full_like(direction, 1e308), report, phi
 
     monkeypatch.setattr(rpg.training, "regularize_step", overflowing)
+    cfg = TrainConfig(policy_lr=10.0)
     with np.errstate(over="ignore"):
-        summary = run_training(TrainConfig(policy_lr=10.0))
+        summary = run_training(cfg)
     assert summary.abort_reason == "parameters" and not summary.records
+    # with no record, the run reports theta_0, not the overflowed step
+    theta0 = _build_policy(make_env(cfg.env_kind), cfg,
+                           RngStream(cfg.seed).spawn("policy-init")).theta
+    assert np.array_equal(summary.final_theta, theta0)
 
 
 def test_records_fraction_matches_definition():

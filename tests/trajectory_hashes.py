@@ -14,7 +14,9 @@ its runs in the order given:
 ``--reference PATH`` reads such a file and prints, per run, the largest
 move of final theta relative to the largest entry of the reference's and
 the new final |theta| (the bowl gate is |theta| <= 1e-2), then the worst
-move per protocol and variant.
+move per protocol and variant, and exits 1 when any run's final theta is
+not bit for bit the reference's, so that "bits unchanged" is the exit
+status of one command.
 
 Run from the repository root::
 
@@ -78,10 +80,12 @@ def main(argv=None):
             indent=1), encoding="utf-8")
     if args.reference:
         reference = json.loads(Path(args.reference).read_text("utf-8"))
-        worst = {}
+        worst, moved = {}, []
         print("final-theta move, max |theta - ref| / max |ref|; |theta|:")
         for key, theta in thetas.items():
             ref = np.asarray(reference[key], dtype=np.float64)
+            if not np.array_equal(theta, ref, equal_nan=True):
+                moved.append(key)
             move = float(np.max(np.abs(theta - ref)) / np.max(np.abs(ref)))
             print(f"  {key:20s} {move:.3e}  {np.linalg.norm(theta):.3e}")
             group = key.rsplit("/", 1)[0]
@@ -89,7 +93,11 @@ def main(argv=None):
         print("worst per protocol and variant:")
         for group, move in worst.items():
             print(f"  {group:20s} {move:.3e}")
+        print(f"{len(moved)} of {len(thetas)} final thetas moved")
+        if moved:
+            return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
