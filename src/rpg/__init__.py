@@ -24,12 +24,12 @@ Import layout:
                     estimator the report and the metric loss share
     rpg.geodesic    geodesic update direction (one u-VJP) +
                     Christoffel/ODE oracles
-    rpg.metricnet   the metric network, its fused loss and phi-gradient
-                    (numpy forward, hand-written backward), UField (u at
-                    one phi, and its VJP over that backward), the inner
-                    training loop with Adam, checkpoints
+    rpg.metricnet   the metric network, whose structure one plan per
+                    layout fixes, its fused loss and phi-gradient, UField
+                    (u at one phi, and its VJP), the inner training loop
+                    with Adam, checkpoints
     rpg.envs        toy environments (LQR, point-mass, landscapes)
-    rpg.policy      policies; one rollout engine over parameter rows,
+    rpg.policy      policies holding theta flat; one rollout engine over rows,
                     which plays the fresh batch, the evaluation episodes
                     and the REINFORCE estimator's common-random-numbers
                     field, whose gradient reads the forward kept by play

@@ -71,7 +71,8 @@ class LqrEnv(_Env):
 
     kind = "lqr"
 
-    def __init__(self, a, b, q, r, horizon=50, noise_scale=0.0):
+    def __init__(self, a=1.0, b=1.0, q=1.0, r=1.0, horizon=50,
+                 noise_scale=0.0):
         self.a = np.atleast_2d(np.asarray(a, dtype=float))
         self.b = np.asarray(b, dtype=float)
         if self.b.ndim < 2:
@@ -92,6 +93,9 @@ class LqrEnv(_Env):
             raise BadDimensions(
                 f"a is {n}x{n}, but the lqr state dimension is capped at "
                 f"{MAX_LQR_STATE_DIM}")
+        for key, m in zip("abqr", (self.a, self.b, self.q, self.r)):
+            if not np.isfinite(m).all():
+                raise ValueError(f"{key} must be finite, got {m.tolist()}")
         self.horizon = _check_horizon(horizon)
         self.noise_scale = float(noise_scale)
         if not (np.isfinite(self.noise_scale) and self.noise_scale >= 0.0):
@@ -141,6 +145,8 @@ class PointmassEnv(_Env):
     def __init__(self, horizon=50, dt=0.1):
         self.horizon = _check_horizon(horizon)
         self.dt = float(dt)
+        if not (np.isfinite(self.dt) and self.dt > 0.0):
+            raise ValueError(f"dt must be finite and > 0, got {dt}")
 
     state_dim = 4
     action_dim = 2
@@ -176,6 +182,7 @@ def _rosenbrock_grad(x):
     return np.array([gx, gy])
 
 
+# objective: (f, grad f, its one dimension or None for any)
 _LANDSCAPES = {
     "bowl": (_bowl, _bowl_grad, None),
     "rosenbrock": (_rosenbrock, _rosenbrock_grad, 2),
@@ -188,21 +195,23 @@ class LandscapeEnv(_Env):
     Useful for driving the trainer on a deterministic optimization surface.
     analytic_gradient returns the exact ascent gradient of the return,
     i.e. -grad f, so gradient estimators can be checked without sampling.
-    The quadratic bowl has its optimum (return 0) at the origin.
+    The quadratic bowl, of any dim (4 by default), has its optimum (return
+    0) at the origin.  Rosenbrock is 2-d: another dim raises ValueError.
     """
 
     kind = "landscape"
     horizon = 1
 
-    def __init__(self, objective="bowl", dim=4):
+    def __init__(self, objective="bowl", dim=None):
         if objective not in _LANDSCAPES:
             raise ValueError(f"objective must be one of "
                              f"{', '.join(_LANDSCAPES)}, got {objective!r}")
-        f, grad, forced_dim = _LANDSCAPES[objective]
+        f, grad, fixed = _LANDSCAPES[objective]
         self.objective = objective
-        self.dim = int(forced_dim if forced_dim is not None else dim)
-        if self.dim < 1:
-            raise ValueError(f"dim must be positive, got {self.dim}")
+        self.dim = int(dim if dim is not None else fixed or 4)
+        if self.dim < 1 or fixed not in (None, self.dim):
+            raise ValueError(f"dim must be {fixed or 'positive'} for "
+                             f"objective {objective}, got {self.dim}")
         self._f = f
         self._grad = grad
 
@@ -266,9 +275,6 @@ def make_env(kind, **params):
         if key not in names:
             raise ValueError(f"{key} is not a parameter of kind {kind} "
                              f"(its parameters: {', '.join(names)})")
-    if kind == "lqr":
-        for key in "abqr":
-            params.setdefault(key, [[1.0]])
     return _KINDS[kind](**params)
 
 

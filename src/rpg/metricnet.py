@@ -13,8 +13,10 @@ is x_i A_i + b_i with one (part size x PART_WIDTH) matrix A_i = C1 C2 P W_i,
 the convolutions being banded maps (Goodfellow, Bengio & Courville, *Deep
 Learning*, 2016, section 9.1).  ``_collapse`` builds the block-diagonal A
 of all parts from phi, and a forward over flat points is one x @ A + b.
-What the layout fixes (conv taps, pool windows, phi-gradient slots) is
-built once per layout into a cached plan.
+The layout fixes all of phi's structure, which ``_net_plan`` alone derives,
+once per layout: each part's stage kinds, conv taps, pool windows and dense
+input size, and every phi-gradient's slot in phi's flat order.
+``init_params`` draws phi along that plan.
 
 Zero heads mean u = 0 identically at initialization: the learned metric
 starts exactly Euclidean and the step-0 regularized gradient equals the raw
@@ -89,6 +91,8 @@ INIT_SCALE = 0.3        # uniform init bound, before dividing by sqrt(fan_in)
 class LayerLayout:
     """Shapes of the policy's parameter parts and the flat total dimension.
 
+    theta is one flat vector, its parts laid end to end in C order;
+    ``unflatten_batch`` is the one split of (B, n) rows of it into parts.
     pool_exempt overrides which part skips average pooling (the policy's
     output bias); by default it is the trailing part when that part is a
     vector in a multi-part layout.  output_bias_part is the index of the
@@ -122,28 +126,6 @@ class LayerLayout:
     def from_vector(cls, n: int) -> "LayerLayout":
         return cls(shapes=((n,),))
 
-    def flatten(self, parts) -> np.ndarray:
-        if len(parts) != len(self.shapes):
-            raise LayoutMismatch(
-                f"expected {len(self.shapes)} parts, got {len(parts)}")
-        flats = []
-        for part, shape in zip(parts, self.shapes):
-            part = np.asarray(part, dtype=np.float64)
-            if part.shape != shape:
-                raise LayoutMismatch(f"part shape {part.shape} != {shape}")
-            flats.append(part.ravel())
-        return np.concatenate(flats)
-
-    def unflatten(self, vec: np.ndarray) -> list:
-        vec = np.asarray(vec, dtype=np.float64)
-        if vec.shape != (self.n,):
-            raise LayoutMismatch(f"vector shape {vec.shape} != ({self.n},)")
-        parts, at = [], 0
-        for shape, size in zip(self.shapes, self.sizes):
-            parts.append(vec[at:at + size].reshape(shape))
-            at += size
-        return parts
-
     def unflatten_batch(self, pts: np.ndarray) -> list:
         pts = np.asarray(pts, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != self.n:
@@ -153,24 +135,6 @@ class LayerLayout:
             parts.append(pts[:, at:at + size].reshape((pts.shape[0],) + shape))
             at += size
         return parts
-
-
-def _conv_plan(shape):
-    """Two conv stages chosen by the running shape; returns (stages, out_len)."""
-    stages, cur = [], tuple(shape)
-    for _ in range(2):
-        if len(cur) == 2 and cur[0] >= KERNEL and cur[1] >= KERNEL:
-            stages.append("2d")
-            cur = (cur[0] - KERNEL + 1, cur[1] - KERNEL + 1)
-        else:
-            flat = int(np.prod(cur))
-            if flat >= KERNEL:
-                stages.append("1d")
-                cur = (flat - KERNEL + 1,)
-            else:
-                stages.append(None)
-                cur = (flat,)
-    return tuple(stages), int(np.prod(cur))
 
 
 # ------------------------------------------------------------------ params
@@ -256,7 +220,8 @@ class MetricNetParams:
 
 def init_params(rng: RngStream, cfg: MetricNetConfig,
                 layout: LayerLayout) -> MetricNetParams:
-    """Scaled-uniform trunk/conv/dense parameters, exactly-zero heads."""
+    """Scaled-uniform trunk/conv/dense parameters, drawn part by part along
+    the layout's ``_net_plan``, and exactly-zero heads."""
     if not 1 <= cfg.m_tilde < layout.n:
         raise BadDimensions(
             f"m_tilde must satisfy 1 <= m_tilde < n, got {cfg.m_tilde} vs "
@@ -266,26 +231,19 @@ def init_params(rng: RngStream, cfg: MetricNetConfig,
         s = INIT_SCALE / max(1.0, np.sqrt(fan_in))
         return rng.uniform(-s, s, shape)
 
-    plans, part_convs, part_dense = [], [], []
-    exempt = layout.output_bias_part
-    for i, shape in enumerate(layout.shapes):
-        stages, conv_len = _conv_plan(shape)
-        plans.append(stages)
-        kerns = []
-        for st in stages:
-            if st == "2d":
-                kerns.append(uniform((KERNEL * KERNEL,), KERNEL * KERNEL))
-            elif st == "1d":
-                kerns.append(uniform((KERNEL,), KERNEL))
-            else:
-                kerns.append(None)
-        feat = conv_len if i == exempt else -(-conv_len // POOL_SIZE)
+    plan = _net_plan(layout.shapes, layout.output_bias_part)
+    part_convs, part_dense = [], []
+    for pp in plan.parts:
+        kerns = [None] * len(pp.kinds)
+        for taps, _, kernel, _ in pp.stages:     # one weight per tap
+            kerns[kernel] = uniform((len(taps),), len(taps))
         part_convs.append(kerns)
-        part_dense.append([uniform((feat, PART_WIDTH), feat),
+        part_dense.append([uniform((pp.features, PART_WIDTH), pp.features),
                            np.zeros(PART_WIDTH)])
     trunk_in = len(layout.shapes) * PART_WIDTH
     return MetricNetParams(
-        layout=layout, m_tilde=cfg.m_tilde, plans=tuple(plans),
+        layout=layout, m_tilde=cfg.m_tilde,
+        plans=tuple(pp.kinds for pp in plan.parts),
         part_convs=part_convs, part_dense=part_dense,
         trunk_w=uniform((trunk_in, TRUNK_WIDTH), trunk_in),
         trunk_b=np.zeros(TRUNK_WIDTH),
@@ -301,17 +259,21 @@ def init_params(rng: RngStream, cfg: MetricNetConfig,
 @dataclass(frozen=True)
 class _PartPlan:
     """One parameter part: its rows of A (its entries in flat theta) and
-    columns (in the trunk input); per conv stage (taps, inverse, kernel
-    index, kernel-gradient slot), where taps[t, o] is the flat input tap t
-    reads for output o and inverse[t, i] the output reading input i under
-    tap t (the output length where none does); the average pool P as
-    (window of each conv output, 1 / (pooled, 1) window sizes), None for
-    the part exempt from pooling; and its dense gradients' offset."""
+    columns (in the trunk input); the kind of each of its two conv stages
+    ("2d", "1d" or None for a skipped stage); per stage that runs (taps,
+    inverse, kernel index, kernel-gradient slot), where taps[t, o] is the
+    flat input tap t reads for output o and inverse[t, i] the output
+    reading input i under tap t (the output length where none does); the
+    average pool P as (window of each conv output, 1 / (pooled, 1) window
+    sizes), None for the part exempt from pooling; its dense layer's input
+    size; and its dense gradients' offset."""
 
     rows: slice
     cols: slice
+    kinds: tuple
     stages: tuple
     pool: tuple | None
+    features: int
     dense_at: int
 
 
@@ -330,21 +292,26 @@ def _read_only(a):
 @lru_cache(maxsize=64)
 def _net_plan(shapes: tuple, exempt: int | None) -> _NetPlan:
     """What a layout (its part shapes and the part exempt from pooling)
-    fixes, once per layout: each part's conv taps and their inverse, its
-    pool windows and the slots of its phi-gradients in ``params_list``
+    fixes: per part, each stage's kind by the running shape (see the
+    module docstring), conv taps and their inverse, pool windows, dense
+    input size and the slots of its phi-gradients in ``params_list``
     order.  Callers share the plan, so its arrays are read-only."""
     parts, at, start = [], 0, 0
     for i, shape in enumerate(shapes):
-        kinds, conv_len = _conv_plan(shape)
-        cur, stages = shape, []
-        for s, kind in enumerate(kinds):
-            if kind is None:
+        cur, kinds, stages = shape, [], []
+        for s in range(2):
+            flat = int(np.prod(cur))
+            if len(cur) == 2 and min(cur) >= KERNEL:
+                kinds.append("2d")
+            elif flat >= KERNEL:
+                kinds.append("1d")
+                cur = (flat,)
+            else:
+                kinds.append(None)
                 continue
-            if kind == "1d":
-                cur = (int(np.prod(cur)),)
             # the flat C-order input index under each tap (row-major) for
             # each output, and for each input the output reading it
-            flat_in = np.arange(int(np.prod(cur))).reshape(cur)
+            flat_in = np.arange(flat).reshape(cur)
             windows = np.lib.stride_tricks.sliding_window_view(
                 flat_in, (KERNEL,) * flat_in.ndim)
             cur = windows.shape[:flat_in.ndim]
@@ -354,18 +321,20 @@ def _net_plan(shapes: tuple, exempt: int | None) -> _NetPlan:
             stages.append((_read_only(taps), _read_only(inverse), s,
                            slice(at, at + len(taps))))
             at += len(taps)
-        pool = None
+        pool, features = None, int(np.prod(cur))    # the conv output
         if i != exempt:
             # a partial trailing window averages the entries it has
-            window = np.arange(conv_len) // POOL_SIZE
+            window = np.arange(features) // POOL_SIZE
             counts = np.unique(window, return_counts=True)[1]
             pool = (_read_only(window), _read_only(1.0 / counts[:, None]))
+            features = len(counts)
         size = int(np.prod(shape))
         parts.append(_PartPlan(slice(start, start + size),
                                slice(i * PART_WIDTH, (i + 1) * PART_WIDTH),
-                               tuple(stages), pool, at))
+                               tuple(kinds), tuple(stages), pool, features,
+                               at))
         start += size
-        at += ((conv_len if pool is None else len(pool[1])) + 1) * PART_WIDTH
+        at += (features + 1) * PART_WIDTH
     heads_at = at + (len(shapes) * PART_WIDTH + 1) * TRUNK_WIDTH
     return _NetPlan(tuple(parts), at, heads_at)
 
@@ -668,19 +637,21 @@ def train_metric_net(phi: MetricNetParams, theta: np.ndarray,
 # ------------------------------------------------------------- checkpoints
 
 
+def _describe(phi: MetricNetParams) -> dict:
+    """The header fields that ``save_params`` and ``params_to_json`` share."""
+    return {"layout": [list(s) for s in phi.layout.shapes],
+            "m_tilde": phi.m_tilde,
+            "pool_size": POOL_SIZE,
+            "kernel": KERNEL,
+            "plans": [list(p) for p in phi.plans]}
+
+
 def save_params(phi: MetricNetParams, path: str) -> None:
     """Versioned binary checkpoint: magic, JSON header, raw f8 payload."""
     arrs = phi.params_list()
-    header = {
-        "version": 2,
-        "layout": [list(s) for s in phi.layout.shapes],
-        "pool_exempt": phi.layout.pool_exempt,
-        "m_tilde": phi.m_tilde,
-        "pool_size": POOL_SIZE,
-        "kernel": KERNEL,
-        "plans": [[s for s in p] for p in phi.plans],
-        "arrays": [list(a.shape) for a in arrs],
-    }
+    header = {"version": 2, **_describe(phi),
+              "pool_exempt": phi.layout.pool_exempt,
+              "arrays": [list(a.shape) for a in arrs]}
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     payload = np.concatenate([np.asarray(a, dtype=np.float64).ravel()
                               for a in arrs]).astype("<f8").tobytes()
@@ -697,9 +668,9 @@ _HEADER_KEYS = ("kernel", "pool_size", "m_tilde", "layout", "plans", "arrays")
 def load_params(path: str) -> MetricNetParams:
     """Read a ``save_params`` checkpoint, checking its header first.
 
-    The header's kernel and pool size must be KERNEL and POOL_SIZE, and
-    its plans and array shapes exactly those that ``init_params`` builds
-    for its layout and m_tilde; any difference, or a missing key, raises
+    The header's kernel, pool size, plans and array shapes must be
+    exactly what ``save_params`` writes for the network that its layout
+    and m_tilde describe; any difference, or a missing key, raises
     LayoutMismatch.  A v2 header must hold an int or null pool_exempt; a v1
     file has none and loads with the layout's default exempt part.
     """
@@ -719,39 +690,24 @@ def load_params(path: str) -> MetricNetParams:
         if exempt is not None and type(exempt) is not int:
             raise LayoutMismatch(
                 f"checkpoint pool_exempt {exempt!r} is not an int or null")
-    if (header["kernel"], header["pool_size"]) != (KERNEL, POOL_SIZE):
-        raise LayoutMismatch(f"checkpoint kernel/pool size {header['kernel']}"
-                             f"/{header['pool_size']} != {KERNEL}/{POOL_SIZE}")
     layout = LayerLayout(shapes=tuple(tuple(s) for s in header["layout"]),
                          pool_exempt=exempt)
     # the network the header describes, holding throwaway values
     template = init_params(RngStream(0),
                            MetricNetConfig(m_tilde=int(header["m_tilde"])),
                            layout)
-    plans = tuple(tuple(p) for p in header["plans"])
-    if plans != template.plans:
-        raise LayoutMismatch(f"checkpoint plans {plans} differ from "
-                             f"{template.plans}, implied by its layout")
-    shapes = [tuple(s) for s in header["arrays"]]
-    expected = [a.shape for a in template.params_list()]
-    if shapes != expected:
-        raise LayoutMismatch(f"checkpoint array shapes {shapes} differ from "
-                             f"{expected}, implied by its header")
-    total = sum(int(np.prod(s)) for s in shapes)
-    if total != payload.size:
-        raise ValueError(
-            f"checkpoint payload mismatch: {total} != {payload.size}")
+    arrays = [list(a.shape) for a in template.params_list()]
+    for key, want in {**_describe(template), "arrays": arrays}.items():
+        if header[key] != want:
+            raise LayoutMismatch(f"checkpoint {key} {header[key]} differs "
+                                 f"from {want}, implied by its layout")
+    if template.size != payload.size:
+        raise ValueError(f"checkpoint payload mismatch: {template.size} != "
+                         f"{payload.size}")
     return template.with_flat(payload.copy())
 
 
 def params_to_json(phi: MetricNetParams) -> dict:
     """Inspection-friendly export; lossy only in that floats print as JSON."""
-    return {
-        "layout": [list(s) for s in phi.layout.shapes],
-        "m_tilde": phi.m_tilde,
-        "pool_size": POOL_SIZE,
-        "kernel": KERNEL,
-        "plans": [[s for s in p] for p in phi.plans],
-        "groups": phi.param_groups(),
-        "arrays": [np.asarray(a).tolist() for a in phi.params_list()],
-    }
+    return {**_describe(phi), "groups": phi.param_groups(),
+            "arrays": [np.asarray(a).tolist() for a in phi.params_list()]}

@@ -4,9 +4,10 @@ Three policy families cover the toy environments: a small tanh MLP with a
 Gaussian head (state-independent learnable log-std), an affine gain
 a = -K s + b with fixed exploration noise for linear-quadratic problems, and
 a bare parameter vector for single-step landscape environments where the
-action IS the parameter.  All of them expose the same flat-parameter
-interface (`theta` / `set_theta`, a `layout` describing the parts), which is
-what the metric machinery consumes.
+action IS the parameter.  Each holds theta, what the metric machinery
+consumes, as one flat float64 vector: ``theta`` returns a copy and
+``set_theta`` stores one, refusing any shape but (n,).  ``layout`` names
+its parts; ``layout.unflatten_batch`` is the one split into them.
 
 Episodes are played on one engine, ``_play_rows``: B parameter rows,
 each over the same E episodes, whose draws ``_draw_episode_events`` makes
@@ -45,6 +46,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import LayoutMismatch
 from .metricnet import LayerLayout
 
 # parameter rows played and differentiated together by reinforce_field,
@@ -297,7 +299,23 @@ def _flat_rows(grads):
     return np.concatenate([g.reshape(len(g), -1) for g in grads], axis=1)
 
 
-class PolicyMLP:
+class _FlatTheta:
+    """The theta every policy holds: one flat float64 vector."""
+
+    @property
+    def theta(self):
+        return self._theta.copy()
+
+    def set_theta(self, vec):
+        """Store a float64 copy; any shape but (n,) raises LayoutMismatch."""
+        theta = np.array(vec, dtype=np.float64)
+        if theta.shape != (self.layout.n,):
+            raise LayoutMismatch(
+                f"theta shape {theta.shape} != ({self.layout.n},)")
+        self._theta = theta
+
+
+class PolicyMLP(_FlatTheta):
     """Two-hidden-layer tanh network with a Gaussian action head.
 
     mean(s) = tanh(tanh(s W1 + b1) W2 + b2) W3 + b3, and actions are drawn
@@ -322,21 +340,11 @@ class PolicyMLP:
                 (h2, self.action_dim), (self.action_dim,),
                 (self.action_dim,)]
         self.layout = LayerLayout(tuple(dims), pool_exempt=5)
-        self.arrays = []
-        for shape in dims[:-1]:
-            if len(shape) == 2:
-                scale = 1.0 / np.sqrt(shape[0])
-                self.arrays.append(rng.normal(size=shape, scale=scale))
-            else:
-                self.arrays.append(np.zeros(shape))
-        self.arrays.append(np.full(self.action_dim, float(log_std_init)))
-
-    @property
-    def theta(self):
-        return self.layout.flatten(self.arrays)
-
-    def set_theta(self, vec):
-        self.arrays = list(self.layout.unflatten(vec))
+        parts = [rng.normal(size=shape, scale=1.0 / np.sqrt(shape[0]))
+                 if len(shape) == 2 else np.zeros(shape)
+                 for shape in dims[:-1]]
+        parts.append(np.full(self.action_dim, float(log_std_init)))
+        self.set_theta(np.concatenate([p.ravel() for p in parts]))
 
     def row_forward(self, parts, states):
         """The record (h1, h2, mean) at (B, N, state_dim) states."""
@@ -383,7 +391,7 @@ class PolicyMLP:
             np.sum(w * (diff * diff * inv_var - 1.0), axis=1)])
 
 
-class LinearGainPolicy:
+class LinearGainPolicy(_FlatTheta):
     """Affine controller a = -K s + b with fixed Gaussian exploration.
 
     Exploration sigma is a constant, not a parameter: theta is exactly
@@ -400,17 +408,12 @@ class LinearGainPolicy:
         self.sigma = float(sigma)
         self.layout = LayerLayout(
             ((self.action_dim, self.state_dim), (self.action_dim,)))
-        self.k = (np.zeros((action_dim, state_dim)) if k is None
-                  else np.asarray(k, dtype=float).copy())
-        self.b = (np.zeros(action_dim) if b is None
-                  else np.asarray(b, dtype=float).copy())
-
-    @property
-    def theta(self):
-        return self.layout.flatten([self.k, self.b])
-
-    def set_theta(self, vec):
-        self.k, self.b = self.layout.unflatten(vec)
+        parts = [np.zeros(shape) if part is None else np.asarray(part)
+                 for part, shape in zip((k, b), self.layout.shapes)]
+        for name, part, shape in zip("kb", parts, self.layout.shapes):
+            if part.shape != shape:
+                raise LayoutMismatch(f"{name} shape {part.shape} != {shape}")
+        self.set_theta(np.concatenate([p.ravel() for p in parts]))
 
     def row_forward(self, parts, states):
         return (self.row_means(parts, states),)
@@ -428,7 +431,7 @@ class LinearGainPolicy:
         return _flat_rows([-(wz.swapaxes(1, 2) @ states), wz.sum(axis=1)])
 
 
-class ParamPolicy:
+class ParamPolicy(_FlatTheta):
     """The parameter vector itself is the action (landscape environments)."""
 
     stochastic = False
@@ -436,15 +439,7 @@ class ParamPolicy:
     def __init__(self, dim, init=None):
         self.dim = int(dim)
         self.layout = LayerLayout.from_vector(self.dim)
-        self._theta = (np.zeros(self.dim) if init is None
-                       else np.asarray(init, dtype=float).copy())
-
-    @property
-    def theta(self):
-        return self._theta.copy()
-
-    def set_theta(self, vec):
-        self._theta = np.asarray(vec, dtype=float).copy()
+        self.set_theta(np.zeros(self.dim) if init is None else init)
 
     def row_means(self, parts, states):
         return np.broadcast_to(parts[0][:, None, :],

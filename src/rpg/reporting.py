@@ -45,7 +45,7 @@ def read_metrics(path):
 
     Raises MalformedLog (with the offending line number) on a missing or
     wrong version stamp, a header mismatch, or any row that does not
-    parse into the expected column types.
+    parse into the expected column types; gate must be 0 or 1.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         stamp = fh.readline().strip()
@@ -71,6 +71,9 @@ def read_metrics(path):
             if len(row) != len(COLUMNS):
                 raise MalformedLog(f"{path}: line {lineno}: expected "
                                    f"{len(COLUMNS)} columns, got {len(row)}")
+            if row[5] not in ("0", "1"):
+                raise MalformedLog(f"{path}: line {lineno}: gate must be 0 "
+                                   f"or 1, got {row[5]!r}")
             try:
                 records.append(StepRecord(
                     step=int(row[0]),
@@ -78,7 +81,7 @@ def read_metrics(path):
                     div=float(row[2]),
                     hessian_trace=float(row[3]),
                     ratio=float(row[4]),
-                    gate=bool(int(row[5])),
+                    gate=row[5] == "1",
                     wall_ms=float(row[6]),
                 ))
             except ValueError as err:

@@ -9,8 +9,8 @@ from rpg.errors import BadDimensions, NonFiniteField
 from rpg.fields import default_fd_step, eval_points, require_finite
 from rpg.geodesic import _fd_points
 from rpg.metric import MetricPoint, bilinear_form, inverse_apply
-from rpg.metricnet import (KERNEL, POOL_SIZE, Adam, UField, _conv_plan,
-                           _kick_heads, evaluate_divergence_loss)
+from rpg.metricnet import (KERNEL, POOL_SIZE, Adam, UField, _kick_heads,
+                           evaluate_divergence_loss)
 from rpg.policy import (LinearGainPolicy, Trajectory, _draw_episode_events,
                         _flat_rows, _reinforce_weights, _return_to_go,
                         reinforce_gradient_from_batch)
@@ -254,6 +254,27 @@ def reference_train_metric_net(phi, theta, grad_fn, pc, max_iters=20,
     return phi.with_flat(best), history
 
 
+def reference_stages(shape):
+    """(stage kinds, conv output length) of a part, by the architecture's
+    rule, kept apart from ``rpg.metricnet._net_plan`` so that the
+    reference does not share it: each of two stages is "2d" while the
+    running shape is a matrix with both dims >= KERNEL, else "1d" on the
+    flattened entries while there are >= KERNEL of them, else None."""
+    kinds, cur = [], tuple(shape)
+    for _ in range(2):
+        flat = int(np.prod(cur))
+        if len(cur) == 2 and min(cur) >= KERNEL:
+            kinds.append("2d")
+            cur = (cur[0] - KERNEL + 1, cur[1] - KERNEL + 1)
+        elif flat >= KERNEL:
+            kinds.append("1d")
+            cur = (flat - KERNEL + 1,)
+        else:
+            kinds.append(None)
+            cur = (flat,)
+    return tuple(kinds), int(np.prod(cur))
+
+
 def _tap_keys(shape):
     """The window of a (B,) + spatial input under each valid KERNEL conv
     tap, taps flat and row-major."""
@@ -277,7 +298,7 @@ def reference_net_forward(phi, points, keep=False):
     pts = np.asarray(points, dtype=np.float64)
     feats, part_acts = [], []
     for i, x in enumerate(phi.layout.unflatten_batch(np.atleast_2d(pts))):
-        kinds, length = _conv_plan(phi.layout.shapes[i])
+        kinds, length = reference_stages(phi.layout.shapes[i])
         stage_in = []
         for kind, kern in zip(kinds, phi.part_convs[i]):
             if kind is None:
@@ -339,7 +360,7 @@ def reference_net_backward(phi, acts, g_omega, g_sigma, to_theta=False):
         if stage_in or to_theta:
             g = g_z @ w.T
             if i != phi.layout.output_bias_part:
-                length = _conv_plan(phi.layout.shapes[i])[1]
+                length = reference_stages(phi.layout.shapes[i])[1]
                 starts = np.arange(0, length, POOL_SIZE)
                 counts = np.minimum(starts + POOL_SIZE, length) - starts
                 g = np.repeat(g * (1.0 / counts), counts, axis=-1)

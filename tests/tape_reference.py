@@ -296,10 +296,11 @@ def mlp_logprob_grad(policy, states, actions, weights):
     states = np.atleast_2d(np.asarray(states, dtype=float))
     actions = np.atleast_2d(np.asarray(actions, dtype=float))
     weights = np.asarray(weights, dtype=float).reshape(-1, 1)
-    inv_var = np.exp(-2.0 * policy.arrays[6])
+    parts = [p[0] for p in policy.layout.unflatten_batch(policy.theta[None])]
+    inv_var = np.exp(-2.0 * parts[6])
 
     graph = DiffGraph()
-    w1, b1, w2, b2, w3, b3 = [graph.leaf(a) for a in policy.arrays[:6]]
+    w1, b1, w2, b2, w3, b3 = [graph.leaf(a) for a in parts[:6]]
     h = tanh(add(matmul(states, w1), b1))
     h = tanh(add(matmul(h, w2), b2))
     mu = add(matmul(h, w3), b3)
@@ -308,8 +309,7 @@ def mlp_logprob_grad(policy, states, actions, weights):
     loss = reduce_sum(mul(z2, -0.5 * weights))
     grads = graph.leaf_gradients(loss)
 
-    mean = policy.row_means(
-        policy.layout.unflatten_batch(policy.theta[None]), states[None])[0]
+    mean = policy.row_means([p[None] for p in parts], states[None])[0]
     z2_val = (actions - mean) ** 2 * inv_var[None, :]
     grad_log_std = np.sum(weights * (z2_val - 1.0), axis=0)
-    return policy.layout.flatten(grads + [grad_log_std])
+    return np.concatenate([g.ravel() for g in grads + [grad_log_std]])

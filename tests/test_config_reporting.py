@@ -142,12 +142,18 @@ def test_bad_explore_sigma_is_a_config_error_on_its_line(raw):
     ("[run]\nvariant = J\npolicy_lr = inf\n", 3, "policy_lr"),
     ("[env]\nkind = lqr\nnoise_scale = -0.3\n", 3, "noise_scale"),
     ("[env]\nkind = lqr\nnoise_scale = nan\n", 3, "noise_scale"),
-], ids=["inf-policy-lr", "negative-noise", "nan-noise"])
+    ("[env]\nkind = lqr\na = inf\n", 3, "a"),
+    ("[env]\nkind = lqr\nq = nan\n", 3, "q"),
+    ("[env]\nkind = pointmass\ndt = nan\n", 3, "dt"),
+    ("[env]\nkind = pointmass\ndt = -0.1\n", 3, "dt"),
+], ids=["inf-policy-lr", "negative-noise", "nan-noise", "inf-a", "nan-q",
+        "nan-dt", "negative-dt"])
 def test_non_finite_or_negative_scale_is_a_config_error_on_its_line(
         text, line, name):
     # an infinite step sends theta to [inf, nan] at the first update; a
     # negative noise scale plays noiseless episodes while the closed-form
-    # return adds noise_scale^2
+    # return adds noise_scale^2; a non-finite plant or step aborts the run
+    # at its first update
     with pytest.raises(ConfigError) as err:
         parse_config_text(text)
     assert str(err.value).startswith(f"line {line}: {name} ")
@@ -168,8 +174,10 @@ def test_cross_field_validation_anchors_to_present_key():
     ("[env]\nkind = pointmass\nhorizon = 500\n", 3, "horizon"),
     ("[env]\nkind = landscape\nobjective = saddle\n", 3, "objective"),
     ("[env]\nkind = cartpole\n", 2, "kind"),
+    ("[env]\nkind = landscape\nobjective = rosenbrock\ndim = 7\n", 4,
+     "dim"),
 ], ids=["dt-under-lqr", "noise-under-pointmass", "horizon-500",
-        "saddle", "cartpole"])
+        "saddle", "cartpole", "rosenbrock-dim-7"])
 def test_env_parameter_errors_are_config_errors_on_their_line(text, line,
                                                               name):
     with pytest.raises(ConfigError) as err:
@@ -272,6 +280,10 @@ def test_metrics_header_layout(tmp_path):
      "1,2,3\n", "line 3: expected 7 columns"),
     ("# rpg-metrics-v1\nstep,return,div,hessian_trace,ratio,gate,wall_ms\n"
      "1,x,3,4,5,0,6\n", "line 3"),
+    ("# rpg-metrics-v1\nstep,return,div,hessian_trace,ratio,gate,wall_ms\n"
+     "1,2,3,4,5,1,6\n1,2,3,4,5,7,6\n", "line 4: gate must be 0 or 1"),
+    ("# rpg-metrics-v1\nstep,return,div,hessian_trace,ratio,gate,wall_ms\n"
+     "1,2,3,4,5,-1,6\n", "line 3: gate must be 0 or 1"),
 ])
 def test_malformed_logs_rejected(tmp_path, text, fragment):
     path = tmp_path / "bad.csv"

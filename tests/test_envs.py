@@ -192,7 +192,7 @@ def test_landscape_gradients_match_fd():
     h = 1e-6
     for objective, point in [("bowl", np.array([0.3, -0.7, 1.1, 0.2])),
                              ("rosenbrock", np.array([-0.4, 1.3]))]:
-        env = make_env("landscape", objective=objective, dim=4)
+        env = make_env("landscape", objective=objective, dim=point.size)
         grad = env.analytic_gradient(point)
         for i in range(env.dim):
             up, dn = point.copy(), point.copy()
@@ -211,10 +211,40 @@ def test_bowl_field_rows_equal_the_row_gradient():
 
 
 def test_rosenbrock_forces_two_dims_and_has_known_minimum():
-    env = make_env("landscape", objective="rosenbrock", dim=7)
+    env = make_env("landscape", objective="rosenbrock")
     assert env.dim == 2
+    # a dim the objective would ignore is refused, not silently dropped
+    with pytest.raises(ValueError, match="^dim "):
+        make_env("landscape", objective="rosenbrock", dim=7)
     assert env.objective_value([1.0, 1.0]) == 0.0
     assert np.allclose(env.analytic_gradient([1.0, 1.0]), 0.0, atol=1e-14)
+
+
+def test_landscape_dim_defaults_per_objective():
+    assert make_env("landscape").dim == 4
+    assert make_env("landscape", objective="bowl", dim=7).dim == 7
+    assert make_env("landscape", objective="rosenbrock", dim=2).dim == 2
+    for dim in (0, 3):
+        with pytest.raises(ValueError, match="^dim "):
+            make_env("landscape", objective="rosenbrock", dim=dim)
+
+
+@pytest.mark.parametrize("kind,params,key", [
+    ("lqr", {"a": [[np.inf]]}, "a"),
+    ("lqr", {"b": [[np.nan]]}, "b"),
+    ("lqr", {"q": [[np.nan]]}, "q"),
+    ("lqr", {"r": [[-np.inf]]}, "r"),
+    ("pointmass", {"dt": np.nan}, "dt"),
+    ("pointmass", {"dt": np.inf}, "dt"),
+    ("pointmass", {"dt": -0.1}, "dt"),
+    ("pointmass", {"dt": 0.0}, "dt"),
+], ids=["inf-a", "nan-b", "nan-q", "inf-r", "nan-dt", "inf-dt",
+        "negative-dt", "zero-dt"])
+def test_non_finite_or_non_positive_env_parameters_are_refused(kind, params,
+                                                               key):
+    # each such run used to abort at its first update, with no record
+    with pytest.raises(ValueError, match=f"^{key} must be"):
+        make_env(kind, **params)
 
 
 def test_landscape_is_single_step():

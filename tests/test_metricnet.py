@@ -60,9 +60,13 @@ def make_phi(seed=0, layout=None, m_tilde=3, heads="zero"):
 
 
 def test_layout_round_trip_exact():
+    # the parts of unflatten_batch, laid end to end in layout order, give
+    # the rows back bit for bit
     layout = small_layout()
-    vec = RngStream(1).normal((layout.n,))
-    assert np.array_equal(layout.flatten(layout.unflatten(vec)), vec)
+    rows = RngStream(1).normal((3, layout.n))
+    parts = layout.unflatten_batch(rows)
+    back = np.concatenate([p.reshape(3, -1) for p in parts], axis=1)
+    assert np.array_equal(back, rows)
 
 
 def test_layout_unflatten_batch_shapes():
@@ -79,10 +83,11 @@ def test_layout_output_bias_rule():
 
 def test_layout_rejects_wrong_sizes():
     layout = small_layout()
+    for bad in (np.zeros(layout.n), np.zeros((2, layout.n + 1))):
+        with pytest.raises(LayoutMismatch):
+            layout.unflatten_batch(bad)
     with pytest.raises(LayoutMismatch):
-        layout.unflatten(np.zeros(layout.n + 1))
-    with pytest.raises(LayoutMismatch):
-        layout.flatten([np.zeros((4, 4))])
+        LayerLayout(shapes=((4, 0), (2,)))
 
 
 # ----------------------------------------------------------------- forward
@@ -131,7 +136,7 @@ def test_trunk_perturbation_matches_backprop():
     of the reference forward."""
     phi = make_phi(seed=11, heads="random")
     theta = RngStream(12).normal((phi.layout.n,))
-    theta_parts = phi.layout.unflatten(theta)
+    theta_parts = [p[0] for p in phi.layout.unflatten_batch(theta[None])]
 
     graph = DiffGraph()
     var_phi = phi.with_arrays([graph.leaf(a) for a in phi.params_list()])

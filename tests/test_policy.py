@@ -10,6 +10,7 @@ from helpers import (logprob_grads, lqr_analytic_gradient,
                      reference_evaluation_returns, reference_play_rows,
                      reference_reinforce_field, reference_row_logprob_grads)
 from rpg.envs import LqrEnv, make_env
+from rpg.errors import LayoutMismatch
 from rpg.policy import (LinearGainPolicy, ParamPolicy, PolicyMLP, Trajectory,
                         _draw_episode_events, _play_rows, _return_to_go,
                         evaluation_returns, reinforce_field,
@@ -53,7 +54,7 @@ def logprob_sum(policy, theta, states, actions, weights):
     policy.set_theta(theta)
     mu = policy.row_means(own_parts(policy), states[None])[0]
     if isinstance(policy, PolicyMLP):
-        log_std = policy.arrays[6]
+        log_std = own_parts(policy)[6][0]
         var = np.exp(2.0 * log_std)
         lp = (-0.5 * np.sum((actions - mu) ** 2 / var, axis=1)
               - np.sum(log_std))
@@ -228,6 +229,44 @@ def test_param_policy_acts_its_vector():
     assert np.array_equal(pol.theta, [0.0, 0.0, 1.0])
 
 
+POLICIES = {
+    "mlp": lambda: PolicyMLP(3, 2, RngStream(8)),
+    "gain": lambda: LinearGainPolicy(2, 1, k=[[0.3, -0.2]], b=[0.1]),
+    "param": lambda: ParamPolicy(3, init=[1.0, -2.0, 0.5]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(POLICIES))
+def test_set_theta_rejects_a_wrong_shape(name):
+    pol = POLICIES[name]()
+    keep, n = pol.theta, pol.layout.n
+    for bad in (np.zeros(n + 1), np.zeros((1, n)), np.zeros(())):
+        with pytest.raises(LayoutMismatch):
+            pol.set_theta(bad)
+    assert np.array_equal(pol.theta, keep)
+
+
+@pytest.mark.parametrize("name", sorted(POLICIES))
+def test_theta_is_held_flat_and_copied_both_ways(name):
+    pol = POLICIES[name]()
+    n = pol.layout.n
+    source = np.arange(n, dtype=np.float64)
+    pol.set_theta(source)
+    source[0] = 99.0
+    pol.theta[1] = 99.0
+    assert np.array_equal(pol.theta, np.arange(n, dtype=np.float64))
+    pol.set_theta(range(n))               # integers, stored as float64
+    assert pol.theta.dtype == np.float64
+
+
+@pytest.mark.parametrize("k,b", [
+    ([0.3, -0.2], None), ([[0.3], [-0.2]], None), ([[0.3, -0.2]], [0.1, 0.2]),
+], ids=["flat-k", "transposed-k", "long-b"])
+def test_gain_policy_constructor_checks_its_part_shapes(k, b):
+    with pytest.raises(LayoutMismatch):
+        LinearGainPolicy(2, 1, k=k, b=b)
+
+
 def test_reinforce_zero_advantage_on_constant_rewards():
     grad = reinforce(ConstantRewardEnv(), LinearGainPolicy(2, 1), 100,
                      RngStream(5))
@@ -244,7 +283,8 @@ def test_reinforce_sign_agreement_with_analytic_oracle():
         k0 = float(rng.uniform(0.05, 0.45, size=1)[0])
         pol = LinearGainPolicy(1, 1, sigma=0.1, k=[[k0]])
         est = reinforce(env, pol, 20, rng)
-        oracle = lqr_analytic_gradient(pol.k, env, env.horizon, GAMMA)
+        oracle = lqr_analytic_gradient(own_parts(pol)[0][0], env,
+                                       env.horizon, GAMMA)
         agree += int(np.sign(est[0]) == np.sign(oracle[0, 0]))
     assert agree >= 95
 
