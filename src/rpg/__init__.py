@@ -24,10 +24,10 @@ Import layout:
                     estimator the report and the metric loss share
     rpg.geodesic    geodesic update direction (one u-VJP) +
                     Christoffel/ODE oracles
-    rpg.metricnet   the metric network, whose structure one plan per
-                    layout fixes, its fused loss and phi-gradient, UField
-                    (u at one phi, and its VJP), the inner training loop
-                    with Adam, checkpoints
+    rpg.metricnet   the metric network, phi one flat vector that one plan
+                    per layout and m_tilde lays out; its fused loss and
+                    phi-gradient, UField (u at one phi, and its VJP), the
+                    inner training loop with Adam, checkpoints
     rpg.envs        toy environments (LQR, point-mass, landscapes)
     rpg.policy      policies holding theta flat; one rollout engine over rows,
                     which plays the fresh batch, the evaluation episodes

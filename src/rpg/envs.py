@@ -64,9 +64,9 @@ class LqrEnv(_Env):
     s' = A s + B a + noise_scale * xi,   xi ~ N(0, I)
     reward(s, a) = -(s^T Q s + a^T R a)
 
-    Costs are positive semidefinite, so returns are <= 0 and the optimum is
-    the Riccati gain (see riccati_gain).  Initial states are uniform on
-    [-1, 1]^state_dim.
+    Q must be symmetric positive semidefinite and R symmetric positive
+    definite, so returns are <= 0 and the optimum is the Riccati gain (see
+    riccati_gain).  Initial states are uniform on [-1, 1]^state_dim.
     """
 
     kind = "lqr"
@@ -96,6 +96,17 @@ class LqrEnv(_Env):
         for key, m in zip("abqr", (self.a, self.b, self.q, self.r)):
             if not np.isfinite(m).all():
                 raise ValueError(f"{key} must be finite, got {m.tolist()}")
+        # costs >= 0 need q >= 0, and the Riccati gain needs r > 0; the
+        # slack allows for eigvalsh's rounding of a singular q
+        for key, m in (("q", self.q), ("r", self.r)):
+            eigs = np.linalg.eigvalsh(m)
+            slack = len(m) * np.finfo(float).eps * np.abs(eigs).max()
+            least = eigs[0] + slack if key == "q" else eigs[0] - slack
+            if not (np.array_equal(m, m.T) and least >= 0.0
+                    and (key == "q" or least > 0.0)):
+                kind = "semidefinite" if key == "q" else "definite"
+                raise ValueError(f"{key} must be symmetric positive {kind}, "
+                                 f"got {m.tolist()}")
         self.horizon = _check_horizon(horizon)
         self.noise_scale = float(noise_scale)
         if not (np.isfinite(self.noise_scale) and self.noise_scale >= 0.0):

@@ -13,10 +13,11 @@ is x_i A_i + b_i with one (part size x PART_WIDTH) matrix A_i = C1 C2 P W_i,
 the convolutions being banded maps (Goodfellow, Bengio & Courville, *Deep
 Learning*, 2016, section 9.1).  ``_collapse`` builds the block-diagonal A
 of all parts from phi, and a forward over flat points is one x @ A + b.
-The layout fixes all of phi's structure, which ``_net_plan`` alone derives,
-once per layout: each part's stage kinds, conv taps, pool windows and dense
-input size, and every phi-gradient's slot in phi's flat order.
-``init_params`` draws phi along that plan.
+phi is one flat vector, and the layout and m_tilde fix all of its
+structure, which ``_net_plan`` alone derives, once per layout: each part's
+stage kinds, conv taps, pool windows and dense input size, and the one
+table of every phi array's slot and shape.  Values, views, phi-gradients,
+Adam's copy and checkpoints all use that one layout.
 
 Zero heads mean u = 0 identically at initialization: the learned metric
 starts exactly Euclidean and the step-0 regularized gradient equals the raw
@@ -42,8 +43,8 @@ start is an exact saddle — every phi-derivative carries a factor of u or
 u.g, which is exactly 0.0 — so when the loss is positive but the
 phi-gradient is identically zero the loop applies one small seeded kick to
 the head parameters and resumes descent.  The phi-gradient is written
-straight into one flat vector, laid out like the flat copy of phi that Adam
-steps.  The returned phi is the best recorded iterate, never the last one;
+straight into one flat vector, laid out like the copy of phi.values that
+Adam steps.  The returned phi is the best recorded iterate, never the last one;
 a non-finite loss, u value or gradient row aborts the loop at its iteration
 and returns that incumbent.
 
@@ -149,7 +150,12 @@ class MetricNetConfig:
 
 @dataclass
 class MetricNetParams:
-    """All trainable arrays plus the structural metadata to interpret them.
+    """phi: every trainable value in one flat float64 vector, laid out by
+    the plan of the layout and m_tilde (``_net_plan``).  ``params_list``
+    gives each array as a view into values: per part its conv kernels and
+    dense (weight, bias), then the trunk's and the two heads' (weight,
+    bias), which are also views by name: trunk_w, trunk_b, head_omega_w,
+    head_omega_b, head_sigma_w and head_sigma_b.
 
     Parameter partition: everything up to the trunk is shared, the
     omega-head pair is phi1, the sigma-head pair is phi2 (the shared/exclusive
@@ -159,30 +165,32 @@ class MetricNetParams:
 
     layout: LayerLayout
     m_tilde: int
-    plans: tuple
-    part_convs: list
-    part_dense: list
-    trunk_w: object
-    trunk_b: object
-    head_omega_w: object
-    head_omega_b: object
-    head_sigma_w: object
-    head_sigma_b: object
+    values: np.ndarray
+
+    def __post_init__(self):
+        (self.trunk_w, self.trunk_b, self.head_omega_w, self.head_omega_b,
+         self.head_sigma_w, self.head_sigma_b) = self.params_list()[-6:]
 
     @property
     def size(self) -> int:
-        """Number of trainable values, the length of a ``with_flat`` vector."""
-        return sum(a.size for a in self.params_list())
+        """Number of trainable values, the length of values."""
+        return self.values.size
+
+    @property
+    def plans(self) -> tuple:
+        """Each part's two stage kinds ("2d", "1d" or None)."""
+        plan = _net_plan(self.layout.shapes, self.layout.output_bias_part,
+                         self.m_tilde)
+        return tuple(pp.kinds for pp in plan.parts)
 
     def params_list(self) -> list:
-        out = []
-        for kerns, (w, b) in zip(self.part_convs, self.part_dense):
-            out.extend(k for k in kerns if k is not None)
-            out.extend([w, b])
-        out.extend([self.trunk_w, self.trunk_b,
-                    self.head_omega_w, self.head_omega_b,
-                    self.head_sigma_w, self.head_sigma_b])
-        return out
+        plan = _net_plan(self.layout.shapes, self.layout.output_bias_part,
+                         self.m_tilde)
+        if np.shape(self.values) != (plan.size,):
+            raise LayoutMismatch(f"values of shape {np.shape(self.values)} "
+                                 f"for {plan.size} parameters")
+        return [self.values[slot].reshape(shape)
+                for slot, shape in plan.arrays]
 
     def param_groups(self) -> dict:
         total = len(self.params_list())
@@ -190,67 +198,30 @@ class MetricNetParams:
                 "phi1": [total - 4, total - 3],
                 "phi2": [total - 2, total - 1]}
 
-    def with_arrays(self, arrays: list) -> "MetricNetParams":
-        it = iter(arrays)
-        convs, dense = [], []
-        for kerns in self.part_convs:
-            convs.append([None if k is None else next(it) for k in kerns])
-            dense.append([next(it), next(it)])
-        rest = [next(it) for _ in range(6)]
-        leftovers = sum(1 for _ in it)
-        if leftovers:
-            raise LayoutMismatch(f"{leftovers} extra parameter arrays")
-        return replace(self, part_convs=convs, part_dense=dense,
-                       trunk_w=rest[0], trunk_b=rest[1],
-                       head_omega_w=rest[2], head_omega_b=rest[3],
-                       head_sigma_w=rest[4], head_sigma_b=rest[5])
-
     def with_flat(self, vec: np.ndarray) -> "MetricNetParams":
-        """The same network with every array a view into the flat vec,
-        arrays laid end to end in ``params_list`` order."""
-        arrays, at = [], 0
-        for a in self.params_list():
-            arrays.append(vec[at:at + a.size].reshape(a.shape))
-            at += a.size
-        if at != vec.size:
-            raise LayoutMismatch(f"flat vector of {vec.size} values for "
-                                 f"{at} parameters")
-        return self.with_arrays(arrays)
+        """The same network holding vec, its arrays views into vec."""
+        return replace(self, values=vec)
 
 
 def init_params(rng: RngStream, cfg: MetricNetConfig,
                 layout: LayerLayout) -> MetricNetParams:
-    """Scaled-uniform trunk/conv/dense parameters, drawn part by part along
-    the layout's ``_net_plan``, and exactly-zero heads."""
-    if not 1 <= cfg.m_tilde < layout.n:
-        raise BadDimensions(
-            f"m_tilde must satisfy 1 <= m_tilde < n, got {cfg.m_tilde} vs "
-            f"n={layout.n}")
+    """Scaled-uniform conv, dense and trunk weights, drawn part by part
+    into their slots of phi's flat vector along the plan
+    (``_net_plan``); zero biases and exactly-zero heads."""
+    plan = _net_plan(layout.shapes, layout.output_bias_part, cfg.m_tilde)
+    values = np.zeros(plan.size)
 
-    def uniform(shape, fan_in):
+    def draw(slot, fan_in):
         s = INIT_SCALE / max(1.0, np.sqrt(fan_in))
-        return rng.uniform(-s, s, shape)
+        values[slot] = rng.uniform(-s, s, slot.stop - slot.start)
 
-    plan = _net_plan(layout.shapes, layout.output_bias_part)
-    part_convs, part_dense = [], []
     for pp in plan.parts:
-        kerns = [None] * len(pp.kinds)
-        for taps, _, kernel, _ in pp.stages:     # one weight per tap
-            kerns[kernel] = uniform((len(taps),), len(taps))
-        part_convs.append(kerns)
-        part_dense.append([uniform((pp.features, PART_WIDTH), pp.features),
-                           np.zeros(PART_WIDTH)])
-    trunk_in = len(layout.shapes) * PART_WIDTH
-    return MetricNetParams(
-        layout=layout, m_tilde=cfg.m_tilde,
-        plans=tuple(pp.kinds for pp in plan.parts),
-        part_convs=part_convs, part_dense=part_dense,
-        trunk_w=uniform((trunk_in, TRUNK_WIDTH), trunk_in),
-        trunk_b=np.zeros(TRUNK_WIDTH),
-        head_omega_w=np.zeros((TRUNK_WIDTH, cfg.m_tilde)),
-        head_omega_b=np.zeros(cfg.m_tilde),
-        head_sigma_w=np.zeros((TRUNK_WIDTH, cfg.m_tilde)),
-        head_sigma_b=np.zeros(cfg.m_tilde))
+        for taps, _, slot in pp.stages:     # one weight per tap
+            draw(slot, len(taps))
+        draw(pp.weights, pp.features)
+    trunk, (trunk_in, _) = plan.arrays[-6]
+    draw(trunk, trunk_in)
+    return MetricNetParams(layout, cfg.m_tilde, values)
 
 
 # ----------------------------------------------------------------- forward
@@ -261,12 +232,12 @@ class _PartPlan:
     """One parameter part: its rows of A (its entries in flat theta) and
     columns (in the trunk input); the kind of each of its two conv stages
     ("2d", "1d" or None for a skipped stage); per stage that runs (taps,
-    inverse, kernel index, kernel-gradient slot), where taps[t, o] is the
-    flat input tap t reads for output o and inverse[t, i] the output
-    reading input i under tap t (the output length where none does); the
-    average pool P as (window of each conv output, 1 / (pooled, 1) window
-    sizes), None for the part exempt from pooling; its dense layer's input
-    size; and its dense gradients' offset."""
+    inverse, kernel slot), where taps[t, o] is the flat input tap t reads
+    for output o and inverse[t, i] the output reading input i under tap t
+    (the output length where none does); the average pool P as (window
+    of each conv output, 1 / (pooled, 1) window sizes), None for the part
+    exempt from pooling; its dense layer's input size; and the slots of
+    its dense weights and bias."""
 
     rows: slice
     cols: slice
@@ -274,14 +245,15 @@ class _PartPlan:
     stages: tuple
     pool: tuple | None
     features: int
-    dense_at: int
+    weights: slice
+    bias: slice
 
 
 @dataclass(frozen=True)
 class _NetPlan:
     parts: tuple
-    trunk_at: int           # offsets of the trunk's gradients and of the
-    heads_at: int           # heads', which follow them
+    arrays: tuple           # (slot, shape) of every phi array, in order
+    size: int               # phi's length
 
 
 def _read_only(a):
@@ -290,16 +262,24 @@ def _read_only(a):
 
 
 @lru_cache(maxsize=64)
-def _net_plan(shapes: tuple, exempt: int | None) -> _NetPlan:
+def _net_plan(shapes: tuple, exempt: int | None, m_tilde: int) -> _NetPlan:
     """What a layout (its part shapes and the part exempt from pooling)
-    fixes: per part, each stage's kind by the running shape (see the
-    module docstring), conv taps and their inverse, pool windows, dense
-    input size and the slots of its phi-gradients in ``params_list``
-    order.  Callers share the plan, so its arrays are read-only."""
-    parts, at, start = [], 0, 0
+    and m_tilde fix: per part, each stage's kind by the running shape
+    (see the module docstring), conv taps and their inverse, pool windows
+    and dense input size; and the one table of every phi array's slot in
+    phi's flat vector and shape, which the values and their gradients
+    share.  Callers share the plan, so its arrays are read-only."""
+    arrays = []
+
+    def take(*shape):       # the next array's slot, entered in the table
+        at = arrays[-1][0].stop if arrays else 0
+        arrays.append((slice(at, at + math.prod(shape)), shape))
+        return arrays[-1][0]
+
+    parts, start = [], 0
     for i, shape in enumerate(shapes):
         cur, kinds, stages = shape, [], []
-        for s in range(2):
+        for _ in range(2):
             flat = int(np.prod(cur))
             if len(cur) == 2 and min(cur) >= KERNEL:
                 kinds.append("2d")
@@ -318,9 +298,8 @@ def _net_plan(shapes: tuple, exempt: int | None) -> _NetPlan:
             taps = windows.reshape(-1, KERNEL ** flat_in.ndim).T.copy()
             inverse = np.full((len(taps), flat_in.size), taps.shape[1])
             np.put_along_axis(inverse, taps, np.arange(taps.shape[1]), 1)
-            stages.append((_read_only(taps), _read_only(inverse), s,
-                           slice(at, at + len(taps))))
-            at += len(taps)
+            stages.append((_read_only(taps), _read_only(inverse),
+                           take(len(taps))))
         pool, features = None, int(np.prod(cur))    # the conv output
         if i != exempt:
             # a partial trailing window averages the entries it has
@@ -328,15 +307,22 @@ def _net_plan(shapes: tuple, exempt: int | None) -> _NetPlan:
             counts = np.unique(window, return_counts=True)[1]
             pool = (_read_only(window), _read_only(1.0 / counts[:, None]))
             features = len(counts)
+        weights = take(features, PART_WIDTH)
         size = int(np.prod(shape))
         parts.append(_PartPlan(slice(start, start + size),
                                slice(i * PART_WIDTH, (i + 1) * PART_WIDTH),
                                tuple(kinds), tuple(stages), pool, features,
-                               at))
+                               weights, take(PART_WIDTH)))
         start += size
-        at += (features + 1) * PART_WIDTH
-    heads_at = at + (len(shapes) * PART_WIDTH + 1) * TRUNK_WIDTH
-    return _NetPlan(tuple(parts), at, heads_at)
+    if not 1 <= m_tilde < start:
+        raise BadDimensions(f"m_tilde must satisfy 1 <= m_tilde < n, got "
+                            f"{m_tilde} vs n={start}")
+    trunk_in = len(shapes) * PART_WIDTH
+    for shape in ((trunk_in, TRUNK_WIDTH), (TRUNK_WIDTH,),
+                  (TRUNK_WIDTH, m_tilde), (m_tilde,),      # omega head
+                  (TRUNK_WIDTH, m_tilde), (m_tilde,)):     # sigma head
+        take(*shape)
+    return _NetPlan(tuple(parts), tuple(arrays), arrays[-1][0].stop)
 
 
 def _collapse(phi: MetricNetParams):
@@ -347,24 +333,28 @@ def _collapse(phi: MetricNetParams):
     of j's window over the window size (W_i for the part exempt from
     pooling), then each conv stage C applied to the product R on its right
     as the sum over taps of kernel[t] * R[inverse[t]] (R padded with a zero
-    row).  A is the block-diagonal (n, PART_WIDTH * parts) matrix of the
-    A_i and b the parts' dense biases end to end.  gathered holds, per part
-    and stage in stage order, the (taps, stage input length, PART_WIDTH)
-    array R[inverse] that the reverse pass reads for the kernel gradient.
+    row), every array read from its slot of phi.values.  A is the
+    block-diagonal (n, PART_WIDTH * parts) matrix of the A_i and b the
+    parts' dense biases end to end.  gathered holds, per part and stage in
+    stage order, the (taps, stage input length, PART_WIDTH) array
+    R[inverse] that the reverse pass reads for the kernel gradient.
     """
-    plan = _net_plan(phi.layout.shapes, phi.layout.output_bias_part)
+    plan = _net_plan(phi.layout.shapes, phi.layout.output_bias_part,
+                     phi.m_tilde)
+    values = phi.values
     a = np.zeros((phi.layout.n, len(plan.parts) * PART_WIDTH))
     zero_row = np.zeros((1, PART_WIDTH))
     gathered, biases = [], []
-    for pp, kerns, (w, b) in zip(plan.parts, phi.part_convs, phi.part_dense):
+    for pp in plan.parts:
+        w = values[pp.weights].reshape(-1, PART_WIDTH)
         r, kept = w if pp.pool is None else (w * pp.pool[1])[pp.pool[0]], []
-        for _, inverse, kernel, _ in reversed(pp.stages):
+        for _, inverse, slot in reversed(pp.stages):
             g = np.concatenate([r, zero_row])[inverse]
             kept.append(g)
-            r = (kerns[kernel] @ g.reshape(len(g), -1)).reshape(g.shape[1:])
+            r = (values[slot] @ g.reshape(len(g), -1)).reshape(g.shape[1:])
         a[pp.rows, pp.cols] = r
         gathered.append(kept[::-1])
-        biases.append(b)
+        biases.append(values[pp.bias])
     return plan, a, np.concatenate(biases), gathered
 
 
@@ -399,40 +389,38 @@ def _net_backward(phi: MetricNetParams, acts, g_omega, g_sigma, out):
     cotangents g_omega and g_sigma; the phi-gradients go to out.
 
     out is one flat vector of ``phi.size`` values, and each phi-gradient
-    is written straight into its slot, laid out as ``with_flat`` lays out
-    the arrays (``params_list`` order).  g_z gives A_i's cotangent
-    x_i^T g_z_i, one matmul whatever the row count, which is carried back
-    through the chain A_i = C1 C2 P W_i to each kernel (one product with
-    the forward's gathered R[inverse]) and through each stage (a gather at
-    the stage's taps) to W_i.
+    is written straight into its array's slot of the plan, laid out as
+    phi.values is.  g_z gives A_i's cotangent x_i^T g_z_i, one matmul
+    whatever the row count, which is carried back through the chain
+    A_i = C1 C2 P W_i to each kernel (one product with the forward's
+    gathered R[inverse]) and through each stage (a gather at the stage's
+    taps) to W_i.
     """
     (plan, _, _, gathered), x, z, h_in, z_trunk, h = acts
+    values = phi.values
     g_h = g_omega @ phi.head_omega_w.T + g_sigma @ phi.head_sigma_w.T
     g_trunk = g_h * _sigmoid(z_trunk)
     g_z = (g_trunk @ phi.trunk_w.T) * _sigmoid(z)
-    for pp, kept, kerns in zip(plan.parts, gathered, phi.part_convs):
+    for pp, kept in zip(plan.parts, gathered):
         g = x[:, pp.rows].T @ g_z[:, pp.cols]
-        for (taps, _, kernel, slot), r in zip(pp.stages, kept):
+        for (taps, _, slot), r in zip(pp.stages, kept):
             np.matmul(r.reshape(len(r), -1), g.reshape(-1), out=out[slot])
-            g = (kerns[kernel] @ g[taps].reshape(len(taps), -1)).reshape(
+            g = (values[slot] @ g[taps].reshape(len(taps), -1)).reshape(
                 -1, PART_WIDTH)
         if pp.pool is not None:
             # P^T g: each window's sum (zero-padded to whole windows) / count
             pad = np.zeros((-len(g) % POOL_SIZE, PART_WIDTH))
             g = np.concatenate([g, pad]).reshape(-1, POOL_SIZE, PART_WIDTH)
             g = g.sum(axis=1) * pp.pool[1]
-        end = pp.dense_at + g.size
-        out[pp.dense_at:end] = g.ravel()
-        np.add.reduce(g_z[:, pp.cols], axis=0, out=out[end:end + PART_WIDTH])
-    head = (TRUNK_WIDTH + 1) * g_omega.shape[1]
-    for x_in, g_out, at in ((h_in, g_trunk, plan.trunk_at),
-                            (h, g_omega, plan.heads_at),
-                            (h, g_sigma, plan.heads_at + head)):
+        out[pp.weights] = g.ravel()
+        np.add.reduce(g_z[:, pp.cols], axis=0, out=out[pp.bias])
+    dense = plan.arrays[-6:]        # the trunk's, then the heads' (w, b)
+    for x_in, g_out, (w, shape), (b, _) in zip(
+            (h_in, h, h), (g_trunk, g_omega, g_sigma), dense[::2],
+            dense[1::2]):
         # the (weight, bias) gradients of a dense layer x_in @ w + b
-        width = g_out.shape[1]
-        end = at + x_in.shape[1] * width
-        np.matmul(x_in.T, g_out, out=out[at:end].reshape(-1, width))
-        np.add.reduce(g_out, axis=0, out=out[end:end + width])
+        np.matmul(x_in.T, g_out, out=out[w].reshape(shape))
+        np.add.reduce(g_out, axis=0, out=out[b])
     return g_z
 
 
@@ -548,9 +536,8 @@ def evaluate_divergence_loss(phi: MetricNetParams, ctx: ProbeRows,
     as constants.  ``probe_divergence`` carries d loss back to u; a reverse
     pass continues through the Fourier scaling and rotation and the
     network (``_u_backward``).  The gradient is one flat vector laid out
-    like ``phi.with_flat``'s (arrays in ``params_list`` order), written
-    into out when given.  front is phi's ``_collapse``, built by the
-    forward when None.
+    like phi.values, written into out when given.  front is phi's
+    ``_collapse``, built by the forward when None.
     """
     fp = build_fourier_pair(phi.layout.n, phi.m_tilde)
     u, record = _u_forward(phi, fp, ctx.points[0], front)
@@ -588,8 +575,8 @@ def train_metric_net(phi: MetricNetParams, theta: np.ndarray,
     in place (``freeze_probe_batch``), the loss and its phi-gradient
     (``evaluate_divergence_loss``, into one flat buffer), then an Adam
     step or a kick.  A non-finite u(theta) or loss aborts the loop at its
-    iteration; the incumbent is returned unchanged.  Adam works on one
-    flat copy of phi's arrays.
+    iteration; the incumbent is returned unchanged.  Adam steps a copy of
+    phi.values, which the working network's arrays view.
     """
     iters = len(field_rows.probes)
     if iters < 1:
@@ -597,11 +584,10 @@ def train_metric_net(phi: MetricNetParams, theta: np.ndarray,
     theta = np.asarray(theta, dtype=np.float64)
     kick_rng = RngStream(pc.seed).spawn("alg1-kick")
 
-    flat = np.concatenate([np.ravel(a) for a in phi.params_list()])
-    work = phi.with_flat(flat)
-    grad = np.empty_like(flat)
-    adam = Adam(flat.size, lr=lr)
-    best = flat.copy()
+    work = phi.with_flat(phi.values.copy())
+    best = phi.values.copy()
+    grad = np.empty_like(best)
+    adam = Adam(best.size, lr=lr)
     best_loss, best_div = np.inf, np.nan
     history = []
 
@@ -623,43 +609,44 @@ def train_metric_net(phi: MetricNetParams, theta: np.ndarray,
             break
         if loss < best_loss:
             best_loss, best_div = loss, div
-            best[:] = flat
+            best[:] = work.values
         history.append((it, best_div, best_loss))
         if loss > 0.0 and not grad.any():
             # Exact saddle of the zero-head start: every loss derivative
             # carries a factor of u, which is identically 0.0 here.
             _kick_heads(work, kick_rng, kick_scale)
         else:
-            adam.update(flat, grad)
+            adam.update(work.values, grad)
     return phi.with_flat(best), history
 
 
 # ------------------------------------------------------------- checkpoints
 
 
-def _describe(phi: MetricNetParams) -> dict:
-    """The header fields that ``save_params`` and ``params_to_json`` share."""
-    return {"layout": [list(s) for s in phi.layout.shapes],
-            "m_tilde": phi.m_tilde,
+def _describe(layout: LayerLayout, m_tilde: int) -> dict:
+    """The header fields that ``save_params`` writes and ``load_params``
+    checks for the network a layout and m_tilde describe, from its plan;
+    ``params_to_json`` shares all but the array shapes."""
+    plan = _net_plan(layout.shapes, layout.output_bias_part, m_tilde)
+    return {"layout": [list(s) for s in layout.shapes],
+            "m_tilde": m_tilde,
             "pool_size": POOL_SIZE,
             "kernel": KERNEL,
-            "plans": [list(p) for p in phi.plans]}
+            "plans": [list(pp.kinds) for pp in plan.parts],
+            "arrays": [list(shape) for _, shape in plan.arrays]}
 
 
 def save_params(phi: MetricNetParams, path: str) -> None:
-    """Versioned binary checkpoint: magic, JSON header, raw f8 payload."""
-    arrs = phi.params_list()
-    header = {"version": 2, **_describe(phi),
-              "pool_exempt": phi.layout.pool_exempt,
-              "arrays": [list(a.shape) for a in arrs]}
+    """Versioned binary checkpoint: magic, JSON header, phi.values as raw
+    little-endian f8."""
+    header = {"version": 2, **_describe(phi.layout, phi.m_tilde),
+              "pool_exempt": phi.layout.pool_exempt}
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    payload = np.concatenate([np.asarray(a, dtype=np.float64).ravel()
-                              for a in arrs]).astype("<f8").tobytes()
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(len(blob).to_bytes(8, "little"))
         fh.write(blob)
-        fh.write(payload)
+        fh.write(phi.values.astype("<f8").tobytes())
 
 
 _HEADER_KEYS = ("kernel", "pool_size", "m_tilde", "layout", "plans", "arrays")
@@ -670,9 +657,10 @@ def load_params(path: str) -> MetricNetParams:
 
     The header's kernel, pool size, plans and array shapes must be
     exactly what ``save_params`` writes for the network that its layout
-    and m_tilde describe; any difference, or a missing key, raises
-    LayoutMismatch.  A v2 header must hold an int or null pool_exempt; a v1
-    file has none and loads with the layout's default exempt part.
+    and m_tilde describe; any difference, a missing key or a payload of
+    another length raises LayoutMismatch.  A v2 header must hold an int
+    or null pool_exempt; a v1 file has none and loads with the layout's
+    default exempt part.
     """
     with open(path, "rb") as fh:
         magic = fh.read(len(CHECKPOINT_MAGIC))
@@ -692,22 +680,16 @@ def load_params(path: str) -> MetricNetParams:
                 f"checkpoint pool_exempt {exempt!r} is not an int or null")
     layout = LayerLayout(shapes=tuple(tuple(s) for s in header["layout"]),
                          pool_exempt=exempt)
-    # the network the header describes, holding throwaway values
-    template = init_params(RngStream(0),
-                           MetricNetConfig(m_tilde=int(header["m_tilde"])),
-                           layout)
-    arrays = [list(a.shape) for a in template.params_list()]
-    for key, want in {**_describe(template), "arrays": arrays}.items():
+    m_tilde = int(header["m_tilde"])
+    for key, want in _describe(layout, m_tilde).items():
         if header[key] != want:
             raise LayoutMismatch(f"checkpoint {key} {header[key]} differs "
                                  f"from {want}, implied by its layout")
-    if template.size != payload.size:
-        raise ValueError(f"checkpoint payload mismatch: {template.size} != "
-                         f"{payload.size}")
-    return template.with_flat(payload.copy())
+    return MetricNetParams(layout, m_tilde, payload.astype(np.float64))
 
 
 def params_to_json(phi: MetricNetParams) -> dict:
     """Inspection-friendly export; lossy only in that floats print as JSON."""
-    return {**_describe(phi), "groups": phi.param_groups(),
-            "arrays": [np.asarray(a).tolist() for a in phi.params_list()]}
+    return {**_describe(phi.layout, phi.m_tilde),
+            "groups": phi.param_groups(),
+            "arrays": [a.tolist() for a in phi.params_list()]}

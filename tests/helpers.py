@@ -1,5 +1,7 @@
 """Helpers shared by several test modules."""
 
+from types import SimpleNamespace
+
 import numpy as np
 
 from rpg.divergence import ProbeRows, draw_probes, probe_field_rows
@@ -210,8 +212,8 @@ def reference_train_metric_net(phi, theta, grad_fn, pc, max_iters=20,
     probe_rng = RngStream(pc.seed).spawn("alg1-probes")
     kick_rng = RngStream(pc.seed).spawn("alg1-kick")
 
-    flat = np.concatenate([np.ravel(a) for a in phi.params_list()])
-    work = phi.with_flat(flat)
+    work = phi.with_flat(phi.values.copy())
+    flat = work.values
     adam = Adam(flat.size, lr=lr)
     best = flat.copy()
     best_loss, best_div = np.inf, np.nan
@@ -275,6 +277,27 @@ def reference_stages(shape):
     return tuple(kinds), int(np.prod(cur))
 
 
+def net_arrays(phi, arrays=None):
+    """phi's arrays by role, split from ``phi.params_list()`` here rather
+    than by ``rpg.metricnet._net_plan``: plans (each part's stage kinds by
+    ``reference_stages``), part_convs (per part a kernel per stage, None
+    for a skipped one), part_dense (per part [w, b]) and the trunk and
+    head arrays by name.  arrays, one per ``params_list`` entry and in its
+    order (tape leaves, say), stand in for phi's own; a count that does
+    not fit raises."""
+    it = iter(phi.params_list() if arrays is None else arrays)
+    net = SimpleNamespace(plans=[], part_convs=[], part_dense=[])
+    for shape in phi.layout.shapes:
+        kinds = reference_stages(shape)[0]
+        net.plans.append(kinds)
+        net.part_convs.append([None if kind is None else next(it)
+                               for kind in kinds])
+        net.part_dense.append([next(it), next(it)])
+    (net.trunk_w, net.trunk_b, net.head_omega_w, net.head_omega_b,
+     net.head_sigma_w, net.head_sigma_b) = it
+    return net
+
+
 def _tap_keys(shape):
     """The window of a (B,) + spatial input under each valid KERNEL conv
     tap, taps flat and row-major."""
@@ -296,11 +319,12 @@ def reference_net_forward(phi, points, keep=False):
     keep, is what ``reference_net_backward`` reads.
     """
     pts = np.asarray(points, dtype=np.float64)
+    net = net_arrays(phi)
     feats, part_acts = [], []
     for i, x in enumerate(phi.layout.unflatten_batch(np.atleast_2d(pts))):
         kinds, length = reference_stages(phi.layout.shapes[i])
         stage_in = []
-        for kind, kern in zip(kinds, phi.part_convs[i]):
+        for kind, kern in zip(kinds, net.part_convs[i]):
             if kind is None:
                 continue
             if kind == "1d":
@@ -317,7 +341,7 @@ def reference_net_forward(phi, points, keep=False):
             x = np.stack([x[:, s:s + POOL_SIZE].sum(axis=1) /
                           (min(s + POOL_SIZE, length) - s) for s in starts],
                          axis=1)
-        w, b = phi.part_dense[i]
+        w, b = net.part_dense[i]
         z = x @ w + b
         feats.append(np.logaddexp(0.0, z))
         part_acts.append((stage_in, x, z))
@@ -343,6 +367,7 @@ def reference_net_backward(phi, acts, g_omega, g_sigma, to_theta=False):
     theta-cotangent, or None without to_theta.
     """
     part_acts, h_in, z_trunk, h = acts
+    net = net_arrays(phi)
 
     def sigmoid(z):
         return 0.5 * (1.0 + np.tanh(0.5 * z))
@@ -352,10 +377,10 @@ def reference_net_backward(phi, acts, g_omega, g_sigma, to_theta=False):
     g_feats = g_trunk @ phi.trunk_w.T
     grads, g_parts, col = [], [], 0
     for i, (stage_in, x, z) in enumerate(part_acts):
-        w = phi.part_dense[i][0]
+        w = net.part_dense[i][0]
         g_z = g_feats[:, col:col + w.shape[1]] * sigmoid(z)
         col += w.shape[1]
-        kerns = [k for k in phi.part_convs[i] if k is not None]
+        kerns = [k for k in net.part_convs[i] if k is not None]
         kern_grads = [np.empty(k.size) for k in kerns]
         if stage_in or to_theta:
             g = g_z @ w.T

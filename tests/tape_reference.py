@@ -20,6 +20,7 @@ operations ``rpg.tape`` still has, so one name covers every tape operation.
 
 import numpy as np
 
+from helpers import net_arrays
 from rpg.errors import LayoutMismatch
 from rpg.fourier import build_fourier_pair
 from rpg.metricnet import KERNEL, POOL_SIZE
@@ -201,13 +202,16 @@ def _dense(x, w, b):
     return add(matmul(x, w), b)
 
 
-def metric_net_forward(phi, theta_layers):
+def metric_net_forward(phi, theta_layers, arrays=None):
     """Tape forward; returns (omega_tilde, sigma_tilde, graph).
 
-    phi may hold tape leaves (graph is then their DiffGraph) or arrays
+    The network runs on arrays, one per ``phi.params_list()`` entry, or on
+    phi's own when None (``helpers.net_arrays`` splits them by role).
+    They may be tape leaves (graph is then their DiffGraph) or arrays
     (graph is None and the outputs are arrays).  The conv and pool stages
     are looked up on this module at call time, so a test may swap them.
     """
+    net = net_arrays(phi, arrays)
     parts = list(theta_layers)
     if len(parts) != len(phi.layout.shapes):
         raise LayoutMismatch(
@@ -223,7 +227,7 @@ def metric_net_forward(phi, theta_layers):
         sh = np.shape(value(x))
         if sh[1:] != base:
             raise LayoutMismatch(f"part {i} shape {sh[1:]} != {base}")
-        for stage, kern in zip(phi.plans[i], phi.part_convs[i]):
+        for stage, kern in zip(net.plans[i], net.part_convs[i]):
             if stage == "2d":
                 x = conv_valid(x, kern, KERNEL, 2)
             elif stage == "1d":
@@ -231,13 +235,13 @@ def metric_net_forward(phi, theta_layers):
         x = _flatten(x)
         if i != exempt:
             x = avg_pool(x, POOL_SIZE)
-        w, b = phi.part_dense[i]
+        w, b = net.part_dense[i]
         feats.append(softplus(_dense(x, w, b)))
 
     h = feats[0] if len(feats) == 1 else concat(feats, axis=1)
-    h = softplus(_dense(h, phi.trunk_w, phi.trunk_b))
-    omega = _dense(h, phi.head_omega_w, phi.head_omega_b)
-    sigma = _dense(h, phi.head_sigma_w, phi.head_sigma_b)
+    h = softplus(_dense(h, net.trunk_w, net.trunk_b))
+    omega = _dense(h, net.head_omega_w, net.head_omega_b)
+    sigma = _dense(h, net.head_sigma_w, net.head_sigma_b)
     if not batched:
         omega = reshape(omega, (phi.m_tilde,))
         sigma = reshape(sigma, (phi.m_tilde,))
@@ -255,11 +259,11 @@ def evaluate_divergence_loss(phi, ctx):
     """
     fp = build_fourier_pair(phi.layout.n, phi.m_tilde)
     graph = DiffGraph()
-    var_phi = phi.with_arrays([graph.leaf(a) for a in phi.params_list()])
+    leaves = [graph.leaf(a) for a in phi.params_list()]
 
     points, probes = ctx.points[0], ctx.probes[0]
     omega, sigma, _ = metric_net_forward(
-        var_phi, phi.layout.unflatten_batch(points))
+        phi, phi.layout.unflatten_batch(points), leaves)
     u = build_u(fp, omega, sigma, points)
 
     k = probes.shape[0]

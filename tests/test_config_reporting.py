@@ -146,8 +146,12 @@ def test_bad_explore_sigma_is_a_config_error_on_its_line(raw):
     ("[env]\nkind = lqr\nq = nan\n", 3, "q"),
     ("[env]\nkind = pointmass\ndt = nan\n", 3, "dt"),
     ("[env]\nkind = pointmass\ndt = -0.1\n", 3, "dt"),
+    ("[env]\nkind = lqr\nq = -1\n", 3, "q"),
+    ("[env]\nkind = lqr\nq = [[1.0, 0.5], [0.4, 1.0]]\n"
+     "a = [[1.0, 0.0], [0.0, 1.0]]\nb = [[1.0], [1.0]]\n", 3, "q"),
+    ("[env]\nkind = lqr\nr = 0\n", 3, "r"),
 ], ids=["inf-policy-lr", "negative-noise", "nan-noise", "inf-a", "nan-q",
-        "nan-dt", "negative-dt"])
+        "nan-dt", "negative-dt", "negative-q", "asymmetric-q", "zero-r"])
 def test_non_finite_or_negative_scale_is_a_config_error_on_its_line(
         text, line, name):
     # an infinite step sends theta to [inf, nan] at the first update; a

@@ -238,13 +238,25 @@ def test_landscape_dim_defaults_per_objective():
     ("pointmass", {"dt": np.inf}, "dt"),
     ("pointmass", {"dt": -0.1}, "dt"),
     ("pointmass", {"dt": 0.0}, "dt"),
+    ("lqr", {"q": -1.0}, "q"),
+    ("lqr", {"a": np.eye(2), "b": np.ones((2, 1)),
+             "q": [[1.0, 0.5], [0.4, 1.0]]}, "q"),
+    ("lqr", {"r": 0.0}, "r"),
 ], ids=["inf-a", "nan-b", "nan-q", "inf-r", "nan-dt", "inf-dt",
-        "negative-dt", "zero-dt"])
+        "negative-dt", "zero-dt", "negative-q", "asymmetric-q", "zero-r"])
 def test_non_finite_or_non_positive_env_parameters_are_refused(kind, params,
                                                                key):
-    # each such run used to abort at its first update, with no record
+    # each such run used to abort at its first update, with no record; a
+    # negative q trained toward unbounded positive returns, and r = 0
+    # leaves the Riccati gain undefined
     with pytest.raises(ValueError, match=f"^{key} must be"):
         make_env(kind, **params)
+
+
+def test_lqr_accepts_a_zero_or_singular_state_cost():
+    assert not make_env("lqr", q=0.0).q.any()
+    v = np.array([1.0, 2.0, 3.0])
+    make_env("lqr", a=np.eye(3), b=np.ones((3, 1)), q=0.1 * np.outer(v, v))
 
 
 def test_landscape_is_single_step():

@@ -7,6 +7,7 @@ the loss carries a factor of u, so the gradient is exactly zero while the
 loss is not — the training loop must kick its way off the plateau).
 """
 
+import hashlib
 import json
 import os
 import sys
@@ -17,9 +18,9 @@ import pytest
 
 import rpg.metricnet
 import tape_reference as tape
-from helpers import (fd_geodesic_gradient, fd_pullback, probe_rows,
-                     reference_net_backward, reference_net_forward,
-                     reference_train_metric_net)
+from helpers import (fd_geodesic_gradient, fd_pullback, net_arrays,
+                     probe_rows, reference_net_backward,
+                     reference_net_forward, reference_train_metric_net)
 from rpg.divergence import divergence_report, hessian_trace_hutchinson
 from rpg.envs import make_env
 from rpg.errors import BadDimensions, LayoutMismatch
@@ -139,12 +140,13 @@ def test_trunk_perturbation_matches_backprop():
     theta_parts = [p[0] for p in phi.layout.unflatten_batch(theta[None])]
 
     graph = DiffGraph()
-    var_phi = phi.with_arrays([graph.leaf(a) for a in phi.params_list()])
-    omega, sigma, _ = tape.metric_net_forward(var_phi, theta_parts)
+    arrays = phi.params_list()
+    omega, sigma, _ = tape.metric_net_forward(
+        phi, theta_parts, [graph.leaf(a) for a in arrays])
     total = add(reduce_sum(omega), reduce_sum(sigma))
     grads = graph.leaf_gradients(total)
-    trunk_index = next(i for i, a in enumerate(phi.params_list())
-                       if a is phi.trunk_w)
+    trunk_index = next(i for i, a in enumerate(arrays)
+                       if a is net_arrays(phi, arrays).trunk_w)
     predicted = grads[trunk_index][0, 0]
     assert abs(predicted) > 1e-12
 
@@ -200,9 +202,9 @@ def outputs_and_phi_grads(phi, pts):
     """(omega, sigma) of the reference forward at pts, and the
     phi-gradient of a fixed mix of them."""
     graph = DiffGraph()
-    var_phi = phi.with_arrays([graph.leaf(a) for a in phi.params_list()])
-    om, sg, _ = tape.metric_net_forward(var_phi,
-                                        phi.layout.unflatten_batch(pts))
+    om, sg, _ = tape.metric_net_forward(
+        phi, phi.layout.unflatten_batch(pts),
+        [graph.leaf(a) for a in phi.params_list()])
     mix = RngStream(99).normal(np.shape(tape.value(om)))
     total = add(reduce_sum(mul(om, mix)), reduce_sum(mul(sg, sg)))
     return [tape.value(om), tape.value(sg)] + graph.leaf_gradients(total)
@@ -274,16 +276,17 @@ def test_collapsed_matrix_is_the_chain_on_identity_rows(layout):
     measured is 1.1e-15, on the mixed layout)."""
     width = rpg.metricnet.PART_WIDTH
     phi = make_phi(seed=66, layout=layout, m_tilde=min(3, layout.n - 1))
-    for _, b in phi.part_dense:
+    part_dense = net_arrays(phi).part_dense
+    for _, b in part_dense:
         b += RngStream(67).uniform(-0.5, 0.5, b.shape)
     _, _, (part_acts, _, _, _) = reference_net_forward(
         phi, np.eye(layout.n), keep=True)
     want = np.concatenate([z - b for (_, _, z), (_, b) in
-                           zip(part_acts, phi.part_dense)], axis=1)
+                           zip(part_acts, part_dense)], axis=1)
     _, a, bias, _ = rpg.metricnet._collapse(phi)
     assert a.shape == want.shape == (layout.n, width * len(layout.shapes))
     assert np.array_equal(bias, np.concatenate(
-        [b for _, b in phi.part_dense]))
+        [b for _, b in part_dense]))
     off_block = np.ones_like(a, dtype=bool)
     start = 0
     for i, size in enumerate(layout.sizes):
@@ -503,7 +506,7 @@ def test_phi_gradient_matches_fd_on_2d_kernels():
 
     arrs = phi.params_list()
     second_2d = next(i for i, a in enumerate(arrs)
-                     if a is phi.part_convs[2][1])
+                     if a is net_arrays(phi, arrs).part_convs[2][1])
     # The loss sits near 3.4e5 while these derivatives are ~1e-2 to 1e-1,
     # and the loss itself carries probe-difference rounding of ~1e-9, so
     # the step must be large; the loss is smooth enough in the kernel taps
@@ -520,6 +523,35 @@ def test_phi_gradient_matches_fd_on_2d_kernels():
             fd = (up - down) / (2 * h)
             assert abs(fd) > 1e-8
             assert abs(grads[ai][t] - fd) <= 1e-3 * abs(fd)
+
+
+@pytest.mark.parametrize(
+    "layout, m_tilde",
+    POLICY_LAYOUTS + [(LayerLayout(shapes=pointmass_layout().shapes), 3)],
+    ids=["vector", "lqr", "pointmass", "pointmass-default-exempt"])
+def test_params_list_views_values_end_to_end(layout, m_tilde):
+    """Every array of params_list is a C-contiguous view into phi.values,
+    the arrays laid end to end in order over all of it, and the named
+    trunk and head arrays are the same views: a write into any of them
+    writes phi.  The pointmass shapes with their default exempt part
+    (the trailing log_std, not the output bias) pool another part."""
+    phi = make_phi(seed=70, layout=layout, m_tilde=m_tilde, heads="random")
+    start, at = phi.values.ctypes.data, 0
+    arrays = phi.params_list()
+    for a in arrays:
+        assert a.base is phi.values and a.flags.c_contiguous
+        assert a.ctypes.data == start + 8 * at
+        at += a.size
+    assert at == phi.size == phi.values.size
+    named = (phi.trunk_w, phi.trunk_b, phi.head_omega_w, phi.head_omega_b,
+             phi.head_sigma_w, phi.head_sigma_b)
+    for a, b in zip(named, arrays[-6:]):
+        assert a.base is phi.values
+        assert (a.ctypes.data, a.shape) == (b.ctypes.data, b.shape)
+    arrays[0][...] = 7.0
+    phi.head_sigma_b[...] = -7.0
+    assert np.all(phi.values[:arrays[0].size] == 7.0)
+    assert np.all(phi.values[-m_tilde:] == -7.0)
 
 
 def test_train_zero_field_is_noop():
@@ -680,11 +712,12 @@ def test_train_forwards_twice_per_iteration_via_module_names(max_iters,
 
 def test_plan_cache_results_do_not_depend_on_call_order():
     """The forward and backward read per-layout plans from one cache,
-    keyed on the layout alone: forwards and backwards interleaved over the
-    policy layouts, at 1 and 2K + 3 rows, leave one plan per layout, and
-    give the bits that the same calls give when each case runs alone, in
-    reverse order, from an empty cache.  A cache keyed on too little would
-    hand one case's taps, pools or gradient slots to another.  Two layouts
+    keyed on the layout and m_tilde: forwards and backwards interleaved
+    over the policy layouts, at 1 and 2K + 3 rows, leave one plan per
+    layout, and give the bits that the same calls give when each case
+    runs alone, in reverse order, from an empty cache.  A cache keyed on
+    too little would hand one case's taps, pools or array slots to
+    another.  Two layouts
     are added: the pointmass shapes with their default exempt part, and a
     2 x 2 part with the bowl vector's size and exempt part, so that the
     key must hold the exempt part and the shapes themselves."""
@@ -816,6 +849,32 @@ def test_checkpoint_reads_version_1(tmp_path):
     assert back.layout == phi.layout
     for a, b in zip(phi.params_list(), back.params_list()):
         assert np.array_equal(a, b)
+
+
+# SHA-256 of the save_params bytes of phi_0 (init_params at
+# RngStream(11).spawn("phi-init"), m_tilde 3), as written while phi was
+# held as separate arrays; phi_0 comes from RNG draws alone, so the bytes
+# do not depend on BLAS
+CHECKPOINT_SHA256 = {
+    "bowl":
+        "134298c5b47fcc32481392abe6975248a87717c40c184abfc44f1f311e9819d9",
+    "pointmass":
+        "476ada931ee1dff3ce2982a76226b3923a36a0639ec14ce225e4bf5b74247aca",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHECKPOINT_SHA256))
+def test_initial_checkpoint_bytes_are_pinned(name, tmp_path):
+    layout = {"bowl": LayerLayout.from_vector(4),
+              "pointmass": pointmass_layout()}[name]
+    phi = init_params(RngStream(11).spawn("phi-init"),
+                      MetricNetConfig(m_tilde=3), layout)
+    path = tmp_path / "phi.bin"
+    save_params(phi, str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        CHECKPOINT_SHA256[name]
+    back = load_params(str(path))
+    assert np.array_equal(back.values, phi.values)
 
 
 def test_checkpoint_rejects_garbage(tmp_path):

@@ -10,13 +10,17 @@ its runs in the order given:
   ``probe_count`` 4 and ``metric_iters`` 2, the rest at the `rpg train`
   defaults (every run aborts; ROADMAP item 1).
 
-``--save PATH`` writes each run's final theta to a JSON file.
-``--reference PATH`` reads such a file and prints, per run, the largest
-move of final theta relative to the largest entry of the reference's and
-the new final |theta| (the bowl gate is |theta| <= 1e-2), then the worst
-move per protocol and variant, and exits 1 when any run's final theta is
-not bit for bit the reference's, so that "bits unchanged" is the exit
-status of one command.
+``--save PATH`` writes each run's final theta and its own
+``trajectory_sha256`` to a JSON file.  ``--reference PATH`` reads such a
+file and prints, per run, the largest move of final theta relative to the
+largest entry of the reference's and the new final |theta| (the bowl gate
+is |theta| <= 1e-2), marking a run whose hash changed, then the worst move
+per protocol and variant.  It exits 1 when any run's final theta is not
+bit for bit the reference's, or its hash differs: the hash also covers
+each record's evaluation return, div, trace, ratio and gate, which need
+not feed theta.  So "bits unchanged" is the exit status of one command.
+A reference that holds final thetas alone (an older ``--save``) checks
+them alone.
 
 Run from the repository root::
 
@@ -55,9 +59,11 @@ def protocol_runs(variants):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--save", help="write every run's final theta here")
+    parser.add_argument("--save",
+                        help="write every run's final theta and hash here")
     parser.add_argument("--reference",
-                        help="a --save file to measure final-theta moves by")
+                        help="a --save file to compare final thetas and "
+                             "hashes with")
     args = parser.parse_args(argv)
 
     start = time.perf_counter()
@@ -72,29 +78,43 @@ def main(argv=None):
         print(f"{group:9s} {trajectory_sha256(*runs.values())}")
     print(f"wall clock {time.perf_counter() - start:.1f} s")
 
+    runs = {key: run for group in groups.values()
+            for key, run in group.items()}
     thetas = {key: np.asarray(run.final_theta, dtype=np.float64)
-              for runs in groups.values() for key, run in runs.items()}
+              for key, run in runs.items()}
+    hashes = {key: trajectory_sha256(run) for key, run in runs.items()}
     if args.save:
         Path(args.save).write_text(json.dumps(
-            {key: theta.tolist() for key, theta in thetas.items()},
+            {key: {"final_theta": thetas[key].tolist(),
+                   "trajectory_sha256": hashes[key]} for key in runs},
             indent=1), encoding="utf-8")
     if args.reference:
         reference = json.loads(Path(args.reference).read_text("utf-8"))
-        worst, moved = {}, []
-        print("final-theta move, max |theta - ref| / max |ref|; |theta|:")
+        worst, moved, changed = {}, [], []
+        print("final-theta move, max |theta - ref| / max |ref|; |theta|; "
+              "* where the run's hash changed:")
         for key, theta in thetas.items():
-            ref = np.asarray(reference[key], dtype=np.float64)
+            entry = reference[key]
+            if isinstance(entry, list):      # final theta alone
+                entry = {"final_theta": entry}
+            ref = np.asarray(entry["final_theta"], dtype=np.float64)
             if not np.array_equal(theta, ref, equal_nan=True):
                 moved.append(key)
+            mark = ""
+            if entry.get("trajectory_sha256", hashes[key]) != hashes[key]:
+                changed.append(key)
+                mark = " *"
             move = float(np.max(np.abs(theta - ref)) / np.max(np.abs(ref)))
-            print(f"  {key:20s} {move:.3e}  {np.linalg.norm(theta):.3e}")
+            print(f"  {key:20s} {move:.3e}  {np.linalg.norm(theta):.3e}"
+                  f"{mark}")
             group = key.rsplit("/", 1)[0]
             worst[group] = max(worst.get(group, 0.0), move)
         print("worst per protocol and variant:")
         for group, move in worst.items():
             print(f"  {group:20s} {move:.3e}")
         print(f"{len(moved)} of {len(thetas)} final thetas moved")
-        if moved:
+        print(f"{len(changed)} of {len(thetas)} run hashes changed")
+        if moved or changed:
             return 1
     return 0
 
