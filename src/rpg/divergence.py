@@ -258,8 +258,7 @@ def _grad_of_scalar(f, theta: np.ndarray, step: float) -> np.ndarray:
     return grad
 
 
-def laplace_beltrami_oracle(f, u_fn, theta: np.ndarray,
-                            fd_step: float | None = None) -> float:
+def laplace_beltrami_oracle(f, u_fn, theta: np.ndarray) -> float:
     """(1/sqrt g) sum_m d_m ( sqrt(g) J^m ), everything by nested central FD.
 
     f is a scalar map; its gradient is itself finite-differenced, making this
@@ -270,7 +269,7 @@ def laplace_beltrami_oracle(f, u_fn, theta: np.ndarray,
     n = theta.size
     if n > 8:
         raise BadDimensions(f"laplace_beltrami_oracle is n <= 8, got n={n}")
-    step = fd_step if fd_step is not None else default_fd_step(theta)
+    step = default_fd_step(theta)
 
     def weighted_field(point: np.ndarray) -> np.ndarray:
         u = np.asarray(eval_points(u_fn, point[None])[0])
@@ -288,8 +287,7 @@ def laplace_beltrami_oracle(f, u_fn, theta: np.ndarray,
     return total / np.sqrt(1.0 + float(u0 @ u0))
 
 
-def covariant_laplacian_oracle(f, u_fn, theta: np.ndarray,
-                               fd_step: float | None = None) -> float:
+def covariant_laplacian_oracle(f, u_fn, theta: np.ndarray) -> float:
     """sum_mn g^{mn} (d_m d_n f - sum_l gamma^l_mn d_l f), n <= 6.
 
     The Christoffel-corrected second derivative — equal to the other two
@@ -301,7 +299,7 @@ def covariant_laplacian_oracle(f, u_fn, theta: np.ndarray,
     n = theta.size
     if n > 6:
         raise BadDimensions(f"covariant_laplacian_oracle is n <= 6, got n={n}")
-    step = fd_step if fd_step is not None else default_fd_step(theta)
+    step = default_fd_step(theta)
 
     hessian = np.empty((n, n))
     f0 = f(theta)
@@ -317,7 +315,7 @@ def covariant_laplacian_oracle(f, u_fn, theta: np.ndarray,
             hessian[m, nn] = cross
             hessian[nn, m] = cross
     grad = _grad_of_scalar(f, theta, step)
-    gamma = christoffel_fd(u_fn, theta, step).gamma
+    gamma = christoffel_fd(u_fn, theta).gamma
     corrected = hessian - np.einsum("lmn,l->mn", gamma, grad)
     u0 = np.asarray(eval_points(u_fn, theta[None])[0])
     g_inv = np.linalg.inv(metric_matrix(MetricPoint(u0)))

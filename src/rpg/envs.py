@@ -289,7 +289,7 @@ def make_env(kind, **params):
     return _KINDS[kind](**params)
 
 
-def riccati_gain(env, gamma, tol=1e-13, max_iters=100_000):
+def riccati_gain(env, gamma):
     """Optimal discounted gain for an LqrEnv by value iteration.
 
     Iterates the discounted algebraic Riccati recursion to its fixed point
@@ -303,10 +303,10 @@ def riccati_gain(env, gamma, tol=1e-13, max_iters=100_000):
     """
     a, b, q, r = env.a, env.b, env.q, env.r
     p = q.copy()
-    for _ in range(max_iters):
+    for _ in range(100_000):
         gain = gamma * np.linalg.solve(r + gamma * b.T @ p @ b, b.T @ p @ a)
         p_next = q + gamma * a.T @ p @ a - gamma * a.T @ p @ b @ gain
-        if np.max(np.abs(p_next - p)) <= tol * (1.0 + np.max(np.abs(p_next))):
+        if np.max(np.abs(p_next - p)) <= 1e-13 * (1 + np.max(np.abs(p_next))):
             p = p_next
             break
         p = p_next
@@ -382,8 +382,7 @@ def _discounted_moments(a_cl, env, gamma, init_second_moment, horizon):
     return moments
 
 
-def lqr_expected_return(points, env, gamma, init_second_moment=None,
-                        horizon=None):
+def lqr_expected_return(points, env, gamma, init_second_moment=None):
     """Exact expected discounted return of affine policies a = -K s + b.
 
     `points` stacks flattened (K, b) parameter vectors, one per row.  With
@@ -392,10 +391,9 @@ def lqr_expected_return(points, env, gamma, init_second_moment=None,
     """
     pts, single = _gain_rows(points, env)
     _, a_cl, cost = _closed_loop(pts, env)
-    horizon = env.horizon if horizon is None else horizon
     # one reduce over t, from 0.0 and in order, as a running sum adds
     s_m = np.add.reduce(_discounted_moments(a_cl, env, gamma,
-                                            init_second_moment, horizon),
+                                            init_second_moment, env.horizon),
                         axis=0, initial=0.0)
     # term by term: a sum over the (N², 1) of one row would pair its terms
     returns = -sum(c * m for c, m in zip(cost, s_m))

@@ -67,8 +67,7 @@ def _metric_partials(u_field, theta: np.ndarray, step: float) -> np.ndarray:
     return partials
 
 
-def christoffel_fd(u_field, theta: np.ndarray, fd_step: float | None = None
-                   ) -> ChristoffelTensor:
+def christoffel_fd(u_field, theta: np.ndarray) -> ChristoffelTensor:
     """Christoffel symbols of G = I + u u^T from finite-difference partials.
 
     gamma^d_mn = 1/2 sum_r g^{dr} (d_m g_nr + d_n g_mr - d_r g_mn)
@@ -77,8 +76,7 @@ def christoffel_fd(u_field, theta: np.ndarray, fd_step: float | None = None
     n = theta.size
     if n > 8:
         raise BadDimensions(f"christoffel_fd is an oracle (n <= 8), got n={n}")
-    step = fd_step if fd_step is not None else default_fd_step(theta)
-    partials = _metric_partials(u_field, theta, step)
+    partials = _metric_partials(u_field, theta, default_fd_step(theta))
     # lowered[m, n, r] = d_m g_nr + d_n g_mr - d_r g_mn
     lowered = (partials
                + np.transpose(partials, (1, 0, 2))
@@ -134,8 +132,7 @@ def geodesic_gradient_component(u_field, theta: np.ndarray, grad_j: np.ndarray,
         raise BadDimensions(f"component form is dense FD (n <= 16), got n={n}")
     if kappa == 0.0:
         return grad_j.copy()
-    step = default_fd_step(theta)
-    partials = _metric_partials(u_field, theta, step)
+    partials = _metric_partials(u_field, theta, default_fd_step(theta))
     contraction = np.einsum("rmn,m,n->r", partials, grad_j, grad_j)
     u0 = require_finite(eval_points(u_field, theta[None])[0],
                         "metric factor field")
@@ -161,17 +158,15 @@ def geodesic_ode_direction(u_field, theta: np.ndarray, tangent: np.ndarray,
     return tangent + dt * k2
 
 
-def covariant_metric_residual(u_field, theta: np.ndarray,
-                              fd_step: float | None = None) -> float:
+def covariant_metric_residual(u_field, theta: np.ndarray) -> float:
     """max | d_l g_mn - gamma^r_lm g_rn - gamma^r_ln g_mr |.
 
     Zero for a metric-compatible connection; ties the FD Christoffel symbols
     to the derivative operator they are supposed to induce.
     """
     theta = np.asarray(theta, dtype=np.float64)
-    step = fd_step if fd_step is not None else default_fd_step(theta)
-    partials = _metric_partials(u_field, theta, step)
-    gamma = christoffel_fd(u_field, theta, step).gamma
+    partials = _metric_partials(u_field, theta, default_fd_step(theta))
+    gamma = christoffel_fd(u_field, theta).gamma
     g = metric_matrix(MetricPoint(np.asarray(
         eval_points(u_field, theta[None])[0])))
     covariant = (partials

@@ -496,7 +496,7 @@ class Adam:
     beta2 = 0.999
     eps = 1e-8
 
-    def __init__(self, size: int, lr=1e-3):
+    def __init__(self, size: int, lr: float):
         self.lr = lr
         self.t = 0
         self.m = np.zeros(size)
@@ -561,6 +561,8 @@ def train_metric_net(phi: MetricNetParams, theta: np.ndarray,
 
     lr is Adam's step size; a kick at an exact saddle adds uniform
     +-kick_scale noise to the heads, drawn from pc.seed's kick stream.
+    Their defaults are not TrainConfig's metric_lr (0.01) and kick_scale
+    (0.005): training passes those, and direct callers rely on these.
     history records one (iter, div, loss) triple per completed iteration,
     always describing the best iterate seen so far — the curve is exactly
     non-increasing in loss, and the final entry describes the returned phi.

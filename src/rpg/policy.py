@@ -330,8 +330,7 @@ class PolicyMLP(_FlatTheta):
 
     stochastic = True
 
-    def __init__(self, state_dim, action_dim, rng, hidden=(16, 16),
-                 log_std_init=-0.5):
+    def __init__(self, state_dim, action_dim, rng, hidden=(16, 16)):
         h1, h2 = hidden
         self.state_dim = int(state_dim)
         self.action_dim = int(action_dim)
@@ -343,7 +342,7 @@ class PolicyMLP(_FlatTheta):
         parts = [rng.normal(size=shape, scale=1.0 / np.sqrt(shape[0]))
                  if len(shape) == 2 else np.zeros(shape)
                  for shape in dims[:-1]]
-        parts.append(np.full(self.action_dim, float(log_std_init)))
+        parts.append(np.full(self.action_dim, -0.5))
         self.set_theta(np.concatenate([p.ravel() for p in parts]))
 
     def row_forward(self, parts, states):

@@ -159,9 +159,8 @@ _ML, _MR, _MT, _MB = 70, 24, 42, 48
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b")
 
 
-def _nice_ticks(lo, hi, target=5):
-    span = hi - lo
-    raw = span / max(target, 1)
+def _nice_ticks(lo, hi):
+    raw = (hi - lo) / 5
     mag = 10.0 ** math.floor(math.log10(raw)) if raw > 0 else 1.0
     for mult in (1.0, 2.0, 5.0, 10.0):
         if raw <= mult * mag:

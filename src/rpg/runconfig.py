@@ -6,21 +6,11 @@ lines. Unknown sections or keys are rejected, every parse or validation
 error is anchored to the line it came from, and the message names the
 offending field.
 
-Sections and keys (defaults in parentheses are TrainConfig's):
-
-    [run]     variant (baseline) | total_steps | update_interval |
-              policy_lr | gamma | seed | gradient_backend |
-              eval_episodes | explore_sigma
-    [env]     kind (lqr) plus the chosen environment's parameters:
-              a, b, q, r, horizon, noise_scale   (lqr; a, b, q and r
-                  take a number or a bracketed list literal such as
-                  [[0.9, 0.0], [0.0, 0.9]])
-              objective, dim                     (landscape)
-              horizon, dt                        (pointmass)
-    [metric]  probe_count | probe_episodes | kappa (none = half the
-              policy step) | m_tilde | metric_iters | metric_lr |
-              kick_scale | gate_enabled (none = on for variant T) |
-              freeze_phi
+Sections: [run] and [metric] hold one key per TrainConfig field, named
+as the field and parsed by its type (`default_config_text()` writes
+them all at their defaults); [env] holds `kind` (lqr) and the chosen
+environment's parameters (`rpg.envs.make_env`), where lqr's a, b, q and
+r also take a bracketed list literal such as [[0.9, 0.0], [0.0, 0.9]].
 """
 
 import ast
@@ -70,46 +60,42 @@ def _bool(raw):
     raise ConfigError(f"expected a boolean, got {raw!r}")
 
 
-def _str(raw):
-    return raw
+def _none_or(conv):
+    return lambda raw: None if raw.lower() == "none" else conv(raw)
 
 
-def _float_or_none(raw):
-    return None if raw.lower() == "none" else _float(raw)
-
-
-def _bool_or_none(raw):
-    return None if raw.lower() == "none" else _bool(raw)
-
-
-# (section, key) -> (TrainConfig field, converter); env params are handled
-# separately because they fan into the env_params dict
-_FIELDS = {
-    ("run", "variant"): ("variant", _str),
-    ("run", "total_steps"): ("total_steps", _int),
-    ("run", "update_interval"): ("update_interval", _int),
-    ("run", "policy_lr"): ("policy_lr", _float),
-    ("run", "gamma"): ("gamma", _float),
-    ("run", "seed"): ("seed", _int),
-    ("run", "gradient_backend"): ("gradient_backend", _str),
-    ("run", "eval_episodes"): ("eval_episodes", _int),
-    ("run", "explore_sigma"): ("explore_sigma", _float),
-    ("metric", "probe_count"): ("probe_count", _int),
-    ("metric", "probe_episodes"): ("probe_episodes", _int),
-    ("metric", "kappa"): ("kappa", _float_or_none),
-    ("metric", "m_tilde"): ("m_tilde", _int),
-    ("metric", "metric_iters"): ("metric_iters", _int),
-    ("metric", "metric_lr"): ("metric_lr", _float),
-    ("metric", "kick_scale"): ("kick_scale", _float),
-    ("metric", "gate_enabled"): ("gate_enabled", _bool_or_none),
-    ("metric", "freeze_phi"): ("freeze_phi", _bool),
+# the [run] and [metric] keys in template order; a key names its
+# TrainConfig field, whose annotation picks the converter
+_RUN_KEYS = ("variant", "total_steps", "update_interval", "policy_lr",
+             "gamma", "seed", "gradient_backend", "eval_episodes",
+             "explore_sigma")
+_METRIC_KEYS = ("probe_count", "probe_episodes", "kappa", "m_tilde",
+                "metric_iters", "metric_lr", "kick_scale", "gate_enabled",
+                "freeze_phi")
+_CONVERTERS = {str: str, int: _int, float: _float, bool: _bool,
+               float | None: _none_or(_float), bool | None: _none_or(_bool)}
+_TYPES = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
+# (section, key) -> converter; env params are handled separately because
+# they fan into the env_params dict
+_FIELDS = {(section, key): _CONVERTERS[_TYPES[key]]
+           for section, keys in (("run", _RUN_KEYS),
+                                 ("metric", _METRIC_KEYS))
+           for key in keys}
+# the template's comment line above a key
+_HINTS = {
+    "variant": "baseline | J | T",
+    "gradient_backend": "empty = analytic where available, else: "
+                        "analytic | reinforce",
+    "kappa": "none = half the policy step",
+    "m_tilde": "0 = auto",
+    "gate_enabled": "none = on for variant T",
 }
 
 _ENV_PARAMS = {
     "a": _float_or_list, "b": _float_or_list, "q": _float_or_list,
     "r": _float_or_list,
     "horizon": _int, "noise_scale": _float,
-    "objective": _str, "dim": _int, "dt": _float,
+    "objective": str, "dim": _int, "dt": _float,
 }
 
 _SECTIONS = ("run", "env", "metric")
@@ -172,16 +158,15 @@ def parse_config_text(text):
                 raise ConfigError(f"line {lineno}: {key}: {err}")
             lines_by_field[key] = lineno
             continue
-        spec = _FIELDS.get((section, key))
-        if spec is None:
+        conv = _FIELDS.get((section, key))
+        if conv is None:
             raise ConfigError(f"line {lineno}: unknown key {key!r} "
                               f"in [{section}]")
-        field, conv = spec
         try:
-            kwargs[field] = conv(raw)
+            kwargs[key] = conv(raw)
         except ConfigError as err:
-            raise ConfigError(f"line {lineno}: {field}: {err}")
-        lines_by_field[field] = lineno
+            raise ConfigError(f"line {lineno}: {key}: {err}")
+        lines_by_field[key] = lineno
     if env_params:
         kwargs["env_params"] = env_params
     try:
@@ -216,6 +201,19 @@ def load_config(path, seed=None):
     return cfg
 
 
+def _section_lines(section, keys, cfg):
+    """A section's header and its keys at cfg's values, each after its hint."""
+    lines = [f"[{section}]"]
+    for key in keys:
+        if key in _HINTS:
+            lines.append(f"; {_HINTS[key]}")
+        value = getattr(cfg, key)
+        if value is None or isinstance(value, bool):
+            value = str(value).lower()
+        lines.append(f"{key} = {value}".rstrip())
+    return lines
+
+
 def default_config_text():
     """A complete, commented config with every key at its default value.
 
@@ -224,18 +222,7 @@ def default_config_text():
     cfg = TrainConfig()
     return "\n".join([
         "# training run configuration (defaults shown)",
-        "[run]",
-        "; baseline | J | T",
-        f"variant = {cfg.variant}",
-        f"total_steps = {cfg.total_steps}",
-        f"update_interval = {cfg.update_interval}",
-        f"policy_lr = {cfg.policy_lr}",
-        f"gamma = {cfg.gamma}",
-        f"seed = {cfg.seed}",
-        "; empty = analytic where available, else: analytic | reinforce",
-        "gradient_backend =",
-        f"eval_episodes = {cfg.eval_episodes}",
-        f"explore_sigma = {cfg.explore_sigma}",
+        *_section_lines("run", _RUN_KEYS, cfg),
         "",
         "[env]",
         "; lqr | landscape | pointmass",
@@ -247,18 +234,6 @@ def default_config_text():
         "# r = 1.0",
         "# horizon = 50",
         "",
-        "[metric]",
-        f"probe_count = {cfg.probe_count}",
-        f"probe_episodes = {cfg.probe_episodes}",
-        "; none = half the policy step",
-        "kappa = none",
-        "; 0 = auto",
-        f"m_tilde = {cfg.m_tilde}",
-        f"metric_iters = {cfg.metric_iters}",
-        f"metric_lr = {cfg.metric_lr}",
-        f"kick_scale = {cfg.kick_scale}",
-        "; none = on for variant T",
-        "gate_enabled = none",
-        f"freeze_phi = {str(cfg.freeze_phi).lower()}",
+        *_section_lines("metric", _METRIC_KEYS, cfg),
         "",
     ])

@@ -11,10 +11,11 @@ together (``evaluate_policy``).
 
 Determinism contract: every stochastic concern draws from its own named
 substream of the run seed (policy init, metric-net init, rollouts, one eval
-stream per update, one probe seed per update), so two runs with the same
-config and seed produce identical records, and runs that differ only in
-metric bookkeeping (baseline vs J with frozen zero heads) consume identical
-rollout randomness and hence identical theta trajectories.
+stream per update, one field stream per update on the reinforce backend,
+one probe seed per update), so two runs with the same config and seed
+produce identical records, and runs that differ only in metric bookkeeping
+(baseline vs J with frozen zero heads) consume identical rollout randomness
+and hence identical theta trajectories.
 """
 
 import time
@@ -39,6 +40,7 @@ VARIANTS = ("baseline", "J", "T")
 BACKENDS = ("", "analytic", "reinforce")
 
 
+# rpg.runconfig parses each config key by its field's evaluated annotation
 @dataclass
 class TrainConfig:
     """Everything a run needs; validation errors name the offending field."""
@@ -260,14 +262,14 @@ def _build_policy(env, cfg, rng):
     raise ValueError(f"no policy template for environment {env.kind!r}")
 
 
-def _gradient_field(env, policy, cfg, backend, probe_seed):
+def _gradient_field(env, policy, cfg, backend, field_seed):
     """Batched ascent-gradient field over policy parameters.
 
     analytic: exact closed forms (LQR recursion / landscape gradient); the
     update's own gradient is this field at theta.
     reinforce: REINFORCE at every parameter row with common random
     numbers: one ``reinforce_field`` call per field call plays all rows on
-    the same draws of ``RngStream(probe_seed)``, which keeps the field
+    the same draws of ``RngStream(field_seed)``, which keeps the field
     smooth enough to probe with finite differences; policy supplies the
     layout and row methods, not its theta.  The update's own gradient
     comes from the freshly collected batch instead.
@@ -286,7 +288,7 @@ def _gradient_field(env, policy, cfg, backend, probe_seed):
     def field_fn(points):
         out = reinforce_field(env, policy, np.atleast_2d(points),
                               cfg.probe_episodes, cfg.gamma,
-                              RngStream(probe_seed))
+                              RngStream(field_seed))
         return out[0] if np.ndim(points) == 1 else out
 
     return field_fn
@@ -356,8 +358,10 @@ def run_training(cfg):
     while steps < cfg.total_steps:
         started = time.perf_counter()
         theta = policy.theta
-        grad_fn = _gradient_field(env, policy, cfg, backend,
-                                  _probe_seed(cfg.seed, update_idx) + 1)
+        # the field's own substream: no probe seed draws the same blocks
+        field_seed = (root.spawn(f"field-{update_idx}").seed
+                      if backend == "reinforce" else None)
+        grad_fn = _gradient_field(env, policy, cfg, backend, field_seed)
         steps += episodes * env.horizon
         if backend == "analytic":
             # the closed form reads no episode: regularize_step takes the

@@ -1,5 +1,6 @@
 """Config parsing and run-artifact tests: CSV logs, JSON summaries, SVG."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -88,6 +89,54 @@ def test_empty_text_gives_defaults():
 
 def test_default_config_text_parses_to_defaults():
     assert parse_config_text(default_config_text()) == TrainConfig()
+
+
+def test_default_config_text_bytes_are_pinned():
+    digest = hashlib.sha256(default_config_text().encode()).hexdigest()
+    assert digest == ("c9ebf494188ecc36ef804534224dc22c"
+                      "5d8d52593f4ead4ddcc88956875e2d0a")
+
+
+# a valid value other than the default, for the str fields
+_OTHER_STR = {"variant": "J", "gradient_backend": "analytic"}
+
+
+def _other_value(field):
+    """A valid non-default value of a TrainConfig field, and its config
+    text."""
+    if field.type is str:
+        value = _OTHER_STR[field.name]
+    elif field.type in (bool, bool | None):
+        value = not field.default
+    elif field.default is None:
+        value = 0.25
+    elif field.type is int:
+        value = field.default + 1
+    else:
+        value = field.default / 2
+    text = str(value).lower() if isinstance(value, bool) else str(value)
+    return value, text
+
+
+@pytest.mark.parametrize("name", [
+    f.name for f in dataclasses.fields(TrainConfig)
+    if f.name not in ("env_kind", "env_params")])
+def test_every_config_field_is_one_key_that_round_trips(name):
+    """Each TrainConfig field but the [env] ones is a key of exactly one
+    of [run] and [metric], and a non-default value parses back."""
+    field = {f.name: f for f in dataclasses.fields(TrainConfig)}[name]
+    value, text = _other_value(field)
+    assert value != field.default
+    parsed = {}
+    for section in ("run", "metric"):
+        try:
+            parsed[section] = parse_config_text(
+                f"[{section}]\n{name} = {text}\n")
+        except ConfigError as err:
+            assert "unknown key" in str(err)
+    assert len(parsed) == 1
+    cfg, = parsed.values()
+    assert cfg == dataclasses.replace(TrainConfig(), **{name: value})
 
 
 def test_none_sentinels():

@@ -823,6 +823,31 @@ def test_batched_reinforce_field_matches_per_row_reference(
     assert np.all(np.abs(field(points[0]) - got[0]) <= 1e-12 * scale[0])
 
 
+def test_reinforce_field_streams_share_no_seed_with_the_probes(monkeypatch):
+    """An update's REINFORCE field plays on a stream of its own: no
+    update's probe seed, which ``draw_probes`` draws from, is a field
+    seed of the run."""
+    field_seeds, probe_seeds = [], []
+    gradient_field = rpg.training._gradient_field
+    regularize = rpg.training.regularize_step
+
+    def recording_field(env, policy, cfg, backend, field_seed):
+        field_seeds.append(field_seed)
+        return gradient_field(env, policy, cfg, backend, field_seed)
+
+    def recording_step(theta, grad, phi, cfg, grad_fn, probe_cfg):
+        probe_seeds.append(probe_cfg.seed)
+        return regularize(theta, grad, phi, cfg, grad_fn, probe_cfg)
+
+    monkeypatch.setattr(rpg.training, "_gradient_field", recording_field)
+    monkeypatch.setattr(rpg.training, "regularize_step", recording_step)
+    run_training(TrainConfig(env_kind="lqr", variant="J",
+                             gradient_backend="reinforce", total_steps=600,
+                             update_interval=200, policy_lr=0.002, seed=3))
+    assert len(probe_seeds) >= 2 and len(field_seeds) == len(probe_seeds)
+    assert not set(field_seeds) & set(probe_seeds)
+
+
 def test_reinforce_field_rows_in_several_blocks(monkeypatch):
     cfg, env, policy, points, field = reinforce_case("pointmass", {}, 9, 9)
     want = field(points)
