@@ -13,7 +13,6 @@ import argparse
 import numpy as np
 
 from rpg.divergence import draw_probes, probe_field_rows
-from rpg.fields import ProbeConfig
 from rpg.metricnet import (LayerLayout, MetricNetConfig, init_params,
                            train_metric_net)
 from rpg.rng import RngStream
@@ -32,10 +31,9 @@ def main():
 
     layout = LayerLayout.from_vector(theta.size)
     phi = init_params(RngStream(args.seed), MetricNetConfig(m_tilde=3), layout)
-    pc = ProbeConfig(probe_count=args.probes, seed=args.seed)
-    rows = probe_field_rows(grad_fn, theta,
-                            draw_probes(pc, args.iters, theta.size)[:-1])
-    _, history = train_metric_net(phi, theta, rows, pc, lr=0.1,
+    rows = probe_field_rows(grad_fn, theta, draw_probes(
+        args.seed, args.probes, args.iters, theta.size)[:-1])
+    _, history = train_metric_net(phi, rows, args.seed, lr=0.1,
                                   kick_scale=0.05)
 
     print(f"{'iter':>4} {'best |div|':>12} {'best loss':>12}")

@@ -18,10 +18,11 @@ Import layout:
     rpg.fourier     truncated cosine/sine bases, scaling and rotation maps,
                     the exp-decomposition check and its matrix_exp
     rpg.metric      the rank-one metric: det, inverse-apply, bilinear form
-    rpg.fields      batched field calls, FD step, probe settings
+    rpg.fields      batched field calls, FD step, finiteness checks
     rpg.divergence  exact divergence; one probe draw and one field call
-                    per update, batches frozen in place, and the
-                    estimator the report and the metric loss share
+                    per update, one batch per probe matrix, frozen in
+                    place, and the estimator the report and the metric
+                    loss share
     rpg.geodesic    geodesic update direction (one u-VJP) +
                     Christoffel/ODE oracles
     rpg.metricnet   the metric network, phi one flat vector that one plan

@@ -16,11 +16,12 @@ directional derivative along J — the identity
 is exact, which turns O(n^2) work into O(1) field evaluations per estimate.
 
 An update draws its probe matrices at once (``draw_probes``) and calls the
-field once at all their rows (``probe_field_rows``).  ``probe_divergence``
-is the estimator, with its reverse pass to u, at one matrix's batch frozen
-in place by ``freeze_probe_batch``.  The metric net's loss and
-``divergence_report`` both call it, so they agree bit for bit; both take
-the field only as ``ProbeRows``.
+field once at all their rows (``probe_field_rows``), which gives one
+``ProbeRows`` per matrix.  ``probe_divergence`` is the estimator, with its
+reverse pass to u, at one matrix's batch frozen in place by
+``freeze_probe_batch``.  The metric net's loss and ``divergence_report``
+both call it, so they agree bit for bit; both take the field only as
+``ProbeRows``.
 
 Two independent oracles guard the algebra at small n: the volume-weighted
 form (1/sqrt(g)) sum_m d_m(sqrt(g) J^m), and the Christoffel-corrected
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadDimensions
-from .fields import ProbeConfig, default_fd_step, eval_points, require_finite
+from .fields import default_fd_step, eval_points, require_finite
 from .metric import MetricPoint, inverse_apply, metric_matrix
 from .rng import RngStream, rademacher_matrix
 
@@ -49,7 +50,6 @@ class DivergenceReport:
     div: float
     hessian_trace: float
     ratio: float
-    method: str  # "estimated" | "none" | "fallback"
 
 
 def divergence_ratio(div: float, trace: float) -> float:
@@ -57,9 +57,9 @@ def divergence_ratio(div: float, trace: float) -> float:
     return abs(div) / max(abs(trace), RATIO_FLOOR)
 
 
-def divergence_exact(grad_fn, u_fn, theta: np.ndarray,
-                     fd_step: float | None = None) -> float:
-    """Coordinate divergence with every theta-partial by central differences.
+def divergence_exact(grad_fn, u_fn, theta: np.ndarray) -> float:
+    """Coordinate divergence with every theta-partial by central differences
+    of step ``default_fd_step(theta)``.
 
     Cost: 2n+1 evaluations of (grad_fn, u_fn).  n <= 64.  Raises
     NonFiniteField when either field returns a non-finite value.
@@ -68,7 +68,7 @@ def divergence_exact(grad_fn, u_fn, theta: np.ndarray,
     n = theta.size
     if n > 64:
         raise BadDimensions(f"divergence_exact is desk-scale (n <= 64), n={n}")
-    step = fd_step if fd_step is not None else default_fd_step(theta)
+    step = default_fd_step(theta)
     eye = step * np.eye(n)
     pts = np.concatenate([theta + eye, theta - eye, theta[None]], axis=0)
     us = require_finite(eval_points(u_fn, pts), "metric factor field")
@@ -91,13 +91,13 @@ def divergence_exact(grad_fn, u_fn, theta: np.ndarray,
 
 @dataclass(frozen=True)
 class ProbeRows:
-    """I probe matrices, shape (I, K, n), each laid out as its batch.
+    """One (K, n) probe matrix V laid out as its batch.
 
-    points[i] is matrix i's (2K + 3, n) batch: theta + eps*V_i, theta -
-    eps*V_i, two rows for theta +- eps*J0 (``freeze_probe_batch``), then
-    theta; grads[i] is the field at its first 2K rows and g0 at theta.
-    ``rows[a:b]`` keeps matrices a..b-1, as views.  Nothing is checked
-    for finiteness: each consumer checks the rows it uses.
+    points is the (2K + 3, n) batch: theta + eps*V, theta - eps*V, two
+    rows for theta +- eps*J0 (``freeze_probe_batch``), then theta; grads
+    is the (2K, n) field at its first 2K rows and g0 the field at theta.
+    Nothing is checked for finiteness: each consumer checks the rows it
+    uses.
     """
 
     probes: np.ndarray
@@ -106,32 +106,27 @@ class ProbeRows:
     grads: np.ndarray
     points: np.ndarray
 
-    def __getitem__(self, which: slice) -> "ProbeRows":
-        return ProbeRows(probes=self.probes[which], eps=self.eps, g0=self.g0,
-                         grads=self.grads[which], points=self.points[which])
 
-
-def draw_probes(pc: ProbeConfig, iters: int, n: int) -> np.ndarray:
-    """The (iters + 1, K, n) Rademacher probe matrices of one update.
+def draw_probes(seed: int, count: int, iters: int, n: int) -> np.ndarray:
+    """The (iters + 1, count, n) Rademacher probe matrices of one update.
 
     Metric training's iters matrices come first, drawn in iteration order
-    from ``RngStream(pc.seed).spawn("alg1-probes")``; the report's own
-    comes last, from ``RngStream(pc.seed)``, so the ratio is measured on
-    probes the net did not train on.
+    from ``RngStream(seed).spawn("alg1-probes")``; the report's own comes
+    last, from ``RngStream(seed)``, so the ratio is measured on probes
+    the net did not train on.
     """
-    train_rng = RngStream(pc.seed).spawn("alg1-probes")
-    mats = [rademacher_matrix(train_rng, pc.probe_count, n)
-            for _ in range(iters)]
-    mats.append(rademacher_matrix(RngStream(pc.seed), pc.probe_count, n))
+    train_rng = RngStream(seed).spawn("alg1-probes")
+    mats = [rademacher_matrix(train_rng, count, n) for _ in range(iters)]
+    mats.append(rademacher_matrix(RngStream(seed), count, n))
     return np.stack(mats)
 
 
-def probe_field_rows(grad_fn, theta: np.ndarray,
-                     probes: np.ndarray) -> ProbeRows:
-    """Gradient field at theta and at every probe row, in one field call.
+def probe_field_rows(grad_fn, theta: np.ndarray, probes: np.ndarray) -> list:
+    """One ``ProbeRows`` per matrix of the (I, K, n) probes, from one call.
 
     The call covers [theta; theta + eps*V_1; theta - eps*V_1; ...;
-    theta - eps*V_I] for the (I, K, n) probes, eps = default_fd_step(theta).
+    theta - eps*V_I], eps = default_fd_step(theta); every matrix's rows
+    are views of its result and of one (I, 2K + 3, n) array of points.
     """
     theta = np.asarray(theta, dtype=np.float64)
     eps, (count, k, n) = default_fd_step(theta), probes.shape
@@ -140,18 +135,19 @@ def probe_field_rows(grad_fn, theta: np.ndarray,
                              np.broadcast_to(theta, (count, 3, n))], axis=1)
     out = eval_points(grad_fn, np.concatenate(
         [theta[None], points[:, :2 * k].reshape(-1, n)]))
-    return ProbeRows(probes=probes, eps=eps, g0=out[0],
-                     grads=out[1:].reshape(count, 2 * k, n), points=points)
+    grads = out[1:].reshape(count, 2 * k, n)
+    return [ProbeRows(probes=probes[i], eps=eps, g0=out[0], grads=grads[i],
+                      points=points[i]) for i in range(count)]
 
 
-def freeze_probe_batch(rows: ProbeRows, i: int, u0: np.ndarray) -> ProbeRows:
-    """Write theta +- eps*J0, J0 = G^-1 g0 at u0 = u(theta), into matrix
-    i's batch in place, and return that matrix alone, for
-    ``probe_divergence``.  Nothing is checked for finiteness: the callers
-    check each input once, a training pass for all its iterations up front.
+def freeze_probe_batch(rows: ProbeRows, u0: np.ndarray) -> ProbeRows:
+    """Write theta +- eps*J0, J0 = G^-1 g0 at u0 = u(theta), into the
+    batch in place, and return rows, for ``probe_divergence``.  Nothing
+    is checked for finiteness: the report checks its inputs first, and a
+    training pass checks g0 once and each iteration's rows before it.
     """
-    points, g0 = rows.points[i], rows.g0
-    k2 = 2 * rows.probes.shape[1]
+    points, g0 = rows.points, rows.g0
+    k2 = len(rows.grads)
     theta = points[-1]
     # G^-1 g0 = g0 - u0 (u0.g0) / (1 + u0.u0), as ``metric.inverse_apply``
     j0 = g0 - u0 * (np.add.reduce(u0 * g0, axis=-1)
@@ -159,16 +155,15 @@ def freeze_probe_batch(rows: ProbeRows, i: int, u0: np.ndarray) -> ProbeRows:
     step = rows.eps * j0
     points[k2] = theta + step
     points[k2 + 1] = theta - step
-    return ProbeRows(probes=rows.probes[i:i + 1], eps=rows.eps, g0=g0,
-                     grads=rows.grads[i:i + 1], points=rows.points[i:i + 1])
+    return rows
 
 
 def probe_divergence(u: np.ndarray, ctx: ProbeRows):
     """(div, vjp): the probe estimate of Div J from u at every row of the
-    one-matrix batch ctx (``freeze_probe_batch``); vjp maps a cotangent of
-    div to the cotangent of u."""
+    frozen batch ctx (``freeze_probe_batch``); vjp maps a cotangent of div
+    to the cotangent of u."""
     # probe term: J = G^-1 grad at theta +- eps*v, differenced along v
-    probes, x = ctx.probes[0], ctx.grads[0]
+    probes, x = ctx.probes, ctx.grads
     k = probes.shape[0]
     up = u[:2 * k]
     det = np.add.reduce(up * up, axis=-1, keepdims=True) + 1.0
@@ -213,34 +208,31 @@ def divergence_report(u_fn, field_rows: ProbeRows,
     The trace is the same estimate at u = 0, where J = grad f and Div J is
     the Laplacian: its probe sum runs over the raw gradient rows.  So the
     two are identical when u = 0, and the ratio is exactly 1 at the
-    Euclidean start rather than 1 +- probe noise.  field_rows holds the
-    field at theta and at the 2K rows of one probe matrix, the report's
-    (the last of ``draw_probes``); u0 is u(theta).  The batch is frozen in
+    Euclidean start rather than 1 +- probe noise.  field_rows is the
+    report's probe matrix (the last of ``draw_probes``) with the field at
+    theta and at its 2K rows; u0 is u(theta).  The batch is frozen in
     place and u_fn forwarded once over it.  A non-finite u or field value
     raises NonFiniteField.
     """
     require_finite(u0, "metric factor field")
     require_finite(field_rows.g0, "gradient field")
     require_finite(field_rows.grads, "gradient field")
-    ctx = freeze_probe_batch(field_rows, 0, u0)
-    points = ctx.points[0]
-    us = require_finite(eval_points(u_fn, points), "metric factor field")
+    ctx = freeze_probe_batch(field_rows, u0)
+    us = require_finite(eval_points(u_fn, ctx.points), "metric factor field")
     div, _ = probe_divergence(us, ctx)
-    trace, _ = probe_divergence(np.zeros_like(points), ctx)
+    trace, _ = probe_divergence(np.zeros_like(ctx.points), ctx)
     div, trace = float(div), float(trace)
-    return DivergenceReport(
-        div=div,
-        hessian_trace=trace,
-        ratio=divergence_ratio(div, trace),
-        method="estimated",
-    )
+    return DivergenceReport(div=div, hessian_trace=trace,
+                            ratio=divergence_ratio(div, trace))
 
 
-def hessian_trace_hutchinson(grad_fn, theta: np.ndarray,
-                             pc: ProbeConfig) -> float:
-    """Hutchinson's trace of the Hessian: the report's trace, at u = 0."""
+def hessian_trace_hutchinson(grad_fn, theta: np.ndarray, count: int,
+                             seed: int) -> float:
+    """Hutchinson's trace of the Hessian over count probes drawn from
+    seed: the report's trace, at u = 0."""
     theta = np.asarray(theta, dtype=np.float64)
-    rows = probe_field_rows(grad_fn, theta, draw_probes(pc, 0, theta.size))
+    rows, = probe_field_rows(grad_fn, theta,
+                             draw_probes(seed, count, 0, theta.size))
     return divergence_report(np.zeros_like, rows,
                              np.zeros_like(theta)).hessian_trace
 

@@ -358,8 +358,8 @@ def _vec_kron(x):
     return (x[:, None, :, None] * x[None, :, None, :]).reshape(nn, nn, -1)
 
 
-def _discounted_moments(a_cl, env, gamma, init_second_moment, horizon):
-    """vec(g^t M_t), t = 0 .. horizon-1, stacked as one (T, N², B) array.
+def _discounted_moments(a_cl, env, gamma, init_second_moment):
+    """vec(g^t M_t), t = 0 .. env.horizon-1, stacked as one (T, N², B) array.
 
     M_{t+1} = Ãc M_t Ãc^T + diag(noise_scale^2 I, 0), and with row-major
     vec, vec(Ãc M Ãc^T) = (Ãc ⊗ Ãc) vec(M): a step is one product and one
@@ -371,9 +371,9 @@ def _discounted_moments(a_cl, env, gamma, init_second_moment, horizon):
     noise = np.diag([env.noise_scale ** 2] * env.state_dim + [0.0])
     kron = gamma * _vec_kron(a_cl.transpose(1, 0, 2))
     tmp, disc = np.empty((nn, nn, batch)), 1.0
-    moments = np.empty((horizon, nn, batch))
+    moments = np.empty((env.horizon, nn, batch))
     moments[0] = np.reshape(init_second_moment, (nn, 1))
-    for t in range(1, horizon):
+    for t in range(1, env.horizon):
         np.multiply(kron, moments[t - 1, :, None], out=tmp)
         m_t = tmp.sum(0, out=moments[t])
         disc *= gamma
@@ -393,15 +393,14 @@ def lqr_expected_return(points, env, gamma, init_second_moment=None):
     _, a_cl, cost = _closed_loop(pts, env)
     # one reduce over t, from 0.0 and in order, as a running sum adds
     s_m = np.add.reduce(_discounted_moments(a_cl, env, gamma,
-                                            init_second_moment, env.horizon),
+                                            init_second_moment),
                         axis=0, initial=0.0)
     # term by term: a sum over the (N², 1) of one row would pair its terms
     returns = -sum(c * m for c, m in zip(cost, s_m))
     return float(returns[0]) if single else returns
 
 
-def lqr_return_gradient(points, env, gamma, init_second_moment=None,
-                        horizon=None):
+def lqr_return_gradient(points, env, gamma, init_second_moment=None):
     """Exact gradient of lqr_expected_return w.r.t. the flat (K, b) params.
 
     With the cost-to-go P_T = 0, P_t = Q̃ + K̃^T R K̃ + g Ãc^T P_{t+1} Ãc and
@@ -435,10 +434,8 @@ def lqr_return_gradient(points, env, gamma, init_second_moment=None,
     with the bias column mapped back through K̃ = [K, -b].
     """
     pts, single = _gain_rows(points, env)
-    horizon = env.horizon if horizon is None else horizon
     if single:
-        return _gradient_rows(pts, env, gamma, init_second_moment,
-                              horizon)[0]
+        return _gradient_rows(pts, env, gamma, init_second_moment)[0]
     pts = np.ascontiguousarray(pts)
     keys = pts.view(np.dtype((np.void, pts.itemsize * pts.shape[1])))
     _, first, inverse = np.unique(keys[:, 0], return_index=True,
@@ -447,15 +444,14 @@ def lqr_return_gradient(points, env, gamma, init_second_moment=None,
     out = np.empty(pts.shape)
     for at in range(0, len(pts), LQR_ROW_BLOCK):
         out[at:at + LQR_ROW_BLOCK] = _gradient_rows(
-            pts[at:at + LQR_ROW_BLOCK], env, gamma, init_second_moment,
-            horizon)
+            pts[at:at + LQR_ROW_BLOCK], env, gamma, init_second_moment)
     return out[inverse]
 
 
-def _gradient_rows(pts, env, gamma, init_second_moment, horizon):
+def _gradient_rows(pts, env, gamma, init_second_moment):
     """lqr_return_gradient at the (B, n) rows `pts`, all computed."""
     rk, a_cl, cost = _closed_loop(pts, env)
-    n, m = env.state_dim, env.action_dim
+    n, m, horizon = env.state_dim, env.action_dim, env.horizon
     n_aug, (nn, batch) = n + 1, cost.shape
     # A backward step is one product and one sum over the index (i,k) of
     # vec(P_{t+1}).  The columns of `back`, g (Ãc ⊗ Ãc) and then
@@ -471,8 +467,7 @@ def _gradient_rows(pts, env, gamma, init_second_moment, horizon):
     for t in range(horizon - 1, -1, -1):
         np.multiply(back, p_h[:nn, None], out=tmp[:nn])
         h[t] = tmp.sum(0, out=p_h)[nn:]
-    moments = _discounted_moments(a_cl, env, gamma, init_second_moment,
-                                  horizon)
+    moments = _discounted_moments(a_cl, env, gamma, init_second_moment)
     grad_aug = np.add.reduce(
         (h.reshape(horizon, n_aug, m, 1, batch)
          * moments.reshape(horizon, n_aug, 1, n_aug, batch)).sum(1),

@@ -12,8 +12,6 @@ like the points; any error the field itself raises propagates unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import BadDimensions, NonFiniteField
@@ -40,14 +38,3 @@ def require_finite(values: np.ndarray, what: str) -> np.ndarray:
         raise NonFiniteField(f"{what} evaluation returned non-finite values")
     return values
 
-
-@dataclass(frozen=True)
-class ProbeConfig:
-    """Hutchinson probe settings; the FD step is ``default_fd_step``."""
-
-    probe_count: int = 64
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.probe_count < 1:
-            raise ValueError(f"probe_count must be >= 1, got {self.probe_count}")

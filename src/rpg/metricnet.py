@@ -25,20 +25,20 @@ gradient bitwise.
 
 ``train_metric_net`` drives the squared probe-estimated divergence toward
 zero in the network parameters phi.  No gradient-field value depends on
-phi, so everything that does not is done once per pass: every iteration's
-probe matrix, field values and batch of points come in as one
-``ProbeRows`` (from the one field call of a training update;
-``rpg.training.regularize_step``), and the first iteration with a
-non-finite field row is found.  Per iteration the loop builds A once,
+phi, so it is all computed before the pass: each iteration's probe
+matrix, field values and batch of points come in as its own ``ProbeRows``,
+views of the one field call of a training update
+(``rpg.training.regularize_step``).  Per iteration the loop builds A once,
 forwards u(theta) and writes, in place, the batch's two points theta +-
 eps*J displaced along the current field; the batch is then frozen as
-constants, and the loss forward reuses that A.  Only u(., phi) depends on phi, so the loss is
-differentiable in phi without differentiating the objective's gradient
-field.  The loss squares the divergence report's own estimate
-(``rpg.divergence.probe_divergence``), whose reverse pass ends at u; from
-there a pass written out by hand for this fixed architecture carries the
-gradient to phi (``evaluate_divergence_loss``); ``tests/tape_reference.py``
-builds the same loss on the general tape as the reference.  The zero-head
+constants, and the loss forward reuses that A.  Only u(., phi) depends on
+phi, so the loss is differentiable in phi without differentiating the
+objective's gradient field.  The loss squares the divergence report's own
+estimate (``rpg.divergence.probe_divergence``), whose reverse pass ends at
+u; from there a pass written out by hand for this fixed architecture
+carries the gradient to phi (``evaluate_divergence_loss``);
+``tests/tape_reference.py`` builds the same loss on the general tape as the
+reference.  The zero-head
 start is an exact saddle — every phi-derivative carries a factor of u or
 u.g, which is exactly 0.0 — so when the loss is positive but the
 phi-gradient is identically zero the loop applies one small seeded kick to
@@ -67,7 +67,6 @@ import numpy as np
 
 from .divergence import ProbeRows, freeze_probe_batch, probe_divergence
 from .errors import BadDimensions, LayoutMismatch
-from .fields import ProbeConfig
 from .fourier import (build_fourier_pair, build_u, rotate_parts,
                       rotate_transpose, scaling_vector)
 from .rng import RngStream
@@ -540,7 +539,7 @@ def evaluate_divergence_loss(phi: MetricNetParams, ctx: ProbeRows,
     ``_collapse``, built by the forward when None.
     """
     fp = build_fourier_pair(phi.layout.n, phi.m_tilde)
-    u, record = _u_forward(phi, fp, ctx.points[0], front)
+    u, record = _u_forward(phi, fp, ctx.points, front)
     div, vjp = probe_divergence(u, ctx)
     if out is None:
         out = np.empty(phi.size)
@@ -554,37 +553,34 @@ def _kick_heads(phi: MetricNetParams, rng: RngStream, scale: float) -> None:
         a += rng.uniform(-scale, scale, a.shape)
 
 
-def train_metric_net(phi: MetricNetParams, theta: np.ndarray,
-                     field_rows: ProbeRows, pc: ProbeConfig, lr: float = 1e-3,
-                     kick_scale: float = 1e-2):
+def train_metric_net(phi: MetricNetParams, rows: list, seed: int,
+                     lr: float = 1e-3, kick_scale: float = 1e-2):
     """Descend (divergence estimate)^2 in phi; return (best phi, history).
 
     lr is Adam's step size; a kick at an exact saddle adds uniform
-    +-kick_scale noise to the heads, drawn from pc.seed's kick stream.
+    +-kick_scale noise to the heads, drawn from seed's kick stream.
     Their defaults are not TrainConfig's metric_lr (0.01) and kick_scale
     (0.005): training passes those, and direct callers rely on these.
     history records one (iter, div, loss) triple per completed iteration,
     always describing the best iterate seen so far — the curve is exactly
     non-increasing in loss, and the final entry describes the returned phi.
 
-    field_rows holds the pass's probe matrices, at most one per
-    iteration, and the field at their rows (``probe_field_rows``); one
-    without a matrix raises ValueError.  Once per pass: the first
-    iteration whose field rows are not all finite (a non-finite value at
-    theta is the first, and the pass ends before it).  Per iteration,
-    only what depends on phi: A (``_collapse``), which both forwards
-    share, u(theta) (one one-row forward), the iteration's batch frozen
-    in place (``freeze_probe_batch``), the loss and its phi-gradient
+    rows holds one ``ProbeRows`` per iteration, views of one field call
+    (``probe_field_rows``), and theta is their batches' last row; no rows
+    raise ValueError.  Per iteration, only what depends on phi: A
+    (``_collapse``), which both forwards share, u(theta) (one one-row
+    forward), the iteration's batch frozen in place
+    (``freeze_probe_batch``), the loss and its phi-gradient
     (``evaluate_divergence_loss``, into one flat buffer), then an Adam
-    step or a kick.  A non-finite u(theta) or loss aborts the loop at its
-    iteration; the incumbent is returned unchanged.  Adam steps a copy of
+    step or a kick.  A non-finite field row, u(theta) or loss ends the
+    loop at its iteration (a non-finite field at theta before the first),
+    and the incumbent is returned unchanged.  Adam steps a copy of
     phi.values, which the working network's arrays view.
     """
-    iters = len(field_rows.probes)
-    if iters < 1:
-        raise ValueError("field rows hold no probe matrix")
-    theta = np.asarray(theta, dtype=np.float64)
-    kick_rng = RngStream(pc.seed).spawn("alg1-kick")
+    if not rows:
+        raise ValueError("no probe matrix to train on")
+    theta_row = rows[0].points[-1:]
+    kick_rng = RngStream(seed).spawn("alg1-kick")
 
     work = phi.with_flat(phi.values.copy())
     best = phi.values.copy()
@@ -593,19 +589,17 @@ def train_metric_net(phi: MetricNetParams, theta: np.ndarray,
     best_loss, best_div = np.inf, np.nan
     history = []
 
-    finite = (np.isfinite(field_rows.grads).all(axis=(1, 2))
-              & np.isfinite(field_rows.g0).all())
-    stop = iters if finite.all() else int(finite.argmin())
-    theta_row = theta[None]
-    fp = build_fourier_pair(theta.size, phi.m_tilde)
+    fp = build_fourier_pair(phi.layout.n, phi.m_tilde)
 
-    for it in range(stop):
+    for it, ctx in enumerate(rows if np.isfinite(rows[0].g0).all() else ()):
+        if not np.isfinite(ctx.grads).all():
+            break
         front = _collapse(work)
         omega, sigma, _ = metric_net_forward(work, theta_row, front=front)
         u0 = build_u(fp, omega, sigma, theta_row)[0]
         if not np.isfinite(u0).all():
             break
-        ctx = freeze_probe_batch(field_rows, it, u0)
+        freeze_probe_batch(ctx, u0)
         div, loss, _ = evaluate_divergence_loss(work, ctx, grad, front)
         if not math.isfinite(loss):
             break

@@ -25,7 +25,6 @@ from .divergence import (covariant_laplacian_oracle, divergence_exact,
                          hessian_trace_hutchinson, laplace_beltrami_oracle,
                          probe_field_rows)
 from .errors import DegenerateSpectrum
-from .fields import ProbeConfig
 from .fourier import (build_fourier_pair, check_exp_decomposition,
                       dense_rotation, full_pair, rotate)
 from .geodesic import (christoffel_fd, covariant_metric_residual,
@@ -270,10 +269,9 @@ def suite_metric_training():
     ratios = []
     for seed in range(10):
         phi = init_params(RngStream(seed), MetricNetConfig(m_tilde=3), layout)
-        pc = ProbeConfig(probe_count=64, seed=seed)
         rows = probe_field_rows(grad_fn, theta,
-                                draw_probes(pc, 20, theta.size)[:-1])
-        _, history = train_metric_net(phi, theta, rows, pc, lr=0.1,
+                                draw_probes(seed, 64, 20, theta.size)[:-1])
+        _, history = train_metric_net(phi, rows, seed, lr=0.1,
                                       kick_scale=0.05)
         ratios.append(history[-1][2] / history[0][2])
     rows = [_bound_row("median squared-divergence reduction over 10 seeds "
@@ -285,8 +283,8 @@ def suite_metric_training():
               phi.head_sigma_w, phi.head_sigma_b):
         a += r.uniform(-0.05, 0.05, a.shape)
     probes = rademacher_matrix(RngStream(0), 8, theta.size)
-    field = probe_field_rows(grad_fn, theta, probes[None])
-    ctx = freeze_probe_batch(field, 0, UField(phi)(theta))
+    field, = probe_field_rows(grad_fn, theta, probes[None])
+    ctx = freeze_probe_batch(field, UField(phi)(theta))
     _, _, grad = evaluate_divergence_loss(phi, ctx)
     grads = phi.with_flat(grad).params_list()
     arrs = phi.params_list()
@@ -316,8 +314,7 @@ def suite_hutchinson():
     theta = rng.normal((6,))
     worst_diag = 0.0
     for seed in range(5):
-        est = hessian_trace_hutchinson(lambda p: p * d, theta,
-                                       ProbeConfig(probe_count=1, seed=seed))
+        est = hessian_trace_hutchinson(lambda p: p * d, theta, 1, seed)
         worst_diag = max(worst_diag, abs(est - float(np.sum(d))))
     rows = [_bound_row("diagonal quadratics are probe-variance free",
                        worst_diag, 1e-8)]
@@ -327,9 +324,8 @@ def suite_hutchinson():
     a = 3.0 * np.eye(n) + 0.3 * (w + w.T)
     point = RngStream(53).normal((n,), scale=0.5)
     exact = float(np.trace(a))
-    errs = [abs(hessian_trace_hutchinson(
-        lambda p: p @ a, point, ProbeConfig(probe_count=256, seed=s))
-        - exact) / abs(exact) for s in range(20)]
+    errs = [abs(hessian_trace_hutchinson(lambda p: p @ a, point, 256, s)
+                - exact) / abs(exact) for s in range(20)]
     rows.append(_bound_row("median relative error at 256 probes "
                            "(n = 16, 20 seeds)", float(np.median(errs)),
                            0.10))

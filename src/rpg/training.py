@@ -27,7 +27,6 @@ from .divergence import (DivergenceReport, divergence_report, draw_probes,
                          probe_field_rows)
 from .envs import lqr_return_gradient, make_env
 from .errors import BadDimensions, ConfigError, NonFiniteField
-from .fields import ProbeConfig
 from .geodesic import geodesic_gradient
 from .metric import MetricPoint, inverse_apply
 from .metricnet import MetricNetConfig, UField, init_params, train_metric_net
@@ -106,7 +105,7 @@ class TrainConfig:
             make_env(self.env_kind, **self.env_params)
         except BadDimensions as err:
             raise ValueError(str(err))
-        backend = self.resolved_backend(self.env_kind)
+        backend = self.resolved_backend()
         if (backend, self.env_kind) in (("analytic", "pointmass"),
                                         ("reinforce", "landscape")):
             raise ValueError(f"gradient_backend = {backend} cannot train "
@@ -117,21 +116,16 @@ class TrainConfig:
             return self.variant == "T"
         return bool(self.gate_enabled)
 
-    def gates(self, report):
-        """True when the gate sends this report's step back to the plain
-        gradient: gating is on and the divergence ratio is >= 1."""
-        return self.resolved_gate() and report.ratio >= 1.0
-
     def resolved_kappa(self):
         """Geodesic weight; the flow expansion pairs kappa with half the step."""
         if self.kappa is None:
             return self.policy_lr / 2.0
         return self.kappa
 
-    def resolved_backend(self, env_kind):
+    def resolved_backend(self):
         if self.gradient_backend:
             return self.gradient_backend
-        return "reinforce" if env_kind == "pointmass" else "analytic"
+        return "reinforce" if self.env_kind == "pointmass" else "analytic"
 
 
 @dataclass
@@ -163,16 +157,12 @@ class RunSummary:
         return self.abort_reason is not None
 
 
-def _neutral_report():
-    """Placeholder diagnostics for variants that skip the metric entirely."""
-    return DivergenceReport(div=0.0, hessian_trace=0.0, ratio=1.0,
-                            method="none")
-
-
-def _fallback_report():
-    """Diagnostics for a record whose metric machinery hit non-finite values."""
-    return DivergenceReport(div=float("nan"), hessian_trace=float("nan"),
-                            ratio=float("inf"), method="fallback")
+# the diagnostics of a baseline update, which skips the metric entirely
+NEUTRAL_REPORT = DivergenceReport(div=0.0, hessian_trace=0.0, ratio=1.0)
+# the diagnostics of an update whose metric machinery hit non-finite values
+FALLBACK_REPORT = DivergenceReport(div=float("nan"),
+                                   hessian_trace=float("nan"),
+                                   ratio=float("inf"))
 
 
 def _finite_gradient(grad):
@@ -182,31 +172,33 @@ def _finite_gradient(grad):
     return grad
 
 
-def regularize_step(theta, grad, phi, cfg, grad_fn, probe_cfg):
-    """One metric-regularization pass: (theta, grad) -> (direction, report, phi').
+def regularize_step(theta, grad, phi, cfg, grad_fn, probe_seed):
+    """One metric-regularization pass: (theta, grad) -> (direction, report,
+    gated, phi'), gated being True when the direction is the plain
+    gradient in place of the regularized one.
 
     grad is the update's ascent gradient, or None to take grad f(theta)
     from grad_fn (the analytic backend).  A non-finite gradient raises
     NonFiniteField.
-    baseline: the gradient passes through untouched and phi is not
-    consulted; a None grad costs one grad_fn call at theta alone.
-    J/T: one draw (``draw_probes``) gives the probe matrices of every
-    metric-training iteration (none with cfg.freeze_phi) and, last, the
-    report's own, so the ratio is measured on probes the net did not
-    train on.  One grad_fn call (``probe_field_rows``) covers theta (row
-    0, the gradient when grad is None) and their probe rows:
-    1 + 2K * metric_iters + 2K rows, K = probe_count.  Unless
+    baseline: the gradient passes through untouched, ungated, and phi is
+    not consulted; a None grad costs one grad_fn call at theta alone.
+    J/T: one draw from probe_seed (``draw_probes``) gives the
+    K = cfg.probe_count probes of every metric-training iteration (none
+    with cfg.freeze_phi) and, last, the report's own, so the ratio is
+    measured on probes the net did not train on.  One grad_fn call
+    (``probe_field_rows``) covers theta (row 0, the gradient when grad is
+    None) and their probe rows: 1 + 2K * metric_iters + 2K rows.  Unless
     cfg.freeze_phi, the metric net is refined on the training matrices,
     warm-started from phi; the report reads the last matrix.
     The final phi is read through one ``UField``, which builds its
     collapsed matrix once: u(theta) is forwarded once (``UField.at``), the
     report freezes its batch with it and forwards that batch, J = G^-1
     grad uses it, and T's geodesic correction takes its one
-    vector-Jacobian product of u over that forward.  If gating is enabled
-    and the divergence ratio is >= 1, or if a report row or the direction
-    turns non-finite, the direction falls back to the plain gradient; the
-    fallback marks the report with ratio = inf so the record stays
-    visibly flagged while keeping the gate bookkeeping exact.
+    vector-Jacobian product of u over that forward.  The step is gated
+    when gating is enabled and the divergence ratio is >= 1, or when a
+    report row or the direction turns non-finite; the latter returns
+    FALLBACK_REPORT, whose ratio is inf, so the record stays visibly
+    flagged.
     """
     theta = np.asarray(theta, dtype=float)
     if grad is not None:
@@ -214,24 +206,24 @@ def regularize_step(theta, grad, phi, cfg, grad_fn, probe_cfg):
     if cfg.variant == "baseline":
         if grad is None:
             grad = _finite_gradient(grad_fn(theta))
-        return grad.copy(), _neutral_report(), phi
+        return grad.copy(), NEUTRAL_REPORT, False, phi
 
     iters = 0 if cfg.freeze_phi else cfg.metric_iters
-    field = probe_field_rows(grad_fn, theta,
-                             draw_probes(probe_cfg, iters, theta.size))
+    *train, last = probe_field_rows(grad_fn, theta, draw_probes(
+        probe_seed, cfg.probe_count, iters, theta.size))
     if grad is None:
-        grad = _finite_gradient(field.g0)
+        grad = _finite_gradient(last.g0)
 
     new_phi = phi
     if iters:
-        new_phi, _ = train_metric_net(phi, theta, field[:-1], probe_cfg,
+        new_phi, _ = train_metric_net(phi, train, probe_seed,
                                       lr=cfg.metric_lr,
                                       kick_scale=cfg.kick_scale)
 
     try:
         u_field = UField(new_phi)
         u0, u_vjp = u_field.at(theta)
-        report = divergence_report(u_field, field[-1:], u0)
+        report = divergence_report(u_field, last, u0)
         direction = inverse_apply(MetricPoint(u0), grad)
         if cfg.variant == "T":
             direction = geodesic_gradient(u_vjp, theta, direction,
@@ -239,11 +231,11 @@ def regularize_step(theta, grad, phi, cfg, grad_fn, probe_cfg):
         if not np.all(np.isfinite(direction)):
             raise NonFiniteField("regularized direction")
     except NonFiniteField:
-        return grad.copy(), _fallback_report(), new_phi
+        return grad.copy(), FALLBACK_REPORT, True, new_phi
 
-    if cfg.gates(report):
-        return grad.copy(), report, new_phi
-    return direction, report, new_phi
+    if cfg.resolved_gate() and report.ratio >= 1.0:
+        return grad.copy(), report, True, new_phi
+    return direction, report, False, new_phi
 
 
 def _build_policy(env, cfg, rng):
@@ -335,7 +327,7 @@ def run_training(cfg):
     env = make_env(cfg.env_kind, **cfg.env_params)
     policy = _build_policy(env, cfg, root.spawn("policy-init"))
     n_params = policy.theta.size
-    backend = cfg.resolved_backend(env.kind)
+    backend = cfg.resolved_backend()
 
     phi = None
     if cfg.variant in ("J", "T"):
@@ -372,11 +364,10 @@ def run_training(cfg):
                 policy, rollout(env, policy, episodes, rollout_rng),
                 cfg.gamma)
 
-        probe_cfg = ProbeConfig(probe_count=cfg.probe_count,
-                                seed=_probe_seed(cfg.seed, update_idx))
         try:
-            direction, report, phi = regularize_step(theta, grad, phi, cfg,
-                                                     grad_fn, probe_cfg)
+            direction, report, gated, phi = regularize_step(
+                theta, grad, phi, cfg, grad_fn,
+                _probe_seed(cfg.seed, update_idx))
         except NonFiniteField:
             abort_reason = "gradient"
             break
@@ -391,17 +382,13 @@ def run_training(cfg):
         if not np.isfinite(eval_return):
             abort_reason = "evaluation"
             break
-        if cfg.variant == "baseline":
-            gate_flag = False
-        else:
-            gate_flag = report.method == "fallback" or cfg.gates(report)
         records.append(StepRecord(
             step=steps,
             eval_return=float(eval_return),
             div=float(report.div),
             hessian_trace=float(report.hessian_trace),
             ratio=float(report.ratio),
-            gate=bool(gate_flag),
+            gate=gated,
             wall_ms=(time.perf_counter() - started) * 1000.0,
         ))
         update_idx += 1

@@ -19,8 +19,7 @@ from rpg.policy import (LinearGainPolicy, Trajectory, _draw_episode_events,
 from rpg.rng import RngStream, rademacher_matrix
 
 
-def lqr_analytic_gradient(k, env, horizon, gamma=0.99,
-                          init_second_moment=None):
+def lqr_analytic_gradient(k, env, gamma=0.99, init_second_moment=None):
     """Exact ascent-return gradient for the strictly linear policy a = -K s.
 
     Thin restriction of lqr_return_gradient to gain-only parameters (bias
@@ -37,21 +36,22 @@ def lqr_analytic_gradient(k, env, horizon, gamma=0.99,
             f"expected {m * n} gain parameters, got {flat.shape[0]}")
     point = np.concatenate([flat, np.zeros(m)])
     full = lqr_return_gradient(point, env, gamma,
-                               init_second_moment=init_second_moment,
-                               horizon=horizon)
+                               init_second_moment=init_second_moment)
     return full[:m * n].reshape(k.shape)
 
 
-def probe_rows(grad_fn, theta, pc, iters=None):
-    """The ``ProbeRows`` of a metric-training pass of `iters` iterations
-    (all but the last matrix of ``draw_probes``), or of the divergence
-    report when iters is None (its last), from one ``probe_field_rows``
-    call at the step ``default_fd_step(theta)``, as
-    ``rpg.training.regularize_step`` draws and evaluates them."""
+def probe_rows(grad_fn, theta, count, seed=0, iters=None):
+    """The list of ``ProbeRows`` of a metric-training pass of `iters`
+    iterations (all but the last matrix of ``draw_probes``), or the
+    ``ProbeRows`` of the divergence report when iters is None (its last),
+    from one ``probe_field_rows`` call at the step
+    ``default_fd_step(theta)``, as ``rpg.training.regularize_step`` draws
+    and evaluates them."""
     theta = np.asarray(theta, dtype=np.float64)
-    probes = draw_probes(pc, iters or 0, theta.size)
-    probes = probes[-1:] if iters is None else probes[:-1]
-    return probe_field_rows(grad_fn, theta, probes)
+    probes = draw_probes(seed, count, iters or 0, theta.size)
+    if iters is None:
+        return probe_field_rows(grad_fn, theta, probes[-1:])[0]
+    return probe_field_rows(grad_fn, theta, probes[:-1])
 
 
 def own_parts(policy):
@@ -196,8 +196,8 @@ def fd_geodesic_gradient(u_field, theta, grad_j, kappa):
     return grad_j + kappa * inverse_apply(MetricPoint(u0), grad_q)
 
 
-def reference_train_metric_net(phi, theta, grad_fn, pc, max_iters=20,
-                               lr=1e-3, kick_scale=1e-2):
+def reference_train_metric_net(phi, theta, grad_fn, count, seed,
+                               max_iters=20, lr=1e-3, kick_scale=1e-2):
     """The metric-net training loop with every step redone per iteration.
 
     The reference for ``rpg.metricnet.train_metric_net``, which does the
@@ -209,8 +209,8 @@ def reference_train_metric_net(phi, theta, grad_fn, pc, max_iters=20,
     iteration's probe rows.
     """
     theta = np.asarray(theta, dtype=np.float64)
-    probe_rng = RngStream(pc.seed).spawn("alg1-probes")
-    kick_rng = RngStream(pc.seed).spawn("alg1-kick")
+    probe_rng = RngStream(seed).spawn("alg1-probes")
+    kick_rng = RngStream(seed).spawn("alg1-kick")
 
     work = phi.with_flat(phi.values.copy())
     flat = work.values
@@ -219,7 +219,7 @@ def reference_train_metric_net(phi, theta, grad_fn, pc, max_iters=20,
     best_loss, best_div = np.inf, np.nan
     history = []
 
-    probes = np.stack([rademacher_matrix(probe_rng, pc.probe_count, theta.size)
+    probes = np.stack([rademacher_matrix(probe_rng, count, theta.size)
                        for _ in range(max_iters)])
     eps = default_fd_step(theta)
     shifted = np.stack([theta + eps * probes, theta - eps * probes], axis=1)
@@ -238,8 +238,8 @@ def reference_train_metric_net(phi, theta, grad_fn, pc, max_iters=20,
                                   (theta + eps * j0)[None],
                                   (theta - eps * j0)[None],
                                   theta[None]])
-            ctx = ProbeRows(probes=probes[it][None], eps=eps, g0=g0,
-                            grads=grads[None], points=pts[None])
+            ctx = ProbeRows(probes=probes[it], eps=eps, g0=g0, grads=grads,
+                            points=pts)
             div, loss, grad = evaluate_divergence_loss(work, ctx)
             if not np.isfinite(loss):
                 break
@@ -484,7 +484,7 @@ def reference_reinforce_field(env, policy, points, episodes, gamma, rng):
     return _flat_rows([-(wz.swapaxes(1, 2) @ states), wz.sum(axis=1)])
 
 
-def _per_step_moments(a_cl, env, gamma, init_second_moment, horizon):
+def _per_step_moments(a_cl, env, gamma, init_second_moment):
     """Yield vec(g^t M_t) as (N², B), one step at a time, overwriting one
     array."""
     if init_second_moment is None:
@@ -494,7 +494,7 @@ def _per_step_moments(a_cl, env, gamma, init_second_moment, horizon):
     kron = gamma * _vec_kron(a_cl.transpose(1, 0, 2))
     tmp, disc = np.empty((nn, nn, batch)), 1.0
     m_t = np.repeat(np.reshape(init_second_moment, (nn, 1)), batch, axis=1)
-    for t in range(horizon):
+    for t in range(env.horizon):
         if t:
             np.multiply(kron, m_t[:, None], out=tmp)
             tmp.sum(0, out=m_t)
@@ -504,27 +504,25 @@ def _per_step_moments(a_cl, env, gamma, init_second_moment, horizon):
         yield m_t
 
 
-def reference_lqr_expected_return(points, env, gamma, horizon=None):
+def reference_lqr_expected_return(points, env, gamma):
     """``rpg.envs.lqr_expected_return`` with a running sum of the moments
     over t."""
     pts, single = _gain_rows(points, env)
     _, a_cl, cost = _closed_loop(pts, env)
-    horizon = env.horizon if horizon is None else horizon
     s_m = np.zeros_like(cost)
-    for m_t in _per_step_moments(a_cl, env, gamma, None, horizon):
+    for m_t in _per_step_moments(a_cl, env, gamma, None):
         s_m += m_t
     returns = -sum(c * m for c, m in zip(cost, s_m))
     return float(returns[0]) if single else returns
 
 
-def reference_lqr_return_gradient(points, env, gamma, horizon=None):
+def reference_lqr_return_gradient(points, env, gamma):
     """``rpg.envs.lqr_return_gradient`` over every row, with the gradient
     accumulated step by step: grad += sum_i H_t[i] g^t M_t[i] for each t,
     beside the moment recursion."""
     pts, single = _gain_rows(points, env)
     rk, a_cl, cost = _closed_loop(pts, env)
-    horizon = env.horizon if horizon is None else horizon
-    n, m = env.state_dim, env.action_dim
+    n, m, horizon = env.state_dim, env.action_dim, env.horizon
     n_aug, (nn, batch) = n + 1, cost.shape
     back = np.concatenate([gamma * _vec_kron(a_cl), (
         -gamma * np.vstack([env.b, np.zeros(m)])[:, None, None, :, None]
@@ -537,8 +535,7 @@ def reference_lqr_return_gradient(points, env, gamma, horizon=None):
         np.multiply(back, p_h[:nn, None], out=tmp[:nn])
         h[t] = tmp.sum(0, out=p_h)[nn:]
     grad_aug = np.zeros((m, n_aug, batch))
-    for h_t, m_t in zip(h, _per_step_moments(a_cl, env, gamma, None,
-                                             horizon)):
+    for h_t, m_t in zip(h, _per_step_moments(a_cl, env, gamma, None)):
         grad_aug += (h_t.reshape(n_aug, m, 1, batch)
                      * m_t.reshape(n_aug, 1, n_aug, batch)).sum(0)
     out = 2.0 * np.concatenate([-grad_aug[:, :n].reshape(-1, batch),

@@ -250,8 +250,7 @@ def metric_net_forward(phi, theta_layers, arrays=None):
 
 
 def evaluate_divergence_loss(phi, ctx):
-    """(div, loss, phi-gradients) for a frozen one-matrix batch, on the
-    tape.
+    """(div, loss, phi-gradients) for a frozen batch, on the tape.
 
     u is re-evaluated through the taped network at every frozen point, the
     gradient field enters as constants, and leaf_gradients gives the
@@ -261,14 +260,14 @@ def evaluate_divergence_loss(phi, ctx):
     graph = DiffGraph()
     leaves = [graph.leaf(a) for a in phi.params_list()]
 
-    points, probes = ctx.points[0], ctx.probes[0]
+    points, probes = ctx.points, ctx.probes
     omega, sigma, _ = metric_net_forward(
         phi, phi.layout.unflatten_batch(points), leaves)
     u = build_u(fp, omega, sigma, points)
 
     k = probes.shape[0]
     u_probe = slice_axis(u, (slice(0, 2 * k), slice(None)))
-    j = inverse_apply(u_probe, ctx.grads[0])
+    j = inverse_apply(u_probe, ctx.grads)
     j_diff = sub(slice_axis(j, (slice(0, k), slice(None))),
                  slice_axis(j, (slice(k, 2 * k), slice(None))))
     term1 = mul(reduce_sum(mul(probes, j_diff)),

@@ -15,7 +15,6 @@ from rpg.divergence import (DivergenceReport, covariant_laplacian_oracle,
                             divergence_ratio, divergence_report,
                             hessian_trace_hutchinson, laplace_beltrami_oracle)
 from rpg.errors import BadDimensions
-from rpg.fields import ProbeConfig
 from rpg.rng import RngStream
 
 
@@ -32,10 +31,10 @@ def quad_grad(a):
     return lambda p: p @ a
 
 
-def report(grad_fn, u_fn, theta, pc):
+def report(grad_fn, u_fn, theta, count, seed=0):
     """The divergence report on its own probe rows, at u0 = u(theta)."""
     theta = np.asarray(theta, dtype=float)
-    return divergence_report(u_fn, probe_rows(grad_fn, theta, pc),
+    return divergence_report(u_fn, probe_rows(grad_fn, theta, count, seed),
                              u_fn(theta[None])[0])
 
 
@@ -76,7 +75,7 @@ def test_estimate_flat_quadratic_is_exact():
     """Rademacher probes satisfy v_i^2 = 1, so the identity Jacobian gives
     exactly n per probe regardless of K."""
     est = report(lambda p: p, zero_u, np.zeros(6),
-                 ProbeConfig(probe_count=3)).div
+                 3).div
     assert est == pytest.approx(6.0, abs=1e-9)
 
 
@@ -84,7 +83,7 @@ def test_estimate_constant_field_first_term_zero():
     """A constant field has a zero Jacobian and zero volume term."""
     est = report(const_u(np.array([1.0, 2.0, 3.0])),
                  const_u(np.array([0.4, 0.1, -0.3])),
-                 np.array([0.2, 0.0, -0.5]), ProbeConfig(probe_count=8)).div
+                 np.array([0.2, 0.0, -0.5]), 8).div
     assert abs(est) <= 1e-8
 
 
@@ -101,7 +100,7 @@ def test_estimate_tracks_exact_at_k64():
     errs = []
     for seed in range(20):
         est = report(*fields, theta,
-                     ProbeConfig(probe_count=64, seed=seed)).div
+                     64, seed).div
         errs.append(abs(est - exact) / abs(exact))
     assert np.median(errs) <= 0.15
 
@@ -118,7 +117,7 @@ def test_estimate_error_shrinks_with_probes():
     medians = []
     for k in (4, 16, 64, 256):
         errs = [abs(report(
-            *fields, theta, ProbeConfig(probe_count=k, seed=s)).div - exact)
+            *fields, theta, k, s).div - exact)
             for s in range(20)]
         medians.append(float(np.median(errs)))
     assert medians[0] > medians[1] > medians[2] > medians[3]
@@ -129,10 +128,9 @@ def test_report_shared_probes_give_unit_ratio_when_flat():
     reuses one probe draw for both estimates, div == trace bitwise."""
     a = np.diag([1.0, 2.0, 3.0, 4.0])
     rep = report(quad_grad(a), zero_u, np.array([0.1, 0.2, -0.3, 0.4]),
-                 ProbeConfig(probe_count=16, seed=3))
+                 16, 3)
     assert rep.div == rep.hessian_trace
     assert rep.ratio == 1.0
-    assert rep.method == "estimated"
 
 
 @pytest.mark.parametrize("iters", [None, 1, 3, 7],
@@ -148,17 +146,19 @@ def test_probe_field_rows_makes_one_field_call(iters):
         return 2.0 * pts
 
     theta = np.array([0.5, -0.5, 0.25])
-    rows = probe_rows(grad_fn, theta, ProbeConfig(probe_count=4, seed=9),
-                      iters)
-    count = 1 if iters is None else iters
-    assert calls == [(1 + 2 * 4 * count, 3)]
-    assert rows.grads.shape == (count, 2 * 4, 3)
-    assert rows.points.shape == (count, 2 * 4 + 3, 3)
+    rows = probe_rows(grad_fn, theta, 4, 9, iters=iters)
+    rows = [rows] if iters is None else rows
+    assert calls == [(1 + 2 * 4 * len(rows), 3)]
+    assert len(rows) == (1 if iters is None else iters)
+    for one in rows:
+        assert one.probes.shape == (4, 3)
+        assert one.grads.shape == (2 * 4, 3)
+        assert one.points.shape == (2 * 4 + 3, 3)
 
 
 def test_report_fields_populated():
     rep = report(lambda p: p, lambda p: 0.2 * p, np.array([0.5, -0.5, 0.25]),
-                 ProbeConfig(probe_count=4, seed=9))
+                 4, 9)
     assert isinstance(rep, DivergenceReport)
     assert np.isfinite(rep.div) and np.isfinite(rep.hessian_trace)
 
@@ -224,14 +224,14 @@ def test_hutchinson_diagonal_is_exact():
     """Diagonal Hessians are estimated without probe variance: v_i^2 = 1."""
     d = np.array([1.0, 2.0, 3.0])
     est = hessian_trace_hutchinson(lambda p: p * d, np.array([0.2, -0.1, 0.4]),
-                                   ProbeConfig(probe_count=1, seed=5))
+                                   1, 5)
     assert est == pytest.approx(6.0, abs=1e-6)
 
 
 def test_hutchinson_linear_function_is_zero():
     b = np.array([3.0, -1.0, 2.0, 0.5])
     est = hessian_trace_hutchinson(lambda p: np.broadcast_to(b, p.shape),
-                                   np.zeros(4), ProbeConfig(probe_count=4))
+                                   np.zeros(4), 4, 0)
     assert abs(est) <= 1e-8
 
 
@@ -241,7 +241,7 @@ def test_hutchinson_diagonal_exact_any_seed():
     theta = rng.normal((6,))
     for seed in range(5):
         est = hessian_trace_hutchinson(
-            lambda p: p * d, theta, ProbeConfig(probe_count=1, seed=seed))
+            lambda p: p * d, theta, 1, seed)
         assert est == pytest.approx(float(np.sum(d)), abs=1e-8)
 
 
@@ -256,7 +256,7 @@ def test_hutchinson_dense_hessian_accuracy():
     errs = []
     for seed in range(20):
         est = hessian_trace_hutchinson(
-            quad_grad(a), theta, ProbeConfig(probe_count=256, seed=seed))
+            quad_grad(a), theta, 256, seed)
         errs.append(abs(est - exact) / abs(exact))
     assert np.median(errs) <= 0.10
 

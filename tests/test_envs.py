@@ -13,7 +13,6 @@ from rpg.envs import (MAX_LQR_STATE_DIM, LandscapeEnv, _bowl_grad,
                       default_init_second_moment, lqr_expected_return,
                       lqr_return_gradient, make_env, riccati_gain)
 from rpg.errors import BadDimensions
-from rpg.fields import ProbeConfig
 from rpg.policy import ParamPolicy, rollout
 from rpg.rng import RngStream
 from rpg.training import TrainConfig, _build_policy, run_training
@@ -319,7 +318,7 @@ def test_riccati_fixed_point_residual():
 def test_gradient_vanishes_at_riccati_optimum():
     for env in [make_env("lqr"), two_dim_env(horizon=50)]:
         gain, _ = riccati_gain(env, GAMMA)
-        grad = lqr_analytic_gradient(gain, env, env.horizon, GAMMA)
+        grad = lqr_analytic_gradient(gain, env, GAMMA)
         assert np.max(np.abs(grad)) <= 1e-8
 
 
@@ -356,7 +355,7 @@ def test_gradient_matches_rollout_fd_from_fixed_start():
     # K = 0 on a system that is already stable without feedback
     env = make_env("lqr", a=[[0.9]], b=[[1.0]])
     s0 = np.array([0.8])
-    grad = lqr_analytic_gradient(np.zeros((1, 1)), env, env.horizon, GAMMA,
+    grad = lqr_analytic_gradient(np.zeros((1, 1)), env, GAMMA,
                                  init_second_moment=point_moment(s0))
     h = 1e-5
     fd = (rollout_return(env, [[h]], np.zeros(1), s0)
@@ -366,7 +365,7 @@ def test_gradient_matches_rollout_fd_from_fixed_start():
     env2 = two_dim_env()
     s0 = np.array([0.5, -0.3])
     k = np.array([[0.2, 0.0], [0.1, 0.3]])
-    grad2 = lqr_analytic_gradient(k, env2, env2.horizon, GAMMA,
+    grad2 = lqr_analytic_gradient(k, env2, GAMMA,
                                   init_second_moment=point_moment(s0))
     for i in range(2):
         for j in range(2):
@@ -382,9 +381,9 @@ def test_gradient_symmetric_under_state_sign_flip():
     env = two_dim_env()
     k = np.array([[0.25, -0.1], [0.05, 0.2]])
     s0 = np.array([0.6, -0.4])
-    g_plus = lqr_analytic_gradient(k, env, env.horizon, GAMMA,
+    g_plus = lqr_analytic_gradient(k, env, GAMMA,
                                    init_second_moment=point_moment(s0))
-    g_minus = lqr_analytic_gradient(k, env, env.horizon, GAMMA,
+    g_minus = lqr_analytic_gradient(k, env, GAMMA,
                                     init_second_moment=point_moment(-s0))
     assert np.max(np.abs(g_plus - g_minus)) <= 1e-12
 
@@ -398,12 +397,12 @@ def test_default_init_moment_is_uniform_cube_moment():
 def test_analytic_gradient_shapes_and_validation():
     env = two_dim_env()
     k = np.zeros((2, 2))
-    as_matrix = lqr_analytic_gradient(k, env, env.horizon, GAMMA)
-    as_flat = lqr_analytic_gradient(k.ravel(), env, env.horizon, GAMMA)
+    as_matrix = lqr_analytic_gradient(k, env, GAMMA)
+    as_flat = lqr_analytic_gradient(k.ravel(), env, GAMMA)
     assert as_matrix.shape == (2, 2) and as_flat.shape == (4,)
     assert np.array_equal(as_matrix.ravel(), as_flat)
     with pytest.raises(BadDimensions):
-        lqr_analytic_gradient(np.zeros(3), env, env.horizon, GAMMA)
+        lqr_analytic_gradient(np.zeros(3), env, GAMMA)
 
 
 def test_batched_recursions_match_single_points():
@@ -526,10 +525,9 @@ def j_update_rows(kind):
     them."""
     env, theta = field_case(kind, 1, RngStream(5))
     theta = theta[0]
-    pc = ProbeConfig(probe_count=16, seed=3)
     seen = []
     probe_field_rows(lambda pts: seen.append(pts) or pts, theta,
-                     draw_probes(pc, 20, theta.size))
+                     draw_probes(3, 16, 20, theta.size))
     return env, seen[0]
 
 

@@ -1,4 +1,4 @@
-"""Tests for field-evaluation plumbing: batching, FD steps, probe config."""
+"""Tests for field-evaluation plumbing: batching, FD steps, probe rows."""
 
 import numpy as np
 import pytest
@@ -6,8 +6,7 @@ import pytest
 from helpers import probe_rows
 from rpg.divergence import divergence_exact, divergence_report
 from rpg.errors import BadDimensions, NonFiniteField
-from rpg.fields import (ProbeConfig, default_fd_step, eval_points,
-                        require_finite)
+from rpg.fields import default_fd_step, eval_points, require_finite
 from rpg.metricnet import LayerLayout, MetricNetConfig, init_params
 from rpg.rng import RngStream, rademacher_matrix
 from rpg.training import TrainConfig, regularize_step
@@ -79,21 +78,14 @@ def test_evaluator_factors_shape():
     """A u_fn whose rows are not shaped like its points is refused."""
     with pytest.raises(BadDimensions):
         divergence_report(lambda p: 0.1 * p[:, :-1],
-                          probe_rows(lambda p: p, np.ones(3),
-                                     ProbeConfig(probe_count=4)),
+                          probe_rows(lambda p: p, np.ones(3), 4),
                           np.zeros(3))
-
-
-def test_probe_config_validation():
-    with pytest.raises(ValueError):
-        ProbeConfig(probe_count=0)
 
 
 def test_probe_config_step_auto():
     """Probe rows sit at theta +- default_fd_step(theta) * v: the report's
     rows in the one field call of a frozen-metric J update."""
     theta = np.array([3.0, -1.0])
-    pc = ProbeConfig(probe_count=8, seed=2)
     seen = []
 
     def grad_fn(p):
@@ -102,12 +94,12 @@ def test_probe_config_step_auto():
 
     phi = init_params(RngStream(0), MetricNetConfig(m_tilde=1),
                       LayerLayout.from_vector(theta.size))
-    regularize_step(theta, None, phi, TrainConfig(variant="J",
+    regularize_step(theta, None, phi, TrainConfig(variant="J", probe_count=8,
                                                   freeze_phi=True),
-                    grad_fn, pc)
+                    grad_fn, 2)
     assert len(seen) == 1 and np.array_equal(seen[0][0], theta)
     eps = default_fd_step(theta)
     assert eps == pytest.approx(4e-4)
-    probes = rademacher_matrix(RngStream(pc.seed), 8, theta.size)
+    probes = rademacher_matrix(RngStream(2), 8, theta.size)
     assert np.array_equal(seen[0][1:9], theta + eps * probes)
     assert np.array_equal(seen[0][9:], theta - eps * probes)

@@ -24,7 +24,7 @@ from helpers import (fd_geodesic_gradient, fd_pullback, net_arrays,
 from rpg.divergence import divergence_report, hessian_trace_hutchinson
 from rpg.envs import make_env
 from rpg.errors import BadDimensions, LayoutMismatch
-from rpg.fields import ProbeConfig, default_fd_step
+from rpg.fields import default_fd_step
 from rpg.geodesic import geodesic_gradient
 from rpg.metricnet import (LayerLayout, MetricNetConfig, UField,
                            evaluate_divergence_loss, freeze_probe_batch,
@@ -253,8 +253,7 @@ def test_fused_loss_matches_tape_reference(layout):
         assert np.max(np.abs(a - b)) <= 1e-15 * np.max(np.abs(b))
 
     d = 1.0 + np.arange(layout.n) / layout.n
-    ctx = freeze(phi, pts[0], lambda p: p * d + np.sin(p),
-                 ProbeConfig(probe_count=8, seed=6))
+    ctx = freeze(phi, pts[0], lambda p: p * d + np.sin(p), 8, 6)
     div, loss, grad = evaluate_divergence_loss(phi, ctx)
     grads = phi.with_flat(grad).params_list()
     ref_div, ref_loss, ref_grads = tape.evaluate_divergence_loss(phi, ctx)
@@ -386,7 +385,7 @@ def test_initial_ratio_is_exactly_one():
     u_fn = UField(phi)
     rep = divergence_report(
         u_fn,
-        probe_rows(lambda p: p @ a, theta, ProbeConfig(probe_count=8, seed=1)),
+        probe_rows(lambda p: p @ a, theta, 8, 1),
         u_fn(theta))
     assert rep.div == rep.hessian_trace
     assert rep.ratio == 1.0
@@ -404,10 +403,10 @@ def quad_fixture(n=8, layout=None):
     return layout, grad_fn, theta, d
 
 
-def freeze(phi, theta, grad_fn, pc):
+def freeze(phi, theta, grad_fn, count, seed=0):
     """One frozen batch at the report's probe draw, field rows from one
     call."""
-    return freeze_probe_batch(probe_rows(grad_fn, theta, pc), 0,
+    return freeze_probe_batch(probe_rows(grad_fn, theta, count, seed),
                               UField(phi)(theta))
 
 
@@ -430,11 +429,11 @@ def test_report_div_is_loss_div_bitwise(layout, m_tilde):
     w = RngStream(27).normal((n, n))
     grad_fn = lambda p: np.tanh(p) @ (w + w.T)
     theta = RngStream(28).normal((n,), scale=0.5)
-    pc = ProbeConfig(probe_count=8, seed=2)
     u_fn = UField(phi)
-    rep = divergence_report(u_fn, probe_rows(grad_fn, theta, pc),
+    rep = divergence_report(u_fn, probe_rows(grad_fn, theta, 8, 2),
                             u_fn(theta))
-    div, _, _ = evaluate_divergence_loss(phi, freeze(phi, theta, grad_fn, pc))
+    div, _, _ = evaluate_divergence_loss(phi,
+                                         freeze(phi, theta, grad_fn, 8, 2))
     assert rep.div == div
 
 
@@ -442,7 +441,7 @@ def test_zero_head_start_is_exact_saddle():
     """Loss positive, every phi-gradient exactly 0.0 — not approximately."""
     layout, grad_fn, theta, d = quad_fixture()
     phi = init_params(RngStream(30), MetricNetConfig(m_tilde=3), layout)
-    ctx = freeze(phi, theta, grad_fn, ProbeConfig(probe_count=8))
+    ctx = freeze(phi, theta, grad_fn, 8)
     div, loss, grad = evaluate_divergence_loss(phi, ctx)
     assert div == pytest.approx(float(np.sum(d)), abs=1e-9)
     assert loss > 0
@@ -452,10 +451,9 @@ def test_zero_head_start_is_exact_saddle():
 def test_initial_divergence_matches_hutchinson():
     layout, grad_fn, theta, d = quad_fixture()
     phi = init_params(RngStream(31), MetricNetConfig(m_tilde=3), layout)
-    pc = ProbeConfig(probe_count=8, seed=4)
-    ctx = freeze(phi, theta, grad_fn, pc)
+    ctx = freeze(phi, theta, grad_fn, 8, 4)
     div, _, _ = evaluate_divergence_loss(phi, ctx)
-    trace = hessian_trace_hutchinson(grad_fn, theta, pc)
+    trace = hessian_trace_hutchinson(grad_fn, theta, 8, 4)
     assert div == pytest.approx(trace, rel=1e-12)
 
 
@@ -467,7 +465,7 @@ def test_phi_gradient_matches_fd():
     for a in (phi.head_omega_w, phi.head_omega_b,
               phi.head_sigma_w, phi.head_sigma_b):
         a += r.uniform(-0.05, 0.05, a.shape)
-    ctx = freeze(phi, theta, grad_fn, ProbeConfig(probe_count=8))
+    ctx = freeze(phi, theta, grad_fn, 8)
     grads = phi.with_flat(evaluate_divergence_loss(phi, ctx)[2]).params_list()
 
     arrs = phi.params_list()
@@ -501,7 +499,7 @@ def test_phi_gradient_matches_fd_on_2d_kernels():
     assert phi.plans[0] == ("2d", "1d") and phi.plans[2] == ("2d", "2d")
     theta = RngStream(53).normal((layout.n,))
     d = 1.0 + np.arange(layout.n) / layout.n
-    ctx = freeze(phi, theta, lambda p: p * d, ProbeConfig(probe_count=8))
+    ctx = freeze(phi, theta, lambda p: p * d, 8)
     grads = phi.with_flat(evaluate_divergence_loss(phi, ctx)[2]).params_list()
 
     arrs = phi.params_list()
@@ -559,9 +557,8 @@ def test_train_zero_field_is_noop():
     layout = LayerLayout.from_vector(6)
     phi = init_params(RngStream(34), MetricNetConfig(m_tilde=2), layout)
     before = [a.copy() for a in phi.params_list()]
-    pc = ProbeConfig(probe_count=4)
     out, history = train_metric_net(
-        phi, np.ones(6), probe_rows(np.zeros_like, np.ones(6), pc, 5), pc)
+        phi, probe_rows(np.zeros_like, np.ones(6), 4, iters=5), 0)
     assert [(i, d, l) for i, d, l in history] == [(i, 0.0, 0.0)
                                                   for i in range(5)]
     assert all(np.array_equal(a, b)
@@ -571,9 +568,8 @@ def test_train_zero_field_is_noop():
 def test_train_history_loss_non_increasing():
     layout, grad_fn, theta, _ = quad_fixture()
     phi = init_params(RngStream(35), MetricNetConfig(m_tilde=3), layout)
-    pc = ProbeConfig(probe_count=8, seed=2)
-    _, history = train_metric_net(phi, theta,
-                                  probe_rows(grad_fn, theta, pc, 8), pc)
+    rows = probe_rows(grad_fn, theta, 8, 2, iters=8)
+    _, history = train_metric_net(phi, rows, 2)
     losses = [l for _, _, l in history]
     assert len(losses) == 8
     assert all(b <= a for a, b in zip(losses, losses[1:]))
@@ -582,12 +578,11 @@ def test_train_history_loss_non_increasing():
 
 def test_train_deterministic():
     layout, grad_fn, theta, _ = quad_fixture()
-    pc = ProbeConfig(probe_count=8, seed=3)
     runs = []
     for _ in range(2):
         phi = init_params(RngStream(36), MetricNetConfig(m_tilde=3), layout)
         out, history = train_metric_net(
-            phi, theta, probe_rows(grad_fn, theta, pc, 5), pc)
+            phi, probe_rows(grad_fn, theta, 8, 3, iters=5), 3)
         runs.append((out, history))
     assert runs[0][1] == runs[1][1]
     assert all(np.array_equal(a, b) for a, b in
@@ -598,18 +593,17 @@ def test_train_aborts_on_non_finite():
     layout, grad_fn, theta, _ = quad_fixture()
     phi = init_params(RngStream(37), MetricNetConfig(m_tilde=3), layout)
     phi.trunk_w[0, 0] = np.inf
-    pc = ProbeConfig(probe_count=4)
     with np.errstate(invalid="ignore"):
         out, history = train_metric_net(
-            phi, theta, probe_rows(grad_fn, theta, pc, 5), pc)
+            phi, probe_rows(grad_fn, theta, 4, iters=5), 0)
     assert history == []
     assert np.isinf(out.trunk_w[0, 0])
 
     # a NaN gradient field: same abort, phi untouched, nothing raised
     phi = init_params(RngStream(37), MetricNetConfig(m_tilde=3), layout)
     out, history = train_metric_net(
-        phi, theta, probe_rows(lambda p: np.full_like(p, np.nan), theta, pc,
-                               5), pc)
+        phi, probe_rows(lambda p: np.full_like(p, np.nan), theta, 4,
+                        iters=5), 0)
     assert history == []
     assert all(np.array_equal(a, b)
                for a, b in zip(out.params_list(), phi.params_list()))
@@ -619,8 +613,7 @@ def test_train_non_finite_row_ends_loop_at_its_iteration():
     """The field is evaluated for every iteration up front, yet a NaN row
     in iteration 2's probes ends the loop at iteration 2, not before."""
     layout, grad_fn, theta, d = quad_fixture()
-    pc = ProbeConfig(probe_count=4, seed=5)
-    probe_rng = RngStream(pc.seed).spawn("alg1-probes")
+    probe_rng = RngStream(5).spawn("alg1-probes")
     draws = [rademacher_matrix(probe_rng, 4, theta.size) for _ in range(5)]
     bad = theta + default_fd_step(theta) * draws[2][0]
     # no row theta +- eps*v of iterations 0 and 1 is the bad point
@@ -634,10 +627,10 @@ def test_train_non_finite_row_ends_loop_at_its_iteration():
         return out
 
     phi = init_params(RngStream(39), MetricNetConfig(m_tilde=3), layout)
-    _, history = train_metric_net(phi, theta,
-                                  probe_rows(field, theta, pc, 5), pc)
-    _, clean = train_metric_net(phi, theta, probe_rows(grad_fn, theta, pc, 5),
-                                pc)
+    _, history = train_metric_net(phi, probe_rows(field, theta, 4, 5,
+                                                  iters=5), 5)
+    _, clean = train_metric_net(phi, probe_rows(grad_fn, theta, 4, 5,
+                                                iters=5), 5)
     assert [it for it, _, _ in history] == [0, 1]
     assert history == clean[:2]
 
@@ -651,13 +644,12 @@ def test_train_matches_reference_loop_bitwise(layout, m_tilde, case,
     from the zero-head start (which kicks), with a NaN field row in
     iteration 2's probes, and with an infinite trunk weight."""
     _, grad_fn, theta, d = quad_fixture(layout=layout)
-    pc = ProbeConfig(probe_count=4, seed=3)
     phi = init_params(RngStream(36), MetricNetConfig(m_tilde=m_tilde), layout)
     if case == "nan-row":
         def grad_fn(pts):
             # the pass's one call: theta, then 2K rows per iteration
             out = pts * d
-            out[1 + 2 * 2 * pc.probe_count] = np.nan
+            out[1 + 2 * 2 * 4] = np.nan
             return out
     if case == "inf-trunk":
         phi.trunk_w[0, 0] = np.inf
@@ -667,10 +659,10 @@ def test_train_matches_reference_loop_bitwise(layout, m_tilde, case,
                         lambda *args: kicks.append(kick(*args)))
 
     with np.errstate(invalid="ignore", over="ignore"):
-        out, history = train_metric_net(phi, theta,
-                                        probe_rows(grad_fn, theta, pc, 5), pc)
-        ref, ref_history = reference_train_metric_net(phi, theta, grad_fn, pc,
-                                                      max_iters=5)
+        out, history = train_metric_net(
+            phi, probe_rows(grad_fn, theta, 4, 3, iters=5), 3)
+        ref, ref_history = reference_train_metric_net(phi, theta, grad_fn, 4,
+                                                      3, max_iters=5)
     assert history == ref_history
     assert all(np.array_equal(a, b)
                for a, b in zip(out.params_list(), ref.params_list()))
@@ -699,9 +691,8 @@ def test_train_forwards_twice_per_iteration_via_module_names(max_iters,
         monkeypatch.setattr(rpg.metricnet, name, counting)
 
     phi = init_params(RngStream(36), MetricNetConfig(m_tilde=3), layout)
-    pc = ProbeConfig(probe_count=4, seed=3)
-    field = probe_rows(grad_fn, theta, pc, max_iters)
-    _, history = train_metric_net(phi, theta, field, pc)
+    field = probe_rows(grad_fn, theta, 4, 3, iters=max_iters)
+    _, history = train_metric_net(phi, field, 3)
     assert len(history) == max_iters
     rows = [len(args[1]) for args in calls["metric_net_forward"]]
     assert rows == [1, 2 * 4 + 3] * max_iters
@@ -765,9 +756,8 @@ def test_train_pass_python_calls_stay_within_bound():
     per-iteration bookkeeping that creeps back in shows up here."""
     layout, grad_fn, theta, _ = quad_fixture(n=4)
     phi = init_params(RngStream(36), MetricNetConfig(m_tilde=3), layout)
-    pc = ProbeConfig(probe_count=8, seed=3)
-    field = probe_rows(grad_fn, theta, pc, 20)
-    train_metric_net(phi, theta, field, pc)    # builds the cached plans
+    field = probe_rows(grad_fn, theta, 8, 3, iters=20)
+    train_metric_net(phi, field, 3)    # builds the cached plans
     package = os.path.dirname(rpg.metricnet.__file__) + os.sep
     calls = 0
 
@@ -778,7 +768,7 @@ def test_train_pass_python_calls_stay_within_bound():
 
     sys.setprofile(count)
     try:
-        _, history = train_metric_net(phi, theta, field, pc)
+        _, history = train_metric_net(phi, field, 3)
     finally:
         sys.setprofile(None)
     assert len(history) == 20
@@ -789,10 +779,8 @@ def test_train_rejects_zero_iters():
     """Field rows that hold no probe matrix leave no iteration to run."""
     layout, grad_fn, theta, _ = quad_fixture()
     phi = init_params(RngStream(38), MetricNetConfig(m_tilde=3), layout)
-    pc = ProbeConfig(probe_count=4)
     with pytest.raises(ValueError):
-        train_metric_net(phi, theta, probe_rows(grad_fn, theta, pc, 1)[:0],
-                         pc)
+        train_metric_net(phi, probe_rows(grad_fn, theta, 4, iters=1)[:0], 0)
 
 
 # ------------------------------------------------------------- checkpoints

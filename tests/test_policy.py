@@ -283,8 +283,7 @@ def test_reinforce_sign_agreement_with_analytic_oracle():
         k0 = float(rng.uniform(0.05, 0.45, size=1)[0])
         pol = LinearGainPolicy(1, 1, sigma=0.1, k=[[k0]])
         est = reinforce(env, pol, 20, rng)
-        oracle = lqr_analytic_gradient(own_parts(pol)[0][0], env,
-                                       env.horizon, GAMMA)
+        oracle = lqr_analytic_gradient(own_parts(pol)[0][0], env, GAMMA)
         agree += int(np.sign(est[0]) == np.sign(oracle[0, 0]))
     assert agree >= 95
 

@@ -65,8 +65,10 @@ def test_rademacher_matrix_rows_match_shape():
 
 
 def test_bad_probe_dimension_rejected():
-    with pytest.raises(ValueError):
-        rademacher_matrix(RngStream(0), 1, 0)
+    """No probe dimension and no probe at all are both refused."""
+    for count, n in ((1, 0), (0, 4)):
+        with pytest.raises(ValueError):
+            rademacher_matrix(RngStream(0), count, n)
 
 
 def test_tag_type_rejected():

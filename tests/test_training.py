@@ -19,7 +19,6 @@ from helpers import (per_row_reinforce_field, probe_rows,
 from rpg.divergence import DivergenceReport, divergence_report
 from rpg.envs import lqr_expected_return, make_env, riccati_gain
 from rpg.errors import NonFiniteField
-from rpg.fields import ProbeConfig
 from rpg.metric import MetricPoint, inverse_apply
 from rpg.geodesic import geodesic_gradient
 from rpg.metricnet import (MetricNetConfig, UField, init_params,
@@ -101,16 +100,32 @@ def test_gate_defaults_on_for_variant_t_only():
     assert TrainConfig(variant="J", gate_enabled=True).resolved_gate() is True
 
 
-def test_gate_rule_needs_gate_on_and_ratio_at_least_one():
-    """One predicate decides both the step and the recorded gate flag."""
-    def report(ratio):
-        return DivergenceReport(div=ratio, hessian_trace=1.0, ratio=ratio,
-                                method="estimated")
+def test_gate_rule_needs_gate_on_and_ratio_at_least_one(monkeypatch):
+    """One predicate decides both the step and the returned gate flag:
+    regularize_step, its report's ratio set, returns the plain gradient
+    exactly when it returns gated."""
+    _, grad_fn = bowl_field(4)
+    theta = np.array([0.4, -0.7, 0.2, 0.9])
+    grad = grad_fn(theta)
+    phi = fresh_phi(4)
+    phi.head_omega_w += RngStream(11).uniform(-0.1, 0.1,
+                                              phi.head_omega_w.shape)
 
-    assert TrainConfig(variant="T").gates(report(1.0))
-    assert not TrainConfig(variant="T").gates(report(0.5))
-    assert not TrainConfig(variant="J").gates(report(2.0))
-    assert TrainConfig(variant="J", gate_enabled=True).gates(report(2.0))
+    def gated(ratio, **kwargs):
+        report = DivergenceReport(div=ratio, hessian_trace=1.0, ratio=ratio)
+        monkeypatch.setattr(rpg.training, "divergence_report",
+                            lambda *args: report)
+        cfg = TrainConfig(env_kind="landscape", freeze_phi=True, **kwargs)
+        direction, got, flag, _ = regularize_step(theta, grad, phi, cfg,
+                                                  grad_fn, 0)
+        assert got is report
+        assert np.array_equal(direction, grad) == flag
+        return flag
+
+    assert gated(1.0, variant="T")
+    assert not gated(0.5, variant="T")
+    assert not gated(2.0, variant="J")
+    assert gated(2.0, variant="J", gate_enabled=True)
 
 
 def test_kappa_defaults_to_half_policy_lr():
@@ -119,12 +134,11 @@ def test_kappa_defaults_to_half_policy_lr():
 
 
 def test_backend_resolution():
-    cfg = TrainConfig()
-    assert cfg.resolved_backend("lqr") == "analytic"
-    assert cfg.resolved_backend("landscape") == "analytic"
-    assert cfg.resolved_backend("pointmass") == "reinforce"
+    for kind, backend in (("lqr", "analytic"), ("landscape", "analytic"),
+                          ("pointmass", "reinforce")):
+        assert TrainConfig(env_kind=kind).resolved_backend() == backend
     forced = TrainConfig(gradient_backend="reinforce")
-    assert forced.resolved_backend("lqr") == "reinforce"
+    assert forced.resolved_backend() == "reinforce"
 
 
 # ------------------------------------------------------- regularize_step
@@ -132,26 +146,27 @@ def test_backend_resolution():
 
 def test_baseline_is_passthrough():
     env, grad_fn = bowl_field(4)
-    cfg = TrainConfig(env_kind="landscape", variant="baseline")
+    cfg = TrainConfig(env_kind="landscape", variant="baseline",
+                      probe_count=8)
     theta = np.array([0.3, -0.2, 0.5, 0.1])
     grad = grad_fn(theta)
     phi = object()  # must not be consulted at all
-    direction, report, phi_out = regularize_step(
-        theta, grad, phi, cfg, grad_fn, ProbeConfig(probe_count=8, seed=0))
+    direction, report, gated, phi_out = regularize_step(
+        theta, grad, phi, cfg, grad_fn, 0)
     assert np.array_equal(direction, grad)
     assert direction is not grad          # caller may mutate safely
     assert phi_out is phi
-    assert report.method == "none"
+    assert gated is False
     assert report.div == 0.0 and report.ratio == 1.0
 
 
 def test_nonfinite_gradient_is_rejected():
     env, grad_fn = bowl_field(4)
-    cfg = TrainConfig(env_kind="landscape", variant="baseline")
+    cfg = TrainConfig(env_kind="landscape", variant="baseline",
+                      probe_count=8)
     bad = np.array([1.0, np.nan, 0.0, 0.0])
     with pytest.raises(NonFiniteField):
-        regularize_step(np.zeros(4), bad, None, cfg,
-                        grad_fn, ProbeConfig(probe_count=8, seed=0))
+        regularize_step(np.zeros(4), bad, None, cfg, grad_fn, 0)
 
 
 def test_zero_head_variant_j_reduces_to_euclidean():
@@ -159,15 +174,35 @@ def test_zero_head_variant_j_reduces_to_euclidean():
     # the direction is bitwise the plain gradient, and the shared-probe
     # construction makes the divergence ratio exactly 1
     env, grad_fn = bowl_field(4)
-    cfg = TrainConfig(env_kind="landscape", variant="J", freeze_phi=True)
+    cfg = TrainConfig(env_kind="landscape", variant="J", freeze_phi=True,
+                      probe_count=16)
     theta = np.array([0.4, -0.7, 0.2, 0.9])
     grad = grad_fn(theta)
     phi = fresh_phi(4)
-    direction, report, phi_out = regularize_step(
-        theta, grad, phi, cfg, grad_fn, ProbeConfig(probe_count=16, seed=3))
+    direction, report, gated, phi_out = regularize_step(
+        theta, grad, phi, cfg, grad_fn, 3)
     assert np.array_equal(direction, grad)
     assert report.ratio == 1.0
+    assert gated is False
     assert phi_out is phi
+
+
+def test_j_step_draws_cfg_probe_count_in_one_field_call():
+    """K = cfg.probe_count probes per matrix, I = cfg.metric_iters
+    training matrices and the report's: one field call of theta and
+    2K (I + 1) probe rows."""
+    _, grad_fn = bowl_field(4)
+    calls = []
+
+    def field(pts):
+        calls.append(len(pts))
+        return grad_fn(pts)
+
+    cfg = TrainConfig(env_kind="landscape", variant="J", probe_count=5,
+                      metric_iters=2)
+    regularize_step(np.array([0.4, -0.7, 0.2, 0.9]), None, fresh_phi(4), cfg,
+                    field, 0)
+    assert calls == [1 + 2 * 5 * 3]
 
 
 def test_gate_falls_back_at_ratio_one():
@@ -175,30 +210,30 @@ def test_gate_falls_back_at_ratio_one():
     # >= 1 rule, so the returned direction must be the raw gradient
     env, grad_fn = bowl_field(4)
     cfg = TrainConfig(env_kind="landscape", variant="J", freeze_phi=True,
-                      gate_enabled=True)
+                      gate_enabled=True, probe_count=16)
     theta = np.array([0.4, -0.7, 0.2, 0.9])
     grad = grad_fn(theta)
-    direction, report, _ = regularize_step(
-        theta, grad, fresh_phi(4), cfg, grad_fn,
-        ProbeConfig(probe_count=16, seed=3))
+    direction, report, gated, _ = regularize_step(
+        theta, grad, fresh_phi(4), cfg, grad_fn, 3)
     assert report.ratio >= 1.0
+    assert gated is True
     assert np.array_equal(direction, grad)
 
 
 def test_nonfinite_metric_falls_back_with_flagged_report():
     env, grad_fn = bowl_field(4)
-    cfg = TrainConfig(env_kind="landscape", variant="J", freeze_phi=True)
+    cfg = TrainConfig(env_kind="landscape", variant="J", freeze_phi=True,
+                      probe_count=8)
     theta = np.array([0.4, -0.7, 0.2, 0.9])
     grad = grad_fn(theta)
     phi = fresh_phi(4)
     phi.head_omega_w[:] = np.inf
     with np.errstate(invalid="ignore"):
-        direction, report, _ = regularize_step(
-            theta, grad, phi, cfg, grad_fn, ProbeConfig(probe_count=8,
-                                                        seed=0))
+        direction, report, gated, _ = regularize_step(
+            theta, grad, phi, cfg, grad_fn, 0)
     assert np.array_equal(direction, grad)
-    assert report.method == "fallback"
-    assert np.isinf(report.ratio)
+    assert gated is True
+    assert np.isnan(report.div) and np.isinf(report.ratio)
 
 
 @pytest.mark.parametrize("variant", ["J", "T"])
@@ -207,17 +242,16 @@ def test_nonfinite_direction_falls_back_in_both_variants(variant):
     # back to the plain gradient the way J does, not raise
     env, grad_fn = bowl_field(4)
     cfg = TrainConfig(env_kind="landscape", variant=variant,
-                      freeze_phi=True, gate_enabled=False)
+                      freeze_phi=True, gate_enabled=False, probe_count=8)
     phi = fresh_phi(4)
     phi.head_omega_b[:] = 1e155
     grad = np.full(4, 1e160)
     with np.errstate(over="ignore", invalid="ignore"):
-        direction, report, _ = regularize_step(
-            np.array([0.4, -0.7, 0.2, 0.9]), grad, phi, cfg, grad_fn,
-            ProbeConfig(probe_count=8, seed=0))
+        direction, report, gated, _ = regularize_step(
+            np.array([0.4, -0.7, 0.2, 0.9]), grad, phi, cfg, grad_fn, 0)
     assert np.array_equal(direction, grad)
-    assert report.method == "fallback"
-    assert np.isinf(report.ratio)
+    assert gated is True
+    assert np.isnan(report.div) and np.isinf(report.ratio)
 
 
 def test_variant_j_preserves_ascent_direction():
@@ -230,16 +264,15 @@ def test_variant_j_preserves_ascent_direction():
         rng = RngStream(seed)
         theta = rng.uniform(-1.0, 1.0, size=4)
         grad = grad_fn(theta)
-        direction, _, _ = regularize_step(
-            theta, grad, fresh_phi(4, seed=seed), cfg, grad_fn,
-            ProbeConfig(probe_count=16, seed=seed))
+        direction, _, _, _ = regularize_step(
+            theta, grad, fresh_phi(4, seed=seed), cfg, grad_fn, seed)
         assert float(direction @ grad) > 0.0
 
 
 def forward_rows_after_training(monkeypatch, cfg):
     """regularize_step on a 4-dim bowl, with the rows of every metric-net
     forward made after metric training and the number of ``_collapse``
-    calls made then: (direction, report, phi, rows, collapses)."""
+    calls made then: (direction, report, gated, phi, rows, collapses)."""
     env, grad_fn = bowl_field(4)
     theta = np.array([0.4, -0.7, 0.2, 0.9])
     forward = rpg.metricnet.metric_net_forward
@@ -265,7 +298,7 @@ def forward_rows_after_training(monkeypatch, cfg):
     monkeypatch.setattr(rpg.metricnet, "_collapse", counting_collapse)
     monkeypatch.setattr(rpg.training, "train_metric_net", training)
     out = regularize_step(theta, grad_fn(theta), fresh_phi(4), cfg, grad_fn,
-                          ProbeConfig(probe_count=8, seed=2))
+                          2)
     return out + (rows, collapses[0])
 
 
@@ -275,7 +308,7 @@ def test_j_update_forwards_u_at_theta_once(monkeypatch):
     # forwards read one collapsed matrix of the final phi
     cfg = TrainConfig(env_kind="landscape", variant="J", probe_count=8,
                       metric_iters=3)
-    direction, report, phi, rows, collapses = forward_rows_after_training(
+    direction, _, _, phi, rows, collapses = forward_rows_after_training(
         monkeypatch, cfg)
     assert rows == [1, 2 * 8 + 3]    # that row, then the frozen batch
     assert collapses == 1
@@ -293,7 +326,7 @@ def test_t_update_forwards_u_at_theta_once(monkeypatch):
     # afresh
     cfg = TrainConfig(env_kind="landscape", variant="T", probe_count=8,
                       metric_iters=3, gate_enabled=False)
-    direction, report, phi, rows, collapses = forward_rows_after_training(
+    direction, _, _, phi, rows, collapses = forward_rows_after_training(
         monkeypatch, cfg)
     assert rows == [1, 2 * 8 + 3]
     assert collapses == 1
@@ -322,13 +355,11 @@ def test_algorithm_step_lowers_median_ratio_variant_t():
                                         scale=0.1)
         phi.head_sigma_w += kick.normal(size=phi.head_sigma_w.shape,
                                         scale=0.1)
-        probe_cfg = ProbeConfig(probe_count=16, seed=seed)
         u_fn = UField(phi)
         before.append(divergence_report(
-            u_fn, probe_rows(grad_fn, theta, probe_cfg),
-            u_fn(theta)).ratio)
-        _, report, _ = regularize_step(theta, grad_fn(theta), phi, cfg,
-                                       grad_fn, probe_cfg)
+            u_fn, probe_rows(grad_fn, theta, 16, seed), u_fn(theta)).ratio)
+        _, report, _, _ = regularize_step(theta, grad_fn(theta), phi, cfg,
+                                          grad_fn, seed)
         after.append(report.ratio)
     assert np.median(after) < np.median(before)
 
@@ -483,8 +514,8 @@ def test_abort_reason_names_the_check_that_ended_the_run(monkeypatch):
     step = rpg.training.regularize_step
 
     def overflowing(theta, *args):
-        direction, report, phi = step(theta, *args)
-        return np.full_like(direction, 1e308), report, phi
+        direction, report, gated, phi = step(theta, *args)
+        return np.full_like(direction, 1e308), report, gated, phi
 
     monkeypatch.setattr(rpg.training, "regularize_step", overflowing)
     cfg = TrainConfig(policy_lr=10.0)
@@ -659,10 +690,13 @@ def test_metric_core_takes_field_rows_not_a_gradient_field():
     # the field reaches metric training and the report only as the rows
     # of one probe_field_rows call; neither can call a field itself
     for fn in (train_metric_net, divergence_report):
-        params = inspect.signature(fn).parameters
-        assert "grad_fn" not in params
-        assert params["field_rows"].default is inspect.Parameter.empty
-    assert "max_iters" not in inspect.signature(train_metric_net).parameters
+        params = list(inspect.signature(fn).parameters.values())
+        assert "grad_fn" not in [p.name for p in params]
+        assert params[1].name in ("rows", "field_rows")
+        assert params[1].default is inspect.Parameter.empty
+    # theta is the batches' last row, and the iterations are the rows
+    params = inspect.signature(train_metric_net).parameters
+    assert "theta" not in params and "max_iters" not in params
 
 
 # K = 4 probes, I = 3 metric iterations: a J/T update's one field call
@@ -774,14 +808,14 @@ def test_non_finite_row_of_the_one_field_call_routes_by_index(monkeypatch,
         assert len(calls) == 2 and histories == [3]
         return
     assert not summary.aborted and len(summary.records) == 3
-    direction, report, _ = steps[1]
+    direction, report, gated, _ = steps[1]
     if case == "training":
         assert histories == [3, 1, 3]
-        assert report.method == "estimated"
+        assert not gated and np.isfinite(report.ratio)
         assert not summary.records[1].gate
     else:
         assert histories == [3, 3, 3]
-        assert report.method == "fallback"
+        assert gated and np.isinf(report.ratio)
         assert summary.records[1].gate
         assert np.array_equal(direction, calls[1][0])
 
@@ -835,9 +869,9 @@ def test_reinforce_field_streams_share_no_seed_with_the_probes(monkeypatch):
         field_seeds.append(field_seed)
         return gradient_field(env, policy, cfg, backend, field_seed)
 
-    def recording_step(theta, grad, phi, cfg, grad_fn, probe_cfg):
-        probe_seeds.append(probe_cfg.seed)
-        return regularize(theta, grad, phi, cfg, grad_fn, probe_cfg)
+    def recording_step(theta, grad, phi, cfg, grad_fn, probe_seed):
+        probe_seeds.append(probe_seed)
+        return regularize(theta, grad, phi, cfg, grad_fn, probe_seed)
 
     monkeypatch.setattr(rpg.training, "_gradient_field", recording_field)
     monkeypatch.setattr(rpg.training, "regularize_step", recording_step)
