@@ -82,6 +82,14 @@ def test_evaluator_factors_shape():
                           np.zeros(3))
 
 
+def test_probe_config_validation():
+    """A probe count of 0 is refused by the config and by the probe draw."""
+    with pytest.raises(ValueError):
+        TrainConfig(probe_count=0)
+    with pytest.raises(ValueError):
+        rademacher_matrix(RngStream(0), 0, 4)
+
+
 def test_probe_config_step_auto():
     """Probe rows sit at theta +- default_fd_step(theta) * v: the report's
     rows in the one field call of a frozen-metric J update."""
