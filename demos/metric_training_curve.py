@@ -3,9 +3,10 @@
 The field is the anisotropic quadratic bowl grad f = diag(1..8) theta
 (ascent convention flips the sign inside the trainer's probes, but the
 divergence target is sign-agnostic).  The network's only job is to pick
-a factor u(theta) that drives div(G^-1 grad f) toward zero; the printed
-curve is the best-so-far squared-divergence loss, which the trainer
-guarantees is non-increasing.
+a factor u(theta) that drives div(G^-1 grad f) toward zero, estimated on
+one fixed matrix of --probes probes that every iteration reads; the
+printed curve is the best-so-far squared-divergence loss, which the
+trainer guarantees is non-increasing.
 """
 
 import argparse
@@ -31,9 +32,9 @@ def main():
 
     layout = LayerLayout.from_vector(theta.size)
     phi = init_params(RngStream(args.seed), MetricNetConfig(m_tilde=3), layout)
-    rows = probe_field_rows(grad_fn, theta, draw_probes(
-        args.seed, args.probes, args.iters, theta.size)[:-1])
-    _, history = train_metric_net(phi, rows, args.seed, lr=0.1,
+    train, _ = probe_field_rows(grad_fn, theta, draw_probes(
+        args.seed, args.probes, theta.size))
+    _, history = train_metric_net(phi, train, args.seed, args.iters, lr=0.1,
                                   kick_scale=0.05)
 
     print(f"{'iter':>4} {'best |div|':>12} {'best loss':>12}")

@@ -20,15 +20,15 @@ Import layout:
     rpg.metric      the rank-one metric: det, inverse-apply, bilinear form
     rpg.fields      batched field calls, FD step, finiteness checks
     rpg.divergence  exact divergence; one probe draw and one field call
-                    per update, one batch per probe matrix, frozen in
-                    place, and the estimator the report and the metric
-                    loss share
+                    of 1 + 4K rows per update, one batch per probe matrix,
+                    frozen in place, and the estimator the report and the
+                    metric loss share
     rpg.geodesic    geodesic update direction (one u-VJP) +
                     Christoffel/ODE oracles
     rpg.metricnet   the metric network, phi one flat vector that one plan
                     per layout and m_tilde lays out; its fused loss and
                     phi-gradient, UField (u at one phi, and its VJP), the
-                    inner training loop with Adam, checkpoints
+                    inner loop (Adam on one probe sample), checkpoints
     rpg.envs        toy environments (LQR, point-mass, landscapes)
     rpg.policy      policies holding theta flat; one rollout engine over rows,
                     which plays the fresh batch, the evaluation episodes

@@ -15,8 +15,9 @@ directional derivative along J — the identity
 
 is exact, which turns O(n^2) work into O(1) field evaluations per estimate.
 
-An update draws its probe matrices at once (``draw_probes``) and calls the
-field once at all their rows (``probe_field_rows``), which gives one
+An update draws metric training's probe matrix, which every iteration
+reads, and the report's held-out one (``draw_probes``), and calls the field
+once at theta and their 4K rows (``probe_field_rows``), which gives one
 ``ProbeRows`` per matrix.  ``probe_divergence`` is the estimator, with its
 reverse pass to u, at one matrix's batch frozen in place by
 ``freeze_probe_batch``.  The metric net's loss and ``divergence_report``
@@ -107,26 +108,26 @@ class ProbeRows:
     points: np.ndarray
 
 
-def draw_probes(seed: int, count: int, iters: int, n: int) -> np.ndarray:
-    """The (iters + 1, count, n) Rademacher probe matrices of one update.
+def draw_probes(seed: int, count: int, n: int,
+                train: bool = True) -> np.ndarray:
+    """The (2, count, n) Rademacher probe matrices of one update.
 
-    Metric training's iters matrices come first, drawn in iteration order
-    from ``RngStream(seed).spawn("alg1-probes")``; the report's own comes
-    last, from ``RngStream(seed)``, so the ratio is measured on probes
-    the net did not train on.
+    Metric training's comes first, the first draw of
+    ``RngStream(seed).spawn("alg1-probes")``, and the report's own last,
+    from ``RngStream(seed)``, so the ratio is measured on probes the net
+    did not train on.  Without train, (1, count, n): the report's alone.
     """
-    train_rng = RngStream(seed).spawn("alg1-probes")
-    mats = [rademacher_matrix(train_rng, count, n) for _ in range(iters)]
-    mats.append(rademacher_matrix(RngStream(seed), count, n))
-    return np.stack(mats)
+    streams = [RngStream(seed).spawn("alg1-probes")] if train else []
+    return np.stack([rademacher_matrix(rng, count, n)
+                     for rng in streams + [RngStream(seed)]])
 
 
 def probe_field_rows(grad_fn, theta: np.ndarray, probes: np.ndarray) -> list:
-    """One ``ProbeRows`` per matrix of the (I, K, n) probes, from one call.
+    """One ``ProbeRows`` per matrix of the (M, K, n) probes, from one call.
 
-    The call covers [theta; theta + eps*V_1; theta - eps*V_1; ...;
-    theta - eps*V_I], eps = default_fd_step(theta); every matrix's rows
-    are views of its result and of one (I, 2K + 3, n) array of points.
+    The call covers the 1 + 2KM rows [theta; theta + eps*V_1; ...;
+    theta - eps*V_M], eps = default_fd_step(theta); every matrix's rows
+    are views of its result and of one (M, 2K + 3, n) array of points.
     """
     theta = np.asarray(theta, dtype=np.float64)
     eps, (count, k, n) = default_fd_step(theta), probes.shape
@@ -143,8 +144,8 @@ def probe_field_rows(grad_fn, theta: np.ndarray, probes: np.ndarray) -> list:
 def freeze_probe_batch(rows: ProbeRows, u0: np.ndarray) -> ProbeRows:
     """Write theta +- eps*J0, J0 = G^-1 g0 at u0 = u(theta), into the
     batch in place, and return rows, for ``probe_divergence``.  Nothing
-    is checked for finiteness: the report checks its inputs first, and a
-    training pass checks g0 once and each iteration's rows before it.
+    is checked for finiteness: the report and a training pass check
+    their inputs once, first.
     """
     points, g0 = rows.points, rows.g0
     k2 = len(rows.grads)
@@ -232,7 +233,7 @@ def hessian_trace_hutchinson(grad_fn, theta: np.ndarray, count: int,
     seed: the report's trace, at u = 0."""
     theta = np.asarray(theta, dtype=np.float64)
     rows, = probe_field_rows(grad_fn, theta,
-                             draw_probes(seed, count, 0, theta.size))
+                             draw_probes(seed, count, theta.size, False))
     return divergence_report(np.zeros_like, rows,
                              np.zeros_like(theta)).hessian_trace
 

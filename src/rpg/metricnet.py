@@ -25,10 +25,11 @@ gradient bitwise.
 
 ``train_metric_net`` drives the squared probe-estimated divergence toward
 zero in the network parameters phi.  No gradient-field value depends on
-phi, so it is all computed before the pass: each iteration's probe
-matrix, field values and batch of points come in as its own ``ProbeRows``,
-views of the one field call of a training update
-(``rpg.training.regularize_step``).  Per iteration the loop builds A once,
+phi, so it is all computed before the pass: one probe matrix, its field
+values and its batch of points come in as one ``ProbeRows``, views of
+the one field call of a training update (``rpg.training.regularize_step``),
+which every iteration reads (Algorithm 1 draws fresh probes per
+iteration).  Per iteration the loop builds A once,
 forwards u(theta) and writes, in place, the batch's two points theta +-
 eps*J displaced along the current field; the batch is then frozen as
 constants, and the loss forward reuses that A.  Only u(., phi) depends on
@@ -45,8 +46,8 @@ phi-gradient is identically zero the loop applies one small seeded kick to
 the head parameters and resumes descent.  The phi-gradient is written
 straight into one flat vector, laid out like the copy of phi.values that
 Adam steps.  The returned phi is the best recorded iterate, never the last one;
-a non-finite loss, u value or gradient row aborts the loop at its iteration
-and returns that incumbent.
+a non-finite field row ends the pass before its first iteration, and a
+non-finite loss or u value at its iteration, each returning that incumbent.
 
 Outside the loop the network is read through one ``UField`` per phi,
 which builds A once: called, it gives u at a batch of points, and its
@@ -553,8 +554,8 @@ def _kick_heads(phi: MetricNetParams, rng: RngStream, scale: float) -> None:
         a += rng.uniform(-scale, scale, a.shape)
 
 
-def train_metric_net(phi: MetricNetParams, rows: list, seed: int,
-                     lr: float = 1e-3, kick_scale: float = 1e-2):
+def train_metric_net(phi: MetricNetParams, rows: ProbeRows, seed: int,
+                     iters: int, lr: float = 1e-3, kick_scale: float = 1e-2):
     """Descend (divergence estimate)^2 in phi; return (best phi, history).
 
     lr is Adam's step size; a kick at an exact saddle adds uniform
@@ -565,21 +566,21 @@ def train_metric_net(phi: MetricNetParams, rows: list, seed: int,
     always describing the best iterate seen so far — the curve is exactly
     non-increasing in loss, and the final entry describes the returned phi.
 
-    rows holds one ``ProbeRows`` per iteration, views of one field call
-    (``probe_field_rows``), and theta is their batches' last row; no rows
-    raise ValueError.  Per iteration, only what depends on phi: A
-    (``_collapse``), which both forwards share, u(theta) (one one-row
-    forward), the iteration's batch frozen in place
-    (``freeze_probe_batch``), the loss and its phi-gradient
+    rows is one ``ProbeRows`` (a view of one ``probe_field_rows`` call),
+    and theta is its batch's last row; every one of the iters iterations
+    reads it, and iters < 1 raises ValueError.  A non-finite field value
+    at theta or at a probe row ends the pass before its first iteration.
+    Per iteration, only what depends on phi: A (``_collapse``), which
+    both forwards share, u(theta) (one one-row forward), the batch frozen
+    in place (``freeze_probe_batch``), the loss and its phi-gradient
     (``evaluate_divergence_loss``, into one flat buffer), then an Adam
-    step or a kick.  A non-finite field row, u(theta) or loss ends the
-    loop at its iteration (a non-finite field at theta before the first),
-    and the incumbent is returned unchanged.  Adam steps a copy of
-    phi.values, which the working network's arrays view.
+    step or a kick.  A non-finite u(theta) or loss ends the loop at its
+    iteration, and the incumbent is returned unchanged.  Adam steps a
+    copy of phi.values, which the working network's arrays view.
     """
-    if not rows:
-        raise ValueError("no probe matrix to train on")
-    theta_row = rows[0].points[-1:]
+    if iters < 1:
+        raise ValueError("metric training needs iters >= 1")
+    theta_row = rows.points[-1:]
     kick_rng = RngStream(seed).spawn("alg1-kick")
 
     work = phi.with_flat(phi.values.copy())
@@ -590,17 +591,15 @@ def train_metric_net(phi: MetricNetParams, rows: list, seed: int,
     history = []
 
     fp = build_fourier_pair(phi.layout.n, phi.m_tilde)
-
-    for it, ctx in enumerate(rows if np.isfinite(rows[0].g0).all() else ()):
-        if not np.isfinite(ctx.grads).all():
-            break
+    finite = np.isfinite(rows.g0).all() and np.isfinite(rows.grads).all()
+    for it in range(iters if finite else 0):
         front = _collapse(work)
         omega, sigma, _ = metric_net_forward(work, theta_row, front=front)
         u0 = build_u(fp, omega, sigma, theta_row)[0]
         if not np.isfinite(u0).all():
             break
-        freeze_probe_batch(ctx, u0)
-        div, loss, _ = evaluate_divergence_loss(work, ctx, grad, front)
+        freeze_probe_batch(rows, u0)
+        div, loss, _ = evaluate_divergence_loss(work, rows, grad, front)
         if not math.isfinite(loss):
             break
         if loss < best_loss:

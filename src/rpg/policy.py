@@ -52,8 +52,8 @@ from .metricnet import LayerLayout
 # parameter rows played and differentiated together by reinforce_field,
 # and the rows of each work-area buffer.  It bounds the activations of one
 # block: one `rpg train` pointmass J/T call at the defaults has
-# 1 + 2*32*20 + 2*32 = 1,345 rows, which peak at 48 MB RSS in blocks of 32
-# against 255 MB in one block (43 MB before the call)
+# 1 + 4*32 = 129 rows, which peak at 41 MB RSS in blocks of 32 against
+# 57 MB in one block (36 MB before the call)
 ROW_BLOCK = 32
 
 

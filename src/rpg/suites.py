@@ -269,9 +269,9 @@ def suite_metric_training():
     ratios = []
     for seed in range(10):
         phi = init_params(RngStream(seed), MetricNetConfig(m_tilde=3), layout)
-        rows = probe_field_rows(grad_fn, theta,
-                                draw_probes(seed, 64, 20, theta.size)[:-1])
-        _, history = train_metric_net(phi, rows, seed, lr=0.1,
+        train, _ = probe_field_rows(grad_fn, theta,
+                                    draw_probes(seed, 64, theta.size))
+        _, history = train_metric_net(phi, train, seed, 20, lr=0.1,
                                       kick_scale=0.05)
         ratios.append(history[-1][2] / history[0][2])
     rows = [_bound_row("median squared-divergence reduction over 10 seeds "

@@ -182,14 +182,14 @@ def regularize_step(theta, grad, phi, cfg, grad_fn, probe_seed):
     NonFiniteField.
     baseline: the gradient passes through untouched, ungated, and phi is
     not consulted; a None grad costs one grad_fn call at theta alone.
-    J/T: one draw from probe_seed (``draw_probes``) gives the
-    K = cfg.probe_count probes of every metric-training iteration (none
-    with cfg.freeze_phi) and, last, the report's own, so the ratio is
-    measured on probes the net did not train on.  One grad_fn call
-    (``probe_field_rows``) covers theta (row 0, the gradient when grad is
-    None) and their probe rows: 1 + 2K * metric_iters + 2K rows.  Unless
-    cfg.freeze_phi, the metric net is refined on the training matrices,
-    warm-started from phi; the report reads the last matrix.
+    J/T: one draw from probe_seed (``draw_probes``) gives metric
+    training's K = cfg.probe_count probes (none with cfg.freeze_phi) and,
+    last, the report's own, so the ratio is measured on probes the net
+    did not train on.  One grad_fn call (``probe_field_rows``) covers
+    theta (row 0, the gradient when grad is None) and their probe rows:
+    1 + 4K rows, or 1 + 2K with cfg.freeze_phi.  Unless cfg.freeze_phi,
+    the metric net is refined for cfg.metric_iters iterations on the one
+    training matrix, warm-started from phi; the report reads the last.
     The final phi is read through one ``UField``, which builds its
     collapsed matrix once: u(theta) is forwarded once (``UField.at``), the
     report freezes its batch with it and forwards that batch, J = G^-1
@@ -208,16 +208,15 @@ def regularize_step(theta, grad, phi, cfg, grad_fn, probe_seed):
             grad = _finite_gradient(grad_fn(theta))
         return grad.copy(), NEUTRAL_REPORT, False, phi
 
-    iters = 0 if cfg.freeze_phi else cfg.metric_iters
     *train, last = probe_field_rows(grad_fn, theta, draw_probes(
-        probe_seed, cfg.probe_count, iters, theta.size))
+        probe_seed, cfg.probe_count, theta.size, not cfg.freeze_phi))
     if grad is None:
         grad = _finite_gradient(last.g0)
 
     new_phi = phi
-    if iters:
-        new_phi, _ = train_metric_net(phi, train, probe_seed,
-                                      lr=cfg.metric_lr,
+    if train:
+        new_phi, _ = train_metric_net(phi, train[0], probe_seed,
+                                      cfg.metric_iters, lr=cfg.metric_lr,
                                       kick_scale=cfg.kick_scale)
 
     try:

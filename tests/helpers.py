@@ -40,18 +40,15 @@ def lqr_analytic_gradient(k, env, gamma=0.99, init_second_moment=None):
     return full[:m * n].reshape(k.shape)
 
 
-def probe_rows(grad_fn, theta, count, seed=0, iters=None):
-    """The list of ``ProbeRows`` of a metric-training pass of `iters`
-    iterations (all but the last matrix of ``draw_probes``), or the
-    ``ProbeRows`` of the divergence report when iters is None (its last),
-    from one ``probe_field_rows`` call at the step
+def probe_rows(grad_fn, theta, count, seed=0, train=False):
+    """The ``ProbeRows`` of a metric-training pass (train) or of the
+    divergence report, from one ``probe_field_rows`` call at the step
     ``default_fd_step(theta)``, as ``rpg.training.regularize_step`` draws
-    and evaluates them."""
+    and evaluates them: over both matrices for a pass, over the report's
+    alone (as with freeze_phi) for the report."""
     theta = np.asarray(theta, dtype=np.float64)
-    probes = draw_probes(seed, count, iters or 0, theta.size)
-    if iters is None:
-        return probe_field_rows(grad_fn, theta, probes[-1:])[0]
-    return probe_field_rows(grad_fn, theta, probes[:-1])
+    return probe_field_rows(grad_fn, theta, draw_probes(
+        seed, count, theta.size, train))[0]
 
 
 def own_parts(policy):
@@ -201,15 +198,15 @@ def reference_train_metric_net(phi, theta, grad_fn, count, seed,
     """The metric-net training loop with every step redone per iteration.
 
     The reference for ``rpg.metricnet.train_metric_net``, which does the
-    work that does not depend on phi once per pass.  Here each iteration
-    builds a u field closure to forward u(theta), checks g0 and its own
-    probe rows for finiteness, builds its 2K + 3 frozen points anew and
-    takes J0 through a ``MetricPoint``; a NonFiniteField from any of these
-    ends the loop.  The field is still called once, over theta and every
-    iteration's probe rows.
+    work that does not depend on phi once per pass.  Here one probe
+    matrix, the first draw of the pass's probe stream, and one field call
+    over theta and its 2K rows serve every iteration, and each iteration
+    builds a u field closure to forward u(theta), checks g0 and the probe
+    rows for finiteness, builds the 2K + 3 frozen points anew and takes
+    J0 through a ``MetricPoint``; a NonFiniteField from any of these ends
+    the loop.
     """
     theta = np.asarray(theta, dtype=np.float64)
-    probe_rng = RngStream(seed).spawn("alg1-probes")
     kick_rng = RngStream(seed).spawn("alg1-kick")
 
     work = phi.with_flat(phi.values.copy())
@@ -219,26 +216,25 @@ def reference_train_metric_net(phi, theta, grad_fn, count, seed,
     best_loss, best_div = np.inf, np.nan
     history = []
 
-    probes = np.stack([rademacher_matrix(probe_rng, count, theta.size)
-                       for _ in range(max_iters)])
+    probes = rademacher_matrix(RngStream(seed).spawn("alg1-probes"), count,
+                               theta.size)
     eps = default_fd_step(theta)
-    shifted = np.stack([theta + eps * probes, theta - eps * probes], axis=1)
     out = eval_points(grad_fn, np.concatenate(
-        [theta[None], shifted.reshape(-1, theta.size)]))
-    g0, probe_grads = out[0], out[1:].reshape(max_iters, -1, theta.size)
+        [theta[None], theta + eps * probes, theta - eps * probes]))
+    g0, probe_grads = out[0], out[1:]
 
     try:
         for it in range(max_iters):
             u0 = UField(work)(theta)
             require_finite(g0, "gradient field")
-            grads = require_finite(probe_grads[it], "gradient field")
+            grads = require_finite(probe_grads, "gradient field")
             j0 = inverse_apply(MetricPoint(u0), g0)
-            pts = np.concatenate([theta + eps * probes[it],
-                                  theta - eps * probes[it],
+            pts = np.concatenate([theta + eps * probes,
+                                  theta - eps * probes,
                                   (theta + eps * j0)[None],
                                   (theta - eps * j0)[None],
                                   theta[None]])
-            ctx = ProbeRows(probes=probes[it], eps=eps, g0=g0, grads=grads,
+            ctx = ProbeRows(probes=probes, eps=eps, g0=g0, grads=grads,
                             points=pts)
             div, loss, grad = evaluate_divergence_loss(work, ctx)
             if not np.isfinite(loss):

@@ -12,10 +12,11 @@ import pytest
 from helpers import probe_rows
 from rpg.divergence import (DivergenceReport, covariant_laplacian_oracle,
                             divergence_exact,
-                            divergence_ratio, divergence_report,
-                            hessian_trace_hutchinson, laplace_beltrami_oracle)
+                            divergence_ratio, divergence_report, draw_probes,
+                            hessian_trace_hutchinson, laplace_beltrami_oracle,
+                            probe_field_rows)
 from rpg.errors import BadDimensions
-from rpg.rng import RngStream
+from rpg.rng import RngStream, rademacher_matrix
 
 
 def zero_u(p):
@@ -136,9 +137,9 @@ def test_report_shared_probes_give_unit_ratio_when_flat():
 @pytest.mark.parametrize("iters", [None, 1, 3, 7],
                          ids=["report", "1", "3", "7"])
 def test_probe_field_rows_makes_one_field_call(iters):
-    """The report's rows (iters None) or a training pass's: one gradient
-    call over theta and the 2K rows of each of the I probe matrices; the
-    two rows theta +- eps*J0 of a frozen batch need u alone."""
+    """The report's rows (iters None) or those of I probe matrices: one
+    gradient call over theta and the 2K rows of each matrix; the two rows
+    theta +- eps*J0 of a frozen batch need u alone."""
     calls = []
 
     def grad_fn(pts):
@@ -146,14 +147,30 @@ def test_probe_field_rows_makes_one_field_call(iters):
         return 2.0 * pts
 
     theta = np.array([0.5, -0.5, 0.25])
-    rows = probe_rows(grad_fn, theta, 4, 9, iters=iters)
-    rows = [rows] if iters is None else rows
+    if iters is None:
+        rows = [probe_rows(grad_fn, theta, 4, 9)]
+    else:
+        rng = RngStream(9)
+        rows = probe_field_rows(grad_fn, theta, np.stack(
+            [rademacher_matrix(rng, 4, 3) for _ in range(iters)]))
     assert calls == [(1 + 2 * 4 * len(rows), 3)]
     assert len(rows) == (1 if iters is None else iters)
     for one in rows:
         assert one.probes.shape == (4, 3)
         assert one.grads.shape == (2 * 4, 3)
         assert one.points.shape == (2 * 4 + 3, 3)
+
+
+def test_update_draws_one_training_matrix_and_the_reports():
+    """An update's probes: metric training's one matrix, the first draw of
+    the "alg1-probes" stream, then the report's held-out one; with
+    freeze_phi (train False) the report's alone."""
+    both = draw_probes(9, 4, 3)
+    assert both.shape == (2, 4, 3)
+    assert np.array_equal(both[0], rademacher_matrix(
+        RngStream(9).spawn("alg1-probes"), 4, 3))
+    assert np.array_equal(both[1], rademacher_matrix(RngStream(9), 4, 3))
+    assert np.array_equal(draw_probes(9, 4, 3, False), both[1:])
 
 
 def test_report_fields_populated():

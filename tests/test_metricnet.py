@@ -21,7 +21,8 @@ import tape_reference as tape
 from helpers import (fd_geodesic_gradient, fd_pullback, net_arrays,
                      probe_rows, reference_net_backward,
                      reference_net_forward, reference_train_metric_net)
-from rpg.divergence import divergence_report, hessian_trace_hutchinson
+from rpg.divergence import (divergence_report, draw_probes,
+                            hessian_trace_hutchinson, probe_field_rows)
 from rpg.envs import make_env
 from rpg.errors import BadDimensions, LayoutMismatch
 from rpg.fields import default_fd_step
@@ -558,7 +559,7 @@ def test_train_zero_field_is_noop():
     phi = init_params(RngStream(34), MetricNetConfig(m_tilde=2), layout)
     before = [a.copy() for a in phi.params_list()]
     out, history = train_metric_net(
-        phi, probe_rows(np.zeros_like, np.ones(6), 4, iters=5), 0)
+        phi, probe_rows(np.zeros_like, np.ones(6), 4, train=True), 0, 5)
     assert [(i, d, l) for i, d, l in history] == [(i, 0.0, 0.0)
                                                   for i in range(5)]
     assert all(np.array_equal(a, b)
@@ -568,8 +569,8 @@ def test_train_zero_field_is_noop():
 def test_train_history_loss_non_increasing():
     layout, grad_fn, theta, _ = quad_fixture()
     phi = init_params(RngStream(35), MetricNetConfig(m_tilde=3), layout)
-    rows = probe_rows(grad_fn, theta, 8, 2, iters=8)
-    _, history = train_metric_net(phi, rows, 2)
+    rows = probe_rows(grad_fn, theta, 8, 2, train=True)
+    _, history = train_metric_net(phi, rows, 2, 8)
     losses = [l for _, _, l in history]
     assert len(losses) == 8
     assert all(b <= a for a, b in zip(losses, losses[1:]))
@@ -582,7 +583,7 @@ def test_train_deterministic():
     for _ in range(2):
         phi = init_params(RngStream(36), MetricNetConfig(m_tilde=3), layout)
         out, history = train_metric_net(
-            phi, probe_rows(grad_fn, theta, 8, 3, iters=5), 3)
+            phi, probe_rows(grad_fn, theta, 8, 3, train=True), 3, 5)
         runs.append((out, history))
     assert runs[0][1] == runs[1][1]
     assert all(np.array_equal(a, b) for a, b in
@@ -595,7 +596,7 @@ def test_train_aborts_on_non_finite():
     phi.trunk_w[0, 0] = np.inf
     with np.errstate(invalid="ignore"):
         out, history = train_metric_net(
-            phi, probe_rows(grad_fn, theta, 4, iters=5), 0)
+            phi, probe_rows(grad_fn, theta, 4, train=True), 0, 5)
     assert history == []
     assert np.isinf(out.trunk_w[0, 0])
 
@@ -603,36 +604,63 @@ def test_train_aborts_on_non_finite():
     phi = init_params(RngStream(37), MetricNetConfig(m_tilde=3), layout)
     out, history = train_metric_net(
         phi, probe_rows(lambda p: np.full_like(p, np.nan), theta, 4,
-                        iters=5), 0)
+                        train=True), 0, 5)
     assert history == []
     assert all(np.array_equal(a, b)
                for a, b in zip(out.params_list(), phi.params_list()))
 
 
-def test_train_non_finite_row_ends_loop_at_its_iteration():
-    """The field is evaluated for every iteration up front, yet a NaN row
-    in iteration 2's probes ends the loop at iteration 2, not before."""
-    layout, grad_fn, theta, d = quad_fixture()
-    probe_rng = RngStream(5).spawn("alg1-probes")
-    draws = [rademacher_matrix(probe_rng, 4, theta.size) for _ in range(5)]
-    bad = theta + default_fd_step(theta) * draws[2][0]
-    # no row theta +- eps*v of iterations 0 and 1 is the bad point
-    earlier = np.concatenate(draws[:2])
-    assert not np.any(np.all(earlier == draws[2][0], axis=1))
-    assert not np.any(np.all(-earlier == draws[2][0], axis=1))
+@pytest.mark.parametrize("bad", [0, 3, 8], ids=["theta", "plus", "minus"])
+def test_train_non_finite_row_ends_pass_before_its_first_iteration(
+        bad, monkeypatch):
+    """The field rows do not change over a pass, so they are checked once,
+    first: a NaN at theta or at any probe row ends the pass before its
+    first forward, with no history and phi returned bit for bit."""
+    layout, grad_fn, theta, _ = quad_fixture()
 
     def field(pts):
-        out = pts * d
-        out[np.all(pts == bad, axis=1)] = np.nan
+        out = grad_fn(pts)
+        out[bad] = np.nan
         return out
 
+    forwards = []
+    forward = rpg.metricnet.metric_net_forward
+    monkeypatch.setattr(rpg.metricnet, "metric_net_forward",
+                        lambda *a, **k: forwards.append(1) or forward(*a, **k))
     phi = init_params(RngStream(39), MetricNetConfig(m_tilde=3), layout)
-    _, history = train_metric_net(phi, probe_rows(field, theta, 4, 5,
-                                                  iters=5), 5)
-    _, clean = train_metric_net(phi, probe_rows(grad_fn, theta, 4, 5,
-                                                iters=5), 5)
-    assert [it for it, _, _ in history] == [0, 1]
-    assert history == clean[:2]
+    out, history = train_metric_net(phi, probe_rows(field, theta, 4, 5,
+                                                    train=True), 5, 5)
+    assert history == [] and forwards == []
+    assert np.array_equal(out.values, phi.values)
+
+
+def test_train_every_iteration_reads_the_one_training_matrix(monkeypatch):
+    """A pass freezes and differentiates the one ``ProbeRows`` it was given
+    at every iteration: the training matrix, the first draw of the
+    update's "alg1-probes" stream, and never the report's held-out one."""
+    layout, grad_fn, theta, _ = quad_fixture()
+    seen = []
+    loss = rpg.metricnet.evaluate_divergence_loss
+
+    def recording(phi, ctx, *args):
+        seen.append((ctx, ctx.probes.copy(), ctx.grads.copy()))
+        return loss(phi, ctx, *args)
+
+    monkeypatch.setattr(rpg.metricnet, "evaluate_divergence_loss", recording)
+    train, report = probe_field_rows(grad_fn, theta,
+                                     draw_probes(3, 4, theta.size))
+    phi = init_params(RngStream(36), MetricNetConfig(m_tilde=3), layout)
+    _, history = train_metric_net(phi, train, 3, 6)
+    assert len(history) == len(seen) == 6
+    first = rademacher_matrix(RngStream(3).spawn("alg1-probes"), 4,
+                              theta.size)
+    for ctx, probes, grads in seen:
+        assert ctx is train
+        assert np.array_equal(probes, first)
+        assert np.array_equal(grads, seen[0][2])
+    assert np.array_equal(report.probes,
+                          rademacher_matrix(RngStream(3), 4, theta.size))
+    assert not np.array_equal(report.probes, first)
 
 
 @over_policy_layouts
@@ -641,15 +669,16 @@ def test_train_matches_reference_loop_bitwise(layout, m_tilde, case,
                                               monkeypatch):
     """The loop that does its per-pass work once returns the phi arrays
     and history of the loop that redoes it every iteration, bit for bit:
-    from the zero-head start (which kicks), with a NaN field row in
-    iteration 2's probes, and with an infinite trunk weight."""
+    from the zero-head start (which kicks), with a NaN field row among
+    the training probes' rows, and with an infinite trunk weight."""
     _, grad_fn, theta, d = quad_fixture(layout=layout)
     phi = init_params(RngStream(36), MetricNetConfig(m_tilde=m_tilde), layout)
     if case == "nan-row":
         def grad_fn(pts):
-            # the pass's one call: theta, then 2K rows per iteration
+            # the pass's one call: theta, then the training matrix's
+            # 2K rows (row 1 + K is its first theta - eps*v)
             out = pts * d
-            out[1 + 2 * 2 * 4] = np.nan
+            out[1 + 4] = np.nan
             return out
     if case == "inf-trunk":
         phi.trunk_w[0, 0] = np.inf
@@ -660,7 +689,7 @@ def test_train_matches_reference_loop_bitwise(layout, m_tilde, case,
 
     with np.errstate(invalid="ignore", over="ignore"):
         out, history = train_metric_net(
-            phi, probe_rows(grad_fn, theta, 4, 3, iters=5), 3)
+            phi, probe_rows(grad_fn, theta, 4, 3, train=True), 3, 5)
         ref, ref_history = reference_train_metric_net(phi, theta, grad_fn, 4,
                                                       3, max_iters=5)
     assert history == ref_history
@@ -669,7 +698,7 @@ def test_train_matches_reference_loop_bitwise(layout, m_tilde, case,
     if case == "kick":
         assert len(kicks) == 1 and len(history) == 5
     elif case == "nan-row":
-        assert [it for it, _, _ in history] == [0, 1]
+        assert history == []
     else:
         assert history == [] and np.isinf(out.trunk_w[0, 0])
 
@@ -691,8 +720,8 @@ def test_train_forwards_twice_per_iteration_via_module_names(max_iters,
         monkeypatch.setattr(rpg.metricnet, name, counting)
 
     phi = init_params(RngStream(36), MetricNetConfig(m_tilde=3), layout)
-    field = probe_rows(grad_fn, theta, 4, 3, iters=max_iters)
-    _, history = train_metric_net(phi, field, 3)
+    field = probe_rows(grad_fn, theta, 4, 3, train=True)
+    _, history = train_metric_net(phi, field, 3, max_iters)
     assert len(history) == max_iters
     rows = [len(args[1]) for args in calls["metric_net_forward"]]
     assert rows == [1, 2 * 4 + 3] * max_iters
@@ -756,8 +785,8 @@ def test_train_pass_python_calls_stay_within_bound():
     per-iteration bookkeeping that creeps back in shows up here."""
     layout, grad_fn, theta, _ = quad_fixture(n=4)
     phi = init_params(RngStream(36), MetricNetConfig(m_tilde=3), layout)
-    field = probe_rows(grad_fn, theta, 8, 3, iters=20)
-    train_metric_net(phi, field, 3)    # builds the cached plans
+    field = probe_rows(grad_fn, theta, 8, 3, train=True)
+    train_metric_net(phi, field, 3, 20)    # builds the cached plans
     package = os.path.dirname(rpg.metricnet.__file__) + os.sep
     calls = 0
 
@@ -768,7 +797,7 @@ def test_train_pass_python_calls_stay_within_bound():
 
     sys.setprofile(count)
     try:
-        _, history = train_metric_net(phi, field, 3)
+        _, history = train_metric_net(phi, field, 3, 20)
     finally:
         sys.setprofile(None)
     assert len(history) == 20
@@ -776,11 +805,12 @@ def test_train_pass_python_calls_stay_within_bound():
 
 
 def test_train_rejects_zero_iters():
-    """Field rows that hold no probe matrix leave no iteration to run."""
+    """A pass of no iterations is refused, not returned empty."""
     layout, grad_fn, theta, _ = quad_fixture()
     phi = init_params(RngStream(38), MetricNetConfig(m_tilde=3), layout)
     with pytest.raises(ValueError):
-        train_metric_net(phi, probe_rows(grad_fn, theta, 4, iters=1)[:0], 0)
+        train_metric_net(phi, probe_rows(grad_fn, theta, 4, train=True), 0,
+                         0)
 
 
 # ------------------------------------------------------------- checkpoints

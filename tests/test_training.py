@@ -28,6 +28,7 @@ from rpg.policy import (LinearGainPolicy, ParamPolicy,
 from rpg.rng import RngStream
 from rpg.training import (TrainConfig, _build_policy, _gradient_field,
                           evaluate_policy, regularize_step, run_training)
+from test_acceptance import LQR_PROTOCOL
 
 
 def bowl_field(dim):
@@ -188,9 +189,9 @@ def test_zero_head_variant_j_reduces_to_euclidean():
 
 
 def test_j_step_draws_cfg_probe_count_in_one_field_call():
-    """K = cfg.probe_count probes per matrix, I = cfg.metric_iters
-    training matrices and the report's: one field call of theta and
-    2K (I + 1) probe rows."""
+    """K = cfg.probe_count probes per matrix, one training matrix for all
+    cfg.metric_iters iterations and the report's: one field call of theta
+    and 4K probe rows."""
     _, grad_fn = bowl_field(4)
     calls = []
 
@@ -202,7 +203,7 @@ def test_j_step_draws_cfg_probe_count_in_one_field_call():
                       metric_iters=2)
     regularize_step(np.array([0.4, -0.7, 0.2, 0.9]), None, fresh_phi(4), cfg,
                     field, 0)
-    assert calls == [1 + 2 * 5 * 3]
+    assert calls == [1 + 4 * 5]
 
 
 def test_gate_falls_back_at_ratio_one():
@@ -694,15 +695,17 @@ def test_metric_core_takes_field_rows_not_a_gradient_field():
         assert "grad_fn" not in [p.name for p in params]
         assert params[1].name in ("rows", "field_rows")
         assert params[1].default is inspect.Parameter.empty
-    # theta is the batches' last row, and the iterations are the rows
+    # theta is the batch's last row, and the iterations are a count
     params = inspect.signature(train_metric_net).parameters
     assert "theta" not in params and "max_iters" not in params
+    assert params["iters"].default is inspect.Parameter.empty
 
 
 # K = 4 probes, I = 3 metric iterations: a J/T update's one field call
-# holds theta, then 2K rows per iteration, then the report's 2K rows
+# holds theta, then the training matrix's 2K rows, which all I iterations
+# read, then the report's 2K rows
 MERGED = dict(probe_count=4, metric_iters=3)
-MERGED_ROWS = 1 + 2 * 4 * 3 + 2 * 4
+MERGED_ROWS = 1 + 4 * 4
 
 
 @pytest.mark.parametrize("variant,backend,freeze_phi,per_update", [
@@ -768,12 +771,12 @@ def test_lqr_baseline_update_takes_no_reward_inside_its_horizon_loop(
 @pytest.mark.parametrize("case", ["training", "report", "theta"])
 def test_non_finite_row_of_the_one_field_call_routes_by_index(monkeypatch,
                                                             case):
-    """A NaN at one row of an analytic J update's field call: in
-    iteration 1's training rows it ends metric training after one
-    history entry, with no fallback; in a report row the report falls
-    back and the direction is the plain gradient; at theta the run aborts
-    and that update leaves no record."""
-    bad = {"training": 1 + 2 * 4, "report": 1 + 2 * 4 * 3 + 5,
+    """A NaN at one row of an analytic J update's field call: in a
+    training row it ends metric training before its first iteration, with
+    no history and no fallback; in a report row the report falls back and
+    the direction is the plain gradient; at theta the run aborts and that
+    update leaves no record."""
+    bad = {"training": 1 + 4 + 2, "report": 1 + 2 * 4 + 5,
            "theta": 0}[case]
     calls, histories, steps = [], [], []
     lqr_field = rpg.training.lqr_return_gradient
@@ -810,7 +813,7 @@ def test_non_finite_row_of_the_one_field_call_routes_by_index(monkeypatch,
     assert not summary.aborted and len(summary.records) == 3
     direction, report, gated, _ = steps[1]
     if case == "training":
-        assert histories == [3, 1, 3]
+        assert histories == [3, 0, 3]
         assert not gated and np.isfinite(report.ratio)
         assert not summary.records[1].gate
     else:
@@ -818,6 +821,50 @@ def test_non_finite_row_of_the_one_field_call_routes_by_index(monkeypatch,
         assert gated and np.isinf(report.ratio)
         assert summary.records[1].gate
         assert np.array_equal(direction, calls[1][0])
+
+
+# float.hex of the first history entry (iter, div, loss) of update 0's
+# metric-training pass on LQR_PROTOCOL, variant J, seed 0, taken when
+# every iteration drew its own probe matrix: iteration 0 read the first
+# draw of the pass's probe stream then, as the one matrix of a pass does
+# now, over the same field rows
+FIRST_ENTRY_HEX = (0, "-0x1.367bd6ee572dep+8", "0x1.78902871789e4p+16")
+
+
+def test_first_history_entry_of_lqr_j_update_0_is_pinned(monkeypatch):
+    histories = []
+    train = rpg.training.train_metric_net
+
+    def recorded_train(*args, **kwargs):
+        out = train(*args, **kwargs)
+        histories.append(out[1])
+        return out
+
+    monkeypatch.setattr(rpg.training, "train_metric_net", recorded_train)
+    run_training(TrainConfig(variant="J", seed=0, **dict(
+        LQR_PROTOCOL, total_steps=LQR_PROTOCOL["update_interval"])))
+    it, div, loss = histories[0][0]
+    assert (it, float(div).hex(), float(loss).hex()) == FIRST_ENTRY_HEX
+
+
+def test_pointmass_j_update_at_the_defaults_makes_one_129_row_call(
+        monkeypatch):
+    # theta, then K = 32 probes' 2K rows for training and 2K for the
+    # report: 1 + 4 * 32 REINFORCE rows, whatever metric_iters is
+    rows = []
+    reinforce_field = rpg.training.reinforce_field
+
+    def counted(env, policy, points, *args):
+        rows.append(len(points))
+        return reinforce_field(env, policy, points, *args)
+
+    monkeypatch.setattr(rpg.training, "reinforce_field", counted)
+    cfg = TrainConfig(env_kind="pointmass", variant="J",
+                      total_steps=TrainConfig.update_interval)
+    with np.errstate(all="ignore"):
+        summary = run_training(cfg)
+    assert len(summary.records) == 1
+    assert rows == [1 + 4 * cfg.probe_count] == [129]
 
 
 # ------------------------------------------------ REINFORCE gradient field
