@@ -32,8 +32,8 @@ def main():
 
     layout = LayerLayout.from_vector(theta.size)
     phi = init_params(RngStream(args.seed), MetricNetConfig(m_tilde=3), layout)
-    train, _ = probe_field_rows(grad_fn, theta, draw_probes(
-        args.seed, args.probes, theta.size))
+    train, = probe_field_rows(grad_fn, theta, draw_probes(
+        args.seed, args.probes, theta.size)[:1])
     _, history = train_metric_net(phi, train, args.seed, args.iters, lr=0.1,
                                   kick_scale=0.05)
 

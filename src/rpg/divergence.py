@@ -108,18 +108,17 @@ class ProbeRows:
     points: np.ndarray
 
 
-def draw_probes(seed: int, count: int, n: int,
-                train: bool = True) -> np.ndarray:
+def draw_probes(seed: int, count: int, n: int) -> np.ndarray:
     """The (2, count, n) Rademacher probe matrices of one update.
 
     Metric training's comes first, the first draw of
     ``RngStream(seed).spawn("alg1-probes")``, and the report's own last,
     from ``RngStream(seed)``, so the ratio is measured on probes the net
-    did not train on.  Without train, (1, count, n): the report's alone.
+    did not train on.  A caller that needs the report's alone slices
+    ``[1:]``.
     """
-    streams = [RngStream(seed).spawn("alg1-probes")] if train else []
-    return np.stack([rademacher_matrix(rng, count, n)
-                     for rng in streams + [RngStream(seed)]])
+    return np.stack([rademacher_matrix(rng, count, n) for rng in
+                     (RngStream(seed).spawn("alg1-probes"), RngStream(seed))])
 
 
 def probe_field_rows(grad_fn, theta: np.ndarray, probes: np.ndarray) -> list:
@@ -233,7 +232,7 @@ def hessian_trace_hutchinson(grad_fn, theta: np.ndarray, count: int,
     seed: the report's trace, at u = 0."""
     theta = np.asarray(theta, dtype=np.float64)
     rows, = probe_field_rows(grad_fn, theta,
-                             draw_probes(seed, count, theta.size, False))
+                             draw_probes(seed, count, theta.size)[1:])
     return divergence_report(np.zeros_like, rows,
                              np.zeros_like(theta)).hessian_trace
 

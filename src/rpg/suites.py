@@ -269,8 +269,8 @@ def suite_metric_training():
     ratios = []
     for seed in range(10):
         phi = init_params(RngStream(seed), MetricNetConfig(m_tilde=3), layout)
-        train, _ = probe_field_rows(grad_fn, theta,
-                                    draw_probes(seed, 64, theta.size))
+        train, = probe_field_rows(grad_fn, theta,
+                                  draw_probes(seed, 64, theta.size)[:1])
         _, history = train_metric_net(phi, train, seed, 20, lr=0.1,
                                       kick_scale=0.05)
         ratios.append(history[-1][2] / history[0][2])

@@ -183,11 +183,11 @@ def regularize_step(theta, grad, phi, cfg, grad_fn, probe_seed):
     baseline: the gradient passes through untouched, ungated, and phi is
     not consulted; a None grad costs one grad_fn call at theta alone.
     J/T: one draw from probe_seed (``draw_probes``) gives metric
-    training's K = cfg.probe_count probes (none with cfg.freeze_phi) and,
-    last, the report's own, so the ratio is measured on probes the net
-    did not train on.  One grad_fn call (``probe_field_rows``) covers
-    theta (row 0, the gradient when grad is None) and their probe rows:
-    1 + 4K rows, or 1 + 2K with cfg.freeze_phi.  Unless cfg.freeze_phi,
+    training's K = cfg.probe_count probes and, last, the report's own, so
+    the ratio is measured on probes the net did not train on.  One
+    grad_fn call (``probe_field_rows``) covers theta (row 0, the gradient
+    when grad is None) and their probe rows: 1 + 4K rows, or 1 + 2K with
+    cfg.freeze_phi, which evaluates the report's matrix alone.  Unless cfg.freeze_phi,
     the metric net is refined for cfg.metric_iters iterations on the one
     training matrix, warm-started from phi; the report reads the last.
     The final phi is read through one ``UField``, which builds its
@@ -208,14 +208,16 @@ def regularize_step(theta, grad, phi, cfg, grad_fn, probe_seed):
             grad = _finite_gradient(grad_fn(theta))
         return grad.copy(), NEUTRAL_REPORT, False, phi
 
-    *train, last = probe_field_rows(grad_fn, theta, draw_probes(
-        probe_seed, cfg.probe_count, theta.size, not cfg.freeze_phi))
+    probes = draw_probes(probe_seed, cfg.probe_count, theta.size)
+    rows = probe_field_rows(grad_fn, theta,
+                            probes[1:] if cfg.freeze_phi else probes)
+    last = rows[-1]
     if grad is None:
         grad = _finite_gradient(last.g0)
 
     new_phi = phi
-    if train:
-        new_phi, _ = train_metric_net(phi, train[0], probe_seed,
+    if not cfg.freeze_phi:
+        new_phi, _ = train_metric_net(phi, rows[0], probe_seed,
                                       cfg.metric_iters, lr=cfg.metric_lr,
                                       kick_scale=cfg.kick_scale)
 

@@ -47,8 +47,9 @@ def probe_rows(grad_fn, theta, count, seed=0, train=False):
     and evaluates them: over both matrices for a pass, over the report's
     alone (as with freeze_phi) for the report."""
     theta = np.asarray(theta, dtype=np.float64)
-    return probe_field_rows(grad_fn, theta, draw_probes(
-        seed, count, theta.size, train))[0]
+    probes = draw_probes(seed, count, theta.size)
+    return probe_field_rows(grad_fn, theta,
+                            probes if train else probes[1:])[0]
 
 
 def own_parts(policy):

@@ -163,14 +163,12 @@ def test_probe_field_rows_makes_one_field_call(iters):
 
 def test_update_draws_one_training_matrix_and_the_reports():
     """An update's probes: metric training's one matrix, the first draw of
-    the "alg1-probes" stream, then the report's held-out one; with
-    freeze_phi (train False) the report's alone."""
+    the "alg1-probes" stream, then the report's held-out one."""
     both = draw_probes(9, 4, 3)
     assert both.shape == (2, 4, 3)
     assert np.array_equal(both[0], rademacher_matrix(
         RngStream(9).spawn("alg1-probes"), 4, 3))
     assert np.array_equal(both[1], rademacher_matrix(RngStream(9), 4, 3))
-    assert np.array_equal(draw_probes(9, 4, 3, False), both[1:])
 
 
 def test_report_fields_populated():

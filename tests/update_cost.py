@@ -5,8 +5,7 @@ other setting at its `rpg train` default, in this process, and prints per
 variant the number of updates recorded and the median of their
 ``StepRecord.wall_ms``.  A run that aborts contributes the updates it
 recorded; at the defaults every `pointmass` run aborts after 2 (ROADMAP
-item 1), so its medians are over 6 updates.  ``--total-steps`` shortens
-the runs.
+item 1), so its medians are over 6 updates.
 
 This keeps the cost of an update at the defaults reproducible while the
 benchmark (`perfbench/`) shrinks the `pointmass` inner loop.  The figure
@@ -15,7 +14,7 @@ same machine, one after the other.
 
 Run from the repository root::
 
-    python tests/update_cost.py [--env pointmass] [--total-steps N]
+    python tests/update_cost.py [--env pointmass]
 
 pytest does not collect this file: its name does not start with ``test_``.
 """
@@ -39,10 +38,6 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--env", default="pointmass",
                         help="environment kind (default pointmass)")
-    parser.add_argument("--total-steps", type=int,
-                        default=TrainConfig.total_steps,
-                        help="steps per run (default: the rpg train "
-                             "default)")
     args = parser.parse_args(argv)
 
     start = time.perf_counter()
@@ -51,8 +46,7 @@ def main(argv=None):
         with np.errstate(all="ignore"):
             for seed in SEEDS:
                 summary = run_training(TrainConfig(
-                    env_kind=args.env, variant=variant, seed=seed,
-                    total_steps=args.total_steps))
+                    env_kind=args.env, variant=variant, seed=seed))
                 walls += [r.wall_ms for r in summary.records]
         print(f"{args.env} {variant}: {len(walls)} updates, median "
               f"{np.median(walls):.1f} ms")
