@@ -18,7 +18,7 @@ Import layout:
     rpg.fourier     truncated cosine/sine bases, scaling and rotation maps,
                     the exp-decomposition check and its matrix_exp
     rpg.metric      the rank-one metric: det, inverse-apply, bilinear form
-    rpg.fields      batched field calls, FD step, finiteness checks
+    rpg.fields      batched field calls, FD step and stencil, finiteness checks
     rpg.divergence  exact divergence; one probe draw and one field call
                     of 1 + 4K rows per update, one batch per probe matrix,
                     frozen in place, and the estimator the report and the

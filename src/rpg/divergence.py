@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadDimensions
-from .fields import default_fd_step, eval_points, require_finite
+from .fields import default_fd_step, eval_points, fd_points, require_finite
 from .metric import MetricPoint, inverse_apply, metric_matrix
 from .rng import RngStream, rademacher_matrix
 
@@ -70,8 +70,7 @@ def divergence_exact(grad_fn, u_fn, theta: np.ndarray) -> float:
     if n > 64:
         raise BadDimensions(f"divergence_exact is desk-scale (n <= 64), n={n}")
     step = default_fd_step(theta)
-    eye = step * np.eye(n)
-    pts = np.concatenate([theta + eye, theta - eye, theta[None]], axis=0)
+    pts = np.concatenate([fd_points(theta, step), theta[None]], axis=0)
     us = require_finite(eval_points(u_fn, pts), "metric factor field")
     gs = require_finite(eval_points(grad_fn, pts), "gradient field")
     js = inverse_apply(MetricPoint(us), gs)

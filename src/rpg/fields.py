@@ -23,6 +23,12 @@ def default_fd_step(theta: np.ndarray) -> float:
     return 1e-4 * (1.0 + norm)
 
 
+def fd_points(theta: np.ndarray, step: float) -> np.ndarray:
+    """Stack of theta +- step*e_mu: rows 0..n-1 are +, rows n..2n-1 are -."""
+    eye = step * np.eye(theta.size)
+    return np.concatenate([theta + eye, theta - eye], axis=0)
+
+
 def eval_points(fn, pts: np.ndarray) -> np.ndarray:
     """Evaluate a batch-capable field at a (B, n) stack of points."""
     pts = np.asarray(pts, dtype=np.float64)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadDimensions, NonFiniteField
-from .fields import default_fd_step, eval_points, require_finite
+from .fields import default_fd_step, eval_points, fd_points, require_finite
 from .metric import MetricPoint, inverse_apply, metric_matrix
 
 
@@ -47,17 +47,10 @@ class ChristoffelTensor:
         return np.einsum("dmn,m,n->d", self.gamma, w, w)
 
 
-def _fd_points(theta: np.ndarray, step: float) -> np.ndarray:
-    """Stack of theta +- step*e_mu: rows 0..n-1 are +, rows n..2n-1 are -."""
-    n = theta.size
-    eye = step * np.eye(n)
-    return np.concatenate([theta + eye, theta - eye], axis=0)
-
-
 def _metric_partials(u_field, theta: np.ndarray, step: float) -> np.ndarray:
     """partials[r, m, n] = d g_mn / d theta_r, by central FD on dense G."""
     n = theta.size
-    us = eval_points(u_field, _fd_points(theta, step))
+    us = eval_points(u_field, fd_points(theta, step))
     require_finite(us, "metric factor field")
     partials = np.empty((n, n, n))
     for r in range(n):

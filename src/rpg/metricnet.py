@@ -555,13 +555,12 @@ def _kick_heads(phi: MetricNetParams, rng: RngStream, scale: float) -> None:
 
 
 def train_metric_net(phi: MetricNetParams, rows: ProbeRows, seed: int,
-                     iters: int, lr: float = 1e-3, kick_scale: float = 1e-2):
+                     iters: int, lr: float, kick_scale: float):
     """Descend (divergence estimate)^2 in phi; return (best phi, history).
 
     lr is Adam's step size; a kick at an exact saddle adds uniform
     +-kick_scale noise to the heads, drawn from seed's kick stream.
-    Their defaults are not TrainConfig's metric_lr (0.01) and kick_scale
-    (0.005): training passes those, and direct callers rely on these.
+    Training passes TrainConfig's metric_lr and kick_scale.
     history records one (iter, div, loss) triple per completed iteration,
     always describing the best iterate seen so far — the curve is exactly
     non-increasing in loss, and the final entry describes the returned phi.
@@ -653,9 +652,10 @@ def load_params(path: str) -> MetricNetParams:
     The header's kernel, pool size, plans and array shapes must be
     exactly what ``save_params`` writes for the network that its layout
     and m_tilde describe; any difference, a missing key or a payload of
-    another length raises LayoutMismatch.  A v2 header must hold an int
-    or null pool_exempt; a v1 file has none and loads with the layout's
-    default exempt part.
+    another length raises LayoutMismatch, as does a payload that is not a
+    whole number of float64s.  A v2 header must hold an int or null
+    pool_exempt; a v1 file has none and loads with the layout's default
+    exempt part.
     """
     with open(path, "rb") as fh:
         magic = fh.read(len(CHECKPOINT_MAGIC))
@@ -663,7 +663,11 @@ def load_params(path: str) -> MetricNetParams:
             raise ValueError(f"not a metric-net checkpoint: {path}")
         size = int.from_bytes(fh.read(8), "little")
         header = json.loads(fh.read(size).decode("utf-8"))
-        payload = np.frombuffer(fh.read(), dtype="<f8")
+        blob = fh.read()
+    if len(blob) % 8:
+        raise LayoutMismatch(f"checkpoint payload of {len(blob)} bytes is "
+                             f"not a whole number of float64s")
+    payload = np.frombuffer(blob, dtype="<f8")
     missing = [key for key in _HEADER_KEYS if key not in header]
     if missing:
         raise LayoutMismatch(f"checkpoint header lacks {', '.join(missing)}")

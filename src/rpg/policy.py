@@ -178,9 +178,10 @@ def _play_rows(env, policy, parts, events, buffer=_fresh):
     step's states and actions into the buffers, makes no advance after the
     last step, whose result nothing reads, and one rewards call then takes
     every step's rewards.  Every episode runs the full horizon, as every
-    environment's does.  Without action noise the policy acts on its mean
-    and the record is None.  With it, each step's forward
-    (``row_forward``) is also copied into the record.  The states, actions
+    environment's does.  Each step's one ``row_forward`` ends with the
+    mean, which the policy acts on without action noise (the record is
+    None); with it, the forward is copied into the record and the action
+    is the mean plus sigma times the noise.  The states, actions
     and record arrays are C-order (B, E, H, width) views of what
     ``buffer(slot, rows, E * H, width)`` hands out: new arrays by default
     (``_fresh``), or work-area slices (``_work``), valid until the next
@@ -200,13 +201,12 @@ def _play_rows(env, policy, parts, events, buffer=_fresh):
         for i, width in enumerate(policy.record_widths)]
     state = np.broadcast_to(starts, (rows, episodes, dim))
     for t in range(horizon):
-        if record is None:
-            action = policy.row_means(parts, state)
-        else:
-            layers = policy.row_forward(parts, state)
+        layers = policy.row_forward(parts, state)
+        action = layers[-1]
+        if record is not None:
             for kept, layer in zip(record, layers):
                 kept[:, :, t] = layer
-            action = layers[-1] + sigma * xi[t]
+            action = action + sigma * xi[t]
         states[:, :, t] = state
         actions[:, :, t] = action
         if t + 1 < horizon:
@@ -349,9 +349,6 @@ class PolicyMLP(_FlatTheta):
         """The record (h1, h2, mean) at (B, N, state_dim) states."""
         return _mlp_layers(parts, states)
 
-    def row_means(self, parts, states):
-        return _mlp_layers(parts, states)[2]
-
     def row_sigmas(self, parts):
         return np.exp(parts[6])[:, None, :]
 
@@ -415,11 +412,8 @@ class LinearGainPolicy(_FlatTheta):
         self.set_theta(np.concatenate([p.ravel() for p in parts]))
 
     def row_forward(self, parts, states):
-        return (self.row_means(parts, states),)
-
-    def row_means(self, parts, states):
         k, b = parts
-        return -states @ k.swapaxes(1, 2) + b[:, None, :]
+        return (-states @ k.swapaxes(1, 2) + b[:, None, :],)
 
     def row_sigmas(self, parts):
         return self.sigma
@@ -440,9 +434,10 @@ class ParamPolicy(_FlatTheta):
         self.layout = LayerLayout.from_vector(self.dim)
         self.set_theta(np.zeros(self.dim) if init is None else init)
 
-    def row_means(self, parts, states):
-        return np.broadcast_to(parts[0][:, None, :],
-                               states.shape[:-1] + (self.dim,))
+    def row_forward(self, parts, states):
+        """The mean, the parameter row itself, as a 1-tuple."""
+        return (np.broadcast_to(parts[0][:, None, :],
+                                states.shape[:-1] + (self.dim,)),)
 
     def row_sigmas(self, parts):
         return 0.0

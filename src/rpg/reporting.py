@@ -21,7 +21,7 @@ from xml.sax.saxutils import escape
 import numpy as np
 
 from .errors import MalformedLog
-from .training import StepRecord
+from .training import StepRecord, ratio_fraction
 
 SCHEMA_STAMP = "# rpg-metrics-v1"
 COLUMNS = ("step", "return", "div", "hessian_trace", "ratio", "gate",
@@ -87,13 +87,6 @@ def read_metrics(path):
             except ValueError as err:
                 raise MalformedLog(f"{path}: line {lineno}: {err}")
     return records
-
-
-def ratio_fraction(records):
-    """Fraction of records with divergence ratio < 1 (NaN/inf count as not)."""
-    if not records:
-        return 0.0
-    return float(np.mean([r.ratio < 1.0 for r in records]))
 
 
 def strip_wall_time(path):

@@ -16,13 +16,9 @@ what a freshly built ``Philox(key=seed, counter=event << 64)`` would.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
-# +1 where a byte's top bit is set, -1 elsewhere
-_SIGN_OF_TOP_BYTE = np.where(np.arange(256) >= 128, 1.0, -1.0)
 
 
 def _splitmix64(x: int) -> int:
@@ -91,21 +87,9 @@ class RngStream:
         return self._next_generator().integers(low, high, size)
 
     def signs(self, size) -> np.ndarray:
-        """+-1 entries, each with probability 1/2.
-
-        The draws of ``2 * Generator.integers(0, 2, size) - 1``, without
-        its per-call overhead: for the range {0, 1}, numpy's Lemire draw is
-        the top bit of each 32-bit half of Philox's 64-bit outputs, low
-        half first.  On a little-endian host byte 4i + 3 of the raw outputs
-        is the top byte of half i, so one table lookup per entry gives the
-        sign.
-        """
-        shape = tuple(size) if np.iterable(size) else (int(size),)
-        count = math.prod(shape)
-        raw = self._next_generator().bit_generator.random_raw(
-            (count + 1) // 2)
-        return _SIGN_OF_TOP_BYTE.take(
-            raw.view(np.uint8)[3::4][:count]).reshape(shape)
+        """+-1 float64 entries, each with probability 1/2: the draws of
+        ``2 * Generator.integers(0, 2, size) - 1``."""
+        return 2.0 * self._next_generator().integers(0, 2, size) - 1.0
 
 
 def rademacher_matrix(rng: RngStream, k: int, n: int) -> np.ndarray:

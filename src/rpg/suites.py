@@ -31,7 +31,7 @@ from .geodesic import (christoffel_fd, covariant_metric_residual,
                        geodesic_gradient, geodesic_gradient_component,
                        geodesic_ode_direction)
 from .metric import MetricPoint, inverse_apply, metric_det, metric_matrix
-from .metricnet import (LayerLayout, MetricNetConfig, UField,
+from .metricnet import (LayerLayout, MetricNetConfig, UField, _kick_heads,
                         evaluate_divergence_loss, init_params,
                         train_metric_net)
 from .rng import RngStream, rademacher_matrix
@@ -278,10 +278,7 @@ def suite_metric_training():
                        "(<= 20 iterations)", float(np.median(ratios)), 0.5)]
 
     phi = init_params(RngStream(32), MetricNetConfig(m_tilde=3), layout)
-    r = RngStream(33)
-    for a in (phi.head_omega_w, phi.head_omega_b,
-              phi.head_sigma_w, phi.head_sigma_b):
-        a += r.uniform(-0.05, 0.05, a.shape)
+    _kick_heads(phi, RngStream(33), 0.05)
     probes = rademacher_matrix(RngStream(0), 8, theta.size)
     field, = probe_field_rows(grad_fn, theta, probes[None])
     ctx = freeze_probe_batch(field, UField(phi)(theta))

@@ -27,6 +27,7 @@ from .divergence import (DivergenceReport, divergence_report, draw_probes,
                          probe_field_rows)
 from .envs import lqr_return_gradient, make_env
 from .errors import BadDimensions, ConfigError, NonFiniteField
+from .fields import require_finite
 from .geodesic import geodesic_gradient
 from .metric import MetricPoint, inverse_apply
 from .metricnet import MetricNetConfig, UField, init_params, train_metric_net
@@ -139,6 +140,13 @@ class StepRecord:
     wall_ms: float
 
 
+def ratio_fraction(records):
+    """Fraction of records with divergence ratio < 1 (NaN/inf count as not)."""
+    if not records:
+        return 0.0
+    return float(np.mean([r.ratio < 1.0 for r in records]))
+
+
 @dataclass
 class RunSummary:
     final_return: float
@@ -163,13 +171,6 @@ NEUTRAL_REPORT = DivergenceReport(div=0.0, hessian_trace=0.0, ratio=1.0)
 FALLBACK_REPORT = DivergenceReport(div=float("nan"),
                                    hessian_trace=float("nan"),
                                    ratio=float("inf"))
-
-
-def _finite_gradient(grad):
-    grad = np.asarray(grad, dtype=float)
-    if not np.all(np.isfinite(grad)):
-        raise NonFiniteField("gradient at theta")
-    return grad
 
 
 def regularize_step(theta, grad, phi, cfg, grad_fn, probe_seed):
@@ -202,10 +203,10 @@ def regularize_step(theta, grad, phi, cfg, grad_fn, probe_seed):
     """
     theta = np.asarray(theta, dtype=float)
     if grad is not None:
-        grad = _finite_gradient(grad)
+        grad = require_finite(grad, "gradient at theta")
     if cfg.variant == "baseline":
         if grad is None:
-            grad = _finite_gradient(grad_fn(theta))
+            grad = require_finite(grad_fn(theta), "gradient at theta")
         return grad.copy(), NEUTRAL_REPORT, False, phi
 
     probes = draw_probes(probe_seed, cfg.probe_count, theta.size)
@@ -213,7 +214,7 @@ def regularize_step(theta, grad, phi, cfg, grad_fn, probe_seed):
                             probes[1:] if cfg.freeze_phi else probes)
     last = rows[-1]
     if grad is None:
-        grad = _finite_gradient(last.g0)
+        grad = require_finite(last.g0, "gradient at theta")
 
     new_phi = phi
     if not cfg.freeze_phi:
@@ -397,12 +398,10 @@ def run_training(cfg):
         policy.set_theta(theta)
 
     returns = [r.eval_return for r in records]
-    ratios = [r.ratio for r in records]
     return RunSummary(
         final_return=returns[-1] if returns else float("nan"),
         best_return=max(returns) if returns else float("nan"),
-        fraction_ratio_below_one=(
-            float(np.mean([r < 1.0 for r in ratios])) if ratios else 0.0),
+        fraction_ratio_below_one=ratio_fraction(records),
         records=records,
         config=asdict(cfg),
         final_theta=policy.theta,

@@ -2,14 +2,16 @@
 
 The field is the `rpg train` pointmass one: the run's policy at seed 0,
 ``probe_episodes`` episodes per row, parameter rows scattered around its
-theta.  For 1, 9, 25, 32 and 1,345 rows (1,345 is one J/T update's call at
-the `rpg train` defaults: 1 + 2*32*20 + 2*32) it times REPEATS calls and
-prints, per row count, the first call's ms and ``ru_minflt`` and the median
-of the others.  It does so twice, each time in a new Python process:
+theta.  For 1, 17, 32 and 129 rows (17 is one J/T update's call on the
+benchmark's ``pointmass`` workload, 1 + 4*4; 32 is ``ROW_BLOCK``; 129 is
+one J/T update's call at the `rpg train` defaults, 1 + 4*32) it times
+REPEATS calls and prints, per row count, the first call's ms and
+``ru_minflt`` and the median of the others.  It does so twice, each time in
+a new Python process:
 
 - ``fresh``: the row counts in increasing order, so no call follows a
   larger one;
-- ``after``: one 1,345-row call first, then the same sequence.
+- ``after``: one 129-row call first, then the same sequence.
 
 A cost that depends on what ran before shows as a gap between the two.
 
@@ -36,8 +38,8 @@ from rpg.policy import reinforce_field  # noqa: E402
 from rpg.rng import RngStream  # noqa: E402
 from rpg.training import TrainConfig, _build_policy  # noqa: E402
 
-ROWS = (1, 9, 25, 32, 1345)
-LARGE = 1345
+ROWS = (1, 17, 32, 129)
+LARGE = 129
 
 
 def _minflt():
@@ -74,7 +76,7 @@ def measure(mode, repeats):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--repeats", type=int, default=20,
-                        help="calls per row count below 1,345 (default 20)")
+                        help="calls per row count below 129 (default 20)")
     parser.add_argument("--mode", choices=("fresh", "after"),
                         help="measure in this process only")
     args = parser.parse_args(argv)

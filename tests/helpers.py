@@ -8,8 +8,8 @@ from rpg.divergence import ProbeRows, draw_probes, probe_field_rows
 from rpg.envs import (_closed_loop, _gain_rows, _vec_kron,
                       default_init_second_moment, lqr_return_gradient)
 from rpg.errors import BadDimensions, NonFiniteField
-from rpg.fields import default_fd_step, eval_points, require_finite
-from rpg.geodesic import _fd_points
+from rpg.fields import (default_fd_step, eval_points, fd_points,
+                        require_finite)
 from rpg.metric import MetricPoint, bilinear_form, inverse_apply
 from rpg.metricnet import (KERNEL, POOL_SIZE, Adam, UField, _kick_heads,
                            evaluate_divergence_loss)
@@ -76,9 +76,9 @@ def reference_rollout(env, policy, episodes, rng, explore=True):
     """``rpg.policy.rollout`` played one episode and one step at a time.
 
     The reference for the row engine: per episode a reset, then per step
-    the mean at the one state (``row_means`` at one row and one state; when
-    exploring, ``row_forward``, whose record is kept, plus sigma times a
-    normal draw), the dynamics draw, the step's own rewards and the
+    one ``row_forward`` at one row and one state, whose last entry is the
+    mean (when exploring, its record is kept and the action adds sigma
+    times a normal draw), the dynamics draw, the step's own rewards and the
     advance, the last step's included.  The per-step lists are joined by
     ``np.stack`` into a ``Trajectory`` of (E, H, ...) arrays.
     """
@@ -95,7 +95,7 @@ def reference_rollout(env, policy, episodes, rng, explore=True):
                     size=policy.action_dim)
             else:
                 record = []
-                action = policy.row_means(parts, state[None, None])[0, 0]
+                action = policy.row_forward(parts, state[None, None])[-1][0, 0]
             noise = env.draw_noise(rng)
             steps.append((state, action, env.rewards(state, action),
                           *[r[0, 0] for r in record]))
@@ -167,7 +167,7 @@ def fd_pullback(u_field, theta, cot):
     with the step ``default_fd_step(theta)``; 2n field rows."""
     theta = np.asarray(theta, dtype=np.float64)
     step = default_fd_step(theta)
-    q = eval_points(u_field, _fd_points(theta, step)) @ cot
+    q = eval_points(u_field, fd_points(theta, step)) @ cot
     return (q[:theta.size] - q[theta.size:]) / (2.0 * step)
 
 
@@ -184,7 +184,7 @@ def fd_geodesic_gradient(u_field, theta, grad_j, kappa):
         return grad_j.copy()
     n = theta.size
     step = default_fd_step(theta)
-    us = require_finite(eval_points(u_field, _fd_points(theta, step)),
+    us = require_finite(eval_points(u_field, fd_points(theta, step)),
                         "metric factor field")
     q = bilinear_form(MetricPoint(us), np.broadcast_to(grad_j, us.shape),
                       np.broadcast_to(grad_j, us.shape))
@@ -417,7 +417,7 @@ def reference_play_rows(env, policy, parts, events):
     state = np.broadcast_to(starts, (len(parts[0]),) + starts.shape)
     states, actions, rewards = [], [], []
     for t in range(env.horizon):
-        action = policy.row_means(parts, state)
+        action = policy.row_forward(parts, state)[-1]
         if xi is not None:
             action = action + sigma * xi[t]
         states.append(state)

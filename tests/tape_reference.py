@@ -312,7 +312,7 @@ def mlp_logprob_grad(policy, states, actions, weights):
     loss = reduce_sum(mul(z2, -0.5 * weights))
     grads = graph.leaf_gradients(loss)
 
-    mean = policy.row_means([p[None] for p in parts], states[None])[0]
+    mean = policy.row_forward([p[None] for p in parts], states[None])[-1][0]
     z2_val = (actions - mean) ** 2 * inv_var[None, :]
     grad_log_std = np.sum(weights * (z2_val - 1.0), axis=0)
     return np.concatenate([g.ravel() for g in grads + [grad_log_std]])

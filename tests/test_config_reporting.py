@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import rpg.training
 from rpg.errors import ConfigError, MalformedLog
 from rpg.reporting import (COLUMNS, ratio_fraction, read_metrics,
                            read_summary, strip_wall_time, svg_line_chart,
@@ -347,6 +348,8 @@ def test_malformed_logs_rejected(tmp_path, text, fragment):
 
 
 def test_ratio_fraction_arithmetic():
+    # one statement: the summary's fraction and `rpg report`'s are the same
+    assert ratio_fraction is rpg.training.ratio_fraction
     assert ratio_fraction([]) == 0.0
     assert ratio_fraction([record(ratio=0.5)] * 4) == 1.0
     mixed = [record(ratio=r) for r in

@@ -553,13 +553,19 @@ def test_params_list_views_values_end_to_end(layout, m_tilde):
     assert np.all(phi.values[-m_tilde:] == -7.0)
 
 
+# Adam's step and the kick scale of these direct train_metric_net calls
+# (reference_train_metric_net's defaults); training passes TrainConfig's
+STEP = dict(lr=1e-3, kick_scale=1e-2)
+
+
 def test_train_zero_field_is_noop():
     """J = 0 everywhere: loss exactly 0, phi returned bit-identical."""
     layout = LayerLayout.from_vector(6)
     phi = init_params(RngStream(34), MetricNetConfig(m_tilde=2), layout)
     before = [a.copy() for a in phi.params_list()]
     out, history = train_metric_net(
-        phi, probe_rows(np.zeros_like, np.ones(6), 4, train=True), 0, 5)
+        phi, probe_rows(np.zeros_like, np.ones(6), 4, train=True), 0, 5,
+        **STEP)
     assert [(i, d, l) for i, d, l in history] == [(i, 0.0, 0.0)
                                                   for i in range(5)]
     assert all(np.array_equal(a, b)
@@ -570,7 +576,7 @@ def test_train_history_loss_non_increasing():
     layout, grad_fn, theta, _ = quad_fixture()
     phi = init_params(RngStream(35), MetricNetConfig(m_tilde=3), layout)
     rows = probe_rows(grad_fn, theta, 8, 2, train=True)
-    _, history = train_metric_net(phi, rows, 2, 8)
+    _, history = train_metric_net(phi, rows, 2, 8, **STEP)
     losses = [l for _, _, l in history]
     assert len(losses) == 8
     assert all(b <= a for a, b in zip(losses, losses[1:]))
@@ -583,7 +589,7 @@ def test_train_deterministic():
     for _ in range(2):
         phi = init_params(RngStream(36), MetricNetConfig(m_tilde=3), layout)
         out, history = train_metric_net(
-            phi, probe_rows(grad_fn, theta, 8, 3, train=True), 3, 5)
+            phi, probe_rows(grad_fn, theta, 8, 3, train=True), 3, 5, **STEP)
         runs.append((out, history))
     assert runs[0][1] == runs[1][1]
     assert all(np.array_equal(a, b) for a, b in
@@ -596,7 +602,7 @@ def test_train_aborts_on_non_finite():
     phi.trunk_w[0, 0] = np.inf
     with np.errstate(invalid="ignore"):
         out, history = train_metric_net(
-            phi, probe_rows(grad_fn, theta, 4, train=True), 0, 5)
+            phi, probe_rows(grad_fn, theta, 4, train=True), 0, 5, **STEP)
     assert history == []
     assert np.isinf(out.trunk_w[0, 0])
 
@@ -604,7 +610,7 @@ def test_train_aborts_on_non_finite():
     phi = init_params(RngStream(37), MetricNetConfig(m_tilde=3), layout)
     out, history = train_metric_net(
         phi, probe_rows(lambda p: np.full_like(p, np.nan), theta, 4,
-                        train=True), 0, 5)
+                        train=True), 0, 5, **STEP)
     assert history == []
     assert all(np.array_equal(a, b)
                for a, b in zip(out.params_list(), phi.params_list()))
@@ -629,7 +635,8 @@ def test_train_non_finite_row_ends_pass_before_its_first_iteration(
                         lambda *a, **k: forwards.append(1) or forward(*a, **k))
     phi = init_params(RngStream(39), MetricNetConfig(m_tilde=3), layout)
     out, history = train_metric_net(phi, probe_rows(field, theta, 4, 5,
-                                                    train=True), 5, 5)
+                                                    train=True), 5, 5,
+                                  **STEP)
     assert history == [] and forwards == []
     assert np.array_equal(out.values, phi.values)
 
@@ -650,7 +657,7 @@ def test_train_every_iteration_reads_the_one_training_matrix(monkeypatch):
     train, report = probe_field_rows(grad_fn, theta,
                                      draw_probes(3, 4, theta.size))
     phi = init_params(RngStream(36), MetricNetConfig(m_tilde=3), layout)
-    _, history = train_metric_net(phi, train, 3, 6)
+    _, history = train_metric_net(phi, train, 3, 6, **STEP)
     assert len(history) == len(seen) == 6
     first = rademacher_matrix(RngStream(3).spawn("alg1-probes"), 4,
                               theta.size)
@@ -688,7 +695,7 @@ def test_train_matches_reference_loop_bitwise(layout, m_tilde, case,
 
     with np.errstate(invalid="ignore", over="ignore"):
         out, history = train_metric_net(
-            phi, probe_rows(grad_fn, theta, 4, 3, train=True), 3, 5)
+            phi, probe_rows(grad_fn, theta, 4, 3, train=True), 3, 5, **STEP)
         ref, ref_history = reference_train_metric_net(phi, theta, grad_fn, 4,
                                                       3, max_iters=5)
     assert history == ref_history
@@ -720,7 +727,7 @@ def test_train_forwards_twice_per_iteration_via_module_names(max_iters,
 
     phi = init_params(RngStream(36), MetricNetConfig(m_tilde=3), layout)
     field = probe_rows(grad_fn, theta, 4, 3, train=True)
-    _, history = train_metric_net(phi, field, 3, max_iters)
+    _, history = train_metric_net(phi, field, 3, max_iters, **STEP)
     assert len(history) == max_iters
     rows = [len(args[1]) for args in calls["metric_net_forward"]]
     assert rows == [1, 2 * 4 + 3] * max_iters
@@ -785,7 +792,7 @@ def test_train_pass_python_calls_stay_within_bound():
     layout, grad_fn, theta, _ = quad_fixture(n=4)
     phi = init_params(RngStream(36), MetricNetConfig(m_tilde=3), layout)
     field = probe_rows(grad_fn, theta, 8, 3, train=True)
-    train_metric_net(phi, field, 3, 20)    # builds the cached plans
+    train_metric_net(phi, field, 3, 20, **STEP)    # builds the cached plans
     package = os.path.dirname(rpg.metricnet.__file__) + os.sep
     calls = 0
 
@@ -796,7 +803,7 @@ def test_train_pass_python_calls_stay_within_bound():
 
     sys.setprofile(count)
     try:
-        _, history = train_metric_net(phi, field, 3, 20)
+        _, history = train_metric_net(phi, field, 3, 20, **STEP)
     finally:
         sys.setprofile(None)
     assert len(history) == 20
@@ -809,7 +816,7 @@ def test_train_rejects_zero_iters():
     phi = init_params(RngStream(38), MetricNetConfig(m_tilde=3), layout)
     with pytest.raises(ValueError):
         train_metric_net(phi, probe_rows(grad_fn, theta, 4, train=True), 0,
-                         0)
+                         0, **STEP)
 
 
 # ------------------------------------------------------------- checkpoints
@@ -898,6 +905,21 @@ def test_checkpoint_rejects_garbage(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"not a checkpoint")
     with pytest.raises(ValueError):
+        load_params(str(path))
+
+
+@pytest.mark.parametrize("cut", [4, 8, 13])
+def test_checkpoint_rejects_truncated_payload(tmp_path, cut):
+    """A payload cut short, by whole float64s or not, is a LayoutMismatch
+    that gives its byte count when the count is not a multiple of 8."""
+    phi = make_phi(seed=47)
+    path = tmp_path / "phi.bin"
+    save_params(phi, str(path))
+    raw = path.read_bytes()
+    path.write_bytes(raw[:-cut])
+    size = len(raw) - cut - 16 - int.from_bytes(raw[8:16], "little")
+    match = f"payload of {size} bytes" if cut % 8 else "values of shape"
+    with pytest.raises(LayoutMismatch, match=match):
         load_params(str(path))
 
 

@@ -52,7 +52,7 @@ def logprob_sum(policy, theta, states, actions, weights):
     """Reference sum_i w_i log pi(a_i|s_i), used as the FD target."""
     keep = policy.theta
     policy.set_theta(theta)
-    mu = policy.row_means(own_parts(policy), states[None])[0]
+    mu = policy.row_forward(own_parts(policy), states[None])[-1][0]
     if isinstance(policy, PolicyMLP):
         log_std = own_parts(policy)[6][0]
         var = np.exp(2.0 * log_std)
@@ -125,7 +125,7 @@ def test_mlp_act_mean_vs_stochastic():
     for t in range(env.horizon):
         assert np.array_equal(
             mean.actions[:, t],
-            pol.row_means(own_parts(pol), mean.states[None, :, t])[0])
+            pol.row_forward(own_parts(pol), mean.states[None, :, t])[-1][0])
     drawn = rollout(env, pol, 2, RngStream(11))
     assert not np.array_equal(mean.actions[:, 0], drawn.actions[:, 0])
     assert np.array_equal(drawn.actions,
@@ -223,7 +223,8 @@ def test_linear_policy_logprob_gradient_matches_fd():
 
 def test_param_policy_acts_its_vector():
     pol = ParamPolicy(3, init=[1.0, -2.0, 0.5])
-    assert np.array_equal(pol.row_means(own_parts(pol), np.zeros((1, 4, 3))),
+    assert np.array_equal(pol.row_forward(own_parts(pol),
+                                          np.zeros((1, 4, 3)))[-1],
                           np.tile([1.0, -2.0, 0.5], (1, 4, 1)))
     pol.set_theta(np.array([0.0, 0.0, 1.0]))
     assert np.array_equal(pol.theta, [0.0, 0.0, 1.0])

@@ -105,10 +105,12 @@ def test_event_draws_match_a_freshly_built_philox(seed, counter):
 
 
 @pytest.mark.parametrize("size", [1, 7, (1,), (3, 3), (8, 4), (16, 2),
-                                  (5, 3), (2, 3, 5), (0,), (4, 0)])
+                                  (5, 3), (2, 3, 5), (0,), (4, 0),
+                                  (4, 388), (32, 388)])
 def test_signs_are_the_generator_integer_draws_bitwise(size):
-    # signs reads Philox's raw outputs; it must draw what
-    # 2 * Generator.integers(0, 2, size) - 1 on the event's block draws
+    # signs must draw what 2 * Generator.integers(0, 2, size) - 1 on the
+    # event's block draws; (4, 388) and (32, 388) are the pointmass probe
+    # matrices of the benchmark and of the `rpg train` defaults
     for seed in (0, 1, 12345, 2 ** 64 - 1):
         for counter in (0, 1, 7, 2 ** 63 + 5):
             generator = np.random.Generator(

@@ -26,8 +26,10 @@ from rpg.metricnet import (MetricNetConfig, UField, init_params,
 from rpg.policy import (LinearGainPolicy, ParamPolicy,
                         reinforce_gradient_from_batch)
 from rpg.rng import RngStream
-from rpg.training import (TrainConfig, _build_policy, _gradient_field,
-                          evaluate_policy, regularize_step, run_training)
+from rpg.reporting import ratio_fraction
+from rpg.training import (FALLBACK_REPORT, TrainConfig, _build_policy,
+                          _gradient_field, evaluate_policy, regularize_step,
+                          run_training)
 from test_acceptance import LQR_PROTOCOL
 
 
@@ -529,15 +531,55 @@ def test_abort_reason_names_the_check_that_ended_the_run(monkeypatch):
     assert np.array_equal(summary.final_theta, theta0)
 
 
-def test_records_fraction_matches_definition():
-    cfg = TrainConfig(env_kind="lqr", variant="J", total_steps=500,
-                      update_interval=50, probe_count=8, seed=1)
-    summary = run_training(cfg)
+FRACTION_CFG = TrainConfig(env_kind="lqr", variant="J", total_steps=500,
+                           update_interval=50, probe_count=8, seed=1)
+
+
+def check_fraction(summary):
+    """The summary's ratio<1 fraction is the shared ``ratio_fraction`` of
+    its records, which is the mean of ratio < 1 (0.0 with no record)."""
     ratios = np.array([r.ratio for r in summary.records])
-    assert summary.fraction_ratio_below_one == np.mean(ratios < 1.0)
+    want = float(np.mean(ratios < 1.0)) if len(ratios) else 0.0
+    assert summary.fraction_ratio_below_one == want
+    assert summary.fraction_ratio_below_one == ratio_fraction(
+        summary.records)
     assert 0.0 <= summary.fraction_ratio_below_one <= 1.0
+
+
+def test_records_fraction_matches_definition():
+    summary = run_training(FRACTION_CFG)
+    check_fraction(summary)
     assert summary.best_return == max(r.eval_return for r in summary.records)
     assert summary.config["variant"] == "J"
+
+
+@pytest.mark.parametrize("case", ["no-record", "fallback"])
+def test_records_fraction_matches_definition_on_aborts_and_fallbacks(
+        monkeypatch, case):
+    step = rpg.training.regularize_step
+    calls = []
+
+    def patched(theta, *args):
+        direction, report, gated, phi = step(theta, *args)
+        calls.append(theta)
+        if case == "no-record":
+            # a finite direction whose step overflows theta
+            return np.full_like(direction, 1e308), report, gated, phi
+        if len(calls) == 2:
+            return direction, FALLBACK_REPORT, True, phi
+        return direction, report, gated, phi
+
+    monkeypatch.setattr(rpg.training, "regularize_step", patched)
+    if case == "no-record":
+        with np.errstate(over="ignore"):
+            summary = run_training(TrainConfig(policy_lr=10.0))
+        assert summary.abort_reason == "parameters" and not summary.records
+        assert summary.fraction_ratio_below_one == 0.0
+    else:
+        summary = run_training(FRACTION_CFG)
+        assert not summary.aborted
+        assert summary.records[1].ratio == np.inf and summary.records[1].gate
+    check_fraction(summary)
 
 
 def test_reinforce_backend_smoke():
@@ -699,6 +741,9 @@ def test_metric_core_takes_field_rows_not_a_gradient_field():
     params = inspect.signature(train_metric_net).parameters
     assert "theta" not in params and "max_iters" not in params
     assert params["iters"].default is inspect.Parameter.empty
+    # Adam's step and the kick scale come from the caller (TrainConfig)
+    for name in ("lr", "kick_scale"):
+        assert params[name].default is inspect.Parameter.empty
 
 
 # K = 4 probes, I = 3 metric iterations: a J/T update's one field call
