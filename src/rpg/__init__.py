@@ -33,7 +33,9 @@ Import layout:
     rpg.policy      policies holding theta flat; one rollout engine over rows,
                     which plays the fresh batch, the evaluation episodes
                     and the REINFORCE estimator's common-random-numbers
-                    field, whose gradient reads the forward kept by play
+                    field, whose gradient reads the forward kept by play;
+                    an episode draws in at most three events (reset,
+                    action noise, dynamics noise)
     rpg.training    the outer training loop (baseline / J / T variants)
     rpg.runconfig   run-configuration parsing/validation
     rpg.reporting   CSV/JSON logs, the trajectory hash, SVG charts

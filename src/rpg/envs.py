@@ -3,7 +3,7 @@
 Every environment exposes the same surface:
 
     reset(rng)                      -> initial state (numpy vector)
-    draw_noise(rng)                 -> one step's dynamics noise, or None
+    draw_noise(rng)                 -> one episode's dynamics noise, or None
     advance(state, action, noise)   -> next state
     rewards(states, actions)        -> rewards
     state_dim, action_dim, horizon, kind
@@ -13,15 +13,17 @@ episode runs exactly `horizon` steps (landscape environments are
 single-step).  Rewards are negated costs throughout: trainers maximize
 return.
 
-reset and draw_noise make the draws.  draw_noise makes a step's one draw
-event, and answers None without drawing when the dynamics are noiseless.
+reset and draw_noise make the draws, one event each per episode.
+draw_noise draws all `horizon` steps' noise, (horizon, state_dim), in its
+one event, and answers None without drawing when the dynamics are
+noiseless.
 advance and rewards are pure: advance is the recurrence, and rewards
 computes rewards that no later state reads.  They take float arrays with
 leading row axes, (*rows, state_dim) and (*rows, action_dim), against
-which the noise broadcasts, and each row's numbers do not depend on the
-rows around it.  The rollouts of ``rpg.policy`` advance many episodes at
-once, step by step, and then take all their steps' rewards in one rewards
-call.
+which a step's noise (row t of draw_noise's) broadcasts, and each row's
+numbers do not depend on the rows around it.  The rollouts of
+``rpg.policy`` advance many episodes at once, step by step, and then take
+all their steps' rewards in one rewards call.
 
 The module also carries the two closed-form references used to check learned
 policies on the linear-quadratic problem: the discounted Riccati fixed point
@@ -125,12 +127,13 @@ class LqrEnv(_Env):
         return rng.uniform(-1.0, 1.0, size=self.state_dim)
 
     def draw_noise(self, rng):
-        """xi of one step (one draw event), or None for noiseless dynamics."""
+        """xi of one episode, (horizon, state_dim) in one draw event, or None
+        for noiseless dynamics; step t reads row t."""
         if not self.noise_scale > 0.0:
             return None
         if rng is None:
             raise ValueError("noisy dynamics need an rng")
-        return rng.normal(size=self.state_dim)
+        return rng.normal(size=(self.horizon, self.state_dim))
 
     def advance(self, state, action, noise=None):
         nxt = state @ self.a.T + action @ self.b.T

@@ -573,7 +573,8 @@ def train_metric_net(phi: MetricNetParams, rows: ProbeRows, seed: int,
     both forwards share, u(theta) (one one-row forward), the batch frozen
     in place (``freeze_probe_batch``), the loss and its phi-gradient
     (``evaluate_divergence_loss``, into one flat buffer), then an Adam
-    step or a kick.  A non-finite u(theta) or loss ends the loop at its
+    step or a kick, but for the last iteration, whose next phi nothing
+    would read.  A non-finite u(theta) or loss ends the loop at its
     iteration, and the incumbent is returned unchanged.  Adam steps a
     copy of phi.values, which the working network's arrays view.
     """
@@ -605,6 +606,9 @@ def train_metric_net(phi: MetricNetParams, rows: ProbeRows, seed: int,
             best_loss, best_div = loss, div
             best[:] = work.values
         history.append((it, best_div, best_loss))
+        if it + 1 == iters:
+            # no phi after the last iteration's is evaluated or returned
+            break
         if loss > 0.0 and not grad.any():
             # Exact saddle of the zero-head start: every loss derivative
             # carries a factor of u, which is identically 0.0 here.

@@ -9,14 +9,15 @@ consumes, as one flat float64 vector: ``theta`` returns a copy and
 ``set_theta`` stores one, refusing any shape but (n,).  ``layout`` names
 its parts; ``layout.unflatten_batch`` is the one split into them.
 
-Episodes are played on one engine, ``_play_rows``: B parameter rows,
-each over the same E episodes, whose draws ``_draw_episode_events`` makes
-beforehand, in the order of play.  Its horizon loop keeps only the
-recurrence: each step's states and actions go into C-order (B, E, H, ·)
-buffers, the environment's ``advance`` makes the next state, and one
-``rewards`` call after the loop takes every step's rewards.  The policies
-compute their mean, and the two stochastic ones their log-probability
-gradient, in closed form over rows of parameters
+Episodes are played on one engine, ``_play_rows``: B parameter rows, each
+over the same E episodes, whose draws ``_draw_episode_events`` makes
+beforehand, in the order of play: per episode its reset, then its whole
+action noise and its whole dynamics noise, one event each.  Its horizon
+loop keeps only the recurrence: each step's states and actions go into
+C-order (B, E, H, ·) buffers, the environment's ``advance`` makes the next
+state, and one ``rewards`` call after the loop takes every step's
+rewards.  The policies compute their mean, and the two stochastic ones
+their log-probability gradient, in closed form over rows of parameters
 (``LayerLayout.unflatten_batch``); a single parameter vector is the
 one-row case.  When the episodes explore, each step's forward also keeps
 the policy's record, what its log-probability gradient reads (the MLP's
@@ -144,28 +145,26 @@ def rollout(env, policy, episodes, rng, explore=True):
 def _draw_episode_events(env, policy, episodes, rng, explore=True):
     """Every draw of `episodes` episodes, in the order of play.
 
-    Per episode: the reset, then per step the action noise (only when
-    exploring) and the dynamics noise (an event only when the dynamics are
-    noisy; once draw_noise has answered None, it is not asked again).
-    This is the order in which episodes played one at a time, step by
-    step, would draw.
+    Per episode at most three events: the reset, then all H steps of its
+    action noise, (H, action_dim) in one event (only when exploring), and
+    all H steps of its dynamics noise in one ``draw_noise`` event (only
+    when the dynamics are noisy; once draw_noise has answered None, it is
+    not asked again).
     Returns the start states (E, state_dim), the action noise
     (H, E, action_dim) or None, and the dynamics noise (H, E, state_dim)
-    or None.
+    or None: step t of every episode reads row t.
     """
     starts, xi, noise = [], [], []
     noisy = True
     for _ in range(episodes):
         starts.append(env.reset(rng))
-        for _ in range(env.horizon):
-            if explore:
-                xi.append(rng.normal(size=policy.action_dim))
-            if noisy:
-                noise.append(env.draw_noise(rng))
-                noisy = noise[-1] is not None
-    steps = (episodes, env.horizon, -1)
-    xi = np.reshape(xi, steps).swapaxes(0, 1) if explore else None
-    noise = np.reshape(noise, steps).swapaxes(0, 1) if noisy else None
+        if explore:
+            xi.append(rng.normal(size=(env.horizon, policy.action_dim)))
+        if noisy:
+            noise.append(env.draw_noise(rng))
+            noisy = noise[-1] is not None
+    xi = np.stack(xi, axis=1) if explore else None
+    noise = np.stack(noise, axis=1) if noisy else None
     return np.array(starts), xi, noise
 
 
@@ -263,12 +262,12 @@ def reinforce_field(env, policy, points, episodes, gamma, rng):
 
     Row b is reinforce_gradient_from_batch over a ``rollout`` of
     `episodes` episodes of the policy at points[b], every row replaying
-    the same draws of `rng`: the E * (1 + H) draw events
-    (E * (1 + 2H) with noisy dynamics) are made once, whatever B is, and
-    broadcast over the rows.  `policy` supplies the layout and the row
-    methods only; its own theta is not read.  Each block of ROW_BLOCK rows
-    plays into the work area (``_work``) and its backward reads the kept
-    records there; the returned rows are a new array.
+    the same draws of `rng`: the 2E draw events (3E with noisy dynamics)
+    are made once, whatever B is, and broadcast over the rows.  `policy`
+    supplies the layout and the row methods only; its own theta is not
+    read.  Each block of ROW_BLOCK rows plays into the work area
+    (``_work``) and its backward reads the kept records there; the
+    returned rows are a new array.
     """
     _check_stochastic(policy)
     points = np.asarray(points, dtype=float)

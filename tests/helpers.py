@@ -75,31 +75,36 @@ def one_row_logprob_grad(policy, states, actions, weights):
 def reference_rollout(env, policy, episodes, rng, explore=True):
     """``rpg.policy.rollout`` played one episode and one step at a time.
 
-    The reference for the row engine: per episode a reset, then per step
-    one ``row_forward`` at one row and one state, whose last entry is the
+    The reference for the row engine: per episode a reset, one
+    (H, action_dim) normal draw of its action noise when exploring and one
+    ``draw_noise`` draw of its dynamics noise; then per step one
+    ``row_forward`` at one row and one state, whose last entry is the
     mean (when exploring, its record is kept and the action adds sigma
-    times a normal draw), the dynamics draw, the step's own rewards and the
-    advance, the last step's included.  The per-step lists are joined by
-    ``np.stack`` into a ``Trajectory`` of (E, H, ...) arrays.
+    times row t of the action noise), the step's own rewards and the
+    advance on row t of the dynamics noise, the last step's included.
+    The per-step lists are joined by ``np.stack`` into a ``Trajectory``
+    of (E, H, ...) arrays.
     """
     parts = own_parts(policy)
     sigma = np.reshape(policy.row_sigmas(parts), -1)
     played = []
     for _ in range(episodes):
         state = env.reset(rng)
+        xi = (rng.normal(size=(env.horizon, policy.action_dim)) if explore
+              else None)
+        noise = env.draw_noise(rng)
         steps = []
-        for _ in range(env.horizon):
+        for t in range(env.horizon):
             if explore:
                 record = policy.row_forward(parts, state[None, None])
-                action = record[-1][0, 0] + sigma * rng.normal(
-                    size=policy.action_dim)
+                action = record[-1][0, 0] + sigma * xi[t]
             else:
                 record = []
                 action = policy.row_forward(parts, state[None, None])[-1][0, 0]
-            noise = env.draw_noise(rng)
             steps.append((state, action, env.rewards(state, action),
                           *[r[0, 0] for r in record]))
-            state = env.advance(state, action, noise)
+            state = env.advance(state, action,
+                                None if noise is None else noise[t])
         played.append([np.stack(column) for column in zip(*steps)])
     columns = [np.stack(column) for column in zip(*played)]
     return Trajectory(*columns[:3], tuple(columns[3:]) if explore else None)

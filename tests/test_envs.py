@@ -106,7 +106,7 @@ def test_noisy_lqr_needs_rng_and_is_seeded():
     with pytest.raises(ValueError):
         env.draw_noise(None)
     a, b = (env.advance(np.zeros(1), np.zeros(1),
-                        env.draw_noise(RngStream(9))) for _ in range(2))
+                        env.draw_noise(RngStream(9))[0]) for _ in range(2))
     assert np.array_equal(a, b) and a[0] != 0.0
 
 
@@ -117,13 +117,16 @@ def test_single_state_step_keeps_its_formulas_bitwise():
         for seed in range(20):
             s = rng.normal(size=env.state_dim)
             a = rng.normal(size=env.action_dim)
-            nxt = env.advance(s, a, env.draw_noise(RngStream(seed)))
+            # step t reads row t of the episode's noise
+            t = seed % env.horizon
+            noise = env.draw_noise(RngStream(seed))
+            nxt = env.advance(s, a, None if noise is None else noise[t])
             reward = env.rewards(s, a)
             if env.kind == "lqr":
                 want_reward = -(s @ env.q @ s + a @ env.r @ a)
                 want = (env.a @ s + env.b @ a
                         + env.noise_scale * RngStream(seed).normal(
-                            size=env.state_dim))
+                            size=(env.horizon, env.state_dim))[t])
             else:
                 pos, vel = s[:2], s[2:]
                 want_reward = -(pos @ pos + 0.1 * (a @ a))
@@ -139,6 +142,7 @@ def test_step_takes_leading_row_axes():
         states = rng.normal(size=(3, 5, env.state_dim))
         actions = rng.normal(size=(3, 5, env.action_dim))
         noise = env.draw_noise(RngStream(4))
+        noise = None if noise is None else noise[0]
         nxt = env.advance(states, actions, noise)
         reward = env.rewards(states, actions)
         assert nxt.shape == states.shape and reward.shape == (3, 5)
@@ -155,10 +159,10 @@ def test_noise_is_one_event_broadcast_over_rows():
     assert make_env("lqr").draw_noise(RngStream(0)) is None
     stream = RngStream(5)
     xi = env.draw_noise(stream)
-    assert xi.shape == (2,) and stream.counter == 1
+    assert xi.shape == (env.horizon, 2) and stream.counter == 1
     states = np.zeros((4, 2))
-    nxt = env.advance(states, np.zeros((4, 2)), xi)
-    assert np.array_equal(nxt, np.broadcast_to(0.3 * xi, (4, 2)))
+    nxt = env.advance(states, np.zeros((4, 2)), xi[3])
+    assert np.array_equal(nxt, np.broadcast_to(0.3 * xi[3], (4, 2)))
 
 
 def test_pointmass_rest_at_origin_scores_zero():
@@ -275,7 +279,8 @@ def test_landscape_is_single_step():
     ids=["lqr", "lqr-noisy", "pointmass", "bowl", "rosenbrock"])
 def test_every_env_steps_as_draw_then_transition(kind, params):
     # the contract the row engine relies on: played one step at a time,
-    # an episode is draw_noise, rewards and advance in sequence, and
+    # an episode is its draws (reset, action noise, draw_noise), then
+    # rewards and advance on row t of the noise in sequence, and
     # rollout makes the same draws and the same numbers: bitwise for one
     # episode; over several, the MLP's matrix products take all episodes'
     # states at once, whose kernel may round differently

@@ -819,6 +819,28 @@ def test_train_rejects_zero_iters():
                          0, **STEP)
 
 
+@pytest.mark.parametrize("heads,iters", [("zero", 1), ("zero", 3),
+                                          ("random", 1), ("random", 3)])
+def test_train_steps_after_every_iteration_but_the_last(heads, iters,
+                                                        monkeypatch):
+    """An Adam step or a kick follows each iteration but the last: the phi
+    it would make is never evaluated or returned.  From zero heads the
+    first step is the kick, from random heads every step is Adam's."""
+    layout, grad_fn, theta, _ = quad_fixture()
+    phi = make_phi(seed=39, layout=layout, heads=heads)
+    steps = []
+    update, kick = rpg.metricnet.Adam.update, rpg.metricnet._kick_heads
+    monkeypatch.setattr(rpg.metricnet.Adam, "update", lambda *args: (
+        steps.append("adam"), update(*args)))
+    monkeypatch.setattr(rpg.metricnet, "_kick_heads", lambda *args: (
+        steps.append("kick"), kick(*args)))
+    _, history = train_metric_net(
+        phi, probe_rows(grad_fn, theta, 4, 3, train=True), 3, iters, **STEP)
+    assert len(history) == iters
+    first = "kick" if heads == "zero" else "adam"
+    assert steps == ([] if iters == 1 else [first] + ["adam"] * (iters - 2))
+
+
 # ------------------------------------------------------------- checkpoints
 
 

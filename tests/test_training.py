@@ -997,10 +997,12 @@ def test_reinforce_field_merged_rows_equal_separate_calls_bitwise(
         [field(points[:first]), field(points[first:])]))
 
 
-@pytest.mark.parametrize("env_kind,env_params,events_per_step", [
+@pytest.mark.parametrize("env_kind,env_params,kinds", [
     ("pointmass", {}, 1), ("lqr", NOISY_2D, 2)])
 def test_reinforce_field_draw_events_do_not_depend_on_rows(
-        monkeypatch, env_kind, env_params, events_per_step):
+        monkeypatch, env_kind, env_params, kinds):
+    # per episode the reset and one event per noise kind (action noise,
+    # and dynamics noise when the dynamics are noisy), whatever the horizon
     counted = [0]
     draw = RngStream._next_generator
 
@@ -1010,11 +1012,49 @@ def test_reinforce_field_draw_events_do_not_depend_on_rows(
 
     cfg, env, _, points, field = reinforce_case(env_kind, env_params, 17, 5)
     monkeypatch.setattr(RngStream, "_next_generator", counting)
-    expected = cfg.probe_episodes * (1 + events_per_step * env.horizon)
+    expected = cfg.probe_episodes * (1 + kinds)
     for rows in (1, 4, 17):
         counted[0] = 0
         field(points[:rows])
         assert counted[0] == expected
+
+
+# the benchmark's pointmass protocol (perfbench/workloads.py), cut to the
+# three updates its J run plays at seed 0: two records, then the abort
+# (ROADMAP item 1)
+POINTMASS_BENCH = dict(env_kind="pointmass", probe_count=4, metric_iters=2,
+                       total_steps=150)
+
+
+@pytest.mark.parametrize("protocol,expected", [
+    # 2 probe draws, 4 field episodes x (reset, action noise), the fresh
+    # batch's episode x (reset, action noise), 10 evaluation resets
+    (POINTMASS_BENCH, 2 + 8 + 2 + 10),
+    # 2 probe draws and 10 evaluation resets; the closed form draws nothing
+    (dict(LQR_PROTOCOL, total_steps=3 * LQR_PROTOCOL["update_interval"]),
+     2 + 10)], ids=["pointmass", "lqr"])
+def test_update_draw_event_budget(monkeypatch, protocol, expected):
+    """The draw events of a J update, counted from the end of the first
+    update's evaluation (the first update can add head-kick draws) to the
+    end of the second's: no draw schedule that grows with the horizon or
+    the rows comes back unnoticed."""
+    counted, marks = [0], []
+    draw, evaluate = RngStream._next_generator, rpg.training.evaluate_policy
+
+    def counting(stream):
+        counted[0] += 1
+        return draw(stream)
+
+    def marking(*args):
+        out = evaluate(*args)
+        marks.append(counted[0])
+        return out
+
+    monkeypatch.setattr(RngStream, "_next_generator", counting)
+    monkeypatch.setattr(rpg.training, "evaluate_policy", marking)
+    summary = run_training(TrainConfig(variant="J", **protocol))
+    assert len(summary.records) >= 2
+    assert marks[1] - marks[0] == expected
 
 
 def test_evaluate_policy_matches_manual_mean():
@@ -1067,8 +1107,8 @@ def test_evaluate_policy_matches_scalar_rollouts(env_kind, env_params, rel):
                          [case[:2] for case in EVAL_CASES], ids=EVAL_IDS)
 def test_evaluate_policy_draws_what_scalar_rollouts_draw(
         monkeypatch, env_kind, env_params):
-    # no action noise: a reset per episode, plus a dynamics draw per step
-    # of a noisy LQR; the landscapes draw nothing
+    # no action noise: a reset per episode, plus one dynamics draw per
+    # episode of a noisy LQR; the landscapes draw nothing
     counted = [0]
     draw = RngStream._next_generator
 
@@ -1081,7 +1121,7 @@ def test_evaluate_policy_draws_what_scalar_rollouts_draw(
     if env_kind == "landscape":
         expected = 0
     elif env_kind == "lqr" and env.noise_scale > 0:
-        expected = episodes * (1 + env.horizon)
+        expected = 2 * episodes
     else:
         expected = episodes
     monkeypatch.setattr(RngStream, "_next_generator", counting)
